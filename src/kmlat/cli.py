@@ -11,7 +11,7 @@ import json
 import sys
 
 from . import gf, groups, kmaction, lattice, serretree
-from .errors import KmlatError
+from .errors import DegreeTooLarge, InvalidInput, KmlatError
 from .laurent import parse_laurent
 
 SCHEMA = "kmlat-report-v1"
@@ -19,19 +19,22 @@ SCHEMA = "kmlat-report-v1"
 
 def _field_for(q_text):
     """Accept "q" as a plain prime power or "p^a"."""
-    if "^" in q_text:
-        p_s, _, a_s = q_text.partition("^")
-        return gf.make_field(int(p_s), int(a_s))
-    q = int(q_text)
-    for p in range(2, q + 1):
-        a = 0
-        qq = q
-        while qq % p == 0:
-            qq //= p
-            a += 1
-        if qq == 1 and a > 0:
-            return gf.make_field(p, a)
-    raise KmlatError("q = %d is not a prime power" % q)
+    try:
+        if "^" in q_text:
+            p_s, _, a_s = q_text.partition("^")
+            return gf.make_field(int(p_s), int(a_s))
+        q = int(q_text)
+    except ValueError:
+        raise InvalidInput("q = %r is not an integer or p^a" % q_text) from None
+    if q > gf.Q_CAP:
+        raise DegreeTooLarge("q = %d exceeds cap %d" % (q, gf.Q_CAP))
+    p = next((d for d in range(2, q + 1) if q % d == 0), None)
+    a = 1
+    while p and p ** a < q:
+        a += 1
+    if p is None or p ** a != q:
+        raise KmlatError("q = %d is not a prime power" % q)
+    return gf.make_field(p, a)
 
 
 def _parse_matrix(spec, text):
@@ -199,14 +202,19 @@ def cmd_tree(args):
         raise KmlatError("tree needs --distance or --neighbors")
 
 
+def non_negative_int(text):
+    """argparse type: a non-negative integer."""
+    n = int(text)
+    if n < 0:
+        raise argparse.ArgumentTypeError("%d is negative" % n)
+    return n
+
+
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="kmlat",
         description="edge-transitive lattices on (q+1)-regular trees")
-    parser.add_argument("--seed", type=int, default=0,
-                        help="seed for any sampled subcommands")
     parser.add_argument("--json-indent", type=int, default=None)
-    parser.add_argument("--max-elements", type=int, default=10 ** 6)
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_classify_flags(p):
@@ -253,12 +261,12 @@ def build_parser():
     pz = sub.add_parser("zp-test")
     pz.add_argument("--q", required=True)
     pz.add_argument("--m", type=int, default=2)
-    pz.add_argument("--pairs", type=int, default=1)
+    pz.add_argument("--pairs", type=non_negative_int, default=1)
     pz.set_defaults(func=cmd_zp_test)
 
     ph = sub.add_parser("dihedral-search")
     ph.add_argument("--q", required=True)
-    ph.add_argument("--window", type=int, default=1)
+    ph.add_argument("--window", type=non_negative_int, default=1)
     ph.set_defaults(func=cmd_dihedral_search)
 
     pt = sub.add_parser("tree")
@@ -272,7 +280,6 @@ def build_parser():
 def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
-    groups.SIZE_CAP = args.max_elements
     try:
         args.func(args)
     except KmlatError as exc:

@@ -14,7 +14,7 @@ Q_CAP = 512
 DEGREE_CAP = 8
 
 
-def _is_prime(n):
+def is_prime(n):
     if n < 2:
         return False
     d = 2
@@ -189,7 +189,7 @@ _FIELD_CACHE = {}
 def make_field(p, a=1):
     """Build F_{p^a} with the least monic irreducible modulus."""
     p, a = int(p), int(a)
-    if not _is_prime(p):
+    if not is_prime(p):
         raise NonPrime("p = %d is not prime" % p)
     if a < 1 or a > DEGREE_CAP:
         raise DegreeTooLarge("extension degree %d outside 1..%d" % (a, DEGREE_CAP))
@@ -364,21 +364,35 @@ def ext_one(spec):
     return ExtElement(spec, spec.one, spec.zero)
 
 
-def norm1_subgroup(spec):
-    """All z in F_{q^2}* with z^(q+1) = 1; the kernel of the norm map.
+def primitive_element(spec):
+    """The first generator of the cyclic group F_{q^2}*, in (y, x) code order.
 
-    Returned in ascending (y, x) code order; always q+1 elements.
+    z generates exactly when z^(n/r) != 1 for every prime r dividing
+    n = q^2 - 1.
     """
-    out = []
+    n = spec.q * spec.q - 1
+    primes = [r for r in range(2, n + 1) if n % r == 0 and is_prime(r)]
     one = ext_one(spec)
     for ycode in range(spec.q):
         for xcode in range(spec.q):
             z = ExtElement(spec, spec.element(xcode), spec.element(ycode))
-            if z.is_zero():
-                continue
-            if z ** (spec.q + 1) == one:
-                out.append(z)
-    return out
+            if not z.is_zero() and all(not z ** (n // r) == one
+                                       for r in primes):
+                return z
+
+
+def norm1_subgroup(spec):
+    """All z in F_{q^2}* with z^(q+1) = 1; the kernel of the norm map.
+
+    The powers of h = g^(q-1) for a generator g of F_{q^2}*.  Returned in
+    ascending (y, x) code order; always q+1 elements.
+    """
+    h = primitive_element(spec) ** (spec.q - 1)
+    out, z = [], ext_one(spec)
+    for _ in range(spec.q + 1):
+        out.append(z)
+        z = z * h
+    return sorted(out, key=lambda z: (z.y.code, z.x.code))
 
 
 def q_mod4(spec):

@@ -13,17 +13,15 @@ from math import gcd
 
 from .errors import (NotASubgroup, NotFound, OddCharacteristic,
                      SearchBudgetExceeded, SizeCapExceeded)
-from .gf import norm1_subgroup
+from .gf import norm1_subgroup, primitive_element
 from .laurent import LaurentPoly
 from .serretree import Mat2
 
 SIZE_CAP = 10 ** 6
 
 
-def closure(gens, cap=None):
+def closure(gens, cap=SIZE_CAP):
     """Subgroup generated by gens, as a FiniteGroup; BFS with a size cap."""
-    if cap is None:
-        cap = SIZE_CAP
     gens = list(gens)
     if not gens:
         raise NotASubgroup("no generators")
@@ -195,39 +193,53 @@ def sl2_group(spec):
     return _SL2_CACHE[spec]
 
 
+def _mult_matrix(spec, z):
+    """Multiplication by z = x + y*w on F_{q^2}, in the basis {1, w}.
+
+    With w^2 + c1*w + c0 = 0 this is [[x, -y*c0], [y, x - y*c1]]; its
+    determinant is the norm of z.
+    """
+    c0, c1 = spec.ext_modulus()
+    return Mat2(spec,
+                LaurentPoly.const(z.x), LaurentPoly.const(-(z.y * c0)),
+                LaurentPoly.const(z.y), LaurentPoly.const(z.x - z.y * c1))
+
+
 def nonsplit_torus(spec):
     """The norm-one torus: multiplication by F_{q^2} norm-1 elements.
 
-    In the basis {1, w} of F_{q^2} over F_q, multiplication by x + y*w is
-    the matrix [[x, -y*c0], [y, x - y*c1]] where w^2 + c1*w + c0 = 0; its
-    determinant is the norm, so these land in SL2(F_q).  Cyclic of order q+1.
+    These matrices land in SL2(F_q).  Cyclic of order q+1.
     """
-    c0, c1 = spec.ext_modulus()
-    elems = []
-    for z in norm1_subgroup(spec):
-        m = Mat2(spec,
-                 LaurentPoly.const(z.x), LaurentPoly.const(-(z.y * c0)),
-                 LaurentPoly.const(z.y), LaurentPoly.const(z.x - z.y * c1))
-        assert m.det() == LaurentPoly.one(spec)
-        elems.append(m)
+    one = LaurentPoly.one(spec)
+    elems = [_mult_matrix(spec, z) for z in norm1_subgroup(spec)]
+    assert all(m.det() == one for m in elems)
     return FiniteGroup(spec, frozenset(elems))
 
 
 def torus_normalizer(spec):
-    """Normalizer of the norm-one torus in SL2(F_q), for odd p; order 2(q+1)."""
+    """Normalizer of the norm-one torus T in SL2(F_q), for odd p.
+
+    Built directly as T u s*T, order 2(q+1).  With g a generator of
+    F_{q^2}*, T is generated by t0 = multiplication by g^(q-1), and
+    s = (multiplication by g^((q-1)/2)) * F, where F = [[1, -c1], [0, -1]]
+    is the Frobenius x + y*w -> conj(x + y*w).  N(g^((q-1)/2)) = -1 and
+    det F = -1, so det s = 1; s conjugates each t in T to t^q = t^-1.
+    """
     if spec.p == 2:
         raise OddCharacteristic("normalizer construction needs odd p")
+    q = spec.q
     torus = nonsplit_torus(spec)
-    t0 = max(torus.elements, key=torus.element_order)
-    assert torus.element_order(t0) == spec.q + 1
-    for g in sl2_elements(spec):
-        if g in torus.elements:
-            continue
-        if g.mul(t0).mul(g.inv()) in torus.elements:
-            elems = set(torus.elements)
-            elems.update(g.mul(h) for h in torus.elements)
-            return FiniteGroup(spec, frozenset(elems), (t0, g))
-    raise NotFound("no normalizing element outside the torus")
+    g = primitive_element(spec)
+    t0 = _mult_matrix(spec, g ** (q - 1))
+    _, c1 = spec.ext_modulus()
+    frob = Mat2(spec, LaurentPoly.one(spec), LaurentPoly.const(-c1),
+                LaurentPoly.zero(spec), LaurentPoly.const(-spec.one))
+    s = _mult_matrix(spec, g ** ((q - 1) // 2)).mul(frob)
+    assert s.det() == LaurentPoly.one(spec) and s not in torus.elements
+    assert s.mul(t0).mul(s.inv()) in torus.elements
+    elems = set(torus.elements)
+    elems.update(s.mul(h) for h in torus.elements)
+    return FiniteGroup(spec, frozenset(elems), (t0, s))
 
 
 @dataclass(frozen=True)
@@ -349,33 +361,8 @@ def _trace_order_map(spec):
     eigenvalue pair (lam, lam^-1), lam != +-1, has the order of lam, and
     the trace lam + lam^-1 determines the pair.
     """
-    from .gf import ExtElement, ext_one
-    q = spec.q
-    n = q * q - 1
-    one = ext_one(spec)
-    gen = None
-    primes = []
-    m = n
-    f = 2
-    while f * f <= m:
-        if m % f == 0:
-            primes.append(f)
-            while m % f == 0:
-                m //= f
-        f += 1
-    if m > 1:
-        primes.append(m)
-    for ycode in range(spec.q):
-        for xcode in range(spec.q):
-            z = ExtElement(spec, spec.element(xcode), spec.element(ycode))
-            if z.is_zero():
-                continue
-            if all(not (z ** (n // pr)) == one for pr in primes):
-                gen = z
-                break
-        if gen is not None:
-            break
-    assert gen is not None
+    n = spec.q ** 2 - 1
+    gen = primitive_element(spec)
     gen_inv = gen ** (n - 1)
     out = {}
     lam, lam_inv = gen, gen_inv

@@ -15,6 +15,7 @@ from typing import Optional
 
 from .errors import (InvalidInput, KindInadmissible, MinUndefined,
                      NotAHomomorphism, WrongFixedVertex)
+from .gf import is_prime
 from .groups import (FiniteGroup, closure, find_subgroup_of_type,
                      nonsplit_torus, torus_normalizer)
 from .laurent import LaurentPoly
@@ -243,6 +244,8 @@ class ClassificationInput:
         q, p = self.q, self.p
         if p < 2 or q < 2 or self.z_order < 1 or self.m < 2:
             raise InvalidInput("bad numeric parameters")
+        if not is_prime(p):
+            raise InvalidInput("p = %d is not prime" % p)
         qq = q
         while qq % p == 0:
             qq //= p

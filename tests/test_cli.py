@@ -99,6 +99,44 @@ def test_usage_errors_exit_2():
     run_cli("classify", "--p", "7", expect=2)
 
 
+def test_negative_window_is_a_usage_error():
+    run_cli("dihedral-search", "--q", "2", "--window", "-1", expect=2)
+
+
+def test_negative_pairs_is_a_usage_error():
+    run_cli("zp-test", "--q", "3", "--pairs", "-1", expect=2)
+
+
+def test_non_integer_q_is_a_json_error():
+    err = run_json("verify", "--q", "x", "--kind", "SL2(5)", expect=1)
+    assert err["error"] == "InvalidInput"
+
+
+def test_classify_rejects_composite_p():
+    err = run_json("classify", "--p", "4", "--q", "16", "--levi", "psl",
+                   expect=1)
+    assert err["detail"] == "p = 4 is not prime"
+
+
+def test_dickson_names_q_that_is_not_a_prime_power():
+    err = run_json("dickson", "--q", "6", "--ambient", "sl2", expect=1)
+    assert err["detail"] == "q = 6 is not a prime power"
+
+
+def test_removed_global_flags_are_usage_errors():
+    run_cli("--seed", "1", "dickson", "--q", "3", "--ambient", "sl2",
+            expect=2)
+    run_cli("--max-elements", "5", "dickson", "--q", "3", "--ambient", "sl2",
+            expect=2)
+
+
+def test_python_dash_m_kmlat():
+    out = subprocess.run([sys.executable, "-m", "kmlat", "--help"],
+                         capture_output=True, text=True)
+    assert out.returncode == 0
+    assert "classify" in out.stdout
+
+
 def test_output_is_deterministic():
     argvs = [
         ("classify", "--p", "7", "--q", "7", "--levi", "psl"),

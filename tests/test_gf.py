@@ -5,7 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from kmlat.errors import DivisionByZero, DegreeTooLarge, NonPrime
 from kmlat.gf import (ExtElement, ext_one, make_field, norm1_subgroup,
-                      parse_field, q_mod4)
+                      parse_field, primitive_element, q_mod4)
 
 
 FIELDS = [make_field(2), make_field(3), make_field(2, 2), make_field(5),
@@ -130,6 +130,32 @@ def test_norm1_subgroup_is_cyclic_of_order_q_plus_1(spec):
             acc, n = acc * z, n + 1
         return n
     assert max(order(z) for z in sub) == q + 1
+
+
+@pytest.mark.parametrize("spec", FIELDS, ids=lambda s: s.short_str())
+def test_norm1_subgroup_matches_brute_force(spec):
+    brute = [ExtElement(spec, spec.element(x), spec.element(y))
+             for y in range(spec.q) for x in range(spec.q)]
+    brute = [z for z in brute if not z.is_zero() and z.norm() == spec.one]
+    assert norm1_subgroup(spec) == brute
+
+
+@pytest.mark.parametrize("spec", FIELDS, ids=lambda s: s.short_str())
+def test_primitive_element_is_first_generator(spec):
+    n = spec.q * spec.q - 1
+    one = ext_one(spec)
+
+    def order(z):
+        acc, k = z, 1
+        while acc != one:
+            acc, k = acc * z, k + 1
+        return k
+    g = primitive_element(spec)
+    assert order(g) == n
+    earlier = [ExtElement(spec, spec.element(x), spec.element(y))
+               for y in range(spec.q) for x in range(spec.q)
+               if (y, x) < (g.y.code, g.x.code) and (x, y) != (0, 0)]
+    assert all(order(z) < n for z in earlier)
 
 
 def test_q_mod4():

@@ -5,6 +5,7 @@ from collections import Counter
 
 import pytest
 
+from kmlat import groups
 from kmlat.errors import NotASubgroup, NotFound, SizeCapExceeded
 from kmlat.gf import make_field
 from kmlat.groups import (FiniteGroup, GroupType, cayley_closure_tool, closure,
@@ -59,6 +60,28 @@ def test_torus_normalizer(q):
     rec = recognize(n)
     assert rec.kind == "Dicyclic" and rec.param == 2 * (q + 1)
     assert n.unique_involution() is not None
+
+
+@pytest.mark.parametrize("p,a", [(3, 1), (5, 1), (7, 1), (3, 2), (11, 1),
+                                 (13, 1)])
+def test_torus_normalizer_matches_definition(p, a):
+    spec = make_field(p, a)
+    t = nonsplit_torus(spec).elements
+
+    def normalizes(g):
+        # g T g^-1 is a set of |T| elements, so inside T means equal to T
+        gi = g.inv()
+        return all(g.mul(h).mul(gi) in t for h in t)
+    normalizer = {g for g in sl2_group(spec) if normalizes(g)}
+    assert torus_normalizer(spec).elements == normalizer
+
+
+def test_torus_normalizer_does_not_scan_sl2(monkeypatch):
+    def scan(spec):
+        raise AssertionError("torus_normalizer iterated over SL2(F_q)")
+    monkeypatch.setattr(groups, "sl2_elements", scan)
+    spec = make_field(7)
+    assert torus_normalizer(spec).order == 16
 
 
 def test_group_basics():

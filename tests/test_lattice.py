@@ -141,6 +141,8 @@ def test_classification_input_validation():
     ClassificationInput(3, 3, "pgl", 1, zmi_in_zg=False).validate()
     with pytest.raises(InvalidInput):
         ClassificationInput(3, 8, "psl", 1).validate()
+    with pytest.raises(InvalidInput, match="p = 4 is not prime"):
+        ClassificationInput(4, 16, "psl", 1).validate()
     with pytest.raises(InvalidInput):
         ClassificationInput(2, 4, "psl", 1, zmi_in_zg=True).validate()
     with pytest.raises(InvalidInput):
