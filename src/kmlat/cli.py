@@ -56,7 +56,8 @@ def _parse_edge(spec, text):
     head, _, tail = text.partition(":")
     if head not in ("L", "R") or not tail:
         raise KmlatError("edge must be 'base', 'L:c1,c2,...' or 'R:...'")
-    coords = tuple(spec.element(int(c)) for c in tail.split(","))
+    coords = tuple(spec.element(gf.parse_code(c, spec.q))
+                   for c in tail.split(","))
     return kmaction.EdgeLabel(head, coords)
 
 
@@ -71,9 +72,10 @@ def _parse_word(spec, text):
         if name not in ("x1", "x2"):
             raise KmlatError("letter must start with x1 or x2")
         side = int(name[1])
-        k = int(depth) if depth else 0
-        letters.append(kmaction.RootLetter(kmaction.RootIndex(side, k),
-                                           spec.element(int(coeff))))
+        k = gf.parse_code(depth) if depth else 0
+        letters.append(kmaction.RootLetter(
+            kmaction.RootIndex(side, k),
+            spec.element(gf.parse_code(coeff, spec.q))))
     return tuple(letters)
 
 
@@ -91,27 +93,23 @@ def _tristate(v):
     return None if v is None else (v == "yes")
 
 
-def cmd_classify(args):
-    spec_q = args.q
-    inp = lattice.ClassificationInput(
-        p=args.p, q=spec_q, levi=args.levi, z_order=args.z, m=args.m,
-        qi_in_zg=_tristate(args.qi_central),
-        qi0_in_zg=_tristate(args.qi0_central),
-        qi0_nontrivial=_tristate(args.qi0_nontrivial),
-        zmi_in_zg=_tristate(args.zmi_central))
-    rows = lattice.classify(inp)
-    _emit(args, {"command": "classify", "q": spec_q,
-                 "rows": [r.to_json_dict() for r in rows]})
-
-
-def cmd_min_covolume(args):
-    inp = lattice.ClassificationInput(
+def _classification_input(args):
+    return lattice.ClassificationInput(
         p=args.p, q=args.q, levi=args.levi, z_order=args.z, m=args.m,
         qi_in_zg=_tristate(args.qi_central),
         qi0_in_zg=_tristate(args.qi0_central),
         qi0_nontrivial=_tristate(args.qi0_nontrivial),
         zmi_in_zg=_tristate(args.zmi_central))
-    cov, delta0 = lattice.min_covolume(inp)
+
+
+def cmd_classify(args):
+    rows = lattice.classify(_classification_input(args))
+    _emit(args, {"command": "classify", "q": args.q,
+                 "rows": [r.to_json_dict() for r in rows]})
+
+
+def cmd_min_covolume(args):
+    cov, delta0 = lattice.min_covolume(_classification_input(args))
     _emit(args, {"command": "min-covolume", "q": args.q,
                  "min_covolume": _frac(cov), "delta0": delta0})
 
@@ -130,8 +128,7 @@ def cmd_verify(args):
     a1, a2, _, _ = lattice.build_standard_lattice(spec, args.kind)
     report = lattice.lubotzky_check(a1, a2)
     payload = report.to_json_dict()
-    payload.update({"command": "verify", "kind": args.kind,
-                    "radius": args.radius})
+    payload.update({"command": "verify", "kind": args.kind})
     _emit(args, payload)
 
 
@@ -246,7 +243,6 @@ def build_parser():
     pv.add_argument("--kind", required=True,
                     choices=("cyclic_p2", "torus_normalizer", "SL2(3)",
                              "SL2(5)", "2S4"))
-    pv.add_argument("--radius", type=int, default=1)
     pv.set_defaults(func=cmd_verify)
 
     pk = sub.add_parser("km-act")

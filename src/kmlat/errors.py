@@ -25,14 +25,6 @@ class DegreeWindowExceeded(KmlatError):
     """A Laurent polynomial left the supported degree window."""
 
 
-class PrecisionExhausted(KmlatError):
-    pass
-
-
-class NotAUnit(KmlatError):
-    pass
-
-
 class NonInvertible(KmlatError):
     pass
 

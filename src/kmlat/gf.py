@@ -8,10 +8,10 @@ lookup tables, so operations after warm-up are O(1) dictionary-free lookups.
 
 from __future__ import annotations
 
-from .errors import DegreeTooLarge, DivisionByZero, NonPrime, SpecMismatch
+from .errors import (DegreeTooLarge, DivisionByZero, InvalidInput, NonPrime,
+                     SpecMismatch)
 
-Q_CAP = 512
-DEGREE_CAP = 8
+Q_CAP = 511
 
 
 def is_prime(n):
@@ -23,6 +23,25 @@ def is_prime(n):
             return False
         d += 1
     return True
+
+
+def parse_code(text, q=None):
+    """The integer a field code (q given) or a depth (q None) is written as.
+
+    Accepts 0..q-1, or any n >= 0 when q is None.  Anything else raises
+    InvalidInput naming the text and q; a code is never reduced mod q.
+    """
+    try:
+        n = int(text)
+    except ValueError:
+        n = -1
+    if q is None:
+        if n < 0:
+            raise InvalidInput("%r is not a non-negative integer" % text)
+    elif not 0 <= n < q:
+        raise InvalidInput("field code %r is not an integer in 0..%d (q = %d)"
+                           % (text, q - 1, q))
+    return n
 
 
 def _poly_mod(coeffs, modulus, p):
@@ -189,12 +208,14 @@ _FIELD_CACHE = {}
 def make_field(p, a=1):
     """Build F_{p^a} with the least monic irreducible modulus."""
     p, a = int(p), int(a)
+    if a < 1:
+        raise DegreeTooLarge("extension degree %d is not positive" % a)
+    # 2^a > Q_CAP bounds a before p^a is formed, and q is capped before
+    # the primality test, so that neither p^a nor is_prime(p) runs long
+    if a > Q_CAP.bit_length() or p ** a > Q_CAP:
+        raise DegreeTooLarge("q = %d^%d exceeds cap %d" % (p, a, Q_CAP))
     if not is_prime(p):
         raise NonPrime("p = %d is not prime" % p)
-    if a < 1 or a > DEGREE_CAP:
-        raise DegreeTooLarge("extension degree %d outside 1..%d" % (a, DEGREE_CAP))
-    if p ** a > Q_CAP:
-        raise DegreeTooLarge("q = %d exceeds cap %d" % (p ** a, Q_CAP))
     key = (p, a)
     if key in _FIELD_CACHE:
         return _FIELD_CACHE[key]

@@ -20,27 +20,45 @@ from .serretree import Mat2
 SIZE_CAP = 10 ** 6
 
 
-def closure(gens, cap=SIZE_CAP):
-    """Subgroup generated by gens, as a FiniteGroup; BFS with a size cap."""
-    gens = list(gens)
-    if not gens:
-        raise NotASubgroup("no generators")
-    spec = gens[0].spec
-    ident = Mat2.identity(spec)
+def generate(ident, gens, mul, cap):
+    """Set of all products of gens, by breadth-first right multiplication.
+
+    In a finite group this is the subgroup the gens generate.  Raises
+    SizeCapExceeded once more than `cap` elements are found.
+    """
     seen = {ident}
     frontier = [ident]
     while frontier:
         nxt = []
         for x in frontier:
             for g in gens:
-                y = x.mul(g)
+                y = mul(x, g)
                 if y not in seen:
                     if len(seen) >= cap:
                         raise SizeCapExceeded("closure exceeded %d" % cap)
                     seen.add(y)
                     nxt.append(y)
         frontier = nxt
-    return FiniteGroup(spec, frozenset(seen), tuple(gens))
+    return seen
+
+
+def order_of(x, ident, mul):
+    """Multiplicative order of x: the least n >= 1 with x^n = ident."""
+    n, y = 1, x
+    while y != ident:
+        y = mul(y, x)
+        n += 1
+    return n
+
+
+def closure(gens, cap=SIZE_CAP):
+    """Subgroup generated by gens, as a FiniteGroup; BFS with a size cap."""
+    gens = tuple(gens)
+    if not gens:
+        raise NotASubgroup("no generators")
+    spec = gens[0].spec
+    seen = generate(Mat2.identity(spec), gens, Mat2.mul, cap)
+    return FiniteGroup(spec, frozenset(seen), gens)
 
 
 class FiniteGroup:
@@ -50,7 +68,7 @@ class FiniteGroup:
         self.spec = spec
         self.elements = frozenset(elements)
         self.gens = tuple(gens)
-        self._orders = None
+        self._orders = {}
 
     @property
     def order(self):
@@ -66,17 +84,9 @@ class FiniteGroup:
         return iter(self.elements)
 
     def element_order(self, g):
-        if self._orders is None:
-            self._orders = {}
-        if g in self._orders:
-            return self._orders[g]
-        ident = self.identity()
-        n, x = 1, g
-        while not x == ident:
-            x = x.mul(g)
-            n += 1
-        self._orders[g] = n
-        return n
+        if g not in self._orders:
+            self._orders[g] = order_of(g, self.identity(), Mat2.mul)
+        return self._orders[g]
 
     def order_profile(self):
         return Counter(self.element_order(g) for g in self.elements)
@@ -103,9 +113,6 @@ class FiniteGroup:
              if all(x.mul(y) == y.mul(x) for y in elems)]
         return FiniteGroup(self.spec, frozenset(z))
 
-    def intersection(self, other):
-        return FiniteGroup(self.spec, self.elements & other.elements)
-
     def is_subgroup(self, sub):
         return sub.elements <= self.elements
 
@@ -123,11 +130,6 @@ class FiniteGroup:
                 if g.mul(h).mul(gi) not in sub.elements:
                     return False
         return True
-
-    def conjugate(self, g):
-        gi = g.inv()
-        return FiniteGroup(self.spec,
-                           frozenset(g.mul(h).mul(gi) for h in self.elements))
 
     def derived_subgroup(self):
         elems = list(self.elements)
@@ -412,13 +414,6 @@ def find_subgroup_of_type(spec, kind):
 
     ident = (1, 0, 0, 1)
 
-    def morder(x):
-        n, y = 1, x
-        while y != ident:
-            y = mmul(y, x)
-            n += 1
-        return n
-
     neg = [(-spec.element(i)).code for i in range(q)]
     xs, pool2 = [], []
     for a in range(q):
@@ -431,7 +426,7 @@ def find_subgroup_of_type(spec, kind):
                     tr = add_t[a][d]
                     if tr in want1 or tr in want2:
                         g = (a, b, c, d)
-                        o = morder(g)
+                        o = order_of(g, ident, mmul)
                         if o == o1 and len(xs) < 8:
                             xs.append(g)
                         if o in o2s:
@@ -443,27 +438,11 @@ def find_subgroup_of_type(spec, kind):
                     tr = add_t[a][d]
                     if tr in want1 or tr in want2:
                         g = (a, b, c, d)
-                        o = morder(g)
+                        o = order_of(g, ident, mmul)
                         if o == o1 and len(xs) < 8:
                             xs.append(g)
                         if o in o2s:
                             pool2.append(g)
-
-    def tuple_closure(gens, cap):
-        seen = {ident}
-        frontier = [ident]
-        while frontier:
-            nxt = []
-            for x in frontier:
-                for g in gens:
-                    y = mmul(x, g)
-                    if y not in seen:
-                        if len(seen) >= cap:
-                            return None
-                        seen.add(y)
-                        nxt.append(y)
-            frontier = nxt
-        return seen
 
     attempts = 0
     for x in xs:
@@ -471,10 +450,13 @@ def find_subgroup_of_type(spec, kind):
             attempts += 1
             if attempts > _SEARCH_BUDGET:
                 raise SearchBudgetExceeded("%d attempts" % attempts)
-            h = tuple_closure((x, y), target_order + 1)
-            if h is None or len(h) != target_order:
+            try:
+                h = generate(ident, (x, y), mmul, target_order + 1)
+            except SizeCapExceeded:
                 continue
-            if Counter(morder(g) for g in h) == profile:
+            if len(h) != target_order:
+                continue
+            if Counter(order_of(g, ident, mmul) for g in h) == profile:
                 elems = frozenset(Mat2.from_codes(spec, *g) for g in h)
                 return FiniteGroup(spec, elems, (
                     Mat2.from_codes(spec, *x), Mat2.from_codes(spec, *y)))
@@ -592,23 +574,3 @@ def cayley_closure_tool(group):
         for j, y in enumerate(elems):
             mul[i][j] = index[x.mul(y)]
     return elems, mul
-
-
-def pair_closure_indices(mul, i, j):
-    """Subgroup generated by indices i, j under the Cayley table."""
-    seen = {0, i, j}
-    frontier = [0, i, j]
-    while frontier:
-        nxt = []
-        for x in frontier:
-            for g in (i, j):
-                y = mul[x][g]
-                if y not in seen:
-                    seen.add(y)
-                    nxt.append(y)
-                y = mul[g][x]
-                if y not in seen:
-                    seen.add(y)
-                    nxt.append(y)
-        frontier = nxt
-    return seen

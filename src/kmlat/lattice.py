@@ -19,7 +19,7 @@ from .gf import is_prime
 from .groups import (FiniteGroup, closure, find_subgroup_of_type,
                      nonsplit_torus, torus_normalizer)
 from .laurent import LaurentPoly
-from .serretree import Edge, Mat2, Vertex, act, membership, neighbors
+from .serretree import Edge, Mat2, Vertex, act, membership
 
 
 @dataclass
@@ -120,23 +120,14 @@ class VerificationReport:
         }
 
 
-def _orbit_size(group, target):
-    """Number of distinct images of `target` (a Vertex) under the group."""
-    reps = []
-    for g in group.elements:
-        v = act(g, target)
-        if not any(v == u for u in reps):
-            reps.append(v)
-    return len(reps)
-
-
-def lubotzky_check(a1, a2, base=None):
+def lubotzky_check(a1, a2):
     """Edge-transitivity test for the pair (A1, A2) on the tree.
 
-    A1 must fix x1 and A2 must fix x2 (else WrongFixedVertex).  The pair
-    generates an edge-transitive lattice iff each A_i is transitive on the
-    q+1 neighbors of x_i and the stabilizer of the opposite base vertex in
-    each A_i is exactly A1 cap A2.
+    A1 and A2 must be groups; A1 must fix x1 and A2 must fix x2 (else
+    WrongFixedVertex).  The pair generates an edge-transitive lattice iff
+    each A_i is transitive on the q+1 neighbors of x_i and the stabilizer
+    of the opposite base vertex in each A_i is exactly A1 cap A2.  Orbit
+    sizes come from orbit-stabilizer: |A_i . x_j| = |A_i| / |stab_i|.
     """
     spec = a1.spec
     q = spec.q
@@ -147,10 +138,10 @@ def lubotzky_check(a1, a2, base=None):
     for g in a2.elements:
         if not act(g, x2) == x2:
             raise WrongFixedVertex("A2 does not fix x2")
-    o1 = _orbit_size(a1, x2)
-    o2 = _orbit_size(a2, x1)
     stab1 = frozenset(g for g in a1.elements if act(g, x2) == x2)
     stab2 = frozenset(g for g in a2.elements if act(g, x1) == x1)
+    o1 = a1.order // len(stab1)
+    o2 = a2.order // len(stab2)
     inter = a1.elements & a2.elements
     cond_transitive = (o1 == q + 1 and o2 == q + 1)
     cond_stab = (stab1 == inter and stab2 == inter)

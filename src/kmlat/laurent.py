@@ -3,7 +3,7 @@
 A LaurentPoly stores {pi-degree: nonzero coefficient}.  The variable t of
 the ambient field F_q((t^-1)) has pi-degree -1, so v(t) = -1 and v(pi) = 1.
 Degrees are capped at +-DEGREE_WINDOW; leaving the window raises instead of
-silently truncating.  TruncatedSeries is the mod-pi^N companion type.
+silently truncating.
 """
 
 from __future__ import annotations
@@ -11,8 +11,8 @@ from __future__ import annotations
 import math
 import re
 
-from .errors import (DegreeWindowExceeded, NotAUnit, PrecisionExhausted,
-                     SpecMismatch)
+from .errors import DegreeWindowExceeded, SpecMismatch
+from .gf import parse_code
 
 DEGREE_WINDOW = 64
 
@@ -105,17 +105,8 @@ class LaurentPoly:
             return math.inf
         return min(self.coeffs)
 
-    def degree_bound(self):
-        """Largest pi-degree present, or -inf for zero."""
-        if not self.coeffs:
-            return -math.inf
-        return max(self.coeffs)
-
     def is_zero(self):
         return not self.coeffs
-
-    def is_constant(self):
-        return set(self.coeffs) <= {0}
 
     def constant_value(self):
         return self.coeffs.get(0, self.spec.zero)
@@ -160,7 +151,8 @@ _TERM_RE = re.compile(r"^(?:(\d+)\*?)?(?:t(?:\^(-?\d+))?)?$")
 
 
 def parse_laurent(spec, text):
-    """Parse entries like "t", "1+t^-1", "2*t^2+1".  Coefficients are codes."""
+    """Parse entries like "t", "1+t^-1", "2*t^2+1".  Coefficients are codes
+    in 0..q-1 (InvalidInput otherwise)."""
     text = text.replace(" ", "")
     if not text:
         raise SpecMismatch("empty Laurent literal")
@@ -172,92 +164,11 @@ def parse_laurent(spec, text):
         coeff_s, exp_s = m.groups()
         if coeff_s is None and "t" not in term:
             raise SpecMismatch("bad Laurent term %r" % term)
-        coeff = spec.element(int(coeff_s)) if coeff_s is not None else spec.one
+        coeff = (spec.element(parse_code(coeff_s, spec.q))
+                 if coeff_s is not None else spec.one)
         if "t" in term:
             tdeg = int(exp_s) if exp_s is not None else 1
             out = out + LaurentPoly.monomial(spec, -tdeg, coeff)
         else:
             out = out + LaurentPoly.const(coeff)
     return out
-
-
-class TruncatedSeries:
-    """A power series in pi known only modulo pi^precision."""
-
-    __slots__ = ("spec", "coeffs", "precision")
-
-    def __init__(self, spec, coeffs, precision):
-        self.spec = spec
-        self.precision = precision
-        self.coeffs = {d: c for d, c in coeffs.items()
-                       if d < precision and not c.is_zero()}
-
-    def valuation(self):
-        if not self.coeffs:
-            raise PrecisionExhausted(
-                "zero modulo pi^%d; valuation unknown" % self.precision)
-        return min(self.coeffs)
-
-    def __add__(self, other):
-        n = min(self.precision, other.precision)
-        out = dict(self.coeffs)
-        for d, c in other.coeffs.items():
-            out[d] = out.get(d, self.spec.zero) + c
-        return TruncatedSeries(self.spec, out, n)
-
-    def __mul__(self, other):
-        n = min(self.precision, other.precision)
-        out = {}
-        for d1, c1 in self.coeffs.items():
-            for d2, c2 in other.coeffs.items():
-                d = d1 + d2
-                if d < n:
-                    out[d] = out.get(d, self.spec.zero) + c1 * c2
-        return TruncatedSeries(self.spec, out, n)
-
-    def __eq__(self, other):
-        return (isinstance(other, TruncatedSeries)
-                and self.spec == other.spec
-                and self.precision == other.precision
-                and self.coeffs == other.coeffs)
-
-    def __hash__(self):
-        return hash((self.precision,
-                     frozenset((d, c.code) for d, c in self.coeffs.items())))
-
-    def __repr__(self):
-        body = "+".join("%d*pi^%d" % (c.code, d)
-                        for d, c in sorted(self.coeffs.items())) or "0"
-        return "TruncatedSeries(%s mod pi^%d)" % (body, self.precision)
-
-
-def reduce_mod(x, precision):
-    """Truncate a LaurentPoly (or series) to degrees < precision."""
-    if isinstance(x, TruncatedSeries):
-        return TruncatedSeries(x.spec, x.coeffs, min(precision, x.precision))
-    return TruncatedSeries(x.spec, x.coeffs, precision)
-
-
-def unit_inverse_mod(u, precision):
-    """Inverse of a valuation-0 element, modulo pi^precision.
-
-    Write u = c0 (1 + m) with v(m) >= 1; the inverse is computed term by
-    term so that u * result = 1 mod pi^precision exactly.
-    """
-    if isinstance(u, LaurentPoly):
-        u = reduce_mod(u, precision)
-    if not u.coeffs or min(u.coeffs) != 0:
-        raise NotAUnit("valuation is not zero")
-    spec = u.spec
-    c0inv = u.coeffs[0].inverse()
-    inv = {0: c0inv}
-    for n in range(1, precision):
-        # coefficient of pi^n in u * inv must vanish
-        s = spec.zero
-        for k in range(1, n + 1):
-            if k in u.coeffs and (n - k) in inv:
-                s = s + u.coeffs[k] * inv[n - k]
-        c = -(c0inv * s)
-        if not c.is_zero():
-            inv[n] = c
-    return TruncatedSeries(spec, inv, precision)

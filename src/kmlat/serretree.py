@@ -10,7 +10,6 @@ design and all dedup is by linear scan.
 from __future__ import annotations
 
 import itertools
-import math
 
 from .errors import (NonInvertible, OddCharacteristic, SpecMismatch,
                      WindowTooLarge, ZeroDeterminant)
@@ -71,14 +70,6 @@ class Mat2:
         dinv = LaurentPoly.monomial(self.spec, -deg, coeff.inverse())
         return Mat2(self.spec, self.d * dinv, (-self.b) * dinv,
                     (-self.c) * dinv, self.a * dinv)
-
-    def is_constant(self):
-        return all(e.is_constant() for e in self.entries())
-
-    def is_identity(self):
-        return (self.b.is_zero() and self.c.is_zero()
-                and self.a == LaurentPoly.one(self.spec)
-                and self.d == LaurentPoly.one(self.spec))
 
     def __eq__(self, other):
         return (isinstance(other, Mat2) and self.spec == other.spec

@@ -10,8 +10,8 @@ from fractions import Fraction
 
 from kmlat.gf import make_field
 from kmlat.groups import (FiniteGroup, GroupType, cayley_closure_tool,
-                          dickson_table, find_subgroup_of_type,
-                          pair_closure_indices, recognize, sl2_group)
+                          dickson_table, find_subgroup_of_type, generate,
+                          recognize, sl2_group)
 from kmlat.kmaction import (EdgeLabel, KMParams, RootIndex, RootLetter,
                             alternating_word, crosscheck_affine, zp_fix_test,
                             zp_fixes_ball2)
@@ -247,7 +247,7 @@ def test_criterion_09_dickson_coverage():
         seen = {}
         for i in range(n):
             for j in range(i, n):
-                idx = pair_closure_indices(mul, i, j)
+                idx = generate(0, (i, j), lambda x, y: mul[x][y], n)
                 key = frozenset(idx)
                 if key in seen:
                     continue

@@ -123,6 +123,39 @@ def test_dickson_names_q_that_is_not_a_prime_power():
     assert err["detail"] == "q = 6 is not a prime power"
 
 
+@pytest.mark.parametrize("argv,named", [
+    (("km-act", "--q", "3", "--word", "x1:a", "--edge", "base"), "'a'"),
+    (("km-act", "--q", "3", "--word", "x1:1", "--edge", "L:9,x"), "'9'"),
+    (("km-act", "--q", "3", "--word", "x1@z:1", "--edge", "base"), "'z'"),
+    (("km-act", "--q", "3", "--word", "x1:7", "--edge", "L:1,0"), "'7'"),
+    (("km-act", "--q", "3", "--word", "x1:-1", "--edge", "L:1,0"), "'-1'"),
+    (("km-act", "--q", "3", "--word", "x1:1", "--edge", "L:5"), "'5'"),
+    (("tree", "--q", "3", "--neighbors", "7,0;0,1"), "'7'"),
+], ids=["word-coeff-a", "edge-9-x", "word-depth-z", "word-coeff-7",
+        "word-coeff-minus-1", "edge-5", "tree-entry-7"])
+def test_bad_field_code_is_a_json_error(argv, named):
+    err = run_json(*argv, expect=1)
+    assert err["error"] == "InvalidInput"
+    assert named in err["detail"]
+    if named != "'z'":  # a depth has no field
+        assert "q = 3" in err["detail"]
+
+
+# the last one is capped before a trial-division primality test of p
+@pytest.mark.parametrize("q", ["512", "2^9", "100000000000000000039^1"])
+def test_q_above_the_cap_names_it(q):
+    err = run_json("dickson", "--q", q, "--ambient", "sl2", expect=1)
+    assert err["error"] == "DegreeTooLarge"
+    assert "cap 511" in err["detail"]
+
+
+def test_verify_radius_is_gone():
+    run_cli("verify", "--q", "3", "--kind", "torus_normalizer",
+            "--radius", "1", expect=2)
+    out = run_json("verify", "--q", "3", "--kind", "torus_normalizer")
+    assert "radius" not in out
+
+
 def test_removed_global_flags_are_usage_errors():
     run_cli("--seed", "1", "dickson", "--q", "3", "--ambient", "sl2",
             expect=2)

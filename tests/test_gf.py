@@ -71,6 +71,9 @@ def test_constructor_limits():
         make_field(1)
     with pytest.raises(DegreeTooLarge):
         make_field(2, 9)
+    # the degree is bounded before p^a is formed
+    with pytest.raises(DegreeTooLarge):
+        make_field(2, 10 ** 12)
 
 
 def test_f4_modulus():

@@ -9,9 +9,9 @@ from kmlat import groups
 from kmlat.errors import NotASubgroup, NotFound, SizeCapExceeded
 from kmlat.gf import make_field
 from kmlat.groups import (FiniteGroup, GroupType, cayley_closure_tool, closure,
-                          dickson_table, find_subgroup_of_type,
-                          nonsplit_torus, order_available, pair_closure_indices,
-                          recognize, sl2_group, torus_normalizer)
+                          dickson_table, find_subgroup_of_type, generate,
+                          nonsplit_torus, order_available, recognize,
+                          sl2_group, torus_normalizer)
 from kmlat.laurent import LaurentPoly
 from kmlat.serretree import Mat2
 
@@ -195,6 +195,32 @@ def test_cayley_closure_tool():
     n = g.order
     for i in (0, 1, n // 2, n - 1):
         assert mul[0][i] == i and mul[i][0] == i
-    idx = pair_closure_indices(mul, 1, 2)
+    idx = generate(0, (1, 2), lambda x, y: mul[x][y], n)
     sub = frozenset(elems[i] for i in idx)
     assert g.is_subgroup(FiniteGroup(spec, sub, ()))
+
+
+def _two_sided_pair_closure(mul, i, j):
+    """The subgroup generated by indices i, j: a BFS from {0, i, j} that
+    multiplies by i and j on both sides (the former pair closure)."""
+    seen = {0, i, j}
+    frontier = [0, i, j]
+    while frontier:
+        nxt = []
+        for x in frontier:
+            for g in (i, j):
+                for y in (mul[x][g], mul[g][x]):
+                    if y not in seen:
+                        seen.add(y)
+                        nxt.append(y)
+        frontier = nxt
+    return seen
+
+
+def test_generate_matches_two_sided_closure_on_sl2_3():
+    elems, mul = cayley_closure_tool(sl2_group(make_field(3)))
+    n = len(elems)
+    for i in range(n):
+        for j in range(n):
+            got = generate(0, (i, j), lambda x, y: mul[x][y], n)
+            assert got == _two_sided_pair_closure(mul, i, j)

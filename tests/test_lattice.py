@@ -18,6 +18,31 @@ F2 = make_field(2)
 F3 = make_field(3)
 
 
+def _scanned_orbit_size(group, target):
+    """Distinct images of a vertex under a group, counted by a linear scan
+    with geometric equality (the orbit count before orbit-stabilizer)."""
+    reps = []
+    for g in group.elements:
+        v = act(g, target)
+        if not any(v == u for u in reps):
+            reps.append(v)
+    return len(reps)
+
+
+@pytest.mark.parametrize("p,a,kind", [
+    (3, 1, "torus_normalizer"), (5, 1, "torus_normalizer"),
+    (7, 1, "torus_normalizer"), (3, 2, "torus_normalizer"),
+    (13, 1, "torus_normalizer"), (2, 1, "cyclic_p2"), (2, 2, "cyclic_p2"),
+    (2, 3, "cyclic_p2"), (5, 1, "SL2(3)"), (7, 1, "2S4"), (11, 1, "SL2(3)")])
+def test_orbit_sizes_match_a_linear_scan(p, a, kind):
+    spec = make_field(p, a)
+    a1, a2, _, _ = build_standard_lattice(spec, kind)
+    rep = lubotzky_check(a1, a2)
+    x1, x2 = Vertex.x1(spec), Vertex.x2(spec)
+    assert rep.orbit_sizes == (_scanned_orbit_size(a1, x2),
+                               _scanned_orbit_size(a2, x1))
+
+
 def test_covolume_is_exact():
     assert covolume([3, 3]) == Fraction(2, 3)
     assert covolume([8, 8]) == Fraction(1, 4)

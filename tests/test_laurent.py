@@ -1,14 +1,13 @@
-"""Laurent polynomial ring over F_q and pi-adic truncated series."""
+"""Laurent polynomial ring over F_q."""
 
 import math
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from kmlat.errors import (DegreeWindowExceeded, NotAUnit, PrecisionExhausted)
+from kmlat.errors import DegreeWindowExceeded
 from kmlat.gf import make_field
-from kmlat.laurent import (LaurentPoly, TruncatedSeries, parse_laurent,
-                           reduce_mod, unit_inverse_mod)
+from kmlat.laurent import LaurentPoly, parse_laurent
 
 F2 = make_field(2)
 F3 = make_field(3)
@@ -79,39 +78,3 @@ def test_str_and_parse():
 @settings(max_examples=100, deadline=None)
 def test_parse_roundtrip(x):
     assert parse_laurent(F3, str(x)) == x
-
-
-def test_truncated_series_valuation():
-    s = reduce_mod(LaurentPoly.pi(F3), 4)
-    assert s.valuation() == 1
-    zero = TruncatedSeries(F3, {}, 4)
-    with pytest.raises(PrecisionExhausted):
-        zero.valuation()
-    # pi^5 is invisible modulo pi^4
-    hidden = reduce_mod(LaurentPoly.monomial(F3, 5), 4)
-    with pytest.raises(PrecisionExhausted):
-        hidden.valuation()
-
-
-def test_truncation_respects_multiplication():
-    x = LaurentPoly(F3, {0: F3.one, 1: F3.element(2), 3: F3.one})
-    y = LaurentPoly(F3, {0: F3.element(2), 2: F3.one})
-    n = 3
-    assert reduce_mod(x * y, n) == reduce_mod(x, n) * reduce_mod(y, n)
-
-
-@given(x=poly_strategy(F3, degree_span=5), n=st.integers(1, 8))
-@settings(max_examples=100, deadline=None)
-def test_unit_inverse(x, n):
-    u = x + LaurentPoly.one(F3)  # -> often a unit; skip when not
-    if u.is_zero() or u.valuation() != 0:
-        return
-    inv = unit_inverse_mod(u, n)
-    assert reduce_mod(u, n) * inv == reduce_mod(LaurentPoly.one(F3), n)
-
-
-def test_unit_inverse_rejects_nonunits():
-    with pytest.raises(NotAUnit):
-        unit_inverse_mod(LaurentPoly.pi(F2), 4)
-    with pytest.raises(NotAUnit):
-        unit_inverse_mod(LaurentPoly.zero(F2), 4)
