@@ -7,6 +7,7 @@ Exit codes: 0 on success, 1 on a domain error (JSON {"error", "detail"}),
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import sys
 
@@ -33,19 +34,19 @@ def _field_for(q_text):
     while p and p ** a < q:
         a += 1
     if p is None or p ** a != q:
-        raise KmlatError("q = %d is not a prime power" % q)
+        raise InvalidInput("q = %d is not a prime power" % q)
     return gf.make_field(p, a)
 
 
 def _parse_matrix(spec, text):
     rows = text.split(";")
     if len(rows) != 2:
-        raise KmlatError("matrix needs two ';'-separated rows")
+        raise InvalidInput("matrix needs two ';'-separated rows")
     entries = []
     for row in rows:
         cols = row.split(",")
         if len(cols) != 2:
-            raise KmlatError("matrix rows need two ','-separated entries")
+            raise InvalidInput("matrix rows need two ','-separated entries")
         entries.extend(parse_laurent(spec, c.strip()) for c in cols)
     return serretree.Mat2(spec, *entries)
 
@@ -55,7 +56,7 @@ def _parse_edge(spec, text):
         return kmaction.EdgeLabel.base()
     head, _, tail = text.partition(":")
     if head not in ("L", "R") or not tail:
-        raise KmlatError("edge must be 'base', 'L:c1,c2,...' or 'R:...'")
+        raise InvalidInput("edge must be 'base', 'L:c1,c2,...' or 'R:...'")
     coords = tuple(spec.element(gf.parse_code(c, spec.q))
                    for c in tail.split(","))
     return kmaction.EdgeLabel(head, coords)
@@ -67,10 +68,10 @@ def _parse_word(spec, text):
     for tok in text.split(","):
         head, _, coeff = tok.partition(":")
         if not coeff:
-            raise KmlatError("letter %r needs a ':coefficient'" % tok)
+            raise InvalidInput("letter %r needs a ':coefficient'" % tok)
         name, _, depth = head.partition("@")
         if name not in ("x1", "x2"):
-            raise KmlatError("letter must start with x1 or x2")
+            raise InvalidInput("letter must start with x1 or x2")
         side = int(name[1])
         k = gf.parse_code(depth) if depth else 0
         letters.append(kmaction.RootLetter(
@@ -151,7 +152,6 @@ def cmd_zp_test(args):
     checked_t1_nonzero = 0
     agreements_t1_nonzero = 0
     coeffs = list(range(spec.q))
-    import itertools
     for codes in itertools.product(coeffs, repeat=2 * args.pairs):
         pairs = [(spec.element(codes[2 * i]), spec.element(codes[2 * i + 1]))
                  for i in range(args.pairs)]
@@ -196,7 +196,7 @@ def cmd_tree(args):
         _emit(args, {"command": "tree", "q": spec.q,
                      "neighbors": [str(n.rep) for n in ns]})
     else:
-        raise KmlatError("tree needs --distance or --neighbors")
+        raise InvalidInput("tree needs --distance or --neighbors")
 
 
 def non_negative_int(text):

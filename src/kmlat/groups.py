@@ -359,22 +359,24 @@ def _trace_order_map(spec):
     """Map trace code -> element order for non-central semisimple elements
     of SL2(F_q); traces 2 and -2 map to p and 2p (the unipotent classes).
 
-    Built by walking the cyclic group F_{q^2}*: an element of SL2 with
-    eigenvalue pair (lam, lam^-1), lam != +-1, has the order of lam, and
-    the trace lam + lam^-1 determines the pair.
+    Built by walking the cyclic group F_{q^2}* = <gen>: an element of SL2
+    with eigenvalue pair (lam, lam^-1), lam != +-1, has the order of lam,
+    and the trace lam + lam^-1 determines the pair.  That trace lies in
+    F_q exactly when lam is in F_q* or has norm one, that is when
+    lam = gen^k with k a multiple of q+1 or of q-1, so only those k are
+    walked: 2q powers instead of q^2.
     """
     n = spec.q ** 2 - 1
     gen = primitive_element(spec)
-    gen_inv = gen ** (n - 1)
     out = {}
-    lam, lam_inv = gen, gen_inv
-    for k in range(1, n):
-        tau = lam + lam_inv
-        if tau.y.is_zero():
-            order = n // gcd(n, k)
-            out.setdefault(tau.x.code, order)
-        lam = lam * gen
-        lam_inv = lam_inv * gen_inv
+    for step in (spec.q - 1, spec.q + 1):
+        mu = gen ** step
+        mu_inv = gen ** (n - step)
+        lam, lam_inv = mu, mu_inv
+        for k in range(step, n, step):
+            out.setdefault((lam + lam_inv).x.code, n // gcd(n, k))
+            lam = lam * mu
+            lam_inv = lam_inv * mu_inv
     two = (spec.one + spec.one).code
     mtwo = (-(spec.one + spec.one)).code
     out[two] = spec.p

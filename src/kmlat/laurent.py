@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 import re
 
-from .errors import DegreeWindowExceeded, SpecMismatch
+from .errors import DegreeWindowExceeded, InvalidInput, SpecMismatch
 from .gf import parse_code
 
 DEGREE_WINDOW = 64
@@ -152,18 +152,18 @@ _TERM_RE = re.compile(r"^(?:(\d+)\*?)?(?:t(?:\^(-?\d+))?)?$")
 
 def parse_laurent(spec, text):
     """Parse entries like "t", "1+t^-1", "2*t^2+1".  Coefficients are codes
-    in 0..q-1 (InvalidInput otherwise)."""
+    in 0..q-1; a malformed literal or another code is InvalidInput."""
     text = text.replace(" ", "")
     if not text:
-        raise SpecMismatch("empty Laurent literal")
+        raise InvalidInput("empty Laurent literal")
     out = LaurentPoly.zero(spec)
     for term in text.split("+"):
         m = _TERM_RE.match(term)
         if not m or term == "":
-            raise SpecMismatch("bad Laurent term %r" % term)
+            raise InvalidInput("bad Laurent term %r" % term)
         coeff_s, exp_s = m.groups()
         if coeff_s is None and "t" not in term:
-            raise SpecMismatch("bad Laurent term %r" % term)
+            raise InvalidInput("bad Laurent term %r" % term)
         coeff = (spec.element(parse_code(coeff_s, spec.q))
                  if coeff_s is not None else spec.one)
         if "t" in term:

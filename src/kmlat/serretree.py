@@ -217,7 +217,7 @@ def edge_distance(e1, e2):
                    for u in (e1.v0, e1.v1) for v in (e2.v0, e2.v1))
 
 
-def _polys(spec, lo, hi, force_nonzero_at=None):
+def _polys(spec, lo, hi):
     """All Laurent polys supported on pi-degrees [lo, hi] (t-degrees -hi..-lo).
 
     Degrees here are given in t-degree for readability of callers:
@@ -225,10 +225,6 @@ def _polys(spec, lo, hi, force_nonzero_at=None):
     """
     degs = list(range(lo, hi + 1))
     for codes in itertools.product(range(spec.q), repeat=len(degs)):
-        if force_nonzero_at is not None:
-            idx = degs.index(force_nonzero_at)
-            if codes[idx] == 0:
-                continue
         yield LaurentPoly(spec, {-k: spec.element(c)
                                  for k, c in zip(degs, codes)})
 
@@ -236,69 +232,50 @@ def _polys(spec, lo, hi, force_nonzero_at=None):
 def involution_families(spec, region, window):
     """Order-2 elements of B, P1-B or P2-B in characteristic two.
 
-    Entries are supported on t-degrees -window..window as appropriate for
-    the region.  Returns a list of Mat2 with determinant one.
-    region: "B", "P1-B", or "P2-B".
+    The involutions are [[a,b],[c,a]] with a^2 + bc = 1; the region fixes
+    the candidate b and c, and a lies on t-degrees -window..0:
+      B:    b on t-degrees -w..0, c on -w..-1;
+      P1-B: c on -w..0 with a nonzero t^0 coefficient (a unit of O);
+      P2-B: b on -w..1 with a nonzero t^1 coefficient.
+    In characteristic two a is solved for, not searched: squaring acts
+    coefficient-wise, so a^2 = 1 + bc has a solution only when 1 + bc has
+    even pi-degrees alone, and then a_i = sqrt(coefficient 2i) = x^(q/2).
+    Returns a list of Mat2 with determinant one: the upper unipotents
+    (c = 0), then the lower ones (b = 0), then the rest in (a, b, c) order.
     """
     if spec.p != 2:
         raise OddCharacteristic("involution families need p = 2")
     if window > 3:
         raise WindowTooLarge("window %d > 3" % window)
     w = window
-    one = LaurentPoly.one(spec)
-    zero = LaurentPoly.zero(spec)
-    out = []
-
-    def upper(b):
-        return Mat2(spec, one, b, zero, one)
-
-    def lower(c):
-        return Mat2(spec, one, zero, c, one)
-
-    def balanced(a, b, c):
-        return Mat2(spec, a, b, c, a)
-
     if region == "B":
-        for b in _polys(spec, -w, 0):
-            if not b.is_zero():
-                out.append(upper(b))
-        for c in _polys(spec, -w, -1):
-            if not c.is_zero():
-                out.append(lower(c))
-        for a in _polys(spec, -w, 0):
-            for b in _polys(spec, -w, 0):
-                if b.is_zero():
-                    continue
-                for c in _polys(spec, -w, -1):
-                    if c.is_zero():
-                        continue
-                    if a * a + b * c == one:
-                        out.append(balanced(a, b, c))
+        bs, cs = list(_polys(spec, -w, 0)), list(_polys(spec, -w, -1))
     elif region == "P1-B":
-        # not in B means the lower-left entry is a unit in O
-        for c in _polys(spec, -w, 0, force_nonzero_at=0):
-            out.append(lower(c))
-        for a in _polys(spec, -w, 0):
-            for b in _polys(spec, -w, 0):
-                if b.is_zero():
-                    continue
-                for c in _polys(spec, -w, 0, force_nonzero_at=0):
-                    if a * a + b * c == one:
-                        out.append(balanced(a, b, c))
+        bs = list(_polys(spec, -w, 0))
+        cs = [c for c in _polys(spec, -w, 0) if not c.coeff(0).is_zero()]
     elif region == "P2-B":
-        # not in B means the upper-right entry has a t-coefficient
-        for b in _polys(spec, -w, 1, force_nonzero_at=1):
-            out.append(upper(b))
-        for a in _polys(spec, -w, 0):
-            for b in _polys(spec, -w, 1, force_nonzero_at=1):
-                for c in _polys(spec, -w, -1):
-                    if c.is_zero():
-                        continue
-                    if a * a + b * c == one:
-                        out.append(balanced(a, b, c))
+        bs = [b for b in _polys(spec, -w, 1) if not b.coeff(-1).is_zero()]
+        cs = list(_polys(spec, -w, -1))
     else:
         raise SpecMismatch("unknown region %r" % region)
-    return out
+    one = LaurentPoly.one(spec)
+    half = spec.q // 2
+    # (rank, a's codes from t^-w to t^0) -> members in (b, c) order; rank
+    # puts c = 0 (upper unipotents, a = 1) before b = 0 (lower ones)
+    buckets = {}
+    for b in bs:
+        for c in cs:
+            if b.is_zero() and c.is_zero():
+                continue
+            r = one + b * c
+            if any(d % 2 or not 0 <= d <= 2 * w for d in r.coeffs):
+                continue
+            a = LaurentPoly(spec, {d // 2: x ** half
+                                   for d, x in r.coeffs.items()})
+            rank = 0 if c.is_zero() else 1 if b.is_zero() else 2
+            key = (rank, tuple(a.coeff(d).code for d in range(w, -1, -1)))
+            buckets.setdefault(key, []).append(Mat2(spec, a, b, c, a))
+    return [m for key in sorted(buckets) for m in buckets[key]]
 
 
 def dihedral_obstruction_search(spec, window):
@@ -307,36 +284,34 @@ def dihedral_obstruction_search(spec, window):
     Looks for s in the B involutions and g1 in P1-B, g2 in P2-B involutions
     with g1*s*g1 again in P1-B and g2*s*g2 again in P2-B, both conditions
     simultaneously.  Expected to report no violations.
+
+    Why none exist: write s = [[a,b],[c,a]] and gamma = [[e,f],[g,e]], so
+    gamma s gamma = [[*, b e^2 + c f^2], [b g^2 + c e^2, *]].  For s in B,
+    a^2 has only even pi-degrees, so the pi^1 coefficient of bc = 1 + a^2
+    is 0, that is b_0 c_1 = 0 (subscripts are pi-degrees).  A P1 hit needs
+    the pi^0 coefficient b_0 g_0^2 of the lower-left entry to be nonzero,
+    and a P2 hit needs the pi^-1 coefficient c_1 f_-1^2 of the upper-right
+    one; both at once need b_0 c_1 != 0.  The search stays as the
+    computational check.
     """
     fam_b = involution_families(spec, "B", window)
     fam_1 = involution_families(spec, "P1-B", window)
     fam_2 = involution_families(spec, "P2-B", window)
     violations = []
-    checked = 0
     for s in fam_b:
-        # precompute the two conjugate tests cheaply per pair, then combine
-        bad1 = []
-        for g1 in fam_1:
-            h = g1.mul(s).mul(g1)
-            if h.c.valuation() == 0:  # still outside B inside P1
-                bad1.append(g1)
+        # still outside B inside P1: the lower-left entry is a unit
+        bad1 = [g1 for g1 in fam_1 if g1.mul(s).mul(g1).c.valuation() == 0]
         if not bad1:
-            checked += len(fam_1) * len(fam_2)
             continue
-        bad2 = []
-        for g2 in fam_2:
-            h = g2.mul(s).mul(g2)
-            if not h.b.coeff(-1).is_zero():  # still outside B inside P2
-                bad2.append(g2)
-        checked += len(fam_1) * len(fam_2)
-        for g1 in bad1:
-            for g2 in bad2:
-                violations.append((s, g1, g2))
+        # still outside B inside P2: the upper-right entry has a t-term
+        bad2 = [g2 for g2 in fam_2
+                if not g2.mul(s).mul(g2).b.coeff(-1).is_zero()]
+        violations.extend((s, g1, g2) for g1 in bad1 for g2 in bad2)
     return {
         "q": spec.q,
         "window": window,
         "family_sizes": {"B": len(fam_b), "P1-B": len(fam_1),
                          "P2-B": len(fam_2)},
-        "triples_checked": checked,
+        "triples_checked": len(fam_b) * len(fam_1) * len(fam_2),
         "violations": violations,
     }

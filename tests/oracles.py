@@ -1,0 +1,91 @@
+"""Slow reference implementations that the fast code is tested against.
+
+Each function here is a direct search that a construction in src/kmlat
+replaced; differential tests assert that both give the same results.
+"""
+
+from math import gcd
+
+from kmlat.gf import primitive_element
+from kmlat.laurent import LaurentPoly
+from kmlat.serretree import Mat2, _polys
+
+
+def enumerated_involution_families(spec, region, window):
+    """involution_families by trying every (a, b, c) with a^2 + bc = 1.
+
+    Same regions and order: upper unipotents, lower unipotents, then the
+    balanced [[a,b],[c,a]] in (a, b, c) _polys order.
+    """
+    w = window
+    one = LaurentPoly.one(spec)
+    zero = LaurentPoly.zero(spec)
+    out = []
+
+    def nonzero_at(lo, hi, tdeg):
+        return [x for x in _polys(spec, lo, hi)
+                if not x.coeff(-tdeg).is_zero()]
+
+    def upper(b):
+        return Mat2(spec, one, b, zero, one)
+
+    def lower(c):
+        return Mat2(spec, one, zero, c, one)
+
+    if region == "B":
+        for b in _polys(spec, -w, 0):
+            if not b.is_zero():
+                out.append(upper(b))
+        for c in _polys(spec, -w, -1):
+            if not c.is_zero():
+                out.append(lower(c))
+        for a in _polys(spec, -w, 0):
+            for b in _polys(spec, -w, 0):
+                if b.is_zero():
+                    continue
+                for c in _polys(spec, -w, -1):
+                    if c.is_zero():
+                        continue
+                    if a * a + b * c == one:
+                        out.append(Mat2(spec, a, b, c, a))
+    elif region == "P1-B":
+        for c in nonzero_at(-w, 0, 0):
+            out.append(lower(c))
+        for a in _polys(spec, -w, 0):
+            for b in _polys(spec, -w, 0):
+                if b.is_zero():
+                    continue
+                for c in nonzero_at(-w, 0, 0):
+                    if a * a + b * c == one:
+                        out.append(Mat2(spec, a, b, c, a))
+    elif region == "P2-B":
+        for b in nonzero_at(-w, 1, 1):
+            out.append(upper(b))
+        for a in _polys(spec, -w, 0):
+            for b in nonzero_at(-w, 1, 1):
+                for c in _polys(spec, -w, -1):
+                    if c.is_zero():
+                        continue
+                    if a * a + b * c == one:
+                        out.append(Mat2(spec, a, b, c, a))
+    return out
+
+
+def full_walk_trace_order_map(spec):
+    """groups._trace_order_map by walking every power of a generator of
+    F_{q^2}* and keeping those whose trace lam + lam^-1 lies in F_q."""
+    n = spec.q ** 2 - 1
+    gen = primitive_element(spec)
+    gen_inv = gen ** (n - 1)
+    out = {}
+    lam, lam_inv = gen, gen_inv
+    for k in range(1, n):
+        tau = lam + lam_inv
+        if tau.y.is_zero():
+            out.setdefault(tau.x.code, n // gcd(n, k))
+        lam = lam * gen
+        lam_inv = lam_inv * gen_inv
+    two = spec.one + spec.one
+    out[two.code] = spec.p
+    out[(-two).code] = 2 * spec.p
+    return out

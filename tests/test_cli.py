@@ -141,6 +141,29 @@ def test_bad_field_code_is_a_json_error(argv, named):
         assert "q = 3" in err["detail"]
 
 
+@pytest.mark.parametrize("argv,detail", [
+    (("dickson", "--q", "1", "--ambient", "sl2"),
+     "q = 1 is not a prime power"),
+    (("tree", "--q", "2", "--neighbors", "1,0"),
+     "matrix needs two ';'-separated rows"),
+    (("tree", "--q", "2", "--neighbors", "1;0,1"),
+     "matrix rows need two ','-separated entries"),
+    (("km-act", "--q", "3", "--word", "x1:1", "--edge", "X:1"),
+     "edge must be 'base', 'L:c1,c2,...' or 'R:...'"),
+    (("km-act", "--q", "3", "--word", "x1:1,", "--edge", "base"),
+     "letter '' needs a ':coefficient'"),
+    (("km-act", "--q", "3", "--word", "x3:1", "--edge", "base"),
+     "letter must start with x1 or x2"),
+    (("tree", "--q", "2"), "tree needs --distance or --neighbors"),
+    (("tree", "--q", "3", "--neighbors", "1,0;0,1+"), "bad Laurent term ''"),
+], ids=["field-not-prime-power", "matrix-rows", "matrix-entries", "edge",
+        "word-coeff-missing", "word-letter", "tree-no-flag", "laurent-term"])
+def test_malformed_input_is_invalid_input(argv, detail):
+    err = run_json(*argv, expect=1)
+    assert err["error"] == "InvalidInput"
+    assert err["detail"] == detail
+
+
 # the last one is capped before a trial-division primality test of p
 @pytest.mark.parametrize("q", ["512", "2^9", "100000000000000000039^1"])
 def test_q_above_the_cap_names_it(q):

@@ -7,13 +7,14 @@ import pytest
 
 from kmlat import groups
 from kmlat.errors import NotASubgroup, NotFound, SizeCapExceeded
-from kmlat.gf import make_field
+from kmlat.gf import is_prime, make_field
 from kmlat.groups import (FiniteGroup, GroupType, cayley_closure_tool, closure,
                           dickson_table, find_subgroup_of_type, generate,
                           nonsplit_torus, order_available, recognize,
                           sl2_group, torus_normalizer)
 from kmlat.laurent import LaurentPoly
 from kmlat.serretree import Mat2
+from oracles import full_walk_trace_order_map
 
 
 def sl2_order(q):
@@ -224,3 +225,15 @@ def test_generate_matches_two_sided_closure_on_sl2_3():
         for j in range(n):
             got = generate(0, (i, j), lambda x, y: mul[x][y], n)
             assert got == _two_sided_pair_closure(mul, i, j)
+
+
+ODD_PRIME_POWERS = [(p, a) for p in range(3, 65, 2) if is_prime(p)
+                    for a in range(1, 7) if p ** a <= 64]
+
+
+@pytest.mark.parametrize("p,a", ODD_PRIME_POWERS)
+def test_trace_order_map_matches_full_walk(p, a):
+    """Only exponents that are multiples of q-1 or q+1 give a trace in F_q,
+    so walking just those gives the map of walking all of F_{q^2}*."""
+    spec = make_field(p, a)
+    assert groups._trace_order_map(spec) == full_walk_trace_order_map(spec)

@@ -4,17 +4,23 @@ import random
 
 import pytest
 
-from kmlat.errors import (NonInvertible, OddCharacteristic, WindowTooLarge,
-                          ZeroDeterminant)
+from kmlat.errors import (NonInvertible, OddCharacteristic, SpecMismatch,
+                          WindowTooLarge, ZeroDeterminant)
 from kmlat.gf import make_field
 from kmlat.laurent import LaurentPoly, parse_laurent
 from kmlat.serretree import (Edge, Mat2, Vertex, act, dihedral_obstruction_search,
                              edge_distance, elementary_divisor_valuations,
                              involution_families, membership, neighbors,
                              vertex_distance)
+from oracles import enumerated_involution_families
 
 F2 = make_field(2)
 F3 = make_field(3)
+F4 = make_field(2, 2)
+
+# (q, window) sizes for the solved-against-enumerated comparison; the
+# enumeration at q = 4, window 2 takes about 16 s, too slow to run here
+FAMILY_SIZES = [(F2, 0), (F2, 1), (F2, 2), (F2, 3), (F4, 0), (F4, 1)]
 
 
 def mat(spec, text):
@@ -197,6 +203,27 @@ def test_involution_families_limits():
         involution_families(F3, "B", 1)
     with pytest.raises(WindowTooLarge):
         involution_families(F2, "B", 4)
+    with pytest.raises(SpecMismatch):
+        involution_families(F2, "P3-B", 1)
+
+
+@pytest.mark.parametrize("spec,window", FAMILY_SIZES,
+                         ids=lambda x: str(getattr(x, "q", x)))
+@pytest.mark.parametrize("region", ["B", "P1-B", "P2-B"])
+def test_solved_families_equal_enumerated(spec, window, region):
+    """Solving a^2 = 1 + bc for a gives the members, in the order, that
+    trying every (a, b, c) gives; criterion 7 samples them by index."""
+    assert (involution_families(spec, region, window)
+            == enumerated_involution_families(spec, region, window))
+
+
+@pytest.mark.parametrize("spec,window", FAMILY_SIZES,
+                         ids=lambda x: str(getattr(x, "q", x)))
+def test_b_family_has_b0_c1_zero(spec, window):
+    """a^2 has even pi-degrees only, so the pi^1 coefficient of bc = 1 + a^2
+    is b_0 c_1 = 0: the reason dihedral_obstruction_search finds nothing."""
+    for m in involution_families(spec, "B", window):
+        assert (m.b.coeff(0) * m.c.coeff(1)).is_zero()
 
 
 def test_dihedral_obstruction_search_finds_nothing():
