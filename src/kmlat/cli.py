@@ -207,6 +207,14 @@ def non_negative_int(text):
     return n
 
 
+def positive_int(text):
+    """argparse type: a positive integer."""
+    n = int(text)
+    if n < 1:
+        raise argparse.ArgumentTypeError("%d is not positive" % n)
+    return n
+
+
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="kmlat",
@@ -257,7 +265,7 @@ def build_parser():
     pz = sub.add_parser("zp-test")
     pz.add_argument("--q", required=True)
     pz.add_argument("--m", type=int, default=2)
-    pz.add_argument("--pairs", type=non_negative_int, default=1)
+    pz.add_argument("--pairs", type=positive_int, default=1)
     pz.set_defaults(func=cmd_zp_test)
 
     ph = sub.add_parser("dihedral-search")

@@ -346,7 +346,9 @@ def order_available(spec, d):
     return False
 
 
-_TARGETS = {
+# kind -> (order, element-order profile, the order of the first generator,
+# the orders allowed for the second)
+SUBGROUP_TARGETS = {
     "SL2(3)": (24, PROFILE_SL2_3, 6, (4,)),
     "SL2(5)": (120, PROFILE_SL2_5, 10, (4,)),
     "2S4": (48, PROFILE_2S4, 8, (6, 3)),
@@ -393,11 +395,11 @@ def find_subgroup_of_type(spec, kind):
     the attempt budget.  Works on integer code tuples for speed; traces
     prefilter candidate generators of the two distinctive orders.
     """
-    if kind not in _TARGETS:
+    if kind not in SUBGROUP_TARGETS:
         raise NotFound("unknown subgroup kind %r" % kind)
     if spec.p == 2 or spec.q > 64:
         raise SearchBudgetExceeded("search supports odd q <= 64")
-    target_order, profile, o1, o2s = _TARGETS[kind]
+    target_order, profile, o1, o2s = SUBGROUP_TARGETS[kind]
     if not all(order_available(spec, d) for d in profile):
         return None
     q = spec.q

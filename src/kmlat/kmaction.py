@@ -13,9 +13,10 @@ against exact matrices on the Bruhat-Tits tree; see crosscheck_affine.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
-from .errors import (MalformedWord, RadiusExceeded, SpecMismatch,
-                     UnsupportedActionDomain)
+from .errors import (InvalidInput, MalformedWord, RadiusExceeded,
+                     SpecMismatch, UnsupportedActionDomain)
 from .laurent import LaurentPoly
 from .serretree import Edge, Mat2, act
 
@@ -28,7 +29,7 @@ class KMParams:
 
     def __post_init__(self):
         if self.m < 2:
-            raise SpecMismatch("m must be >= 2")
+            raise InvalidInput("m = %d must be >= 2" % self.m)
 
 
 @dataclass(frozen=True)
@@ -160,6 +161,60 @@ def _check_alternating(word):
         raise MalformedWord("word must consist of full x1 x2 pairs")
 
 
+def ball2_edges(spec):
+    """The 1 + 2q + 2q^2 edges at distance <= 2 from the base edge, in
+    table index order: base, L and R of length 1, L and R of length 2,
+    each side in coordinate-code order.  Left length-2 edge (c1, c2) has
+    index 1 + 2q + c1*q + c2."""
+    els = [spec.element(c) for c in range(spec.q)]
+    edges = [EdgeLabel.base()]
+    for region in ("L", "R"):
+        edges += [EdgeLabel(region, (c,)) for c in els]
+    for region in ("L", "R"):
+        edges += [EdgeLabel(region, (c1, c2)) for c1 in els for c2 in els]
+    return edges
+
+
+@lru_cache(maxsize=None)
+def letter_table(params, letter, mode):
+    """One letter's action on the ball of radius 2 as a permutation of
+    ball2_edges indices: entry i is the index of the image of edge i.
+
+    Built once per (params, letter, mode) from apply_letter, which stays
+    the only place the rules live; a failure there propagates and leaves
+    nothing cached.  Letters keep an edge's region and length, so the
+    index range of each region and length maps to itself.
+    """
+    edges = ball2_edges(params.spec)
+    index = {e: i for i, e in enumerate(edges)}
+    return tuple(index[apply_letter(params, letter, e, mode)]
+                 for e in edges)
+
+
+def _word_table(params, word, mode, lo, hi):
+    """Compose the letters' tables on the indices lo..hi-1, rightmost
+    letter first as in apply_word.  Returns (image, t1, t2): image[i]
+    is the index of the word's image of edge lo + i, and t1, t2 are the
+    coefficient sums of the two sides."""
+    sums = {1: params.spec.zero, 2: params.spec.zero}
+    image = range(lo, hi)
+    for letter in reversed(word):
+        sums[letter.root.side] = sums[letter.root.side] + letter.coeff
+        table = letter_table(params, letter, mode)
+        image = [table[j] for j in image]
+    return image, sums[1], sums[2]
+
+
+def _power_fixes_all(image, lo, p):
+    """Whether p steps of image (offset lo) return every index to itself."""
+    for i, j in enumerate(image, lo):
+        for _ in range(p - 1):
+            j = image[j - lo]
+        if j != i:
+            return False
+    return True
+
+
 def zp_fix_test(params, word, mode="identity_phi"):
     """Exhaustive test of whether z^p fixes every length-2 left edge.
 
@@ -168,47 +223,18 @@ def zp_fix_test(params, word, mode="identity_phi"):
     all left length-2 edges iff t2 = 0 (and all right ones iff t1 = 0).
     """
     _check_alternating(word)
-    spec = params.spec
-    p = spec.p
-    fixes = True
-    for c1 in range(spec.q):
-        for c2 in range(spec.q):
-            e = EdgeLabel.left((spec.element(c1), spec.element(c2)))
-            img = e
-            for _ in range(p):
-                img = apply_word(params, word, img, mode)
-            if not (img.region == e.region and img.coords == e.coords):
-                fixes = False
-    t1 = spec.zero
-    t2 = spec.zero
-    for letter in word:
-        if letter.root.side == 1:
-            t1 = t1 + letter.coeff
-        else:
-            t2 = t2 + letter.coeff
-    return fixes, t1, t2
+    q = params.spec.q
+    lo = 1 + 2 * q
+    image, t1, t2 = _word_table(params, word, mode, lo, lo + q * q)
+    return _power_fixes_all(image, lo, params.spec.p), t1, t2
 
 
 def zp_fixes_ball2(params, word, mode="identity_phi"):
     """Whether z^p fixes every edge at combinatorial distance <= 2."""
     _check_alternating(word)
-    spec = params.spec
-    p = spec.p
-    edges = [EdgeLabel.base()]
-    for c in range(spec.q):
-        edges.append(EdgeLabel.left((spec.element(c),)))
-        edges.append(EdgeLabel.right((spec.element(c),)))
-    for c1 in range(spec.q):
-        for c2 in range(spec.q):
-            edges.append(EdgeLabel.left((spec.element(c1), spec.element(c2))))
-            edges.append(EdgeLabel.right((spec.element(c1), spec.element(c2))))
-    for e in edges:
-        img = e
-        for _ in range(p):
-            img = apply_word(params, word, img, mode)
-        if not (img.region == e.region and img.coords == e.coords):
-            return False
-    return True
+    q = params.spec.q
+    image, _, _ = _word_table(params, word, mode, 0, 1 + 2 * q + 2 * q * q)
+    return _power_fixes_all(image, 0, params.spec.p)
 
 
 def fixed_ball_certificate(params, root, n=0):

@@ -16,8 +16,8 @@ from typing import Optional
 from .errors import (InvalidInput, KindInadmissible, MinUndefined,
                      NotAHomomorphism, WrongFixedVertex)
 from .gf import is_prime
-from .groups import (FiniteGroup, closure, find_subgroup_of_type,
-                     nonsplit_torus, torus_normalizer)
+from .groups import (SUBGROUP_TARGETS, FiniteGroup, closure,
+                     find_subgroup_of_type, nonsplit_torus, torus_normalizer)
 from .laurent import LaurentPoly
 from .serretree import Edge, Mat2, Vertex, act, membership
 
@@ -420,12 +420,13 @@ def build_standard_lattice(spec, kind):
     elif kind in ("SL2(3)", "SL2(5)", "2S4"):
         if spec.p == 2:
             raise KindInadmissible("exceptional kinds need odd p")
+        order = SUBGROUP_TARGETS[kind][0]
+        if order % (q + 1) != 0:  # cheap, so before the search
+            raise KindInadmissible("order %d not divisible by q+1" % order)
         h = find_subgroup_of_type(spec, kind)
         if h is None:
             raise KindInadmissible("%s does not embed at q = %d" % (kind, q))
-        if h.order % (q + 1) != 0:
-            raise KindInadmissible("order %d not divisible by q+1" % h.order)
-        d0 = h.order // (q + 1)
+        d0 = order // (q + 1)
         # align the copy: make some order-d0 element with F_q eigenvalues
         # diagonal, so the base-vertex stabilizers become diagonal
         pick = None

@@ -7,6 +7,7 @@ replaced; differential tests assert that both give the same results.
 from math import gcd
 
 from kmlat.gf import primitive_element
+from kmlat.kmaction import EdgeLabel, apply_word
 from kmlat.laurent import LaurentPoly
 from kmlat.serretree import Mat2, _polys
 
@@ -89,3 +90,46 @@ def full_walk_trace_order_map(spec):
     out[two.code] = spec.p
     out[(-two).code] = 2 * spec.p
     return out
+
+
+def _replay_fixes(params, word, mode, e):
+    img = e
+    for _ in range(params.spec.p):
+        img = apply_word(params, word, img, mode)
+    return img.region == e.region and img.coords == e.coords
+
+
+def replayed_zp_fix_test(params, word, mode="identity_phi"):
+    """kmaction.zp_fix_test by replaying apply_word p times on every left
+    length-2 edge, and summing each side's coefficients in a second pass."""
+    spec = params.spec
+    fixes = True
+    for c1 in range(spec.q):
+        for c2 in range(spec.q):
+            e = EdgeLabel.left((spec.element(c1), spec.element(c2)))
+            if not _replay_fixes(params, word, mode, e):
+                fixes = False
+    t1 = spec.zero
+    t2 = spec.zero
+    for letter in word:
+        if letter.root.side == 1:
+            t1 = t1 + letter.coeff
+        else:
+            t2 = t2 + letter.coeff
+    return fixes, t1, t2
+
+
+def replayed_zp_fixes_ball2(params, word, mode="identity_phi"):
+    """kmaction.zp_fixes_ball2 by replaying apply_word p times on every
+    edge at distance <= 2 from the base edge."""
+    spec = params.spec
+    edges = [EdgeLabel.base()]
+    for c in range(spec.q):
+        edges.append(EdgeLabel.left((spec.element(c),)))
+        edges.append(EdgeLabel.right((spec.element(c),)))
+    for c1 in range(spec.q):
+        for c2 in range(spec.q):
+            coords = (spec.element(c1), spec.element(c2))
+            edges.append(EdgeLabel.left(coords))
+            edges.append(EdgeLabel.right(coords))
+    return all(_replay_fixes(params, word, mode, e) for e in edges)

@@ -107,6 +107,26 @@ def test_negative_pairs_is_a_usage_error():
     run_cli("zp-test", "--q", "3", "--pairs", "-1", expect=2)
 
 
+def test_zero_pairs_is_a_usage_error():
+    run_cli("zp-test", "--q", "3", "--pairs", "0", expect=2)
+
+
+@pytest.mark.parametrize("argv", [
+    ("zp-test", "--q", "3", "--m", "1", "--pairs", "1"),
+    ("km-act", "--q", "3", "--m", "1", "--word", "x1:1", "--edge", "base"),
+], ids=["zp-test", "km-act"])
+def test_m_below_2_is_invalid_input(argv):
+    err = run_json(*argv, expect=1)
+    assert err["error"] == "InvalidInput"
+    assert "m = 1" in err["detail"]
+
+
+def test_verify_names_the_divisibility_reason():
+    err = run_json("verify", "--q", "13", "--kind", "SL2(5)", expect=1)
+    assert err["error"] == "KindInadmissible"
+    assert err["detail"] == "order 120 not divisible by q+1"
+
+
 def test_non_integer_q_is_a_json_error():
     err = run_json("verify", "--q", "x", "--kind", "SL2(5)", expect=1)
     assert err["error"] == "InvalidInput"

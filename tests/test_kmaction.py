@@ -4,18 +4,25 @@ import itertools
 
 import pytest
 
-from kmlat.errors import (MalformedWord, RadiusExceeded, SpecMismatch,
-                          UnsupportedActionDomain)
+from kmlat import kmaction
+from kmlat.errors import (InvalidInput, MalformedWord, RadiusExceeded,
+                          SpecMismatch, UnsupportedActionDomain)
 from kmlat.gf import make_field
 from kmlat.kmaction import (EdgeLabel, KMParams, RootIndex, RootLetter,
                             alternating_word, apply_letter, apply_word,
-                            crosscheck_affine, fixed_ball_certificate,
-                            letter_matrix, realize_edge, zp_fix_test,
-                            zp_fixes_ball2, _w1, _w2, _x1, _x2)
+                            ball2_edges, crosscheck_affine,
+                            fixed_ball_certificate, letter_matrix,
+                            letter_table, realize_edge, zp_fix_test,
+                            zp_fixes_ball2, _w1, _w2, _word_table, _x1, _x2)
 from kmlat.serretree import Edge, act, edge_distance, membership
+
+from oracles import replayed_zp_fix_test, replayed_zp_fixes_ball2
 
 F2 = make_field(2)
 F3 = make_field(3)
+F4 = make_field(2, 2)
+F5 = make_field(5)
+MODES = ("identity_phi", "twisted_phi")
 
 
 def all_left_edges2(spec):
@@ -31,7 +38,7 @@ def all_words(spec, npairs):
 
 
 def test_params_validation():
-    with pytest.raises(SpecMismatch):
+    with pytest.raises(InvalidInput):
         KMParams(1, F2)
     with pytest.raises(SpecMismatch):
         RootIndex(3, 0)
@@ -176,6 +183,68 @@ def test_zp_fixes_ball2_characterization():
         t1 = sum((a for a, _ in pairs), F3.zero)
         t2 = sum((b for _, b in pairs), F3.zero)
         assert zp_fixes_ball2(params, word) == (t1.is_zero() or t2.is_zero())
+
+
+@pytest.mark.parametrize("spec", [F2, F3, F4, F5], ids=lambda s: "q=%d" % s.q)
+def test_word_tables_match_apply_word(spec):
+    """Differential: the composed letter tables send every edge of the
+    radius-2 ball where apply_word sends it, for every alternating word
+    with at most two pairs, in both modes (and m = 3 for one pair)."""
+    edges = ball2_edges(spec)
+    assert len(edges) == 1 + 2 * spec.q + 2 * spec.q ** 2
+    assert len(set(edges)) == len(edges)
+    for npairs, ms in ((1, (2, 3)), (2, (2,))):
+        for pairs, word in all_words(spec, npairs):
+            for params in (KMParams(m, spec) for m in ms):
+                for mode in MODES:
+                    image, _, _ = _word_table(params, word, mode,
+                                              0, len(edges))
+                    assert [edges[j] for j in image] == [
+                        apply_word(params, word, e, mode) for e in edges]
+
+
+@pytest.mark.parametrize("spec,npairs", [(F2, 2), (F3, 2), (F4, 1), (F5, 1)],
+                         ids=["q=2", "q=3", "q=4", "q=5"])
+def test_zp_tests_match_replay(spec, npairs):
+    """The table-based zp tests equal the p-fold apply_word replay, for
+    every alternating word with at most npairs pairs."""
+    params = KMParams(2, spec)
+    for n in range(1, npairs + 1):
+        for _, word in all_words(spec, n):
+            for mode in MODES:
+                assert (zp_fix_test(params, word, mode)
+                        == replayed_zp_fix_test(params, word, mode))
+                assert (zp_fixes_ball2(params, word, mode)
+                        == replayed_zp_fixes_ball2(params, word, mode))
+
+
+def test_table_build_failure_propagates_and_is_not_cached(monkeypatch):
+    params = KMParams(2, F3)
+    word = alternating_word(params, [(F3.one, F3.one)])
+
+    def no_rule(*args):
+        raise UnsupportedActionDomain("no rule")
+
+    letter_table.cache_clear()
+    monkeypatch.setattr(kmaction, "apply_letter", no_rule)
+    with pytest.raises(UnsupportedActionDomain):
+        zp_fix_test(params, word)
+    with pytest.raises(UnsupportedActionDomain):
+        zp_fixes_ball2(params, word)
+    assert letter_table.cache_info().currsize == 0
+    monkeypatch.undo()
+    assert zp_fix_test(params, word) == replayed_zp_fix_test(params, word)
+    assert zp_fixes_ball2(params, word) == replayed_zp_fixes_ball2(params,
+                                                                   word)
+
+
+def test_unknown_mode_is_a_spec_mismatch():
+    params = KMParams(2, F3)
+    word = alternating_word(params, [(F3.one, F3.one)])
+    with pytest.raises(SpecMismatch):
+        zp_fix_test(params, word, "no_such_mode")
+    with pytest.raises(SpecMismatch):
+        zp_fixes_ball2(params, word, "no_such_mode")
 
 
 def test_fixed_ball_certificate():

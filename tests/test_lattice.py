@@ -130,6 +130,19 @@ def test_kind_admissibility():
         build_standard_lattice(F2, "unheard-of")
 
 
+@pytest.mark.parametrize("q,kind,reason", [
+    (3, "SL2(5)", "SL2(5) does not embed at q = 3"),
+    (13, "SL2(5)", "order 120 not divisible by q+1"),
+    (5, "SL2(5)", "no split element of order 20"),
+])
+def test_exceptional_kind_rejection_reasons(q, kind, reason):
+    """Each reason is reported on its own; q = 13 fails both the
+    divisibility test and the embedding, and the cheap test comes first."""
+    with pytest.raises(KindInadmissible) as exc:
+        build_standard_lattice(make_field(q), kind)
+    assert str(exc.value) == reason
+
+
 def test_covering_check_inclusion():
     spec = F2
     a1, a2, delta, base = build_standard_lattice(spec, "cyclic_p2")
