@@ -86,10 +86,6 @@ def _emit(args, payload):
     print(json.dumps(payload, indent=args.json_indent, sort_keys=True))
 
 
-def _frac(f):
-    return "%d/%d" % (f.numerator, f.denominator)
-
-
 def _tristate(v):
     return None if v is None else (v == "yes")
 
@@ -112,7 +108,7 @@ def cmd_classify(args):
 def cmd_min_covolume(args):
     cov, delta0 = lattice.min_covolume(_classification_input(args))
     _emit(args, {"command": "min-covolume", "q": args.q,
-                 "min_covolume": _frac(cov), "delta0": delta0})
+                 "min_covolume": lattice.frac_str(cov), "delta0": delta0})
 
 
 def cmd_dickson(args):

@@ -8,6 +8,8 @@ lookup tables, so operations after warm-up are O(1) dictionary-free lookups.
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 from .errors import (DegreeTooLarge, DivisionByZero, InvalidInput, NonPrime,
                      SpecMismatch)
 
@@ -385,16 +387,18 @@ def ext_one(spec):
     return ExtElement(spec, spec.one, spec.zero)
 
 
+@lru_cache(maxsize=None)
 def primitive_element(spec):
     """The first generator of the cyclic group F_{q^2}*, in (y, x) code order.
 
     z generates exactly when z^(n/r) != 1 for every prime r dividing
-    n = q^2 - 1.
+    n = q^2 - 1.  The scan starts at y = 1: the y = 0 row is F_q*, whose
+    order q-1 is less than n.  Memoized per field.
     """
     n = spec.q * spec.q - 1
     primes = [r for r in range(2, n + 1) if n % r == 0 and is_prime(r)]
     one = ext_one(spec)
-    for ycode in range(spec.q):
+    for ycode in range(1, spec.q):
         for xcode in range(spec.q):
             z = ExtElement(spec, spec.element(xcode), spec.element(ycode))
             if not z.is_zero() and all(not z ** (n // r) == one

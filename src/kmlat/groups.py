@@ -62,7 +62,11 @@ def closure(gens, cap=SIZE_CAP):
 
 
 class FiniteGroup:
-    """An explicit finite subgroup of GL2 over the Laurent field."""
+    """An explicit finite subgroup of GL2 over the Laurent field.
+
+    gens, when given, must generate `elements`: the faithfulness kernel
+    conjugates by gens alone and would come out too large otherwise.
+    """
 
     def __init__(self, spec, elements, gens=()):
         self.spec = spec
@@ -210,12 +214,14 @@ def _mult_matrix(spec, z):
 def nonsplit_torus(spec):
     """The norm-one torus: multiplication by F_{q^2} norm-1 elements.
 
-    These matrices land in SL2(F_q).  Cyclic of order q+1.
+    These matrices land in SL2(F_q).  Cyclic of order q+1, generated by
+    multiplication by g^(q-1) for the generator g of F_{q^2}*.
     """
     one = LaurentPoly.one(spec)
     elems = [_mult_matrix(spec, z) for z in norm1_subgroup(spec)]
     assert all(m.det() == one for m in elems)
-    return FiniteGroup(spec, frozenset(elems))
+    t0 = _mult_matrix(spec, primitive_element(spec) ** (spec.q - 1))
+    return FiniteGroup(spec, frozenset(elems), (t0,))
 
 
 def torus_normalizer(spec):
@@ -232,7 +238,7 @@ def torus_normalizer(spec):
     q = spec.q
     torus = nonsplit_torus(spec)
     g = primitive_element(spec)
-    t0 = _mult_matrix(spec, g ** (q - 1))
+    t0, = torus.gens
     _, c1 = spec.ext_modulus()
     frob = Mat2(spec, LaurentPoly.one(spec), LaurentPoly.const(-c1),
                 LaurentPoly.zero(spec), LaurentPoly.const(-spec.one))

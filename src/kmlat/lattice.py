@@ -2,9 +2,11 @@
 
 The verification side is exact: given finite groups fixing the two base
 vertices, lubotzky_check tests neighbor-transitivity and the stabilizer
-condition on the actual tree, computes the faithfulness kernel and the
-covolume.  The classification side transcribes the case analysis for
-cocompact edge-transitive lattices at a given q and center order.
+condition, computes the faithfulness kernel and the covolume.  It reads
+the base-vertex stabilizers off entry valuations (P1 and P2 membership)
+and closes the kernel under conjugation by generators, so it needs no
+vertex arithmetic.  The classification side transcribes the case analysis
+for cocompact edge-transitive lattices at a given q and center order.
 """
 
 from __future__ import annotations
@@ -16,8 +18,8 @@ from typing import Optional
 from .errors import (InvalidInput, KindInadmissible, MinUndefined,
                      NotAHomomorphism, WrongFixedVertex)
 from .gf import is_prime
-from .groups import (SUBGROUP_TARGETS, FiniteGroup, closure,
-                     find_subgroup_of_type, nonsplit_torus, torus_normalizer)
+from .groups import (SUBGROUP_TARGETS, FiniteGroup, find_subgroup_of_type,
+                     nonsplit_torus, torus_normalizer)
 from .laurent import LaurentPoly
 from .serretree import Edge, Mat2, Vertex, act, membership
 
@@ -53,34 +55,34 @@ class EdgeOfGroups:
         return cls(a0, a1, a2, dict(ident), dict(ident))
 
 
-def _core(ambient, sub_elements):
-    """Largest normal subgroup of ambient inside the given element set."""
-    core = set(sub_elements)
-    for g in ambient.elements:
-        gi = g.inv()
-        core &= {g.mul(h).mul(gi) for h in sub_elements}
-        if len(core) == 1:
-            break
-    return closure(core, cap=ambient.order + 1)
-
-
 def faithfulness_kernel(eog):
     """Largest subgroup of A0 whose images are normal in A1 and A2.
 
-    This is the kernel of the action of the amalgam on its tree; iterated
-    cores shrink A0 until both images stabilize.
+    This is the kernel of the action of the amalgam on its tree.  It is
+    the fixed point of N <- {n in N : s alpha_i(n) s^-1 in alpha_i(N)},
+    with s over the gens of each A_i (all elements when none are given),
+    started at N = A0.  For finite sets s X s^-1 within X means equal, so
+    the fixed point is the largest subset whose images are normalized by
+    A1 and A2; that subset is closed under products, hence a subgroup.
     """
+    steps = []
+    for grp, alpha in ((eog.a1, eog.alpha1), (eog.a2, eog.alpha2)):
+        back = {y: x for x, y in alpha.items()}
+        for s in grp.gens or grp.elements:
+            si = s.inv()
+            steps.append({x: back.get(s.mul(y).mul(si))
+                          for x, y in alpha.items()})
     n = set(eog.a0.elements)
     while True:
-        img1 = {eog.alpha1[x] for x in n}
-        k1 = _core(eog.a1, img1).elements
-        n1 = {x for x in n if eog.alpha1[x] in k1}
-        img2 = {eog.alpha2[x] for x in n1}
-        k2 = _core(eog.a2, img2).elements
-        n2 = {x for x in n1 if eog.alpha2[x] in k2}
-        if n2 == n:
+        keep = {x for x in n if all(step[x] in n for step in steps)}
+        if keep == n:
             return FiniteGroup(eog.a0.spec, frozenset(n))
-        n = n2
+        n = keep
+
+
+def frac_str(f):
+    """A Fraction as "n/d", also when d = 1."""
+    return "%d/%d" % (f.numerator, f.denominator)
 
 
 def covolume(orders):
@@ -105,41 +107,40 @@ class VerificationReport:
     notes: tuple = ()
 
     def to_json_dict(self):
-        return {
-            "q": self.q,
-            "passes": self.passes,
-            "orbit_sizes": list(self.orbit_sizes),
-            "stab_orders": list(self.stab_orders),
-            "intersection_order": self.intersection_order,
-            "kernel_order": self.kernel_order,
-            "covolume": "%d/%d" % (self.covolume.numerator,
-                                   self.covolume.denominator),
-            "a1_order": self.a1_order,
-            "a2_order": self.a2_order,
-            "notes": list(self.notes),
-        }
+        return dict(vars(self), covolume=frac_str(self.covolume))
+
+
+def base_stabilizer(group, i):
+    """The elements of a finite group that fix the base vertex x_i.
+
+    An element g of finite order has a root of unity, a unit, as its
+    determinant, so its elementary divisors are (r, -r) with r its least
+    entry valuation: g fixes x1 iff r = 0, that is iff g is in P1.  With
+    D = diag(1, pi), x2 = D.x1 and D^-1 g D = [[a, pi b], [c/pi, d]], so g
+    fixes x2 iff g is in P2.
+    """
+    region = "P1" if i == 1 else "P2"
+    return frozenset(g for g in group.elements if membership(g, region))
 
 
 def lubotzky_check(a1, a2):
     """Edge-transitivity test for the pair (A1, A2) on the tree.
 
-    A1 and A2 must be groups; A1 must fix x1 and A2 must fix x2 (else
-    WrongFixedVertex).  The pair generates an edge-transitive lattice iff
-    each A_i is transitive on the q+1 neighbors of x_i and the stabilizer
-    of the opposite base vertex in each A_i is exactly A1 cap A2.  Orbit
+    A1 and A2 must be finite groups; A1 must fix x1 and A2 must fix x2
+    (else WrongFixedVertex).  The pair generates an edge-transitive lattice
+    iff each A_i is transitive on the q+1 neighbors of x_i and the
+    stabilizer of the opposite base vertex in each A_i is exactly A1 cap A2.
+    Stabilizers are read off entry valuations (base_stabilizer), and orbit
     sizes come from orbit-stabilizer: |A_i . x_j| = |A_i| / |stab_i|.
     """
     spec = a1.spec
     q = spec.q
-    x1, x2 = Vertex.x1(spec), Vertex.x2(spec)
-    for g in a1.elements:
-        if not act(g, x1) == x1:
-            raise WrongFixedVertex("A1 does not fix x1")
-    for g in a2.elements:
-        if not act(g, x2) == x2:
-            raise WrongFixedVertex("A2 does not fix x2")
-    stab1 = frozenset(g for g in a1.elements if act(g, x2) == x2)
-    stab2 = frozenset(g for g in a2.elements if act(g, x1) == x1)
+    if base_stabilizer(a1, 1) != a1.elements:
+        raise WrongFixedVertex("A1 does not fix x1")
+    if base_stabilizer(a2, 2) != a2.elements:
+        raise WrongFixedVertex("A2 does not fix x2")
+    stab1 = base_stabilizer(a1, 2)
+    stab2 = base_stabilizer(a2, 1)
     o1 = a1.order // len(stab1)
     o2 = a2.order // len(stab2)
     inter = a1.elements & a2.elements
@@ -278,16 +279,7 @@ class LatticeDescriptor:
     exceptional: bool = False
 
     def to_json_dict(self):
-        return {
-            "q": self.q,
-            "case": self.case,
-            "a0_order": self.a0_order,
-            "vertex_type": self.vertex_type,
-            "covolume": "%d/%d" % (self.covolume.numerator,
-                                   self.covolume.denominator),
-            "delta0": self.delta0,
-            "exceptional": self.exceptional,
-        }
+        return dict(vars(self), covolume=frac_str(self.covolume))
 
 
 def _row(q, case, a0, vertex, delta0, exceptional=False):
@@ -441,12 +433,12 @@ def build_standard_lattice(spec, kind):
         if pick is None:
             raise KindInadmissible("no split element of order %d" % d0)
         gi = pick.inv()
-        a1 = FiniteGroup(spec,
-                         frozenset(gi.mul(x).mul(pick) for x in h.elements))
+        a1 = FiniteGroup(spec, (gi.mul(x).mul(pick) for x in h.elements),
+                         (gi.mul(x).mul(pick) for x in h.gens))
     else:
         raise KindInadmissible("unknown kind %r" % kind)
     delta = _delta(spec)
     di = delta.inv()
-    a2 = FiniteGroup(spec,
-                     frozenset(delta.mul(x).mul(di) for x in a1.elements))
+    a2 = FiniteGroup(spec, (delta.mul(x).mul(di) for x in a1.elements),
+                     (delta.mul(x).mul(di) for x in a1.gens))
     return a1, a2, delta, Edge.base(spec)

@@ -7,9 +7,10 @@ replaced; differential tests assert that both give the same results.
 from math import gcd
 
 from kmlat.gf import primitive_element
+from kmlat.groups import FiniteGroup, closure
 from kmlat.kmaction import EdgeLabel, apply_word
 from kmlat.laurent import LaurentPoly
-from kmlat.serretree import Mat2, _polys
+from kmlat.serretree import Mat2, Vertex, _polys, act
 
 
 def enumerated_involution_families(spec, region, window):
@@ -133,3 +134,39 @@ def replayed_zp_fixes_ball2(params, word, mode="identity_phi"):
             edges.append(EdgeLabel.left(coords))
             edges.append(EdgeLabel.right(coords))
     return all(_replay_fixes(params, word, mode, e) for e in edges)
+
+
+def _core(ambient, sub_elements):
+    """Largest normal subgroup of ambient inside the given element set."""
+    core = set(sub_elements)
+    for g in ambient.elements:
+        gi = g.inv()
+        core &= {g.mul(h).mul(gi) for h in sub_elements}
+        if len(core) == 1:
+            break
+    return closure(core, cap=ambient.order + 1)
+
+
+def cored_faithfulness_kernel(eog):
+    """lattice.faithfulness_kernel by alternating normal cores: conjugate
+    the images of N by every element of A1, then of A2, until N is
+    stable."""
+    n = set(eog.a0.elements)
+    while True:
+        img1 = {eog.alpha1[x] for x in n}
+        k1 = _core(eog.a1, img1).elements
+        n1 = {x for x in n if eog.alpha1[x] in k1}
+        img2 = {eog.alpha2[x] for x in n1}
+        k2 = _core(eog.a2, img2).elements
+        n2 = {x for x in n1 if eog.alpha2[x] in k2}
+        if n2 == n:
+            return FiniteGroup(eog.a0.spec, frozenset(n))
+        n = n2
+
+
+def scanned_base_stabilizer(group, i):
+    """lattice.base_stabilizer by moving x_i with each element and testing
+    vertex equality on the tree (elementary divisors of rep^-1 g rep)."""
+    spec = group.spec
+    x = Vertex.x1(spec) if i == 1 else Vertex.x2(spec)
+    return frozenset(g for g in group.elements if act(g, x) == x)

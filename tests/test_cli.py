@@ -81,6 +81,13 @@ def test_zp_test_json():
     assert out["agreements"] < out["checked"]  # the t1 = 0 caveat shows up
 
 
+def test_zp_test_criterion_needs_prime_q():
+    """Over F_4 the t2 = 0 criterion misses some two-pair words."""
+    out = run_json("zp-test", "--q", "4", "--pairs", "2")
+    assert (out["checked"], out["agreements"], out["checked_t1_nonzero"],
+            out["agreements_t1_nonzero"]) == (256, 190, 192, 174)
+
+
 def test_dihedral_search_json():
     out = run_json("dihedral-search", "--q", "2", "--window", "1")
     assert out["violations"] == []

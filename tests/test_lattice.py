@@ -1,18 +1,21 @@
 """Edge-transitive lattice verification, covering maps, classification."""
 
 from fractions import Fraction
+from functools import lru_cache
 
 import pytest
 
 from kmlat.errors import (InvalidInput, KindInadmissible, MinUndefined,
                           NotAHomomorphism, WrongFixedVertex)
 from kmlat.gf import make_field
-from kmlat.groups import FiniteGroup, nonsplit_torus, sl2_group
+from kmlat.groups import (FiniteGroup, closure, generate, nonsplit_torus,
+                          sl2_group)
 from kmlat.lattice import (ClassificationInput, EdgeOfGroups,
-                           build_standard_lattice, classify, covering_check,
-                           covolume, faithfulness_kernel, lubotzky_check,
-                           min_covolume)
+                           base_stabilizer, build_standard_lattice, classify,
+                           covering_check, covolume, faithfulness_kernel,
+                           lubotzky_check, min_covolume)
 from kmlat.serretree import Mat2, Vertex, act
+from oracles import cored_faithfulness_kernel, scanned_base_stabilizer
 
 F2 = make_field(2)
 F3 = make_field(3)
@@ -41,6 +44,102 @@ def test_orbit_sizes_match_a_linear_scan(p, a, kind):
     x1, x2 = Vertex.x1(spec), Vertex.x2(spec)
     assert rep.orbit_sizes == (_scanned_orbit_size(a1, x2),
                                _scanned_orbit_size(a2, x1))
+
+
+def _field_of(q):
+    """F_q, or None when q is not a prime power."""
+    p = next(r for r in range(2, q + 1) if q % r == 0)
+    a = 1
+    while p ** a < q:
+        a += 1
+    return make_field(p, a) if p ** a == q else None
+
+
+# every odd prime power up to 64, which is exhaustive for the exceptional
+# kinds (q+1 must divide 24, 48 or 120), and the char-2 fields of verify
+PAIR_Q = [q for q in range(3, 65, 2) if _field_of(q)] + [2, 4, 8, 16, 32]
+
+
+@lru_cache(maxsize=None)
+def _standard_pairs(q):
+    """(kind, a1, a2) for every kind build_standard_lattice admits at q."""
+    spec = _field_of(q)
+    kinds = (("cyclic_p2",) if spec.p == 2 else
+             ("torus_normalizer", "SL2(3)", "SL2(5)", "2S4"))
+    out = []
+    for kind in kinds:
+        try:
+            a1, a2, _, _ = build_standard_lattice(spec, kind)
+        except KindInadmissible:
+            continue
+        out.append((kind, a1, a2))
+    return tuple(out)
+
+
+def _without_gens(group):
+    return FiniteGroup(group.spec, group.elements)
+
+
+@pytest.mark.parametrize("q", PAIR_Q)
+def test_stabilizers_and_kernel_match_the_tree_oracles(q):
+    """Valuation stabilizers equal the vertex-equality scan, and the
+    generator kernel equals alternating normal cores, for every standard
+    pair at q, with the gens and with the all-elements fallback."""
+    pairs = _standard_pairs(q)
+    assert pairs  # torus_normalizer (q odd) or cyclic_p2 always builds
+    for kind, a1, a2 in pairs:
+        scanned = {}
+        for j, group in enumerate((a1, a2), 1):
+            for i in (1, 2):
+                scanned[j, i] = scanned_base_stabilizer(group, i)
+                assert base_stabilizer(group, i) == scanned[j, i], (kind, i)
+        a0 = FiniteGroup(a1.spec, a1.elements & a2.elements)
+        want = cored_faithfulness_kernel(
+            EdgeOfGroups.by_inclusion(a0, a1, a2))
+        assert faithfulness_kernel(
+            EdgeOfGroups.by_inclusion(a0, a1, a2)) == want, kind
+        assert faithfulness_kernel(EdgeOfGroups.by_inclusion(
+            a0, _without_gens(a1), _without_gens(a2))) == want, kind
+        rep = lubotzky_check(a1, a2)
+        assert rep.kernel_order == want.order
+        assert rep.stab_orders == (len(scanned[1, 2]), len(scanned[2, 1]))
+
+
+@pytest.mark.parametrize("q", PAIR_Q)
+def test_standard_pairs_carry_generating_sets(q):
+    """Both groups of every standard pair carry gens that generate them (a
+    short set would make faithfulness_kernel too large).  PAIR_Q covers
+    every (q, kind) of the benchmark's verify workload."""
+    for kind, a1, a2 in _standard_pairs(q):
+        for group in (a1, a2):
+            assert group.gens, kind
+            assert generate(group.identity(), group.gens, Mat2.mul,
+                            group.order) == set(group.elements), kind
+
+
+def test_kernel_with_non_identity_structure_maps():
+    """A cyclic C4 of SL2(3) mapped in by conjugation or inversion; the
+    groups without gens take the all-elements fallback."""
+    g24 = sl2_group(F3)
+    fours = sorted((x for x in g24 if g24.element_order(x) == 4), key=str)
+    q8 = closure(fours)
+    c4 = closure(fours[:1])
+    t = next(x for x in sorted(g24, key=str) if g24.element_order(x) == 3)
+    ti = t.inv()
+    incl = {x: x for x in c4}
+    conj = {x: t.mul(x).mul(ti) for x in c4}
+    inv = {x: x.inv() for x in c4}
+    assert set(conj.values()) != c4.elements
+    cases = [
+        (EdgeOfGroups(c4, q8, q8, incl, conj), 4),  # both normal in Q8
+        (EdgeOfGroups(c4, g24, q8, conj, incl), 2),  # not normal in SL2(3)
+        (EdgeOfGroups(c4, c4, g24, inv, conj), 2),
+        (EdgeOfGroups(c4, _without_gens(q8), q8, inv, conj), 4),
+    ]
+    for eog, order in cases:
+        kernel = faithfulness_kernel(eog)
+        assert kernel == cored_faithfulness_kernel(eog)
+        assert kernel.order == order
 
 
 def test_covolume_is_exact():
