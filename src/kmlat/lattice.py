@@ -46,7 +46,11 @@ class EdgeOfGroups:
                 if alpha[x] not in tgt.elements:
                     raise NotAHomomorphism("image escapes the target group")
                 for y in self.a0.elements:
-                    if not alpha[x.mul(y)] == alpha[x].mul(alpha[y]):
+                    xy = x.mul(y)
+                    if xy not in alpha:
+                        raise NotAHomomorphism(
+                            "A0 is not closed under products")
+                    if not alpha[xy] == alpha[x].mul(alpha[y]):
                         raise NotAHomomorphism("map is not a homomorphism")
 
     @classmethod

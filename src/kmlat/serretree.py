@@ -3,8 +3,11 @@
 Vertices are homothety classes of O-lattices, represented by 2x2 matrices
 with monomial determinant whose columns span a representative lattice
 (O = F_q[[t^-1]], uniformizer pi = t^-1).  Distances come from elementary
-divisors; equality of vertices is distance zero, so Vertex is unhashable by
-design and all dedup is by linear scan.
+divisors; equality of vertices is distance zero, so Vertex and Edge are
+unhashable by design and are compared pair by pair.  Stabilizers of the
+base vertices are read off entry valuations instead (membership in P1, P2
+and B).  The module also holds the characteristic-two involution families
+and the dihedral obstruction search over them.
 """
 
 from __future__ import annotations
@@ -278,6 +281,52 @@ def involution_families(spec, region, window):
     return [m for key in sorted(buckets) for m in buckets[key]]
 
 
+def _terms(p):
+    """A LaurentPoly as (pi-degree, code) pairs."""
+    return [(d, x.code) for d, x in p.coeffs.items()]
+
+
+def _squares(m):
+    """e^2, f^2, g^2 for m = [[e,f],[g,e]], each as {pi-degree: code}.
+
+    In characteristic two squaring acts coefficient by coefficient: the
+    term x pi^d goes to (x*x) pi^2d.
+    """
+    _, mul, _ = m.spec._tables()
+    return tuple({2 * d: mul[x.code][x.code] for d, x in p.coeffs.items()}
+                 for p in (m.a, m.b, m.c))
+
+
+def _coeff(tables, k, b, c, x, y):
+    """Code of the pi^k coefficient of b*x + c*y.
+
+    b, c: (pi-degree, code) pairs; x, y: {pi-degree: code}.
+    """
+    add, mul, _ = tables
+    acc = 0
+    for u, v in ((b, x), (c, y)):
+        for d, code in u:
+            w = v.get(k - d)
+            if w:
+                acc = add[acc][mul[code][w]]
+    return acc
+
+
+def _p1_hit(tables, b, c, squares):
+    """gamma s gamma still outside B inside P1: its lower-left entry
+    b g^2 + c e^2 is a unit.  b, c, e and g lie in O for the families
+    searched, so that is its pi^0 coefficient being nonzero."""
+    e2, _, g2 = squares
+    return _coeff(tables, 0, b, c, g2, e2) != 0
+
+
+def _p2_hit(tables, b, c, squares):
+    """gamma s gamma still outside B inside P2: its upper-right entry
+    b e^2 + c f^2 has a nonzero pi^-1 (t^1) coefficient."""
+    e2, f2, _ = squares
+    return _coeff(tables, -1, b, c, e2, f2) != 0
+
+
 def dihedral_obstruction_search(spec, window):
     """Search for triples that would allow an infinite dihedral embedding.
 
@@ -292,20 +341,25 @@ def dihedral_obstruction_search(spec, window):
     the pi^0 coefficient b_0 g_0^2 of the lower-left entry to be nonzero,
     and a P2 hit needs the pi^-1 coefficient c_1 f_-1^2 of the upper-right
     one; both at once need b_0 c_1 != 0.  The search stays as the
-    computational check.
+    computational check: it forms no product gamma s gamma, but computes
+    those two coefficients for every pair by convolving b and c with the
+    squares e^2, f^2, g^2, each computed once per gamma.
     """
     fam_b = involution_families(spec, "B", window)
     fam_1 = involution_families(spec, "P1-B", window)
     fam_2 = involution_families(spec, "P2-B", window)
+    tables = spec._tables()
+    squares_1 = [_squares(g1) for g1 in fam_1]
+    squares_2 = [_squares(g2) for g2 in fam_2]
     violations = []
     for s in fam_b:
-        # still outside B inside P1: the lower-left entry is a unit
-        bad1 = [g1 for g1 in fam_1 if g1.mul(s).mul(g1).c.valuation() == 0]
+        b, c = _terms(s.b), _terms(s.c)
+        bad1 = [g1 for g1, sq in zip(fam_1, squares_1)
+                if _p1_hit(tables, b, c, sq)]
         if not bad1:
             continue
-        # still outside B inside P2: the upper-right entry has a t-term
-        bad2 = [g2 for g2 in fam_2
-                if not g2.mul(s).mul(g2).b.coeff(-1).is_zero()]
+        bad2 = [g2 for g2, sq in zip(fam_2, squares_2)
+                if _p2_hit(tables, b, c, sq)]
         violations.extend((s, g1, g2) for g1 in bad1 for g2 in bad2)
     return {
         "q": spec.q,

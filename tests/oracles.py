@@ -6,6 +6,7 @@ replaced; differential tests assert that both give the same results.
 
 from math import gcd
 
+from kmlat import serretree
 from kmlat.gf import primitive_element
 from kmlat.groups import FiniteGroup, closure
 from kmlat.kmaction import EdgeLabel, apply_word
@@ -71,6 +72,32 @@ def enumerated_involution_families(spec, region, window):
                     if a * a + b * c == one:
                         out.append(Mat2(spec, a, b, c, a))
     return out
+
+
+def full_product_obstruction_search(spec, window):
+    """serretree.dihedral_obstruction_search by forming g*s*g for every
+    pair and testing its valuations: the lower-left entry is a unit (P1),
+    the upper-right one has a t^1 term (P2).  Reads the families through
+    serretree.involution_families, so a test can replace them there."""
+    fam_b = serretree.involution_families(spec, "B", window)
+    fam_1 = serretree.involution_families(spec, "P1-B", window)
+    fam_2 = serretree.involution_families(spec, "P2-B", window)
+    violations = []
+    for s in fam_b:
+        bad1 = [g1 for g1 in fam_1 if g1.mul(s).mul(g1).c.valuation() == 0]
+        if not bad1:
+            continue
+        bad2 = [g2 for g2 in fam_2
+                if not g2.mul(s).mul(g2).b.coeff(-1).is_zero()]
+        violations.extend((s, g1, g2) for g1 in bad1 for g2 in bad2)
+    return {
+        "q": spec.q,
+        "window": window,
+        "family_sizes": {"B": len(fam_b), "P1-B": len(fam_1),
+                         "P2-B": len(fam_2)},
+        "triples_checked": len(fam_b) * len(fam_1) * len(fam_2),
+        "violations": violations,
+    }
 
 
 def full_walk_trace_order_map(spec):

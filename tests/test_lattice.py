@@ -9,7 +9,7 @@ from kmlat.errors import (InvalidInput, KindInadmissible, MinUndefined,
                           NotAHomomorphism, WrongFixedVertex)
 from kmlat.gf import make_field
 from kmlat.groups import (FiniteGroup, closure, generate, nonsplit_torus,
-                          sl2_group)
+                          sl2_group, torus_normalizer)
 from kmlat.lattice import (ClassificationInput, EdgeOfGroups,
                            base_stabilizer, build_standard_lattice, classify,
                            covering_check, covolume, faithfulness_kernel,
@@ -163,6 +163,15 @@ def test_edge_of_groups_validation():
     swapped = dict(zip(elems, elems[1:] + elems[:1]))
     with pytest.raises(NotAHomomorphism):
         EdgeOfGroups(t, g, g, swapped, {x: x for x in t.elements})
+
+
+def test_edge_of_groups_needs_a0_closed():
+    """A0 = {1, x} with x of order 4 is no group: x*x lies outside it."""
+    n = torus_normalizer(F3)
+    x = next(g for g in n.elements if n.element_order(g) == 4)
+    a0 = FiniteGroup(F3, {n.identity(), x})
+    with pytest.raises(NotAHomomorphism, match="not closed under products"):
+        EdgeOfGroups.by_inclusion(a0, n, n)
 
 
 def test_faithfulness_kernel_of_full_sl2():

@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from kmlat import serretree
 from kmlat.errors import (NonInvertible, OddCharacteristic, SpecMismatch,
                           WindowTooLarge, ZeroDeterminant)
 from kmlat.gf import make_field
@@ -12,7 +13,8 @@ from kmlat.serretree import (Edge, Mat2, Vertex, act, dihedral_obstruction_searc
                              edge_distance, elementary_divisor_valuations,
                              involution_families, membership, neighbors,
                              vertex_distance)
-from oracles import enumerated_involution_families
+from oracles import (enumerated_involution_families,
+                     full_product_obstruction_search)
 
 F2 = make_field(2)
 F3 = make_field(3)
@@ -21,6 +23,10 @@ F4 = make_field(2, 2)
 # (q, window) sizes for the solved-against-enumerated comparison; the
 # enumeration at q = 4, window 2 takes about 16 s, too slow to run here
 FAMILY_SIZES = [(F2, 0), (F2, 1), (F2, 2), (F2, 3), (F4, 0), (F4, 1)]
+# (q, window) sizes for the scalar-against-full-product comparisons; the
+# full products at q = 4, window 2 take about 20 s
+SEARCH_SIZES = [(F2, 0), (F2, 1), (F2, 2), (F2, 3), (F4, 1)]
+PAIR_SIZES = [(F2, 0), (F2, 1), (F2, 2), (F4, 1)]
 
 
 def mat(spec, text):
@@ -231,3 +237,48 @@ def test_dihedral_obstruction_search_finds_nothing():
     assert out["violations"] == []
     assert out["triples_checked"] > 0
     assert out["q"] == 2
+
+
+@pytest.mark.parametrize("spec,window", SEARCH_SIZES,
+                         ids=lambda x: str(getattr(x, "q", x)))
+def test_search_equals_full_product_oracle(spec, window):
+    assert (dihedral_obstruction_search(spec, window)
+            == full_product_obstruction_search(spec, window))
+
+
+@pytest.mark.parametrize("spec,window", PAIR_SIZES,
+                         ids=lambda x: str(getattr(x, "q", x)))
+def test_scalar_tests_equal_full_products(spec, window):
+    """For every s in B and every gamma in P1-B or P2-B, the two scalar
+    tests of the search agree with the valuations of g*s*g itself."""
+    tables = spec._tables()
+    gammas = [(g, serretree._squares(g))
+              for g in involution_families(spec, "P1-B", window)
+              + involution_families(spec, "P2-B", window)]
+    for s in involution_families(spec, "B", window):
+        b, c = serretree._terms(s.b), serretree._terms(s.c)
+        for g, squares in gammas:
+            h = g.mul(s).mul(g)
+            assert (serretree._p1_hit(tables, b, c, squares)
+                    == (h.c.valuation() == 0))
+            assert (serretree._p2_hit(tables, b, c, squares)
+                    == (not h.b.coeff(-1).is_zero()))
+
+
+def test_violations_are_reported_in_oracle_order(monkeypatch):
+    """No genuine B involution has b_0 c_1 != 0, so plant two matrices that
+    do among the B family: [[1,1],[t^-1,1]] hits every P1-B and P2-B member,
+    and [[1,1],[1+t^-1,1]] also has c_0 != 0, so whether its lower-left
+    entry b g^2 + c e^2 is a unit depends on the c e^2 term."""
+    real = serretree.involution_families
+    planted = [mat(F2, "1,1;t^-1,1"), mat(F2, "1,1;1+t^-1,1")]
+
+    def families(spec, region, window):
+        fam = real(spec, region, window)
+        return fam[:2] + planted + fam[2:] if region == "B" else fam
+
+    monkeypatch.setattr(serretree, "involution_families", families)
+    out = dihedral_obstruction_search(F2, 1)
+    assert out["violations"]
+    assert out == full_product_obstruction_search(F2, 1)
+    assert {s for s, _, _ in out["violations"]} == set(planted)
