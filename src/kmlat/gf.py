@@ -89,30 +89,19 @@ def _is_irreducible(modulus, p):
 class FieldSpec:
     """Description of F_{p^a} together with its arithmetic tables."""
 
-    __slots__ = ("p", "a", "modulus", "_add", "_mul", "_inv", "_elems",
-                 "_ext_modulus")
+    __slots__ = ("p", "a", "modulus", "_tabs", "_elems", "_ext_modulus")
 
     def __init__(self, p, a, modulus):
         self.p = p
         self.a = a
         self.modulus = tuple(modulus)
-        self._add = None
-        self._mul = None
-        self._inv = None
+        self._tabs = None
         self._elems = None
         self._ext_modulus = None
 
     @property
     def q(self):
         return self.p ** self.a
-
-    def __eq__(self, other):
-        return (isinstance(other, FieldSpec)
-                and (self.p, self.a, self.modulus)
-                == (other.p, other.a, other.modulus))
-
-    def __hash__(self):
-        return hash((self.p, self.a, self.modulus))
 
     def __repr__(self):
         return "FieldSpec(%s)" % self.short_str()
@@ -140,25 +129,18 @@ class FieldSpec:
                 prod = _poly_mul(list(coeffs[i]), list(coeffs[j]), p)
                 prod = _poly_mod(prod, self.modulus, p)
                 mul[i][j] = mul[j][i] = self._code_of(prod)
-        inv = [0] * q
-        for i in range(1, q):
-            x = i
-            # x^(q-2) by repeated multiplication through the table
-            acc = 1  # code of one
-            e = q - 2
-            base = x
-            while e:
-                if e & 1:
-                    acc = mul[acc][base]
-                base = mul[base][base]
-                e >>= 1
-            inv[i] = acc
-        self._add, self._mul, self._inv = add, mul, inv
+        neg = [row.index(0) for row in add]
+        inv = [0] + [row.index(1) for row in mul[1:]]
+        self._tabs = (add, mul, neg, inv)
 
     def _tables(self):
-        if self._add is None:
+        """(add, mul, neg, inv): code tables, add[x][y] the code of x + y.
+
+        inv[0] is 0; callers that divide check for zero first.
+        """
+        if self._tabs is None:
             self._build_tables()
-        return self._add, self._mul, self._inv
+        return self._tabs
 
     def element(self, code):
         code = int(code) % self.q
@@ -184,8 +166,7 @@ class FieldSpec:
         A quadratic over F_q is irreducible iff it has no root in F_q.
         """
         if self._ext_modulus is None:
-            _, mul, _ = self._tables()
-            add = self._add
+            add, mul, _, _ = self._tables()
             found = None
             for c1 in range(self.q):
                 for c0 in range(self.q):
@@ -259,36 +240,31 @@ class FieldElement:
         self.spec = spec
         self.code = code
 
-    @property
-    def coeffs(self):
-        return self.spec._coeffs_of(self.code)
-
     def _check(self, other):
-        if self.spec != other.spec:
+        if self.spec is not other.spec:
             raise SpecMismatch("elements of different fields")
 
     def __add__(self, other):
         self._check(other)
-        add, _, _ = self.spec._tables()
+        add, _, _, _ = self.spec._tables()
         return self.spec.element(add[self.code][other.code])
 
     def __neg__(self):
-        p = self.spec.p
-        return self.spec.element(
-            self.spec._code_of(tuple((-c) % p for c in self.coeffs)))
+        _, _, neg, _ = self.spec._tables()
+        return self.spec.element(neg[self.code])
 
     def __sub__(self, other):
         return self + (-other)
 
     def __mul__(self, other):
         self._check(other)
-        _, mul, _ = self.spec._tables()
+        _, mul, _, _ = self.spec._tables()
         return self.spec.element(mul[self.code][other.code])
 
     def inverse(self):
         if self.code == 0:
             raise DivisionByZero("inverse of zero")
-        _, _, inv = self.spec._tables()
+        _, _, _, inv = self.spec._tables()
         return self.spec.element(inv[self.code])
 
     def __truediv__(self, other):
@@ -298,7 +274,7 @@ class FieldElement:
         e = int(e)
         if e < 0:
             return self.inverse() ** (-e)
-        _, mul, _ = self.spec._tables()
+        _, mul, _, _ = self.spec._tables()
         acc, base = 1, self.code
         while e:
             if e & 1:
@@ -312,7 +288,7 @@ class FieldElement:
 
     def __eq__(self, other):
         return (isinstance(other, FieldElement)
-                and self.spec == other.spec and self.code == other.code)
+                and self.spec is other.spec and self.code == other.code)
 
     def __hash__(self):
         return hash((self.code, self.spec.p, self.spec.a))
@@ -373,7 +349,7 @@ class ExtElement:
         return (self.x - self.y * c1) * self.x + self.y * self.y * c0
 
     def __eq__(self, other):
-        return (isinstance(other, ExtElement) and self.spec == other.spec
+        return (isinstance(other, ExtElement) and self.spec is other.spec
                 and self.x == other.x and self.y == other.y)
 
     def __hash__(self):

@@ -409,7 +409,7 @@ def find_subgroup_of_type(spec, kind):
     if not all(order_available(spec, d) for d in profile):
         return None
     q = spec.q
-    add_t, mul_t, inv_t = spec._tables()
+    add_t, mul_t, neg, inv_t = spec._tables()
     trace_order = _trace_order_map(spec)
     want1 = {t for t, o in trace_order.items() if o == o1}
     want2 = {t for t, o in trace_order.items() if o in o2s}
@@ -424,7 +424,6 @@ def find_subgroup_of_type(spec, kind):
 
     ident = (1, 0, 0, 1)
 
-    neg = [(-spec.element(i)).code for i in range(q)]
     xs, pool2 = [], []
     for a in range(q):
         for b in range(q):

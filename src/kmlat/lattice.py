@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from typing import Optional
 
 from .errors import (InvalidInput, KindInadmissible, MinUndefined,
@@ -37,6 +38,8 @@ class EdgeOfGroups:
     alpha2: dict
 
     def __post_init__(self):
+        # each product once over both maps: an inclusion needs |A0|^2
+        mul = cache(lambda x, y: x.mul(y))
         for alpha, tgt in ((self.alpha1, self.a1), (self.alpha2, self.a2)):
             if set(alpha) != set(self.a0.elements):
                 raise NotAHomomorphism("map not defined on all of A0")
@@ -46,11 +49,11 @@ class EdgeOfGroups:
                 if alpha[x] not in tgt.elements:
                     raise NotAHomomorphism("image escapes the target group")
                 for y in self.a0.elements:
-                    xy = x.mul(y)
+                    xy = mul(x, y)
                     if xy not in alpha:
                         raise NotAHomomorphism(
                             "A0 is not closed under products")
-                    if not alpha[xy] == alpha[x].mul(alpha[y]):
+                    if not alpha[xy] == mul(alpha[x], alpha[y]):
                         raise NotAHomomorphism("map is not a homomorphism")
 
     @classmethod

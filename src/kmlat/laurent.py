@@ -1,9 +1,12 @@
 """Exact Laurent polynomials in the uniformizer pi = t^(-1) over F_q.
 
-A LaurentPoly stores {pi-degree: nonzero coefficient}.  The variable t of
-the ambient field F_q((t^-1)) has pi-degree -1, so v(t) = -1 and v(pi) = 1.
-Degrees are capped at +-DEGREE_WINDOW; leaving the window raises instead of
-silently truncating.
+A LaurentPoly stores {pi-degree: nonzero F_q code}, the integer codes of
+gf.FieldSpec, and does its arithmetic through the field's code tables.
+FieldElement appears only at the edge: const, monomial, scale, coeff and
+constant_value take or return one.  The variable t of the ambient field
+F_q((t^-1)) has pi-degree -1, so v(t) = -1 and v(pi) = 1.  Degrees are
+capped at +-DEGREE_WINDOW; leaving the window raises instead of silently
+truncating.
 """
 
 from __future__ import annotations
@@ -21,9 +24,9 @@ class LaurentPoly:
     __slots__ = ("spec", "coeffs", "_hash")
 
     def __init__(self, spec, coeffs):
-        """coeffs: dict {pi_degree: FieldElement}; zeros are dropped."""
+        """coeffs: dict {pi_degree: code in 0..q-1}; zeros are dropped."""
         self.spec = spec
-        clean = {d: c for d, c in coeffs.items() if not c.is_zero()}
+        clean = {d: c for d, c in coeffs.items() if c}
         for d in clean:
             if abs(d) > DEGREE_WINDOW:
                 raise DegreeWindowExceeded("pi-degree %d outside window" % d)
@@ -36,17 +39,15 @@ class LaurentPoly:
 
     @classmethod
     def const(cls, fe):
-        return cls(fe.spec, {0: fe})
+        return cls(fe.spec, {0: fe.code})
 
     @classmethod
     def monomial(cls, spec, degree, coeff=None):
-        if coeff is None:
-            coeff = spec.one
-        return cls(spec, {degree: coeff})
+        return cls(spec, {degree: 1 if coeff is None else coeff.code})
 
     @classmethod
     def one(cls, spec):
-        return cls.const(spec.one)
+        return cls(spec, {0: 1})
 
     @classmethod
     def t(cls, spec):
@@ -57,48 +58,41 @@ class LaurentPoly:
         return cls.monomial(spec, 1)
 
     def _check(self, other):
-        if self.spec != other.spec:
+        if self.spec is not other.spec:
             raise SpecMismatch("Laurent polynomials over different fields")
 
     def __add__(self, other):
         self._check(other)
+        add = self.spec._tables()[0]
         out = dict(self.coeffs)
         for d, c in other.coeffs.items():
-            if d in out:
-                s = out[d] + c
-                if s.is_zero():
-                    del out[d]
-                else:
-                    out[d] = s
-            else:
-                out[d] = c
+            out[d] = add[out.get(d, 0)][c]
         return LaurentPoly(self.spec, out)
 
     def __neg__(self):
-        return LaurentPoly(self.spec, {d: -c for d, c in self.coeffs.items()})
+        neg = self.spec._tables()[2]
+        return LaurentPoly(self.spec,
+                           {d: neg[c] for d, c in self.coeffs.items()})
 
     def __sub__(self, other):
         return self + (-other)
 
     def __mul__(self, other):
         self._check(other)
+        add, mul, _, _ = self.spec._tables()
         out = {}
         for d1, c1 in self.coeffs.items():
+            row = mul[c1]
             for d2, c2 in other.coeffs.items():
                 d = d1 + d2
-                prod = c1 * c2
-                if d in out:
-                    s = out[d] + prod
-                    if s.is_zero():
-                        del out[d]
-                    else:
-                        out[d] = s
-                elif not prod.is_zero():
-                    out[d] = prod
+                out[d] = add[out.get(d, 0)][row[c2]]
         return LaurentPoly(self.spec, out)
 
     def scale(self, fe):
-        return LaurentPoly(self.spec, {d: c * fe for d, c in self.coeffs.items()})
+        self._check(fe)
+        row = self.spec._tables()[1][fe.code]
+        return LaurentPoly(self.spec,
+                           {d: row[c] for d, c in self.coeffs.items()})
 
     def valuation(self):
         if not self.coeffs:
@@ -109,22 +103,21 @@ class LaurentPoly:
         return not self.coeffs
 
     def constant_value(self):
-        return self.coeffs.get(0, self.spec.zero)
+        return self.coeff(0)
 
     def coeff(self, degree):
-        return self.coeffs.get(degree, self.spec.zero)
+        return self.spec.element(self.coeffs.get(degree, 0))
 
     def is_monomial(self):
         return len(self.coeffs) == 1
 
     def __eq__(self, other):
-        return (isinstance(other, LaurentPoly) and self.spec == other.spec
+        return (isinstance(other, LaurentPoly) and self.spec is other.spec
                 and self.coeffs == other.coeffs)
 
     def __hash__(self):
         if self._hash is None:
-            self._hash = hash(frozenset(
-                (d, c.code) for d, c in self.coeffs.items()))
+            self._hash = hash(frozenset(self.coeffs.items()))
         return self._hash
 
     def __str__(self):
@@ -136,9 +129,9 @@ class LaurentPoly:
             c = self.coeffs[d]
             tdeg = -d
             if tdeg == 0:
-                parts.append(str(c.code))
+                parts.append(str(c))
             else:
-                head = "" if c.code == 1 else "%d*" % c.code
+                head = "" if c == 1 else "%d*" % c
                 exp = "t" if tdeg == 1 else "t^%d" % tdeg
                 parts.append(head + exp)
         return "+".join(parts)
@@ -164,11 +157,9 @@ def parse_laurent(spec, text):
         coeff_s, exp_s = m.groups()
         if coeff_s is None and "t" not in term:
             raise InvalidInput("bad Laurent term %r" % term)
-        coeff = (spec.element(parse_code(coeff_s, spec.q))
-                 if coeff_s is not None else spec.one)
+        code = parse_code(coeff_s, spec.q) if coeff_s is not None else 1
+        tdeg = 0
         if "t" in term:
             tdeg = int(exp_s) if exp_s is not None else 1
-            out = out + LaurentPoly.monomial(spec, -tdeg, coeff)
-        else:
-            out = out + LaurentPoly.const(coeff)
+        out = out + LaurentPoly(spec, {-tdeg: code})
     return out

@@ -35,8 +35,7 @@ class Mat2:
     @classmethod
     def from_codes(cls, spec, a, b, c, d):
         """Constant matrix from field element codes."""
-        return cls(spec, *(LaurentPoly.const(spec.element(x))
-                           for x in (a, b, c, d)))
+        return cls(spec, *(LaurentPoly(spec, {0: x}) for x in (a, b, c, d)))
 
     @classmethod
     def diag(cls, spec, x, y):
@@ -47,7 +46,7 @@ class Mat2:
         return (self.a, self.b, self.c, self.d)
 
     def mul(self, other):
-        if self.spec != other.spec:
+        if self.spec is not other.spec:
             raise SpecMismatch("matrices over different fields")
         return Mat2(self.spec,
                     self.a * other.a + self.b * other.c,
@@ -61,21 +60,18 @@ class Mat2:
     def det(self):
         return self.a * self.d - self.b * self.c
 
-    def trace(self):
-        return self.a + self.d
-
     def inv(self):
         """Exact inverse; requires the determinant to be a unit times pi^k."""
         dt = self.det()
         if not dt.is_monomial():
             raise NonInvertible("determinant %s is not monomial" % dt)
         (deg, coeff), = dt.coeffs.items()
-        dinv = LaurentPoly.monomial(self.spec, -deg, coeff.inverse())
+        dinv = LaurentPoly(self.spec, {-deg: self.spec._tables()[3][coeff]})
         return Mat2(self.spec, self.d * dinv, (-self.b) * dinv,
                     (-self.c) * dinv, self.a * dinv)
 
     def __eq__(self, other):
-        return (isinstance(other, Mat2) and self.spec == other.spec
+        return (isinstance(other, Mat2) and self.spec is other.spec
                 and self.a == other.a and self.b == other.b
                 and self.c == other.c and self.d == other.d)
 
@@ -159,7 +155,7 @@ class Vertex:
 
 def vertex_distance(u, v):
     """Tree distance: s - r for the elementary divisors of rep_u^-1 rep_v."""
-    if u.spec != v.spec:
+    if u.spec is not v.spec:
         raise SpecMismatch("vertices over different fields")
     r, s = elementary_divisor_valuations(u.rep.inv().mul(v.rep))
     return s - r
@@ -173,7 +169,7 @@ def neighbors(v):
     one = LaurentPoly.one(spec)
     zero = LaurentPoly.zero(spec)
     for code in range(spec.q):
-        n = Mat2(spec, pi, LaurentPoly.const(spec.element(code)), zero, one)
+        n = Mat2(spec, pi, LaurentPoly(spec, {0: code}), zero, one)
         out.append(Vertex(v.rep.mul(n)))
     out.append(Vertex(v.rep.mul(Mat2.diag(spec, one, pi))))
     return out
@@ -226,10 +222,9 @@ def _polys(spec, lo, hi):
     Degrees here are given in t-degree for readability of callers:
     lo..hi are t-degrees, so t-degree k maps to pi-degree -k.
     """
-    degs = list(range(lo, hi + 1))
+    degs = [-k for k in range(lo, hi + 1)]
     for codes in itertools.product(range(spec.q), repeat=len(degs)):
-        yield LaurentPoly(spec, {-k: spec.element(c)
-                                 for k, c in zip(degs, codes)})
+        yield LaurentPoly(spec, dict(zip(degs, codes)))
 
 
 def involution_families(spec, region, window):
@@ -242,7 +237,8 @@ def involution_families(spec, region, window):
       P2-B: b on -w..1 with a nonzero t^1 coefficient.
     In characteristic two a is solved for, not searched: squaring acts
     coefficient-wise, so a^2 = 1 + bc has a solution only when 1 + bc has
-    even pi-degrees alone, and then a_i = sqrt(coefficient 2i) = x^(q/2).
+    even pi-degrees alone, and then a_i = sqrt(coefficient 2i), read off a
+    table of square roots (x -> x^2 is a bijection of F_q).
     Returns a list of Mat2 with determinant one: the upper unipotents
     (c = 0), then the lower ones (b = 0), then the rest in (a, b, c) order.
     """
@@ -255,14 +251,17 @@ def involution_families(spec, region, window):
         bs, cs = list(_polys(spec, -w, 0)), list(_polys(spec, -w, -1))
     elif region == "P1-B":
         bs = list(_polys(spec, -w, 0))
-        cs = [c for c in _polys(spec, -w, 0) if not c.coeff(0).is_zero()]
+        cs = [c for c in _polys(spec, -w, 0) if 0 in c.coeffs]
     elif region == "P2-B":
-        bs = [b for b in _polys(spec, -w, 1) if not b.coeff(-1).is_zero()]
+        bs = [b for b in _polys(spec, -w, 1) if -1 in b.coeffs]
         cs = list(_polys(spec, -w, -1))
     else:
         raise SpecMismatch("unknown region %r" % region)
     one = LaurentPoly.one(spec)
-    half = spec.q // 2
+    mul = spec._tables()[1]
+    sqrt = [0] * spec.q
+    for x in range(spec.q):
+        sqrt[mul[x][x]] = x
     # (rank, a's codes from t^-w to t^0) -> members in (b, c) order; rank
     # puts c = 0 (upper unipotents, a = 1) before b = 0 (lower ones)
     buckets = {}
@@ -273,17 +272,12 @@ def involution_families(spec, region, window):
             r = one + b * c
             if any(d % 2 or not 0 <= d <= 2 * w for d in r.coeffs):
                 continue
-            a = LaurentPoly(spec, {d // 2: x ** half
+            a = LaurentPoly(spec, {d // 2: sqrt[x]
                                    for d, x in r.coeffs.items()})
             rank = 0 if c.is_zero() else 1 if b.is_zero() else 2
-            key = (rank, tuple(a.coeff(d).code for d in range(w, -1, -1)))
+            key = (rank, tuple(a.coeffs.get(d, 0) for d in range(w, -1, -1)))
             buckets.setdefault(key, []).append(Mat2(spec, a, b, c, a))
     return [m for key in sorted(buckets) for m in buckets[key]]
-
-
-def _terms(p):
-    """A LaurentPoly as (pi-degree, code) pairs."""
-    return [(d, x.code) for d, x in p.coeffs.items()]
 
 
 def _squares(m):
@@ -292,8 +286,8 @@ def _squares(m):
     In characteristic two squaring acts coefficient by coefficient: the
     term x pi^d goes to (x*x) pi^2d.
     """
-    _, mul, _ = m.spec._tables()
-    return tuple({2 * d: mul[x.code][x.code] for d, x in p.coeffs.items()}
+    mul = m.spec._tables()[1]
+    return tuple({2 * d: mul[x][x] for d, x in p.coeffs.items()}
                  for p in (m.a, m.b, m.c))
 
 
@@ -302,7 +296,7 @@ def _coeff(tables, k, b, c, x, y):
 
     b, c: (pi-degree, code) pairs; x, y: {pi-degree: code}.
     """
-    add, mul, _ = tables
+    add, mul, _, _ = tables
     acc = 0
     for u, v in ((b, x), (c, y)):
         for d, code in u:
@@ -353,7 +347,7 @@ def dihedral_obstruction_search(spec, window):
     squares_2 = [_squares(g2) for g2 in fam_2]
     violations = []
     for s in fam_b:
-        b, c = _terms(s.b), _terms(s.c)
+        b, c = s.b.coeffs.items(), s.c.coeffs.items()
         bad1 = [g1 for g1, sq in zip(fam_1, squares_1)
                 if _p1_hit(tables, b, c, sq)]
         if not bad1:

@@ -14,6 +14,58 @@ from kmlat.laurent import LaurentPoly
 from kmlat.serretree import Mat2, Vertex, _polys, act
 
 
+def digit_neg(fe):
+    """-fe by negating the base-p digits of its code, one digit at a time.
+    gf.FieldSpec reads its negation table off the add table instead."""
+    spec = fe.spec
+    return spec.element(spec._code_of(
+        tuple((-c) % spec.p for c in spec._coeffs_of(fe.code))))
+
+
+def fe_coeffs(x):
+    """A LaurentPoly's coefficients as {pi-degree: FieldElement}."""
+    return {d: x.spec.element(c) for d, c in x.coeffs.items()}
+
+
+def fe_laurent_add(x, y):
+    """Sum of two {pi-degree: FieldElement} dicts with FieldElement
+    arithmetic, as LaurentPoly.__add__ did before it held codes."""
+    out = dict(x)
+    for d, c in y.items():
+        if d in out:
+            s = out[d] + c
+            if s.is_zero():
+                del out[d]
+            else:
+                out[d] = s
+        else:
+            out[d] = c
+    return out
+
+
+def fe_laurent_neg(x):
+    return {d: digit_neg(c) for d, c in x.items()}
+
+
+def fe_laurent_mul(x, y):
+    """Product of two {pi-degree: FieldElement} dicts with FieldElement
+    arithmetic, as LaurentPoly.__mul__ did before it held codes."""
+    out = {}
+    for d1, c1 in x.items():
+        for d2, c2 in y.items():
+            d = d1 + d2
+            prod = c1 * c2
+            if d in out:
+                s = out[d] + prod
+                if s.is_zero():
+                    del out[d]
+                else:
+                    out[d] = s
+            elif not prod.is_zero():
+                out[d] = prod
+    return out
+
+
 def enumerated_involution_families(spec, region, window):
     """involution_families by trying every (a, b, c) with a^2 + bc = 1.
 

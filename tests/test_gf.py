@@ -6,10 +6,11 @@ from hypothesis import given, settings, strategies as st
 from kmlat.errors import DivisionByZero, DegreeTooLarge, NonPrime
 from kmlat.gf import (ExtElement, ext_one, make_field, norm1_subgroup,
                       parse_field, primitive_element, q_mod4)
+from oracles import digit_neg
 
 
 FIELDS = [make_field(2), make_field(3), make_field(2, 2), make_field(5),
-          make_field(3, 2), make_field(2, 3)]
+          make_field(3, 2), make_field(2, 3), make_field(5, 2)]
 
 
 @pytest.mark.parametrize("spec", FIELDS, ids=lambda s: s.short_str())
@@ -32,6 +33,17 @@ def test_field_axioms_exhaustive(spec):
                 assert (x + y) + z == x + (y + z)
                 assert (x * y) * z == x * (y * z)
                 assert x * (y + z) == x * y + x * z
+
+
+@pytest.mark.parametrize("spec", FIELDS, ids=lambda s: s.short_str())
+def test_neg_and_inv_tables(spec):
+    """The tables read off add and mul agree with digit-wise negation and
+    with x^(q-2) by square and multiply."""
+    _, _, neg, inv = spec._tables()
+    for x in spec.elements():
+        assert neg[x.code] == digit_neg(x).code
+        if not x.is_zero():
+            assert inv[x.code] == (x ** (spec.q - 2)).code
 
 
 @pytest.mark.parametrize("spec", FIELDS, ids=lambda s: s.short_str())
@@ -172,6 +184,7 @@ def test_q_mod4():
 
 def test_parse_field_roundtrip():
     for spec in FIELDS:
+        assert make_field(spec.p, spec.a) is spec
         assert parse_field(spec.short_str()) is spec
     assert parse_field("2^3").q == 8
     assert parse_field("7").p == 7

@@ -8,17 +8,20 @@ from hypothesis import given, settings, strategies as st
 from kmlat.errors import DegreeWindowExceeded
 from kmlat.gf import make_field
 from kmlat.laurent import LaurentPoly, parse_laurent
+from oracles import fe_coeffs, fe_laurent_add, fe_laurent_mul, fe_laurent_neg
 
 F2 = make_field(2)
 F3 = make_field(3)
 F4 = make_field(2, 2)
+# F9 and F25 are odd and not prime: there -x is not the code q - x
+ORACLE_FIELDS = [F2, F3, F4, make_field(3, 2), make_field(5, 2)]
 
 
 def poly_strategy(spec, max_terms=4, degree_span=6):
     pairs = st.tuples(st.integers(-degree_span, degree_span),
                       st.integers(0, spec.q - 1))
     return st.lists(pairs, max_size=max_terms).map(
-        lambda ps: LaurentPoly(spec, {d: spec.element(c) for d, c in ps}))
+        lambda ps: LaurentPoly(spec, dict(ps)))
 
 
 @given(x=poly_strategy(F3), y=poly_strategy(F3), z=poly_strategy(F3))
@@ -49,6 +52,18 @@ def test_valuation_of_sum(x, y):
     assert (x + y).valuation() >= min(x.valuation(), y.valuation())
 
 
+@pytest.mark.parametrize("spec", ORACLE_FIELDS, ids=lambda s: s.short_str())
+@given(data=st.data())
+@settings(max_examples=100, deadline=None)
+def test_code_arithmetic_equals_field_element_oracle(spec, data):
+    x, y = data.draw(poly_strategy(spec)), data.draw(poly_strategy(spec))
+    fx, fy = fe_coeffs(x), fe_coeffs(y)
+    assert fe_coeffs(x + y) == fe_laurent_add(fx, fy)
+    assert fe_coeffs(-x) == fe_laurent_neg(fx)
+    assert fe_coeffs(x - y) == fe_laurent_add(fx, fe_laurent_neg(fy))
+    assert fe_coeffs(x * y) == fe_laurent_mul(fx, fy)
+
+
 def test_t_and_pi_conventions():
     t = LaurentPoly.t(F2)
     pi = LaurentPoly.pi(F2)
@@ -65,13 +80,12 @@ def test_degree_window():
 
 
 def test_str_and_parse():
-    x = LaurentPoly(F3, {-2: F3.element(2), 0: F3.one, 3: F3.one})
+    x = LaurentPoly(F3, {-2: 2, 0: 1, 3: 1})
     assert str(x) == "2*t^2+1+t^-3"
     assert parse_laurent(F3, str(x)) == x
     assert parse_laurent(F3, "0") == LaurentPoly.zero(F3)
     assert parse_laurent(F3, "t") == LaurentPoly.t(F3)
-    assert parse_laurent(F3, "1+t^-1") == LaurentPoly(
-        F3, {0: F3.one, 1: F3.one})
+    assert parse_laurent(F3, "1+t^-1") == LaurentPoly(F3, {0: 1, 1: 1})
 
 
 @given(x=poly_strategy(F3))

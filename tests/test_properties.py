@@ -26,7 +26,7 @@ def elem_lower(spec, u):
 
 
 def random_poly(spec, rng, lo, hi):
-    return LaurentPoly(spec, {d: spec.element(rng.randrange(spec.q))
+    return LaurentPoly(spec, {d: rng.randrange(spec.q)
                               for d in range(lo, hi + 1)})
 
 
@@ -108,8 +108,7 @@ def test_unipotent_centralizer_is_unipotent():
     a nontrivial constant unipotent is itself upper unipotent."""
     spec = F2
     u = elem_upper(spec, LaurentPoly.one(spec))
-    polys = [LaurentPoly(spec, {d: spec.element(c) for d, c in
-                                zip((-1, 0, 1), bits)})
+    polys = [LaurentPoly(spec, dict(zip((-1, 0, 1), bits)))
              for bits in [(i, j, k) for i in range(2) for j in range(2)
                           for k in range(2)]]
     one = LaurentPoly.one(spec)

@@ -1,10 +1,13 @@
-"""The benchmark's verify and dihedral-search jobs print exactly the pinned
-golden output.
+"""The benchmark's verify, dihedral-search and zp-test jobs, and a set of
+tree and km-act runs, print exactly the pinned golden output.
 
 tests/golden/verify_jobs.json holds, for each `verify` job in
 perfbench/jobs.py, the argv, the exit code of kmlat.cli.main and its full
 stdout; tests/golden/dihedral_jobs.json holds the same for the
-`char2-search` jobs plus the larger (q, window) = (4, 2) and (8, 1).
+`char2-search` jobs plus the larger (q, window) = (4, 2) and (8, 1);
+tests/golden/root_action_jobs.json for the `root-action` jobs; and
+tests/golden/tree_jobs.json for the TREE_JOBS below, which print Laurent
+entries and F_q labels as they are rendered.
 Regenerate them only when an output changes on purpose:
 
     PYTHONPATH=src python tests/test_verify_golden.py
@@ -21,11 +24,39 @@ from kmlat.cli import main
 ROOT = Path(__file__).resolve().parent.parent
 GOLDEN = ROOT / "tests" / "golden" / "verify_jobs.json"
 DIHEDRAL_GOLDEN = ROOT / "tests" / "golden" / "dihedral_jobs.json"
+ROOT_ACTION_GOLDEN = ROOT / "tests" / "golden" / "root_action_jobs.json"
+TREE_GOLDEN = ROOT / "tests" / "golden" / "tree_jobs.json"
 
 # larger than the benchmark's jobs: 17,950,464 triples at (4, 2) and
 # 44,782,080 at (8, 1)
 EXTRA_DIHEDRAL = [["dihedral-search", "--q", "4", "--window", "2"],
                   ["dihedral-search", "--q", "8", "--window", "1"]]
+
+# prime, char-2 and odd non-prime fields (negation there is not p - x);
+# the last tree run pins the error for a non-monomial determinant
+TREE_JOBS = [
+    ["tree", "--q", "2", "--neighbors", "t,1;0,1"],
+    ["tree", "--q", "3", "--neighbors", "2,1;1,1"],
+    ["tree", "--q", "4", "--neighbors", "1,t;0,1"],
+    ["tree", "--q", "8", "--neighbors", "t^2,0;3,1"],
+    ["tree", "--q", "9", "--neighbors", "t,5*t+3;0,7"],
+    ["tree", "--q", "25", "--neighbors", "1,0;4*t^-1+2,8"],
+    ["tree", "--q", "3", "--distance", "2,1;1,1", "t,2;0,2*t^-1"],
+    ["tree", "--q", "4", "--distance", "1,t;0,1", "t,0;3,t^-1"],
+    ["tree", "--q", "9", "--distance", "1,0;0,1", "t^2,5*t+3;0,1"],
+    ["tree", "--q", "25", "--distance", "t,0;0,1", "1,0;7*t+11,t^3"],
+    ["tree", "--q", "27", "--distance", "2*t+1,t;2,1", "t^-1,0;13,t"],
+    ["tree", "--q", "9", "--neighbors", "2*t+3,5;0,t^-1"],
+    ["km-act", "--q", "3", "--word", "x1:1,x2:1", "--edge", "L:1,0"],
+    ["km-act", "--q", "4", "--word", "x1:3,x2:2,x2@1:1", "--edge", "R:3,2"],
+    ["km-act", "--q", "9", "--word", "x1:5,x2:7,x1@1:3", "--edge", "L:4,2"],
+    ["km-act", "--q", "9", "--word", "x2:8,x1:2", "--edge", "R:6,1",
+     "--mode", "twisted_phi"],
+    ["km-act", "--q", "25", "--word", "x1:13,x2:21", "--edge", "L:17",
+     "--mode", "twisted_phi"],
+    ["km-act", "--q", "5", "--m", "3", "--word", "x1:4,x2:2", "--edge",
+     "base"],
+]
 
 
 def benchmark_workloads():
@@ -44,6 +75,10 @@ def verify_jobs():
 def dihedral_jobs():
     return ([list(j) for j in benchmark_workloads()["char2-search"]]
             + EXTRA_DIHEDRAL)
+
+
+def root_action_jobs():
+    return [list(j) for j in benchmark_workloads()["root-action"]]
 
 
 def run(argv):
@@ -68,7 +103,17 @@ def test_dihedral_jobs_match_golden():
     check_golden(DIHEDRAL_GOLDEN, dihedral_jobs())
 
 
+def test_root_action_jobs_match_golden():
+    check_golden(ROOT_ACTION_GOLDEN, root_action_jobs())
+
+
+def test_tree_and_km_act_jobs_match_golden():
+    check_golden(TREE_GOLDEN, TREE_JOBS)
+
+
 if __name__ == "__main__":
     for path, jobs in ((GOLDEN, verify_jobs()),
-                       (DIHEDRAL_GOLDEN, dihedral_jobs())):
+                       (DIHEDRAL_GOLDEN, dihedral_jobs()),
+                       (ROOT_ACTION_GOLDEN, root_action_jobs()),
+                       (TREE_GOLDEN, TREE_JOBS)):
         path.write_text(json.dumps([run(a) for a in jobs], indent=1) + "\n")
