@@ -1,8 +1,10 @@
 """Finite matrix groups inside SL2 over F_q((t^-1)) and their recognition.
 
-Everything is exact: group elements are Mat2 values, closures are breadth
-first products, and recognition works from structural invariants (order
-profile, unique involution, cyclic index-2 subgroups, normal Sylow-p).
+Everything is exact.  The constant groups (SL2(F_q), tori, normalizers,
+exceptional subgroups) are built on F_q code 4-tuples under one product,
+code_mul, and returned as Mat2 values; closures are breadth first
+products, and recognition works from structural invariants (order profile,
+unique involution, cyclic index-2 subgroups, normal Sylow-p).
 """
 
 from __future__ import annotations
@@ -14,7 +16,6 @@ from math import gcd
 from .errors import (NotASubgroup, NotFound, OddCharacteristic,
                      SearchBudgetExceeded, SizeCapExceeded)
 from .gf import norm1_subgroup, primitive_element
-from .laurent import LaurentPoly
 from .serretree import Mat2
 
 SIZE_CAP = 10 ** 6
@@ -73,6 +74,12 @@ class FiniteGroup:
         self.elements = frozenset(elements)
         self.gens = tuple(gens)
         self._orders = {}
+
+    @classmethod
+    def from_codes(cls, spec, elements, gens):
+        """The group of constant matrices given as code 4-tuples."""
+        return cls(spec, (Mat2.from_codes(spec, *g) for g in elements),
+                   (Mat2.from_codes(spec, *g) for g in gens))
 
     @property
     def order(self):
@@ -170,24 +177,43 @@ class FiniteGroup:
         return "FiniteGroup(order=%d)" % self.order
 
 
-def sl2_elements(spec):
-    """All of SL2(F_q) as constant matrices, in a fixed deterministic order."""
+def code_mul(spec):
+    """The product of constant 2x2 matrices held as F_q code 4-tuples
+    (a, b, c, d), through the field's code tables."""
+    add, mul, _, _ = spec._tables()
+
+    def mmul(x, y):
+        a1, b1, c1, d1 = x
+        a2, b2, c2, d2 = y
+        return (add[mul[a1][a2]][mul[b1][c2]],
+                add[mul[a1][b2]][mul[b1][d2]],
+                add[mul[c1][a2]][mul[d1][c2]],
+                add[mul[c1][b2]][mul[d1][d2]])
+    return mmul
+
+
+CODE_ONE = (1, 0, 0, 1)
+
+
+def sl2_codes(spec):
+    """All of SL2(F_q) as code 4-tuples, in a fixed order: by a, then b,
+    then c with d = (1 + bc)/a, or, when a = 0, d with c = -1/b."""
     q = spec.q
-    one = spec.one
+    add, mul, neg, inv = spec._tables()
     for a in range(q):
         for b in range(q):
-            if a == 0:
-                if b == 0:
-                    continue
-                cfe = -(spec.element(b).inverse())
-                for d in range(q):
-                    yield Mat2.from_codes(spec, 0, b, cfe.code, d)
-            else:
-                afe = spec.element(a)
-                bfe = spec.element(b)
+            if a:
                 for c in range(q):
-                    dfe = (one + bfe * spec.element(c)) / afe
-                    yield Mat2.from_codes(spec, a, b, c, dfe.code)
+                    yield (a, b, c, mul[add[1][mul[b][c]]][inv[a]])
+            elif b:
+                c = neg[inv[b]]
+                for d in range(q):
+                    yield (0, b, c, d)
+
+
+def sl2_elements(spec):
+    """All of SL2(F_q) as constant matrices, in the order of sl2_codes."""
+    return (Mat2.from_codes(spec, *g) for g in sl2_codes(spec))
 
 
 _SL2_CACHE = {}
@@ -200,15 +226,22 @@ def sl2_group(spec):
 
 
 def _mult_matrix(spec, z):
-    """Multiplication by z = x + y*w on F_{q^2}, in the basis {1, w}.
+    """Codes of multiplication by z = x + y*w on F_{q^2}, basis {1, w}.
 
     With w^2 + c1*w + c0 = 0 this is [[x, -y*c0], [y, x - y*c1]]; its
     determinant is the norm of z.
     """
     c0, c1 = spec.ext_modulus()
-    return Mat2(spec,
-                LaurentPoly.const(z.x), LaurentPoly.const(-(z.y * c0)),
-                LaurentPoly.const(z.y), LaurentPoly.const(z.x - z.y * c1))
+    return (z.x.code, (-(z.y * c0)).code, z.y.code, (z.x - z.y * c1).code)
+
+
+def _torus_codes(spec):
+    """The norm-one torus as codes, and its generators (t0,)."""
+    add, mul, neg, _ = spec._tables()
+    elems = frozenset(_mult_matrix(spec, z) for z in norm1_subgroup(spec))
+    assert all(add[mul[a][d]][neg[mul[b][c]]] == 1 for a, b, c, d in elems)
+    t0 = _mult_matrix(spec, primitive_element(spec) ** (spec.q - 1))
+    return elems, (t0,)
 
 
 def nonsplit_torus(spec):
@@ -217,11 +250,7 @@ def nonsplit_torus(spec):
     These matrices land in SL2(F_q).  Cyclic of order q+1, generated by
     multiplication by g^(q-1) for the generator g of F_{q^2}*.
     """
-    one = LaurentPoly.one(spec)
-    elems = [_mult_matrix(spec, z) for z in norm1_subgroup(spec)]
-    assert all(m.det() == one for m in elems)
-    t0 = _mult_matrix(spec, primitive_element(spec) ** (spec.q - 1))
-    return FiniteGroup(spec, frozenset(elems), (t0,))
+    return FiniteGroup.from_codes(spec, *_torus_codes(spec))
 
 
 def torus_normalizer(spec):
@@ -235,19 +264,19 @@ def torus_normalizer(spec):
     """
     if spec.p == 2:
         raise OddCharacteristic("normalizer construction needs odd p")
-    q = spec.q
-    torus = nonsplit_torus(spec)
-    g = primitive_element(spec)
-    t0, = torus.gens
+    neg = spec._tables()[2]
+    mul = code_mul(spec)
+    torus, (t0,) = _torus_codes(spec)
     _, c1 = spec.ext_modulus()
-    frob = Mat2(spec, LaurentPoly.one(spec), LaurentPoly.const(-c1),
-                LaurentPoly.zero(spec), LaurentPoly.const(-spec.one))
-    s = _mult_matrix(spec, g ** ((q - 1) // 2)).mul(frob)
-    assert s.det() == LaurentPoly.one(spec) and s not in torus.elements
-    assert s.mul(t0).mul(s.inv()) in torus.elements
-    elems = set(torus.elements)
-    elems.update(s.mul(h) for h in torus.elements)
-    return FiniteGroup(spec, frozenset(elems), (t0, s))
+    frob = (1, neg[c1.code], 0, neg[1])
+    g = primitive_element(spec)
+    s = mul(_mult_matrix(spec, g ** ((spec.q - 1) // 2)), frob)
+    a, b, c, d = s
+    si = (d, neg[b], neg[c], a)  # the adjugate: s * si = det(s) I
+    assert mul(s, si) == CODE_ONE and s not in torus
+    assert mul(mul(s, t0), si) in torus
+    elems = torus | {mul(s, h) for h in torus}
+    return FiniteGroup.from_codes(spec, elems, (t0, s))
 
 
 @dataclass(frozen=True)
@@ -408,50 +437,18 @@ def find_subgroup_of_type(spec, kind):
     target_order, profile, o1, o2s = SUBGROUP_TARGETS[kind]
     if not all(order_available(spec, d) for d in profile):
         return None
-    q = spec.q
-    add_t, mul_t, neg, inv_t = spec._tables()
-    trace_order = _trace_order_map(spec)
-    want1 = {t for t, o in trace_order.items() if o == o1}
-    want2 = {t for t, o in trace_order.items() if o in o2s}
-
-    def mmul(x, y):
-        a1, b1, c1, d1 = x
-        a2, b2, c2, d2 = y
-        return (add_t[mul_t[a1][a2]][mul_t[b1][c2]],
-                add_t[mul_t[a1][b2]][mul_t[b1][d2]],
-                add_t[mul_t[c1][a2]][mul_t[d1][c2]],
-                add_t[mul_t[c1][b2]][mul_t[d1][d2]])
-
-    ident = (1, 0, 0, 1)
-
+    add = spec._tables()[0]
+    mul = code_mul(spec)
+    want = {t for t, o in _trace_order_map(spec).items()
+            if o == o1 or o in o2s}
     xs, pool2 = [], []
-    for a in range(q):
-        for b in range(q):
-            if a == 0:
-                if b == 0:
-                    continue
-                c = neg[inv_t[b]]
-                for d in range(q):
-                    tr = add_t[a][d]
-                    if tr in want1 or tr in want2:
-                        g = (a, b, c, d)
-                        o = order_of(g, ident, mmul)
-                        if o == o1 and len(xs) < 8:
-                            xs.append(g)
-                        if o in o2s:
-                            pool2.append(g)
-            else:
-                ainv = inv_t[a]
-                for c in range(q):
-                    d = mul_t[add_t[1][mul_t[b][c]]][ainv]
-                    tr = add_t[a][d]
-                    if tr in want1 or tr in want2:
-                        g = (a, b, c, d)
-                        o = order_of(g, ident, mmul)
-                        if o == o1 and len(xs) < 8:
-                            xs.append(g)
-                        if o in o2s:
-                            pool2.append(g)
+    for g in sl2_codes(spec):
+        if add[g[0]][g[3]] in want:
+            o = order_of(g, CODE_ONE, mul)
+            if o == o1 and len(xs) < 8:
+                xs.append(g)
+            if o in o2s:
+                pool2.append(g)
 
     attempts = 0
     for x in xs:
@@ -460,15 +457,13 @@ def find_subgroup_of_type(spec, kind):
             if attempts > _SEARCH_BUDGET:
                 raise SearchBudgetExceeded("%d attempts" % attempts)
             try:
-                h = generate(ident, (x, y), mmul, target_order + 1)
+                h = generate(CODE_ONE, (x, y), mul, target_order + 1)
             except SizeCapExceeded:
                 continue
             if len(h) != target_order:
                 continue
-            if Counter(order_of(g, ident, mmul) for g in h) == profile:
-                elems = frozenset(Mat2.from_codes(spec, *g) for g in h)
-                return FiniteGroup(spec, elems, (
-                    Mat2.from_codes(spec, *x), Mat2.from_codes(spec, *y)))
+            if Counter(order_of(g, CODE_ONE, mul) for g in h) == profile:
+                return FiniteGroup.from_codes(spec, h, (x, y))
     return None
 
 

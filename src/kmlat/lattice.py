@@ -19,8 +19,9 @@ from typing import Optional
 from .errors import (InvalidInput, KindInadmissible, MinUndefined,
                      NotAHomomorphism, WrongFixedVertex)
 from .gf import is_prime
-from .groups import (SUBGROUP_TARGETS, FiniteGroup, find_subgroup_of_type,
-                     nonsplit_torus, torus_normalizer)
+from .groups import (CODE_ONE, SUBGROUP_TARGETS, FiniteGroup, code_mul,
+                     find_subgroup_of_type, nonsplit_torus, order_of,
+                     torus_normalizer)
 from .laurent import LaurentPoly
 from .serretree import Edge, Mat2, Vertex, act, membership
 
@@ -360,44 +361,35 @@ def min_covolume(inp):
 
 # --- standard pairs -------------------------------------------------------
 
-def _delta(spec):
-    return Mat2.diag(spec, LaurentPoly.t(spec), LaurentPoly.one(spec))
-
-
 def _diagonalizing_conjugator(spec, u):
-    """g in SL2(F_q) with g^-1 u g diagonal; u must be a constant matrix
-    with distinct eigenvalues in F_q (or already scalar, giving identity)."""
-    a = u.a.constant_value()
-    b = u.b.constant_value()
-    c = u.c.constant_value()
-    d = u.d.constant_value()
-    if b.is_zero() and c.is_zero():
-        return Mat2.identity(spec)
-    tr = a + d
+    """g in SL2(F_q) with g^-1 u g diagonal, as codes; u must be a constant
+    matrix of codes with distinct eigenvalues in F_q (or already diagonal,
+    giving the identity)."""
+    add, mul, neg, inv = spec._tables()
+    a, b, c, d = u
+    if b == 0 and c == 0:
+        return CODE_ONE
+    tr = add[a][d]
     # eigenvalues: roots of x^2 - tr x + 1
-    lams = [spec.element(i) for i in range(spec.q)
-            if (spec.element(i) * spec.element(i) - tr * spec.element(i)
-                + spec.one).is_zero()]
+    lams = [x for x in range(spec.q)
+            if add[add[mul[x][x]][neg[mul[tr][x]]]][1] == 0]
     if len(lams) < 2:
         raise KindInadmissible("element is not split over F_q")
-    cols = []
-    for lam in lams[:2]:
-        # eigenvector of [[a,b],[c,d]] for lam
-        if not b.is_zero():
-            cols.append((b, lam - a))
-        elif not c.is_zero():
-            cols.append((lam - d, c))
-        else:
-            cols.append((spec.one, spec.zero) if (a - lam).is_zero()
-                        else (spec.zero, spec.one))
-    det = cols[0][0] * cols[1][1] - cols[0][1] * cols[1][0]
-    if det.is_zero():
-        raise KindInadmissible("eigenvectors are dependent")
-    s = det.inverse()
-    g = Mat2(spec,
-             LaurentPoly.const(cols[0][0]), LaurentPoly.const(cols[1][0] * s),
-             LaurentPoly.const(cols[0][1]), LaurentPoly.const(cols[1][1] * s))
-    return g
+    # b and c are not both zero, so each eigenvector comes from a nonzero
+    # off-diagonal entry, and the det below is b or c times the difference
+    # of the two distinct eigenvalues: never zero
+    if b:
+        cols = [(b, add[lam][neg[a]]) for lam in lams]
+    else:
+        cols = [(add[lam][neg[d]], c) for lam in lams]
+    (x0, y0), (x1, y1) = cols
+    s = inv[add[mul[x0][y1]][neg[mul[y0][x1]]]]
+    return (x0, mul[x1][s], y0, mul[y1][s])
+
+
+def _codes(m):
+    """The F_q codes (a, b, c, d) of a constant matrix."""
+    return tuple(e.coeffs.get(0, 0) for e in m.entries())
 
 
 def build_standard_lattice(spec, kind):
@@ -427,25 +419,35 @@ def build_standard_lattice(spec, kind):
             raise KindInadmissible("%s does not embed at q = %d" % (kind, q))
         d0 = order // (q + 1)
         # align the copy: make some order-d0 element with F_q eigenvalues
-        # diagonal, so the base-vertex stabilizers become diagonal
+        # diagonal, so the base-vertex stabilizers become diagonal.  The
+        # candidates go in str(Mat2) order, which fixes the pick and so the
+        # A1 that verify reports on
+        mul = code_mul(spec)
         pick = None
-        for g in sorted(h.elements, key=lambda m: str(m)):
-            if h.element_order(g) == d0:
+        for g in sorted(map(_codes, h.elements),
+                        key=lambda g: "%d,%d;%d,%d" % g):
+            if order_of(g, CODE_ONE, mul) == d0:
                 try:
-                    conj = _diagonalizing_conjugator(spec, g)
+                    pick = _diagonalizing_conjugator(spec, g)
                 except KindInadmissible:
                     continue
-                pick = conj
                 break
         if pick is None:
             raise KindInadmissible("no split element of order %d" % d0)
-        gi = pick.inv()
-        a1 = FiniteGroup(spec, (gi.mul(x).mul(pick) for x in h.elements),
-                         (gi.mul(x).mul(pick) for x in h.gens))
+        neg = spec._tables()[2]
+        a, b, c, d = pick
+        gi = (d, neg[b], neg[c], a)
+        a1 = FiniteGroup.from_codes(
+            spec, (mul(mul(gi, _codes(x)), pick) for x in h.elements),
+            (mul(mul(gi, _codes(x)), pick) for x in h.gens))
     else:
         raise KindInadmissible("unknown kind %r" % kind)
-    delta = _delta(spec)
-    di = delta.inv()
-    a2 = FiniteGroup(spec, (delta.mul(x).mul(di) for x in a1.elements),
-                     (delta.mul(x).mul(di) for x in a1.gens))
+    # A2 = delta A1 delta^-1 with delta = diag(t, 1), which sends
+    # [[a, b], [c, d]] to [[a, t b], [pi c, d]]
+    t, pi = LaurentPoly.t(spec), LaurentPoly.pi(spec)
+
+    def shift(x):
+        return Mat2(spec, x.a, t * x.b, pi * x.c, x.d)
+    a2 = FiniteGroup(spec, map(shift, a1.elements), map(shift, a1.gens))
+    delta = Mat2.diag(spec, t, LaurentPoly.one(spec))
     return a1, a2, delta, Edge.base(spec)

@@ -2,11 +2,10 @@
 
 A LaurentPoly stores {pi-degree: nonzero F_q code}, the integer codes of
 gf.FieldSpec, and does its arithmetic through the field's code tables.
-FieldElement appears only at the edge: const, monomial, scale, coeff and
-constant_value take or return one.  The variable t of the ambient field
-F_q((t^-1)) has pi-degree -1, so v(t) = -1 and v(pi) = 1.  Degrees are
-capped at +-DEGREE_WINDOW; leaving the window raises instead of silently
-truncating.
+FieldElement appears only at the edge: const, monomial, scale and coeff
+take or return one.  The variable t of the ambient field F_q((t^-1)) has
+pi-degree -1, so v(t) = -1 and v(pi) = 1.  Degrees are capped at
++-DEGREE_WINDOW; leaving the window raises instead of silently truncating.
 """
 
 from __future__ import annotations
@@ -101,9 +100,6 @@ class LaurentPoly:
 
     def is_zero(self):
         return not self.coeffs
-
-    def constant_value(self):
-        return self.coeff(0)
 
     def coeff(self, degree):
         return self.spec.element(self.coeffs.get(degree, 0))

@@ -7,8 +7,10 @@ replaced; differential tests assert that both give the same results.
 from math import gcd
 
 from kmlat import serretree
-from kmlat.gf import primitive_element
-from kmlat.groups import FiniteGroup, closure
+from kmlat.errors import KindInadmissible, OddCharacteristic
+from kmlat.gf import norm1_subgroup, primitive_element
+from kmlat.groups import (SUBGROUP_TARGETS, FiniteGroup, closure,
+                          find_subgroup_of_type)
 from kmlat.kmaction import EdgeLabel, apply_word
 from kmlat.laurent import LaurentPoly
 from kmlat.serretree import Mat2, Vertex, _polys, act
@@ -249,3 +251,137 @@ def scanned_base_stabilizer(group, i):
     spec = group.spec
     x = Vertex.x1(spec) if i == 1 else Vertex.x2(spec)
     return frozenset(g for g in group.elements if act(g, x) == x)
+
+
+# --- standard pairs on Mat2, before they moved to F_q code tuples ---------
+
+def mat2_sl2_elements(spec):
+    """groups.sl2_elements with FieldElement arithmetic, by a, then b, then
+    c with d solved (or d with c solved when a = 0)."""
+    q = spec.q
+    one = spec.one
+    for a in range(q):
+        for b in range(q):
+            if a == 0:
+                if b == 0:
+                    continue
+                cfe = -(spec.element(b).inverse())
+                for d in range(q):
+                    yield Mat2.from_codes(spec, 0, b, cfe.code, d)
+            else:
+                afe = spec.element(a)
+                bfe = spec.element(b)
+                for c in range(q):
+                    dfe = (one + bfe * spec.element(c)) / afe
+                    yield Mat2.from_codes(spec, a, b, c, dfe.code)
+
+
+def mat2_mult_matrix(spec, z):
+    """Multiplication by z = x + y*w on F_{q^2} as a Mat2 of constants."""
+    c0, c1 = spec.ext_modulus()
+    return Mat2(spec,
+                LaurentPoly.const(z.x), LaurentPoly.const(-(z.y * c0)),
+                LaurentPoly.const(z.y), LaurentPoly.const(z.x - z.y * c1))
+
+
+def mat2_nonsplit_torus(spec):
+    one = LaurentPoly.one(spec)
+    elems = [mat2_mult_matrix(spec, z) for z in norm1_subgroup(spec)]
+    assert all(m.det() == one for m in elems)
+    t0 = mat2_mult_matrix(spec, primitive_element(spec) ** (spec.q - 1))
+    return FiniteGroup(spec, frozenset(elems), (t0,))
+
+
+def mat2_torus_normalizer(spec):
+    if spec.p == 2:
+        raise OddCharacteristic("normalizer construction needs odd p")
+    q = spec.q
+    torus = mat2_nonsplit_torus(spec)
+    g = primitive_element(spec)
+    t0, = torus.gens
+    _, c1 = spec.ext_modulus()
+    frob = Mat2(spec, LaurentPoly.one(spec), LaurentPoly.const(-c1),
+                LaurentPoly.zero(spec), LaurentPoly.const(-spec.one))
+    s = mat2_mult_matrix(spec, g ** ((q - 1) // 2)).mul(frob)
+    assert s.det() == LaurentPoly.one(spec) and s not in torus.elements
+    assert s.mul(t0).mul(s.inv()) in torus.elements
+    elems = set(torus.elements)
+    elems.update(s.mul(h) for h in torus.elements)
+    return FiniteGroup(spec, frozenset(elems), (t0, s))
+
+
+def mat2_diagonalizing_conjugator(spec, u):
+    """g in SL2(F_q) with g^-1 u g diagonal, with FieldElement arithmetic
+    on a Mat2 of constants."""
+    a, b, c, d = (e.coeff(0) for e in u.entries())
+    if b.is_zero() and c.is_zero():
+        return Mat2.identity(spec)
+    tr = a + d
+    lams = [spec.element(i) for i in range(spec.q)
+            if (spec.element(i) * spec.element(i) - tr * spec.element(i)
+                + spec.one).is_zero()]
+    if len(lams) < 2:
+        raise KindInadmissible("element is not split over F_q")
+    cols = []
+    for lam in lams[:2]:
+        if not b.is_zero():
+            cols.append((b, lam - a))
+        elif not c.is_zero():
+            cols.append((lam - d, c))
+        else:
+            cols.append((spec.one, spec.zero) if (a - lam).is_zero()
+                        else (spec.zero, spec.one))
+    det = cols[0][0] * cols[1][1] - cols[0][1] * cols[1][0]
+    if det.is_zero():
+        raise KindInadmissible("eigenvectors are dependent")
+    s = det.inverse()
+    return Mat2(spec,
+                LaurentPoly.const(cols[0][0]),
+                LaurentPoly.const(cols[1][0] * s),
+                LaurentPoly.const(cols[0][1]),
+                LaurentPoly.const(cols[1][1] * s))
+
+
+def mat2_build_standard_lattice(spec, kind):
+    """lattice.build_standard_lattice with Mat2 products throughout: the
+    exceptional copy is aligned by Mat2 conjugation, and A2 is formed as
+    delta A1 delta^-1."""
+    q = spec.q
+    if kind == "cyclic_p2":
+        if spec.p != 2:
+            raise KindInadmissible("cyclic_p2 needs p = 2")
+        a1 = mat2_nonsplit_torus(spec)
+    elif kind == "torus_normalizer":
+        if spec.p == 2:
+            raise KindInadmissible("torus_normalizer needs odd p")
+        a1 = mat2_torus_normalizer(spec)
+    elif kind in ("SL2(3)", "SL2(5)", "2S4"):
+        if spec.p == 2:
+            raise KindInadmissible("exceptional kinds need odd p")
+        order = SUBGROUP_TARGETS[kind][0]
+        if order % (q + 1) != 0:
+            raise KindInadmissible("order %d not divisible by q+1" % order)
+        h = find_subgroup_of_type(spec, kind)
+        if h is None:
+            raise KindInadmissible("%s does not embed at q = %d" % (kind, q))
+        d0 = order // (q + 1)
+        pick = None
+        for g in sorted(h.elements, key=lambda m: str(m)):
+            if h.element_order(g) == d0:
+                try:
+                    pick = mat2_diagonalizing_conjugator(spec, g)
+                except KindInadmissible:
+                    continue
+                break
+        if pick is None:
+            raise KindInadmissible("no split element of order %d" % d0)
+        gi = pick.inv()
+        a1 = FiniteGroup(spec, (gi.mul(x).mul(pick) for x in h.elements),
+                         (gi.mul(x).mul(pick) for x in h.gens))
+    else:
+        raise KindInadmissible("unknown kind %r" % kind)
+    delta = Mat2.diag(spec, LaurentPoly.t(spec), LaurentPoly.one(spec))
+    di = delta.inv()
+    a2 = FiniteGroup(spec, (delta.mul(x).mul(di) for x in a1.elements),
+                     (delta.mul(x).mul(di) for x in a1.gens))
+    return a1, a2, delta

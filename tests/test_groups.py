@@ -81,6 +81,7 @@ def test_torus_normalizer_does_not_scan_sl2(monkeypatch):
     def scan(spec):
         raise AssertionError("torus_normalizer iterated over SL2(F_q)")
     monkeypatch.setattr(groups, "sl2_elements", scan)
+    monkeypatch.setattr(groups, "sl2_codes", scan)
     spec = make_field(7)
     assert torus_normalizer(spec).order == 16
 

@@ -1,0 +1,160 @@
+"""The standard pairs, built on F_q code tuples, against the Mat2 builders
+they replaced; and the classification table checked by building them."""
+
+from fractions import Fraction
+from math import gcd
+
+import pytest
+
+from kmlat.errors import KmlatError, MinUndefined
+from kmlat.gf import make_field
+from kmlat.groups import sl2_elements
+from kmlat.lattice import (EXCEPTIONAL_TABLE, ClassificationInput,
+                           build_standard_lattice, lubotzky_check,
+                           min_covolume)
+from kmlat.serretree import Mat2
+from oracles import mat2_build_standard_lattice, mat2_sl2_elements
+
+KINDS = ("cyclic_p2", "torus_normalizer", "SL2(3)", "SL2(5)", "2S4")
+EXCEPTIONAL_KINDS = ("SL2(3)", "SL2(5)", "2S4")
+GENERIC_KINDS = ("cyclic_p2", "torus_normalizer")
+
+
+def _prime_power(q):
+    """(p, a) with p^a = q, or None when q is not a prime power."""
+    p = next(r for r in range(2, q + 1) if q % r == 0)
+    a = 1
+    while p ** a < q:
+        a += 1
+    return (p, a) if p ** a == q else None
+
+
+FIELDS = {q: _prime_power(q) for q in range(2, 128) if _prime_power(q)}
+
+
+def _build(spec, kind, builder):
+    try:
+        return builder(spec, kind)
+    except KmlatError as exc:
+        return exc
+
+
+@pytest.fixture(scope="module")
+def builds():
+    """(q, kind) -> build_standard_lattice's result, or what it raised."""
+    return {(q, kind): _build(make_field(*pa), kind, build_standard_lattice)
+            for q, pa in FIELDS.items() for kind in KINDS}
+
+
+@pytest.fixture(scope="module")
+def reports(builds):
+    """(q, kind) -> lubotzky_check report, for every pair that builds."""
+    return {key: lubotzky_check(b[0], b[1]) for key, b in builds.items()
+            if not isinstance(b, Exception)}
+
+
+def test_every_prime_power_below_128_is_covered(builds):
+    assert len(FIELDS) == 43
+    assert sum(not isinstance(b, Exception) for b in builds.values()) == 54
+
+
+@pytest.mark.parametrize("q", sorted(FIELDS))
+def test_builds_match_the_mat2_oracle(builds, q):
+    """Same A1 and A2 elements, the same gens in order and the same delta
+    as alignment by Mat2 conjugation and A2 = delta A1 delta^-1; and the
+    same exception class and message where a build is refused."""
+    spec = make_field(*FIELDS[q])
+    for kind in KINDS:
+        got = builds[q, kind]
+        want = _build(spec, kind, mat2_build_standard_lattice)
+        if isinstance(want, Exception):
+            assert type(got) is type(want), kind
+            assert str(got) == str(want), kind
+            continue
+        assert not isinstance(got, Exception), (kind, got)
+        for new, old in zip(got[:2], want[:2]):
+            assert new.elements == old.elements, kind
+            assert new.gens == old.gens, kind
+        assert got[2] == want[2], kind
+
+
+@pytest.mark.parametrize("q,p,a", [(2, 2, 1), (3, 3, 1), (4, 2, 2),
+                                   (5, 5, 1), (7, 7, 1), (9, 3, 2)])
+def test_sl2_elements_keeps_its_order(q, p, a):
+    spec = make_field(p, a)
+    assert list(sl2_elements(spec)) == list(mat2_sl2_elements(spec))
+
+
+@pytest.mark.parametrize("q,kind", [
+    (3, "torus_normalizer"), (7, "torus_normalizer"), (7, "SL2(3)"),
+    (7, "2S4"), (8, "cyclic_p2"), (9, "torus_normalizer"),
+    (11, "torus_normalizer"), (11, "SL2(3)"), (11, "SL2(5)"),
+    (59, "torus_normalizer"), (59, "SL2(5)")])
+def test_builds_make_no_mat2_products(monkeypatch, q, kind):
+    """Every finite-group product runs on code tuples; the one Mat2.mul and
+    the one Mat2.inv are the distance test inside Edge.base."""
+    calls = {"mul": 0, "inv": 0}
+
+    def counted(name):
+        orig = getattr(Mat2, name)
+
+        def wrapped(*args):
+            calls[name] += 1
+            return orig(*args)
+        return wrapped
+    for name in calls:
+        monkeypatch.setattr(Mat2, name, counted(name))
+    build_standard_lattice(make_field(*FIELDS[q]), kind)
+    assert calls == {"mul": 1, "inv": 1}
+
+
+def test_exceptional_sweep_gives_the_table(builds, reports):
+    """Build each exceptional kind at every odd prime power q <= 64, run
+    lubotzky_check, and keep the pairs that pass: their (q, kind, |A0|)
+    are EXCEPTIONAL_TABLE, no more and no less.
+
+    This is exhaustive.  A pair passes only if A1 acts transitively on the
+    q+1 neighbors of x1, so q+1 divides |A1|, which is 24, 48 or 120.
+    The odd prime powers with that property are 3, 5, 7, 9, 11, 19, 23,
+    29, 47 and 59, all at most 64.  Two caveats: one copy of each type is
+    built (the first the search finds), and the pgl rows have no builder,
+    so only the psl rows are checked here.
+    """
+    odd = [q for q in FIELDS if q % 2 and q <= 64]
+    built = {(q, kind) for q in odd for kind in EXCEPTIONAL_KINDS
+             if (q, kind) in reports}
+    assert {q for q, _ in built} <= {3, 5, 7, 9, 11, 19, 23, 29, 47, 59}
+    passing = {(q, kind, reports[q, kind].intersection_order)
+               for q, kind in built if reports[q, kind].passes}
+    table = {(q, kind, a0) for q, rows in EXCEPTIONAL_TABLE.items()
+             for kind, a0 in rows}
+    assert passing == table
+    for key in ((7, "SL2(3)"), (23, "SL2(3)"), (47, "2S4")):
+        assert key in built and not reports[key].passes, key
+
+
+@pytest.mark.parametrize("q", sorted(FIELDS))
+def test_min_covolume_by_construction(reports, q):
+    """min_covolume of the psl input with z = gcd(2, q-1) is the least
+    covolume of the passing generic pairs (cyclic_p2, torus_normalizer),
+    with delta0 1; failing those, the least of the passing exceptional
+    pairs, with delta0 None; with no passing pair it is undefined.  The
+    exceptional pairs do not count where a generic one passes: at q = 11
+    the answer is 1/12, not SL2(5)'s 1/60."""
+    p, _ = FIELDS[q]
+    inp = ClassificationInput(p, q, "psl", gcd(2, q - 1))
+
+    def least(kinds):
+        covs = [reports[q, k].covolume for k in kinds
+                if (q, k) in reports and reports[q, k].passes]
+        return min(covs) if covs else None
+    generic, exceptional = least(GENERIC_KINDS), least(EXCEPTIONAL_KINDS)
+    if generic is not None:
+        assert min_covolume(inp) == (generic, 1)
+    elif exceptional is not None:
+        assert min_covolume(inp) == (exceptional, None)
+    else:
+        with pytest.raises(MinUndefined):
+            min_covolume(inp)
+    if q == 11:
+        assert min_covolume(inp) == (Fraction(1, 12), 1)
