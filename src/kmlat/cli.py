@@ -7,6 +7,7 @@ Exit codes: 0 on success, 1 on a domain error (JSON {"error", "detail"}),
 from __future__ import annotations
 
 import argparse
+import functools
 import itertools
 import json
 import sys
@@ -212,11 +213,17 @@ def positive_int(text):
 
 
 def build_parser():
+    # argparse's layout for its fallback 80-column terminal; with the width
+    # fixed, it never imports shutil to probe the terminal
+    fmt = functools.partial(argparse.HelpFormatter, width=80 - 2)
     parser = argparse.ArgumentParser(
-        prog="kmlat",
+        prog="kmlat", formatter_class=fmt,
         description="edge-transitive lattices on (q+1)-regular trees")
     parser.add_argument("--json-indent", type=int, default=None)
-    sub = parser.add_subparsers(dest="command", required=True)
+    sub = parser.add_subparsers(
+        dest="command", required=True,
+        parser_class=functools.partial(argparse.ArgumentParser,
+                                       formatter_class=fmt))
 
     def add_classify_flags(p):
         p.add_argument("--p", type=int, required=True)

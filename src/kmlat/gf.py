@@ -2,8 +2,10 @@
 
 Elements are indexed by integer codes 0..q-1: the code's base-p digits,
 least significant first, are the coefficients of the element in the power
-basis of the chosen modulus.  All arithmetic goes through lazily built
-lookup tables, so operations after warm-up are O(1) dictionary-free lookups.
+basis of the chosen modulus.  Arithmetic is O(1) lookups in tables built on
+first use: add adds base-p digits; mul and inv come from the exp/log tables
+of the first generator g of F_q*, whose q-1 powers take one polynomial
+product and reduction each; neg is read off add.
 """
 
 from __future__ import annotations
@@ -118,19 +120,33 @@ class FieldSpec:
         return sum(c * self.p ** i for i, c in enumerate(coeffs))
 
     def _build_tables(self):
+        """add digit by digit; mul and inv from the powers of a generator."""
         q, p = self.q, self.p
-        add = [[0] * q for _ in range(q)]
-        mul = [[0] * q for _ in range(q)]
-        coeffs = [self._coeffs_of(i) for i in range(q)]
-        for i in range(q):
-            for j in range(i, q):
-                s = tuple((x + y) % p for x, y in zip(coeffs[i], coeffs[j]))
-                add[i][j] = add[j][i] = self._code_of(s)
-                prod = _poly_mul(list(coeffs[i]), list(coeffs[j]), p)
-                prod = _poly_mod(prod, self.modulus, p)
-                mul[i][j] = mul[j][i] = self._code_of(prod)
+        # each pass adds a top digit: with x = X + n*d and y = Y + n*e,
+        # add[x][y] = add[X][Y] + n*((d + e) % p)
+        add, n = [[0]], 1
+        for _ in range(self.a):
+            shifts = [[n * ((d + e) % p) for e in range(p)] for d in range(p)]
+            add = [[s + t for t in shifts[d] for s in row]
+                   for d in range(p) for row in add]
+            n *= p
+        # the first code whose powers return to 1 only after q-1 products
+        for g in range(1, q):
+            gc = list(self._coeffs_of(g))
+            exp, x = [1], gc
+            while self._code_of(x) != 1:
+                exp.append(self._code_of(x))
+                x = _poly_mod(_poly_mul(x, gc, p), self.modulus, p)
+            if len(exp) == q - 1:
+                break
+        log = [0] * q
+        for k, x in enumerate(exp):
+            log[x] = k
+        exp2, logs = exp + exp, log[1:]  # exp2[i + j] = g^(i+j) for i, j < q-1
+        mul = [[0] * q] + [[0] + [exp2[log[x] + k] for k in logs]
+                           for x in range(1, q)]
         neg = [row.index(0) for row in add]
-        inv = [0] + [row.index(1) for row in mul[1:]]
+        inv = [0] + [exp[-log[x]] for x in range(1, q)]
         self._tabs = (add, mul, neg, inv)
 
     def _tables(self):
@@ -167,21 +183,10 @@ class FieldSpec:
         """
         if self._ext_modulus is None:
             add, mul, _, _ = self._tables()
-            found = None
-            for c1 in range(self.q):
-                for c0 in range(self.q):
-                    has_root = False
-                    for r in range(self.q):
-                        v = add[add[mul[r][r]][mul[c1][r]]][c0]
-                        if v == 0:
-                            has_root = True
-                            break
-                    if not has_root:
-                        found = (c0, c1)
-                        break
-                if found:
-                    break
-            self._ext_modulus = (self.element(found[0]), self.element(found[1]))
+            codes = range(self.q)
+            c0, c1 = next((c0, c1) for c1 in codes for c0 in codes if all(
+                add[add[mul[x][x]][mul[c1][x]]][c0] for x in codes))
+            self._ext_modulus = (self.element(c0), self.element(c1))
         return self._ext_modulus
 
 

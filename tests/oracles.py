@@ -8,7 +8,7 @@ from math import gcd
 
 from kmlat import serretree
 from kmlat.errors import KindInadmissible, OddCharacteristic
-from kmlat.gf import norm1_subgroup, primitive_element
+from kmlat.gf import _poly_mod, _poly_mul, norm1_subgroup, primitive_element
 from kmlat.groups import (SUBGROUP_TARGETS, FiniteGroup, closure,
                           find_subgroup_of_type)
 from kmlat.kmaction import EdgeLabel, apply_word
@@ -22,6 +22,26 @@ def digit_neg(fe):
     spec = fe.spec
     return spec.element(spec._code_of(
         tuple((-c) % spec.p for c in spec._coeffs_of(fe.code))))
+
+
+def polynomial_tables(spec):
+    """(add, mul, neg, inv) of gf.FieldSpec by adding the base-p digits and
+    multiplying and reducing the coefficient polynomials of every pair of
+    codes, as FieldSpec did before it multiplied through a discrete log."""
+    q, p = spec.q, spec.p
+    add = [[0] * q for _ in range(q)]
+    mul = [[0] * q for _ in range(q)]
+    coeffs = [spec._coeffs_of(i) for i in range(q)]
+    for i in range(q):
+        for j in range(i, q):
+            s = tuple((x + y) % p for x, y in zip(coeffs[i], coeffs[j]))
+            add[i][j] = add[j][i] = spec._code_of(s)
+            prod = _poly_mul(list(coeffs[i]), list(coeffs[j]), p)
+            prod = _poly_mod(prod, spec.modulus, p)
+            mul[i][j] = mul[j][i] = spec._code_of(prod)
+    neg = [row.index(0) for row in add]
+    inv = [0] + [row.index(1) for row in mul[1:]]
+    return add, mul, neg, inv
 
 
 def fe_coeffs(x):

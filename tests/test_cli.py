@@ -1,6 +1,7 @@
 """CLI: JSON output shape, determinism, and exit codes."""
 
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -13,6 +14,7 @@ else:  # pytest depends on tomli on Python 3.10
     import tomli as tomllib
 
 CMD = [sys.executable, "-m", "kmlat.cli"]
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def run_cli(*argv, expect=0):
@@ -218,6 +220,38 @@ def test_python_dash_m_kmlat():
                          capture_output=True, text=True)
     assert out.returncode == 0
     assert "classify" in out.stdout
+
+
+def test_a_run_never_probes_the_terminal():
+    """With its help width fixed, building the parser does not make
+    argparse import shutil (and with it bz2 and lzma) to measure the
+    terminal.  Run as the benchmark runs a job: -E -S, src on sys.path."""
+    code = ("import sys; sys.path.insert(0, %r); import kmlat.cli; "
+            "rc = kmlat.cli.main(['verify', '--q', '5', '--kind', "
+            "'torus_normalizer']); sys.stderr.write(repr((rc, sorted("
+            "{'shutil', 'bz2', 'lzma'} & set(sys.modules)))))" % str(SRC))
+    out = subprocess.run([sys.executable, "-E", "-S", "-c", code],
+                         capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr
+    assert json.loads(out.stdout)["command"] == "verify"
+    assert out.stderr == "(0, [])"
+
+
+@pytest.mark.parametrize("argv", [("--help",), ("classify", "--help")])
+def test_help_wraps_at_78_columns_whatever_the_terminal(argv):
+    """Help is laid out for argparse's fallback 80-column terminal, so
+    COLUMNS does not change it.  argparse cannot break a single word: the
+    {classify,...,tree} list of subcommands is one, and it is the only
+    text allowed past column 78."""
+    env = {k: v for k, v in os.environ.items() if k != "COLUMNS"}
+    plain = subprocess.run(CMD + list(argv), env=env, capture_output=True,
+                           text=True)
+    narrow = subprocess.run(CMD + list(argv), env=dict(env, COLUMNS="40"),
+                            capture_output=True, text=True)
+    assert plain.returncode == narrow.returncode == 0
+    assert narrow.stdout == plain.stdout
+    for line in plain.stdout.splitlines():
+        assert len(line) <= 78 or len(line.split()) == 1, line
 
 
 def test_output_is_deterministic():

@@ -4,9 +4,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from kmlat.errors import DivisionByZero, DegreeTooLarge, NonPrime
-from kmlat.gf import (ExtElement, ext_one, make_field, norm1_subgroup,
-                      parse_field, primitive_element, q_mod4)
-from oracles import digit_neg
+from kmlat.gf import (ExtElement, ext_one, is_prime, make_field,
+                      norm1_subgroup, parse_field, primitive_element, q_mod4)
+from oracles import digit_neg, polynomial_tables
 
 
 FIELDS = [make_field(2), make_field(3), make_field(2, 2), make_field(5),
@@ -33,6 +33,18 @@ def test_field_axioms_exhaustive(spec):
                 assert (x + y) + z == x + (y + z)
                 assert (x * y) * z == x * (y * z)
                 assert x * (y + z) == x * y + x * z
+
+
+@pytest.mark.parametrize("p,a", [(p, a) for p in range(2, 128) if is_prime(p)
+                                 for a in range(1, 8) if p ** a < 128]
+                         + [(2, 8)])
+def test_tables_match_the_polynomial_oracle(p, a):
+    """The add table from base-p digits and the mul, neg and inv tables
+    from the exp/log tables of a generator equal, list for list, the
+    tables formed by multiplying and reducing every pair of polynomials:
+    every prime power below 128, and 256."""
+    spec = make_field(p, a)
+    assert spec._tables() == polynomial_tables(spec)
 
 
 @pytest.mark.parametrize("spec", FIELDS, ids=lambda s: s.short_str())

@@ -1,6 +1,7 @@
 """The standard pairs, built on F_q code tuples, against the Mat2 builders
 they replaced; and the classification table checked by building them."""
 
+from collections import Counter
 from fractions import Fraction
 from math import gcd
 
@@ -8,9 +9,9 @@ import pytest
 
 from kmlat.errors import KmlatError, MinUndefined
 from kmlat.gf import make_field
-from kmlat.groups import sl2_elements
+from kmlat.groups import recognize, sl2_elements
 from kmlat.lattice import (EXCEPTIONAL_TABLE, ClassificationInput,
-                           build_standard_lattice, lubotzky_check,
+                           build_standard_lattice, classify, lubotzky_check,
                            min_covolume)
 from kmlat.serretree import Mat2
 from oracles import mat2_build_standard_lattice, mat2_sl2_elements
@@ -30,6 +31,11 @@ def _prime_power(q):
 
 
 FIELDS = {q: _prime_power(q) for q in range(2, 128) if _prime_power(q)}
+
+
+def _psl_input(q):
+    """The psl classification input with z = gcd(2, q-1)."""
+    return ClassificationInput(FIELDS[q][0], q, "psl", gcd(2, q - 1))
 
 
 def _build(spec, kind, builder):
@@ -141,8 +147,7 @@ def test_min_covolume_by_construction(reports, q):
     pairs, with delta0 None; with no passing pair it is undefined.  The
     exceptional pairs do not count where a generic one passes: at q = 11
     the answer is 1/12, not SL2(5)'s 1/60."""
-    p, _ = FIELDS[q]
-    inp = ClassificationInput(p, q, "psl", gcd(2, q - 1))
+    inp = _psl_input(q)
 
     def least(kinds):
         covs = [reports[q, k].covolume for k in kinds
@@ -158,3 +163,34 @@ def test_min_covolume_by_construction(reports, q):
             min_covolume(inp)
     if q == 11:
         assert min_covolume(inp) == (Fraction(1, 12), 1)
+
+
+@pytest.mark.parametrize("q", sorted(FIELDS))
+def test_classify_rows_are_the_passing_pairs(reports, q):
+    """The multiset of (a0_order, covolume) over the classify rows of the
+    psl input equals the multiset of (|A1 cap A2|, covolume) over the
+    standard pairs at q that pass lubotzky_check."""
+    rows = Counter((r.a0_order, r.covolume) for r in classify(_psl_input(q)))
+    pairs = Counter((rep.intersection_order, rep.covolume)
+                    for (q2, _), rep in reports.items()
+                    if q2 == q and rep.passes)
+    assert rows == pairs
+
+
+def test_exceptional_rows_name_the_built_group(builds, reports):
+    """For each exceptional pair that passes, recognize(A1) names the
+    vertex_type of its classify row (the row calls the binary octahedral
+    group 2S4).  One copy of each type is built, the first the search
+    finds, and the pgl rows have no builder, so this checks the psl rows
+    against that one copy."""
+    names = {"2S4": "BinaryOctahedral"}
+    checked = 0
+    for (q, kind), rep in sorted(reports.items()):
+        if kind not in EXCEPTIONAL_KINDS or not rep.passes:
+            continue
+        row, = [r for r in classify(_psl_input(q))
+                if r.case == "exceptional-%s" % kind]
+        assert str(recognize(builds[q, kind][0])) == names.get(
+            row.vertex_type, row.vertex_type), (q, kind)
+        checked += 1
+    assert checked == sum(len(rows) for rows in EXCEPTIONAL_TABLE.values())
