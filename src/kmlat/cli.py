@@ -219,7 +219,7 @@ def build_parser():
     parser = argparse.ArgumentParser(
         prog="kmlat", formatter_class=fmt,
         description="edge-transitive lattices on (q+1)-regular trees")
-    parser.add_argument("--json-indent", type=int, default=None)
+    parser.add_argument("--json-indent", type=non_negative_int, default=None)
     sub = parser.add_subparsers(
         dest="command", required=True,
         parser_class=functools.partial(argparse.ArgumentParser,

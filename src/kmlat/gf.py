@@ -197,7 +197,7 @@ def make_field(p, a=1):
     """Build F_{p^a} with the least monic irreducible modulus."""
     p, a = int(p), int(a)
     if a < 1:
-        raise DegreeTooLarge("extension degree %d is not positive" % a)
+        raise InvalidInput("extension degree %d is not positive" % a)
     # 2^a > Q_CAP bounds a before p^a is formed, and q is capped before
     # the primality test, so that neither p^a nor is_prime(p) runs long
     if a > Q_CAP.bit_length() or p ** a > Q_CAP:

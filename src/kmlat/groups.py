@@ -393,32 +393,40 @@ _SEARCH_BUDGET = 500_000
 
 
 def _trace_order_map(spec):
-    """Map trace code -> element order for non-central semisimple elements
-    of SL2(F_q); traces 2 and -2 map to p and 2p (the unipotent classes).
+    """Map trace code -> element order for non-central elements of
+    SL2(F_q); traces 2 and -2 map to p and 2p (the unipotent classes).
 
-    Built by walking the cyclic group F_{q^2}* = <gen>: an element of SL2
-    with eigenvalue pair (lam, lam^-1), lam != +-1, has the order of lam,
-    and the trace lam + lam^-1 determines the pair.  That trace lies in
-    F_q exactly when lam is in F_q* or has norm one, that is when
-    lam = gen^k with k a multiple of q+1 or of q-1, so only those k are
-    walked: 2q powers instead of q^2.
-    """
-    n = spec.q ** 2 - 1
-    gen = primitive_element(spec)
+    Built on codes by the Lucas recurrence V_0 = 2, V_1 = t,
+    V_{n+1} = t*V_n - V_{n-1}, which gives V_n = tr(g^n) for any g of
+    trace t (Cayley-Hamilton).  For t != +-2, g is semisimple with
+    eigenvalues lam != lam^-1, and V_n = lam^n + lam^-n = 2 exactly when
+    lam^n = 1, that is when g^n = I; so the order is the least such n,
+    which divides q-1 or q+1.  No generator of F_{q^2}* is needed."""
+    add, mul, neg, _ = spec._tables()
+    two = add[1][1]
     out = {}
-    for step in (spec.q - 1, spec.q + 1):
-        mu = gen ** step
-        mu_inv = gen ** (n - step)
-        lam, lam_inv = mu, mu_inv
-        for k in range(step, n, step):
-            out.setdefault((lam + lam_inv).x.code, n // gcd(n, k))
-            lam = lam * mu
-            lam_inv = lam_inv * mu_inv
-    two = (spec.one + spec.one).code
-    mtwo = (-(spec.one + spec.one)).code
+    for t in range(spec.q):
+        v0, v1, n = two, t, 1
+        while v1 != two:
+            v0, v1, n = v1, add[mul[t][v1]][neg[v0]], n + 1
+        out[t] = n
     out[two] = spec.p
-    out[mtwo] = 2 * spec.p
+    out[neg[two]] = 2 * spec.p
     return out
+
+
+def _trace_class(spec, t):
+    """The codes (a, b, c, d) in SL2(F_q) of trace t, solved for: d = t - a,
+    c = (ad - 1)/b for each b != 0, and any c with b = 0 when ad = 1."""
+    add, mul, neg, inv = spec._tables()
+    for a in range(spec.q):
+        d = add[t][neg[a]]
+        r = add[mul[a][d]][neg[1]]
+        for b in range(1, spec.q):
+            yield (a, b, mul[r][inv[b]], d)
+        if not r:
+            for c in range(spec.q):
+                yield (a, 0, c, d)
 
 
 def find_subgroup_of_type(spec, kind):
@@ -427,9 +435,10 @@ def find_subgroup_of_type(spec, kind):
     kind: "SL2(3)", "SL2(5)" or "2S4".  Returns a FiniteGroup or None when
     the type provably does not embed (some required element order is
     missing from SL2(F_q)).  Raises SearchBudgetExceeded past the q cap or
-    the attempt budget.  Works on integer code tuples for speed; traces
-    prefilter candidate generators of the two distinctive orders.
-    """
+    the attempt budget.  Candidate generators of the two distinctive
+    orders are code tuples drawn, in sl2_codes order, from the trace classes
+    of those orders, not from a scan of SL2(F_q); the trace map gives their
+    orders.  Pairs of candidates are closed until one has the profile."""
     if kind not in SUBGROUP_TARGETS:
         raise NotFound("unknown subgroup kind %r" % kind)
     if spec.p == 2 or spec.q > 64:
@@ -437,18 +446,19 @@ def find_subgroup_of_type(spec, kind):
     target_order, profile, o1, o2s = SUBGROUP_TARGETS[kind]
     if not all(order_available(spec, d) for d in profile):
         return None
-    add = spec._tables()[0]
+    add, _, neg, _ = spec._tables()
     mul = code_mul(spec)
-    want = {t for t, o in _trace_order_map(spec).items()
-            if o == o1 or o in o2s}
+    tmap = _trace_order_map(spec)
+    want = [t for t, o in tmap.items() if o == o1 or o in o2s]
+    central = (CODE_ONE, (neg[1], 0, 0, neg[1]))  # of trace +-2, order 1, 2
     xs, pool2 = [], []
-    for g in sl2_codes(spec):
-        if add[g[0]][g[3]] in want:
-            o = order_of(g, CODE_ONE, mul)
-            if o == o1 and len(xs) < 8:
-                xs.append(g)
-            if o in o2s:
-                pool2.append(g)
+    for g in sorted(g for t in want for g in _trace_class(spec, t)
+                    if g not in central):
+        o = tmap[add[g[0]][g[3]]]
+        if o == o1 and len(xs) < 8:
+            xs.append(g)
+        if o in o2s:
+            pool2.append(g)
 
     attempts = 0
     for x in xs:

@@ -6,11 +6,15 @@ replaced; differential tests assert that both give the same results.
 
 from math import gcd
 
+from collections import Counter
+
 from kmlat import serretree
-from kmlat.errors import KindInadmissible, OddCharacteristic
+from kmlat.errors import (KindInadmissible, NotFound, OddCharacteristic,
+                          SearchBudgetExceeded, SizeCapExceeded)
 from kmlat.gf import _poly_mod, _poly_mul, norm1_subgroup, primitive_element
-from kmlat.groups import (SUBGROUP_TARGETS, FiniteGroup, closure,
-                          find_subgroup_of_type)
+from kmlat.groups import (_SEARCH_BUDGET, CODE_ONE, SUBGROUP_TARGETS,
+                          FiniteGroup, closure, code_mul, generate,
+                          order_available, order_of, sl2_codes)
 from kmlat.kmaction import EdgeLabel, apply_word
 from kmlat.laurent import LaurentPoly
 from kmlat.serretree import Mat2, Vertex, _polys, act
@@ -194,6 +198,71 @@ def full_walk_trace_order_map(spec):
     return out
 
 
+def walked_trace_order_map(spec):
+    """groups._trace_order_map by walking F_{q^2}* = <gen>: an element of
+    SL2 with eigenvalue pair (lam, lam^-1), lam != +-1, has the order of
+    lam, and its trace lam + lam^-1 lies in F_q exactly when lam = gen^k
+    with k a multiple of q+1 or of q-1, so only those 2q powers are walked.
+    """
+    n = spec.q ** 2 - 1
+    gen = primitive_element(spec)
+    out = {}
+    for step in (spec.q - 1, spec.q + 1):
+        mu = gen ** step
+        mu_inv = gen ** (n - step)
+        lam, lam_inv = mu, mu_inv
+        for k in range(step, n, step):
+            out.setdefault((lam + lam_inv).x.code, n // gcd(n, k))
+            lam = lam * mu
+            lam_inv = lam_inv * mu_inv
+    two = (spec.one + spec.one).code
+    mtwo = (-(spec.one + spec.one)).code
+    out[two] = spec.p
+    out[mtwo] = 2 * spec.p
+    return out
+
+
+def scan_find_subgroup_of_type(spec, kind):
+    """groups.find_subgroup_of_type with its candidates drawn by scanning
+    all of SL2(F_q), keeping the elements whose trace has a wanted order,
+    and taking each one's order by repeated products."""
+    if kind not in SUBGROUP_TARGETS:
+        raise NotFound("unknown subgroup kind %r" % kind)
+    if spec.p == 2 or spec.q > 64:
+        raise SearchBudgetExceeded("search supports odd q <= 64")
+    target_order, profile, o1, o2s = SUBGROUP_TARGETS[kind]
+    if not all(order_available(spec, d) for d in profile):
+        return None
+    add = spec._tables()[0]
+    mul = code_mul(spec)
+    want = {t for t, o in walked_trace_order_map(spec).items()
+            if o == o1 or o in o2s}
+    xs, pool2 = [], []
+    for g in sl2_codes(spec):
+        if add[g[0]][g[3]] in want:
+            o = order_of(g, CODE_ONE, mul)
+            if o == o1 and len(xs) < 8:
+                xs.append(g)
+            if o in o2s:
+                pool2.append(g)
+
+    attempts = 0
+    for x in xs:
+        for y in pool2:
+            attempts += 1
+            if attempts > _SEARCH_BUDGET:
+                raise SearchBudgetExceeded("%d attempts" % attempts)
+            try:
+                h = generate(CODE_ONE, (x, y), mul, target_order + 1)
+            except SizeCapExceeded:
+                continue
+            if len(h) != target_order:
+                continue
+            if Counter(order_of(g, CODE_ONE, mul) for g in h) == profile:
+                return FiniteGroup.from_codes(spec, h, (x, y))
+    return None
+
+
 def _replay_fixes(params, word, mode, e):
     img = e
     for _ in range(params.spec.p):
@@ -365,7 +434,8 @@ def mat2_diagonalizing_conjugator(spec, u):
 def mat2_build_standard_lattice(spec, kind):
     """lattice.build_standard_lattice with Mat2 products throughout: the
     exceptional copy is aligned by Mat2 conjugation, and A2 is formed as
-    delta A1 delta^-1."""
+    delta A1 delta^-1; the exceptional group comes from the scanning
+    search."""
     q = spec.q
     if kind == "cyclic_p2":
         if spec.p != 2:
@@ -381,7 +451,7 @@ def mat2_build_standard_lattice(spec, kind):
         order = SUBGROUP_TARGETS[kind][0]
         if order % (q + 1) != 0:
             raise KindInadmissible("order %d not divisible by q+1" % order)
-        h = find_subgroup_of_type(spec, kind)
+        h = scan_find_subgroup_of_type(spec, kind)
         if h is None:
             raise KindInadmissible("%s does not embed at q = %d" % (kind, q))
         d0 = order // (q + 1)

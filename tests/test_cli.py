@@ -185,8 +185,13 @@ def test_bad_field_code_is_a_json_error(argv, named):
      "letter must start with x1 or x2"),
     (("tree", "--q", "2"), "tree needs --distance or --neighbors"),
     (("tree", "--q", "3", "--neighbors", "1,0;0,1+"), "bad Laurent term ''"),
+    (("verify", "--q", "2^0", "--kind", "SL2(5)"),
+     "extension degree 0 is not positive"),
+    (("dickson", "--q", "3^-1", "--ambient", "sl2"),
+     "extension degree -1 is not positive"),
 ], ids=["field-not-prime-power", "matrix-rows", "matrix-entries", "edge",
-        "word-coeff-missing", "word-letter", "tree-no-flag", "laurent-term"])
+        "word-coeff-missing", "word-letter", "tree-no-flag", "laurent-term",
+        "degree-zero", "degree-negative"])
 def test_malformed_input_is_invalid_input(argv, detail):
     err = run_json(*argv, expect=1)
     assert err["error"] == "InvalidInput"
@@ -206,6 +211,14 @@ def test_verify_radius_is_gone():
             "--radius", "1", expect=2)
     out = run_json("verify", "--q", "3", "--kind", "torus_normalizer")
     assert "radius" not in out
+
+
+def test_negative_json_indent_is_a_usage_error():
+    assert run_cli("--json-indent", "-3", "classify", "--p", "3", "--q", "3",
+                   "--levi", "psl", expect=2) == ""
+    zero = run_cli("--json-indent", "0", "classify", "--p", "3", "--q", "3",
+                   "--levi", "psl")
+    assert zero.startswith("{\n")
 
 
 def test_removed_global_flags_are_usage_errors():

@@ -3,7 +3,8 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from kmlat.errors import DivisionByZero, DegreeTooLarge, NonPrime
+from kmlat.errors import (DivisionByZero, DegreeTooLarge, InvalidInput,
+                          NonPrime)
 from kmlat.gf import (ExtElement, ext_one, is_prime, make_field,
                       norm1_subgroup, parse_field, primitive_element, q_mod4)
 from oracles import digit_neg, polynomial_tables
@@ -98,6 +99,10 @@ def test_constructor_limits():
     # the degree is bounded before p^a is formed
     with pytest.raises(DegreeTooLarge):
         make_field(2, 10 ** 12)
+    # a degree below 1 is not a field at all, not one over the cap
+    for a in (0, -1):
+        with pytest.raises(InvalidInput):
+            make_field(3, a)
 
 
 def test_f4_modulus():

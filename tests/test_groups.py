@@ -14,7 +14,7 @@ from kmlat.groups import (FiniteGroup, GroupType, cayley_closure_tool, closure,
                           sl2_group, torus_normalizer)
 from kmlat.laurent import LaurentPoly
 from kmlat.serretree import Mat2
-from oracles import full_walk_trace_order_map
+from oracles import full_walk_trace_order_map, scan_find_subgroup_of_type
 
 
 def sl2_order(q):
@@ -84,6 +84,19 @@ def test_torus_normalizer_does_not_scan_sl2(monkeypatch):
     monkeypatch.setattr(groups, "sl2_codes", scan)
     spec = make_field(7)
     assert torus_normalizer(spec).order == 16
+
+
+def test_find_subgroup_of_type_does_not_scan_sl2(monkeypatch):
+    """The candidates come from the wanted trace classes, and their orders
+    from the trace map, which needs no generator of F_{q^2}*."""
+    def scan(spec):
+        raise AssertionError("find_subgroup_of_type scanned SL2(F_q)")
+    monkeypatch.setattr(groups, "sl2_elements", scan)
+    monkeypatch.setattr(groups, "sl2_codes", scan)
+    monkeypatch.setattr(groups, "primitive_element", scan)
+    for q, kind, order in ((59, "SL2(5)", 120), (23, "2S4", 48),
+                           (5, "SL2(3)", 24)):
+        assert find_subgroup_of_type(make_field(q), kind).order == order
 
 
 def test_group_basics():
@@ -228,13 +241,64 @@ def test_generate_matches_two_sided_closure_on_sl2_3():
             assert got == _two_sided_pair_closure(mul, i, j)
 
 
-ODD_PRIME_POWERS = [(p, a) for p in range(3, 65, 2) if is_prime(p)
-                    for a in range(1, 7) if p ** a <= 64]
+def _odd_prime_powers(below):
+    return [(p, a) for p in range(3, below, 2) if is_prime(p)
+            for a in range(1, 7) if p ** a < below]
+
+
+ODD_PRIME_POWERS = _odd_prime_powers(65)
+
+
+@pytest.mark.parametrize("p,a", _odd_prime_powers(128))
+def test_trace_order_map_matches_full_walk(p, a):
+    """The Lucas recurrence on trace codes, stopped at the first n with
+    tr(g^n) = 2, gives the order that the eigenvalue lam of each
+    non-central g has in F_{q^2}*, found by walking all its powers."""
+    spec = make_field(p, a)
+    assert groups._trace_order_map(spec) == full_walk_trace_order_map(spec)
+
+
+@pytest.mark.parametrize("p,a", ODD_PRIME_POWERS + [(2, 1), (2, 2), (2, 3)])
+def test_trace_classes_partition_sl2_by_counting(p, a):
+    """The elements of trace t number q^2 + (r - 1)*q, r the number of
+    roots of x^2 - t*x + 1 in F_q; for odd q, r - 1 is chi(t^2 - 4), chi
+    the quadratic character with chi(0) = 0.  Every member has det 1 and
+    trace t, and the classes cover SL2(F_q), whose sl2_codes order is
+    lexicographic: find_subgroup_of_type draws its candidates in it."""
+    spec = make_field(p, a)
+    q = spec.q
+    add, mul, neg, _ = spec._tables()
+    squares = {mul[x][x] for x in range(1, q)}
+    four = add[add[1][1]][add[1][1]]
+    total = 0
+    for t in range(q):
+        cls = list(groups._trace_class(spec, t))
+        roots = sum(add[mul[x][x]][neg[mul[t][x]]] == neg[1]
+                    for x in range(q))
+        if p != 2:
+            disc = add[mul[t][t]][neg[four]]
+            assert roots - 1 == (0 if not disc else
+                                 1 if disc in squares else -1), t
+        assert len(cls) == len(set(cls)) == q * q + (roots - 1) * q, t
+        for a_, b, c, d in cls:
+            assert add[mul[a_][d]][neg[mul[b][c]]] == 1
+            assert add[a_][d] == t
+        total += len(cls)
+    assert total == q ** 3 - q
+    codes = list(groups.sl2_codes(spec))
+    assert codes == sorted(codes)
 
 
 @pytest.mark.parametrize("p,a", ODD_PRIME_POWERS)
-def test_trace_order_map_matches_full_walk(p, a):
-    """Only exponents that are multiples of q-1 or q+1 give a trace in F_q,
-    so walking just those gives the map of walking all of F_{q^2}*."""
+@pytest.mark.parametrize("kind", ["SL2(3)", "SL2(5)", "2S4"])
+def test_find_subgroup_matches_the_scan(p, a, kind):
+    """Drawing candidates from the wanted trace classes finds the group,
+    and the generators, that scanning all of SL2(F_q) found."""
     spec = make_field(p, a)
-    assert groups._trace_order_map(spec) == full_walk_trace_order_map(spec)
+    got = find_subgroup_of_type(spec, kind)
+    want = scan_find_subgroup_of_type(spec, kind)
+    if want is None:
+        assert got is None
+    else:
+        assert got.elements == want.elements
+        assert got.gens == want.gens
