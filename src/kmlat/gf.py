@@ -19,14 +19,41 @@ Q_CAP = 511
 
 
 def is_prime(n):
-    if n < 2:
-        return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
+    """Deterministic Miller-Rabin with the prime bases 2..37.
+
+    Exact for every n < 3.18e23, so for every n < 2^64; callers with
+    larger n must bound it first.
+    """
+    bases = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+    if n < 41:  # the bases are the primes below 41
+        return n in bases
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for b in bases:
+        x = pow(b, d, n)
+        if x == 1:
+            continue
+        # n passes for b when one of b^d, b^2d, ..., b^(2^(s-1) d) is -1
+        for _ in range(s):
+            if x == n - 1:
+                break
+            x = x * x % n
+        else:
             return False
-        d += 1
     return True
+
+
+def code_pow(mul, x, e):
+    """The code of x^e, for a code x and e >= 0, by square-and-multiply
+    on the mul table."""
+    acc = 1
+    while e:
+        if e & 1:
+            acc = mul[acc][x]
+        x = mul[x][x]
+        e >>= 1
+    return acc
 
 
 def parse_code(text, q=None):
@@ -159,7 +186,11 @@ class FieldSpec:
         return self._tabs
 
     def element(self, code):
-        code = int(code) % self.q
+        """The FieldElement with this code; a code outside 0..q-1 raises
+        InvalidInput and is never reduced mod q."""
+        if not 0 <= code < self.q:
+            raise InvalidInput("field code %r is not in 0..%d (q = %d)"
+                               % (code, self.q - 1, self.q))
         if self._elems is None:
             self._elems = [FieldElement(self, i) for i in range(self.q)]
         return self._elems[code]
@@ -222,20 +253,6 @@ def make_field(p, a=1):
     return spec
 
 
-def parse_field(text):
-    """Inverse of FieldSpec.short_str, e.g. "2^2/1,1,1"."""
-    head, _, tail = text.partition("/")
-    p_s, _, a_s = head.partition("^")
-    p, a = int(p_s), int(a_s) if a_s else 1
-    spec = make_field(p, a)
-    if tail:
-        want = tuple(int(c) for c in tail.split(","))
-        if want != spec.modulus:
-            raise SpecMismatch("modulus %s is not the canonical one %s"
-                               % (want, spec.modulus))
-    return spec
-
-
 class FieldElement:
     """An element of F_q, identified by its integer code."""
 
@@ -280,13 +297,7 @@ class FieldElement:
         if e < 0:
             return self.inverse() ** (-e)
         _, mul, _, _ = self.spec._tables()
-        acc, base = 1, self.code
-        while e:
-            if e & 1:
-                acc = mul[acc][base]
-            base = mul[base][base]
-            e >>= 1
-        return self.spec.element(acc)
+        return self.spec.element(code_pow(mul, self.code, e))
 
     def is_zero(self):
         return self.code == 0
@@ -297,10 +308,6 @@ class FieldElement:
 
     def __hash__(self):
         return hash((self.code, self.spec.p, self.spec.a))
-
-    def __lt__(self, other):
-        self._check(other)
-        return self.code < other.code
 
     def __repr__(self):
         return "fe(%d)" % self.code
@@ -399,10 +406,3 @@ def norm1_subgroup(spec):
         out.append(z)
         z = z * h
     return sorted(out, key=lambda z: (z.y.code, z.x.code))
-
-
-def q_mod4(spec):
-    """'even' for p = 2, else q mod 4 (1 or 3)."""
-    if spec.p == 2:
-        return "even"
-    return spec.q % 4

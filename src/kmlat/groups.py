@@ -113,11 +113,6 @@ class FiniteGroup:
     def is_cyclic(self):
         return any(self.element_order(g) == self.order for g in self.elements)
 
-    def unique_involution(self):
-        invs = [g for g in self.elements
-                if self.element_order(g) == 2]
-        return invs[0] if len(invs) == 1 else None
-
     def center(self):
         elems = list(self.elements)
         z = [x for x in elems
@@ -126,11 +121,6 @@ class FiniteGroup:
 
     def is_subgroup(self, sub):
         return sub.elements <= self.elements
-
-    def index(self, sub):
-        if not self.is_subgroup(sub) or self.order % sub.order != 0:
-            raise NotASubgroup("not a subgroup")
-        return self.order // sub.order
 
     def is_normal(self, sub):
         if not self.is_subgroup(sub):

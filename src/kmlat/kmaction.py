@@ -17,6 +17,7 @@ from functools import lru_cache
 
 from .errors import (InvalidInput, MalformedWord, RadiusExceeded,
                      SpecMismatch, UnsupportedActionDomain)
+from .gf import code_pow
 from .laurent import LaurentPoly
 from .serretree import Edge, Mat2, act
 
@@ -50,13 +51,14 @@ class RootIndex:
 @dataclass(frozen=True)
 class RootLetter:
     root: RootIndex
-    coeff: object  # FieldElement
+    coeff: int  # F_q code
 
 
 @dataclass(frozen=True)
 class EdgeLabel:
-    """region "base", "L" (left side) or "R" (right side); coords label
-    the edge at combinatorial distance len(coords) from the base edge."""
+    """region "base", "L" (left side) or "R" (right side); coords, F_q
+    codes, label the edge at combinatorial distance len(coords) from the
+    base edge."""
     region: str
     coords: tuple
 
@@ -76,7 +78,7 @@ class EdgeLabel:
         if self.region == "base":
             return "base"
         return "%s:%s" % (self.region,
-                          ",".join(str(c.code) for c in self.coords))
+                          ",".join(map(str, self.coords)))
 
 
 def _replace(coords, i, value):
@@ -94,19 +96,23 @@ def apply_letter(params, letter, e, mode="identity_phi"):
     depth+1, and on an edge whose first n coordinates vanish with
     length = 2n + 2 + depth it perturbs the last coordinate by phi of the
     coefficient.  mode "identity_phi" takes phi = id; "twisted_phi" takes
-    phi(u) = (-l_{n+1})^m * u, exact in the affine case.
+    phi(u) = (-l_{n+1})^m * u, exact in the affine case.  Coefficients and
+    coordinates are F_q codes, added and multiplied through the field's
+    tables.
     """
     if mode not in ("identity_phi", "twisted_phi"):
         raise SpecMismatch("unknown mode %r" % mode)
     if e.region == "base":
         return e
+    add, mul, neg, _ = params.spec._tables()
     k = letter.root.depth
     length = len(e.coords)
     same_side = (letter.root.side == 1) == (e.region == "L")
     if same_side:
         if k <= length - 1:
             return EdgeLabel(e.region,
-                             _replace(e.coords, k, e.coords[k] + letter.coeff))
+                             _replace(e.coords, k,
+                                      add[e.coords[k]][letter.coeff]))
         return e
     # cross-side: short edges sit inside the ball the root group fixes
     if length <= k + 1:
@@ -114,17 +120,17 @@ def apply_letter(params, letter, e, mode="identity_phi"):
     n2 = length - 2 - k
     if n2 >= 0 and n2 % 2 == 0:
         n = n2 // 2
-        if all(c.is_zero() for c in e.coords[:n]):
+        if not any(e.coords[:n]):
             pivot = e.coords[n]
-            if pivot.is_zero():
+            if not pivot:
                 return e
             if mode == "identity_phi":
                 delta = letter.coeff
             else:
-                delta = ((-pivot) ** params.m) * letter.coeff
+                delta = mul[code_pow(mul, neg[pivot], params.m)][letter.coeff]
             return EdgeLabel(e.region,
                              _replace(e.coords, length - 1,
-                                      e.coords[length - 1] + delta))
+                                      add[e.coords[length - 1]][delta]))
     raise UnsupportedActionDomain(
         "no rule for root (%d,%d) on edge %s" % (letter.root.side, k, e))
 
@@ -139,7 +145,7 @@ def apply_word(params, word, e, mode="identity_phi"):
 def alternating_word(params, pairs):
     """Build z = x1(t_{1,1}) x2(t_{2,1}) ... from coefficient pairs.
 
-    pairs: sequence of (t1, t2) FieldElements; letters all have depth 0.
+    pairs: sequence of (t1, t2) F_q codes; letters all have depth 0.
     """
     word = []
     for t1, t2 in pairs:
@@ -166,12 +172,13 @@ def ball2_edges(spec):
     table index order: base, L and R of length 1, L and R of length 2,
     each side in coordinate-code order.  Left length-2 edge (c1, c2) has
     index 1 + 2q + c1*q + c2."""
-    els = [spec.element(c) for c in range(spec.q)]
+    codes = range(spec.q)
     edges = [EdgeLabel.base()]
     for region in ("L", "R"):
-        edges += [EdgeLabel(region, (c,)) for c in els]
+        edges += [EdgeLabel(region, (c,)) for c in codes]
     for region in ("L", "R"):
-        edges += [EdgeLabel(region, (c1, c2)) for c1 in els for c2 in els]
+        edges += [EdgeLabel(region, (c1, c2))
+                  for c1 in codes for c2 in codes]
     return edges
 
 
@@ -195,11 +202,12 @@ def _word_table(params, word, mode, lo, hi):
     """Compose the letters' tables on the indices lo..hi-1, rightmost
     letter first as in apply_word.  Returns (image, t1, t2): image[i]
     is the index of the word's image of edge lo + i, and t1, t2 are the
-    coefficient sums of the two sides."""
-    sums = {1: params.spec.zero, 2: params.spec.zero}
+    codes of the coefficient sums of the two sides."""
+    add = params.spec._tables()[0]
+    sums = {1: 0, 2: 0}
     image = range(lo, hi)
     for letter in reversed(word):
-        sums[letter.root.side] = sums[letter.root.side] + letter.coeff
+        sums[letter.root.side] = add[sums[letter.root.side]][letter.coeff]
         table = letter_table(params, letter, mode)
         image = [table[j] for j in image]
     return image, sums[1], sums[2]
@@ -219,10 +227,11 @@ def zp_fix_test(params, word, mode="identity_phi"):
     """Exhaustive test of whether z^p fixes every length-2 left edge.
 
     word: alternating x1/x2 letters of depth 0.  Returns (fixes_all, t1,
-    t2) where t1, t2 are the coefficient sums of the two sides.  For prime
-    q, z^p fixes all left length-2 edges iff t2 = 0 (and all right ones iff
-    t1 = 0).  Over F_{p^a}, a > 1, that fails for some words of two or more
-    pairs: at q = 4 with two pairs, 174 of the 192 words with t1 != 0 agree.
+    t2) where t1, t2 are the codes of the coefficient sums of the two
+    sides.  For prime q, z^p fixes all left length-2 edges iff t2 = 0
+    (and all right ones iff t1 = 0).  Over F_{p^a}, a > 1, that fails for
+    some words of two or more pairs: at q = 4 with two pairs, 174 of the
+    192 words with t1 != 0 agree.
     """
     _check_alternating(word)
     q = params.spec.q
@@ -239,60 +248,36 @@ def zp_fixes_ball2(params, word, mode="identity_phi"):
     return _power_fixes_all(image, 0, params.spec.p)
 
 
-def fixed_ball_certificate(params, root, n=0):
-    """Ball fixed by the full root group of `root`, centered on the
-    opposite side of the apartment at position n.
-
-    Returns a dict with the center description and the radius n+1+depth.
-    """
-    if n < 0:
-        raise SpecMismatch("position must be >= 0")
-    opp = 2 if root.side == 1 else 1
-    # apartment vertex at distance n from the base vertex on side opp;
-    # parahoric alternates with parity along the apartment
-    if opp == 2:
-        parahoric = "P2" if n % 2 == 0 else "P1"
-    else:
-        parahoric = "P1" if n % 2 == 0 else "P2"
-    return {
-        "root": {"side": root.side, "depth": root.depth},
-        "center_side": opp,
-        "center_position": n,
-        "center_parahoric": parahoric,
-        "radius": n + 1 + root.depth,
-    }
-
-
 # --- exact affine (m = 2) realization ------------------------------------
 
 def _x1(spec, u):
     one, zero = LaurentPoly.one(spec), LaurentPoly.zero(spec)
-    return Mat2(spec, one, LaurentPoly.const(u), zero, one)
+    return Mat2(spec, one, LaurentPoly(spec, {0: u}), zero, one)
 
 
 def _x2(spec, u):
     one, zero = LaurentPoly.one(spec), LaurentPoly.zero(spec)
-    return Mat2(spec, one, zero, LaurentPoly.monomial(spec, 1, u), one)
+    return Mat2(spec, one, zero, LaurentPoly(spec, {1: u}), one)
 
 
 def _xm1(spec, u):
     one, zero = LaurentPoly.one(spec), LaurentPoly.zero(spec)
-    return Mat2(spec, one, zero, LaurentPoly.const(u), one)
+    return Mat2(spec, one, zero, LaurentPoly(spec, {0: u}), one)
 
 
 def _xm2(spec, u):
     one, zero = LaurentPoly.one(spec), LaurentPoly.zero(spec)
-    return Mat2(spec, one, LaurentPoly.monomial(spec, -1, u), zero, one)
+    return Mat2(spec, one, LaurentPoly(spec, {-1: u}), zero, one)
 
 
 def _w1(spec):
-    one = spec.one
-    return _x1(spec, one).mul(_xm1(spec, -one)).mul(_x1(spec, one))
+    minus_one = spec._tables()[2][1]
+    return _x1(spec, 1).mul(_xm1(spec, minus_one)).mul(_x1(spec, 1))
 
 
 def _w2(spec):
-    one = spec.one
-    return _x2(spec, one).mul(_xm2(spec, -one)).mul(_x2(spec, one))
+    minus_one = spec._tables()[2][1]
+    return _x2(spec, 1).mul(_xm2(spec, minus_one)).mul(_x2(spec, 1))
 
 
 def letter_matrix(spec, letter):

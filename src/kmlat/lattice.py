@@ -14,7 +14,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
-from typing import Optional
 
 from .errors import (InvalidInput, KindInadmissible, MinUndefined,
                      NotAHomomorphism, WrongFixedVertex)
@@ -235,15 +234,18 @@ class ClassificationInput:
     levi: str  # "psl" or "pgl"
     z_order: int
     m: int = 2
-    qi_in_zg: Optional[bool] = None
-    qi0_in_zg: Optional[bool] = None
-    qi0_nontrivial: Optional[bool] = None
-    zmi_in_zg: Optional[bool] = None
+    qi_in_zg: bool | None = None
+    qi0_in_zg: bool | None = None
+    qi0_nontrivial: bool | None = None
+    zmi_in_zg: bool | None = None
 
     def validate(self):
         q, p = self.q, self.p
         if p < 2 or q < 2 or self.z_order < 1 or self.m < 2:
             raise InvalidInput("bad numeric parameters")
+        # the bound under which gf.is_prime is exact
+        if p >= 2 ** 64:
+            raise InvalidInput("p = %d is not below the bound 2^64" % p)
         if not is_prime(p):
             raise InvalidInput("p = %d is not prime" % p)
         qq = q
@@ -283,7 +285,7 @@ class LatticeDescriptor:
     a0_order: int
     vertex_type: str
     covolume: Fraction
-    delta0: Optional[int]
+    delta0: int | None
     exceptional: bool = False
 
     def to_json_dict(self):

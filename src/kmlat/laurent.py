@@ -2,8 +2,8 @@
 
 A LaurentPoly stores {pi-degree: nonzero F_q code}, the integer codes of
 gf.FieldSpec, and does its arithmetic through the field's code tables.
-FieldElement appears only at the edge: const, monomial, scale and coeff
-take or return one.  The variable t of the ambient field F_q((t^-1)) has
+FieldElement appears only at the edge: const, scale and coeff take or
+return one.  The variable t of the ambient field F_q((t^-1)) has
 pi-degree -1, so v(t) = -1 and v(pi) = 1.  Degrees are capped at
 +-DEGREE_WINDOW; leaving the window raises instead of silently truncating.
 """
@@ -41,8 +41,8 @@ class LaurentPoly:
         return cls(fe.spec, {0: fe.code})
 
     @classmethod
-    def monomial(cls, spec, degree, coeff=None):
-        return cls(spec, {degree: 1 if coeff is None else coeff.code})
+    def monomial(cls, spec, degree):
+        return cls(spec, {degree: 1})
 
     @classmethod
     def one(cls, spec):

@@ -10,7 +10,8 @@ from collections import Counter
 
 from kmlat import serretree
 from kmlat.errors import (KindInadmissible, NotFound, OddCharacteristic,
-                          SearchBudgetExceeded, SizeCapExceeded)
+                          SearchBudgetExceeded, SizeCapExceeded, SpecMismatch,
+                          UnsupportedActionDomain)
 from kmlat.gf import _poly_mod, _poly_mul, norm1_subgroup, primitive_element
 from kmlat.groups import (_SEARCH_BUDGET, CODE_ONE, SUBGROUP_TARGETS,
                           FiniteGroup, closure, code_mul, generate,
@@ -18,6 +19,18 @@ from kmlat.groups import (_SEARCH_BUDGET, CODE_ONE, SUBGROUP_TARGETS,
 from kmlat.kmaction import EdgeLabel, apply_word
 from kmlat.laurent import LaurentPoly
 from kmlat.serretree import Mat2, Vertex, _polys, act
+
+
+def trial_division_is_prime(n):
+    """gf.is_prime by trial division, as it was before Miller-Rabin."""
+    if n < 2:
+        return False
+    d = 2
+    while d * d <= n:
+        if n % d == 0:
+            return False
+        d += 1
+    return True
 
 
 def digit_neg(fe):
@@ -274,19 +287,19 @@ def replayed_zp_fix_test(params, word, mode="identity_phi"):
     """kmaction.zp_fix_test by replaying apply_word p times on every left
     length-2 edge, and summing each side's coefficients in a second pass."""
     spec = params.spec
+    add = spec._tables()[0]
     fixes = True
     for c1 in range(spec.q):
         for c2 in range(spec.q):
-            e = EdgeLabel.left((spec.element(c1), spec.element(c2)))
+            e = EdgeLabel.left((c1, c2))
             if not _replay_fixes(params, word, mode, e):
                 fixes = False
-    t1 = spec.zero
-    t2 = spec.zero
+    t1 = t2 = 0
     for letter in word:
         if letter.root.side == 1:
-            t1 = t1 + letter.coeff
+            t1 = add[t1][letter.coeff]
         else:
-            t2 = t2 + letter.coeff
+            t2 = add[t2][letter.coeff]
     return fixes, t1, t2
 
 
@@ -296,14 +309,51 @@ def replayed_zp_fixes_ball2(params, word, mode="identity_phi"):
     spec = params.spec
     edges = [EdgeLabel.base()]
     for c in range(spec.q):
-        edges.append(EdgeLabel.left((spec.element(c),)))
-        edges.append(EdgeLabel.right((spec.element(c),)))
+        edges.append(EdgeLabel.left((c,)))
+        edges.append(EdgeLabel.right((c,)))
     for c1 in range(spec.q):
         for c2 in range(spec.q):
-            coords = (spec.element(c1), spec.element(c2))
-            edges.append(EdgeLabel.left(coords))
-            edges.append(EdgeLabel.right(coords))
+            edges.append(EdgeLabel.left((c1, c2)))
+            edges.append(EdgeLabel.right((c1, c2)))
     return all(_replay_fixes(params, word, mode, e) for e in edges)
+
+
+def fe_apply_letter(params, letter, e, mode="identity_phi"):
+    """kmaction.apply_letter with FieldElement arithmetic, as it was before
+    labels and letters held F_q codes.  Takes and returns code labels and
+    letters, and raises the same errors with the same messages."""
+    if mode not in ("identity_phi", "twisted_phi"):
+        raise SpecMismatch("unknown mode %r" % mode)
+    if e.region == "base":
+        return e
+    spec = params.spec
+    coeff = spec.element(letter.coeff)
+    coords = [spec.element(c) for c in e.coords]
+    k = letter.root.depth
+    length = len(coords)
+    same_side = (letter.root.side == 1) == (e.region == "L")
+    if same_side:
+        if k <= length - 1:
+            coords[k] = coords[k] + coeff
+            return EdgeLabel(e.region, tuple(c.code for c in coords))
+        return e
+    if length <= k + 1:
+        return e
+    n2 = length - 2 - k
+    if n2 >= 0 and n2 % 2 == 0:
+        n = n2 // 2
+        if all(c.is_zero() for c in coords[:n]):
+            pivot = coords[n]
+            if pivot.is_zero():
+                return e
+            if mode == "identity_phi":
+                delta = coeff
+            else:
+                delta = ((-pivot) ** params.m) * coeff
+            coords[length - 1] = coords[length - 1] + delta
+            return EdgeLabel(e.region, tuple(c.code for c in coords))
+    raise UnsupportedActionDomain(
+        "no rule for root (%d,%d) on edge %s" % (letter.root.side, k, e))
 
 
 def _core(ambient, sub_elements):

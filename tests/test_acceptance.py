@@ -129,20 +129,18 @@ def test_criterion_05_zp_criterion():
         params = KMParams(2, spec)
         for npairs in (1, 2):
             for codes in itertools.product(range(q), repeat=2 * npairs):
-                pairs = [(spec.element(codes[2 * i]),
-                          spec.element(codes[2 * i + 1]))
-                         for i in range(npairs)]
-                word = alternating_word(params, pairs)
+                word = alternating_word(params,
+                                        zip(codes[::2], codes[1::2]))
                 fixes, t1, t2 = zp_fix_test(params, word)
                 checked += 1
-                if t1.is_zero():
+                if t1 == 0:
                     agree += fixes  # p identical rounds cancel
                 else:
-                    agree += fixes == t2.is_zero()
+                    agree += fixes == (t2 == 0)
                 ball = zp_fixes_ball2(params, word)
-                if t1.is_zero() and t2.is_zero():
+                if t1 == 0 and t2 == 0:
                     ok &= ball
-                elif not t1.is_zero() and not t2.is_zero():
+                elif t1 != 0 and t2 != 0:
                     ok &= not ball
     ok &= agree == checked
     elapsed = time.monotonic() - start
@@ -161,11 +159,10 @@ def test_criterion_06_affine_crosscheck():
         edges = [EdgeLabel.base()]
         for c in range(q):
             for region in ("L", "R"):
-                edges.append(EdgeLabel(region, (spec.element(c),)))
+                edges.append(EdgeLabel(region, (c,)))
                 for c2 in range(q):
-                    edges.append(EdgeLabel(
-                        region, (spec.element(c), spec.element(c2))))
-        letters = [(RootLetter(RootIndex(side, 0), spec.element(c)),)
+                    edges.append(EdgeLabel(region, (c, c2)))
+        letters = [(RootLetter(RootIndex(side, 0), c),)
                    for side in (1, 2) for c in range(q)]
         for word in letters:
             for e in edges:

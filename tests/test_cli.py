@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -120,10 +121,16 @@ def test_zero_pairs_is_a_usage_error():
     run_cli("zp-test", "--q", "3", "--pairs", "0", expect=2)
 
 
+@pytest.mark.parametrize("m", ["1", "2", "7"])
+def test_zp_test_m_is_a_usage_error(m):
+    """zp-test runs identity phi, which never reads m."""
+    assert run_cli("zp-test", "--q", "3", "--m", m, "--pairs", "1",
+                   expect=2) == ""
+
+
 @pytest.mark.parametrize("argv", [
-    ("zp-test", "--q", "3", "--m", "1", "--pairs", "1"),
     ("km-act", "--q", "3", "--m", "1", "--word", "x1:1", "--edge", "base"),
-], ids=["zp-test", "km-act"])
+], ids=["km-act"])
 def test_m_below_2_is_invalid_input(argv):
     err = run_json(*argv, expect=1)
     assert err["error"] == "InvalidInput"
@@ -145,6 +152,24 @@ def test_classify_rejects_composite_p():
     err = run_json("classify", "--p", "4", "--q", "16", "--levi", "psl",
                    expect=1)
     assert err["detail"] == "p = 4 is not prime"
+
+
+@pytest.mark.parametrize("command", ["classify", "min-covolume"])
+def test_classify_names_the_bound_on_p(command):
+    p = str(2 ** 64 + 13)
+    err = run_json(command, "--p", p, "--q", p, "--levi", "psl", expect=1)
+    assert err["error"] == "InvalidInput"
+    assert err["detail"] == "p = %s is not below the bound 2^64" % p
+
+
+def test_classify_a_large_prime_p():
+    """p = 2^61 - 1 would need about 1.5e9 trial divisions."""
+    p = str(2 ** 61 - 1)
+    start = time.monotonic()
+    out = run_json("classify", "--p", p, "--q", p, "--levi", "psl",
+                   "--z", "2")
+    assert time.monotonic() - start < 1
+    assert [r["case"] for r in out["rows"]] == ["psl-q3mod4-normalizer"]
 
 
 def test_dickson_names_q_that_is_not_a_prime_power():
@@ -248,6 +273,22 @@ def test_a_run_never_probes_the_terminal():
     assert out.returncode == 0, out.stderr
     assert json.loads(out.stdout)["command"] == "verify"
     assert out.stderr == "(0, [])"
+
+
+def test_a_run_never_imports_typing():
+    """No kmlat module imports typing: annotations stay strings under
+    `from __future__ import annotations`.  Run as the benchmark runs a
+    job: -E -S, src on sys.path."""
+    code = ("import sys; sys.path.insert(0, %r); import kmlat.cli; "
+            "rc = [kmlat.cli.main(argv) for argv in (['verify', '--q', '5', "
+            "'--kind', 'torus_normalizer'], ['classify', '--p', '7', '--q', "
+            "'7', '--levi', 'psl'])]; "
+            "sys.stderr.write(repr((rc, 'typing' in sys.modules)))"
+            % str(SRC))
+    out = subprocess.run([sys.executable, "-E", "-S", "-c", code],
+                         capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr
+    assert out.stderr == "([0, 0], False)"
 
 
 @pytest.mark.parametrize("argv", [("--help",), ("classify", "--help")])

@@ -6,8 +6,8 @@ from hypothesis import given, settings, strategies as st
 from kmlat.errors import (DivisionByZero, DegreeTooLarge, InvalidInput,
                           NonPrime)
 from kmlat.gf import (ExtElement, ext_one, is_prime, make_field,
-                      norm1_subgroup, parse_field, primitive_element, q_mod4)
-from oracles import digit_neg, polynomial_tables
+                      norm1_subgroup, primitive_element)
+from oracles import digit_neg, polynomial_tables, trial_division_is_prime
 
 
 FIELDS = [make_field(2), make_field(3), make_field(2, 2), make_field(5),
@@ -16,6 +16,7 @@ FIELDS = [make_field(2), make_field(3), make_field(2, 2), make_field(5),
 
 @pytest.mark.parametrize("spec", FIELDS, ids=lambda s: s.short_str())
 def test_field_axioms_exhaustive(spec):
+    assert make_field(spec.p, spec.a) is spec
     elems = list(spec.elements())
     assert len(elems) == spec.q
     zero, one = spec.zero, spec.one
@@ -190,18 +191,28 @@ def test_primitive_element_is_first_generator(spec):
     assert all(order(z) < n for z in earlier)
 
 
-def test_q_mod4():
-    assert q_mod4(make_field(2)) == "even"
-    assert q_mod4(make_field(2, 2)) == "even"
-    assert q_mod4(make_field(5)) == 1
-    assert q_mod4(make_field(3, 2)) == 1
-    assert q_mod4(make_field(3)) == 3
-    assert q_mod4(make_field(7)) == 3
+def test_element_rejects_codes_outside_the_field():
+    """A code outside 0..q-1 is an error naming it and q, never reduced."""
+    spec = make_field(3)
+    assert spec.element(2).code == 2
+    for code in (3, 7, -1):
+        with pytest.raises(InvalidInput) as info:
+            spec.element(code)
+        assert str(info.value) == ("field code %d is not in 0..2 (q = 3)"
+                                   % code)
 
 
-def test_parse_field_roundtrip():
-    for spec in FIELDS:
-        assert make_field(spec.p, spec.a) is spec
-        assert parse_field(spec.short_str()) is spec
-    assert parse_field("2^3").q == 8
-    assert parse_field("7").p == 7
+def test_is_prime_matches_trial_division():
+    assert [n for n in range(10 ** 5) if is_prime(n)] == [
+        n for n in range(10 ** 5) if trial_division_is_prime(n)]
+
+
+def test_is_prime_on_large_numbers():
+    """Strong pseudoprimes to the first 5, 6, 7, 8 and 9 prime bases are
+    composite; 2^61 - 1 and the largest prime below 2^64 are prime."""
+    for n in (3215031751, 2152302898747, 3474749660383, 341550071728321,
+              3825123056546413051):
+        assert not is_prime(n), n
+    assert is_prime(2 ** 61 - 1)
+    assert is_prime(2 ** 64 - 59)
+    assert not is_prime((2 ** 31 - 1) * (2 ** 31 - 1))

@@ -1,40 +1,51 @@
 """Symbolic root-group action on labeled edges, with affine cross-checks."""
 
 import itertools
+import time
 
 import pytest
 
-from kmlat import kmaction
-from kmlat.errors import (InvalidInput, MalformedWord, RadiusExceeded,
-                          SpecMismatch, UnsupportedActionDomain)
+from kmlat import cli, gf, kmaction
+from kmlat.errors import (InvalidInput, KmlatError, MalformedWord,
+                          RadiusExceeded, SpecMismatch,
+                          UnsupportedActionDomain)
 from kmlat.gf import make_field
 from kmlat.kmaction import (EdgeLabel, KMParams, RootIndex, RootLetter,
                             alternating_word, apply_letter, apply_word,
-                            ball2_edges, crosscheck_affine,
-                            fixed_ball_certificate, letter_matrix,
+                            ball2_edges, crosscheck_affine, letter_matrix,
                             letter_table, realize_edge, zp_fix_test,
                             zp_fixes_ball2, _w1, _w2, _word_table, _x1, _x2)
 from kmlat.serretree import Edge, act, edge_distance, membership
 
-from oracles import replayed_zp_fix_test, replayed_zp_fixes_ball2
+from oracles import (fe_apply_letter, replayed_zp_fix_test,
+                     replayed_zp_fixes_ball2)
 
 F2 = make_field(2)
 F3 = make_field(3)
 F4 = make_field(2, 2)
 F5 = make_field(5)
+F9 = make_field(3, 2)
 MODES = ("identity_phi", "twisted_phi")
 
 
 def all_left_edges2(spec):
-    return [EdgeLabel.left((spec.element(c1), spec.element(c2)))
+    return [EdgeLabel.left((c1, c2))
             for c1 in range(spec.q) for c2 in range(spec.q)]
 
 
 def all_words(spec, npairs):
     for codes in itertools.product(range(spec.q), repeat=2 * npairs):
-        pairs = [(spec.element(codes[2 * i]), spec.element(codes[2 * i + 1]))
-                 for i in range(npairs)]
+        pairs = list(zip(codes[::2], codes[1::2]))
         yield pairs, alternating_word(KMParams(2, spec), pairs)
+
+
+def code_sum(spec, codes):
+    """The code of the field sum of the given codes."""
+    add = spec._tables()[0]
+    t = 0
+    for c in codes:
+        t = add[t][c]
+    return t
 
 
 def test_params_validation():
@@ -51,41 +62,40 @@ def test_base_edge_is_fixed():
     e = EdgeLabel.base()
     for side in (1, 2):
         for depth in (0, 1, 3):
-            letter = RootLetter(RootIndex(side, depth), F3.one)
+            letter = RootLetter(RootIndex(side, depth), 1)
             assert apply_letter(params, letter, e) == e
 
 
 def test_same_side_letter_translates_coordinate():
     params = KMParams(2, F3)
-    two = F3.element(2)
-    e = EdgeLabel.left((F3.one, two))
-    l0 = RootLetter(RootIndex(1, 0), F3.one)
-    assert apply_letter(params, l0, e) == EdgeLabel.left((two, two))
-    l1 = RootLetter(RootIndex(1, 1), F3.one)
-    assert apply_letter(params, l1, e) == EdgeLabel.left((F3.one, F3.zero))
+    e = EdgeLabel.left((1, 2))
+    l0 = RootLetter(RootIndex(1, 0), 1)
+    assert apply_letter(params, l0, e) == EdgeLabel.left((2, 2))
+    l1 = RootLetter(RootIndex(1, 1), 1)
+    assert apply_letter(params, l1, e) == EdgeLabel.left((1, 0))
     # a depth beyond the edge length fixes it
-    l5 = RootLetter(RootIndex(1, 5), F3.one)
+    l5 = RootLetter(RootIndex(1, 5), 1)
     assert apply_letter(params, l5, e) == e
     # mirror image on the right side
-    r = EdgeLabel.right((F3.one, two))
-    m0 = RootLetter(RootIndex(2, 0), F3.one)
-    assert apply_letter(params, m0, r) == EdgeLabel.right((two, two))
+    r = EdgeLabel.right((1, 2))
+    m0 = RootLetter(RootIndex(2, 0), 1)
+    assert apply_letter(params, m0, r) == EdgeLabel.right((2, 2))
 
 
 def test_cross_side_letter_cases():
     params = KMParams(2, F3)
-    x2 = RootLetter(RootIndex(2, 0), F3.one)
+    x2 = RootLetter(RootIndex(2, 0), 1)
     # short edge: fixed
-    assert apply_letter(params, x2, EdgeLabel.left((F3.one,))) == \
-        EdgeLabel.left((F3.one,))
+    assert apply_letter(params, x2, EdgeLabel.left((1,))) == \
+        EdgeLabel.left((1,))
     # length 2, nonzero pivot: last coordinate moves
-    e = EdgeLabel.left((F3.one, F3.zero))
-    assert apply_letter(params, x2, e) == EdgeLabel.left((F3.one, F3.one))
+    e = EdgeLabel.left((1, 0))
+    assert apply_letter(params, x2, e) == EdgeLabel.left((1, 1))
     # zero pivot: fixed
-    z = EdgeLabel.left((F3.zero, F3.one))
+    z = EdgeLabel.left((0, 1))
     assert apply_letter(params, x2, z) == z
     # odd overshoot is outside the supported domain
-    long = EdgeLabel.left((F3.one, F3.one, F3.one))
+    long = EdgeLabel.left((1, 1, 1))
     with pytest.raises(UnsupportedActionDomain):
         apply_letter(params, x2, long)
 
@@ -103,9 +113,10 @@ def test_twisted_phi_m2_small_fields():
 
 def test_word_inverse_roundtrip():
     params = KMParams(2, F3)
-    pairs = [(F3.one, F3.element(2)), (F3.element(2), F3.one)]
+    pairs = [(1, 2), (2, 1)]
     word = alternating_word(params, pairs)
-    inverse = tuple(RootLetter(l.root, -l.coeff) for l in reversed(word))
+    neg = F3._tables()[2]
+    inverse = tuple(RootLetter(l.root, neg[l.coeff]) for l in reversed(word))
     for e in all_left_edges2(F3):
         img = apply_word(params, word, e)
         assert apply_word(params, inverse, img) == e
@@ -115,15 +126,15 @@ def test_malformed_words():
     params = KMParams(2, F2)
     with pytest.raises(MalformedWord):
         zp_fix_test(params, ())
-    bad_order = (RootLetter(RootIndex(2, 0), F2.one),
-                 RootLetter(RootIndex(1, 0), F2.one))
+    bad_order = (RootLetter(RootIndex(2, 0), 1),
+                 RootLetter(RootIndex(1, 0), 1))
     with pytest.raises(MalformedWord):
         zp_fix_test(params, bad_order)
-    odd = (RootLetter(RootIndex(1, 0), F2.one),)
+    odd = (RootLetter(RootIndex(1, 0), 1),)
     with pytest.raises(MalformedWord):
         zp_fix_test(params, odd)
-    deep = (RootLetter(RootIndex(1, 1), F2.one),
-            RootLetter(RootIndex(2, 0), F2.one))
+    deep = (RootLetter(RootIndex(1, 1), 1),
+            RootLetter(RootIndex(2, 0), 1))
     with pytest.raises(MalformedWord):
         zp_fix_test(params, deep)
 
@@ -139,11 +150,11 @@ def zp_oracle(spec, pairs, l1, l2):
     round is constant and p copies of it vanish in characteristic p.
     """
     assert spec.a == 1
-    t1 = sum((a for a, _ in pairs), spec.zero)
-    t2 = sum((b for _, b in pairs), spec.zero)
-    if t1.is_zero():
+    t1 = sum(a for a, _ in pairs) % spec.p
+    t2 = sum(b for _, b in pairs) % spec.p
+    if t1 == 0:
         return l1, l2
-    return l1, l2 - t2
+    return l1, (l2 - t2) % spec.p
 
 
 @pytest.mark.parametrize("spec", [F2, F3], ids=lambda s: "q=%d" % s.q)
@@ -166,12 +177,12 @@ def test_zp_fix_test_reports_sums(spec):
     params = KMParams(2, spec)
     for pairs, word in all_words(spec, 2):
         fixes, t1, t2 = zp_fix_test(params, word)
-        assert t1 == sum((a for a, _ in pairs), spec.zero)
-        assert t2 == sum((b for _, b in pairs), spec.zero)
-        if t1.is_zero():
+        assert t1 == code_sum(spec, (a for a, _ in pairs))
+        assert t2 == code_sum(spec, (b for _, b in pairs))
+        if t1 == 0:
             assert fixes
         else:
-            assert fixes == t2.is_zero()
+            assert fixes == (t2 == 0)
 
 
 def test_zp_fixes_ball2_characterization():
@@ -180,9 +191,9 @@ def test_zp_fixes_ball2_characterization():
     of the p rounds, and p copies cancel in characteristic p."""
     params = KMParams(2, F3)
     for pairs, word in all_words(F3, 2):
-        t1 = sum((a for a, _ in pairs), F3.zero)
-        t2 = sum((b for _, b in pairs), F3.zero)
-        assert zp_fixes_ball2(params, word) == (t1.is_zero() or t2.is_zero())
+        t1 = code_sum(F3, (a for a, _ in pairs))
+        t2 = code_sum(F3, (b for _, b in pairs))
+        assert zp_fixes_ball2(params, word) == (t1 == 0 or t2 == 0)
 
 
 @pytest.mark.parametrize("spec", [F2, F3, F4, F5], ids=lambda s: "q=%d" % s.q)
@@ -218,9 +229,75 @@ def test_zp_tests_match_replay(spec, npairs):
                         == replayed_zp_fixes_ball2(params, word, mode))
 
 
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except KmlatError as exc:
+        return type(exc), str(exc)
+
+
+@pytest.mark.parametrize("spec,longest", [(F2, 3), (F3, 3), (F4, 3), (F5, 3),
+                                          (F9, 2)],
+                         ids=["q=2", "q=3", "q=4", "q=5", "q=9"])
+def test_apply_letter_matches_field_element_oracle(spec, longest):
+    """Differential: apply_letter on codes gives the image, or the error
+    class and message, of the FieldElement reference, for every letter of
+    side 1 or 2, depth 0..2 and every coefficient, on every edge up to the
+    given length, in both modes, for m in {2, 3, 5}."""
+    edges = [EdgeLabel.base()] + [
+        EdgeLabel(region, coords) for n in range(1, longest + 1)
+        for region in ("L", "R")
+        for coords in itertools.product(range(spec.q), repeat=n)]
+    letters = [RootLetter(RootIndex(side, depth), c) for side in (1, 2)
+               for depth in range(3) for c in range(spec.q)]
+    errors = 0
+    for params in (KMParams(m, spec) for m in (2, 3, 5)):
+        for mode in MODES:
+            for letter in letters:
+                for e in edges:
+                    got = _outcome(apply_letter, params, letter, e, mode)
+                    assert got == _outcome(fe_apply_letter, params, letter,
+                                           e, mode), (params.m, mode,
+                                                      letter, e)
+                    errors += isinstance(got, tuple)
+    # only edges of length 3 reach the UnsupportedActionDomain branch
+    assert (errors > 0) == (longest == 3)
+
+
+def test_cli_action_paths_build_no_field_elements(monkeypatch, capsys):
+    """zp-test and km-act in both modes compute on F_q codes alone: with
+    FieldSpec.element patched to raise, they print what they print
+    unpatched, and the twisted phi power takes O(log m) products."""
+    argvs = [
+        ["zp-test", "--q", "4", "--pairs", "2"],
+        ["km-act", "--q", "9", "--word", "x1:5,x2:7,x1@1:3", "--edge",
+         "L:4,2"],
+        ["km-act", "--q", "9", "--word", "x2:8,x1:2", "--edge", "R:6,1",
+         "--mode", "twisted_phi"],
+        ["km-act", "--q", "5", "--m", "1000000001", "--mode", "twisted_phi",
+         "--word", "x2:2", "--edge", "L:3,1"],
+    ]
+    want = []
+    for argv in argvs:
+        assert cli.main(argv) == 0
+        want.append(capsys.readouterr().out)
+    assert '"image": "L:3,0"' in want[-1]
+
+    def no_elements(spec, code):
+        raise AssertionError("FieldElement built for code %r" % code)
+
+    monkeypatch.setattr(gf.FieldSpec, "element", no_elements)
+    letter_table.cache_clear()
+    for argv, out in zip(argvs, want):
+        start = time.monotonic()
+        assert cli.main(argv) == 0
+        assert time.monotonic() - start < 1
+        assert capsys.readouterr().out == out
+
+
 def test_table_build_failure_propagates_and_is_not_cached(monkeypatch):
     params = KMParams(2, F3)
-    word = alternating_word(params, [(F3.one, F3.one)])
+    word = alternating_word(params, [(1, 1)])
 
     def no_rule(*args):
         raise UnsupportedActionDomain("no rule")
@@ -240,29 +317,15 @@ def test_table_build_failure_propagates_and_is_not_cached(monkeypatch):
 
 def test_unknown_mode_is_a_spec_mismatch():
     params = KMParams(2, F3)
-    word = alternating_word(params, [(F3.one, F3.one)])
+    word = alternating_word(params, [(1, 1)])
     with pytest.raises(SpecMismatch):
         zp_fix_test(params, word, "no_such_mode")
     with pytest.raises(SpecMismatch):
         zp_fixes_ball2(params, word, "no_such_mode")
 
 
-def test_fixed_ball_certificate():
-    params = KMParams(2, F2)
-    cert = fixed_ball_certificate(params, RootIndex(1, 0))
-    assert cert["center_side"] == 2
-    assert cert["center_parahoric"] == "P2"
-    assert cert["radius"] == 1
-    cert = fixed_ball_certificate(params, RootIndex(2, 3), n=1)
-    assert cert["center_side"] == 1
-    assert cert["center_parahoric"] == "P2"
-    assert cert["radius"] == 5
-    with pytest.raises(SpecMismatch):
-        fixed_ball_certificate(params, RootIndex(1, 0), n=-1)
-
-
 def test_affine_generators_live_where_expected():
-    for u in (F2.one,):
+    for u in (1,):
         assert membership(_x1(F2, u), "B")
         assert membership(_x2(F2, u), "B")
     w1, w2 = _w1(F2), _w2(F2)
@@ -277,11 +340,11 @@ def test_realize_edge_geometry():
     seen = [base]
     labels = [EdgeLabel.base()]
     for c in range(2):
-        labels.append(EdgeLabel.left((F2.element(c),)))
-        labels.append(EdgeLabel.right((F2.element(c),)))
+        labels.append(EdgeLabel.left((c,)))
+        labels.append(EdgeLabel.right((c,)))
         for c2 in range(2):
-            labels.append(EdgeLabel.left((F2.element(c), F2.element(c2))))
-            labels.append(EdgeLabel.right((F2.element(c), F2.element(c2))))
+            labels.append(EdgeLabel.left((c, c2)))
+            labels.append(EdgeLabel.right((c, c2)))
     realized = [realize_edge(params, lab) for lab in labels]
     for i, e in enumerate(realized):
         d = 0 if labels[i].region == "base" else len(labels[i].coords)
@@ -289,8 +352,8 @@ def test_realize_edge_geometry():
         for j in range(i):
             assert e != realized[j]
     # a left length-1 edge is x1(c) w1 applied to the base edge
-    got = realize_edge(params, EdgeLabel.left((F2.one,)))
-    assert got == act(_x1(F2, F2.one).mul(_w1(F2)), Edge.base(F2))
+    got = realize_edge(params, EdgeLabel.left((1,)))
+    assert got == act(_x1(F2, 1).mul(_w1(F2)), Edge.base(F2))
 
 
 def test_realize_edge_limits():
@@ -298,13 +361,13 @@ def test_realize_edge_limits():
     with pytest.raises(UnsupportedActionDomain):
         realize_edge(params, EdgeLabel.base())
     params = KMParams(2, F2)
-    deep = EdgeLabel.left(tuple(F2.one for _ in range(7)))
+    deep = EdgeLabel.left((1,) * 7)
     with pytest.raises(RadiusExceeded):
         realize_edge(params, deep)
 
 
 def test_crosscheck_affine_smoke():
     params = KMParams(2, F2)
-    word = alternating_word(params, [(F2.one, F2.one)])
+    word = alternating_word(params, [(1, 1)])
     for e in all_left_edges2(F2):
         assert crosscheck_affine(params, word, e)
