@@ -91,7 +91,7 @@ def _tristate(v):
 
 def _classification_input(args):
     return lattice.ClassificationInput(
-        p=args.p, q=args.q, levi=args.levi, z_order=args.z, m=args.m,
+        p=args.p, q=args.q, levi=args.levi, z_order=args.z,
         qi_in_zg=_tristate(args.qi_central),
         qi0_in_zg=_tristate(args.qi0_central),
         qi0_nontrivial=_tristate(args.qi0_nontrivial),
@@ -121,8 +121,8 @@ def cmd_dickson(args):
 
 def cmd_verify(args):
     spec = _field_for(args.q)
-    a1, a2, _, _ = lattice.build_standard_lattice(spec, args.kind)
-    report = lattice.lubotzky_check(a1, a2)
+    report = lattice.lubotzky_check(
+        lattice.build_standard_lattice(spec, args.kind))
     payload = report.to_json_dict()
     payload.update({"command": "verify", "kind": args.kind})
     _emit(args, payload)
@@ -215,14 +215,13 @@ def build_parser():
         description="edge-transitive lattices on (q+1)-regular trees")
     parser.add_argument("--json-indent", type=non_negative_int, default=None)
     sub = parser.add_subparsers(
-        dest="command", required=True,
+        dest="command", required=True, metavar="COMMAND",
         parser_class=functools.partial(argparse.ArgumentParser,
                                        formatter_class=fmt))
 
     def add_classify_flags(p):
         p.add_argument("--p", type=int, required=True)
         p.add_argument("--q", type=int, required=True)
-        p.add_argument("--m", type=int, default=2)
         p.add_argument("--levi", choices=("psl", "pgl"), required=True)
         p.add_argument("--z", type=int, default=1)
         for flag in ("qi-central", "qi0-central", "qi0-nontrivial",
@@ -233,24 +232,24 @@ def build_parser():
     add_classify_flags(pc)
     pc.set_defaults(func=cmd_classify)
 
-    pm = sub.add_parser("min-covolume")
+    pm = sub.add_parser("min-covolume", help="least covolume for (p,q,...)")
     add_classify_flags(pm)
     pm.set_defaults(func=cmd_min_covolume)
 
-    pd = sub.add_parser("dickson")
+    pd = sub.add_parser("dickson", help="subgroup types of SL2/PSL2/PGL2(q)")
     pd.add_argument("--q", required=True)
     pd.add_argument("--ambient", choices=("sl2", "psl2", "pgl2"),
                     required=True)
     pd.set_defaults(func=cmd_dickson)
 
-    pv = sub.add_parser("verify")
+    pv = sub.add_parser("verify", help="build and check a standard pair")
     pv.add_argument("--q", required=True)
     pv.add_argument("--kind", required=True,
                     choices=("cyclic_p2", "torus_normalizer", "SL2(3)",
                              "SL2(5)", "2S4"))
     pv.set_defaults(func=cmd_verify)
 
-    pk = sub.add_parser("km-act")
+    pk = sub.add_parser("km-act", help="apply a root-group word to an edge")
     pk.add_argument("--q", required=True)
     pk.add_argument("--m", type=int, default=2)
     pk.add_argument("--word", required=True)
@@ -259,17 +258,17 @@ def build_parser():
                     default="identity_phi")
     pk.set_defaults(func=cmd_km_act)
 
-    pz = sub.add_parser("zp-test")
+    pz = sub.add_parser("zp-test", help="test z^p on alternating words")
     pz.add_argument("--q", required=True)
     pz.add_argument("--pairs", type=positive_int, default=1)
     pz.set_defaults(func=cmd_zp_test)
 
-    ph = sub.add_parser("dihedral-search")
+    ph = sub.add_parser("dihedral-search", help="char-2 dihedral search")
     ph.add_argument("--q", required=True)
     ph.add_argument("--window", type=non_negative_int, default=1)
     ph.set_defaults(func=cmd_dihedral_search)
 
-    pt = sub.add_parser("tree")
+    pt = sub.add_parser("tree", help="tree distance or neighbors")
     pt.add_argument("--q", required=True)
     pt.add_argument("--distance", nargs=2, metavar=("M1", "M2"))
     pt.add_argument("--neighbors", metavar="M")

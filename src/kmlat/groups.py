@@ -1,10 +1,11 @@
-"""Finite matrix groups inside SL2 over F_q((t^-1)) and their recognition.
+"""Finite subgroups of SL2(F_q) and their recognition.
 
-Everything is exact.  The constant groups (SL2(F_q), tori, normalizers,
-exceptional subgroups) are built on F_q code 4-tuples under one product,
-code_mul, and returned as Mat2 values; closures are breadth first
-products, and recognition works from structural invariants (order profile,
-unique involution, cyclic index-2 subgroups, normal Sylow-p).
+Everything is exact.  A finite group here is a set of constant matrices
+held as F_q code 4-tuples (a, b, c, d) under one product, code_mul: the
+constant groups (SL2(F_q), tori, normalizers, exceptional subgroups) are
+built and returned that way; closures are breadth first products, and
+recognition works from structural invariants (order profile, unique
+involution, cyclic index-2 subgroups, normal Sylow-p).
 """
 
 from __future__ import annotations
@@ -52,121 +53,6 @@ def order_of(x, ident, mul):
     return n
 
 
-def closure(gens, cap=SIZE_CAP):
-    """Subgroup generated by gens, as a FiniteGroup; BFS with a size cap."""
-    gens = tuple(gens)
-    if not gens:
-        raise NotASubgroup("no generators")
-    spec = gens[0].spec
-    seen = generate(Mat2.identity(spec), gens, Mat2.mul, cap)
-    return FiniteGroup(spec, frozenset(seen), gens)
-
-
-class FiniteGroup:
-    """An explicit finite subgroup of GL2 over the Laurent field.
-
-    gens, when given, must generate `elements`: the faithfulness kernel
-    conjugates by gens alone and would come out too large otherwise.
-    """
-
-    def __init__(self, spec, elements, gens=()):
-        self.spec = spec
-        self.elements = frozenset(elements)
-        self.gens = tuple(gens)
-        self._orders = {}
-
-    @classmethod
-    def from_codes(cls, spec, elements, gens):
-        """The group of constant matrices given as code 4-tuples."""
-        return cls(spec, (Mat2.from_codes(spec, *g) for g in elements),
-                   (Mat2.from_codes(spec, *g) for g in gens))
-
-    @property
-    def order(self):
-        return len(self.elements)
-
-    def identity(self):
-        return Mat2.identity(self.spec)
-
-    def __contains__(self, g):
-        return g in self.elements
-
-    def __iter__(self):
-        return iter(self.elements)
-
-    def element_order(self, g):
-        if g not in self._orders:
-            self._orders[g] = order_of(g, self.identity(), Mat2.mul)
-        return self._orders[g]
-
-    def order_profile(self):
-        return Counter(self.element_order(g) for g in self.elements)
-
-    def is_abelian(self):
-        elems = list(self.elements)
-        for i, x in enumerate(elems):
-            for y in elems[i + 1:]:
-                if not x.mul(y) == y.mul(x):
-                    return False
-        return True
-
-    def is_cyclic(self):
-        return any(self.element_order(g) == self.order for g in self.elements)
-
-    def center(self):
-        elems = list(self.elements)
-        z = [x for x in elems
-             if all(x.mul(y) == y.mul(x) for y in elems)]
-        return FiniteGroup(self.spec, frozenset(z))
-
-    def is_subgroup(self, sub):
-        return sub.elements <= self.elements
-
-    def is_normal(self, sub):
-        if not self.is_subgroup(sub):
-            raise NotASubgroup("not a subgroup")
-        for g in self.elements:
-            gi = g.inv()
-            for h in sub.elements:
-                if g.mul(h).mul(gi) not in sub.elements:
-                    return False
-        return True
-
-    def derived_subgroup(self):
-        elems = list(self.elements)
-        comms = set()
-        for x in elems:
-            xi = x.inv()
-            for y in elems:
-                comms.add(x.mul(y).mul(xi).mul(y.inv()))
-        return closure(comms, cap=self.order + 1)
-
-    def is_perfect(self):
-        return self.derived_subgroup().order == self.order
-
-    def cosets(self, sub):
-        """Left coset representatives of sub in self."""
-        if not self.is_subgroup(sub):
-            raise NotASubgroup("not a subgroup")
-        reps, covered = [], set()
-        for g in sorted(self.elements, key=lambda m: str(m)):
-            if g in covered:
-                continue
-            reps.append(g)
-            covered.update(g.mul(h) for h in sub.elements)
-        return reps
-
-    def __eq__(self, other):
-        return (isinstance(other, FiniteGroup)
-                and self.elements == other.elements)
-
-    def __hash__(self):
-        return hash(self.elements)
-
-    def __repr__(self):
-        return "FiniteGroup(order=%d)" % self.order
-
-
 def code_mul(spec):
     """The product of constant 2x2 matrices held as F_q code 4-tuples
     (a, b, c, d), through the field's code tables."""
@@ -183,6 +69,125 @@ def code_mul(spec):
 
 
 CODE_ONE = (1, 0, 0, 1)
+
+
+def closure(spec, gens, cap=SIZE_CAP):
+    """Subgroup generated by code-tuple gens, as a FiniteGroup (capped BFS)."""
+    gens = tuple(gens)
+    if not gens:
+        raise NotASubgroup("no generators")
+    return FiniteGroup(spec, generate(CODE_ONE, gens, code_mul(spec), cap),
+                       gens)
+
+
+class FiniteGroup:
+    """An explicit finite subgroup of SL2(F_q) on F_q code 4-tuples
+    (a, b, c, d), under the product code_mul(spec) with identity CODE_ONE.
+
+    The inverse is the adjugate (d, -b, -c, a), exact at determinant 1.
+    gens, when given, must generate `elements`: the faithfulness kernel
+    conjugates by gens alone and would come out too large otherwise.
+    """
+
+    def __init__(self, spec, elements, gens=()):
+        self.spec = spec
+        self.elements = frozenset(elements)
+        self.gens = tuple(gens)
+        self.mul = code_mul(spec)
+        self._orders = {}
+
+    @property
+    def order(self):
+        return len(self.elements)
+
+    def identity(self):
+        return CODE_ONE
+
+    def inv(self, g):
+        neg = self.spec._tables()[2]
+        a, b, c, d = g
+        return (d, neg[b], neg[c], a)
+
+    def __contains__(self, g):
+        return g in self.elements
+
+    def __iter__(self):
+        return iter(self.elements)
+
+    def element_order(self, g):
+        if g not in self._orders:
+            self._orders[g] = order_of(g, CODE_ONE, self.mul)
+        return self._orders[g]
+
+    def order_profile(self):
+        return Counter(self.element_order(g) for g in self.elements)
+
+    def is_abelian(self):
+        mul = self.mul
+        elems = list(self.elements)
+        for i, x in enumerate(elems):
+            for y in elems[i + 1:]:
+                if mul(x, y) != mul(y, x):
+                    return False
+        return True
+
+    def is_cyclic(self):
+        return any(self.element_order(g) == self.order for g in self.elements)
+
+    def center(self):
+        mul = self.mul
+        elems = list(self.elements)
+        z = [x for x in elems if all(mul(x, y) == mul(y, x) for y in elems)]
+        return FiniteGroup(self.spec, frozenset(z))
+
+    def is_subgroup(self, sub):
+        return sub.elements <= self.elements
+
+    def is_normal(self, sub):
+        if not self.is_subgroup(sub):
+            raise NotASubgroup("not a subgroup")
+        mul = self.mul
+        for g in self.elements:
+            gi = self.inv(g)
+            for h in sub.elements:
+                if mul(mul(g, h), gi) not in sub.elements:
+                    return False
+        return True
+
+    def derived_subgroup(self):
+        mul = self.mul
+        elems = list(self.elements)
+        comms = set()
+        for x in elems:
+            xi = self.inv(x)
+            for y in elems:
+                comms.add(mul(mul(mul(x, y), xi), self.inv(y)))
+        return closure(self.spec, comms, cap=self.order + 1)
+
+    def is_perfect(self):
+        return self.derived_subgroup().order == self.order
+
+    def cosets(self, sub):
+        """Left coset representatives of sub in self, in str(Mat2) order."""
+        if not self.is_subgroup(sub):
+            raise NotASubgroup("not a subgroup")
+        reps, covered = [], set()
+        for g in sorted(self.elements, key=lambda g: "%d,%d;%d,%d" % g):
+            if g in covered:
+                continue
+            reps.append(g)
+            covered.update(self.mul(g, h) for h in sub.elements)
+        return reps
+
+    def __eq__(self, other):
+        return (isinstance(other, FiniteGroup)
+                and self.elements == other.elements)
+
+    def __hash__(self):
+        return hash(self.elements)
+
+    def __repr__(self):
+        return "FiniteGroup(order=%d)" % self.order
 
 
 def sl2_codes(spec):
@@ -211,7 +216,7 @@ _SL2_CACHE = {}
 
 def sl2_group(spec):
     if spec not in _SL2_CACHE:
-        _SL2_CACHE[spec] = FiniteGroup(spec, frozenset(sl2_elements(spec)))
+        _SL2_CACHE[spec] = FiniteGroup(spec, sl2_codes(spec))
     return _SL2_CACHE[spec]
 
 
@@ -240,7 +245,7 @@ def nonsplit_torus(spec):
     These matrices land in SL2(F_q).  Cyclic of order q+1, generated by
     multiplication by g^(q-1) for the generator g of F_{q^2}*.
     """
-    return FiniteGroup.from_codes(spec, *_torus_codes(spec))
+    return FiniteGroup(spec, *_torus_codes(spec))
 
 
 def torus_normalizer(spec):
@@ -261,12 +266,11 @@ def torus_normalizer(spec):
     frob = (1, neg[c1.code], 0, neg[1])
     g = primitive_element(spec)
     s = mul(_mult_matrix(spec, g ** ((spec.q - 1) // 2)), frob)
-    a, b, c, d = s
-    si = (d, neg[b], neg[c], a)  # the adjugate: s * si = det(s) I
+    n = FiniteGroup(spec, torus | {mul(s, h) for h in torus}, (t0, s))
+    si = n.inv(s)  # the adjugate: s * si = det(s) I
     assert mul(s, si) == CODE_ONE and s not in torus
     assert mul(mul(s, t0), si) in torus
-    elems = torus | {mul(s, h) for h in torus}
-    return FiniteGroup.from_codes(spec, elems, (t0, s))
+    return n
 
 
 @dataclass(frozen=True)
@@ -304,17 +308,18 @@ def recognize(group):
     half = [g for g in group.elements if group.element_order(g) == n // 2]
     if n % 2 == 0 and half:
         x = half[0]
-        cyc = closure([x], cap=n)
-        xi = x.inv()
+        mul, inv = group.mul, group.inv
+        cyc = closure(group.spec, [x], cap=n)
+        xi = inv(x)
         for y in group.elements:
             if y in cyc.elements:
                 continue
-            if not y.mul(x).mul(y.inv()) == xi:
+            if mul(mul(y, x), inv(y)) != xi:
                 continue
             if group.element_order(y) == 2:
                 return GroupType("Dihedral", n)
             if (n % 4 == 0 and group.element_order(y) == 4
-                    and y.mul(y) in cyc.elements):
+                    and mul(y, y) in cyc.elements):
                 return GroupType("Dicyclic", n)
     profile = group.order_profile()
     if n == 24 and profile == PROFILE_SL2_3:
@@ -336,7 +341,7 @@ def recognize(group):
                  if g != group.identity()
                  and _is_p_power(group.element_order(g), p)]
         try:
-            sylow = closure(ppart, cap=n) if ppart else None
+            sylow = closure(group.spec, ppart, cap=n) if ppart else None
         except SizeCapExceeded:
             sylow = None
         if (sylow is not None and 1 < sylow.order < n
@@ -463,7 +468,7 @@ def find_subgroup_of_type(spec, kind):
             if len(h) != target_order:
                 continue
             if Counter(order_of(g, CODE_ONE, mul) for g in h) == profile:
-                return FiniteGroup.from_codes(spec, h, (x, y))
+                return FiniteGroup(spec, h, (x, y))
     return None
 
 
@@ -562,19 +567,3 @@ def dickson_table(spec, ambient):
             out.append(r)
     return out
 
-
-def cayley_closure_tool(group):
-    """Integer Cayley machinery for fast pair closures inside `group`.
-
-    Returns (elems, mul) where elems is a list fixing an index order and
-    mul[i][j] is the index of elems[i]*elems[j].
-    """
-    ident = group.identity()
-    elems = [ident] + sorted((g for g in group.elements if g != ident),
-                             key=lambda m: str(m))
-    index = {g: i for i, g in enumerate(elems)}
-    mul = [[0] * len(elems) for _ in elems]
-    for i, x in enumerate(elems):
-        for j, y in enumerate(elems):
-            mul[i][j] = index[x.mul(y)]
-    return elems, mul

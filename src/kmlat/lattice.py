@@ -1,28 +1,27 @@
 """Edge-of-groups data, lattice verification and the classification table.
 
-The verification side is exact: given finite groups fixing the two base
-vertices, lubotzky_check tests neighbor-transitivity and the stabilizer
-condition, computes the faithfulness kernel and the covolume.  It reads
-the base-vertex stabilizers off entry valuations (P1 and P2 membership)
-and closes the kernel under conjugation by generators, so it needs no
-vertex arithmetic.  The classification side transcribes the case analysis
-for cocompact edge-transitive lattices at a given q and center order.
+The verification side is exact: given a finite group A1 of constant
+matrices, lubotzky_check tests the standard pair (A1, delta A1 delta^-1)
+for neighbor-transitivity and the stabilizer condition, and computes the
+faithfulness kernel and the covolume.  It reads the base-vertex
+stabilizers and A1 cap A2 off A1's F_q codes and closes the kernel under
+conjugation by A1's generators, so it needs no Laurent arithmetic.  The
+classification side transcribes the case analysis for cocompact
+edge-transitive lattices at a given q and center order.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache
 
 from .errors import (InvalidInput, KindInadmissible, MinUndefined,
-                     NotAHomomorphism, WrongFixedVertex)
+                     NotAHomomorphism)
 from .gf import is_prime
-from .groups import (CODE_ONE, SUBGROUP_TARGETS, FiniteGroup, code_mul,
+from .groups import (CODE_ONE, SUBGROUP_TARGETS, FiniteGroup,
                      find_subgroup_of_type, nonsplit_torus, order_of,
                      torus_normalizer)
-from .laurent import LaurentPoly
-from .serretree import Edge, Mat2, Vertex, act, membership
+from .serretree import Edge, Vertex, act, membership
 
 
 @dataclass
@@ -38,8 +37,7 @@ class EdgeOfGroups:
     alpha2: dict
 
     def __post_init__(self):
-        # each product once over both maps: an inclusion needs |A0|^2
-        mul = cache(lambda x, y: x.mul(y))
+        mul = self.a0.mul
         for alpha, tgt in ((self.alpha1, self.a1), (self.alpha2, self.a2)):
             if set(alpha) != set(self.a0.elements):
                 raise NotAHomomorphism("map not defined on all of A0")
@@ -53,7 +51,7 @@ class EdgeOfGroups:
                     if xy not in alpha:
                         raise NotAHomomorphism(
                             "A0 is not closed under products")
-                    if not alpha[xy] == mul(alpha[x], alpha[y]):
+                    if alpha[xy] != mul(alpha[x], alpha[y]):
                         raise NotAHomomorphism("map is not a homomorphism")
 
     @classmethod
@@ -75,9 +73,10 @@ def faithfulness_kernel(eog):
     steps = []
     for grp, alpha in ((eog.a1, eog.alpha1), (eog.a2, eog.alpha2)):
         back = {y: x for x, y in alpha.items()}
+        mul = grp.mul
         for s in grp.gens or grp.elements:
-            si = s.inv()
-            steps.append({x: back.get(s.mul(y).mul(si))
+            si = grp.inv(s)
+            steps.append({x: back.get(mul(mul(s, y), si))
                           for x, y in alpha.items()})
     n = set(eog.a0.elements)
     while True:
@@ -117,45 +116,37 @@ class VerificationReport:
         return dict(vars(self), covolume=frac_str(self.covolume))
 
 
-def base_stabilizer(group, i):
-    """The elements of a finite group that fix the base vertex x_i.
+def lubotzky_check(a1):
+    """Edge-transitivity test for the standard pair (A1, A2), with
+    A2 = delta A1 delta^-1 and delta = diag(t, 1), read off A1's codes.
 
-    An element g of finite order has a root of unity, a unit, as its
-    determinant, so its elementary divisors are (r, -r) with r its least
-    entry valuation: g fixes x1 iff r = 0, that is iff g is in P1.  With
-    D = diag(1, pi), x2 = D.x1 and D^-1 g D = [[a, pi b], [c/pi, d]], so g
-    fixes x2 iff g is in P2.
+    The pair generates an edge-transitive lattice iff each A_i is
+    transitive on the q+1 neighbors of x_i and the stabilizer of the
+    opposite base vertex in each A_i is exactly A1 cap A2.  A1 is a group
+    of constant matrices, so it lies in P1 and fixes x1, and A2 lies in
+    delta P1 delta^-1 = P2 and fixes x2.  Conjugation by delta sends
+    g = [[a, b], [c, d]] to [[a, t b], [c/t, d]], so:
+    - a constant g fixes x2, that is lies in P2, iff c = 0;
+    - delta g delta^-1 fixes x1, that is lies in P1, iff b = 0;
+    - A1 cap A2 is the diagonal of A1, which delta fixes pointwise.
+    Orbit sizes come from orbit-stabilizer: |A_i . x_j| = |A_i| / |stab_i|.
+    For the kernel, A2's generator delta s delta^-1 moves a diagonal x to
+    delta (s x s^-1) delta^-1, which is diagonal exactly when s x s^-1 is,
+    and then equals it.  So A2's kernel steps repeat A1's, and the kernel
+    of the pair is that of A1 <- A0 -> A1: one faithfulness_kernel over
+    A1's gens (all elements when none are given).
     """
-    region = "P1" if i == 1 else "P2"
-    return frozenset(g for g in group.elements if membership(g, region))
-
-
-def lubotzky_check(a1, a2):
-    """Edge-transitivity test for the pair (A1, A2) on the tree.
-
-    A1 and A2 must be finite groups; A1 must fix x1 and A2 must fix x2
-    (else WrongFixedVertex).  The pair generates an edge-transitive lattice
-    iff each A_i is transitive on the q+1 neighbors of x_i and the
-    stabilizer of the opposite base vertex in each A_i is exactly A1 cap A2.
-    Stabilizers are read off entry valuations (base_stabilizer), and orbit
-    sizes come from orbit-stabilizer: |A_i . x_j| = |A_i| / |stab_i|.
-    """
-    spec = a1.spec
-    q = spec.q
-    if base_stabilizer(a1, 1) != a1.elements:
-        raise WrongFixedVertex("A1 does not fix x1")
-    if base_stabilizer(a2, 2) != a2.elements:
-        raise WrongFixedVertex("A2 does not fix x2")
-    stab1 = base_stabilizer(a1, 2)
-    stab2 = base_stabilizer(a2, 1)
-    o1 = a1.order // len(stab1)
-    o2 = a2.order // len(stab2)
-    inter = a1.elements & a2.elements
+    q = a1.spec.q
+    # stab2, A2's stabilizer of x1, is taken back to A1 through delta
+    stab1 = frozenset(g for g in a1.elements if not g[2])
+    stab2 = frozenset(g for g in a1.elements if not g[1])
+    inter = stab1 & stab2
+    o1, o2 = a1.order // len(stab1), a1.order // len(stab2)
     cond_transitive = (o1 == q + 1 and o2 == q + 1)
     cond_stab = (stab1 == inter and stab2 == inter)
     passes = cond_transitive and cond_stab
-    a0 = FiniteGroup(spec, inter)
-    kernel = faithfulness_kernel(EdgeOfGroups.by_inclusion(a0, a1, a2))
+    a0 = FiniteGroup(a1.spec, inter)
+    kernel = faithfulness_kernel(EdgeOfGroups.by_inclusion(a0, a1, a1))
     notes = []
     if not cond_transitive:
         notes.append("neighbor action not transitive")
@@ -165,15 +156,16 @@ def lubotzky_check(a1, a2):
         q=q, passes=passes, orbit_sizes=(o1, o2),
         stab_orders=(len(stab1), len(stab2)),
         intersection_order=len(inter), kernel_order=kernel.order,
-        covolume=covolume([a1.order, a2.order]),
-        a1_order=a1.order, a2_order=a2.order, notes=tuple(notes))
+        covolume=covolume([a1.order, a1.order]),
+        a1_order=a1.order, a2_order=a1.order, notes=tuple(notes))
 
 
 def covering_check(eog, rho0, rho1, rho2, delta1, delta2):
     """Test that (rho, delta) realizes the edge of groups on the tree.
 
-    rho_i: dicts A_i -> Mat2 landing in the stabilizer of x_i (rho0 in the
-    edge stabilizer); delta_i: Mat2.  Conditions: rho_i(alpha_i(x)) equals
+    The A_i are finite groups under their own product; rho_i: dicts
+    A_i -> Mat2 landing in the stabilizer of x_i (rho0 in the edge
+    stabilizer); delta_i: Mat2.  Conditions: rho_i(alpha_i(x)) equals
     delta_i rho0(x) delta_i^-1 on A0, and g -> rho_i(g) delta_i induces a
     bijection from A_i / alpha_i(A0) onto the q+1 edges at x_i.
     """
@@ -186,7 +178,7 @@ def covering_check(eog, rho0, rho1, rho2, delta1, delta2):
             if not membership(rho[x], region):
                 raise NotAHomomorphism("rho image escapes %s" % region)
             for y in grp.elements:
-                if not rho[x.mul(y)] == rho[x].mul(rho[y]):
+                if not rho[grp.mul(x, y)] == rho[x].mul(rho[y]):
                     raise NotAHomomorphism("rho is not a homomorphism")
     for alpha, rho, delta in ((eog.alpha1, rho1, delta1),
                               (eog.alpha2, rho2, delta2)):
@@ -233,7 +225,6 @@ class ClassificationInput:
     q: int
     levi: str  # "psl" or "pgl"
     z_order: int
-    m: int = 2
     qi_in_zg: bool | None = None
     qi0_in_zg: bool | None = None
     qi0_nontrivial: bool | None = None
@@ -241,7 +232,7 @@ class ClassificationInput:
 
     def validate(self):
         q, p = self.q, self.p
-        if p < 2 or q < 2 or self.z_order < 1 or self.m < 2:
+        if p < 2 or q < 2 or self.z_order < 1:
             raise InvalidInput("bad numeric parameters")
         # the bound under which gf.is_prime is exact
         if p >= 2 ** 64:
@@ -389,17 +380,14 @@ def _diagonalizing_conjugator(spec, u):
     return (x0, mul[x1][s], y0, mul[y1][s])
 
 
-def _codes(m):
-    """The F_q codes (a, b, c, d) of a constant matrix."""
-    return tuple(e.coeffs.get(0, 0) for e in m.entries())
-
-
 def build_standard_lattice(spec, kind):
-    """Construct the standard (A1, A2) pair of a given kind.
+    """Construct the A1 of the standard (A1, A2) pair of a given kind.
 
     kind: "cyclic_p2", "torus_normalizer", "SL2(3)", "SL2(5)" or "2S4".
-    Returns (a1, a2, delta, base_edge).  No success assertion is made here;
-    run lubotzky_check on the result.
+    Returns A1, a finite group of constant matrices; its partner is
+    A2 = delta A1 delta^-1 with delta = diag(t, 1), which lubotzky_check
+    reads off A1.  No success assertion is made here; run lubotzky_check
+    on the result.
     """
     q = spec.q
     if kind == "cyclic_p2":
@@ -424,10 +412,9 @@ def build_standard_lattice(spec, kind):
         # diagonal, so the base-vertex stabilizers become diagonal.  The
         # candidates go in str(Mat2) order, which fixes the pick and so the
         # A1 that verify reports on
-        mul = code_mul(spec)
+        mul = h.mul
         pick = None
-        for g in sorted(map(_codes, h.elements),
-                        key=lambda g: "%d,%d;%d,%d" % g):
+        for g in sorted(h.elements, key=lambda g: "%d,%d;%d,%d" % g):
             if order_of(g, CODE_ONE, mul) == d0:
                 try:
                     pick = _diagonalizing_conjugator(spec, g)
@@ -436,20 +423,9 @@ def build_standard_lattice(spec, kind):
                 break
         if pick is None:
             raise KindInadmissible("no split element of order %d" % d0)
-        neg = spec._tables()[2]
-        a, b, c, d = pick
-        gi = (d, neg[b], neg[c], a)
-        a1 = FiniteGroup.from_codes(
-            spec, (mul(mul(gi, _codes(x)), pick) for x in h.elements),
-            (mul(mul(gi, _codes(x)), pick) for x in h.gens))
+        gi = h.inv(pick)
+        a1 = FiniteGroup(spec, (mul(mul(gi, x), pick) for x in h.elements),
+                         (mul(mul(gi, x), pick) for x in h.gens))
     else:
         raise KindInadmissible("unknown kind %r" % kind)
-    # A2 = delta A1 delta^-1 with delta = diag(t, 1), which sends
-    # [[a, b], [c, d]] to [[a, t b], [pi c, d]]
-    t, pi = LaurentPoly.t(spec), LaurentPoly.pi(spec)
-
-    def shift(x):
-        return Mat2(spec, x.a, t * x.b, pi * x.c, x.d)
-    a2 = FiniteGroup(spec, map(shift, a1.elements), map(shift, a1.gens))
-    delta = Mat2.diag(spec, t, LaurentPoly.one(spec))
-    return a1, a2, delta, Edge.base(spec)
+    return a1

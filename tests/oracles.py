@@ -11,14 +11,15 @@ from collections import Counter
 from kmlat import serretree
 from kmlat.errors import (KindInadmissible, NotFound, OddCharacteristic,
                           SearchBudgetExceeded, SizeCapExceeded, SpecMismatch,
-                          UnsupportedActionDomain)
+                          UnsupportedActionDomain, WrongFixedVertex)
 from kmlat.gf import _poly_mod, _poly_mul, norm1_subgroup, primitive_element
 from kmlat.groups import (_SEARCH_BUDGET, CODE_ONE, SUBGROUP_TARGETS,
-                          FiniteGroup, closure, code_mul, generate,
-                          order_available, order_of, sl2_codes)
+                          FiniteGroup, code_mul, generate, order_available,
+                          order_of, sl2_codes)
 from kmlat.kmaction import EdgeLabel, apply_word
+from kmlat.lattice import VerificationReport, covolume
 from kmlat.laurent import LaurentPoly
-from kmlat.serretree import Mat2, Vertex, _polys, act
+from kmlat.serretree import Mat2, Vertex, _polys, act, membership
 
 
 def trial_division_is_prime(n):
@@ -272,7 +273,7 @@ def scan_find_subgroup_of_type(spec, kind):
             if len(h) != target_order:
                 continue
             if Counter(order_of(g, CODE_ONE, mul) for g in h) == profile:
-                return FiniteGroup.from_codes(spec, h, (x, y))
+                return FiniteGroup(spec, h, (x, y))
     return None
 
 
@@ -358,41 +359,90 @@ def fe_apply_letter(params, letter, e, mode="identity_phi"):
 
 def _core(ambient, sub_elements):
     """Largest normal subgroup of ambient inside the given element set."""
+    mul = ambient.mul
     core = set(sub_elements)
     for g in ambient.elements:
-        gi = g.inv()
-        core &= {g.mul(h).mul(gi) for h in sub_elements}
+        gi = ambient.inv(g)
+        core &= {mul(mul(g, h), gi) for h in sub_elements}
         if len(core) == 1:
             break
-    return closure(core, cap=ambient.order + 1)
+    return generate(ambient.identity(), core, mul, ambient.order + 1)
 
 
 def cored_faithfulness_kernel(eog):
     """lattice.faithfulness_kernel by alternating normal cores: conjugate
     the images of N by every element of A1, then of A2, until N is
-    stable."""
+    stable.  The groups may be FiniteGroups or Mat2Groups; the kernel
+    comes back as a group of A0's class."""
     n = set(eog.a0.elements)
     while True:
         img1 = {eog.alpha1[x] for x in n}
-        k1 = _core(eog.a1, img1).elements
+        k1 = _core(eog.a1, img1)
         n1 = {x for x in n if eog.alpha1[x] in k1}
         img2 = {eog.alpha2[x] for x in n1}
-        k2 = _core(eog.a2, img2).elements
+        k2 = _core(eog.a2, img2)
         n2 = {x for x in n1 if eog.alpha2[x] in k2}
         if n2 == n:
-            return FiniteGroup(eog.a0.spec, frozenset(n))
+            return type(eog.a0)(eog.a0.spec, frozenset(n))
         n = n2
 
 
 def scanned_base_stabilizer(group, i):
-    """lattice.base_stabilizer by moving x_i with each element and testing
-    vertex equality on the tree (elementary divisors of rep^-1 g rep)."""
+    """The elements of a Mat2Group that fix the base vertex x_i, found by
+    moving x_i with each element and testing vertex equality on the tree
+    (elementary divisors of rep^-1 g rep)."""
     spec = group.spec
     x = Vertex.x1(spec) if i == 1 else Vertex.x2(spec)
     return frozenset(g for g in group.elements if act(g, x) == x)
 
 
 # --- standard pairs on Mat2, before they moved to F_q code tuples ---------
+
+class Mat2Group:
+    """A finite group of Mat2 values under Mat2.mul and Mat2.inv: the shape
+    FiniteGroup had before it held code tuples.  It has FiniteGroup's
+    interface as far as EdgeOfGroups and the oracles here read it."""
+
+    def __init__(self, spec, elements, gens=()):
+        self.spec = spec
+        self.elements = frozenset(elements)
+        self.gens = tuple(gens)
+
+    @property
+    def order(self):
+        return len(self.elements)
+
+    def identity(self):
+        return Mat2.identity(self.spec)
+
+    @staticmethod
+    def mul(x, y):
+        return x.mul(y)
+
+    @staticmethod
+    def inv(x):
+        return x.inv()
+
+    def element_order(self, g):
+        return order_of(g, self.identity(), Mat2.mul)
+
+
+def to_mat2(spec, codes):
+    """Mat2 values of code 4-tuples, in order."""
+    return [Mat2.from_codes(spec, *g) for g in codes]
+
+
+def mat2_pair(a1):
+    """The standard pair of a code-tuple A1 on Mat2: (A1, delta A1 delta^-1)
+    with delta = diag(t, 1), conjugated by Mat2 products."""
+    spec = a1.spec
+    m1 = Mat2Group(spec, to_mat2(spec, a1.elements), to_mat2(spec, a1.gens))
+    delta = Mat2.diag(spec, LaurentPoly.t(spec), LaurentPoly.one(spec))
+    di = delta.inv()
+    m2 = Mat2Group(spec, (delta.mul(x).mul(di) for x in m1.elements),
+                   (delta.mul(x).mul(di) for x in m1.gens))
+    return m1, m2
+
 
 def mat2_sl2_elements(spec):
     """groups.sl2_elements with FieldElement arithmetic, by a, then b, then
@@ -428,7 +478,7 @@ def mat2_nonsplit_torus(spec):
     elems = [mat2_mult_matrix(spec, z) for z in norm1_subgroup(spec)]
     assert all(m.det() == one for m in elems)
     t0 = mat2_mult_matrix(spec, primitive_element(spec) ** (spec.q - 1))
-    return FiniteGroup(spec, frozenset(elems), (t0,))
+    return Mat2Group(spec, elems, (t0,))
 
 
 def mat2_torus_normalizer(spec):
@@ -446,7 +496,7 @@ def mat2_torus_normalizer(spec):
     assert s.mul(t0).mul(s.inv()) in torus.elements
     elems = set(torus.elements)
     elems.update(s.mul(h) for h in torus.elements)
-    return FiniteGroup(spec, frozenset(elems), (t0, s))
+    return Mat2Group(spec, elems, (t0, s))
 
 
 def mat2_diagonalizing_conjugator(spec, u):
@@ -485,7 +535,7 @@ def mat2_build_standard_lattice(spec, kind):
     """lattice.build_standard_lattice with Mat2 products throughout: the
     exceptional copy is aligned by Mat2 conjugation, and A2 is formed as
     delta A1 delta^-1; the exceptional group comes from the scanning
-    search."""
+    search.  Returns the Mat2Groups (A1, A2)."""
     q = spec.q
     if kind == "cyclic_p2":
         if spec.p != 2:
@@ -504,6 +554,7 @@ def mat2_build_standard_lattice(spec, kind):
         h = scan_find_subgroup_of_type(spec, kind)
         if h is None:
             raise KindInadmissible("%s does not embed at q = %d" % (kind, q))
+        h = Mat2Group(spec, to_mat2(spec, h.elements), to_mat2(spec, h.gens))
         d0 = order // (q + 1)
         pick = None
         for g in sorted(h.elements, key=lambda m: str(m)):
@@ -516,12 +567,82 @@ def mat2_build_standard_lattice(spec, kind):
         if pick is None:
             raise KindInadmissible("no split element of order %d" % d0)
         gi = pick.inv()
-        a1 = FiniteGroup(spec, (gi.mul(x).mul(pick) for x in h.elements),
-                         (gi.mul(x).mul(pick) for x in h.gens))
+        a1 = Mat2Group(spec, (gi.mul(x).mul(pick) for x in h.elements),
+                       (gi.mul(x).mul(pick) for x in h.gens))
     else:
         raise KindInadmissible("unknown kind %r" % kind)
     delta = Mat2.diag(spec, LaurentPoly.t(spec), LaurentPoly.one(spec))
     di = delta.inv()
-    a2 = FiniteGroup(spec, (delta.mul(x).mul(di) for x in a1.elements),
-                     (delta.mul(x).mul(di) for x in a1.gens))
-    return a1, a2, delta
+    a2 = Mat2Group(spec, (delta.mul(x).mul(di) for x in a1.elements),
+                   (delta.mul(x).mul(di) for x in a1.gens))
+    return a1, a2
+
+
+def mat2_base_stabilizer(group, i):
+    """The elements of a finite group that fix the base vertex x_i.
+
+    An element g of finite order has a root of unity, a unit, as its
+    determinant, so its elementary divisors are (r, -r) with r its least
+    entry valuation: g fixes x1 iff r = 0, that is iff g is in P1.  With
+    D = diag(1, pi), x2 = D.x1 and D^-1 g D = [[a, pi b], [c/pi, d]], so g
+    fixes x2 iff g is in P2.
+    """
+    region = "P1" if i == 1 else "P2"
+    return frozenset(g for g in group.elements if membership(g, region))
+
+
+def mat2_faithfulness_kernel(a0, a1, a2):
+    """lattice.faithfulness_kernel on Mat2Groups A1 <- A0 -> A2 with the
+    inclusion maps, with Mat2 products: the fixed point of
+    N <- {n in N : s n s^-1 in N}, s over the gens of each A_i (all
+    elements when none are given), started at N = A0."""
+    steps = []
+    for grp in (a1, a2):
+        alpha = {x: x for x in a0.elements}
+        back = {y: x for x, y in alpha.items()}
+        for s in grp.gens or grp.elements:
+            si = s.inv()
+            steps.append({x: back.get(s.mul(y).mul(si))
+                          for x, y in alpha.items()})
+    n = set(a0.elements)
+    while True:
+        keep = {x for x in n if all(step[x] in n for step in steps)}
+        if keep == n:
+            return Mat2Group(a0.spec, n)
+        n = keep
+
+
+def mat2_lubotzky_check(a1, a2):
+    """lattice.lubotzky_check on a pair of Mat2Groups, as it was before it
+    read the pair off A1's codes: stabilizers from entry valuations,
+    A1 cap A2 as a set intersection, and the kernel by Mat2 products.
+
+    A1 must fix x1 and A2 must fix x2 (else WrongFixedVertex).
+    """
+    spec = a1.spec
+    q = spec.q
+    if mat2_base_stabilizer(a1, 1) != a1.elements:
+        raise WrongFixedVertex("A1 does not fix x1")
+    if mat2_base_stabilizer(a2, 2) != a2.elements:
+        raise WrongFixedVertex("A2 does not fix x2")
+    stab1 = mat2_base_stabilizer(a1, 2)
+    stab2 = mat2_base_stabilizer(a2, 1)
+    o1 = a1.order // len(stab1)
+    o2 = a2.order // len(stab2)
+    inter = a1.elements & a2.elements
+    cond_transitive = (o1 == q + 1 and o2 == q + 1)
+    cond_stab = (stab1 == inter and stab2 == inter)
+    passes = cond_transitive and cond_stab
+    a0 = Mat2Group(spec, inter)
+    kernel = mat2_faithfulness_kernel(a0, a1, a2)
+    notes = []
+    if not cond_transitive:
+        notes.append("neighbor action not transitive")
+    if not cond_stab:
+        notes.append("opposite-vertex stabilizer differs from A1 cap A2")
+    return VerificationReport(
+        q=q, passes=passes, orbit_sizes=(o1, o2),
+        stab_orders=(len(stab1), len(stab2)),
+        intersection_order=len(inter), kernel_order=kernel.order,
+        covolume=covolume([a1.order, a2.order]),
+        a1_order=a1.order, a2_order=a2.order, notes=tuple(notes))

@@ -9,9 +9,9 @@ import time
 from fractions import Fraction
 
 from kmlat.gf import make_field
-from kmlat.groups import (FiniteGroup, GroupType, cayley_closure_tool,
-                          dickson_table, find_subgroup_of_type, generate,
-                          recognize, sl2_group)
+from kmlat.groups import (CODE_ONE, FiniteGroup, GroupType, dickson_table,
+                          find_subgroup_of_type, generate, recognize,
+                          sl2_group)
 from kmlat.kmaction import (EdgeLabel, KMParams, RootIndex, RootLetter,
                             alternating_word, crosscheck_affine, zp_fix_test,
                             zp_fixes_ball2)
@@ -19,6 +19,7 @@ from kmlat.lattice import (ClassificationInput, build_standard_lattice,
                            classify, lubotzky_check, min_covolume)
 from kmlat.serretree import (Mat2, dihedral_obstruction_search,
                              involution_families)
+from oracles import mat2_pair
 
 
 def _report(n, ok, desc):
@@ -42,8 +43,7 @@ def test_criterion_01_char2_cyclic_lattices():
     ok = True
     for q in (2, 4, 8):
         spec = _field(q)
-        a1, a2, _, _ = build_standard_lattice(spec, "cyclic_p2")
-        rep = lubotzky_check(a1, a2)
+        rep = lubotzky_check(build_standard_lattice(spec, "cyclic_p2"))
         rows = classify(ClassificationInput(2, q, "psl", 1))
         ok &= rep.passes
         ok &= rep.intersection_order == 1
@@ -62,12 +62,13 @@ def test_criterion_02_normalizer_lattices_q3mod4():
     ok = True
     for q in (3, 7, 11, 19, 23):
         spec = _field(q)
-        a1, a2, _, _ = build_standard_lattice(spec, "torus_normalizer")
-        rep = lubotzky_check(a1, a2)
+        a1 = build_standard_lattice(spec, "torus_normalizer")
+        rep = lubotzky_check(a1)
         ok &= rep.passes
         ok &= rep.a1_order == 2 * (q + 1) and rep.a2_order == 2 * (q + 1)
         ok &= rep.covolume == Fraction(1, q + 1)
-        inter = a1.elements & a2.elements
+        m1, m2 = mat2_pair(a1)
+        inter = m1.elements & m2.elements
         ident = Mat2.identity(spec)
         minus = Mat2.from_codes(spec, (spec.q - 1) % spec.q, 0, 0,
                                 (spec.q - 1) % spec.q)
@@ -90,8 +91,7 @@ def test_criterion_03_exceptional_table():
         spec = _field(q)
         h = find_subgroup_of_type(spec, kind)
         ok &= h is not None and recognize(h).kind == names[kind]
-        a1, a2, _, _ = build_standard_lattice(spec, kind)
-        rep = lubotzky_check(a1, a2)
+        rep = lubotzky_check(build_standard_lattice(spec, kind))
         ok &= rep.passes
         ok &= rep.intersection_order == a0
         ok &= rep.a1_order == a0 * (q + 1)  # vertex index q+1
@@ -106,8 +106,7 @@ def test_criterion_04_q1mod4_obstruction():
     ok = True
     for q in (13, 17):
         spec = _field(q)
-        a1, a2, _, _ = build_standard_lattice(spec, "torus_normalizer")
-        rep = lubotzky_check(a1, a2)
+        rep = lubotzky_check(build_standard_lattice(spec, "torus_normalizer"))
         ok &= not rep.passes
         ok &= rep.orbit_sizes == ((q + 1) // 2, (q + 1) // 2)
         ok &= classify(ClassificationInput(q, q, "psl", 1)) == []
@@ -239,17 +238,16 @@ def test_criterion_09_dickson_coverage():
     for q in (3, 5):
         spec = _field(q)
         g = sl2_group(spec)
-        elems, mul = cayley_closure_tool(g)
+        elems = sorted(g.elements)
         n = len(elems)
         seen = {}
         for i in range(n):
             for j in range(i, n):
-                idx = generate(0, (i, j), lambda x, y: mul[x][y], n)
-                key = frozenset(idx)
+                key = frozenset(generate(CODE_ONE, (elems[i], elems[j]),
+                                         g.mul, n))
                 if key in seen:
                     continue
-                sub = FiniteGroup(spec, frozenset(elems[k] for k in idx))
-                seen[key] = recognize(sub)
+                seen[key] = recognize(FiniteGroup(spec, key))
         types = set(seen.values())
         ok &= all(t.kind != "Unknown" for t in types)
         ok &= types == expected[q]

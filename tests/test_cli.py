@@ -123,9 +123,13 @@ def test_zero_pairs_is_a_usage_error():
 
 @pytest.mark.parametrize("m", ["1", "2", "7"])
 def test_zp_test_m_is_a_usage_error(m):
-    """zp-test runs identity phi, which never reads m."""
+    """zp-test runs identity phi, which never reads m, and the
+    classification reads no m either: --m is km-act's alone."""
     assert run_cli("zp-test", "--q", "3", "--m", m, "--pairs", "1",
                    expect=2) == ""
+    for command in ("classify", "min-covolume"):
+        assert run_cli(command, "--p", "7", "--q", "7", "--levi", "psl",
+                       "--m", m, expect=2) == ""
 
 
 @pytest.mark.parametrize("argv", [
@@ -291,12 +295,16 @@ def test_a_run_never_imports_typing():
     assert out.stderr == "([0, 0], False)"
 
 
-@pytest.mark.parametrize("argv", [("--help",), ("classify", "--help")])
+SUBCOMMANDS = ("classify", "min-covolume", "dickson", "verify", "km-act",
+               "zp-test", "dihedral-search", "tree")
+
+
+@pytest.mark.parametrize("argv", [("--help",), ("classify", "--help")]
+                         + [(c, "--help") for c in SUBCOMMANDS[1:]])
 def test_help_wraps_at_78_columns_whatever_the_terminal(argv):
     """Help is laid out for argparse's fallback 80-column terminal, so
-    COLUMNS does not change it.  argparse cannot break a single word: the
-    {classify,...,tree} list of subcommands is one, and it is the only
-    text allowed past column 78."""
+    COLUMNS does not change it, and no line runs past column 78.  The
+    top-level help names the subcommands COMMAND and lists each one."""
     env = {k: v for k, v in os.environ.items() if k != "COLUMNS"}
     plain = subprocess.run(CMD + list(argv), env=env, capture_output=True,
                            text=True)
@@ -305,7 +313,11 @@ def test_help_wraps_at_78_columns_whatever_the_terminal(argv):
     assert plain.returncode == narrow.returncode == 0
     assert narrow.stdout == plain.stdout
     for line in plain.stdout.splitlines():
-        assert len(line) <= 78 or len(line.split()) == 1, line
+        assert len(line) <= 78, line
+    if argv == ("--help",):
+        listed = [line.split()[0] for line in plain.stdout.splitlines()
+                  if line.startswith("    ")]
+        assert listed == list(SUBCOMMANDS)
 
 
 def test_output_is_deterministic():

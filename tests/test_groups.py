@@ -8,12 +8,10 @@ import pytest
 from kmlat import groups
 from kmlat.errors import NotASubgroup, NotFound, SizeCapExceeded
 from kmlat.gf import is_prime, make_field
-from kmlat.groups import (FiniteGroup, GroupType, cayley_closure_tool, closure,
+from kmlat.groups import (CODE_ONE, FiniteGroup, GroupType, closure,
                           dickson_table, find_subgroup_of_type, generate,
                           nonsplit_torus, order_available, recognize,
                           sl2_group, torus_normalizer)
-from kmlat.laurent import LaurentPoly
-from kmlat.serretree import Mat2
 from oracles import full_walk_trace_order_map, scan_find_subgroup_of_type
 
 
@@ -26,16 +24,16 @@ def test_sl2_group_order(q, a):
     spec = make_field(2 if q in (2, 4) else q, a)
     g = sl2_group(spec)
     assert g.order == sl2_order(q)
-    one = LaurentPoly.one(spec)
-    for m in g:
-        assert m.det() == one
+    add, mul, neg, _ = spec._tables()
+    for a, b, c, d in g:
+        assert add[mul[a][d]][neg[mul[b][c]]] == 1
 
 
 def test_closure_cap():
     spec = make_field(5)
     gens = list(sl2_group(spec).elements)[:6]
     with pytest.raises(SizeCapExceeded):
-        closure(gens, cap=10)
+        closure(spec, gens, cap=10)
 
 
 @pytest.mark.parametrize("q", [2, 3, 4, 5, 7])
@@ -67,12 +65,14 @@ def test_torus_normalizer(q):
 def test_torus_normalizer_matches_definition(p, a):
     spec = make_field(p, a)
     t = nonsplit_torus(spec).elements
+    amb = sl2_group(spec)
+    mul = amb.mul
 
     def normalizes(g):
         # g T g^-1 is a set of |T| elements, so inside T means equal to T
-        gi = g.inv()
-        return all(g.mul(h).mul(gi) in t for h in t)
-    normalizer = {g for g in sl2_group(spec) if normalizes(g)}
+        gi = amb.inv(g)
+        return all(mul(mul(g, h), gi) in t for h in t)
+    normalizer = {g for g in amb if normalizes(g)}
     assert torus_normalizer(spec).elements == normalizer
 
 
@@ -121,18 +121,15 @@ def test_recognize_small_types():
     assert recognize(sl2_group(make_field(5))) == GroupType("SL2(5)")
     z = g.center()
     assert recognize(z) == GroupType("Cyclic", 2)
-    ident = g.identity()
-    triv = FiniteGroup(spec, frozenset([ident]), (ident,))
+    triv = FiniteGroup(spec, [CODE_ONE], (CODE_ONE,))
     assert recognize(triv) == GroupType("Cyclic", 1)
 
 
 def test_recognize_klein_four_group():
     spec = make_field(2, 2)
-    one = LaurentPoly.one(spec)
-    zero = LaurentPoly.zero(spec)
-    u1 = Mat2(spec, one, one, zero, one)
-    u2 = Mat2(spec, one, LaurentPoly.const(spec.element(2)), zero, one)
-    k = FiniteGroup(spec, closure([u1, u2]), (u1, u2))
+    u1 = (1, 1, 0, 1)
+    u2 = (1, 2, 0, 1)
+    k = FiniteGroup(spec, closure(spec, [u1, u2]), (u1, u2))
     assert k.order == 4
     assert recognize(k) == GroupType("Dihedral", 4)
 
@@ -199,30 +196,16 @@ def test_dickson_table_q7():
     assert s4 and all("outside" not in r.type for r in s4)
 
 
-def test_cayley_closure_tool():
-    spec = make_field(3)
-    g = sl2_group(spec)
-    elems, mul = cayley_closure_tool(g)
-    assert len(elems) == g.order
-    assert elems[0] == g.identity()
-    n = g.order
-    for i in (0, 1, n // 2, n - 1):
-        assert mul[0][i] == i and mul[i][0] == i
-    idx = generate(0, (1, 2), lambda x, y: mul[x][y], n)
-    sub = frozenset(elems[i] for i in idx)
-    assert g.is_subgroup(FiniteGroup(spec, sub, ()))
-
-
 def _two_sided_pair_closure(mul, i, j):
-    """The subgroup generated by indices i, j: a BFS from {0, i, j} that
+    """The subgroup generated by i, j: a BFS from {1, i, j} that
     multiplies by i and j on both sides (the former pair closure)."""
-    seen = {0, i, j}
-    frontier = [0, i, j]
+    seen = {CODE_ONE, i, j}
+    frontier = [CODE_ONE, i, j]
     while frontier:
         nxt = []
         for x in frontier:
             for g in (i, j):
-                for y in (mul[x][g], mul[g][x]):
+                for y in (mul(x, g), mul(g, x)):
                     if y not in seen:
                         seen.add(y)
                         nxt.append(y)
@@ -231,12 +214,12 @@ def _two_sided_pair_closure(mul, i, j):
 
 
 def test_generate_matches_two_sided_closure_on_sl2_3():
-    elems, mul = cayley_closure_tool(sl2_group(make_field(3)))
-    n = len(elems)
-    for i in range(n):
-        for j in range(n):
-            got = generate(0, (i, j), lambda x, y: mul[x][y], n)
-            assert got == _two_sided_pair_closure(mul, i, j)
+    g = sl2_group(make_field(3))
+    n = g.order
+    for i in g:
+        for j in g:
+            got = generate(CODE_ONE, (i, j), g.mul, n)
+            assert got == _two_sided_pair_closure(g.mul, i, j)
 
 
 def _odd_prime_powers(below):

@@ -8,17 +8,25 @@ import pytest
 from kmlat.errors import (InvalidInput, KindInadmissible, MinUndefined,
                           NotAHomomorphism, WrongFixedVertex)
 from kmlat.gf import make_field
-from kmlat.groups import (FiniteGroup, closure, generate, nonsplit_torus,
-                          sl2_group, torus_normalizer)
+from kmlat.groups import (CODE_ONE, FiniteGroup, closure, generate,
+                          nonsplit_torus, sl2_group, torus_normalizer)
+from kmlat.laurent import LaurentPoly
 from kmlat.lattice import (ClassificationInput, EdgeOfGroups,
-                           base_stabilizer, build_standard_lattice, classify,
-                           covering_check, covolume, faithfulness_kernel,
-                           lubotzky_check, min_covolume)
+                           build_standard_lattice, classify, covering_check,
+                           covolume, faithfulness_kernel, lubotzky_check,
+                           min_covolume)
 from kmlat.serretree import Mat2, Vertex, act
-from oracles import cored_faithfulness_kernel, scanned_base_stabilizer
+from oracles import (Mat2Group, cored_faithfulness_kernel, mat2_lubotzky_check,
+                     mat2_pair, scanned_base_stabilizer, to_mat2)
 
 F2 = make_field(2)
 F3 = make_field(3)
+
+
+def _mat2_key(g):
+    """str of the Mat2 of code tuple g: the order cosets and the
+    exceptional pick use."""
+    return "%d,%d;%d,%d" % g
 
 
 def _scanned_orbit_size(group, target):
@@ -39,11 +47,12 @@ def _scanned_orbit_size(group, target):
     (2, 3, "cyclic_p2"), (5, 1, "SL2(3)"), (7, 1, "2S4"), (11, 1, "SL2(3)")])
 def test_orbit_sizes_match_a_linear_scan(p, a, kind):
     spec = make_field(p, a)
-    a1, a2, _, _ = build_standard_lattice(spec, kind)
-    rep = lubotzky_check(a1, a2)
+    a1 = build_standard_lattice(spec, kind)
+    rep = lubotzky_check(a1)
+    m1, m2 = mat2_pair(a1)
     x1, x2 = Vertex.x1(spec), Vertex.x2(spec)
-    assert rep.orbit_sizes == (_scanned_orbit_size(a1, x2),
-                               _scanned_orbit_size(a2, x1))
+    assert rep.orbit_sizes == (_scanned_orbit_size(m1, x2),
+                               _scanned_orbit_size(m2, x1))
 
 
 def _field_of(q):
@@ -62,73 +71,90 @@ PAIR_Q = [q for q in range(3, 65, 2) if _field_of(q)] + [2, 4, 8, 16, 32]
 
 @lru_cache(maxsize=None)
 def _standard_pairs(q):
-    """(kind, a1, a2) for every kind build_standard_lattice admits at q."""
+    """(kind, a1) for every kind build_standard_lattice admits at q."""
     spec = _field_of(q)
     kinds = (("cyclic_p2",) if spec.p == 2 else
              ("torus_normalizer", "SL2(3)", "SL2(5)", "2S4"))
     out = []
     for kind in kinds:
         try:
-            a1, a2, _, _ = build_standard_lattice(spec, kind)
+            out.append((kind, build_standard_lattice(spec, kind)))
         except KindInadmissible:
             continue
-        out.append((kind, a1, a2))
     return tuple(out)
 
 
 def _without_gens(group):
-    return FiniteGroup(group.spec, group.elements)
+    return type(group)(group.spec, group.elements)
 
 
 @pytest.mark.parametrize("q", PAIR_Q)
 def test_stabilizers_and_kernel_match_the_tree_oracles(q):
-    """Valuation stabilizers equal the vertex-equality scan, and the
-    generator kernel equals alternating normal cores, for every standard
-    pair at q, with the gens and with the all-elements fallback."""
+    """The code reading of the pair (A1, delta A1 delta^-1) agrees with the
+    tree, for every standard pair at q.  A1 fixes x1 and A2 fixes x2; the
+    stabilizer of x2 in A1 is the c = 0 part of A1, that of x1 in A2 the
+    delta-conjugate of the b = 0 part, and A1 cap A2 the diagonal, as
+    the vertex-equality scan finds them on the Mat2 pair.  The kernel on
+    codes, with the gens and with the all-elements fallback, equals
+    alternating normal cores on the Mat2 pair."""
     pairs = _standard_pairs(q)
     assert pairs  # torus_normalizer (q odd) or cyclic_p2 always builds
-    for kind, a1, a2 in pairs:
-        scanned = {}
-        for j, group in enumerate((a1, a2), 1):
-            for i in (1, 2):
-                scanned[j, i] = scanned_base_stabilizer(group, i)
-                assert base_stabilizer(group, i) == scanned[j, i], (kind, i)
-        a0 = FiniteGroup(a1.spec, a1.elements & a2.elements)
-        want = cored_faithfulness_kernel(
-            EdgeOfGroups.by_inclusion(a0, a1, a2))
-        assert faithfulness_kernel(
-            EdgeOfGroups.by_inclusion(a0, a1, a2)) == want, kind
-        assert faithfulness_kernel(EdgeOfGroups.by_inclusion(
-            a0, _without_gens(a1), _without_gens(a2))) == want, kind
-        rep = lubotzky_check(a1, a2)
+    for kind, a1 in pairs:
+        spec = a1.spec
+        m1, m2 = mat2_pair(a1)
+        delta = Mat2.diag(spec, LaurentPoly.t(spec), LaurentPoly.one(spec))
+        di = delta.inv()
+        lower = [g for g in a1.elements if not g[2]]
+        upper = [g for g in a1.elements if not g[1]]
+        diagonal = [g for g in a1.elements if not g[1] and not g[2]]
+        assert scanned_base_stabilizer(m1, 1) == m1.elements, kind
+        assert scanned_base_stabilizer(m2, 2) == m2.elements, kind
+        assert scanned_base_stabilizer(m1, 2) == set(to_mat2(spec, lower))
+        assert scanned_base_stabilizer(m2, 1) == {
+            delta.mul(x).mul(di) for x in to_mat2(spec, upper)}, kind
+        assert m1.elements & m2.elements == set(to_mat2(spec, diagonal))
+        want = cored_faithfulness_kernel(EdgeOfGroups.by_inclusion(
+            Mat2Group(spec, m1.elements & m2.elements), m1, m2))
+        a0 = FiniteGroup(spec, diagonal)
+        for grp in (a1, _without_gens(a1)):
+            got = faithfulness_kernel(EdgeOfGroups.by_inclusion(a0, grp, grp))
+            assert set(to_mat2(spec, got.elements)) == want.elements, kind
+        rep = lubotzky_check(a1)
         assert rep.kernel_order == want.order
-        assert rep.stab_orders == (len(scanned[1, 2]), len(scanned[2, 1]))
+        assert rep.stab_orders == (len(lower), len(upper))
+        assert rep.intersection_order == len(diagonal)
 
 
 @pytest.mark.parametrize("q", PAIR_Q)
 def test_standard_pairs_carry_generating_sets(q):
     """Both groups of every standard pair carry gens that generate them (a
-    short set would make faithfulness_kernel too large).  PAIR_Q covers
-    every (q, kind) of the benchmark's verify workload."""
-    for kind, a1, a2 in _standard_pairs(q):
-        for group in (a1, a2):
-            assert group.gens, kind
-            assert generate(group.identity(), group.gens, Mat2.mul,
-                            group.order) == set(group.elements), kind
+    short set would make faithfulness_kernel too large): A1 on codes, and
+    A2 = delta A1 delta^-1 on Mat2.  PAIR_Q covers every (q, kind) of the
+    benchmark's verify workload."""
+    for kind, a1 in _standard_pairs(q):
+        assert a1.gens, kind
+        assert generate(CODE_ONE, a1.gens, a1.mul,
+                        a1.order) == set(a1.elements), kind
+        _, m2 = mat2_pair(a1)
+        assert generate(m2.identity(), m2.gens, Mat2.mul,
+                        m2.order) == set(m2.elements), kind
 
 
 def test_kernel_with_non_identity_structure_maps():
     """A cyclic C4 of SL2(3) mapped in by conjugation or inversion; the
     groups without gens take the all-elements fallback."""
     g24 = sl2_group(F3)
-    fours = sorted((x for x in g24 if g24.element_order(x) == 4), key=str)
-    q8 = closure(fours)
-    c4 = closure(fours[:1])
-    t = next(x for x in sorted(g24, key=str) if g24.element_order(x) == 3)
-    ti = t.inv()
+    mul = g24.mul
+    fours = sorted((x for x in g24 if g24.element_order(x) == 4),
+                   key=_mat2_key)
+    q8 = closure(F3, fours)
+    c4 = closure(F3, fours[:1])
+    t = next(x for x in sorted(g24, key=_mat2_key)
+             if g24.element_order(x) == 3)
+    ti = g24.inv(t)
     incl = {x: x for x in c4}
-    conj = {x: t.mul(x).mul(ti) for x in c4}
-    inv = {x: x.inv() for x in c4}
+    conj = {x: mul(mul(t, x), ti) for x in c4}
+    inv = {x: g24.inv(x) for x in c4}
     assert set(conj.values()) != c4.elements
     cases = [
         (EdgeOfGroups(c4, q8, q8, incl, conj), 4),  # both normal in Q8
@@ -159,7 +185,7 @@ def test_edge_of_groups_validation():
     with pytest.raises(NotAHomomorphism):
         EdgeOfGroups(t, g, g, bad, {x: x for x in t.elements})
     # a bijective non-homomorphism is rejected
-    elems = sorted(t.elements, key=str)
+    elems = sorted(t.elements, key=_mat2_key)
     swapped = dict(zip(elems, elems[1:] + elems[:1]))
     with pytest.raises(NotAHomomorphism):
         EdgeOfGroups(t, g, g, swapped, {x: x for x in t.elements})
@@ -188,8 +214,7 @@ def test_faithfulness_kernel_of_full_sl2():
 @pytest.mark.parametrize("q,a", [(2, 1), (4, 2)])
 def test_cyclic_pair_passes(q, a):
     spec = make_field(2, a)
-    a1, a2, delta, base = build_standard_lattice(spec, "cyclic_p2")
-    rep = lubotzky_check(a1, a2)
+    rep = lubotzky_check(build_standard_lattice(spec, "cyclic_p2"))
     assert rep.passes
     assert rep.orbit_sizes == (q + 1, q + 1)
     assert rep.intersection_order == 1
@@ -200,31 +225,34 @@ def test_cyclic_pair_passes(q, a):
 @pytest.mark.parametrize("q", [3, 7])
 def test_normalizer_pair_passes(q):
     spec = make_field(q)
-    a1, a2, delta, base = build_standard_lattice(spec, "torus_normalizer")
-    rep = lubotzky_check(a1, a2)
+    a1 = build_standard_lattice(spec, "torus_normalizer")
+    rep = lubotzky_check(a1)
     assert rep.passes
     assert rep.a1_order == 2 * (q + 1)
     assert rep.intersection_order == 2
     assert rep.covolume == Fraction(1, q + 1)
-    inter = a1.elements & a2.elements
+    m1, m2 = mat2_pair(a1)
+    inter = m1.elements & m2.elements
     center = sl2_group(spec).center() if q == 3 else None
     if center is not None:
-        assert inter == center.elements
+        assert inter == set(to_mat2(spec, center.elements))
 
 
 def test_normalizer_pair_fails_q13():
     spec = make_field(13)
-    a1, a2, delta, base = build_standard_lattice(spec, "torus_normalizer")
-    rep = lubotzky_check(a1, a2)
+    rep = lubotzky_check(build_standard_lattice(spec, "torus_normalizer"))
     assert not rep.passes
     assert rep.orbit_sizes == (7, 7)
 
 
 def test_wrong_fixed_vertex():
+    """A pair in the wrong order, A2 = delta A1 delta^-1 first, does not fix
+    x1: the Mat2 check refuses it.  lubotzky_check cannot be given such a
+    pair, since it takes A1 alone and A1 is constant."""
     spec = make_field(2)
-    a1, a2, _, _ = build_standard_lattice(spec, "cyclic_p2")
+    m1, m2 = mat2_pair(build_standard_lattice(spec, "cyclic_p2"))
     with pytest.raises(WrongFixedVertex):
-        lubotzky_check(a2, a1)
+        mat2_lubotzky_check(m2, m1)
 
 
 def test_kind_admissibility():
@@ -251,15 +279,25 @@ def test_exceptional_kind_rejection_reasons(q, kind, reason):
     assert str(exc.value) == reason
 
 
+def _covering_data(spec):
+    """The cyclic_p2 pair as an edge of groups A1 <- A0 -> A1, A0 the
+    diagonal of A1, with A1 standing for the abstract A2: rho0 and rho1
+    send x to its Mat2, rho2 to delta x delta^-1.  Returns (eog, rho0,
+    rho1, rho2, delta)."""
+    a1 = build_standard_lattice(spec, "cyclic_p2")
+    a0 = FiniteGroup(spec, (g for g in a1.elements if not g[1] and not g[2]))
+    eog = EdgeOfGroups.by_inclusion(a0, a1, a1)
+    delta = Mat2.diag(spec, LaurentPoly.t(spec), LaurentPoly.one(spec))
+    di = delta.inv()
+    rho1 = {x: Mat2.from_codes(spec, *x) for x in a1.elements}
+    rho0 = {x: rho1[x] for x in a0.elements}
+    rho2 = {x: delta.mul(m).mul(di) for x, m in rho1.items()}
+    return eog, rho0, rho1, rho2, delta
+
+
 def test_covering_check_inclusion():
     spec = F2
-    a1, a2, delta, base = build_standard_lattice(spec, "cyclic_p2")
-    inter = a1.elements & a2.elements
-    a0 = FiniteGroup(spec, inter)
-    eog = EdgeOfGroups.by_inclusion(a0, a1, a2)
-    rho0 = {x: x for x in a0.elements}
-    rho1 = {x: x for x in a1.elements}
-    rho2 = {x: x for x in a2.elements}
+    eog, rho0, rho1, rho2, delta = _covering_data(spec)
     ident = Mat2.identity(spec)
     assert covering_check(eog, rho0, rho1, rho2, ident, delta)
     # pushing A2 two steps away breaks the edge bijection at x2
@@ -269,13 +307,10 @@ def test_covering_check_inclusion():
 
 def test_covering_check_rejects_bad_rho():
     spec = F2
-    a1, a2, delta, base = build_standard_lattice(spec, "cyclic_p2")
-    a0 = FiniteGroup(spec, a1.elements & a2.elements)
-    eog = EdgeOfGroups.by_inclusion(a0, a1, a2)
-    rho0 = {x: x for x in a0.elements}
-    rho1 = {x: x for x in a1.elements}
-    elems = sorted(a2.elements, key=str)
-    rho2 = dict(zip(elems, elems[1:] + elems[:1]))
+    eog, rho0, rho1, rho2, delta = _covering_data(spec)
+    elems = sorted(rho2, key=lambda x: str(rho2[x]))
+    images = [rho2[x] for x in elems]
+    rho2 = dict(zip(elems, images[1:] + images[:1]))
     with pytest.raises(NotAHomomorphism):
         covering_check(eog, rho0, rho1, rho2, Mat2.identity(spec), delta)
 

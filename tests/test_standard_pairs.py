@@ -9,12 +9,15 @@ import pytest
 
 from kmlat.errors import KmlatError, MinUndefined
 from kmlat.gf import make_field
-from kmlat.groups import recognize, sl2_elements
+from kmlat.groups import FiniteGroup, recognize, sl2_codes, sl2_elements
+from kmlat.laurent import LaurentPoly
 from kmlat.lattice import (EXCEPTIONAL_TABLE, ClassificationInput,
                            build_standard_lattice, classify, lubotzky_check,
                            min_covolume)
 from kmlat.serretree import Mat2
-from oracles import mat2_build_standard_lattice, mat2_sl2_elements
+from oracles import (Mat2Group, mat2_build_standard_lattice,
+                     mat2_lubotzky_check, mat2_pair, mat2_sl2_elements,
+                     to_mat2)
 
 KINDS = ("cyclic_p2", "torus_normalizer", "SL2(3)", "SL2(5)", "2S4")
 EXCEPTIONAL_KINDS = ("SL2(3)", "SL2(5)", "2S4")
@@ -53,9 +56,18 @@ def builds():
 
 
 @pytest.fixture(scope="module")
+def mat2_builds():
+    """(q, kind) -> mat2_build_standard_lattice's (A1, A2), or what it
+    raised."""
+    return {(q, kind): _build(make_field(*pa), kind,
+                              mat2_build_standard_lattice)
+            for q, pa in FIELDS.items() for kind in KINDS}
+
+
+@pytest.fixture(scope="module")
 def reports(builds):
     """(q, kind) -> lubotzky_check report, for every pair that builds."""
-    return {key: lubotzky_check(b[0], b[1]) for key, b in builds.items()
+    return {key: lubotzky_check(b) for key, b in builds.items()
             if not isinstance(b, Exception)}
 
 
@@ -65,23 +77,66 @@ def test_every_prime_power_below_128_is_covered(builds):
 
 
 @pytest.mark.parametrize("q", sorted(FIELDS))
-def test_builds_match_the_mat2_oracle(builds, q):
-    """Same A1 and A2 elements, the same gens in order and the same delta
-    as alignment by Mat2 conjugation and A2 = delta A1 delta^-1; and the
-    same exception class and message where a build is refused."""
+def test_builds_match_the_mat2_oracle(builds, mat2_builds, q):
+    """The same A1 elements and the same gens in order as alignment by
+    Mat2 conjugation, and the same exception class and message where a
+    build is refused.  The oracle's A2 is delta A1 delta^-1 by Mat2
+    products, with delta = diag(t, 1)."""
     spec = make_field(*FIELDS[q])
+    delta = Mat2.diag(spec, LaurentPoly.t(spec), LaurentPoly.one(spec))
+    di = delta.inv()
     for kind in KINDS:
         got = builds[q, kind]
-        want = _build(spec, kind, mat2_build_standard_lattice)
+        want = mat2_builds[q, kind]
         if isinstance(want, Exception):
             assert type(got) is type(want), kind
             assert str(got) == str(want), kind
             continue
         assert not isinstance(got, Exception), (kind, got)
-        for new, old in zip(got[:2], want[:2]):
-            assert new.elements == old.elements, kind
-            assert new.gens == old.gens, kind
-        assert got[2] == want[2], kind
+        a1, a2 = want
+        assert set(to_mat2(spec, got.elements)) == a1.elements, kind
+        assert to_mat2(spec, got.gens) == list(a1.gens), kind
+        assert {delta.mul(x).mul(di) for x in a1.elements} == a2.elements
+        assert [delta.mul(x).mul(di) for x in a1.gens] == list(a2.gens)
+
+
+@pytest.mark.parametrize("q", sorted(FIELDS))
+def test_check_matches_the_mat2_oracle(builds, mat2_builds, q):
+    """lubotzky_check, reading the pair off A1's codes, gives the report
+    that the valuation, intersection and Mat2-kernel check gives on the
+    oracle's (A1, A2), with the gens and with the gens dropped (the
+    kernel then conjugates by every element)."""
+    spec = make_field(*FIELDS[q])
+    for kind in KINDS:
+        if isinstance(mat2_builds[q, kind], Exception):
+            continue
+        a1 = builds[q, kind]
+        m1, m2 = mat2_builds[q, kind]
+        assert (lubotzky_check(a1).to_json_dict()
+                == mat2_lubotzky_check(m1, m2).to_json_dict()), kind
+        bare = FiniteGroup(spec, a1.elements)
+        assert (lubotzky_check(bare).to_json_dict()
+                == mat2_lubotzky_check(Mat2Group(spec, m1.elements),
+                                       Mat2Group(spec, m2.elements))
+                .to_json_dict()), kind
+
+
+@pytest.mark.parametrize("p,a", [(2, 1), (3, 1), (2, 2), (5, 1), (7, 1)])
+def test_check_matches_the_mat2_oracle_off_the_standard_pairs(p, a):
+    """On the standard pairs the b = 0 and c = 0 parts of A1 have the same
+    size; on the upper and lower Borel subgroups, the upper unipotent
+    group, the diagonal torus and all of SL2(F_q) they do not, and the
+    code reading still gives the oracle's report on (A1, delta A1
+    delta^-1)."""
+    spec = make_field(p, a)
+    shapes = (lambda g: True, lambda g: not g[2], lambda g: not g[1],
+              lambda g: not g[2] and g[0] == g[3] == 1,
+              lambda g: not g[1] and not g[2])
+    for shape in shapes:
+        a1 = FiniteGroup(spec, filter(shape, sl2_codes(spec)))
+        m1, m2 = mat2_pair(a1)
+        assert (lubotzky_check(a1).to_json_dict()
+                == mat2_lubotzky_check(m1, m2).to_json_dict())
 
 
 @pytest.mark.parametrize("q,p,a", [(2, 2, 1), (3, 3, 1), (4, 2, 2),
@@ -97,21 +152,16 @@ def test_sl2_elements_keeps_its_order(q, p, a):
     (11, "torus_normalizer"), (11, "SL2(3)"), (11, "SL2(5)"),
     (59, "torus_normalizer"), (59, "SL2(5)")])
 def test_builds_make_no_mat2_products(monkeypatch, q, kind):
-    """Every finite-group product runs on code tuples; the one Mat2.mul and
-    the one Mat2.inv are the distance test inside Edge.base."""
-    calls = {"mul": 0, "inv": 0}
+    """The build and the check run on code tuples alone: with the Mat2 and
+    LaurentPoly constructors patched to raise, both still run."""
+    spec = make_field(*FIELDS[q])
+    want = lubotzky_check(build_standard_lattice(spec, kind))
 
-    def counted(name):
-        orig = getattr(Mat2, name)
-
-        def wrapped(*args):
-            calls[name] += 1
-            return orig(*args)
-        return wrapped
-    for name in calls:
-        monkeypatch.setattr(Mat2, name, counted(name))
-    build_standard_lattice(make_field(*FIELDS[q]), kind)
-    assert calls == {"mul": 1, "inv": 1}
+    def refuse(*args):
+        raise AssertionError("a Laurent object was built")
+    monkeypatch.setattr(Mat2, "__init__", refuse)
+    monkeypatch.setattr(LaurentPoly, "__init__", refuse)
+    assert lubotzky_check(build_standard_lattice(spec, kind)) == want
 
 
 def test_exceptional_sweep_gives_the_table(builds, reports):
@@ -190,7 +240,7 @@ def test_exceptional_rows_name_the_built_group(builds, reports):
             continue
         row, = [r for r in classify(_psl_input(q))
                 if r.case == "exceptional-%s" % kind]
-        assert str(recognize(builds[q, kind][0])) == names.get(
+        assert str(recognize(builds[q, kind])) == names.get(
             row.vertex_type, row.vertex_type), (q, kind)
         checked += 1
     assert checked == sum(len(rows) for rows in EXCEPTIONAL_TABLE.values())

@@ -19,7 +19,11 @@ import io
 import json
 from pathlib import Path
 
+import pytest
+
 from kmlat.cli import main
+from kmlat.laurent import LaurentPoly
+from kmlat.serretree import Mat2
 
 ROOT = Path(__file__).resolve().parent.parent
 GOLDEN = ROOT / "tests" / "golden" / "verify_jobs.json"
@@ -97,6 +101,26 @@ def check_golden(path, jobs):
 
 def test_verify_jobs_match_golden():
     check_golden(GOLDEN, verify_jobs())
+
+
+def test_verify_workload_builds_no_laurent_objects(monkeypatch):
+    """Every job of the benchmark's verify workload runs on F_q codes: with
+    the Mat2 and LaurentPoly constructors patched to raise, each verify
+    job prints its golden bytes, and each classify job (which has no
+    golden file) the bytes it prints unpatched."""
+    golden = {tuple(g["argv"]): g for g in json.loads(GOLDEN.read_text())}
+    jobs = [list(j) for j in benchmark_workloads()["verify"]]
+    assert len(jobs) == 51 and len(golden) == 29
+    want = [golden.get(tuple(argv)) or run(argv) for argv in jobs]
+
+    def refuse(*args):
+        raise AssertionError("a Laurent object was built")
+    monkeypatch.setattr(Mat2, "__init__", refuse)
+    monkeypatch.setattr(LaurentPoly, "__init__", refuse)
+    with pytest.raises(AssertionError):
+        Mat2.identity(None)
+    for argv, w in zip(jobs, want):
+        assert run(argv) == w
 
 
 def test_dihedral_jobs_match_golden():
