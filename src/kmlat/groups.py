@@ -10,8 +10,7 @@ involution, cyclic index-2 subgroups, normal Sylow-p).
 
 from __future__ import annotations
 
-from collections import Counter
-from dataclasses import dataclass
+from collections import Counter, namedtuple
 from math import gcd
 
 from .errors import (NotASubgroup, NotFound, OddCharacteristic,
@@ -273,10 +272,8 @@ def torus_normalizer(spec):
     return n
 
 
-@dataclass(frozen=True)
-class GroupType:
-    kind: str
-    param: int = 0
+class GroupType(namedtuple("GroupType", "kind param", defaults=(0,))):
+    __slots__ = ()
 
     def __str__(self):
         return "%s(%d)" % (self.kind, self.param) if self.param else self.kind
@@ -472,12 +469,7 @@ def find_subgroup_of_type(spec, kind):
     return None
 
 
-@dataclass(frozen=True)
-class DicksonEntry:
-    type: str
-    order: int
-    div_q_plus_1: bool
-    source: str
+DicksonEntry = namedtuple("DicksonEntry", "type order div_q_plus_1 source")
 
 
 def _entry(q, t, order, source):
@@ -489,13 +481,16 @@ def dickson_table(spec, ambient):
 
     Rows list the maximal members of each family (cyclic and dihedral rows
     are stated at their largest order; every subgroup of a listed row is
-    again of listed shape).  ambient: "psl2", "sl2" or "pgl2".
+    again of listed shape).  ambient: "psl2", "sl2" or "pgl2"; at p = 2 the
+    three groups coincide and all give the psl2 rows.
     """
+    if ambient not in ("psl2", "sl2", "pgl2"):
+        raise NotFound("unknown ambient %r" % ambient)
     q, p, a = spec.q, spec.p, spec.a
     d = gcd(2, q - 1)
     k_order = q * (q * q - 1) // d
     rows = []
-    if ambient == "psl2" or (ambient == "sl2" and p == 2):
+    if ambient == "psl2" or p == 2:
         src = "psl2-subgroup-classification"
         rows.append(_entry(q, "Cyclic(%d)" % ((q - 1) // d), (q - 1) // d, src))
         rows.append(_entry(q, "Cyclic(%d)" % ((q + 1) // d), (q + 1) // d, src))
@@ -505,8 +500,10 @@ def dickson_table(spec, ambient):
                            2 * (q - 1) // d, src))
         rows.append(_entry(q, "Dihedral(%d)" % (2 * (q + 1) // d),
                            2 * (q + 1) // d, src))
-        rows.append(_entry(q, "A4", 12, src))
-        if k_order % 8 == 0:
+        # at p = 2: A4 needs F_4 inside F_q, and there is no element of order 4
+        if p != 2 or a % 2 == 0:
+            rows.append(_entry(q, "A4", 12, src))
+        if p != 2 and q % 8 in (1, 7):
             rows.append(_entry(q, "S4", 24, src))
         if k_order % 5 == 0:
             rows.append(_entry(q, "A5", 60, src))
@@ -536,7 +533,7 @@ def dickson_table(spec, ambient):
             if a % b == 0:
                 qb = p ** b
                 rows.append(_entry(q, "SL2(%d)" % qb, qb * (qb * qb - 1), src))
-    elif ambient == "pgl2":
+    else:
         src = "pgl2-subgroup-classification"
         rows.append(_entry(q, "Cyclic(%d)" % (q - 1), q - 1, src))
         rows.append(_entry(q, "Cyclic(%d)" % (q + 1), q + 1, src))
@@ -556,8 +553,6 @@ def dickson_table(spec, ambient):
                 rows.append(_entry(q, "PSL2(%d)" % qb,
                                    qb * (qb * qb - 1) // gcd(2, qb - 1), src))
                 rows.append(_entry(q, "PGL2(%d)" % qb, qb * (qb * qb - 1), src))
-    else:
-        raise NotFound("unknown ambient %r" % ambient)
     # dedupe identical rows (small q can collapse several families)
     seen, out = set(), []
     for r in rows:

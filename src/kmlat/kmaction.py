@@ -12,7 +12,7 @@ against exact matrices on the Bruhat-Tits tree; see crosscheck_affine.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import lru_cache
 
 from .errors import (InvalidInput, MalformedWord, RadiusExceeded,
@@ -22,45 +22,53 @@ from .laurent import LaurentPoly
 from .serretree import Edge, Mat2, act
 
 
-@dataclass(frozen=True)
-class KMParams:
+class KMParams(namedtuple("KMParams", "m spec")):
     """Cartan parameter m >= 2 and the ground field."""
-    m: int
-    spec: object
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.m < 2:
-            raise InvalidInput("m = %d must be >= 2" % self.m)
+    def __new__(cls, m, spec):
+        if m < 2:
+            raise InvalidInput("m = %d must be >= 2" % m)
+        return super().__new__(cls, m, spec)
 
 
-@dataclass(frozen=True)
-class RootIndex:
+class RootIndex(namedtuple("RootIndex", "side depth")):
     """A real root of the standard apartment: side 1 or 2, depth k >= 0.
 
     Depth 0 on side i is the simple root alpha_i; increasing depth walks
     the root string away from the base edge on that side.
     """
-    side: int
-    depth: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.side not in (1, 2) or self.depth < 0:
+    def __new__(cls, side, depth):
+        if side not in (1, 2) or depth < 0:
             raise SpecMismatch("bad root index")
+        return super().__new__(cls, side, depth)
 
 
-@dataclass(frozen=True)
-class RootLetter:
-    root: RootIndex
-    coeff: int  # F_q code
+RootLetter = namedtuple("RootLetter", "root coeff")  # coeff: an F_q code
 
 
-@dataclass(frozen=True)
 class EdgeLabel:
     """region "base", "L" (left side) or "R" (right side); coords, F_q
     codes, label the edge at combinatorial distance len(coords) from the
-    base edge."""
-    region: str
-    coords: tuple
+    base edge.  A plain class rather than a namedtuple, so that a label is
+    never taken for a tuple."""
+    __slots__ = ("region", "coords")
+
+    def __init__(self, region, coords):
+        self.region = region
+        self.coords = coords
+
+    def __eq__(self, other):
+        return (isinstance(other, EdgeLabel) and self.region == other.region
+                and self.coords == other.coords)
+
+    def __hash__(self):
+        return hash((self.region, self.coords))
+
+    def __repr__(self):
+        return "EdgeLabel(region=%r, coords=%r)" % (self.region, self.coords)
 
     @classmethod
     def base(cls):

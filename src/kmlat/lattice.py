@@ -12,7 +12,7 @@ edge-transitive lattices at a given q and center order.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 
 from .errors import (InvalidInput, KindInadmissible, MinUndefined,
@@ -24,35 +24,39 @@ from .groups import (CODE_ONE, SUBGROUP_TARGETS, FiniteGroup,
 from .serretree import Edge, Vertex, act, membership
 
 
-@dataclass
-class EdgeOfGroups:
+class EdgeOfGroups(namedtuple("EdgeOfGroups", "a0 a1 a2 alpha1 alpha2")):
     """An edge of groups A1 <- A0 -> A2 with injective structure maps.
 
     alpha1, alpha2: dicts mapping each element of a0 into a1 resp. a2.
     """
-    a0: FiniteGroup
-    a1: FiniteGroup
-    a2: FiniteGroup
-    alpha1: dict
-    alpha2: dict
+    __slots__ = ()
 
-    def __post_init__(self):
-        mul = self.a0.mul
-        for alpha, tgt in ((self.alpha1, self.a1), (self.alpha2, self.a2)):
-            if set(alpha) != set(self.a0.elements):
+    def __new__(cls, a0, a1, a2, alpha1, alpha2):
+        self = super().__new__(cls, a0, a1, a2, alpha1, alpha2)
+        mul = a0.mul
+        for tgt, alpha in self.sides():
+            if set(alpha) != set(a0.elements):
                 raise NotAHomomorphism("map not defined on all of A0")
-            if len(set(alpha.values())) != self.a0.order:
+            if len(set(alpha.values())) != a0.order:
                 raise NotAHomomorphism("structure map is not injective")
-            for x in self.a0.elements:
+            for x in a0.elements:
                 if alpha[x] not in tgt.elements:
                     raise NotAHomomorphism("image escapes the target group")
-                for y in self.a0.elements:
+                for y in a0.elements:
                     xy = mul(x, y)
                     if xy not in alpha:
                         raise NotAHomomorphism(
                             "A0 is not closed under products")
                     if alpha[xy] != mul(alpha[x], alpha[y]):
                         raise NotAHomomorphism("map is not a homomorphism")
+        return self
+
+    def sides(self):
+        """(A1, alpha1) and (A2, alpha2); only the first when the two are
+        equal, as in by_inclusion(a0, a1, a1), so that nothing is checked
+        or stepped through twice."""
+        one, two = (self.a1, self.alpha1), (self.a2, self.alpha2)
+        return (one,) if one == two else (one, two)
 
     @classmethod
     def by_inclusion(cls, a0, a1, a2):
@@ -66,12 +70,13 @@ def faithfulness_kernel(eog):
     This is the kernel of the action of the amalgam on its tree.  It is
     the fixed point of N <- {n in N : s alpha_i(n) s^-1 in alpha_i(N)},
     with s over the gens of each A_i (all elements when none are given),
-    started at N = A0.  For finite sets s X s^-1 within X means equal, so
-    the fixed point is the largest subset whose images are normalized by
-    A1 and A2; that subset is closed under products, hence a subgroup.
+    started at N = A0; equal sides are stepped through once.  For finite
+    sets s X s^-1 within X means equal, so the fixed point is the largest
+    subset whose images are normalized by A1 and A2; that subset is
+    closed under products, hence a subgroup.
     """
     steps = []
-    for grp, alpha in ((eog.a1, eog.alpha1), (eog.a2, eog.alpha2)):
+    for grp, alpha in eog.sides():
         back = {y: x for x, y in alpha.items()}
         mul = grp.mul
         for s in grp.gens or grp.elements:
@@ -99,21 +104,14 @@ def covolume(orders):
     return total
 
 
-@dataclass
-class VerificationReport:
-    q: int
-    passes: bool
-    orbit_sizes: tuple
-    stab_orders: tuple
-    intersection_order: int
-    kernel_order: int
-    covolume: Fraction
-    a1_order: int
-    a2_order: int
-    notes: tuple = ()
+class VerificationReport(namedtuple(
+        "VerificationReport", "q passes orbit_sizes stab_orders "
+        "intersection_order kernel_order covolume a1_order a2_order notes",
+        defaults=((),))):
+    __slots__ = ()
 
     def to_json_dict(self):
-        return dict(vars(self), covolume=frac_str(self.covolume))
+        return dict(self._asdict(), covolume=frac_str(self.covolume))
 
 
 def lubotzky_check(a1):
@@ -133,8 +131,9 @@ def lubotzky_check(a1):
     For the kernel, A2's generator delta s delta^-1 moves a diagonal x to
     delta (s x s^-1) delta^-1, which is diagonal exactly when s x s^-1 is,
     and then equals it.  So A2's kernel steps repeat A1's, and the kernel
-    of the pair is that of A1 <- A0 -> A1: one faithfulness_kernel over
-    A1's gens (all elements when none are given).
+    of the pair is that of A1 <- A0 -> A1, whose equal sides are checked
+    and stepped through once: one pass over A1's gens (all elements when
+    none are given).
     """
     q = a1.spec.q
     # stab2, A2's stabilizer of x1, is taken back to A1 through delta
@@ -219,16 +218,11 @@ EXCEPTIONAL_TABLE = {
 }
 
 
-@dataclass(frozen=True)
-class ClassificationInput:
-    p: int
-    q: int
-    levi: str  # "psl" or "pgl"
-    z_order: int
-    qi_in_zg: bool | None = None
-    qi0_in_zg: bool | None = None
-    qi0_nontrivial: bool | None = None
-    zmi_in_zg: bool | None = None
+class ClassificationInput(namedtuple(
+        "ClassificationInput", "p q levi z_order qi_in_zg qi0_in_zg "
+        "qi0_nontrivial zmi_in_zg", defaults=(None,) * 4)):
+    """levi: "psl" or "pgl"; the four center flags: True, False or None."""
+    __slots__ = ()
 
     def validate(self):
         q, p = self.q, self.p
@@ -269,18 +263,14 @@ class ClassificationInput:
                 raise InvalidInput("Q flags do not apply when q = 3 mod 4")
 
 
-@dataclass(frozen=True)
-class LatticeDescriptor:
-    q: int
-    case: str
-    a0_order: int
-    vertex_type: str
-    covolume: Fraction
-    delta0: int | None
-    exceptional: bool = False
+class LatticeDescriptor(namedtuple(
+        "LatticeDescriptor", "q case a0_order vertex_type covolume delta0 "
+        "exceptional", defaults=(False,))):
+    """covolume: a Fraction; delta0: an int, or None on exceptional rows."""
+    __slots__ = ()
 
     def to_json_dict(self):
-        return dict(vars(self), covolume=frac_str(self.covolume))
+        return dict(self._asdict(), covolume=frac_str(self.covolume))
 
 
 def _row(q, case, a0, vertex, delta0, exceptional=False):

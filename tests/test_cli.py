@@ -295,6 +295,24 @@ def test_a_run_never_imports_typing():
     assert out.stderr == "([0, 0], False)"
 
 
+def test_a_run_never_imports_dataclasses_or_inspect():
+    """The records are namedtuples and plain classes, so no run loads
+    dataclasses, nor inspect with its ast, dis and tokenize.  Run as the
+    benchmark runs a job: -E -S, src on sys.path."""
+    argvs = (["verify", "--q", "5", "--kind", "torus_normalizer"],
+             ["classify", "--p", "7", "--q", "7", "--levi", "psl"],
+             ["zp-test", "--q", "3"], ["dihedral-search", "--q", "2"],
+             ["dickson", "--q", "4", "--ambient", "psl2"])
+    code = ("import sys; sys.path.insert(0, %r); import kmlat.cli; "
+            "rc = [kmlat.cli.main(argv) for argv in %r]; "
+            "sys.stderr.write(repr((rc, sorted({'dataclasses', 'inspect'} "
+            "& set(sys.modules)))))" % (str(SRC), argvs))
+    out = subprocess.run([sys.executable, "-E", "-S", "-c", code],
+                         capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr
+    assert out.stderr == "([0, 0, 0, 0, 0], [])"
+
+
 SUBCOMMANDS = ("classify", "min-covolume", "dickson", "verify", "km-act",
                "zp-test", "dihedral-search", "tree")
 

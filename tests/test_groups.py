@@ -1,12 +1,11 @@
 """Finite matrix groups: closure, recognition, and subgroup tables."""
 
-import random
 from collections import Counter
 
 import pytest
 
 from kmlat import groups
-from kmlat.errors import NotASubgroup, NotFound, SizeCapExceeded
+from kmlat.errors import NotASubgroup, SizeCapExceeded
 from kmlat.gf import is_prime, make_field
 from kmlat.groups import (CODE_ONE, FiniteGroup, GroupType, closure,
                           dickson_table, find_subgroup_of_type, generate,
@@ -194,6 +193,41 @@ def test_dickson_table_q7():
     pgl = dickson_table(make_field(7), "pgl2")
     s4 = [r for r in pgl if r.type.startswith("S4")]
     assert s4 and all("outside" not in r.type for r in s4)
+
+
+@pytest.mark.parametrize("a", [1, 2, 3, 4])
+def test_dickson_char2_a4_s4_rows_match_computation(a):
+    """SL2(2^a) = PSL2(2^a) = PGL2(2^a) has no S4, since no element has
+    order 4, and has an A4 exactly when a is even.  For a even,
+    <u(1), diag(w, 1/w)> with w of order 3 closes to an A4.  For a odd,
+    an A4 would be generated by an element of order 3 and an involution;
+    elements of order 3 form one trace class, so one fixed x of order 3
+    suffices, and every <x, y> with y an involution closes to 6 elements
+    or to more than 12."""
+    spec = make_field(2, a)
+    _, fmul, _, finv = spec._tables()
+    g = sl2_group(spec)
+    mul = g.mul
+    squares = [mul(s, s) for s in g]
+    assert all(s2 == CODE_ONE or mul(s2, s2) != CODE_ONE for s2 in squares)
+    if a % 2 == 0:
+        w = next(c for c in range(2, spec.q) if fmul[fmul[c][c]][c] == 1)
+        a4 = closure(spec, [(1, 1, 0, 1), (w, 0, 0, finv[w])])
+        assert a4.order == 12 and recognize(a4) == GroupType("A4")
+    else:
+        torus = nonsplit_torus(spec)
+        x = next(h for h in torus if torus.element_order(h) == 3)
+        for y, y2 in zip(g, squares):
+            if y == CODE_ONE or y2 != CODE_ONE:
+                continue
+            try:
+                assert len(generate(CODE_ONE, (x, y), mul, 13)) == 6
+            except SizeCapExceeded:
+                pass
+    for ambient in ("psl2", "sl2", "pgl2"):
+        types = [r.type for r in dickson_table(spec, ambient)]
+        assert ("A4" in types) == (a % 2 == 0), ambient
+        assert not any(t.startswith("S4") for t in types), ambient
 
 
 def _two_sided_pair_closure(mul, i, j):

@@ -1,12 +1,15 @@
-"""Every import in a kmlat module is used (a stdlib-ast check)."""
+"""Every import in a kmlat module or a test module is used (a stdlib-ast
+check)."""
 
 import ast
 from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "kmlat"
-MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
+TESTS = Path(__file__).resolve().parent
+SRC = TESTS.parent / "src" / "kmlat"
+MODULES = (sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
+           + sorted(TESTS.glob("*.py")))
 
 
 def _annotations(tree):

@@ -12,8 +12,8 @@ from kmlat.errors import (InvalidInput, KmlatError, MalformedWord,
 from kmlat.gf import make_field
 from kmlat.kmaction import (EdgeLabel, KMParams, RootIndex, RootLetter,
                             alternating_word, apply_letter, apply_word,
-                            ball2_edges, crosscheck_affine, letter_matrix,
-                            letter_table, realize_edge, zp_fix_test,
+                            ball2_edges, crosscheck_affine, letter_table,
+                            realize_edge, zp_fix_test,
                             zp_fixes_ball2, _w1, _w2, _word_table, _x1, _x2)
 from kmlat.serretree import Edge, act, edge_distance, membership
 
@@ -51,8 +51,12 @@ def code_sum(spec, codes):
 def test_params_validation():
     with pytest.raises(InvalidInput):
         KMParams(1, F2)
+    with pytest.raises(InvalidInput):
+        KMParams(m=1, spec=F2)
     with pytest.raises(SpecMismatch):
         RootIndex(3, 0)
+    with pytest.raises(SpecMismatch):
+        RootIndex(side=0, depth=0)
     with pytest.raises(SpecMismatch):
         RootIndex(1, -1)
 

@@ -191,6 +191,15 @@ def test_edge_of_groups_validation():
         EdgeOfGroups(t, g, g, swapped, {x: x for x in t.elements})
 
 
+def test_edge_of_groups_sides():
+    """by_inclusion(a0, a1, a1) has one side to check and step through;
+    different groups or maps give two."""
+    t, g = nonsplit_torus(F3), sl2_group(F3)
+    one = EdgeOfGroups.by_inclusion(t, g, g)
+    assert one.sides() == ((g, one.alpha1),)
+    assert len(EdgeOfGroups.by_inclusion(t, g, t).sides()) == 2
+
+
 def test_edge_of_groups_needs_a0_closed():
     """A0 = {1, x} with x of order 4 is no group: x*x lies outside it."""
     n = torus_normalizer(F3)
