@@ -85,17 +85,13 @@ def _emit(args, payload):
     print(json.dumps(payload, indent=args.json_indent, sort_keys=True))
 
 
-def _tristate(v):
-    return None if v is None else (v == "yes")
-
-
 def _classification_input(args):
+    tri = {"yes": True, "no": False}.get  # an unset flag stays None
     return lattice.ClassificationInput(
         p=args.p, q=args.q, levi=args.levi, z_order=args.z,
-        qi_in_zg=_tristate(args.qi_central),
-        qi0_in_zg=_tristate(args.qi0_central),
-        qi0_nontrivial=_tristate(args.qi0_nontrivial),
-        zmi_in_zg=_tristate(args.zmi_central))
+        qi_in_zg=tri(args.qi_central), qi0_in_zg=tri(args.qi0_central),
+        qi0_nontrivial=tri(args.qi0_nontrivial),
+        zmi_in_zg=tri(args.zmi_central))
 
 
 def cmd_classify(args):
@@ -142,13 +138,9 @@ def cmd_km_act(args):
 def cmd_zp_test(args):
     spec = _field_for(args.q)
     params = kmaction.KMParams(2, spec)  # identity phi never reads m
-    checked = 0
-    agreements = 0
-    checked_t1_nonzero = 0
-    agreements_t1_nonzero = 0
+    checked = agreements = checked_t1_nonzero = agreements_t1_nonzero = 0
     for codes in itertools.product(range(spec.q), repeat=2 * args.pairs):
-        word = kmaction.alternating_word(params,
-                                         zip(codes[::2], codes[1::2]))
+        word = kmaction.alternating_word(params, zip(codes[::2], codes[1::2]))
         fixes, t1, t2 = kmaction.zp_fix_test(params, word)
         checked += 1
         agree = fixes == (t2 == 0)
@@ -176,8 +168,7 @@ def cmd_dihedral_search(args):
 def cmd_tree(args):
     spec = _field_for(args.q)
     if args.distance:
-        m1 = _parse_matrix(spec, args.distance[0])
-        m2 = _parse_matrix(spec, args.distance[1])
+        m1, m2 = [_parse_matrix(spec, m) for m in args.distance]
         d = serretree.vertex_distance(serretree.Vertex(m1),
                                       serretree.Vertex(m2))
         _emit(args, {"command": "tree", "q": spec.q, "distance": d})
@@ -206,7 +197,67 @@ def positive_int(text):
     return n
 
 
-def build_parser():
+def _classify_flags(p):
+    p.add_argument("--p", type=int, required=True)
+    p.add_argument("--q", type=int, required=True)
+    p.add_argument("--levi", choices=("psl", "pgl"), required=True)
+    p.add_argument("--z", type=int, default=1)
+    for flag in ("qi-central", "qi0-central", "qi0-nontrivial",
+                 "zmi-central"):
+        p.add_argument("--%s" % flag, choices=("yes", "no"), default=None)
+
+
+def _q_and(flag, **kwargs):
+    """The flag function of a subcommand that takes --q and one more flag."""
+    def add_flags(p):
+        p.add_argument("--q", required=True)
+        p.add_argument(flag, **kwargs)
+    return add_flags
+
+
+def _km_act_flags(p):
+    p.add_argument("--q", required=True)
+    p.add_argument("--m", type=int, default=2)
+    p.add_argument("--word", required=True)
+    p.add_argument("--edge", required=True)
+    p.add_argument("--mode", choices=("identity_phi", "twisted_phi"),
+                   default="identity_phi")
+
+
+def _tree_flags(p):
+    p.add_argument("--q", required=True)
+    one_of = p.add_mutually_exclusive_group()
+    one_of.add_argument("--distance", nargs=2, metavar=("M1", "M2"))
+    one_of.add_argument("--neighbors", metavar="M")
+
+
+# name -> (help, handler, flag function), in the order --help lists them
+COMMANDS = {
+    "classify": ("list lattice shapes for (p,q,...)", cmd_classify,
+                 _classify_flags),
+    "min-covolume": ("least covolume for (p,q,...)", cmd_min_covolume,
+                     _classify_flags),
+    "dickson": ("subgroup types of SL2/PSL2/PGL2(q)", cmd_dickson,
+                _q_and("--ambient", choices=("sl2", "psl2", "pgl2"),
+                       required=True)),
+    "verify": ("build and check a standard pair", cmd_verify,
+               _q_and("--kind", required=True,
+                      choices=("cyclic_p2", "torus_normalizer", "SL2(3)",
+                               "SL2(5)", "2S4"))),
+    "km-act": ("apply a root-group word to an edge", cmd_km_act,
+               _km_act_flags),
+    "zp-test": ("test z^p on alternating words", cmd_zp_test,
+                _q_and("--pairs", type=positive_int, default=1)),
+    "dihedral-search": ("char-2 dihedral search", cmd_dihedral_search,
+                        _q_and("--window", type=non_negative_int, default=1)),
+    "tree": ("tree distance or neighbors", cmd_tree, _tree_flags),
+}
+
+
+def build_parser(command=None):
+    """The parser with every subcommand, or only the named one: argparse
+    dispatches on the first positional, so an argv that starts with that
+    name parses, and fails, exactly as with all eight."""
     # argparse's layout for its fallback 80-column terminal; with the width
     # fixed, it never imports shutil to probe the terminal
     fmt = functools.partial(argparse.HelpFormatter, width=80 - 2)
@@ -218,69 +269,18 @@ def build_parser():
         dest="command", required=True, metavar="COMMAND",
         parser_class=functools.partial(argparse.ArgumentParser,
                                        formatter_class=fmt))
-
-    def add_classify_flags(p):
-        p.add_argument("--p", type=int, required=True)
-        p.add_argument("--q", type=int, required=True)
-        p.add_argument("--levi", choices=("psl", "pgl"), required=True)
-        p.add_argument("--z", type=int, default=1)
-        for flag in ("qi-central", "qi0-central", "qi0-nontrivial",
-                     "zmi-central"):
-            p.add_argument("--%s" % flag, choices=("yes", "no"), default=None)
-
-    pc = sub.add_parser("classify", help="list lattice shapes for (p,q,...)")
-    add_classify_flags(pc)
-    pc.set_defaults(func=cmd_classify)
-
-    pm = sub.add_parser("min-covolume", help="least covolume for (p,q,...)")
-    add_classify_flags(pm)
-    pm.set_defaults(func=cmd_min_covolume)
-
-    pd = sub.add_parser("dickson", help="subgroup types of SL2/PSL2/PGL2(q)")
-    pd.add_argument("--q", required=True)
-    pd.add_argument("--ambient", choices=("sl2", "psl2", "pgl2"),
-                    required=True)
-    pd.set_defaults(func=cmd_dickson)
-
-    pv = sub.add_parser("verify", help="build and check a standard pair")
-    pv.add_argument("--q", required=True)
-    pv.add_argument("--kind", required=True,
-                    choices=("cyclic_p2", "torus_normalizer", "SL2(3)",
-                             "SL2(5)", "2S4"))
-    pv.set_defaults(func=cmd_verify)
-
-    pk = sub.add_parser("km-act", help="apply a root-group word to an edge")
-    pk.add_argument("--q", required=True)
-    pk.add_argument("--m", type=int, default=2)
-    pk.add_argument("--word", required=True)
-    pk.add_argument("--edge", required=True)
-    pk.add_argument("--mode", choices=("identity_phi", "twisted_phi"),
-                    default="identity_phi")
-    pk.set_defaults(func=cmd_km_act)
-
-    pz = sub.add_parser("zp-test", help="test z^p on alternating words")
-    pz.add_argument("--q", required=True)
-    pz.add_argument("--pairs", type=positive_int, default=1)
-    pz.set_defaults(func=cmd_zp_test)
-
-    ph = sub.add_parser("dihedral-search", help="char-2 dihedral search")
-    ph.add_argument("--q", required=True)
-    ph.add_argument("--window", type=non_negative_int, default=1)
-    ph.set_defaults(func=cmd_dihedral_search)
-
-    pt = sub.add_parser("tree", help="tree distance or neighbors")
-    pt.add_argument("--q", required=True)
-    pt.add_argument("--distance", nargs=2, metavar=("M1", "M2"))
-    pt.add_argument("--neighbors", metavar="M")
-    pt.set_defaults(func=cmd_tree)
+    for name, (help_text, _, add_flags) in COMMANDS.items():
+        if command in (None, name):
+            add_flags(sub.add_parser(name, help=help_text))
     return parser
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    command = argv[0] if argv and argv[0] in COMMANDS else None
+    args = build_parser(command).parse_args(argv)
     try:
-        args.func(args)
+        COMMANDS[args.command][1](args)
     except KmlatError as exc:
         print(json.dumps({"schema": SCHEMA,
                           "error": type(exc).__name__,

@@ -1,5 +1,6 @@
 """CLI: JSON output shape, determinism, and exit codes."""
 
+import argparse
 import json
 import os
 import subprocess
@@ -8,6 +9,8 @@ import time
 from pathlib import Path
 
 import pytest
+
+from kmlat import cli
 
 if sys.version_info >= (3, 11):
     import tomllib
@@ -102,6 +105,16 @@ def test_tree_json():
     assert out["distance"] == 1
     out = run_json("tree", "--q", "2", "--neighbors", "1,0;0,1")
     assert len(out["neighbors"]) == 3
+
+
+def test_tree_takes_distance_or_neighbors_not_both():
+    """Given both, tree used to print the distance and drop --neighbors."""
+    out = subprocess.run(CMD + ["tree", "--q", "3", "--distance", "1,0;0,1",
+                                "1,0;0,1", "--neighbors", "1,0;0,1"],
+                         capture_output=True, text=True)
+    assert (out.returncode, out.stdout) == (2, "")
+    assert out.stderr.endswith("kmlat tree: error: argument --neighbors: "
+                               "not allowed with argument --distance\n")
 
 
 def test_usage_errors_exit_2():
@@ -336,6 +349,105 @@ def test_help_wraps_at_78_columns_whatever_the_terminal(argv):
         listed = [line.split()[0] for line in plain.stdout.splitlines()
                   if line.startswith("    ")]
         assert listed == list(SUBCOMMANDS)
+
+
+def _in_process(capsys, argv):
+    """(exit code, stdout, stderr) of cli.main(argv)."""
+    try:
+        code = cli.main(list(argv))
+    except SystemExit as exc:
+        code = exc.code
+    out, err = capsys.readouterr()
+    return code, out, err
+
+
+VALID_RUNS = {
+    "classify": ("--p", "7", "--q", "7", "--levi", "psl", "--z", "2"),
+    "min-covolume": ("--p", "2", "--q", "4", "--levi", "psl"),
+    "dickson": ("--q", "2^3", "--ambient", "sl2"),
+    "verify": ("--q", "5", "--kind", "torus_normalizer"),
+    "km-act": ("--q", "3", "--word", "x1:1,x2:1", "--edge", "L:1,0"),
+    "zp-test": ("--q", "3", "--pairs", "1"),
+    "dihedral-search": ("--q", "2", "--window", "1"),
+    "tree": ("--q", "2", "--neighbors", "1,0;0,1"),
+}
+NAMED_RUNS = ([(c,) + VALID_RUNS[c] for c in SUBCOMMANDS]
+              + [(c, "-h") for c in SUBCOMMANDS]
+              + [(c,) + VALID_RUNS[c][2:] for c in SUBCOMMANDS]
+              + [(c,) + VALID_RUNS[c] + ("extra",) for c in SUBCOMMANDS]
+              + [(c,) + VALID_RUNS[c] + ("--json-indent", "2")
+                 for c in SUBCOMMANDS]
+              + [("verify", "--q", "5", "--kind", "SL2(7)"),
+                 ("classify", "--p", "7", "--q", "7", "--levi", "gl")])
+
+
+@pytest.mark.parametrize("argv", NAMED_RUNS, ids=" ".join)
+def test_named_subcommand_parser_matches_the_full_parser(monkeypatch,
+                                                         capsys, argv):
+    """An argv that starts with a subcommand name gets a parser with only
+    that subcommand.  Its exit code, stdout and stderr equal those of the
+    parser with all eight: valid runs, help, a missing required flag, a
+    bad choice, a trailing argument, and --json-indent after the
+    command."""
+    reduced = _in_process(capsys, argv)
+    full_parser = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda command: full_parser())
+    assert _in_process(capsys, argv) == reduced
+
+
+@pytest.mark.parametrize("argv", [("--help",), ("-h", "verify"), ("",),
+                                  ("bogus",), ("verif",), ()],
+                         ids=["help", "h-verify", "empty", "bogus",
+                              "prefix", "none"])
+def test_argv_without_a_leading_name_gets_every_subcommand(capsys, argv):
+    """Help, no argv, and an unknown or abbreviated name use the parser
+    with all eight subcommands: help lists them in order, and the error
+    for a bad name offers each one."""
+    code, out, err = _in_process(capsys, argv)
+    if argv and argv[0] in ("--help", "-h"):
+        assert (code, err) == (0, "")
+        assert out == cli.build_parser().format_help()
+        return
+    assert (code, out) == (2, "")
+    usage, error = err.splitlines()
+    assert usage == "usage: kmlat [-h] [--json-indent JSON_INDENT] COMMAND ..."
+    if argv:
+        listed = error.partition("choose from ")[2]
+        assert [c.strip("'") for c in listed.rstrip(")").split(", ")] == list(
+            SUBCOMMANDS)
+    else:
+        assert error.endswith("required: COMMAND")
+
+
+def test_json_indent_before_the_command_gets_every_subcommand(capsys):
+    argv = ("--json-indent", "2", "verify") + VALID_RUNS["verify"]
+    code, out, err = _in_process(capsys, argv)
+    assert (code, err) == (0, "")
+    plain = json.loads(_in_process(capsys, ("verify",)
+                                   + VALID_RUNS["verify"])[1])
+    assert out == json.dumps(plain, indent=2, sort_keys=True) + "\n"
+
+
+@pytest.mark.parametrize("argv,built", [
+    (("verify", "--q", "5", "--kind", "torus_normalizer"), 2),
+    (("tree", "--q", "2", "--neighbors", "1,0;0,1"), 2),
+    (("--help",), 9),
+    (("--json-indent", "2", "verify", "--q", "5", "--kind",
+      "torus_normalizer"), 9),
+], ids=["verify", "tree", "help", "json-indent-first"])
+def test_a_run_builds_only_the_parsers_it_needs(monkeypatch, capsys, argv,
+                                                built):
+    """A named subcommand builds the top parser and its own; anything else
+    builds all nine parsers."""
+    inits = []
+    init = argparse.ArgumentParser.__init__
+
+    def counted(self, *args, **kwargs):
+        inits.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+    assert _in_process(capsys, argv)[0] == 0
+    assert len(inits) == built, inits
 
 
 def test_output_is_deterministic():

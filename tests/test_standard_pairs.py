@@ -9,7 +9,9 @@ import pytest
 
 from kmlat.errors import KmlatError, MinUndefined
 from kmlat.gf import make_field
-from kmlat.groups import FiniteGroup, recognize, sl2_codes, sl2_elements
+from kmlat.groups import (SUBGROUP_TARGETS, FiniteGroup, dickson_table,
+                          find_subgroup_of_type, order_available,
+                          recognize, sl2_codes, sl2_elements)
 from kmlat.laurent import LaurentPoly
 from kmlat.lattice import (EXCEPTIONAL_TABLE, ClassificationInput,
                            build_standard_lattice, classify, lubotzky_check,
@@ -244,3 +246,21 @@ def test_exceptional_rows_name_the_built_group(builds, reports):
             row.vertex_type, row.vertex_type), (q, kind)
         checked += 1
     assert checked == sum(len(rows) for rows in EXCEPTIONAL_TABLE.values())
+
+
+@pytest.mark.parametrize("q", [q for q in sorted(FIELDS) if q % 2 and q <= 64])
+def test_dickson_sl2_exceptional_rows_are_the_found_subgroups(q):
+    """At every odd prime power q <= 64, dickson_table(spec, "sl2") lists
+    SL2(3), SL2(5) and 2S4 exactly when find_subgroup_of_type finds a
+    subgroup of that type.  For each type the table leaves out, some
+    element order of the type's profile is missing from SL2(F_q)."""
+    spec = make_field(*FIELDS[q])
+    rows = {(r.type, r.order) for r in dickson_table(spec, "sl2")}
+    for kind in EXCEPTIONAL_KINDS:
+        order, profile = SUBGROUP_TARGETS[kind][:2]
+        found = find_subgroup_of_type(spec, kind)
+        assert ((kind, order) in rows) == (found is not None), kind
+        if found is None:
+            assert not all(order_available(spec, d) for d in profile), kind
+        else:
+            assert found.order == order, kind
