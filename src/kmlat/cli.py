@@ -167,12 +167,12 @@ def cmd_dihedral_search(args):
 
 def cmd_tree(args):
     spec = _field_for(args.q)
-    if args.distance:
+    if args.distance is not None:
         m1, m2 = [_parse_matrix(spec, m) for m in args.distance]
         d = serretree.vertex_distance(serretree.Vertex(m1),
                                       serretree.Vertex(m2))
         _emit(args, {"command": "tree", "q": spec.q, "distance": d})
-    elif args.neighbors:
+    elif args.neighbors is not None:
         v = serretree.Vertex(_parse_matrix(spec, args.neighbors))
         ns = serretree.neighbors(v)
         _emit(args, {"command": "tree", "q": spec.q,

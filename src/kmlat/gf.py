@@ -283,15 +283,18 @@ class FieldElement:
         _, mul, _, _ = self.spec._tables()
         return self.spec.element(mul[self.code][other.code])
 
+    # no command calls this; perfbench/tracer.py patches it by name
     def inverse(self):
         if self.code == 0:
             raise DivisionByZero("inverse of zero")
         _, _, _, inv = self.spec._tables()
         return self.spec.element(inv[self.code])
 
+    # no command calls this; perfbench/tracer.py patches it by name
     def __truediv__(self, other):
         return self * other.inverse()
 
+    # no command calls this; perfbench/tracer.py patches it by name
     def __pow__(self, e):
         e = int(e)
         if e < 0:
@@ -323,12 +326,15 @@ class ExtElement:
         self.x = x
         self.y = y
 
+    # no command calls this; perfbench/tracer.py patches it by name
     def __add__(self, other):
         return ExtElement(self.spec, self.x + other.x, self.y + other.y)
 
+    # no command calls this; perfbench/tracer.py patches it by name
     def __neg__(self):
         return ExtElement(self.spec, -self.x, -self.y)
 
+    # no command calls this; perfbench/tracer.py patches it by name
     def __sub__(self, other):
         return self + (-other)
 

@@ -1,11 +1,12 @@
-"""Finite subgroups of SL2(F_q) and their recognition.
+"""Finite subgroups of SL2(F_q): closures, tori and their normalizers,
+the exceptional-subgroup search and the subgroup tables.
 
 Everything is exact.  A finite group here is a set of constant matrices
 held as F_q code 4-tuples (a, b, c, d) under one product, code_mul: the
 constant groups (SL2(F_q), tori, normalizers, exceptional subgroups) are
-built and returned that way; closures are breadth first products, and
-recognition works from structural invariants (order profile, unique
-involution, cyclic index-2 subgroups, normal Sylow-p).
+built and returned that way, and closures are breadth first products.
+Recognition by structural invariants is reference code for the tests, in
+tests/reference.py.
 """
 
 from __future__ import annotations
@@ -70,6 +71,7 @@ def code_mul(spec):
 CODE_ONE = (1, 0, 0, 1)
 
 
+# no command calls closure; perfbench/tracer.py patches it by name
 def closure(spec, gens, cap=SIZE_CAP):
     """Subgroup generated by code-tuple gens, as a FiniteGroup (capped BFS)."""
     gens = tuple(gens)
@@ -113,70 +115,11 @@ class FiniteGroup:
     def __iter__(self):
         return iter(self.elements)
 
+    # no command calls this; perfbench/tracer.py patches it by name
     def element_order(self, g):
         if g not in self._orders:
             self._orders[g] = order_of(g, CODE_ONE, self.mul)
         return self._orders[g]
-
-    def order_profile(self):
-        return Counter(self.element_order(g) for g in self.elements)
-
-    def is_abelian(self):
-        mul = self.mul
-        elems = list(self.elements)
-        for i, x in enumerate(elems):
-            for y in elems[i + 1:]:
-                if mul(x, y) != mul(y, x):
-                    return False
-        return True
-
-    def is_cyclic(self):
-        return any(self.element_order(g) == self.order for g in self.elements)
-
-    def center(self):
-        mul = self.mul
-        elems = list(self.elements)
-        z = [x for x in elems if all(mul(x, y) == mul(y, x) for y in elems)]
-        return FiniteGroup(self.spec, frozenset(z))
-
-    def is_subgroup(self, sub):
-        return sub.elements <= self.elements
-
-    def is_normal(self, sub):
-        if not self.is_subgroup(sub):
-            raise NotASubgroup("not a subgroup")
-        mul = self.mul
-        for g in self.elements:
-            gi = self.inv(g)
-            for h in sub.elements:
-                if mul(mul(g, h), gi) not in sub.elements:
-                    return False
-        return True
-
-    def derived_subgroup(self):
-        mul = self.mul
-        elems = list(self.elements)
-        comms = set()
-        for x in elems:
-            xi = self.inv(x)
-            for y in elems:
-                comms.add(mul(mul(mul(x, y), xi), self.inv(y)))
-        return closure(self.spec, comms, cap=self.order + 1)
-
-    def is_perfect(self):
-        return self.derived_subgroup().order == self.order
-
-    def cosets(self, sub):
-        """Left coset representatives of sub in self, in str(Mat2) order."""
-        if not self.is_subgroup(sub):
-            raise NotASubgroup("not a subgroup")
-        reps, covered = [], set()
-        for g in sorted(self.elements, key=lambda g: "%d,%d;%d,%d" % g):
-            if g in covered:
-                continue
-            reps.append(g)
-            covered.update(self.mul(g, h) for h in sub.elements)
-        return reps
 
     def __eq__(self, other):
         return (isinstance(other, FiniteGroup)
@@ -189,6 +132,7 @@ class FiniteGroup:
         return "FiniteGroup(order=%d)" % self.order
 
 
+# only sl2_elements and the tests call sl2_codes
 def sl2_codes(spec):
     """All of SL2(F_q) as code 4-tuples, in a fixed order: by a, then b,
     then c with d = (1 + bc)/a, or, when a = 0, d with c = -1/b."""
@@ -205,18 +149,10 @@ def sl2_codes(spec):
                     yield (0, b, c, d)
 
 
+# no command calls this; perfbench/tracer.py patches it by name
 def sl2_elements(spec):
     """All of SL2(F_q) as constant matrices, in the order of sl2_codes."""
     return (Mat2.from_codes(spec, *g) for g in sl2_codes(spec))
-
-
-_SL2_CACHE = {}
-
-
-def sl2_group(spec):
-    if spec not in _SL2_CACHE:
-        _SL2_CACHE[spec] = FiniteGroup(spec, sl2_codes(spec))
-    return _SL2_CACHE[spec]
 
 
 def _mult_matrix(spec, z):
@@ -272,91 +208,10 @@ def torus_normalizer(spec):
     return n
 
 
-class GroupType(namedtuple("GroupType", "kind param", defaults=(0,))):
-    __slots__ = ()
-
-    def __str__(self):
-        return "%s(%d)" % (self.kind, self.param) if self.param else self.kind
-
-
-# frozen order profiles of the named groups (order -> multiplicity)
+# frozen order profiles of the searched types (order -> multiplicity)
 PROFILE_SL2_3 = Counter({1: 1, 2: 1, 3: 8, 4: 6, 6: 8})
 PROFILE_SL2_5 = Counter({1: 1, 2: 1, 3: 20, 4: 30, 5: 24, 6: 20, 10: 24})
 PROFILE_2S4 = Counter({1: 1, 2: 1, 3: 8, 4: 18, 6: 8, 8: 12})
-PROFILE_S4 = Counter({1: 1, 2: 9, 3: 8, 4: 6})
-PROFILE_A4 = Counter({1: 1, 2: 3, 3: 8})
-PROFILE_A5 = Counter({1: 1, 2: 15, 3: 20, 5: 24})
-
-
-def recognize(group):
-    """Identify a finite group by structural invariants.
-
-    Returns a GroupType: Cyclic(n), Dihedral(n), Dicyclic(n) (binary
-    dihedral; Dicyclic(8) is the quaternion group), BorelFrobenius(n),
-    SL2(3), SL2(5), BinaryOctahedral, S4, A4, A5, PSL2(q'), or Unknown.
-    """
-    n = group.order
-    if group.is_cyclic():
-        return GroupType("Cyclic", n)
-    if n == 4:
-        return GroupType("Dihedral", 4)  # Klein four group
-    if group.is_abelian():
-        return GroupType("Unknown")
-    half = [g for g in group.elements if group.element_order(g) == n // 2]
-    if n % 2 == 0 and half:
-        x = half[0]
-        mul, inv = group.mul, group.inv
-        cyc = closure(group.spec, [x], cap=n)
-        xi = inv(x)
-        for y in group.elements:
-            if y in cyc.elements:
-                continue
-            if mul(mul(y, x), inv(y)) != xi:
-                continue
-            if group.element_order(y) == 2:
-                return GroupType("Dihedral", n)
-            if (n % 4 == 0 and group.element_order(y) == 4
-                    and mul(y, y) in cyc.elements):
-                return GroupType("Dicyclic", n)
-    profile = group.order_profile()
-    if n == 24 and profile == PROFILE_SL2_3:
-        return GroupType("SL2(3)")
-    if n == 120 and profile == PROFILE_SL2_5:
-        return GroupType("SL2(5)")
-    if n == 48 and profile == PROFILE_2S4:
-        return GroupType("BinaryOctahedral")
-    if n == 24 and profile == PROFILE_S4:
-        return GroupType("S4")
-    if n == 12 and profile == PROFILE_A4:
-        return GroupType("A4")
-    if n == 60 and profile == PROFILE_A5:
-        return GroupType("A5")
-    # Borel-type: normal Sylow-p with cyclic quotient acting freely
-    p = group.spec.p
-    if n % p == 0:
-        ppart = [g for g in group.elements
-                 if g != group.identity()
-                 and _is_p_power(group.element_order(g), p)]
-        try:
-            sylow = closure(group.spec, ppart, cap=n) if ppart else None
-        except SizeCapExceeded:
-            sylow = None
-        if (sylow is not None and 1 < sylow.order < n
-                and n % sylow.order == 0 and group.is_normal(sylow)):
-            m = n // sylow.order
-            if any(group.element_order(g) == m for g in group.elements):
-                return GroupType("BorelFrobenius", n)
-    if group.is_perfect():
-        for qprime in range(4, 512):
-            if qprime * (qprime * qprime - 1) == n * gcd(2, qprime - 1):
-                return GroupType("PSL2", qprime)
-    return GroupType("Unknown")
-
-
-def _is_p_power(m, p):
-    while m % p == 0:
-        m //= p
-    return m == 1
 
 
 def order_available(spec, d):

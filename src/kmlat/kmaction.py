@@ -6,8 +6,9 @@ tuples on the left-hand or right-hand side.  Root letters act on those
 labels by explicit rules; where a rule is not available the action raises
 UnsupportedActionDomain rather than guessing.
 
-For m = 2 the group is affine SL2 and everything can be cross-checked
-against exact matrices on the Bruhat-Tits tree; see crosscheck_affine.
+For m = 2 the group is affine SL2, and the tests cross-check the rules
+against exact matrices on the Bruhat-Tits tree (crosscheck_affine in
+tests/reference.py).
 """
 
 from __future__ import annotations
@@ -15,11 +16,9 @@ from __future__ import annotations
 from collections import namedtuple
 from functools import lru_cache
 
-from .errors import (InvalidInput, MalformedWord, RadiusExceeded,
-                     SpecMismatch, UnsupportedActionDomain)
+from .errors import (InvalidInput, MalformedWord, SpecMismatch,
+                     UnsupportedActionDomain)
 from .gf import code_pow
-from .laurent import LaurentPoly
-from .serretree import Edge, Mat2, act
 
 
 class KMParams(namedtuple("KMParams", "m spec")):
@@ -247,89 +246,3 @@ def zp_fix_test(params, word, mode="identity_phi"):
     image, t1, t2 = _word_table(params, word, mode, lo, lo + q * q)
     return _power_fixes_all(image, lo, params.spec.p), t1, t2
 
-
-def zp_fixes_ball2(params, word, mode="identity_phi"):
-    """Whether z^p fixes every edge at combinatorial distance <= 2."""
-    _check_alternating(word)
-    q = params.spec.q
-    image, _, _ = _word_table(params, word, mode, 0, 1 + 2 * q + 2 * q * q)
-    return _power_fixes_all(image, 0, params.spec.p)
-
-
-# --- exact affine (m = 2) realization ------------------------------------
-
-def _x1(spec, u):
-    one, zero = LaurentPoly.one(spec), LaurentPoly.zero(spec)
-    return Mat2(spec, one, LaurentPoly(spec, {0: u}), zero, one)
-
-
-def _x2(spec, u):
-    one, zero = LaurentPoly.one(spec), LaurentPoly.zero(spec)
-    return Mat2(spec, one, zero, LaurentPoly(spec, {1: u}), one)
-
-
-def _xm1(spec, u):
-    one, zero = LaurentPoly.one(spec), LaurentPoly.zero(spec)
-    return Mat2(spec, one, zero, LaurentPoly(spec, {0: u}), one)
-
-
-def _xm2(spec, u):
-    one, zero = LaurentPoly.one(spec), LaurentPoly.zero(spec)
-    return Mat2(spec, one, LaurentPoly(spec, {-1: u}), zero, one)
-
-
-def _w1(spec):
-    minus_one = spec._tables()[2][1]
-    return _x1(spec, 1).mul(_xm1(spec, minus_one)).mul(_x1(spec, 1))
-
-
-def _w2(spec):
-    minus_one = spec._tables()[2][1]
-    return _x2(spec, 1).mul(_xm2(spec, minus_one)).mul(_x2(spec, 1))
-
-
-def letter_matrix(spec, letter):
-    """Exact matrix of a depth-0 letter in the affine model."""
-    if letter.root.depth != 0:
-        raise UnsupportedActionDomain("matrix model covers depth 0 only")
-    if letter.root.side == 1:
-        return _x1(spec, letter.coeff)
-    return _x2(spec, letter.coeff)
-
-
-def realize_edge(params, e, radius=6):
-    """The exact tree edge corresponding to a labeled edge (m = 2 only)."""
-    if params.m != 2:
-        raise UnsupportedActionDomain("exact realization needs m = 2")
-    spec = params.spec
-    if e.region != "base" and len(e.coords) > radius:
-        raise RadiusExceeded("edge length %d beyond radius %d"
-                             % (len(e.coords), radius))
-    g = Mat2.identity(spec)
-    if e.region != "base":
-        first = 1 if e.region == "L" else 2
-        for i, c in enumerate(e.coords):
-            side = first if i % 2 == 0 else (3 - first)
-            if side == 1:
-                g = g.mul(_x1(spec, c)).mul(_w1(spec))
-            else:
-                g = g.mul(_x2(spec, c)).mul(_w2(spec))
-    return act(g, Edge.base(spec))
-
-
-def crosscheck_affine(params, word, e, mode="twisted_phi", radius=6):
-    """Compare the symbolic action with the exact affine one (m = 2).
-
-    Returns True when the matrix image of the realized edge equals the
-    realization of the symbolic image.  Symbolic failures propagate as
-    UnsupportedActionDomain.
-    """
-    if params.m != 2:
-        raise UnsupportedActionDomain("cross-check needs m = 2")
-    spec = params.spec
-    symbolic = apply_word(params, word, e, mode)
-    g = Mat2.identity(spec)
-    for letter in word:
-        g = g.mul(letter_matrix(spec, letter))
-    exact = act(g, realize_edge(params, e, radius))
-    return exact == realize_edge(params, symbolic, radius)

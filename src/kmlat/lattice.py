@@ -21,7 +21,6 @@ from .gf import is_prime
 from .groups import (CODE_ONE, SUBGROUP_TARGETS, FiniteGroup,
                      find_subgroup_of_type, nonsplit_torus, order_of,
                      torus_normalizer)
-from .serretree import Edge, Vertex, act, membership
 
 
 class EdgeOfGroups(namedtuple("EdgeOfGroups", "a0 a1 a2 alpha1 alpha2")):
@@ -157,51 +156,6 @@ def lubotzky_check(a1):
         intersection_order=len(inter), kernel_order=kernel.order,
         covolume=covolume([a1.order, a1.order]),
         a1_order=a1.order, a2_order=a1.order, notes=tuple(notes))
-
-
-def covering_check(eog, rho0, rho1, rho2, delta1, delta2):
-    """Test that (rho, delta) realizes the edge of groups on the tree.
-
-    The A_i are finite groups under their own product; rho_i: dicts
-    A_i -> Mat2 landing in the stabilizer of x_i (rho0 in the edge
-    stabilizer); delta_i: Mat2.  Conditions: rho_i(alpha_i(x)) equals
-    delta_i rho0(x) delta_i^-1 on A0, and g -> rho_i(g) delta_i induces a
-    bijection from A_i / alpha_i(A0) onto the q+1 edges at x_i.
-    """
-    spec = eog.a0.spec
-    for rho, grp, region in ((rho0, eog.a0, "B"), (rho1, eog.a1, "P1"),
-                             (rho2, eog.a2, "P2")):
-        if set(rho) != set(grp.elements):
-            raise NotAHomomorphism("rho not defined on the whole group")
-        for x in grp.elements:
-            if not membership(rho[x], region):
-                raise NotAHomomorphism("rho image escapes %s" % region)
-            for y in grp.elements:
-                if not rho[grp.mul(x, y)] == rho[x].mul(rho[y]):
-                    raise NotAHomomorphism("rho is not a homomorphism")
-    for alpha, rho, delta in ((eog.alpha1, rho1, delta1),
-                              (eog.alpha2, rho2, delta2)):
-        di = delta.inv()
-        for x in eog.a0.elements:
-            if not rho[alpha[x]] == delta.mul(rho0[x]).mul(di):
-                return False
-    base = Edge.base(spec)
-    for a_i, alpha, rho, delta, vertex in (
-            (eog.a1, eog.alpha1, rho1, delta1, Vertex.x1(spec)),
-            (eog.a2, eog.alpha2, rho2, delta2, Vertex.x2(spec))):
-        img = FiniteGroup(spec, frozenset(alpha[x] for x in eog.a0.elements))
-        reps = a_i.cosets(img)
-        edges = []
-        for g in reps:
-            e = act(rho[g].mul(delta), base)
-            if not (e.v0 == vertex or e.v1 == vertex):
-                return False
-            if any(e == f for f in edges):
-                return False
-            edges.append(e)
-        if len(edges) != spec.q + 1:
-            return False
-    return True
 
 
 # --- classification -------------------------------------------------------

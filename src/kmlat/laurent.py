@@ -87,6 +87,7 @@ class LaurentPoly:
                 out[d] = add[out.get(d, 0)][row[c2]]
         return LaurentPoly(self.spec, out)
 
+    # no command calls this; perfbench/tracer.py patches it by name
     def scale(self, fe):
         self._check(fe)
         row = self.spec._tables()[1][fe.code]

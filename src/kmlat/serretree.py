@@ -4,10 +4,11 @@ Vertices are homothety classes of O-lattices, represented by 2x2 matrices
 with monomial determinant whose columns span a representative lattice
 (O = F_q[[t^-1]], uniformizer pi = t^-1).  Distances come from elementary
 divisors; equality of vertices is distance zero, so Vertex and Edge are
-unhashable by design and are compared pair by pair.  Stabilizers of the
-base vertices are read off entry valuations instead (membership in P1, P2
-and B).  The module also holds the characteristic-two involution families
-and the dihedral obstruction search over them.
+unhashable by design and are compared pair by pair.  The module also holds
+the characteristic-two involution families and the dihedral obstruction
+search over them.  Membership in the parahorics P1, P2 and B, the base
+vertices and edge, and edge distance are reference code for the tests, in
+tests/reference.py.
 """
 
 from __future__ import annotations
@@ -27,11 +28,7 @@ class Mat2:
         self.a, self.b, self.c, self.d = a, b, c, d
         self._hash = None
 
-    @classmethod
-    def identity(cls, spec):
-        one, zero = LaurentPoly.one(spec), LaurentPoly.zero(spec)
-        return cls(spec, one, zero, zero, one)
-
+    # only sl2_elements calls this; perfbench/tracer.py patches that by name
     @classmethod
     def from_codes(cls, spec, a, b, c, d):
         """Constant matrix from field element codes."""
@@ -88,29 +85,6 @@ class Mat2:
         return "Mat2(%s)" % str(self)
 
 
-def membership(m, kind):
-    """Test membership in the standard subgroups of SL2(F_q((t^-1))).
-
-    kind: "P1" (entries in O), "P2" (conjugate of P1 by diag(t,1)),
-    "B" = P1 cap P2, or ("U", n) for the principal congruence ball group.
-    Determinant is not checked here; callers work inside SL2.
-    """
-    va, vb = m.a.valuation(), m.b.valuation()
-    vc, vd = m.c.valuation(), m.d.valuation()
-    if kind == "P1":
-        return va >= 0 and vb >= 0 and vc >= 0 and vd >= 0
-    if kind == "P2":
-        return va >= 0 and vd >= 0 and vb >= -1 and vc >= 1
-    if kind == "B":
-        return va >= 0 and vb >= 0 and vc >= 1 and vd >= 0
-    if isinstance(kind, tuple) and kind[0] == "U":
-        n = kind[1]
-        one = LaurentPoly.one(m.spec)
-        return ((m.a - one).valuation() >= n and m.b.valuation() >= n
-                and m.c.valuation() >= n and (m.d - one).valuation() >= n)
-    raise SpecMismatch("unknown membership kind %r" % (kind,))
-
-
 def elementary_divisor_valuations(m):
     """(r, s) with r <= s: pi-valuations of the elementary divisors."""
     dt = m.det()
@@ -132,15 +106,6 @@ class Vertex:
         if not dt.is_monomial():
             raise NonInvertible("vertex representative must have monomial det")
         self.rep = rep
-
-    @classmethod
-    def x1(cls, spec):
-        return cls(Mat2.identity(spec))
-
-    @classmethod
-    def x2(cls, spec):
-        one = LaurentPoly.one(spec)
-        return cls(Mat2.diag(spec, one, LaurentPoly.pi(spec)))
 
     @property
     def spec(self):
@@ -175,6 +140,7 @@ def neighbors(v):
     return out
 
 
+# no command calls act; perfbench/tracer.py patches it by name
 def act(g, x):
     """Left action of g on a Vertex or an Edge."""
     if isinstance(x, Edge):
@@ -182,6 +148,7 @@ def act(g, x):
     return Vertex(g.mul(x.rep))
 
 
+# only act, and the tests, use Edge
 class Edge:
     """An unordered edge of the tree (two vertices at distance 1)."""
 
@@ -194,10 +161,6 @@ class Edge:
         self.v0 = v0
         self.v1 = v1
 
-    @classmethod
-    def base(cls, spec):
-        return cls(Vertex.x1(spec), Vertex.x2(spec))
-
     def __eq__(self, other):
         if not isinstance(other, Edge):
             return False
@@ -206,14 +169,6 @@ class Edge:
 
     def __repr__(self):
         return "Edge(%r, %r)" % (self.v0, self.v1)
-
-
-def edge_distance(e1, e2):
-    """0 for equal edges, else 1 + min distance between endpoints."""
-    if e1 == e2:
-        return 0
-    return 1 + min(vertex_distance(u, v)
-                   for u in (e1.v0, e1.v1) for v in (e2.v0, e2.v1))
 
 
 def _polys(spec, lo, hi):

@@ -19,7 +19,8 @@ from kmlat.groups import (_SEARCH_BUDGET, CODE_ONE, SUBGROUP_TARGETS,
 from kmlat.kmaction import EdgeLabel, apply_word
 from kmlat.lattice import VerificationReport, covolume
 from kmlat.laurent import LaurentPoly
-from kmlat.serretree import Mat2, Vertex, _polys, act, membership
+from kmlat.serretree import Mat2, _polys, act
+from reference import mat2_identity, membership, vertex_x1, vertex_x2
 
 
 def trial_division_is_prime(n):
@@ -392,7 +393,7 @@ def scanned_base_stabilizer(group, i):
     moving x_i with each element and testing vertex equality on the tree
     (elementary divisors of rep^-1 g rep)."""
     spec = group.spec
-    x = Vertex.x1(spec) if i == 1 else Vertex.x2(spec)
+    x = vertex_x1(spec) if i == 1 else vertex_x2(spec)
     return frozenset(g for g in group.elements if act(g, x) == x)
 
 
@@ -413,7 +414,7 @@ class Mat2Group:
         return len(self.elements)
 
     def identity(self):
-        return Mat2.identity(self.spec)
+        return mat2_identity(self.spec)
 
     @staticmethod
     def mul(x, y):
@@ -504,7 +505,7 @@ def mat2_diagonalizing_conjugator(spec, u):
     on a Mat2 of constants."""
     a, b, c, d = (e.coeff(0) for e in u.entries())
     if b.is_zero() and c.is_zero():
-        return Mat2.identity(spec)
+        return mat2_identity(spec)
     tr = a + d
     lams = [spec.element(i) for i in range(spec.q)
             if (spec.element(i) * spec.element(i) - tr * spec.element(i)

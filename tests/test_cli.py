@@ -226,13 +226,18 @@ def test_bad_field_code_is_a_json_error(argv, named):
     (("km-act", "--q", "3", "--word", "x3:1", "--edge", "base"),
      "letter must start with x1 or x2"),
     (("tree", "--q", "2"), "tree needs --distance or --neighbors"),
+    (("tree", "--q", "2", "--neighbors", ""),
+     "matrix needs two ';'-separated rows"),
+    (("tree", "--q", "2", "--distance", "1,0;0,1", ""),
+     "matrix needs two ';'-separated rows"),
     (("tree", "--q", "3", "--neighbors", "1,0;0,1+"), "bad Laurent term ''"),
     (("verify", "--q", "2^0", "--kind", "SL2(5)"),
      "extension degree 0 is not positive"),
     (("dickson", "--q", "3^-1", "--ambient", "sl2"),
      "extension degree -1 is not positive"),
 ], ids=["field-not-prime-power", "matrix-rows", "matrix-entries", "edge",
-        "word-coeff-missing", "word-letter", "tree-no-flag", "laurent-term",
+        "word-coeff-missing", "word-letter", "tree-no-flag",
+        "tree-empty-neighbors", "tree-empty-distance", "laurent-term",
         "degree-zero", "degree-negative"])
 def test_malformed_input_is_invalid_input(argv, detail):
     err = run_json(*argv, expect=1)

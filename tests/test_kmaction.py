@@ -12,13 +12,15 @@ from kmlat.errors import (InvalidInput, KmlatError, MalformedWord,
 from kmlat.gf import make_field
 from kmlat.kmaction import (EdgeLabel, KMParams, RootIndex, RootLetter,
                             alternating_word, apply_letter, apply_word,
-                            ball2_edges, crosscheck_affine, letter_table,
-                            realize_edge, zp_fix_test,
-                            zp_fixes_ball2, _w1, _w2, _word_table, _x1, _x2)
-from kmlat.serretree import Edge, act, edge_distance, membership
+                            ball2_edges, letter_table, zp_fix_test,
+                            _word_table)
+from kmlat.serretree import act
 
 from oracles import (fe_apply_letter, replayed_zp_fix_test,
                      replayed_zp_fixes_ball2)
+from reference import (_w1, _w2, _x1, _x2, base_edge, crosscheck_affine,
+                       edge_distance, membership, realize_edge,
+                       zp_fixes_ball2)
 
 F2 = make_field(2)
 F3 = make_field(3)
@@ -340,7 +342,7 @@ def test_affine_generators_live_where_expected():
 def test_realize_edge_geometry():
     params = KMParams(2, F2)
     base = realize_edge(params, EdgeLabel.base())
-    assert base == Edge.base(F2)
+    assert base == base_edge(F2)
     seen = [base]
     labels = [EdgeLabel.base()]
     for c in range(2):
@@ -352,12 +354,12 @@ def test_realize_edge_geometry():
     realized = [realize_edge(params, lab) for lab in labels]
     for i, e in enumerate(realized):
         d = 0 if labels[i].region == "base" else len(labels[i].coords)
-        assert edge_distance(Edge.base(F2), e) == d
+        assert edge_distance(base_edge(F2), e) == d
         for j in range(i):
             assert e != realized[j]
     # a left length-1 edge is x1(c) w1 applied to the base edge
     got = realize_edge(params, EdgeLabel.left((1,)))
-    assert got == act(_x1(F2, 1).mul(_w1(F2)), Edge.base(F2))
+    assert got == act(_x1(F2, 1).mul(_w1(F2)), base_edge(F2))
 
 
 def test_realize_edge_limits():

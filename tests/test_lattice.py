@@ -9,15 +9,16 @@ from kmlat.errors import (InvalidInput, KindInadmissible, MinUndefined,
                           NotAHomomorphism, WrongFixedVertex)
 from kmlat.gf import make_field
 from kmlat.groups import (CODE_ONE, FiniteGroup, closure, generate,
-                          nonsplit_torus, sl2_group, torus_normalizer)
+                          nonsplit_torus, torus_normalizer)
 from kmlat.laurent import LaurentPoly
 from kmlat.lattice import (ClassificationInput, EdgeOfGroups,
-                           build_standard_lattice, classify, covering_check,
-                           covolume, faithfulness_kernel, lubotzky_check,
-                           min_covolume)
-from kmlat.serretree import Mat2, Vertex, act
+                           build_standard_lattice, classify, covolume,
+                           faithfulness_kernel, lubotzky_check, min_covolume)
+from kmlat.serretree import Mat2, act
 from oracles import (Mat2Group, cored_faithfulness_kernel, mat2_lubotzky_check,
                      mat2_pair, scanned_base_stabilizer, to_mat2)
+from reference import (center, covering_check, mat2_identity, sl2_group,
+                       vertex_x1, vertex_x2)
 
 F2 = make_field(2)
 F3 = make_field(3)
@@ -50,7 +51,7 @@ def test_orbit_sizes_match_a_linear_scan(p, a, kind):
     a1 = build_standard_lattice(spec, kind)
     rep = lubotzky_check(a1)
     m1, m2 = mat2_pair(a1)
-    x1, x2 = Vertex.x1(spec), Vertex.x2(spec)
+    x1, x2 = vertex_x1(spec), vertex_x2(spec)
     assert rep.orbit_sizes == (_scanned_orbit_size(m1, x2),
                                _scanned_orbit_size(m2, x1))
 
@@ -242,9 +243,9 @@ def test_normalizer_pair_passes(q):
     assert rep.covolume == Fraction(1, q + 1)
     m1, m2 = mat2_pair(a1)
     inter = m1.elements & m2.elements
-    center = sl2_group(spec).center() if q == 3 else None
-    if center is not None:
-        assert inter == set(to_mat2(spec, center.elements))
+    z = center(sl2_group(spec)) if q == 3 else None
+    if z is not None:
+        assert inter == set(to_mat2(spec, z.elements))
 
 
 def test_normalizer_pair_fails_q13():
@@ -307,7 +308,7 @@ def _covering_data(spec):
 def test_covering_check_inclusion():
     spec = F2
     eog, rho0, rho1, rho2, delta = _covering_data(spec)
-    ident = Mat2.identity(spec)
+    ident = mat2_identity(spec)
     assert covering_check(eog, rho0, rho1, rho2, ident, delta)
     # pushing A2 two steps away breaks the edge bijection at x2
     assert not covering_check(eog, rho0, rho1, rho2, ident,
@@ -321,7 +322,7 @@ def test_covering_check_rejects_bad_rho():
     images = [rho2[x] for x in elems]
     rho2 = dict(zip(elems, images[1:] + images[:1]))
     with pytest.raises(NotAHomomorphism):
-        covering_check(eog, rho0, rho1, rho2, Mat2.identity(spec), delta)
+        covering_check(eog, rho0, rho1, rho2, mat2_identity(spec), delta)
 
 
 def test_classification_input_validation():

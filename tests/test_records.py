@@ -7,12 +7,13 @@ import pytest
 
 from kmlat.errors import NotAHomomorphism
 from kmlat.gf import make_field
-from kmlat.groups import DicksonEntry, GroupType, nonsplit_torus, sl2_group
+from kmlat.groups import DicksonEntry, nonsplit_torus
 from kmlat.kmaction import (EdgeLabel, KMParams, RootIndex, RootLetter,
                             letter_table)
 from kmlat.lattice import (ClassificationInput, EdgeOfGroups,
                            LatticeDescriptor, VerificationReport,
                            build_standard_lattice, classify, lubotzky_check)
+from reference import GroupType, sl2_group
 
 F3 = make_field(3)
 

