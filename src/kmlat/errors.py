@@ -65,14 +65,6 @@ class MalformedWord(KmlatError):
     pass
 
 
-class RadiusExceeded(KmlatError):
-    pass
-
-
-class WrongFixedVertex(KmlatError):
-    pass
-
-
 class NotAHomomorphism(KmlatError):
     pass
 

@@ -6,6 +6,11 @@ basis of the chosen modulus.  Arithmetic is O(1) lookups in tables built on
 first use: add adds base-p digits; mul and inv come from the exp/log tables
 of the first generator g of F_q*, whose q-1 powers take one polynomial
 product and reduction each; neg is read off add.
+
+F_{q^2} is the ring F_q[C] inside M2(F_q), C = [[0, -c0], [1, -c1]] the
+companion matrix of the least irreducible quadratic w^2 + c1*w + c0: the
+element x + y*w is x*I + y*C, held as the code 4-tuple (a, b, c, d) of a
+2x2 matrix.  Its product is code_mul and its norm the determinant.
 """
 
 from __future__ import annotations
@@ -44,16 +49,35 @@ def is_prime(n):
     return True
 
 
-def code_pow(mul, x, e):
-    """The code of x^e, for a code x and e >= 0, by square-and-multiply
-    on the mul table."""
-    acc = 1
+def code_pow(mul, x, e, one=1):
+    """x^e for e >= 0 by square-and-multiply, with mul(u, v) the product
+    and `one` its identity: a field code under a mul table row lookup, or
+    a code 4-tuple under code_mul."""
+    acc = one
     while e:
         if e & 1:
-            acc = mul[acc][x]
-        x = mul[x][x]
+            acc = mul(acc, x)
+        x = mul(x, x)
         e >>= 1
     return acc
+
+
+def code_mul(spec):
+    """The product of constant 2x2 matrices held as F_q code 4-tuples
+    (a, b, c, d), through the field's code tables."""
+    add, mul, _, _ = spec._tables()
+
+    def mmul(x, y):
+        a1, b1, c1, d1 = x
+        a2, b2, c2, d2 = y
+        return (add[mul[a1][a2]][mul[b1][c2]],
+                add[mul[a1][b2]][mul[b1][d2]],
+                add[mul[c1][a2]][mul[d1][c2]],
+                add[mul[c1][b2]][mul[d1][d2]])
+    return mmul
+
+
+CODE_ONE = (1, 0, 0, 1)
 
 
 def parse_code(text, q=None):
@@ -103,14 +127,7 @@ def _is_irreducible(modulus, p):
     for d in range(1, deg // 2 + 1):
         for code in range(p ** d):
             div = [(code // p ** i) % p for i in range(d)] + [1]
-            # long division remainder of modulus by div
-            rem = list(modulus)
-            for i in range(len(rem) - 1, d - 1, -1):
-                top = rem[i]
-                if top:
-                    for j in range(d + 1):
-                        rem[i - d + j] = (rem[i - d + j] - top * div[j]) % p
-            if not any(rem[:d]):
+            if not any(_poly_mod(modulus, div, p)):
                 return False
     return True
 
@@ -209,15 +226,15 @@ class FieldSpec:
     def ext_modulus(self):
         """x^2 + c1*x + c0, the least irreducible quadratic over this field.
 
-        Returns (c0, c1) as FieldElements.  Ordered by (code(c1), code(c0)).
-        A quadratic over F_q is irreducible iff it has no root in F_q.
+        Returns the codes (c0, c1), least by (c1, c0).  A quadratic over
+        F_q is irreducible iff it has no root in F_q.
         """
         if self._ext_modulus is None:
             add, mul, _, _ = self._tables()
             codes = range(self.q)
-            c0, c1 = next((c0, c1) for c1 in codes for c0 in codes if all(
-                add[add[mul[x][x]][mul[c1][x]]][c0] for x in codes))
-            self._ext_modulus = (self.element(c0), self.element(c1))
+            self._ext_modulus = next(
+                (c0, c1) for c1 in codes for c0 in codes
+                if all(add[add[mul[x][x]][mul[c1][x]]][c0] for x in codes))
         return self._ext_modulus
 
 
@@ -253,6 +270,7 @@ def make_field(p, a=1):
     return spec
 
 
+# no command builds a FieldElement; perfbench/tracer.py patches its members
 class FieldElement:
     """An element of F_q, identified by its integer code."""
 
@@ -283,24 +301,22 @@ class FieldElement:
         _, mul, _, _ = self.spec._tables()
         return self.spec.element(mul[self.code][other.code])
 
-    # no command calls this; perfbench/tracer.py patches it by name
     def inverse(self):
         if self.code == 0:
             raise DivisionByZero("inverse of zero")
         _, _, _, inv = self.spec._tables()
         return self.spec.element(inv[self.code])
 
-    # no command calls this; perfbench/tracer.py patches it by name
     def __truediv__(self, other):
         return self * other.inverse()
 
-    # no command calls this; perfbench/tracer.py patches it by name
     def __pow__(self, e):
         e = int(e)
         if e < 0:
             return self.inverse() ** (-e)
         _, mul, _, _ = self.spec._tables()
-        return self.spec.element(code_pow(mul, self.code, e))
+        return self.spec.element(
+            code_pow(lambda u, v: mul[u][v], self.code, e))
 
     def is_zero(self):
         return self.code == 0
@@ -316,6 +332,7 @@ class FieldElement:
         return "fe(%d)" % self.code
 
 
+# no command builds an ExtElement; perfbench/tracer.py patches its members
 class ExtElement:
     """Element x + y*w of F_{q^2}, with w a root of the chosen quadratic."""
 
@@ -326,43 +343,34 @@ class ExtElement:
         self.x = x
         self.y = y
 
-    # no command calls this; perfbench/tracer.py patches it by name
     def __add__(self, other):
         return ExtElement(self.spec, self.x + other.x, self.y + other.y)
 
-    # no command calls this; perfbench/tracer.py patches it by name
     def __neg__(self):
         return ExtElement(self.spec, -self.x, -self.y)
 
-    # no command calls this; perfbench/tracer.py patches it by name
     def __sub__(self, other):
         return self + (-other)
 
     def __mul__(self, other):
         # (x1 + y1 w)(x2 + y2 w) with w^2 = -c1 w - c0
-        c0, c1 = self.spec.ext_modulus()
+        c0, c1 = map(self.spec.element, self.spec.ext_modulus())
         yy = self.y * other.y
         x = self.x * other.x - yy * c0
         y = self.x * other.y + self.y * other.x - yy * c1
         return ExtElement(self.spec, x, y)
 
     def __pow__(self, e):
-        e = int(e)
-        acc = ExtElement(self.spec, self.spec.one, self.spec.zero)
-        base = self
-        while e:
-            if e & 1:
-                acc = acc * base
-            base = base * base
-            e >>= 1
-        return acc
+        spec = self.spec
+        return code_pow(lambda u, v: u * v, self, int(e),
+                        ExtElement(spec, spec.one, spec.zero))
 
     def is_zero(self):
         return self.x.is_zero() and self.y.is_zero()
 
     def norm(self):
         """z * z^q, an element of the base field."""
-        c0, c1 = self.spec.ext_modulus()
+        c0, c1 = map(self.spec.element, self.spec.ext_modulus())
         # conj(x + yw) = x + y*(-c1 - w) = (x - y c1) - y w
         return (self.x - self.y * c1) * self.x + self.y * self.y * c0
 
@@ -377,38 +385,40 @@ class ExtElement:
         return "ext(%d,%d)" % (self.x.code, self.y.code)
 
 
-def ext_one(spec):
-    return ExtElement(spec, spec.one, spec.zero)
-
-
 @lru_cache(maxsize=None)
 def primitive_element(spec):
-    """The first generator of the cyclic group F_{q^2}*, in (y, x) code order.
+    """The first generator z = x*I + y*C of the cyclic group F_{q^2}*, in
+    (y, x) code order, as a code 4-tuple.
 
-    z generates exactly when z^(n/r) != 1 for every prime r dividing
+    z generates exactly when z^(n/r) != I for every prime r dividing
     n = q^2 - 1.  The scan starts at y = 1: the y = 0 row is F_q*, whose
     order q-1 is less than n.  Memoized per field.
     """
     n = spec.q * spec.q - 1
     primes = [r for r in range(2, n + 1) if n % r == 0 and is_prime(r)]
-    one = ext_one(spec)
-    for ycode in range(1, spec.q):
-        for xcode in range(spec.q):
-            z = ExtElement(spec, spec.element(xcode), spec.element(ycode))
-            if not z.is_zero() and all(not z ** (n // r) == one
-                                       for r in primes):
+    add, mul, neg, _ = spec._tables()
+    c0, c1 = spec.ext_modulus()
+    prod = code_mul(spec)
+    for y in range(1, spec.q):
+        b, d = neg[mul[y][c0]], neg[mul[y][c1]]
+        for x in range(spec.q):
+            z = (x, b, y, add[x][d])
+            if all(code_pow(prod, z, n // r, CODE_ONE) != CODE_ONE
+                   for r in primes):
                 return z
 
 
 def norm1_subgroup(spec):
-    """All z in F_{q^2}* with z^(q+1) = 1; the kernel of the norm map.
+    """All z in F_{q^2}* with z^(q+1) = I; the kernel of the norm map, so
+    the determinant-one elements of F_q[C].
 
-    The powers of h = g^(q-1) for a generator g of F_{q^2}*.  Returned in
-    ascending (y, x) code order; always q+1 elements.
+    The powers of t0 = g^(q-1) for the generator g of F_{q^2}*.  Returned
+    as code 4-tuples in ascending (y, x) code order; always q+1 elements.
     """
-    h = primitive_element(spec) ** (spec.q - 1)
-    out, z = [], ext_one(spec)
+    prod = code_mul(spec)
+    t0 = code_pow(prod, primitive_element(spec), spec.q - 1, CODE_ONE)
+    out, z = [], CODE_ONE
     for _ in range(spec.q + 1):
         out.append(z)
-        z = z * h
-    return sorted(out, key=lambda z: (z.y.code, z.x.code))
+        z = prod(z, t0)
+    return sorted(out, key=lambda z: (z[2], z[0]))

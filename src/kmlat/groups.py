@@ -16,7 +16,8 @@ from math import gcd
 
 from .errors import (NotASubgroup, NotFound, OddCharacteristic,
                      SearchBudgetExceeded, SizeCapExceeded)
-from .gf import norm1_subgroup, primitive_element
+from .gf import (CODE_ONE, code_mul, code_pow, norm1_subgroup,
+                 primitive_element)
 from .serretree import Mat2
 
 SIZE_CAP = 10 ** 6
@@ -51,24 +52,6 @@ def order_of(x, ident, mul):
         y = mul(y, x)
         n += 1
     return n
-
-
-def code_mul(spec):
-    """The product of constant 2x2 matrices held as F_q code 4-tuples
-    (a, b, c, d), through the field's code tables."""
-    add, mul, _, _ = spec._tables()
-
-    def mmul(x, y):
-        a1, b1, c1, d1 = x
-        a2, b2, c2, d2 = y
-        return (add[mul[a1][a2]][mul[b1][c2]],
-                add[mul[a1][b2]][mul[b1][d2]],
-                add[mul[c1][a2]][mul[d1][c2]],
-                add[mul[c1][b2]][mul[d1][d2]])
-    return mmul
-
-
-CODE_ONE = (1, 0, 0, 1)
 
 
 # no command calls closure; perfbench/tracer.py patches it by name
@@ -155,22 +138,13 @@ def sl2_elements(spec):
     return (Mat2.from_codes(spec, *g) for g in sl2_codes(spec))
 
 
-def _mult_matrix(spec, z):
-    """Codes of multiplication by z = x + y*w on F_{q^2}, basis {1, w}.
-
-    With w^2 + c1*w + c0 = 0 this is [[x, -y*c0], [y, x - y*c1]]; its
-    determinant is the norm of z.
-    """
-    c0, c1 = spec.ext_modulus()
-    return (z.x.code, (-(z.y * c0)).code, z.y.code, (z.x - z.y * c1).code)
-
-
 def _torus_codes(spec):
     """The norm-one torus as codes, and its generators (t0,)."""
     add, mul, neg, _ = spec._tables()
-    elems = frozenset(_mult_matrix(spec, z) for z in norm1_subgroup(spec))
+    elems = frozenset(norm1_subgroup(spec))
     assert all(add[mul[a][d]][neg[mul[b][c]]] == 1 for a, b, c, d in elems)
-    t0 = _mult_matrix(spec, primitive_element(spec) ** (spec.q - 1))
+    t0 = code_pow(code_mul(spec), primitive_element(spec), spec.q - 1,
+                  CODE_ONE)
     return elems, (t0,)
 
 
@@ -186,9 +160,9 @@ def nonsplit_torus(spec):
 def torus_normalizer(spec):
     """Normalizer of the norm-one torus T in SL2(F_q), for odd p.
 
-    Built directly as T u s*T, order 2(q+1).  With g a generator of
-    F_{q^2}*, T is generated by t0 = multiplication by g^(q-1), and
-    s = (multiplication by g^((q-1)/2)) * F, where F = [[1, -c1], [0, -1]]
+    Built directly as T u s*T, order 2(q+1).  With g the generator of
+    F_{q^2}* (a matrix of F_q[C], see gf), T is generated by t0 = g^(q-1),
+    and s = g^((q-1)/2) * F, where F = [[1, -c1], [0, -1]]
     is the Frobenius x + y*w -> conj(x + y*w).  N(g^((q-1)/2)) = -1 and
     det F = -1, so det s = 1; s conjugates each t in T to t^q = t^-1.
     """
@@ -197,10 +171,9 @@ def torus_normalizer(spec):
     neg = spec._tables()[2]
     mul = code_mul(spec)
     torus, (t0,) = _torus_codes(spec)
-    _, c1 = spec.ext_modulus()
-    frob = (1, neg[c1.code], 0, neg[1])
+    frob = (1, neg[spec.ext_modulus()[1]], 0, neg[1])
     g = primitive_element(spec)
-    s = mul(_mult_matrix(spec, g ** ((spec.q - 1) // 2)), frob)
+    s = mul(code_pow(mul, g, (spec.q - 1) // 2, CODE_ONE), frob)
     n = FiniteGroup(spec, torus | {mul(s, h) for h in torus}, (t0, s))
     si = n.inv(s)  # the adjugate: s * si = det(s) I
     assert mul(s, si) == CODE_ONE and s not in torus

@@ -134,7 +134,8 @@ def apply_letter(params, letter, e, mode="identity_phi"):
             if mode == "identity_phi":
                 delta = letter.coeff
             else:
-                delta = mul[code_pow(mul, neg[pivot], params.m)][letter.coeff]
+                power = code_pow(lambda u, v: mul[u][v], neg[pivot], params.m)
+                delta = mul[power][letter.coeff]
             return EdgeLabel(e.region,
                              _replace(e.coords, length - 1,
                                       add[e.coords[length - 1]][delta]))

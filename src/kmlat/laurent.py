@@ -2,10 +2,11 @@
 
 A LaurentPoly stores {pi-degree: nonzero F_q code}, the integer codes of
 gf.FieldSpec, and does its arithmetic through the field's code tables.
-FieldElement appears only at the edge: const, scale and coeff take or
-return one.  The variable t of the ambient field F_q((t^-1)) has
-pi-degree -1, so v(t) = -1 and v(pi) = 1.  Degrees are capped at
-+-DEGREE_WINDOW; leaving the window raises instead of silently truncating.
+No command builds a FieldElement: only const, scale and coeff take or
+return one, for the tests and the tracer.  The variable t of the ambient
+field F_q((t^-1)) has pi-degree -1, so v(t) = -1 and v(pi) = 1.  Degrees
+are capped at +-DEGREE_WINDOW; leaving the window raises instead of
+silently truncating.
 """
 
 from __future__ import annotations

@@ -4,15 +4,16 @@ Each function here is a direct search that a construction in src/kmlat
 replaced; differential tests assert that both give the same results.
 """
 
+from functools import lru_cache
 from math import gcd
 
 from collections import Counter
 
 from kmlat import serretree
 from kmlat.errors import (KindInadmissible, NotFound, OddCharacteristic,
-                          SearchBudgetExceeded, SizeCapExceeded, SpecMismatch,
-                          UnsupportedActionDomain, WrongFixedVertex)
-from kmlat.gf import _poly_mod, _poly_mul, norm1_subgroup, primitive_element
+                          KmlatError, SearchBudgetExceeded, SizeCapExceeded,
+                          SpecMismatch, UnsupportedActionDomain)
+from kmlat.gf import ExtElement, _poly_mod, _poly_mul, is_prime
 from kmlat.groups import (_SEARCH_BUDGET, CODE_ONE, SUBGROUP_TARGETS,
                           FiniteGroup, code_mul, generate, order_available,
                           order_of, sl2_codes)
@@ -61,6 +62,82 @@ def polynomial_tables(spec):
     neg = [row.index(0) for row in add]
     inv = [0] + [row.index(1) for row in mul[1:]]
     return add, mul, neg, inv
+
+
+def long_division_is_irreducible(modulus, p):
+    """gf._is_irreducible with its own long division, as it was before it
+    took the remainder from gf._poly_mod."""
+    deg = len(modulus) - 1
+    for d in range(1, deg // 2 + 1):
+        for code in range(p ** d):
+            div = [(code // p ** i) % p for i in range(d)] + [1]
+            rem = list(modulus)
+            for i in range(len(rem) - 1, d - 1, -1):
+                top = rem[i]
+                if top:
+                    for j in range(d + 1):
+                        rem[i - d + j] = (rem[i - d + j] - top * div[j]) % p
+            if not any(rem[:d]):
+                return False
+    return True
+
+
+# --- F_{q^2} on ExtElement, before it moved to code tuples of F_q[C] -------
+
+def ext_one(spec):
+    return ExtElement(spec, spec.one, spec.zero)
+
+
+@lru_cache(maxsize=None)
+def ext_primitive_element(spec):
+    """gf.primitive_element as an ExtElement x + y*w: the first generator
+    of F_{q^2}* in (y, x) code order, by ExtElement powers."""
+    n = spec.q * spec.q - 1
+    primes = [r for r in range(2, n + 1) if n % r == 0 and is_prime(r)]
+    one = ext_one(spec)
+    for ycode in range(1, spec.q):
+        for xcode in range(spec.q):
+            z = ExtElement(spec, spec.element(xcode), spec.element(ycode))
+            if not z.is_zero() and all(not z ** (n // r) == one
+                                       for r in primes):
+                return z
+
+
+def ext_norm1_subgroup(spec):
+    """gf.norm1_subgroup as ExtElements: the q+1 powers of h = g^(q-1),
+    in ascending (y, x) code order."""
+    h = ext_primitive_element(spec) ** (spec.q - 1)
+    out, z = [], ext_one(spec)
+    for _ in range(spec.q + 1):
+        out.append(z)
+        z = z * h
+    return sorted(out, key=lambda z: (z.y.code, z.x.code))
+
+
+def as_ext(spec, z):
+    """The code 4-tuple z = x*I + y*C of F_q[C] as the ExtElement x + y*w;
+    raises AssertionError when z is not of that form."""
+    ext = ExtElement(spec, spec.element(z[0]), spec.element(z[2]))
+    assert mult_matrix(spec, ext) == z, z
+    return ext
+
+
+def mult_matrix(spec, z):
+    """Codes of multiplication by the ExtElement z = x + y*w on F_{q^2},
+    basis {1, w}: [[x, -y*c0], [y, x - y*c1]], as groups._mult_matrix
+    built the torus before F_{q^2} was held as these matrices."""
+    c0, c1 = map(spec.element, spec.ext_modulus())
+    return (z.x.code, (-(z.y * c0)).code, z.y.code, (z.x - z.y * c1).code)
+
+
+def ext_normalizer_s(spec):
+    """The s of groups.torus_normalizer from the ExtElement generator g:
+    multiplication by g^((q-1)/2) times the Frobenius [[1, -c1], [0, -1]]."""
+    _, c1 = spec.ext_modulus()
+    neg = spec._tables()[2]
+    g = ext_primitive_element(spec)
+    return code_mul(spec)(mult_matrix(spec, g ** ((spec.q - 1) // 2)),
+                          (1, neg[c1], 0, neg[1]))
 
 
 def fe_coeffs(x):
@@ -197,7 +274,7 @@ def full_walk_trace_order_map(spec):
     """groups._trace_order_map by walking every power of a generator of
     F_{q^2}* and keeping those whose trace lam + lam^-1 lies in F_q."""
     n = spec.q ** 2 - 1
-    gen = primitive_element(spec)
+    gen = ext_primitive_element(spec)
     gen_inv = gen ** (n - 1)
     out = {}
     lam, lam_inv = gen, gen_inv
@@ -220,7 +297,7 @@ def walked_trace_order_map(spec):
     with k a multiple of q+1 or of q-1, so only those 2q powers are walked.
     """
     n = spec.q ** 2 - 1
-    gen = primitive_element(spec)
+    gen = ext_primitive_element(spec)
     out = {}
     for step in (spec.q - 1, spec.q + 1):
         mu = gen ** step
@@ -468,7 +545,7 @@ def mat2_sl2_elements(spec):
 
 def mat2_mult_matrix(spec, z):
     """Multiplication by z = x + y*w on F_{q^2} as a Mat2 of constants."""
-    c0, c1 = spec.ext_modulus()
+    c0, c1 = map(spec.element, spec.ext_modulus())
     return Mat2(spec,
                 LaurentPoly.const(z.x), LaurentPoly.const(-(z.y * c0)),
                 LaurentPoly.const(z.y), LaurentPoly.const(z.x - z.y * c1))
@@ -476,9 +553,9 @@ def mat2_mult_matrix(spec, z):
 
 def mat2_nonsplit_torus(spec):
     one = LaurentPoly.one(spec)
-    elems = [mat2_mult_matrix(spec, z) for z in norm1_subgroup(spec)]
+    elems = [mat2_mult_matrix(spec, z) for z in ext_norm1_subgroup(spec)]
     assert all(m.det() == one for m in elems)
-    t0 = mat2_mult_matrix(spec, primitive_element(spec) ** (spec.q - 1))
+    t0 = mat2_mult_matrix(spec, ext_primitive_element(spec) ** (spec.q - 1))
     return Mat2Group(spec, elems, (t0,))
 
 
@@ -487,9 +564,9 @@ def mat2_torus_normalizer(spec):
         raise OddCharacteristic("normalizer construction needs odd p")
     q = spec.q
     torus = mat2_nonsplit_torus(spec)
-    g = primitive_element(spec)
+    g = ext_primitive_element(spec)
     t0, = torus.gens
-    _, c1 = spec.ext_modulus()
+    c1 = spec.element(spec.ext_modulus()[1])
     frob = Mat2(spec, LaurentPoly.one(spec), LaurentPoly.const(-c1),
                 LaurentPoly.zero(spec), LaurentPoly.const(-spec.one))
     s = mat2_mult_matrix(spec, g ** ((q - 1) // 2)).mul(frob)
@@ -611,6 +688,10 @@ def mat2_faithfulness_kernel(a0, a1, a2):
         if keep == n:
             return Mat2Group(a0.spec, n)
         n = keep
+
+
+class WrongFixedVertex(KmlatError):
+    """A1 or A2 does not fix its base vertex."""
 
 
 def mat2_lubotzky_check(a1, a2):

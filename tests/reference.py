@@ -11,7 +11,7 @@ program against it.
 from collections import Counter, namedtuple
 from math import gcd
 
-from kmlat.errors import (NotAHomomorphism, NotASubgroup, RadiusExceeded,
+from kmlat.errors import (KmlatError, NotAHomomorphism, NotASubgroup,
                           SizeCapExceeded, SpecMismatch,
                           UnsupportedActionDomain)
 from kmlat.groups import (PROFILE_2S4, PROFILE_SL2_3, PROFILE_SL2_5,
@@ -334,6 +334,10 @@ def letter_matrix(spec, letter):
     if letter.root.side == 1:
         return _x1(spec, letter.coeff)
     return _x2(spec, letter.coeff)
+
+
+class RadiusExceeded(KmlatError):
+    """An edge label longer than realize_edge's radius."""
 
 
 def realize_edge(params, e, radius=6):

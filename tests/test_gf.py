@@ -5,13 +5,21 @@ from hypothesis import given, settings, strategies as st
 
 from kmlat.errors import (DivisionByZero, DegreeTooLarge, InvalidInput,
                           NonPrime)
-from kmlat.gf import (ExtElement, ext_one, is_prime, make_field,
-                      norm1_subgroup, primitive_element)
-from oracles import digit_neg, polynomial_tables, trial_division_is_prime
+from kmlat.gf import (Q_CAP, ExtElement, _is_irreducible, is_prime,
+                      make_field, norm1_subgroup, primitive_element)
+from kmlat.groups import nonsplit_torus, torus_normalizer
+from oracles import (as_ext, digit_neg, ext_norm1_subgroup, ext_normalizer_s,
+                     ext_one, ext_primitive_element,
+                     long_division_is_irreducible, mult_matrix,
+                     polynomial_tables, trial_division_is_prime)
 
 
 FIELDS = [make_field(2), make_field(3), make_field(2, 2), make_field(5),
           make_field(3, 2), make_field(2, 3), make_field(5, 2)]
+
+# the 43 prime powers q = p^a < 128, as (p, a)
+BELOW_128 = [(p, a) for p in range(2, 128) if is_prime(p)
+             for a in range(1, 8) if p ** a < 128]
 
 
 @pytest.mark.parametrize("spec", FIELDS, ids=lambda s: s.short_str())
@@ -37,9 +45,7 @@ def test_field_axioms_exhaustive(spec):
                 assert x * (y + z) == x * y + x * z
 
 
-@pytest.mark.parametrize("p,a", [(p, a) for p in range(2, 128) if is_prime(p)
-                                 for a in range(1, 8) if p ** a < 128]
-                         + [(2, 8)])
+@pytest.mark.parametrize("p,a", BELOW_128 + [(2, 8)])
 def test_tables_match_the_polynomial_oracle(p, a):
     """The add table from base-p digits and the mul, neg and inv tables
     from the exp/log tables of a generator equal, list for list, the
@@ -122,9 +128,23 @@ def test_modulus_is_irreducible():
             assert acc != base.zero
 
 
+def test_is_irreducible_matches_the_long_division_oracle():
+    """The verdict on every monic candidate of degree a >= 1 with
+    p^a <= Q_CAP, 24,898 of them, is the long-division oracle's; so every
+    make_field modulus is unchanged."""
+    cands = [(p, [(code // p ** i) % p for i in range(a)] + [1])
+             for p in range(2, Q_CAP + 1) if is_prime(p)
+             for a in range(1, 10) if p ** a <= Q_CAP
+             for code in range(p ** a)]
+    assert len(cands) == 24898
+    for p, cand in cands:
+        assert _is_irreducible(cand, p) == long_division_is_irreducible(
+            cand, p), (p, cand)
+
+
 def test_ext_modulus_has_no_roots():
     for spec in FIELDS:
-        c0, c1 = spec.ext_modulus()
+        c0, c1 = map(spec.element, spec.ext_modulus())
         for x in spec.elements():
             assert x * x + c1 * x + c0 != spec.zero
 
@@ -146,7 +166,7 @@ def test_ext_field_axioms(spec):
 
 @pytest.mark.parametrize("spec", FIELDS, ids=lambda s: s.short_str())
 def test_norm1_subgroup_is_cyclic_of_order_q_plus_1(spec):
-    sub = norm1_subgroup(spec)
+    sub = [as_ext(spec, z) for z in norm1_subgroup(spec)]
     q = spec.q
     assert len(sub) == q + 1
     one = ext_one(spec)
@@ -170,7 +190,7 @@ def test_norm1_subgroup_matches_brute_force(spec):
     brute = [ExtElement(spec, spec.element(x), spec.element(y))
              for y in range(spec.q) for x in range(spec.q)]
     brute = [z for z in brute if not z.is_zero() and z.norm() == spec.one]
-    assert norm1_subgroup(spec) == brute
+    assert [as_ext(spec, z) for z in norm1_subgroup(spec)] == brute
 
 
 @pytest.mark.parametrize("spec", FIELDS, ids=lambda s: s.short_str())
@@ -183,12 +203,44 @@ def test_primitive_element_is_first_generator(spec):
         while acc != one:
             acc, k = acc * z, k + 1
         return k
-    g = primitive_element(spec)
+    g = as_ext(spec, primitive_element(spec))
     assert order(g) == n
     earlier = [ExtElement(spec, spec.element(x), spec.element(y))
                for y in range(spec.q) for x in range(spec.q)
                if (y, x) < (g.y.code, g.x.code) and (x, y) != (0, 0)]
     assert all(order(z) < n for z in earlier)
+
+
+@pytest.mark.parametrize("p,a", BELOW_128)
+def test_ext_codes_match_the_ext_element_oracle(p, a):
+    """The generator, the torus with its t0, and the normalizer's s, built
+    on code 4-tuples of F_q[C], are the multiplication matrices of the
+    ExtElement oracle's: on every prime power q < 128."""
+    spec = make_field(p, a)
+    g = ext_primitive_element(spec)
+    assert primitive_element(spec) == mult_matrix(spec, g)
+    torus = [mult_matrix(spec, z) for z in ext_norm1_subgroup(spec)]
+    assert norm1_subgroup(spec) == torus
+    t = nonsplit_torus(spec)
+    assert t.elements == set(torus)
+    assert t.gens == (mult_matrix(spec, g ** (spec.q - 1)),)
+    if p != 2:
+        n = torus_normalizer(spec)
+        assert n.gens == (t.gens[0], ext_normalizer_s(spec))
+
+
+@pytest.mark.parametrize("p,a", BELOW_128)
+def test_norm1_subgroup_is_the_determinant_one_brute_force(p, a):
+    """norm1_subgroup is every x*I + y*C with determinant 1, in (y, x)
+    code order, C = [[0, -c0], [1, -c1]] the companion matrix."""
+    spec = make_field(p, a)
+    add, mul, neg, _ = spec._tables()
+    c0, c1 = spec.ext_modulus()
+    brute = [(x, neg[mul[y][c0]], y, add[x][neg[mul[y][c1]]])
+             for y in range(spec.q) for x in range(spec.q)]
+    assert norm1_subgroup(spec) == [
+        (x, b, y, d) for x, b, y, d in brute
+        if add[mul[x][d]][neg[mul[b][y]]] == 1]
 
 
 def test_element_rejects_codes_outside_the_field():

@@ -7,8 +7,7 @@ import pytest
 
 from kmlat import cli, gf, kmaction
 from kmlat.errors import (InvalidInput, KmlatError, MalformedWord,
-                          RadiusExceeded, SpecMismatch,
-                          UnsupportedActionDomain)
+                          SpecMismatch, UnsupportedActionDomain)
 from kmlat.gf import make_field
 from kmlat.kmaction import (EdgeLabel, KMParams, RootIndex, RootLetter,
                             alternating_word, apply_letter, apply_word,
@@ -18,9 +17,9 @@ from kmlat.serretree import act
 
 from oracles import (fe_apply_letter, replayed_zp_fix_test,
                      replayed_zp_fixes_ball2)
-from reference import (_w1, _w2, _x1, _x2, base_edge, crosscheck_affine,
-                       edge_distance, membership, realize_edge,
-                       zp_fixes_ball2)
+from reference import (RadiusExceeded, _w1, _w2, _x1, _x2, base_edge,
+                       crosscheck_affine, edge_distance, membership,
+                       realize_edge, zp_fixes_ball2)
 
 F2 = make_field(2)
 F3 = make_field(3)

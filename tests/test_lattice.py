@@ -6,7 +6,7 @@ from functools import lru_cache
 import pytest
 
 from kmlat.errors import (InvalidInput, KindInadmissible, MinUndefined,
-                          NotAHomomorphism, WrongFixedVertex)
+                          NotAHomomorphism)
 from kmlat.gf import make_field
 from kmlat.groups import (CODE_ONE, FiniteGroup, closure, generate,
                           nonsplit_torus, torus_normalizer)
@@ -15,8 +15,9 @@ from kmlat.lattice import (ClassificationInput, EdgeOfGroups,
                            build_standard_lattice, classify, covolume,
                            faithfulness_kernel, lubotzky_check, min_covolume)
 from kmlat.serretree import Mat2, act
-from oracles import (Mat2Group, cored_faithfulness_kernel, mat2_lubotzky_check,
-                     mat2_pair, scanned_base_stabilizer, to_mat2)
+from oracles import (Mat2Group, WrongFixedVertex, cored_faithfulness_kernel,
+                     mat2_lubotzky_check, mat2_pair, scanned_base_stabilizer,
+                     to_mat2)
 from reference import (center, covering_check, mat2_identity, sl2_group,
                        vertex_x1, vertex_x2)
 

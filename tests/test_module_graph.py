@@ -36,7 +36,12 @@ MOVED = {
     "membership": "membership", "edge_distance": "edge_distance",
     "Vertex.x1": "vertex_x1", "Vertex.x2": "vertex_x2",
     "Mat2.identity": "mat2_identity", "Edge.base": "base_edge",
+    "RadiusExceeded": "RadiusExceeded",
 }
+# the same for tests/oracles.py: F_{q^2} on ExtElement, and the error only
+# the Mat2 check raises
+TO_ORACLES = {"_mult_matrix": "mult_matrix", "ext_one": "ext_one",
+              "WrongFixedVertex": "WrongFixedVertex"}
 
 
 def definitions(source):
@@ -83,16 +88,20 @@ def test_moved_names_live_only_in_the_reference_module():
     in_src = set()
     for path in SRC.glob("*.py"):
         in_src |= definitions(path.read_text())
-    assert sorted(set(MOVED) & in_src) == []
+    assert sorted((set(MOVED) | set(TO_ORACLES)) & in_src) == []
     in_reference = definitions((TESTS / "reference.py").read_text())
     assert sorted(set(MOVED.values()) - in_reference) == []
+    in_oracles = definitions((TESTS / "oracles.py").read_text())
+    assert sorted(set(TO_ORACLES.values()) - in_oracles) == []
 
 
 def test_the_tracer_installs_and_traces_a_run():
     """perfbench/tracer.py patches kmlat names by string, so each name it
     patches must stay in src/kmlat.  install() patches kmlat for the whole
     process, hence the subprocess.  The traced verify run prints its
-    report and counts one cli.main and one lubotzky_check call."""
+    report and counts one call each of cli.main, lubotzky_check,
+    torus_normalizer and gf.norm1_subgroup, the last through the name
+    groups imports it by."""
     code = ("import contextlib, io, kmlat.cli, tracer\n"
             "t = tracer.Tracer()\nt.install()\nout = io.StringIO()\n"
             "with contextlib.redirect_stdout(out):\n"
@@ -100,10 +109,12 @@ def test_the_tracer_installs_and_traces_a_run():
             "'torus_normalizer'])\n"
             "figs = t.layer_figures()\n"
             "print(rc, '\"command\": \"verify\"' in out.getvalue(), "
-            "figs['calls.cli.main'], figs['calls.lattice.lubotzky_check'])\n")
+            "figs['calls.cli.main'], figs['calls.lattice.lubotzky_check'], "
+            "figs['calls.groups.torus_normalizer'], "
+            "figs['calls.gf.norm1_subgroup'])\n")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         (str(ROOT / "src"), str(ROOT / "perfbench"))))
     out = subprocess.run([sys.executable, "-c", code], capture_output=True,
                          text=True, env=env)
     assert out.returncode == 0, out.stderr
-    assert out.stdout == "0 True 1 1\n"
+    assert out.stdout == "0 True 1 1 1 1\n"

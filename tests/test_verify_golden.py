@@ -21,7 +21,9 @@ from pathlib import Path
 
 import pytest
 
+from kmlat import gf
 from kmlat.cli import main
+from kmlat.gf import ExtElement, FieldElement, make_field
 from kmlat.laurent import LaurentPoly
 from kmlat.serretree import Mat2
 from reference import mat2_identity
@@ -120,6 +122,31 @@ def test_verify_workload_builds_no_laurent_objects(monkeypatch):
     monkeypatch.setattr(LaurentPoly, "__init__", refuse)
     with pytest.raises(AssertionError):
         mat2_identity(None)
+    for argv, w in zip(jobs, want):
+        assert run(argv) == w
+
+
+def test_no_command_builds_a_field_element(monkeypatch):
+    """F_q and F_{q^2} are computed on codes: with the FieldElement and
+    ExtElement constructors patched to raise, every job of the three
+    benchmark workloads, the tree and km-act golden jobs, and a dickson
+    and a classify run print the bytes they print unpatched.  The field
+    cache is emptied first, so that no element list or generator an
+    earlier run built hides a constructor call."""
+    jobs = [list(j) for work in benchmark_workloads().values() for j in work]
+    jobs += TREE_JOBS + [["dickson", "--q", "2^3", "--ambient", "sl2"],
+                         ["classify", "--p", "5", "--q", "5", "--levi",
+                          "pgl", "--qi-central", "yes", "--qi0-central",
+                          "yes"]]
+    want = [run(argv) for argv in jobs]
+
+    def refuse(*args):
+        raise AssertionError("a FieldElement or ExtElement was built")
+    monkeypatch.setattr(gf, "_FIELD_CACHE", {})
+    monkeypatch.setattr(FieldElement, "__init__", refuse)
+    monkeypatch.setattr(ExtElement, "__init__", refuse)
+    with pytest.raises(AssertionError):
+        make_field(3).element(0)
     for argv, w in zip(jobs, want):
         assert run(argv) == w
 
