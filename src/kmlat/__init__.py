@@ -6,7 +6,7 @@ Modules:
   serretree - the Bruhat-Tits tree for SL2(F_q((t^-1))), involution search
   groups    - finite subgroup machinery, tori, subgroup search and tables
   kmaction  - symbolic root-letter action near the base edge, z^p test
-  lattice   - edge-of-groups verification and the classification table
+  lattice   - standard pairs, their verification, the classification table
   cli       - the `kmlat` command
 """
 

@@ -65,10 +65,6 @@ class MalformedWord(KmlatError):
     pass
 
 
-class NotAHomomorphism(KmlatError):
-    pass
-
-
 class InvalidInput(KmlatError):
     pass
 

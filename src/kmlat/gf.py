@@ -391,11 +391,11 @@ def primitive_element(spec):
     (y, x) code order, as a code 4-tuple.
 
     z generates exactly when z^(n/r) != I for every prime r dividing
-    n = q^2 - 1.  The scan starts at y = 1: the y = 0 row is F_q*, whose
-    order q-1 is less than n.  Memoized per field.
+    n = q^2 - 1 = (q-1)(q+1), so r <= q+1.  The scan starts at y = 1: the
+    y = 0 row is F_q*, whose order q-1 is less than n.  Memoized per field.
     """
     n = spec.q * spec.q - 1
-    primes = [r for r in range(2, n + 1) if n % r == 0 and is_prime(r)]
+    primes = [r for r in range(2, spec.q + 2) if n % r == 0 and is_prime(r)]
     add, mul, neg, _ = spec._tables()
     c0, c1 = spec.ext_modulus()
     prod = code_mul(spec)

@@ -1,4 +1,4 @@
-"""Edge-of-groups data, lattice verification and the classification table.
+"""Standard pairs, lattice verification and the classification table.
 
 The verification side is exact: given a finite group A1 of constant
 matrices, lubotzky_check tests the standard pair (A1, delta A1 delta^-1)
@@ -15,78 +15,32 @@ from __future__ import annotations
 from collections import namedtuple
 from fractions import Fraction
 
-from .errors import (InvalidInput, KindInadmissible, MinUndefined,
-                     NotAHomomorphism)
+from .errors import InvalidInput, KindInadmissible, MinUndefined
 from .gf import is_prime
 from .groups import (CODE_ONE, SUBGROUP_TARGETS, FiniteGroup,
                      find_subgroup_of_type, nonsplit_torus, order_of,
                      torus_normalizer)
 
 
-class EdgeOfGroups(namedtuple("EdgeOfGroups", "a0 a1 a2 alpha1 alpha2")):
-    """An edge of groups A1 <- A0 -> A2 with injective structure maps.
+def faithfulness_kernel(a0, a1):
+    """Kernel of the standard pair's action on its tree, as a frozenset.
 
-    alpha1, alpha2: dicts mapping each element of a0 into a1 resp. a2.
+    a0 is the frozenset of A1's diagonal codes, A1 cap A2.  The kernel is
+    the fixed point of N <- {n in N : s n s^-1 in N}, with s over A1's
+    gens (all of A1's elements when it has none), started at N = A0; A2's
+    steps repeat A1's (see lubotzky_check).  For finite sets s N s^-1
+    within N means equal, so the fixed point is the largest subset of A0
+    that A1 normalizes; that subset is closed under products, hence a
+    subgroup.
     """
-    __slots__ = ()
-
-    def __new__(cls, a0, a1, a2, alpha1, alpha2):
-        self = super().__new__(cls, a0, a1, a2, alpha1, alpha2)
-        mul = a0.mul
-        for tgt, alpha in self.sides():
-            if set(alpha) != set(a0.elements):
-                raise NotAHomomorphism("map not defined on all of A0")
-            if len(set(alpha.values())) != a0.order:
-                raise NotAHomomorphism("structure map is not injective")
-            for x in a0.elements:
-                if alpha[x] not in tgt.elements:
-                    raise NotAHomomorphism("image escapes the target group")
-                for y in a0.elements:
-                    xy = mul(x, y)
-                    if xy not in alpha:
-                        raise NotAHomomorphism(
-                            "A0 is not closed under products")
-                    if alpha[xy] != mul(alpha[x], alpha[y]):
-                        raise NotAHomomorphism("map is not a homomorphism")
-        return self
-
-    def sides(self):
-        """(A1, alpha1) and (A2, alpha2); only the first when the two are
-        equal, as in by_inclusion(a0, a1, a1), so that nothing is checked
-        or stepped through twice."""
-        one, two = (self.a1, self.alpha1), (self.a2, self.alpha2)
-        return (one,) if one == two else (one, two)
-
-    @classmethod
-    def by_inclusion(cls, a0, a1, a2):
-        ident = {x: x for x in a0.elements}
-        return cls(a0, a1, a2, dict(ident), dict(ident))
-
-
-def faithfulness_kernel(eog):
-    """Largest subgroup of A0 whose images are normal in A1 and A2.
-
-    This is the kernel of the action of the amalgam on its tree.  It is
-    the fixed point of N <- {n in N : s alpha_i(n) s^-1 in alpha_i(N)},
-    with s over the gens of each A_i (all elements when none are given),
-    started at N = A0; equal sides are stepped through once.  For finite
-    sets s X s^-1 within X means equal, so the fixed point is the largest
-    subset whose images are normalized by A1 and A2; that subset is
-    closed under products, hence a subgroup.
-    """
-    steps = []
-    for grp, alpha in eog.sides():
-        back = {y: x for x, y in alpha.items()}
-        mul = grp.mul
-        for s in grp.gens or grp.elements:
-            si = grp.inv(s)
-            steps.append({x: back.get(mul(mul(s, y), si))
-                          for x, y in alpha.items()})
-    n = set(eog.a0.elements)
+    mul = a1.mul
+    steps = [(s, a1.inv(s)) for s in a1.gens or a1.elements]
+    images = {x: [mul(mul(s, x), si) for s, si in steps] for x in a0}
+    n = a0
     while True:
-        keep = {x for x in n if all(step[x] in n for step in steps)}
+        keep = frozenset(x for x in n if all(y in n for y in images[x]))
         if keep == n:
-            return FiniteGroup(eog.a0.spec, frozenset(n))
+            return n
         n = keep
 
 
@@ -130,9 +84,8 @@ def lubotzky_check(a1):
     For the kernel, A2's generator delta s delta^-1 moves a diagonal x to
     delta (s x s^-1) delta^-1, which is diagonal exactly when s x s^-1 is,
     and then equals it.  So A2's kernel steps repeat A1's, and the kernel
-    of the pair is that of A1 <- A0 -> A1, whose equal sides are checked
-    and stepped through once: one pass over A1's gens (all elements when
-    none are given).
+    of the pair is the largest subset of the diagonal that A1's gens (all
+    its elements when none are given) conjugate into itself.
     """
     q = a1.spec.q
     # stab2, A2's stabilizer of x1, is taken back to A1 through delta
@@ -143,8 +96,7 @@ def lubotzky_check(a1):
     cond_transitive = (o1 == q + 1 and o2 == q + 1)
     cond_stab = (stab1 == inter and stab2 == inter)
     passes = cond_transitive and cond_stab
-    a0 = FiniteGroup(a1.spec, inter)
-    kernel = faithfulness_kernel(EdgeOfGroups.by_inclusion(a0, a1, a1))
+    kernel = faithfulness_kernel(inter, a1)
     notes = []
     if not cond_transitive:
         notes.append("neighbor action not transitive")
@@ -153,7 +105,7 @@ def lubotzky_check(a1):
     return VerificationReport(
         q=q, passes=passes, orbit_sizes=(o1, o2),
         stab_orders=(len(stab1), len(stab2)),
-        intersection_order=len(inter), kernel_order=kernel.order,
+        intersection_order=len(inter), kernel_order=len(kernel),
         covolume=covolume([a1.order, a1.order]),
         a1_order=a1.order, a2_order=a1.order, notes=tuple(notes))
 

@@ -448,10 +448,10 @@ def _core(ambient, sub_elements):
 
 
 def cored_faithfulness_kernel(eog):
-    """lattice.faithfulness_kernel by alternating normal cores: conjugate
-    the images of N by every element of A1, then of A2, until N is
-    stable.  The groups may be FiniteGroups or Mat2Groups; the kernel
-    comes back as a group of A0's class."""
+    """reference.eog_faithfulness_kernel by alternating normal cores:
+    conjugate the images of N by every element of A1, then of A2, until
+    N is stable.  The groups may be FiniteGroups or Mat2Groups; the
+    kernel comes back as a group of A0's class."""
     n = set(eog.a0.elements)
     while True:
         img1 = {eog.alpha1[x] for x in n}
@@ -670,7 +670,7 @@ def mat2_base_stabilizer(group, i):
 
 
 def mat2_faithfulness_kernel(a0, a1, a2):
-    """lattice.faithfulness_kernel on Mat2Groups A1 <- A0 -> A2 with the
+    """The faithfulness kernel of Mat2Groups A1 <- A0 -> A2 with the
     inclusion maps, with Mat2 products: the fixed point of
     N <- {n in N : s n s^-1 in N}, s over the gens of each A_i (all
     elements when none are given), started at N = A0."""

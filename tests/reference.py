@@ -1,19 +1,18 @@
 """Reference code that no kmlat command reaches, kept for the tests.
 
-Structural recognition of finite groups, the covering-theory check of an
-edge of groups, the exact affine (m = 2) cross-check of the root-group
-action, and the tree geometry only those need: membership in the
-standard subgroups, the base vertices and edge, and edge distance.  Each
-was a part of src/kmlat that only tests called; the tests check the
-program against it.
+Structural recognition of finite groups, the general edge of groups with
+its structure-map checks, its faithfulness kernel and its covering-theory
+check, the exact affine (m = 2) cross-check of the root-group action, and
+the tree geometry only those need: membership in the standard subgroups,
+the base vertices and edge, and edge distance.  Each was a part of
+src/kmlat that only tests called; the tests check the program against it.
 """
 
 from collections import Counter, namedtuple
 from math import gcd
 
-from kmlat.errors import (KmlatError, NotAHomomorphism, NotASubgroup,
-                          SizeCapExceeded, SpecMismatch,
-                          UnsupportedActionDomain)
+from kmlat.errors import (KmlatError, NotASubgroup, SizeCapExceeded,
+                          SpecMismatch, UnsupportedActionDomain)
 from kmlat.groups import (PROFILE_2S4, PROFILE_SL2_3, PROFILE_SL2_5,
                           FiniteGroup, closure, sl2_codes)
 from kmlat.kmaction import (_check_alternating, _power_fixes_all,
@@ -241,7 +240,79 @@ def _is_p_power(m, p):
     return m == 1
 
 
-# --- covering theory: an edge of groups realized on the tree --------------
+# --- edges of groups: structure maps, kernel, covering theory -------------
+
+class NotAHomomorphism(KmlatError):
+    pass
+
+
+class EdgeOfGroups(namedtuple("EdgeOfGroups", "a0 a1 a2 alpha1 alpha2")):
+    """An edge of groups A1 <- A0 -> A2 with injective structure maps.
+
+    alpha1, alpha2: dicts mapping each element of a0 into a1 resp. a2.
+    """
+    __slots__ = ()
+
+    def __new__(cls, a0, a1, a2, alpha1, alpha2):
+        self = super().__new__(cls, a0, a1, a2, alpha1, alpha2)
+        mul = a0.mul
+        for tgt, alpha in self.sides():
+            if set(alpha) != set(a0.elements):
+                raise NotAHomomorphism("map not defined on all of A0")
+            if len(set(alpha.values())) != a0.order:
+                raise NotAHomomorphism("structure map is not injective")
+            for x in a0.elements:
+                if alpha[x] not in tgt.elements:
+                    raise NotAHomomorphism("image escapes the target group")
+                for y in a0.elements:
+                    xy = mul(x, y)
+                    if xy not in alpha:
+                        raise NotAHomomorphism(
+                            "A0 is not closed under products")
+                    if alpha[xy] != mul(alpha[x], alpha[y]):
+                        raise NotAHomomorphism("map is not a homomorphism")
+        return self
+
+    def sides(self):
+        """(A1, alpha1) and (A2, alpha2); only the first when the two are
+        equal, as in by_inclusion(a0, a1, a1), so that nothing is checked
+        or stepped through twice."""
+        one, two = (self.a1, self.alpha1), (self.a2, self.alpha2)
+        return (one,) if one == two else (one, two)
+
+    @classmethod
+    def by_inclusion(cls, a0, a1, a2):
+        ident = {x: x for x in a0.elements}
+        return cls(a0, a1, a2, dict(ident), dict(ident))
+
+
+def eog_faithfulness_kernel(eog):
+    """Largest subgroup of A0 whose images are normal in A1 and A2.
+
+    This is the kernel of the action of the amalgam on its tree.  It is
+    the fixed point of N <- {n in N : s alpha_i(n) s^-1 in alpha_i(N)},
+    with s over the gens of each A_i (all elements when none are given),
+    started at N = A0; equal sides are stepped through once.  For finite
+    sets s X s^-1 within X means equal, so the fixed point is the largest
+    subset whose images are normalized by A1 and A2; that subset is
+    closed under products, hence a subgroup.
+    """
+    steps = []
+    for grp, alpha in eog.sides():
+        back = {y: x for x, y in alpha.items()}
+        mul = grp.mul
+        for s in grp.gens or grp.elements:
+            si = grp.inv(s)
+            steps.append({x: back.get(mul(mul(s, y), si))
+                          for x, y in alpha.items()})
+    n = set(eog.a0.elements)
+    while True:
+        keep = {x for x in n if all(step[x] in n for step in steps)}
+        if keep == n:
+            return FiniteGroup(eog.a0.spec, frozenset(n))
+        n = keep
+
+
 
 def covering_check(eog, rho0, rho1, rho2, delta1, delta2):
     """Test that (rho, delta) realizes the edge of groups on the tree.

@@ -211,11 +211,14 @@ def test_primitive_element_is_first_generator(spec):
     assert all(order(z) < n for z in earlier)
 
 
-@pytest.mark.parametrize("p,a", BELOW_128)
+@pytest.mark.parametrize("p,a", BELOW_128 + [(3, 5), (2, 8), (7, 3),
+                                              (509, 1)])
 def test_ext_codes_match_the_ext_element_oracle(p, a):
     """The generator, the torus with its t0, and the normalizer's s, built
     on code 4-tuples of F_q[C], are the multiplication matrices of the
-    ExtElement oracle's: on every prime power q < 128."""
+    ExtElement oracle's: on every prime power q < 128, and at q = 243,
+    256, 343 and 509.  The generator search takes the primes of q^2 - 1
+    from 2..q+1, the oracle's from 2..q^2 - 1."""
     spec = make_field(p, a)
     g = ext_primitive_element(spec)
     assert primitive_element(spec) == mult_matrix(spec, g)

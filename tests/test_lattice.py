@@ -5,21 +5,21 @@ from functools import lru_cache
 
 import pytest
 
-from kmlat.errors import (InvalidInput, KindInadmissible, MinUndefined,
-                          NotAHomomorphism)
+from kmlat.errors import InvalidInput, KindInadmissible, MinUndefined
 from kmlat.gf import make_field
 from kmlat.groups import (CODE_ONE, FiniteGroup, closure, generate,
                           nonsplit_torus, torus_normalizer)
 from kmlat.laurent import LaurentPoly
-from kmlat.lattice import (ClassificationInput, EdgeOfGroups,
-                           build_standard_lattice, classify, covolume,
-                           faithfulness_kernel, lubotzky_check, min_covolume)
+from kmlat.lattice import (ClassificationInput, build_standard_lattice,
+                           classify, covolume, faithfulness_kernel,
+                           lubotzky_check, min_covolume)
 from kmlat.serretree import Mat2, act
 from oracles import (Mat2Group, WrongFixedVertex, cored_faithfulness_kernel,
-                     mat2_lubotzky_check, mat2_pair, scanned_base_stabilizer,
-                     to_mat2)
-from reference import (center, covering_check, mat2_identity, sl2_group,
-                       vertex_x1, vertex_x2)
+                     mat2_faithfulness_kernel, mat2_lubotzky_check,
+                     mat2_pair, scanned_base_stabilizer, to_mat2)
+from reference import (EdgeOfGroups, NotAHomomorphism, center,
+                       covering_check, eog_faithfulness_kernel,
+                       mat2_identity, sl2_group, vertex_x1, vertex_x2)
 
 F2 = make_field(2)
 F3 = make_field(3)
@@ -90,6 +90,23 @@ def _without_gens(group):
     return type(group)(group.spec, group.elements)
 
 
+def _assert_kernels_agree(a0, a1, m1, m2):
+    """faithfulness_kernel(a0, a1), with A1's gens and with them dropped,
+    equals the reference edge-of-groups kernel of by_inclusion(A0, A1, A1)
+    and the Mat2 kernel of m1 <- A0 -> m2, each without gens too."""
+    spec = a1.spec
+    f0, m0 = FiniteGroup(spec, a0), Mat2Group(spec, to_mat2(spec, a0))
+    for grp, n1, n2 in ((a1, m1, m2), (_without_gens(a1), _without_gens(m1),
+                                       _without_gens(m2))):
+        got = faithfulness_kernel(a0, grp)
+        assert isinstance(got, frozenset) and got <= a0
+        eog = EdgeOfGroups.by_inclusion(f0, grp, grp)
+        assert got == eog_faithfulness_kernel(eog).elements
+        assert set(to_mat2(spec, got)) == mat2_faithfulness_kernel(
+            m0, n1, n2).elements
+    return got
+
+
 @pytest.mark.parametrize("q", PAIR_Q)
 def test_stabilizers_and_kernel_match_the_tree_oracles(q):
     """The code reading of the pair (A1, delta A1 delta^-1) agrees with the
@@ -98,7 +115,8 @@ def test_stabilizers_and_kernel_match_the_tree_oracles(q):
     delta-conjugate of the b = 0 part, and A1 cap A2 the diagonal, as
     the vertex-equality scan finds them on the Mat2 pair.  The kernel on
     codes, with the gens and with the all-elements fallback, equals
-    alternating normal cores on the Mat2 pair."""
+    alternating normal cores on the Mat2 pair, the reference edge-of-groups
+    kernel and the Mat2 fixed point."""
     pairs = _standard_pairs(q)
     assert pairs  # torus_normalizer (q odd) or cyclic_p2 always builds
     for kind, a1 in pairs:
@@ -117,14 +135,28 @@ def test_stabilizers_and_kernel_match_the_tree_oracles(q):
         assert m1.elements & m2.elements == set(to_mat2(spec, diagonal))
         want = cored_faithfulness_kernel(EdgeOfGroups.by_inclusion(
             Mat2Group(spec, m1.elements & m2.elements), m1, m2))
-        a0 = FiniteGroup(spec, diagonal)
         for grp in (a1, _without_gens(a1)):
-            got = faithfulness_kernel(EdgeOfGroups.by_inclusion(a0, grp, grp))
-            assert set(to_mat2(spec, got.elements)) == want.elements, kind
+            got = faithfulness_kernel(frozenset(diagonal), grp)
+            assert set(to_mat2(spec, got)) == want.elements, kind
+        _assert_kernels_agree(frozenset(diagonal), a1, m1, m2)
         rep = lubotzky_check(a1)
         assert rep.kernel_order == want.order
         assert rep.stab_orders == (len(lower), len(upper))
         assert rep.intersection_order == len(diagonal)
+
+
+def test_kernel_in_sl2_3_matches_the_edge_of_groups_and_mat2_kernels():
+    """by_inclusion(T, SL2(3), SL2(3)) keeps only the center of T, and
+    by_inclusion(SL2(3), SL2(3), SL2(3)) all of SL2(3); SL2(3) generated
+    by u(1) and its transpose."""
+    g = sl2_group(F3)
+    gens = [(1, 1, 0, 1), (1, 0, 1, 1)]
+    a1 = FiniteGroup(F3, g.elements, gens)
+    assert generate(CODE_ONE, gens, a1.mul, g.order) == set(g.elements)
+    m1 = Mat2Group(F3, to_mat2(F3, g.elements), to_mat2(F3, gens))
+    t = nonsplit_torus(F3)
+    assert len(_assert_kernels_agree(t.elements, a1, m1, m1)) == 2
+    assert len(_assert_kernels_agree(g.elements, a1, m1, m1)) == 24
 
 
 @pytest.mark.parametrize("q", PAIR_Q)
@@ -165,7 +197,7 @@ def test_kernel_with_non_identity_structure_maps():
         (EdgeOfGroups(c4, _without_gens(q8), q8, inv, conj), 4),
     ]
     for eog, order in cases:
-        kernel = faithfulness_kernel(eog)
+        kernel = eog_faithfulness_kernel(eog)
         assert kernel == cored_faithfulness_kernel(eog)
         assert kernel.order == order
 
@@ -214,11 +246,11 @@ def test_edge_of_groups_needs_a0_closed():
 def test_faithfulness_kernel_of_full_sl2():
     g = sl2_group(F3)
     eog = EdgeOfGroups.by_inclusion(g, g, g)
-    k = faithfulness_kernel(eog)
+    k = eog_faithfulness_kernel(eog)
     assert k.order == g.order  # everything is normal in itself
     t = nonsplit_torus(F3)
     eog = EdgeOfGroups.by_inclusion(t, g, g)
-    k = faithfulness_kernel(eog)
+    k = eog_faithfulness_kernel(eog)
     assert k.order == 2  # only the center survives
 
 

@@ -1,6 +1,7 @@
-"""What src/kmlat defines and imports: the code that only tests reach lives
-in tests/reference.py, and every name perfbench/tracer.py patches is still
-in the package (a stdlib-ast check, and one traced run)."""
+"""What src/kmlat defines, imports and raises: the code that only tests
+reach lives in tests/reference.py, every error class in kmlat/errors.py is
+raised by the package, and every name perfbench/tracer.py patches is
+still in the package (a stdlib-ast check, and one traced run)."""
 
 import ast
 import os
@@ -9,6 +10,8 @@ import sys
 from pathlib import Path
 
 import pytest
+
+from kmlat import errors
 
 TESTS = Path(__file__).resolve().parent
 ROOT = TESTS.parent
@@ -37,6 +40,7 @@ MOVED = {
     "Vertex.x1": "vertex_x1", "Vertex.x2": "vertex_x2",
     "Mat2.identity": "mat2_identity", "Edge.base": "base_edge",
     "RadiusExceeded": "RadiusExceeded",
+    "EdgeOfGroups": "EdgeOfGroups", "NotAHomomorphism": "NotAHomomorphism",
 }
 # the same for tests/oracles.py: F_{q^2} on ExtElement, and the error only
 # the Mat2 check raises
@@ -70,12 +74,27 @@ def kmlat_imports(source):
     return out
 
 
+def raised(source):
+    """The names a module raises: `raise X(...)` and `raise X` give "X"."""
+    out = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Raise) and node.exc is not None:
+            exc = node.exc
+            if isinstance(exc, ast.Call):
+                exc = exc.func
+            if isinstance(exc, ast.Name):
+                out.add(exc.id)
+    return out
+
+
 def test_the_checks_see_definitions_and_imports():
     source = ("from . import gf, groups\nfrom .serretree import Mat2\n"
               "import json\nX = 1\nclass A:\n    def f(self):\n"
-              "        Y = 2\ndef g():\n    from .lattice import classify\n")
+              "        Y = 2\ndef g():\n    from .lattice import classify\n"
+              "    raise NotFound('x')\n    raise Stop\n    raise\n")
     assert definitions(source) == {"X", "A", "A.f", "g"}
     assert kmlat_imports(source) == {"gf", "groups", "serretree", "lattice"}
+    assert raised(source) == {"NotFound", "Stop"}
 
 
 @pytest.mark.parametrize("module,banned", [
@@ -93,6 +112,21 @@ def test_moved_names_live_only_in_the_reference_module():
     assert sorted(set(MOVED.values()) - in_reference) == []
     in_oracles = definitions((TESTS / "oracles.py").read_text())
     assert sorted(set(TO_ORACLES.values()) - in_oracles) == []
+
+
+def test_every_error_class_is_raised_by_the_package():
+    """Each KmlatError subclass that kmlat/errors.py defines is raised by
+    some other src/kmlat module; an error that only tests raise lives in
+    the test module that raises it."""
+    defined = {name for name, obj in vars(errors).items()
+               if isinstance(obj, type) and issubclass(obj, errors.KmlatError)
+               and obj is not errors.KmlatError}
+    assert len(defined) > 10
+    in_src = set()
+    for path in SRC.glob("*.py"):
+        if path.name != "errors.py":
+            in_src |= raised(path.read_text())
+    assert sorted(defined - in_src) == []
 
 
 def test_the_tracer_installs_and_traces_a_run():

@@ -5,15 +5,14 @@ from fractions import Fraction
 
 import pytest
 
-from kmlat.errors import NotAHomomorphism
 from kmlat.gf import make_field
 from kmlat.groups import DicksonEntry, nonsplit_torus
 from kmlat.kmaction import (EdgeLabel, KMParams, RootIndex, RootLetter,
                             letter_table)
-from kmlat.lattice import (ClassificationInput, EdgeOfGroups,
-                           LatticeDescriptor, VerificationReport,
-                           build_standard_lattice, classify, lubotzky_check)
-from reference import GroupType, sl2_group
+from kmlat.lattice import (ClassificationInput, LatticeDescriptor,
+                           VerificationReport, build_standard_lattice,
+                           classify, lubotzky_check)
+from reference import EdgeOfGroups, GroupType, NotAHomomorphism, sl2_group
 
 F3 = make_field(3)
 

@@ -8,10 +8,11 @@ from math import gcd
 import pytest
 
 from kmlat.errors import KmlatError, MinUndefined
-from kmlat.gf import make_field
-from kmlat.groups import (SUBGROUP_TARGETS, FiniteGroup, dickson_table,
-                          find_subgroup_of_type, order_available, sl2_codes,
-                          sl2_elements)
+from kmlat.gf import code_mul, code_pow, make_field
+from kmlat.groups import (CODE_ONE, SUBGROUP_TARGETS, FiniteGroup,
+                          dickson_table, find_subgroup_of_type, generate,
+                          nonsplit_torus, order_available, order_of,
+                          sl2_codes, sl2_elements, torus_normalizer)
 from kmlat.laurent import LaurentPoly
 from kmlat.lattice import (EXCEPTIONAL_TABLE, ClassificationInput,
                            build_standard_lattice, classify, lubotzky_check,
@@ -265,3 +266,60 @@ def test_dickson_sl2_exceptional_rows_are_the_found_subgroups(q):
             assert not all(order_available(spec, d) for d in profile), kind
         else:
             assert found.order == order, kind
+
+
+# the dickson_table types that name a sporadic group; every other row of
+# the sl2 table has a witness in _dickson_witnesses
+SPORADIC_TYPES = {"SL2(3)", "SL2(5)", "2S4", "A4", "S4", "A5"}
+
+
+def _dickson_witnesses(spec):
+    """Row type -> generators, as code 4-tuples, of a subgroup of SL2(F_q)
+    of that shape, for the rows of dickson_table(spec, "sl2") that are not
+    sporadic.  At p = 2 the table gives the psl2 rows, so the dihedral and
+    subfield rows carry PSL2/PGL2 names."""
+    q, p, a = spec.q, spec.p, spec.a
+    mul, neg, inv = spec._tables()[1:]
+    fmul = lambda x, y: mul[x][y]
+    g = next(x for x in range(1, q) if order_of(x, 1, fmul) == q - 1)
+    split = (g, 0, 0, inv[g])  # diag(g, g^-1)
+    t0 = nonsplit_torus(spec).gens[0]
+    out = {"Cyclic(%d)" % (q - 1): [split],
+           "Cyclic(%d)" % (q + 1): [t0],
+           "ElementaryAbelian(%d)" % q: [(1, p ** i, 0, 1) for i in range(a)],
+           "BorelFrobenius": [split, (1, 1, 0, 1)]}
+    if p == 2:
+        c1 = spec.ext_modulus()[1]
+        out["Dihedral(%d)" % (2 * (q - 1))] = [split, (0, 1, 1, 0)]
+        out["Dihedral(%d)" % (2 * (q + 1))] = [t0, (1, c1, 0, 1)]
+    else:
+        out["Dicyclic(%d)" % (2 * (q - 1))] = [split, (0, 1, neg[1], 0)]
+        out["Dicyclic(%d)" % (2 * (q + 1))] = list(
+            torus_normalizer(spec).gens)
+    for b in range(1, a):
+        if a % b == 0:
+            sub = [x for x in range(q) if code_pow(fmul, x, p ** b) == x]
+            unipotents = ([(1, x, 0, 1) for x in sub]
+                          + [(1, 0, x, 1) for x in sub])
+            for name in ("SL2", "PSL2", "PGL2"):
+                out["%s(%d)" % (name, p ** b)] = unipotents
+    return out
+
+
+@pytest.mark.parametrize("q", [q for q in sorted(FIELDS) if q < 64])
+def test_dickson_sl2_rows_have_witnesses_of_their_order(q):
+    """At every prime power q < 64, each row of dickson_table(spec, "sl2")
+    that is not sporadic is the order of a subgroup of SL2(F_q): the
+    closure of its witness has exactly the row's order."""
+    spec = make_field(*FIELDS[q])
+    witnesses = _dickson_witnesses(spec)
+    prod = code_mul(spec)
+    checked = 0
+    for row in dickson_table(spec, "sl2"):
+        if row.type not in witnesses:
+            assert row.type in SPORADIC_TYPES, row.type
+            continue
+        group = generate(CODE_ONE, witnesses[row.type], prod, q ** 3)
+        assert len(group) == row.order, row.type
+        checked += 1
+    assert checked >= 6
