@@ -53,10 +53,6 @@ class NotFound(KmlatError):
     pass
 
 
-class SearchBudgetExceeded(KmlatError):
-    pass
-
-
 class UnsupportedActionDomain(KmlatError):
     pass
 

@@ -392,7 +392,9 @@ def primitive_element(spec):
 
     z generates exactly when z^(n/r) != I for every prime r dividing
     n = q^2 - 1 = (q-1)(q+1), so r <= q+1.  The scan starts at y = 1: the
-    y = 0 row is F_q*, whose order q-1 is less than n.  Memoized per field.
+    y = 0 row is F_q*, whose order q-1 is less than n.  So the test for
+    r = q+1 never rejects a candidate: when q+1 = r is prime,
+    z^(n/r) = z^(q-1) = I only on F_q*.  Memoized per field.
     """
     n = spec.q * spec.q - 1
     primes = [r for r in range(2, spec.q + 2) if n % r == 0 and is_prime(r)]

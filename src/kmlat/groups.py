@@ -1,5 +1,5 @@
 """Finite subgroups of SL2(F_q): closures, tori and their normalizers,
-the exceptional-subgroup search and the subgroup tables.
+exceptional subgroups built from trace triples, and the subgroup tables.
 
 Everything is exact.  A finite group here is a set of constant matrices
 held as F_q code 4-tuples (a, b, c, d) under one product, code_mul: the
@@ -15,7 +15,7 @@ from collections import Counter, namedtuple
 from math import gcd
 
 from .errors import (NotASubgroup, NotFound, OddCharacteristic,
-                     SearchBudgetExceeded, SizeCapExceeded)
+                     SizeCapExceeded)
 from .gf import (CODE_ONE, code_mul, code_pow, norm1_subgroup,
                  primitive_element)
 from .serretree import Mat2
@@ -181,7 +181,7 @@ def torus_normalizer(spec):
     return n
 
 
-# frozen order profiles of the searched types (order -> multiplicity)
+# element-order profiles of the binary polyhedral groups (order -> count)
 PROFILE_SL2_3 = Counter({1: 1, 2: 1, 3: 8, 4: 6, 6: 8})
 PROFILE_SL2_5 = Counter({1: 1, 2: 1, 3: 20, 4: 30, 5: 24, 6: 20, 10: 24})
 PROFILE_2S4 = Counter({1: 1, 2: 1, 3: 8, 4: 18, 6: 8, 8: 12})
@@ -201,100 +201,55 @@ def order_available(spec, d):
     return False
 
 
-# kind -> (order, element-order profile, the order of the first generator,
-# the orders allowed for the second)
+# kind -> (order, element-order profile, (c1, c0)): tr xy is a root of
+# tau^2 + c1*tau + c0, and an integer n mod p is the code of n*1
 SUBGROUP_TARGETS = {
-    "SL2(3)": (24, PROFILE_SL2_3, 6, (4,)),
-    "SL2(5)": (120, PROFILE_SL2_5, 10, (4,)),
-    "2S4": (48, PROFILE_2S4, 8, (6, 3)),
+    "SL2(3)": (24, PROFILE_SL2_3, (-2, 1)),
+    "SL2(5)": (120, PROFILE_SL2_5, (-1, -1)),
+    "2S4": (48, PROFILE_2S4, (0, -2)),
 }
-
-_SEARCH_BUDGET = 500_000
-
-
-def _trace_order_map(spec):
-    """Map trace code -> element order for non-central elements of
-    SL2(F_q); traces 2 and -2 map to p and 2p (the unipotent classes).
-
-    Built on codes by the Lucas recurrence V_0 = 2, V_1 = t,
-    V_{n+1} = t*V_n - V_{n-1}, which gives V_n = tr(g^n) for any g of
-    trace t (Cayley-Hamilton).  For t != +-2, g is semisimple with
-    eigenvalues lam != lam^-1, and V_n = lam^n + lam^-n = 2 exactly when
-    lam^n = 1, that is when g^n = I; so the order is the least such n,
-    which divides q-1 or q+1.  No generator of F_{q^2}* is needed."""
-    add, mul, neg, _ = spec._tables()
-    two = add[1][1]
-    out = {}
-    for t in range(spec.q):
-        v0, v1, n = two, t, 1
-        while v1 != two:
-            v0, v1, n = v1, add[mul[t][v1]][neg[v0]], n + 1
-        out[t] = n
-    out[two] = spec.p
-    out[neg[two]] = 2 * spec.p
-    return out
-
-
-def _trace_class(spec, t):
-    """The codes (a, b, c, d) in SL2(F_q) of trace t, solved for: d = t - a,
-    c = (ad - 1)/b for each b != 0, and any c with b = 0 when ad = 1."""
-    add, mul, neg, inv = spec._tables()
-    for a in range(spec.q):
-        d = add[t][neg[a]]
-        r = add[mul[a][d]][neg[1]]
-        for b in range(1, spec.q):
-            yield (a, b, mul[r][inv[b]], d)
-        if not r:
-            for c in range(spec.q):
-                yield (a, 0, c, d)
 
 
 def find_subgroup_of_type(spec, kind):
-    """Search SL2(F_q), q odd, for a subgroup of the named type.
+    """A subgroup of SL2(F_q) of the named type, built from a trace triple.
 
-    kind: "SL2(3)", "SL2(5)" or "2S4".  Returns a FiniteGroup or None when
-    the type provably does not embed (some required element order is
-    missing from SL2(F_q)).  Raises SearchBudgetExceeded past the q cap or
-    the attempt budget.  Candidate generators of the two distinctive
-    orders are code tuples drawn, in sl2_codes order, from the trace classes
-    of those orders, not from a scan of SL2(F_q); the trace map gives their
-    orders.  Pairs of candidates are closed until one has the profile."""
+    kind: "SL2(3)", "SL2(5)" or "2S4".  Returns a FiniteGroup with gens
+    (x, y), or None when the type does not embed (some element order of
+    its profile is missing from SL2(F_q), always so at p = 2).
+
+    By Macbeath (Generators of the linear fractional groups, 1969) a pair
+    generating an irreducible subgroup of SL2(F_q) is fixed up to
+    conjugacy by (tr x, tr y, tr xy), and (0, 1, tau) gives <2,3,3>,
+    <2,3,4> or <2,3,5> as tau = 1, tau^2 = 2 or tau^2 = tau + 1.  Here
+    x = [[0, 1], [-1, 0]] and y = [[a, b], [tau + b, 1 - a]], whose
+    det y = 1 reads b^2 + tau*b + a^2 - a + 1 = 0.  tau is the least root
+    code, a the least code whose discriminant tau^2 - 4(a^2 - a + 1) has a
+    square root, and b = (s - tau)/2 with s the least such root.  Such an
+    a exists: the discriminant is tau^2 - 3 - (2a - 1)^2, and every
+    element of F_q, q odd, is a sum of two squares."""
     if kind not in SUBGROUP_TARGETS:
         raise NotFound("unknown subgroup kind %r" % kind)
-    if spec.p == 2 or spec.q > 64:
-        raise SearchBudgetExceeded("search supports odd q <= 64")
-    target_order, profile, o1, o2s = SUBGROUP_TARGETS[kind]
+    order, profile, (c1, c0) = SUBGROUP_TARGETS[kind]
     if not all(order_available(spec, d) for d in profile):
         return None
-    add, _, neg, _ = spec._tables()
-    mul = code_mul(spec)
-    tmap = _trace_order_map(spec)
-    want = [t for t, o in tmap.items() if o == o1 or o in o2s]
-    central = (CODE_ONE, (neg[1], 0, 0, neg[1]))  # of trace +-2, order 1, 2
-    xs, pool2 = [], []
-    for g in sorted(g for t in want for g in _trace_class(spec, t)
-                    if g not in central):
-        o = tmap[add[g[0]][g[3]]]
-        if o == o1 and len(xs) < 8:
-            xs.append(g)
-        if o in o2s:
-            pool2.append(g)
-
-    attempts = 0
-    for x in xs:
-        for y in pool2:
-            attempts += 1
-            if attempts > _SEARCH_BUDGET:
-                raise SearchBudgetExceeded("%d attempts" % attempts)
-            try:
-                h = generate(CODE_ONE, (x, y), mul, target_order + 1)
-            except SizeCapExceeded:
-                continue
-            if len(h) != target_order:
-                continue
-            if Counter(order_of(g, CODE_ONE, mul) for g in h) == profile:
-                return FiniteGroup(spec, h, (x, y))
-    return None
+    q, p = spec.q, spec.p
+    add, mul, neg, inv = spec._tables()
+    tau = next(t for t in range(q)
+               if add[add[mul[t][t]][mul[c1 % p][t]]][c0 % p] == 0)
+    root = {}
+    for s in range(q):
+        root.setdefault(mul[s][s], s)
+    four = add[add[1][1]][add[1][1]]
+    for a in range(q):
+        e = add[mul[a][a]][add[1][neg[a]]]  # a^2 - a + 1
+        disc = add[mul[tau][tau]][neg[mul[four][e]]]
+        if disc in root:
+            break
+    b = mul[add[root[disc]][neg[tau]]][inv[add[1][1]]]
+    x, y = (0, 1, neg[1], 0), (a, b, add[tau][b], add[1][neg[a]])
+    h = generate(CODE_ONE, (x, y), code_mul(spec), order + 1)
+    assert len(h) == order, (kind, q)
+    return FiniteGroup(spec, h, (x, y))
 
 
 DicksonEntry = namedtuple("DicksonEntry", "type order div_q_plus_1 source")

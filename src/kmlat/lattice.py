@@ -298,7 +298,7 @@ def build_standard_lattice(spec, kind):
         if spec.p == 2:
             raise KindInadmissible("exceptional kinds need odd p")
         order = SUBGROUP_TARGETS[kind][0]
-        if order % (q + 1) != 0:  # cheap, so before the search
+        if order % (q + 1) != 0:  # cheap, so before the construction
             raise KindInadmissible("order %d not divisible by q+1" % order)
         h = find_subgroup_of_type(spec, kind)
         if h is None:

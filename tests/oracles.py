@@ -6,16 +6,17 @@ replaced; differential tests assert that both give the same results.
 
 from functools import lru_cache
 from math import gcd
+from unittest.mock import patch
 
 from collections import Counter
 
-from kmlat import serretree
+from kmlat import lattice, serretree
 from kmlat.errors import (KindInadmissible, NotFound, OddCharacteristic,
-                          KmlatError, SearchBudgetExceeded, SizeCapExceeded,
-                          SpecMismatch, UnsupportedActionDomain)
+                          KmlatError, SizeCapExceeded, SpecMismatch,
+                          UnsupportedActionDomain)
 from kmlat.gf import ExtElement, _poly_mod, _poly_mul, is_prime
-from kmlat.groups import (_SEARCH_BUDGET, CODE_ONE, SUBGROUP_TARGETS,
-                          FiniteGroup, code_mul, generate, order_available,
+from kmlat.groups import (CODE_ONE, SUBGROUP_TARGETS, FiniteGroup, code_mul,
+                          find_subgroup_of_type, generate, order_available,
                           order_of, sl2_codes)
 from kmlat.kmaction import EdgeLabel, apply_word
 from kmlat.lattice import VerificationReport, covolume
@@ -271,7 +272,7 @@ def full_product_obstruction_search(spec, window):
 
 
 def full_walk_trace_order_map(spec):
-    """groups._trace_order_map by walking every power of a generator of
+    """walked_trace_order_map by walking every power of a generator of
     F_{q^2}* and keeping those whose trace lam + lam^-1 lies in F_q."""
     n = spec.q ** 2 - 1
     gen = ext_primitive_element(spec)
@@ -291,10 +292,13 @@ def full_walk_trace_order_map(spec):
 
 
 def walked_trace_order_map(spec):
-    """groups._trace_order_map by walking F_{q^2}* = <gen>: an element of
-    SL2 with eigenvalue pair (lam, lam^-1), lam != +-1, has the order of
-    lam, and its trace lam + lam^-1 lies in F_q exactly when lam = gen^k
-    with k a multiple of q+1 or of q-1, so only those 2q powers are walked.
+    """Map trace code -> element order for the non-central elements of
+    SL2(F_q); traces 2 and -2 map to p and 2p (the unipotent classes).
+
+    Walks F_{q^2}* = <gen>: an element of SL2 with eigenvalue pair
+    (lam, lam^-1), lam != +-1, has the order of lam, and its trace
+    lam + lam^-1 lies in F_q exactly when lam = gen^k with k a multiple of
+    q+1 or of q-1, so only those 2q powers are walked.
     """
     n = spec.q ** 2 - 1
     gen = ext_primitive_element(spec)
@@ -314,15 +318,32 @@ def walked_trace_order_map(spec):
     return out
 
 
+class SearchBudgetExceeded(KmlatError):
+    """scan_find_subgroup_of_type ran past its q cap or attempt budget."""
+
+
+# kind -> (the order of the first generator, the orders allowed for the
+# second) of the pairs scan_find_subgroup_of_type closes
+SCAN_GENERATOR_ORDERS = {"SL2(3)": (6, (4,)), "SL2(5)": (10, (4,)),
+                         "2S4": (8, (6, 3))}
+SCAN_BUDGET = 500_000
+
+
 def scan_find_subgroup_of_type(spec, kind):
-    """groups.find_subgroup_of_type with its candidates drawn by scanning
-    all of SL2(F_q), keeping the elements whose trace has a wanted order,
-    and taking each one's order by repeated products."""
+    """A subgroup of SL2(F_q) of the named type, found by search where
+    groups.find_subgroup_of_type builds one from a trace triple.
+
+    Scans all of SL2(F_q), q odd and at most 64, keeps the elements whose
+    trace has one of the two wanted orders, takes each one's order by
+    repeated products, and closes pairs (x, y) of those orders until one
+    has the type's order and profile.  None when some element order of
+    the profile is missing from SL2(F_q)."""
     if kind not in SUBGROUP_TARGETS:
         raise NotFound("unknown subgroup kind %r" % kind)
     if spec.p == 2 or spec.q > 64:
         raise SearchBudgetExceeded("search supports odd q <= 64")
-    target_order, profile, o1, o2s = SUBGROUP_TARGETS[kind]
+    target_order, profile = SUBGROUP_TARGETS[kind][:2]
+    o1, o2s = SCAN_GENERATOR_ORDERS[kind]
     if not all(order_available(spec, d) for d in profile):
         return None
     add = spec._tables()[0]
@@ -342,7 +363,7 @@ def scan_find_subgroup_of_type(spec, kind):
     for x in xs:
         for y in pool2:
             attempts += 1
-            if attempts > _SEARCH_BUDGET:
+            if attempts > SCAN_BUDGET:
                 raise SearchBudgetExceeded("%d attempts" % attempts)
             try:
                 h = generate(CODE_ONE, (x, y), mul, target_order + 1)
@@ -353,6 +374,54 @@ def scan_find_subgroup_of_type(spec, kind):
             if Counter(order_of(g, CODE_ONE, mul) for g in h) == profile:
                 return FiniteGroup(spec, h, (x, y))
     return None
+
+
+def trace_copies(spec, kind, first_a=3):
+    """Copies <x, y> of the kind, as FiniteGroups with gens (x, y), from the
+    trace triples (0, 1, tau) of groups.find_subgroup_of_type, with b found
+    by trying every code.
+
+    x = [[0, 1], [-1, 0]] and y = [[a, b], [tau + b, 1 - a]] for every
+    root tau of tau^2 + c1*tau + c0 or of tau^2 - c1*tau + c0 (the triple
+    (0, 1, -tau) is that of (-x, y), and <-x, y> = <x, y>), the first
+    `first_a` codes a for which b^2 + tau*b + a^2 - a + 1 = 0 has a root b,
+    and each such b.  Each closure is capped at the kind's order plus one,
+    so a pair that generates more raises SizeCapExceeded."""
+    q, p = spec.q, spec.p
+    add, mul, neg, _ = spec._tables()
+    order, _, (c1, c0) = SUBGROUP_TARGETS[kind]
+    prod = code_mul(spec)
+    x = (0, 1, neg[1], 0)
+    roots = {t for t in range(q) for sign in (1, -1)
+             if not add[add[mul[t][t]][mul[sign * c1 % p][t]]][c0 % p]}
+    out = []
+    for tau in sorted(roots):
+        tried = 0
+        for a in range(q):
+            e = add[mul[a][a]][add[1][neg[a]]]  # a^2 - a + 1
+            bs = [b for b in range(q)
+                  if not add[add[mul[b][b]][mul[tau][b]]][e]]
+            for b in bs:
+                y = (a, b, add[tau][b], add[1][neg[a]])
+                out.append(FiniteGroup(
+                    spec, generate(CODE_ONE, (x, y), prod, order + 1), (x, y)))
+            tried += bool(bs)
+            if tried == first_a:
+                break
+    return out
+
+
+def aligned_report(spec, kind, copy):
+    """lubotzky_check's report, as a JSON dict, on the A1 that
+    lattice.build_standard_lattice aligns from the exceptional copy `copy`
+    in place of the one groups.find_subgroup_of_type builds; or the class
+    name and message of the KmlatError the build or the check raised."""
+    with patch.object(lattice, "find_subgroup_of_type", lambda s, k: copy):
+        try:
+            return lattice.lubotzky_check(
+                lattice.build_standard_lattice(spec, kind)).to_json_dict()
+        except KmlatError as exc:
+            return type(exc).__name__, str(exc)
 
 
 def _replay_fixes(params, word, mode, e):
@@ -611,9 +680,9 @@ def mat2_diagonalizing_conjugator(spec, u):
 
 def mat2_build_standard_lattice(spec, kind):
     """lattice.build_standard_lattice with Mat2 products throughout: the
-    exceptional copy is aligned by Mat2 conjugation, and A2 is formed as
-    delta A1 delta^-1; the exceptional group comes from the scanning
-    search.  Returns the Mat2Groups (A1, A2)."""
+    exceptional copy that groups.find_subgroup_of_type builds is aligned by
+    Mat2 conjugation, and A2 is formed as delta A1 delta^-1.  Returns the
+    Mat2Groups (A1, A2)."""
     q = spec.q
     if kind == "cyclic_p2":
         if spec.p != 2:
@@ -629,7 +698,7 @@ def mat2_build_standard_lattice(spec, kind):
         order = SUBGROUP_TARGETS[kind][0]
         if order % (q + 1) != 0:
             raise KindInadmissible("order %d not divisible by q+1" % order)
-        h = scan_find_subgroup_of_type(spec, kind)
+        h = find_subgroup_of_type(spec, kind)
         if h is None:
             raise KindInadmissible("%s does not embed at q = %d" % (kind, q))
         h = Mat2Group(spec, to_mat2(spec, h.elements), to_mat2(spec, h.gens))

@@ -366,6 +366,18 @@ def _in_process(capsys, argv):
     return code, out, err
 
 
+@pytest.mark.parametrize("argv,flag", [
+    (("dihedral-search", "--q", "2"), "--window"),
+    (("zp-test", "--q", "3"), "--pairs")], ids=["window", "pairs"])
+def test_window_and_pairs_default_to_1(capsys, argv, flag):
+    """As the README says: omitting the flag prints what passing 1 prints,
+    byte for byte, and passing 2 prints something else."""
+    omitted = _in_process(capsys, argv)
+    assert omitted[0] == 0
+    assert omitted == _in_process(capsys, argv + (flag, "1"))
+    assert omitted != _in_process(capsys, argv + (flag, "2"))
+
+
 VALID_RUNS = {
     "classify": ("--p", "7", "--q", "7", "--levi", "psl", "--z", "2"),
     "min-covolume": ("--p", "2", "--q", "4", "--levi", "psl"),

@@ -7,10 +7,13 @@ import pytest
 from kmlat import groups
 from kmlat.errors import NotASubgroup, SizeCapExceeded
 from kmlat.gf import is_prime, make_field
-from kmlat.groups import (CODE_ONE, FiniteGroup, closure, dickson_table,
-                          find_subgroup_of_type, generate, nonsplit_torus,
-                          order_available, torus_normalizer)
-from oracles import full_walk_trace_order_map, scan_find_subgroup_of_type
+from kmlat.groups import (CODE_ONE, SUBGROUP_TARGETS, FiniteGroup, closure,
+                          dickson_table, find_subgroup_of_type, generate,
+                          nonsplit_torus, order_available, order_of,
+                          torus_normalizer)
+from oracles import (aligned_report, full_walk_trace_order_map,
+                     scan_find_subgroup_of_type, trace_copies,
+                     walked_trace_order_map)
 from reference import (GroupType, center, cosets, derived_subgroup,
                        is_abelian, is_cyclic, is_normal, is_subgroup,
                        recognize, sl2_group)
@@ -268,54 +271,85 @@ ODD_PRIME_POWERS = _odd_prime_powers(65)
 
 @pytest.mark.parametrize("p,a", _odd_prime_powers(128))
 def test_trace_order_map_matches_full_walk(p, a):
-    """The Lucas recurrence on trace codes, stopped at the first n with
-    tr(g^n) = 2, gives the order that the eigenvalue lam of each
+    """The trace map scan_find_subgroup_of_type draws its candidates by,
+    which walks only the 2q powers of a generator of F_{q^2}* whose
+    traces lie in F_q, gives the order that the eigenvalue lam of each
     non-central g has in F_{q^2}*, found by walking all its powers."""
     spec = make_field(p, a)
-    assert groups._trace_order_map(spec) == full_walk_trace_order_map(spec)
+    assert walked_trace_order_map(spec) == full_walk_trace_order_map(spec)
 
 
 @pytest.mark.parametrize("p,a", ODD_PRIME_POWERS + [(2, 1), (2, 2), (2, 3)])
 def test_trace_classes_partition_sl2_by_counting(p, a):
-    """The elements of trace t number q^2 + (r - 1)*q, r the number of
-    roots of x^2 - t*x + 1 in F_q; for odd q, r - 1 is chi(t^2 - 4), chi
-    the quadratic character with chi(0) = 0.  Every member has det 1 and
-    trace t, and the classes cover SL2(F_q), whose sl2_codes order is
-    lexicographic: find_subgroup_of_type draws its candidates in it."""
+    """sl2_codes, split by trace: the elements of trace t number
+    q^2 + (r - 1)*q, r the number of roots of x^2 - t*x + 1 in F_q; for
+    odd q, r - 1 is chi(t^2 - 4), chi the quadratic character with
+    chi(0) = 0.  Every member has det 1, none repeats, the classes add up
+    to |SL2(F_q)| = q^3 - q, and the order of sl2_codes is lexicographic."""
     spec = make_field(p, a)
     q = spec.q
     add, mul, neg, _ = spec._tables()
+    codes = list(groups.sl2_codes(spec))
+    assert codes == sorted(set(codes))
+    assert len(codes) == q ** 3 - q
+    sizes = Counter(add[a_][d] for a_, b, c, d in codes)
     squares = {mul[x][x] for x in range(1, q)}
     four = add[add[1][1]][add[1][1]]
-    total = 0
     for t in range(q):
-        cls = list(groups._trace_class(spec, t))
         roots = sum(add[mul[x][x]][neg[mul[t][x]]] == neg[1]
                     for x in range(q))
         if p != 2:
             disc = add[mul[t][t]][neg[four]]
             assert roots - 1 == (0 if not disc else
                                  1 if disc in squares else -1), t
-        assert len(cls) == len(set(cls)) == q * q + (roots - 1) * q, t
-        for a_, b, c, d in cls:
-            assert add[mul[a_][d]][neg[mul[b][c]]] == 1
-            assert add[a_][d] == t
-        total += len(cls)
-    assert total == q ** 3 - q
-    codes = list(groups.sl2_codes(spec))
-    assert codes == sorted(codes)
+        assert sizes[t] == q * q + (roots - 1) * q, t
+    for a_, b, c, d in codes:
+        assert add[mul[a_][d]][neg[mul[b][c]]] == 1
+
+
+def _profile(h):
+    return Counter(order_of(g, CODE_ONE, h.mul) for g in h)
 
 
 @pytest.mark.parametrize("p,a", ODD_PRIME_POWERS)
 @pytest.mark.parametrize("kind", ["SL2(3)", "SL2(5)", "2S4"])
 def test_find_subgroup_matches_the_scan(p, a, kind):
-    """Drawing candidates from the wanted trace classes finds the group,
-    and the generators, that scanning all of SL2(F_q) found."""
+    """The copy built from the trace triple exists where the scan over
+    SL2(F_q) finds one, has its order and element-order profile, and gives
+    the same lubotzky_check report once build_standard_lattice aligns it
+    (or the same refusal)."""
     spec = make_field(p, a)
     got = find_subgroup_of_type(spec, kind)
     want = scan_find_subgroup_of_type(spec, kind)
-    if want is None:
+    assert (got is None) == (want is None)
+    if want is not None:
+        assert got.order == want.order == SUBGROUP_TARGETS[kind][0]
+        assert _profile(got) == _profile(want) == SUBGROUP_TARGETS[kind][1]
+    assert (aligned_report(spec, kind, got)
+            == aligned_report(spec, kind, want))
+
+
+@pytest.mark.parametrize("p,a", [(p, a) for p in range(2, 128) if is_prime(p)
+                                 for a in range(1, 8) if p ** a < 128])
+@pytest.mark.parametrize("kind", ["SL2(3)", "SL2(5)", "2S4"])
+def test_construction_has_the_order_and_profile(p, a, kind):
+    """At every prime power q < 128 the construction returns a group of
+    the kind's order and exact element-order profile wherever every order
+    in the profile is available in SL2(F_q), and None elsewhere.  Its gens
+    x and y have traces 0 and 1, tr xy is a root of the kind's quadratic,
+    and (x, y) is one of the pairs trace_copies finds by trying every b."""
+    spec = make_field(p, a)
+    order, profile, (c1, c0) = SUBGROUP_TARGETS[kind]
+    got = find_subgroup_of_type(spec, kind)
+    if not all(order_available(spec, d) for d in profile):
         assert got is None
-    else:
-        assert got.elements == want.elements
-        assert got.gens == want.gens
+        return
+    assert got.order == order
+    assert _profile(got) == profile
+    add, mul = spec._tables()[:2]
+    x, y = got.gens
+    xy = got.mul(x, y)
+    tau = add[xy[0]][xy[3]]
+    assert (add[x[0]][x[3]], add[y[0]][y[3]]) == (0, 1)
+    assert add[add[mul[tau][tau]][mul[c1 % p][tau]]][c0 % p] == 0
+    assert got.gens in [h.gens for h in trace_copies(spec, kind, first_a=1)]

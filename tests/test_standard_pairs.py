@@ -18,9 +18,9 @@ from kmlat.lattice import (EXCEPTIONAL_TABLE, ClassificationInput,
                            build_standard_lattice, classify, lubotzky_check,
                            min_covolume)
 from kmlat.serretree import Mat2
-from oracles import (Mat2Group, mat2_build_standard_lattice,
+from oracles import (Mat2Group, aligned_report, mat2_build_standard_lattice,
                      mat2_lubotzky_check, mat2_pair, mat2_sl2_elements,
-                     to_mat2)
+                     scan_find_subgroup_of_type, to_mat2, trace_copies)
 from reference import recognize
 
 KINDS = ("cyclic_p2", "torus_normalizer", "SL2(3)", "SL2(5)", "2S4")
@@ -176,9 +176,11 @@ def test_exceptional_sweep_gives_the_table(builds, reports):
     This is exhaustive.  A pair passes only if A1 acts transitively on the
     q+1 neighbors of x1, so q+1 divides |A1|, which is 24, 48 or 120.
     The odd prime powers with that property are 3, 5, 7, 9, 11, 19, 23,
-    29, 47 and 59, all at most 64.  Two caveats: one copy of each type is
-    built (the first the search finds), and the pgl rows have no builder,
-    so only the psl rows are checked here.
+    29, 47 and 59, all at most 64.  One copy of each type is built, the
+    one find_subgroup_of_type builds from a trace triple;
+    test_every_trace_copy_gives_the_scan_copys_report checks that other
+    copies give the same reports.  The pgl rows have no builder, so only
+    the psl rows are checked here.
     """
     odd = [q for q in FIELDS if q % 2 and q <= 64]
     built = {(q, kind) for q in odd for kind in EXCEPTIONAL_KINDS
@@ -191,6 +193,28 @@ def test_exceptional_sweep_gives_the_table(builds, reports):
     assert passing == table
     for key in ((7, "SL2(3)"), (23, "SL2(3)"), (47, "2S4")):
         assert key in built and not reports[key].passes, key
+
+
+ALIGNED_CASES = [(q, kind) for q in sorted(FIELDS) if q % 2 and q <= 64
+                 for kind in EXCEPTIONAL_KINDS
+                 if SUBGROUP_TARGETS[kind][0] % (q + 1) == 0]
+
+
+@pytest.mark.parametrize("q,kind", ALIGNED_CASES)
+def test_every_trace_copy_gives_the_scan_copys_report(q, kind):
+    """At every odd q <= 64 where q+1 divides the kind's order, so that
+    build_standard_lattice gets to align a copy: each copy from the trace
+    triples (every root tau, the first three a, both roots b) has the
+    kind's order, and aligned as build_standard_lattice aligns, gives the
+    lubotzky_check report (or the refusal) of the scan oracle's copy."""
+    spec = make_field(*FIELDS[q])
+    want = scan_find_subgroup_of_type(spec, kind)
+    copies = trace_copies(spec, kind)
+    assert (want is None) == (copies == [])
+    report = aligned_report(spec, kind, want)
+    for h in copies:
+        assert h.order == SUBGROUP_TARGETS[kind][0], h.gens
+        assert aligned_report(spec, kind, h) == report, h.gens
 
 
 @pytest.mark.parametrize("q", sorted(FIELDS))
@@ -234,9 +258,9 @@ def test_classify_rows_are_the_passing_pairs(reports, q):
 def test_exceptional_rows_name_the_built_group(builds, reports):
     """For each exceptional pair that passes, recognize(A1) names the
     vertex_type of its classify row (the row calls the binary octahedral
-    group 2S4).  One copy of each type is built, the first the search
-    finds, and the pgl rows have no builder, so this checks the psl rows
-    against that one copy."""
+    group 2S4).  One copy of each type is built, from a trace triple, and
+    the pgl rows have no builder, so this checks the psl rows against that
+    one copy."""
     names = {"2S4": "BinaryOctahedral"}
     checked = 0
     for (q, kind), rep in sorted(reports.items()):
@@ -268,16 +292,17 @@ def test_dickson_sl2_exceptional_rows_are_the_found_subgroups(q):
             assert found.order == order, kind
 
 
-# the dickson_table types that name a sporadic group; every other row of
-# the sl2 table has a witness in _dickson_witnesses
-SPORADIC_TYPES = {"SL2(3)", "SL2(5)", "2S4", "A4", "S4", "A5"}
+# the dickson_table types that name a sporadic group with no witness; every
+# other row of the sl2 table has one in _dickson_witnesses
+SPORADIC_TYPES = {"A4", "S4", "A5"}
 
 
 def _dickson_witnesses(spec):
     """Row type -> generators, as code 4-tuples, of a subgroup of SL2(F_q)
     of that shape, for the rows of dickson_table(spec, "sl2") that are not
     sporadic.  At p = 2 the table gives the psl2 rows, so the dihedral and
-    subfield rows carry PSL2/PGL2 names."""
+    subfield rows carry PSL2/PGL2 names.  SL2(3), SL2(5) and 2S4 are the
+    copies find_subgroup_of_type builds, where it builds one."""
     q, p, a = spec.q, spec.p, spec.a
     mul, neg, inv = spec._tables()[1:]
     fmul = lambda x, y: mul[x][y]
@@ -296,26 +321,41 @@ def _dickson_witnesses(spec):
         out["Dicyclic(%d)" % (2 * (q - 1))] = [split, (0, 1, neg[1], 0)]
         out["Dicyclic(%d)" % (2 * (q + 1))] = list(
             torus_normalizer(spec).gens)
+    for kind in EXCEPTIONAL_KINDS:
+        found = find_subgroup_of_type(spec, kind)
+        if found is not None:
+            out[kind] = list(found.gens)
     for b in range(1, a):
         if a % b == 0:
-            sub = [x for x in range(q) if code_pow(fmul, x, p ** b) == x]
-            unipotents = ([(1, x, 0, 1) for x in sub]
-                          + [(1, 0, x, 1) for x in sub])
+            unipotents = _subfield_unipotents(spec, b)
             for name in ("SL2", "PSL2", "PGL2"):
                 out["%s(%d)" % (name, p ** b)] = unipotents
     return out
+
+
+def _subfield_unipotents(spec, b):
+    """u(x) and its transpose for x in F_{p^b}, which generate SL2(p^b)."""
+    mul = spec._tables()[1]
+    sub = [x for x in range(spec.q)
+           if code_pow(lambda u, v: mul[u][v], x, spec.p ** b) == x]
+    return [(1, x, 0, 1) for x in sub] + [(1, 0, x, 1) for x in sub]
 
 
 @pytest.mark.parametrize("q", [q for q in sorted(FIELDS) if q < 64])
 def test_dickson_sl2_rows_have_witnesses_of_their_order(q):
     """At every prime power q < 64, each row of dickson_table(spec, "sl2")
     that is not sporadic is the order of a subgroup of SL2(F_q): the
-    closure of its witness has exactly the row's order."""
+    closure of its witness has exactly the row's order.  SL2(3), SL2(5)
+    and 2S4 are listed exactly where find_subgroup_of_type builds them."""
     spec = make_field(*FIELDS[q])
     witnesses = _dickson_witnesses(spec)
+    rows = dickson_table(spec, "sl2")
+    types = {row.type for row in rows}
+    for kind in EXCEPTIONAL_KINDS:
+        assert (kind in types) == (kind in witnesses), kind
     prod = code_mul(spec)
     checked = 0
-    for row in dickson_table(spec, "sl2"):
+    for row in rows:
         if row.type not in witnesses:
             assert row.type in SPORADIC_TYPES, row.type
             continue
@@ -323,3 +363,44 @@ def test_dickson_sl2_rows_have_witnesses_of_their_order(q):
         assert len(group) == row.order, row.type
         checked += 1
     assert checked >= 6
+
+
+@pytest.mark.parametrize("ambient", ["psl2", "sl2", "pgl2"])
+@pytest.mark.parametrize("q", sorted(FIELDS))
+def test_dickson_type_names_carry_their_order(q, ambient):
+    """At every prime power q < 128, in each ambient, a row whose type
+    names its order (Cyclic(n), Dihedral(n), Dicyclic(n),
+    ElementaryAbelian(n)) has order n."""
+    named = 0
+    for row in dickson_table(make_field(*FIELDS[q]), ambient):
+        family, _, rest = row.type.partition("(")
+        if family in ("Cyclic", "Dihedral", "Dicyclic", "ElementaryAbelian"):
+            assert rest.endswith(")") and int(rest[:-1]) == row.order, row
+            named += 1
+    assert named >= 5
+
+
+@pytest.mark.parametrize("q", [q for q in sorted(FIELDS)
+                               if FIELDS[q][1] > 1])
+def test_dickson_psl2_subfield_rows_are_images_of_sl2_witnesses(q):
+    """At every prime power q = p^a < 128 with a > 1, each PSL2(p^b) row of
+    the psl2 and pgl2 tables has the order |H| / |H cap {I, -I}| of the
+    image mod +-I of H = SL2(p^b), the closure of the unipotents over
+    F_{p^b} inside SL2(F_q)."""
+    spec = make_field(*FIELDS[q])
+    p, a = FIELDS[q]
+    prod = code_mul(spec)
+    minus_one = spec._tables()[2][1]
+    center = {CODE_ONE, (minus_one, 0, 0, minus_one)}
+    checked = 0
+    for b in range(1, a):
+        if a % b:
+            continue
+        h = generate(CODE_ONE, _subfield_unipotents(spec, b), prod, q ** 3)
+        for ambient in ("psl2", "pgl2"):
+            rows = [r for r in dickson_table(spec, ambient)
+                    if r.type == "PSL2(%d)" % p ** b]
+            assert len(rows) == 1, (ambient, b)
+            assert rows[0].order == len(h) // len(h & center), (ambient, b)
+            checked += 1
+    assert checked >= 2
