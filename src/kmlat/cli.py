@@ -6,11 +6,11 @@ Exit codes: 0 on success, 1 on a domain error (JSON {"error", "detail"}),
 
 from __future__ import annotations
 
-import argparse
 import functools
 import itertools
 import json
 import sys
+import types
 
 from . import gf, groups, kmaction, lattice, serretree
 from .errors import DegreeTooLarge, InvalidInput, KmlatError
@@ -185,6 +185,7 @@ def non_negative_int(text):
     """argparse type: a non-negative integer."""
     n = int(text)
     if n < 0:
+        import argparse
         raise argparse.ArgumentTypeError("%d is negative" % n)
     return n
 
@@ -193,71 +194,93 @@ def positive_int(text):
     """argparse type: a positive integer."""
     n = int(text)
     if n < 1:
+        import argparse
         raise argparse.ArgumentTypeError("%d is not positive" % n)
     return n
 
 
-def _classify_flags(p):
-    p.add_argument("--p", type=int, required=True)
-    p.add_argument("--q", type=int, required=True)
-    p.add_argument("--levi", choices=("psl", "pgl"), required=True)
-    p.add_argument("--z", type=int, default=1)
-    for flag in ("qi-central", "qi0-central", "qi0-nontrivial",
-                 "zmi-central"):
-        p.add_argument("--%s" % flag, choices=("yes", "no"), default=None)
+_Q = {"--q": {"required": True}}
+_TRISTATE = {"choices": ("yes", "no")}
+_CLASSIFY_FLAGS = {
+    "--p": {"type": int, "required": True},
+    "--q": {"type": int, "required": True},
+    "--levi": {"choices": ("psl", "pgl"), "required": True},
+    "--z": {"type": int, "default": 1},
+    "--qi-central": _TRISTATE, "--qi0-central": _TRISTATE,
+    "--qi0-nontrivial": _TRISTATE, "--zmi-central": _TRISTATE,
+}
 
-
-def _q_and(flag, **kwargs):
-    """The flag function of a subcommand that takes --q and one more flag."""
-    def add_flags(p):
-        p.add_argument("--q", required=True)
-        p.add_argument(flag, **kwargs)
-    return add_flags
-
-
-def _km_act_flags(p):
-    p.add_argument("--q", required=True)
-    p.add_argument("--m", type=int, default=2)
-    p.add_argument("--word", required=True)
-    p.add_argument("--edge", required=True)
-    p.add_argument("--mode", choices=("identity_phi", "twisted_phi"),
-                   default="identity_phi")
-
-
-def _tree_flags(p):
-    p.add_argument("--q", required=True)
-    one_of = p.add_mutually_exclusive_group()
-    one_of.add_argument("--distance", nargs=2, metavar=("M1", "M2"))
-    one_of.add_argument("--neighbors", metavar="M")
-
-
-# name -> (help, handler, flag function), in the order --help lists them
+# name -> (help, handler, flags, flags that exclude each other), in the
+# order --help lists them; each flag maps to its add_argument keywords
 COMMANDS = {
     "classify": ("list lattice shapes for (p,q,...)", cmd_classify,
-                 _classify_flags),
+                 _CLASSIFY_FLAGS, ()),
     "min-covolume": ("least covolume for (p,q,...)", cmd_min_covolume,
-                     _classify_flags),
+                     _CLASSIFY_FLAGS, ()),
     "dickson": ("subgroup types of SL2/PSL2/PGL2(q)", cmd_dickson,
-                _q_and("--ambient", choices=("sl2", "psl2", "pgl2"),
-                       required=True)),
+                {**_Q, "--ambient": {"choices": ("sl2", "psl2", "pgl2"),
+                                     "required": True}}, ()),
     "verify": ("build and check a standard pair", cmd_verify,
-               _q_and("--kind", required=True,
-                      choices=("cyclic_p2", "torus_normalizer", "SL2(3)",
-                               "SL2(5)", "2S4"))),
+               {**_Q, "--kind": {"required": True, "choices": (
+                   "cyclic_p2", "torus_normalizer", "SL2(3)", "SL2(5)",
+                   "2S4")}}, ()),
     "km-act": ("apply a root-group word to an edge", cmd_km_act,
-               _km_act_flags),
+               {**_Q, "--m": {"type": int, "default": 2},
+                "--word": {"required": True}, "--edge": {"required": True},
+                "--mode": {"choices": ("identity_phi", "twisted_phi"),
+                           "default": "identity_phi"}}, ()),
     "zp-test": ("test z^p on alternating words", cmd_zp_test,
-                _q_and("--pairs", type=positive_int, default=1)),
+                {**_Q, "--pairs": {"type": positive_int, "default": 1}}, ()),
     "dihedral-search": ("char-2 dihedral search", cmd_dihedral_search,
-                        _q_and("--window", type=non_negative_int, default=1)),
-    "tree": ("tree distance or neighbors", cmd_tree, _tree_flags),
+                        {**_Q, "--window": {"type": non_negative_int,
+                                            "default": 1}}, ()),
+    "tree": ("tree distance or neighbors", cmd_tree,
+             {**_Q, "--distance": {"nargs": 2, "metavar": ("M1", "M2")},
+              "--neighbors": {"metavar": "M"}}, ("--distance", "--neighbors")),
 }
+
+
+def fast_parse(argv):
+    """The namespace argparse gives an argv of the shape
+    `<command> (--flag value)*` that it accepts, read off COMMANDS without
+    argparse; None for every other argv, which build_parser then parses.
+    A flag may appear once, and no value may start with '-'."""
+    if not argv or argv[0] not in COMMANDS:
+        return None
+    _, _, flags, one_of = COMMANDS[argv[0]]
+    given = {}
+    i = 1
+    while i < len(argv):
+        flag = argv[i]
+        keywords = flags.get(flag)
+        if keywords is None or flag in given:
+            return None
+        n = keywords.get("nargs", 1)
+        values = argv[i + 1:i + 1 + n]
+        if len(values) < n or any(v.startswith("-") for v in values):
+            return None
+        try:
+            values = [keywords.get("type", str)(v) for v in values]
+        except Exception:  # argparse makes the same call and reports it
+            return None
+        choices = keywords.get("choices")
+        if choices and any(v not in choices for v in values):
+            return None
+        given[flag] = values if "nargs" in keywords else values[0]
+        i += 1 + n
+    if len(given.keys() & set(one_of)) > 1 or any(
+            k.get("required") and f not in given for f, k in flags.items()):
+        return None
+    return types.SimpleNamespace(json_indent=None, command=argv[0], **{
+        f[2:].replace("-", "_"): given.get(f, k.get("default"))
+        for f, k in flags.items()})
 
 
 def build_parser(command=None):
     """The parser with every subcommand, or only the named one: argparse
     dispatches on the first positional, so an argv that starts with that
     name parses, and fails, exactly as with all eight."""
+    import argparse
     # argparse's layout for its fallback 80-column terminal; with the width
     # fixed, it never imports shutil to probe the terminal
     fmt = functools.partial(argparse.HelpFormatter, width=80 - 2)
@@ -269,16 +292,22 @@ def build_parser(command=None):
         dest="command", required=True, metavar="COMMAND",
         parser_class=functools.partial(argparse.ArgumentParser,
                                        formatter_class=fmt))
-    for name, (help_text, _, add_flags) in COMMANDS.items():
+    for name, (help_text, _, flags, one_of) in COMMANDS.items():
         if command in (None, name):
-            add_flags(sub.add_parser(name, help=help_text))
+            p = sub.add_parser(name, help=help_text)
+            group = p.add_mutually_exclusive_group() if one_of else p
+            for flag, keywords in flags.items():
+                (group if flag in one_of else p).add_argument(flag,
+                                                              **keywords)
     return parser
 
 
 def main(argv=None):
     argv = sys.argv[1:] if argv is None else argv
-    command = argv[0] if argv and argv[0] in COMMANDS else None
-    args = build_parser(command).parse_args(argv)
+    args = fast_parse(argv)
+    if args is None:
+        command = argv[0] if argv and argv[0] in COMMANDS else None
+        args = build_parser(command).parse_args(argv)
     try:
         COMMANDS[args.command][1](args)
     except KmlatError as exc:

@@ -285,10 +285,13 @@ def test_python_dash_m_kmlat():
 def test_a_run_never_probes_the_terminal():
     """With its help width fixed, building the parser does not make
     argparse import shutil (and with it bz2 and lzma) to measure the
-    terminal.  Run as the benchmark runs a job: -E -S, src on sys.path."""
+    terminal.  Run as the benchmark runs a job: -E -S, src on sys.path.
+    --json-indent before the command makes the fast parse decline, so
+    argparse builds all nine parsers."""
     code = ("import sys; sys.path.insert(0, %r); import kmlat.cli; "
-            "rc = kmlat.cli.main(['verify', '--q', '5', '--kind', "
-            "'torus_normalizer']); sys.stderr.write(repr((rc, sorted("
+            "rc = kmlat.cli.main(['--json-indent', '0', 'verify', '--q', "
+            "'5', '--kind', 'torus_normalizer']); "
+            "sys.stderr.write(repr((rc, sorted("
             "{'shutil', 'bz2', 'lzma'} & set(sys.modules)))))" % str(SRC))
     out = subprocess.run([sys.executable, "-E", "-S", "-c", code],
                          capture_output=True, text=True)
@@ -405,7 +408,9 @@ def test_named_subcommand_parser_matches_the_full_parser(monkeypatch,
     that subcommand.  Its exit code, stdout and stderr equal those of the
     parser with all eight: valid runs, help, a missing required flag, a
     bad choice, a trailing argument, and --json-indent after the
-    command."""
+    command.  The fast parse is made to decline, so that both halves run
+    argparse."""
+    monkeypatch.setattr(cli, "fast_parse", lambda argv: None)
     reduced = _in_process(capsys, argv)
     full_parser = cli.build_parser
     monkeypatch.setattr(cli, "build_parser", lambda command: full_parser())
@@ -446,15 +451,15 @@ def test_json_indent_before_the_command_gets_every_subcommand(capsys):
 
 
 @pytest.mark.parametrize("argv,built", [
-    (("verify", "--q", "5", "--kind", "torus_normalizer"), 2),
-    (("tree", "--q", "2", "--neighbors", "1,0;0,1"), 2),
+    (("verify", "--q", "5", "--kind", "torus_normalizer"), 0),
+    (("tree", "--q", "2", "--neighbors", "1,0;0,1"), 0),
     (("--help",), 9),
     (("--json-indent", "2", "verify", "--q", "5", "--kind",
       "torus_normalizer"), 9),
 ], ids=["verify", "tree", "help", "json-indent-first"])
 def test_a_run_builds_only_the_parsers_it_needs(monkeypatch, capsys, argv,
                                                 built):
-    """A named subcommand builds the top parser and its own; anything else
+    """A run that the fast parse takes builds no parser; anything else
     builds all nine parsers."""
     inits = []
     init = argparse.ArgumentParser.__init__
