@@ -7,7 +7,6 @@ Exit codes: 0 on success, 1 on a domain error (JSON {"error", "detail"}),
 from __future__ import annotations
 
 import functools
-import itertools
 import json
 import sys
 import types
@@ -138,20 +137,8 @@ def cmd_km_act(args):
 def cmd_zp_test(args):
     spec = _field_for(args.q)
     params = kmaction.KMParams(2, spec)  # identity phi never reads m
-    checked = agreements = checked_t1_nonzero = agreements_t1_nonzero = 0
-    for codes in itertools.product(range(spec.q), repeat=2 * args.pairs):
-        word = kmaction.alternating_word(params, zip(codes[::2], codes[1::2]))
-        fixes, t1, t2 = kmaction.zp_fix_test(params, word)
-        checked += 1
-        agree = fixes == (t2 == 0)
-        agreements += agree
-        if t1:
-            checked_t1_nonzero += 1
-            agreements_t1_nonzero += agree
     _emit(args, {"command": "zp-test", "q": spec.q, "pairs": args.pairs,
-                 "checked": checked, "agreements": agreements,
-                 "checked_t1_nonzero": checked_t1_nonzero,
-                 "agreements_t1_nonzero": agreements_t1_nonzero})
+                 **kmaction.zp_walk(params, args.pairs)})
 
 
 def cmd_dihedral_search(args):

@@ -13,11 +13,11 @@ tests/reference.py).
 
 from __future__ import annotations
 
-from collections import namedtuple
+from collections import Counter, namedtuple
 from functools import lru_cache
 
-from .errors import (InvalidInput, MalformedWord, SpecMismatch,
-                     UnsupportedActionDomain)
+from .errors import (InvalidInput, MalformedWord, SizeCapExceeded,
+                     SpecMismatch, UnsupportedActionDomain)
 from .gf import code_pow
 
 
@@ -150,18 +150,6 @@ def apply_word(params, word, e, mode="identity_phi"):
     return e
 
 
-def alternating_word(params, pairs):
-    """Build z = x1(t_{1,1}) x2(t_{2,1}) ... from coefficient pairs.
-
-    pairs: sequence of (t1, t2) F_q codes; letters all have depth 0.
-    """
-    word = []
-    for t1, t2 in pairs:
-        word.append(RootLetter(RootIndex(1, 0), t1))
-        word.append(RootLetter(RootIndex(2, 0), t2))
-    return tuple(word)
-
-
 def _check_alternating(word):
     if not word:
         raise MalformedWord("empty word")
@@ -175,58 +163,39 @@ def _check_alternating(word):
         raise MalformedWord("word must consist of full x1 x2 pairs")
 
 
-def ball2_edges(spec):
-    """The 1 + 2q + 2q^2 edges at distance <= 2 from the base edge, in
-    table index order: base, L and R of length 1, L and R of length 2,
-    each side in coordinate-code order.  Left length-2 edge (c1, c2) has
-    index 1 + 2q + c1*q + c2."""
-    codes = range(spec.q)
-    edges = [EdgeLabel.base()]
-    for region in ("L", "R"):
-        edges += [EdgeLabel(region, (c,)) for c in codes]
-    for region in ("L", "R"):
-        edges += [EdgeLabel(region, (c1, c2))
-                  for c1 in codes for c2 in codes]
-    return edges
-
-
 @lru_cache(maxsize=None)
 def letter_table(params, letter, mode):
-    """One letter's action on the ball of radius 2 as a permutation of
-    ball2_edges indices: entry i is the index of the image of edge i.
+    """One letter's action on the q^2 left length-2 edges as a permutation
+    of range(q^2): entry c1*q + c2 is the index of the image of L:c1,c2.
 
     Built once per (params, letter, mode) from apply_letter, which stays
     the only place the rules live; a failure there propagates and leaves
-    nothing cached.  Letters keep an edge's region and length, so the
-    index range of each region and length maps to itself.
+    nothing cached.  Letters keep an edge's region and length, so each
+    index is read off the image's two coordinates.
     """
-    edges = ball2_edges(params.spec)
-    index = {e: i for i, e in enumerate(edges)}
-    return tuple(index[apply_letter(params, letter, e, mode)]
-                 for e in edges)
+    q = params.spec.q
+    images = (apply_letter(params, letter, EdgeLabel("L", (c1, c2)), mode)
+              for c1 in range(q) for c2 in range(q))
+    return tuple(e.coords[0] * q + e.coords[1] for e in images)
 
 
-def _word_table(params, word, mode, lo, hi):
-    """Compose the letters' tables on the indices lo..hi-1, rightmost
-    letter first as in apply_word.  Returns (image, t1, t2): image[i]
-    is the index of the word's image of edge lo + i, and t1, t2 are the
-    codes of the coefficient sums of the two sides."""
-    add = params.spec._tables()[0]
-    sums = {1: 0, 2: 0}
-    image = range(lo, hi)
-    for letter in reversed(word):
-        sums[letter.root.side] = add[sums[letter.root.side]][letter.coeff]
-        table = letter_table(params, letter, mode)
-        image = [table[j] for j in image]
-    return image, sums[1], sums[2]
-
-
-def _power_fixes_all(image, lo, p):
-    """Whether p steps of image (offset lo) return every index to itself."""
-    for i, j in enumerate(image, lo):
-        for _ in range(p - 1):
-            j = image[j - lo]
-        if j != i:
+def _power_is_identity(image, p):
+    """Whether p steps of image send every index to itself, p prime: every
+    cycle has length 1 or p.  Each cycle is walked once.  A walk that has
+    not come back after p steps means p steps move its start, so the
+    answer is exact for any map, not only for a permutation."""
+    done = [False] * len(image)
+    for i, j in enumerate(image):
+        if done[i] or j == i:
+            continue
+        n = 1
+        while j != i:
+            if n == p:
+                return False
+            done[j] = True
+            j = image[j]
+            n += 1
+        if n != p:
             return False
     return True
 
@@ -236,14 +205,87 @@ def zp_fix_test(params, word, mode="identity_phi"):
 
     word: alternating x1/x2 letters of depth 0.  Returns (fixes_all, t1,
     t2) where t1, t2 are the codes of the coefficient sums of the two
-    sides.  For prime q, z^p fixes all left length-2 edges iff t2 = 0
-    (and all right ones iff t1 = 0).  Over F_{p^a}, a > 1, that fails for
-    some words of two or more pairs: at q = 4 with two pairs, 174 of the
-    192 words with t1 != 0 agree.
+    sides.  Over a prime field z^p fixes all left length-2 edges iff
+    t1 = 0 or t2 = 0; over F_{p^a} the exact statement, in identity_phi
+    mode, is zp_criterion.
     """
     _check_alternating(word)
-    q = params.spec.q
-    lo = 1 + 2 * q
-    image, t1, t2 = _word_table(params, word, mode, lo, lo + q * q)
-    return _power_fixes_all(image, lo, params.spec.p), t1, t2
+    add = params.spec._tables()[0]
+    sums = {1: 0, 2: 0}
+    image = range(params.spec.q ** 2)
+    for letter in word:  # the prefix's image, then the next letter's
+        sums[letter.root.side] = add[sums[letter.root.side]][letter.coeff]
+        image = [image[j] for j in letter_table(params, letter, mode)]
+    return _power_is_identity(image, params.spec.p), sums[1], sums[2]
 
+
+ZP_CAP = 1 << 24  # words times left length-2 edges one zp_walk visits
+
+
+def check_zp_size(q, pairs):
+    """Raise SizeCapExceeded if q^(2*pairs) words times q^2 > ZP_CAP."""
+    exponent = 2 * pairs + 2  # q >= 2, so an exponent over 24 is too big
+    if exponent > 24 or q ** exponent > ZP_CAP:
+        raise SizeCapExceeded("zp-test visits q^(2*pairs) words times q^2 "
+                              "edges = %d^%d, over the cap 2^24 = %d"
+                              % (q, exponent, ZP_CAP))
+
+
+def zp_walk(params, pairs):
+    """zp_fix_test (identity_phi) on every alternating word of `pairs`
+    pairs, counted as zp-test reports it: the words, those where z^p fixes
+    every left length-2 edge iff t2 = 0, and both again over t1 != 0.
+
+    Words are walked depth-first in itertools.product order of their codes;
+    each prefix's image is composed with the next letter's table once.
+    Past ZP_CAP it raises SizeCapExceeded before building any table.
+    """
+    spec = params.spec
+    check_zp_size(spec.q, pairs)
+    add = spec._tables()[0]
+    x1s, x2s = ([letter_table(params, RootLetter(RootIndex(side, 0), c),
+                              "identity_phi") for c in range(spec.q)]
+                for side in (1, 2))
+    tally = Counter()  # (t1 != 0, agrees) -> words
+
+    def walk(image, left, t1, t2):
+        for a, x1 in enumerate(x1s):
+            after_x1, s1 = [image[j] for j in x1], add[t1][a]
+            for u, x2 in enumerate(x2s):
+                word, s2 = [after_x1[j] for j in x2], add[t2][u]
+                if left > 1:
+                    walk(word, left - 1, s1, s2)
+                else:
+                    tally[s1 != 0, _power_is_identity(word, spec.p)
+                          == (s2 == 0)] += 1
+
+    walk(range(spec.q ** 2), pairs, 0, 0)
+    return {"checked": sum(tally.values()),
+            "agreements": tally[False, True] + tally[True, True],
+            "checked_t1_nonzero": tally[True, False] + tally[True, True],
+            "agreements_t1_nonzero": tally[True, True]}
+
+
+def zp_criterion(spec, pairs):
+    """Whether z^p fixes every left length-2 edge (identity_phi), read off
+    the code pairs (a_k, u_k) of z = x1(a_1) x2(u_1) ... x1(a_n) x2(u_n).
+
+    With s_k = a_{k+1} + ... + a_n and t1 = a_1 + ... + a_n: iff t1 = 0,
+    or for every coset C of F_p*t1 the u_k with s_k in C sum to 0.  When
+    x2(u_k) acts on L:c1,c2 the first coordinate is c1 + s_k, and u_k is
+    added to c2 unless that is 0; over p rounds c1 runs through
+    c1 + F_p*t1, so c2 moves by minus the sum of the u_k with s_k in
+    -c1 + F_p*t1.  For prime q there is one coset: t1 = 0 or t2 = 0.
+    """
+    add = spec._tables()[0]
+    s = [0]  # s_n, s_{n-1}, ..., s_0 = t1
+    for a, _ in reversed(pairs):
+        s.append(add[s[-1]][a])
+    line = [0]  # F_p*t1
+    for _ in range(spec.p - 1):
+        line.append(add[line[-1]][s[-1]])
+    sums = Counter()  # least code of the coset of s_k -> sum of its u_k
+    for s_k, (_, u) in zip(s, reversed(pairs)):
+        coset = min(add[s_k][x] for x in line)
+        sums[coset] = add[sums[coset]][u]
+    return not s[-1] or not any(sums.values())

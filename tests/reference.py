@@ -11,12 +11,13 @@ src/kmlat that only tests called; the tests check the program against it.
 from collections import Counter, namedtuple
 from math import gcd
 
+from kmlat import kmaction
 from kmlat.errors import (KmlatError, NotASubgroup, SizeCapExceeded,
                           SpecMismatch, UnsupportedActionDomain)
 from kmlat.groups import (PROFILE_2S4, PROFILE_SL2_3, PROFILE_SL2_5,
                           FiniteGroup, closure, sl2_codes)
-from kmlat.kmaction import (_check_alternating, _power_fixes_all,
-                            _word_table, apply_word)
+from kmlat.kmaction import (EdgeLabel, RootIndex, RootLetter,
+                            _check_alternating, apply_word)
 from kmlat.laurent import LaurentPoly
 from kmlat.serretree import Edge, Mat2, Vertex, act, vertex_distance
 
@@ -360,12 +361,68 @@ def covering_check(eog, rho0, rho1, rho2, delta1, delta2):
 
 # --- the root-group action: whole ball, and the exact affine model --------
 
+def alternating_word(params, pairs):
+    """Build z = x1(t_{1,1}) x2(t_{2,1}) ... from coefficient pairs.
+
+    pairs: sequence of (t1, t2) F_q codes; letters all have depth 0.
+    """
+    word = []
+    for t1, t2 in pairs:
+        word.append(RootLetter(RootIndex(1, 0), t1))
+        word.append(RootLetter(RootIndex(2, 0), t2))
+    return tuple(word)
+
+
+def ball2_edges(spec):
+    """The 1 + 2q + 2q^2 edges at distance <= 2 from the base edge, in
+    table index order: base, L and R of length 1, L and R of length 2,
+    each side in coordinate-code order."""
+    codes = range(spec.q)
+    edges = [EdgeLabel.base()]
+    for region in ("L", "R"):
+        edges += [EdgeLabel(region, (c,)) for c in codes]
+    for region in ("L", "R"):
+        edges += [EdgeLabel(region, (c1, c2))
+                  for c1 in codes for c2 in codes]
+    return edges
+
+
+def ball2_word_table(params, word, mode):
+    """The word's action on ball2_edges as a list of indices, built from
+    kmaction.apply_letter (looked up at call time, so that a patch of it
+    shows) one letter at a time, rightmost letter first as in apply_word.
+    Returns (image, t1, t2): image[i] is the index of the word's image of
+    edge i, and t1, t2 are the codes of the coefficient sums of the two
+    sides."""
+    add = params.spec._tables()[0]
+    sums = {1: 0, 2: 0}
+    edges = ball2_edges(params.spec)
+    index = {e: i for i, e in enumerate(edges)}
+    image = range(len(edges))
+    for letter in reversed(word):
+        sums[letter.root.side] = add[sums[letter.root.side]][letter.coeff]
+        table = [index[kmaction.apply_letter(params, letter, e, mode)]
+                 for e in edges]
+        image = [table[j] for j in image]
+    return image, sums[1], sums[2]
+
+
+def _power_fixes_all(image, p):
+    """Whether p steps of image return every index to itself, walked p
+    steps from every index: the p-step reference for the cycle test."""
+    for i, j in enumerate(image):
+        for _ in range(p - 1):
+            j = image[j]
+        if j != i:
+            return False
+    return True
+
+
 def zp_fixes_ball2(params, word, mode="identity_phi"):
     """Whether z^p fixes every edge at combinatorial distance <= 2."""
     _check_alternating(word)
-    q = params.spec.q
-    image, _, _ = _word_table(params, word, mode, 0, 1 + 2 * q + 2 * q * q)
-    return _power_fixes_all(image, 0, params.spec.p)
+    image, _, _ = ball2_word_table(params, word, mode)
+    return _power_fixes_all(image, params.spec.p)
 
 
 def _x1(spec, u):

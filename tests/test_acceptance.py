@@ -12,14 +12,14 @@ from kmlat.gf import make_field
 from kmlat.groups import (CODE_ONE, FiniteGroup, dickson_table,
                           find_subgroup_of_type, generate)
 from kmlat.kmaction import (EdgeLabel, KMParams, RootIndex, RootLetter,
-                            alternating_word, zp_fix_test)
+                            zp_fix_test)
 from kmlat.lattice import (ClassificationInput, build_standard_lattice,
                            classify, lubotzky_check, min_covolume)
 from kmlat.serretree import (Mat2, dihedral_obstruction_search,
                              involution_families)
 from oracles import mat2_pair
-from reference import (GroupType, crosscheck_affine, mat2_identity,
-                       recognize, sl2_group, zp_fixes_ball2)
+from reference import (GroupType, alternating_word, crosscheck_affine,
+                       mat2_identity, recognize, sl2_group, zp_fixes_ball2)
 
 
 def _report(n, ok, desc):

@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from kmlat import cli
+from kmlat import cli, kmaction
 
 if sys.version_info >= (3, 11):
     import tomllib
@@ -92,6 +92,20 @@ def test_zp_test_criterion_needs_prime_q():
     out = run_json("zp-test", "--q", "4", "--pairs", "2")
     assert (out["checked"], out["agreements"], out["checked_t1_nonzero"],
             out["agreements_t1_nonzero"]) == (256, 190, 192, 174)
+
+
+@pytest.mark.parametrize("q,pairs", [(509, 1), (2, 12)])
+def test_zp_test_refuses_work_past_the_cap(q, pairs, capsys):
+    """zp-test --q 509 --pairs 1 would build 2q tables and test 509^4
+    edge entries: it ends in a domain error that names the cap and the
+    size, before any letter table is built."""
+    kmaction.letter_table.cache_clear()
+    assert cli.main(["zp-test", "--q", str(q), "--pairs", str(pairs)]) == 1
+    out = json.loads(capsys.readouterr().out)
+    assert out["error"] == "SizeCapExceeded"
+    assert "%d^%d" % (q, 2 * pairs + 2) in out["detail"]
+    assert "cap 2^24" in out["detail"]
+    assert kmaction.letter_table.cache_info().currsize == 0
 
 
 def test_dihedral_search_json():

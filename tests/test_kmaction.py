@@ -1,31 +1,37 @@
 """Symbolic root-group action on labeled edges, with affine cross-checks."""
 
 import itertools
+import random
 import time
 
 import pytest
 
 from kmlat import cli, gf, kmaction
 from kmlat.errors import (InvalidInput, KmlatError, MalformedWord,
-                          SpecMismatch, UnsupportedActionDomain)
+                          SizeCapExceeded, SpecMismatch,
+                          UnsupportedActionDomain)
 from kmlat.gf import make_field
-from kmlat.kmaction import (EdgeLabel, KMParams, RootIndex, RootLetter,
-                            alternating_word, apply_letter, apply_word,
-                            ball2_edges, letter_table, zp_fix_test,
-                            _word_table)
+from kmlat.kmaction import (ZP_CAP, EdgeLabel, KMParams, RootIndex,
+                            RootLetter, apply_letter, apply_word,
+                            check_zp_size, letter_table, zp_criterion,
+                            zp_fix_test, zp_walk, _power_is_identity)
 from kmlat.serretree import act
 
 from oracles import (fe_apply_letter, replayed_zp_fix_test,
                      replayed_zp_fixes_ball2)
-from reference import (RadiusExceeded, _w1, _w2, _x1, _x2, base_edge,
-                       crosscheck_affine, edge_distance, membership,
-                       realize_edge, zp_fixes_ball2)
+from reference import (RadiusExceeded, _power_fixes_all, _w1, _w2, _x1, _x2,
+                       alternating_word, ball2_edges, ball2_word_table,
+                       base_edge, crosscheck_affine, edge_distance,
+                       membership, realize_edge, zp_fixes_ball2)
 
 F2 = make_field(2)
 F3 = make_field(3)
 F4 = make_field(2, 2)
 F5 = make_field(5)
+F7 = make_field(7)
+F8 = make_field(2, 3)
 F9 = make_field(3, 2)
+F11 = make_field(11)
 MODES = ("identity_phi", "twisted_phi")
 
 
@@ -213,8 +219,7 @@ def test_word_tables_match_apply_word(spec):
         for pairs, word in all_words(spec, npairs):
             for params in (KMParams(m, spec) for m in ms):
                 for mode in MODES:
-                    image, _, _ = _word_table(params, word, mode,
-                                              0, len(edges))
+                    image, _, _ = ball2_word_table(params, word, mode)
                     assert [edges[j] for j in image] == [
                         apply_word(params, word, e, mode) for e in edges]
 
@@ -232,6 +237,147 @@ def test_zp_tests_match_replay(spec, npairs):
                         == replayed_zp_fix_test(params, word, mode))
                 assert (zp_fixes_ball2(params, word, mode)
                         == replayed_zp_fixes_ball2(params, word, mode))
+
+
+WALKED = [(F2, 1), (F2, 2), (F2, 3), (F2, 4), (F3, 1), (F3, 2), (F3, 3),
+          (F4, 1), (F4, 2), (F5, 1), (F5, 2), (F7, 1), (F8, 1), (F9, 1),
+          (F11, 1)]
+
+
+def _counts(results):
+    """zp-test's four counts from per-word (fixes, t1, t2) results."""
+    counts = dict.fromkeys(("checked", "agreements", "checked_t1_nonzero",
+                            "agreements_t1_nonzero"), 0)
+    for fixes, t1, t2 in results:
+        agree = fixes == (t2 == 0)
+        counts["checked"] += 1
+        counts["agreements"] += agree
+        counts["checked_t1_nonzero"] += t1 != 0
+        counts["agreements_t1_nonzero"] += t1 != 0 and agree
+    return counts
+
+
+def _ids(cases):
+    return ["q=%d,pairs=%d" % (spec.q, n) for spec, n in cases]
+
+
+@pytest.mark.parametrize("spec,npairs", WALKED, ids=_ids(WALKED))
+def test_zp_walk_counts_match_per_word_tests(spec, npairs):
+    """Differential: the walk's four counts are the sums of the per-word
+    zp_fix_test results, and of the p-fold apply_word replay, over every
+    alternating word with npairs pairs."""
+    params = KMParams(2, spec)
+    words = [word for _, word in all_words(spec, npairs)]
+    got = zp_walk(params, npairs)
+    assert got["checked"] == spec.q ** (2 * npairs)
+    assert got == _counts(zp_fix_test(params, word) for word in words)
+    assert got == _counts(replayed_zp_fix_test(params, word)
+                          for word in words)
+
+
+@pytest.mark.parametrize("spec", [F2, F3, F4, F5, F7, F8, F9],
+                         ids=lambda s: "q=%d" % s.q)
+def test_letter_tables_are_permutations(spec):
+    """Every letter's table, for both sides, depths 0..2, every coefficient,
+    both modes and m in {2, 3}, is a permutation of range(q*q) and sends
+    c1*q + c2 to the index of apply_letter's image of L:c1,c2."""
+    q = spec.q
+    edges = [EdgeLabel.left((c1, c2)) for c1 in range(q) for c2 in range(q)]
+    for params in (KMParams(2, spec), KMParams(3, spec)):
+        for mode in MODES:
+            for side, depth, c in itertools.product((1, 2), range(3),
+                                                    range(q)):
+                letter = RootLetter(RootIndex(side, depth), c)
+                table = letter_table(params, letter, mode)
+                assert sorted(table) == list(range(q * q))
+                assert [edges[j] for j in table] == [
+                    apply_letter(params, letter, e, mode) for e in edges]
+
+
+COMPOSED = [(F2, 3), (F3, 2), (F4, 2), (F5, 1), (F7, 1), (F8, 1), (F9, 1)]
+
+
+@pytest.mark.parametrize("spec,npairs", COMPOSED, ids=_ids(COMPOSED))
+def test_cycle_test_matches_p_step_walk_on_word_tables(spec, npairs):
+    """On every composed word table, with at most npairs pairs and in both
+    modes, the cycle-length test equals the p-step walk of every index."""
+    params = KMParams(2, spec)
+    seen = set()
+    for n in range(1, npairs + 1):
+        for _, word in all_words(spec, n):
+            for mode in MODES:
+                image = range(spec.q ** 2)
+                for letter in word:
+                    image = [image[j]
+                             for j in letter_table(params, letter, mode)]
+                got = _power_is_identity(image, spec.p)
+                assert got == _power_fixes_all(image, spec.p)
+                seen.add(got)
+    assert seen == {True, False}
+
+
+def test_cycle_test_matches_p_step_walk_on_any_map():
+    """On random maps, permutations with cycles of lengths 1, p and others,
+    and those permutations with one entry redirected (no longer
+    permutations, so no power of them is the identity), the cycle test
+    equals the p-step walk."""
+    rng = random.Random(23)
+    outcomes = []
+    for _ in range(3000):
+        p = rng.choice((2, 3, 5, 7))
+        lengths = [rng.choice((1, p, p, 2, 3, p * p, 4))
+                   for _ in range(rng.randrange(1, 8))]
+        order = list(range(sum(lengths)))
+        rng.shuffle(order)
+        perm = [0] * len(order)
+        start = 0
+        for n in lengths:
+            cycle = order[start:start + n]
+            for i, j in zip(cycle, cycle[1:] + cycle[:1]):
+                perm[i] = j
+            start += n
+        broken = list(perm)
+        broken[rng.randrange(len(broken))] = rng.randrange(len(broken))
+        noise = [rng.randrange(len(perm)) for _ in perm]
+        for image in (perm, broken, noise):
+            want = _power_fixes_all(image, p)
+            assert _power_is_identity(image, p) == want, (image, p)
+            outcomes.append(want)
+        assert _power_fixes_all(perm, p) == all(n in (1, p) for n in lengths)
+    assert True in outcomes and False in outcomes
+
+
+CRITERION = [(F4, 2), (F9, 2), (F8, 2), (F4, 3), (F5, 2), (F3, 3)]
+
+
+def test_zp_criterion_matches_zp_fix_test():
+    """The closed-form z^p criterion on codes gives zp_fix_test's answer
+    on every alternating word at each (q, pairs) of CRITERION, the
+    non-prime fields with two and three pairs included."""
+    checked = 0
+    for spec, npairs in CRITERION:
+        params = KMParams(2, spec)
+        for pairs, word in all_words(spec, npairs):
+            assert zp_criterion(spec, pairs) == zp_fix_test(params, word)[0], (
+                spec.q, pairs)
+            checked += 1
+    assert checked == 16363
+
+
+@pytest.mark.parametrize("q,npairs", [(2, 11), (16, 2), (64, 1), (61, 1),
+                                      (4, 5), (2, 1)])
+def test_zp_size_check_admits_up_to_the_cap(q, npairs):
+    assert q ** (2 * npairs + 2) <= ZP_CAP == 2 ** 24
+    check_zp_size(q, npairs)
+
+
+@pytest.mark.parametrize("q,npairs", [(2, 12), (509, 1), (17, 2), (67, 1),
+                                      (3, 7), (4, 6), (2, 10 ** 12)])
+def test_zp_size_check_refuses_past_the_cap(q, npairs):
+    with pytest.raises(SizeCapExceeded) as info:
+        check_zp_size(q, npairs)
+    assert "%d^%d" % (q, 2 * npairs + 2) in str(info.value)
+    assert "cap 2^24 = 16777216" in str(info.value)
 
 
 def _outcome(fn, *args):

@@ -41,6 +41,9 @@ MOVED = {
     "Mat2.identity": "mat2_identity", "Edge.base": "base_edge",
     "RadiusExceeded": "RadiusExceeded",
     "EdgeOfGroups": "EdgeOfGroups", "NotAHomomorphism": "NotAHomomorphism",
+    "ball2_edges": "ball2_edges", "_word_table": "ball2_word_table",
+    "_power_fixes_all": "_power_fixes_all",
+    "alternating_word": "alternating_word",
 }
 # the same for tests/oracles.py: F_{q^2} on ExtElement, and the errors only
 # the Mat2 check and the exceptional-subgroup scan raise

@@ -20,7 +20,7 @@ from pathlib import Path
 
 import pytest
 
-from kmlat import cli
+from kmlat import cli, kmaction
 from test_cli import NAMED_RUNS, SUBCOMMANDS, VALID_RUNS
 from test_verify_golden import benchmark_workloads
 
@@ -157,6 +157,17 @@ def test_fast_parse_declines_or_matches_argparse(source):
         assert vars(fast) == _argparse(argv), argv
         taken += 1
     assert taken >= 8, source
+
+
+def test_the_zp_size_cap_admits_every_taken_run():
+    """Every golden, benchmark and README zp-test run, and (16, 2) and
+    (64, 1), the largest at the cap, passes kmaction's size check."""
+    runs = [cli.fast_parse(list(argv)) for source in ALL_TAKEN
+            for argv in SOURCES[source]() if argv[0] == "zp-test"]
+    assert len(runs) > 6
+    sizes = {(cli._field_for(args.q).q, args.pairs) for args in runs}
+    for q, pairs in sizes | {(16, 2), (64, 1)}:
+        kmaction.check_zp_size(q, pairs)
 
 
 def _subcommand_help(name):
