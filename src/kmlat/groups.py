@@ -190,8 +190,6 @@ PROFILE_2S4 = Counter({1: 1, 2: 1, 3: 8, 4: 18, 6: 8, 8: 12})
 def order_available(spec, d):
     """Whether SL2(F_q) contains an element of order d."""
     q, p = spec.q, spec.p
-    if d == 1:
-        return True
     if (q - 1) % d == 0 or (q + 1) % d == 0:
         return True
     if d == p:
@@ -205,8 +203,8 @@ def order_available(spec, d):
 # tau^2 + c1*tau + c0, and an integer n mod p is the code of n*1
 SUBGROUP_TARGETS = {
     "SL2(3)": (24, PROFILE_SL2_3, (-2, 1)),
-    "SL2(5)": (120, PROFILE_SL2_5, (-1, -1)),
     "2S4": (48, PROFILE_2S4, (0, -2)),
+    "SL2(5)": (120, PROFILE_SL2_5, (-1, -1)),
 }
 
 
@@ -255,93 +253,65 @@ def find_subgroup_of_type(spec, kind):
 DicksonEntry = namedtuple("DicksonEntry", "type order div_q_plus_1 source")
 
 
-def _entry(q, t, order, source):
-    return DicksonEntry(t, order, order % (q + 1) == 0, source)
-
-
 def dickson_table(spec, ambient):
-    """Subgroup-type table for PSL2/SL2/PGL2 over F_q.
+    """Subgroup-type table for PSL2/SL2/PGL2 over F_q (Dickson, Linear
+    Groups, 1901; Huppert, Endliche Gruppen I, II.8.27).
 
-    Rows list the maximal members of each family (cyclic and dihedral rows
-    are stated at their largest order; every subgroup of a listed row is
-    again of listed shape).  ambient: "psl2", "sl2" or "pgl2"; at p = 2 the
-    three groups coincide and all give the psl2 rows.
+    Rows list the maximal members of each family: cyclic and dihedral rows
+    are stated at their largest order.  The list is not closed under
+    subgroups in sl2 when q = p^(2b): there the index-2 overgroup
+    <SL2(p^b), diag(l, 1/l)> of SL2(p^b), l^2 in F_{p^b} and l not, whose
+    image is the psl2 row PGL2(p^b), has no row.  ambient: "psl2", "sl2"
+    or "pgl2"; at p = 2 the three groups coincide and all give the psl2
+    rows.  The sl2 sporadic rows are the kinds of SUBGROUP_TARGETS whose
+    element orders all occur in SL2(F_q), as find_subgroup_of_type decides.
     """
     if ambient not in ("psl2", "sl2", "pgl2"):
         raise NotFound("unknown ambient %r" % ambient)
     q, p, a = spec.q, spec.p, spec.a
-    d = gcd(2, q - 1)
-    k_order = q * (q * q - 1) // d
-    rows = []
-    if ambient == "psl2" or p == 2:
-        src = "psl2-subgroup-classification"
-        rows.append(_entry(q, "Cyclic(%d)" % ((q - 1) // d), (q - 1) // d, src))
-        rows.append(_entry(q, "Cyclic(%d)" % ((q + 1) // d), (q + 1) // d, src))
-        rows.append(_entry(q, "ElementaryAbelian(%d)" % q, q, src))
-        rows.append(_entry(q, "BorelFrobenius", q * (q - 1) // d, src))
-        rows.append(_entry(q, "Dihedral(%d)" % (2 * (q - 1) // d),
-                           2 * (q - 1) // d, src))
-        rows.append(_entry(q, "Dihedral(%d)" % (2 * (q + 1) // d),
-                           2 * (q + 1) // d, src))
-        # at p = 2: A4 needs F_4 inside F_q, and there is no element of order 4
-        if p != 2 or a % 2 == 0:
-            rows.append(_entry(q, "A4", 12, src))
-        if p != 2 and q % 8 in (1, 7):
-            rows.append(_entry(q, "S4", 24, src))
-        if k_order % 5 == 0:
-            rows.append(_entry(q, "A5", 60, src))
-        for b in range(1, a):
-            if a % b == 0:
-                qb = p ** b
-                rows.append(_entry(q, "PSL2(%d)" % qb,
-                                   qb * (qb * qb - 1) // gcd(2, qb - 1), src))
-        for b in range(1, a):
-            if a % (2 * b) == 0:
-                qb = p ** b
-                rows.append(_entry(q, "PGL2(%d)" % qb, qb * (qb * qb - 1), src))
-    elif ambient == "sl2":
-        src = "sl2-subgroup-classification"
-        rows.append(_entry(q, "Cyclic(%d)" % (q - 1), q - 1, src))
-        rows.append(_entry(q, "Cyclic(%d)" % (q + 1), q + 1, src))
-        rows.append(_entry(q, "ElementaryAbelian(%d)" % q, q, src))
-        rows.append(_entry(q, "BorelFrobenius", q * (q - 1), src))
-        rows.append(_entry(q, "Dicyclic(%d)" % (2 * (q - 1)), 2 * (q - 1), src))
-        rows.append(_entry(q, "Dicyclic(%d)" % (2 * (q + 1)), 2 * (q + 1), src))
-        rows.append(_entry(q, "SL2(3)", 24, src))
-        if (q - 1) % 8 == 0 or (q + 1) % 8 == 0:
-            rows.append(_entry(q, "2S4", 48, src))
-        if (q * (q * q - 1)) % 5 == 0:
-            rows.append(_entry(q, "SL2(5)", 120, src))
-        for b in range(1, a):
-            if a % b == 0:
-                qb = p ** b
-                rows.append(_entry(q, "SL2(%d)" % qb, qb * (qb * qb - 1), src))
-    else:
-        src = "pgl2-subgroup-classification"
-        rows.append(_entry(q, "Cyclic(%d)" % (q - 1), q - 1, src))
-        rows.append(_entry(q, "Cyclic(%d)" % (q + 1), q + 1, src))
-        rows.append(_entry(q, "ElementaryAbelian(%d)" % q, q, src))
-        rows.append(_entry(q, "Frobenius", q * (q - 1), src))
-        rows.append(_entry(q, "Dihedral(%d)" % (2 * (q - 1)), 2 * (q - 1), src))
-        rows.append(_entry(q, "Dihedral(%d)" % (2 * (q + 1)), 2 * (q + 1), src))
-        rows.append(_entry(q, "A4", 12, src))
-        in_psl = (q % 8 in (1, 7))
-        rows.append(_entry(q, "S4%s" % ("" if in_psl else "-outside-psl"),
-                           24, src))
-        if (q * (q * q - 1)) % 5 == 0:
-            rows.append(_entry(q, "A5", 60, src))
-        for b in range(1, a):
-            if a % b == 0:
-                qb = p ** b
-                rows.append(_entry(q, "PSL2(%d)" % qb,
-                                   qb * (qb * qb - 1) // gcd(2, qb - 1), src))
-                rows.append(_entry(q, "PGL2(%d)" % qb, qb * (qb * qb - 1), src))
-    # dedupe identical rows (small q can collapse several families)
-    seen, out = set(), []
-    for r in rows:
-        key = (r.type, r.order)
-        if key not in seen:
-            seen.add(key)
-            out.append(r)
-    return out
+    if p == 2:
+        ambient = "psl2"
+    src = "%s-subgroup-classification" % ambient
+    rows = {}  # (type, order) -> entry; small q collapses some families
 
+    def add(t, order):
+        rows.setdefault((t, order),
+                        DicksonEntry(t, order, order % (q + 1) == 0, src))
+
+    d = gcd(2, q - 1) if ambient == "psl2" else 1
+    for n in ((q - 1) // d, (q + 1) // d):
+        add("Cyclic(%d)" % n, n)
+    add("ElementaryAbelian(%d)" % q, q)
+    add("Frobenius" if ambient == "pgl2" else "BorelFrobenius",
+        q * (q - 1) // d)
+    for n in (2 * (q - 1) // d, 2 * (q + 1) // d):
+        add("%s(%d)" % ("Dicyclic" if ambient == "sl2" else "Dihedral", n), n)
+    # (p^b, |SL2(p^b)|) for the proper subfields F_{p^b}, b | a
+    subfields = [(p ** b, p ** b * (p ** (2 * b) - 1))
+                 for b in range(1, a) if a % b == 0]
+    if ambient == "sl2":
+        for kind, (order, profile, _) in SUBGROUP_TARGETS.items():
+            if all(order_available(spec, e) for e in profile):
+                add(kind, order)
+        for qb, n in subfields:
+            add("SL2(%d)" % qb, n)
+        return list(rows.values())
+    # at p = 2: A4 needs F_4 inside F_q, and there is no element of order 4
+    if p != 2 or a % 2 == 0:
+        add("A4", 12)
+    if order_available(spec, 8):
+        add("S4", 24)
+    elif ambient == "pgl2":
+        add("S4-outside-psl", 24)
+    if order_available(spec, 5):
+        add("A5", 60)
+    for qb, n in subfields:
+        add("PSL2(%d)" % qb, n // gcd(2, qb - 1))
+        if ambient == "pgl2":
+            add("PGL2(%d)" % qb, n)
+    if ambient == "psl2":  # PGL2(p^b) lies in PSL2(p^2b)
+        fields = {qb for qb, _ in subfields} | {q}
+        for qb, n in subfields:
+            if qb * qb in fields:
+                add("PGL2(%d)" % qb, n)
+    return list(rows.values())

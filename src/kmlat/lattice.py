@@ -112,16 +112,11 @@ def lubotzky_check(a1):
 
 # --- classification -------------------------------------------------------
 
-# q -> list of (type name, |A0| at center order 2) for the sporadic rows
-EXCEPTIONAL_TABLE = {
-    5: (("SL2(3)", 4),),
-    7: (("2S4", 6),),
-    11: (("SL2(3)", 2), ("SL2(5)", 10)),
-    19: (("SL2(5)", 6),),
-    23: (("2S4", 2),),
-    29: (("SL2(5)", 4),),
-    59: (("SL2(5)", 2),),
-}
+# q -> the kinds H of the sporadic rows; at center order 2, |A0| is
+# |H| / (q + 1)
+EXCEPTIONAL_TABLE = {5: ("SL2(3)",), 7: ("2S4",), 11: ("SL2(3)", "SL2(5)"),
+                     19: ("SL2(5)",), 23: ("2S4",), 29: ("SL2(5)",),
+                     59: ("SL2(5)",)}
 
 
 class ClassificationInput(namedtuple(
@@ -203,7 +198,8 @@ def classify(inp):
             rows.append(_row(q, "psl-q3mod4-normalizer", z,
                              "nonsplit torus normalizer, order %d"
                              % (2 * (q + 1) * z), 1))
-        for name, k in EXCEPTIONAL_TABLE.get(q, ()):
+        for name in EXCEPTIONAL_TABLE.get(q, ()):
+            k = SUBGROUP_TARGETS[name][0] // (q + 1)
             rows.append(_row(q, "exceptional-%s" % name, z * k // 2,
                              name, None, exceptional=True))
         return rows

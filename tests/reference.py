@@ -6,16 +6,19 @@ check, the exact affine (m = 2) cross-check of the root-group action, and
 the tree geometry only those need: membership in the standard subgroups,
 the base vertices and edge, and edge distance.  Each was a part of
 src/kmlat that only tests called; the tests check the program against it.
+The Dickson table as it was written, one branch per ambient, is kept as
+the oracle of the one-skeleton groups.dickson_table.
 """
 
 from collections import Counter, namedtuple
 from math import gcd
 
 from kmlat import kmaction
-from kmlat.errors import (KmlatError, NotASubgroup, SizeCapExceeded,
-                          SpecMismatch, UnsupportedActionDomain)
+from kmlat.errors import (KmlatError, NotASubgroup, NotFound,
+                          SizeCapExceeded, SpecMismatch,
+                          UnsupportedActionDomain)
 from kmlat.groups import (PROFILE_2S4, PROFILE_SL2_3, PROFILE_SL2_5,
-                          FiniteGroup, closure, sl2_codes)
+                          DicksonEntry, FiniteGroup, closure, sl2_codes)
 from kmlat.kmaction import (EdgeLabel, RootIndex, RootLetter,
                             _check_alternating, apply_word)
 from kmlat.laurent import LaurentPoly
@@ -504,3 +507,97 @@ def crosscheck_affine(params, word, e, mode="twisted_phi", radius=6):
         g = g.mul(letter_matrix(spec, letter))
     exact = act(g, realize_edge(params, e, radius))
     return exact == realize_edge(params, symbolic, radius)
+
+
+# --- the Dickson table as it was written, one branch per ambient ----------
+
+def _entry(q, t, order, source):
+    return DicksonEntry(t, order, order % (q + 1) == 0, source)
+
+
+def dickson_table_branches(spec, ambient):
+    """Subgroup-type table for PSL2/SL2/PGL2 over F_q.
+
+    Rows list the maximal members of each family (cyclic and dihedral rows
+    are stated at their largest order; every subgroup of a listed row is
+    again of listed shape).  ambient: "psl2", "sl2" or "pgl2"; at p = 2 the
+    three groups coincide and all give the psl2 rows.
+    """
+    if ambient not in ("psl2", "sl2", "pgl2"):
+        raise NotFound("unknown ambient %r" % ambient)
+    q, p, a = spec.q, spec.p, spec.a
+    d = gcd(2, q - 1)
+    k_order = q * (q * q - 1) // d
+    rows = []
+    if ambient == "psl2" or p == 2:
+        src = "psl2-subgroup-classification"
+        rows.append(_entry(q, "Cyclic(%d)" % ((q - 1) // d), (q - 1) // d, src))
+        rows.append(_entry(q, "Cyclic(%d)" % ((q + 1) // d), (q + 1) // d, src))
+        rows.append(_entry(q, "ElementaryAbelian(%d)" % q, q, src))
+        rows.append(_entry(q, "BorelFrobenius", q * (q - 1) // d, src))
+        rows.append(_entry(q, "Dihedral(%d)" % (2 * (q - 1) // d),
+                           2 * (q - 1) // d, src))
+        rows.append(_entry(q, "Dihedral(%d)" % (2 * (q + 1) // d),
+                           2 * (q + 1) // d, src))
+        # at p = 2: A4 needs F_4 inside F_q, and there is no element of order 4
+        if p != 2 or a % 2 == 0:
+            rows.append(_entry(q, "A4", 12, src))
+        if p != 2 and q % 8 in (1, 7):
+            rows.append(_entry(q, "S4", 24, src))
+        if k_order % 5 == 0:
+            rows.append(_entry(q, "A5", 60, src))
+        for b in range(1, a):
+            if a % b == 0:
+                qb = p ** b
+                rows.append(_entry(q, "PSL2(%d)" % qb,
+                                   qb * (qb * qb - 1) // gcd(2, qb - 1), src))
+        for b in range(1, a):
+            if a % (2 * b) == 0:
+                qb = p ** b
+                rows.append(_entry(q, "PGL2(%d)" % qb, qb * (qb * qb - 1), src))
+    elif ambient == "sl2":
+        src = "sl2-subgroup-classification"
+        rows.append(_entry(q, "Cyclic(%d)" % (q - 1), q - 1, src))
+        rows.append(_entry(q, "Cyclic(%d)" % (q + 1), q + 1, src))
+        rows.append(_entry(q, "ElementaryAbelian(%d)" % q, q, src))
+        rows.append(_entry(q, "BorelFrobenius", q * (q - 1), src))
+        rows.append(_entry(q, "Dicyclic(%d)" % (2 * (q - 1)), 2 * (q - 1), src))
+        rows.append(_entry(q, "Dicyclic(%d)" % (2 * (q + 1)), 2 * (q + 1), src))
+        rows.append(_entry(q, "SL2(3)", 24, src))
+        if (q - 1) % 8 == 0 or (q + 1) % 8 == 0:
+            rows.append(_entry(q, "2S4", 48, src))
+        if (q * (q * q - 1)) % 5 == 0:
+            rows.append(_entry(q, "SL2(5)", 120, src))
+        for b in range(1, a):
+            if a % b == 0:
+                qb = p ** b
+                rows.append(_entry(q, "SL2(%d)" % qb, qb * (qb * qb - 1), src))
+    else:
+        src = "pgl2-subgroup-classification"
+        rows.append(_entry(q, "Cyclic(%d)" % (q - 1), q - 1, src))
+        rows.append(_entry(q, "Cyclic(%d)" % (q + 1), q + 1, src))
+        rows.append(_entry(q, "ElementaryAbelian(%d)" % q, q, src))
+        rows.append(_entry(q, "Frobenius", q * (q - 1), src))
+        rows.append(_entry(q, "Dihedral(%d)" % (2 * (q - 1)), 2 * (q - 1), src))
+        rows.append(_entry(q, "Dihedral(%d)" % (2 * (q + 1)), 2 * (q + 1), src))
+        rows.append(_entry(q, "A4", 12, src))
+        in_psl = (q % 8 in (1, 7))
+        rows.append(_entry(q, "S4%s" % ("" if in_psl else "-outside-psl"),
+                           24, src))
+        if (q * (q * q - 1)) % 5 == 0:
+            rows.append(_entry(q, "A5", 60, src))
+        for b in range(1, a):
+            if a % b == 0:
+                qb = p ** b
+                rows.append(_entry(q, "PSL2(%d)" % qb,
+                                   qb * (qb * qb - 1) // gcd(2, qb - 1), src))
+                rows.append(_entry(q, "PGL2(%d)" % qb, qb * (qb * qb - 1), src))
+    # dedupe identical rows (small q can collapse several families)
+    seen, out = set(), []
+    for r in rows:
+        key = (r.type, r.order)
+        if key not in seen:
+            seen.add(key)
+            out.append(r)
+    return out
+

@@ -4,8 +4,8 @@ from collections import Counter
 
 import pytest
 
-from kmlat import groups
-from kmlat.errors import NotASubgroup, SizeCapExceeded
+from kmlat import cli, groups
+from kmlat.errors import NotASubgroup, NotFound, SizeCapExceeded
 from kmlat.gf import is_prime, make_field
 from kmlat.groups import (CODE_ONE, SUBGROUP_TARGETS, FiniteGroup, closure,
                           dickson_table, find_subgroup_of_type, generate,
@@ -15,8 +15,8 @@ from oracles import (aligned_report, full_walk_trace_order_map,
                      scan_find_subgroup_of_type, trace_copies,
                      walked_trace_order_map)
 from reference import (GroupType, center, cosets, derived_subgroup,
-                       is_abelian, is_cyclic, is_normal, is_subgroup,
-                       recognize, sl2_group)
+                       dickson_table_branches, is_abelian, is_cyclic,
+                       is_normal, is_subgroup, recognize, sl2_group)
 
 
 def sl2_order(q):
@@ -233,6 +233,48 @@ def test_dickson_char2_a4_s4_rows_match_computation(a):
         types = [r.type for r in dickson_table(spec, ambient)]
         assert ("A4" in types) == (a % 2 == 0), ambient
         assert not any(t.startswith("S4") for t in types), ambient
+
+
+# every prime power q = p^a <= 511, the largest q the field builder takes
+PRIME_POWERS = [(p, a) for p in range(2, 512) if is_prime(p)
+                for a in range(1, 10) if p ** a <= 511]
+
+
+@pytest.mark.parametrize("ambient", ["psl2", "sl2", "pgl2"])
+def test_dickson_table_equals_the_branch_reference(ambient):
+    """At every prime power q <= 511, dickson_table, one skeleton for the
+    three ambients, gives the rows in order of the table as it was written
+    with one branch per ambient."""
+    assert len(PRIME_POWERS) == 116
+    for p, a in PRIME_POWERS:
+        spec = make_field(p, a)
+        assert (dickson_table(spec, ambient)
+                == dickson_table_branches(spec, ambient)), (p, a)
+
+
+@pytest.mark.parametrize("q", ["2", "3", "4", "8", "9", "25", "27", "49",
+                               "64", "81", "125", "243", "256", "343",
+                               "509"])
+def test_dickson_stdout_equals_the_branch_reference(q, capsys, monkeypatch):
+    """`kmlat dickson` prints the same bytes with the branch reference in
+    place of dickson_table, in each ambient."""
+    for ambient in ("psl2", "sl2", "pgl2"):
+        argv = ["dickson", "--q", q, "--ambient", ambient]
+        assert cli.main(argv) == 0
+        got = capsys.readouterr().out
+        with monkeypatch.context() as patch:
+            patch.setattr(groups, "dickson_table", dickson_table_branches)
+            assert cli.main(argv) == 0
+        assert got == capsys.readouterr().out, ambient
+
+
+@pytest.mark.parametrize("p,a", [(2, 1), (2, 3), (3, 1), (5, 2)])
+def test_dickson_unknown_ambient_is_not_found(p, a):
+    """An unknown ambient is refused at odd and at even q: at p = 2 it is
+    not read as psl2."""
+    for ambient in ("gl2", "PSL2", ""):
+        with pytest.raises(NotFound):
+            dickson_table(make_field(p, a), ambient)
 
 
 def _two_sided_pair_closure(mul, i, j):

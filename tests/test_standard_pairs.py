@@ -8,7 +8,7 @@ from math import gcd
 import pytest
 
 from kmlat.errors import KmlatError, MinUndefined
-from kmlat.gf import code_mul, code_pow, make_field
+from kmlat.gf import code_mul, code_pow, make_field, primitive_element
 from kmlat.groups import (CODE_ONE, SUBGROUP_TARGETS, FiniteGroup,
                           dickson_table, find_subgroup_of_type, generate,
                           nonsplit_torus, order_available, order_of,
@@ -188,8 +188,8 @@ def test_exceptional_sweep_gives_the_table(builds, reports):
     assert {q for q, _ in built} <= {3, 5, 7, 9, 11, 19, 23, 29, 47, 59}
     passing = {(q, kind, reports[q, kind].intersection_order)
                for q, kind in built if reports[q, kind].passes}
-    table = {(q, kind, a0) for q, rows in EXCEPTIONAL_TABLE.items()
-             for kind, a0 in rows}
+    table = {(q, kind, SUBGROUP_TARGETS[kind][0] // (q + 1))
+             for q, kinds in EXCEPTIONAL_TABLE.items() for kind in kinds}
     assert passing == table
     for key in ((7, "SL2(3)"), (23, "SL2(3)"), (47, "2S4")):
         assert key in built and not reports[key].passes, key
@@ -341,14 +341,15 @@ def _subfield_unipotents(spec, b):
     return [(1, x, 0, 1) for x in sub] + [(1, 0, x, 1) for x in sub]
 
 
-def _borel_order(spec, g):
-    """|B| = |T| |U| for B = <diag(g, g^-1), u(1)>: T is the image of B on
-    the diagonal, <g>, and U = B cap {u(x)} is the additive group spanned
-    by the conjugates u(g^2k) of u(1)."""
-    add, mul = spec._tables()[:2]
-    squares = generate(1, [mul[g][g]], lambda x, y: mul[x][y], spec.q)
-    span = generate(0, sorted(squares), lambda x, y: add[x][y], spec.q)
-    return order_of(g, 1, lambda x, y: mul[x][y]) * len(span)
+def _borel_order(spec, t, prod):
+    """|B| = |T| |U| for B = <t, u(1)> under prod, t = diag(t0, t3): T is
+    the image of B on the diagonal, <t>, and U = B cap {u(x)} is the
+    additive group spanned by the conjugates u(s^k) of u(1), s = t0/t3."""
+    add, mul, _, inv = spec._tables()
+    s = mul[t[0]][inv[t[3]]]
+    powers = generate(1, [s], lambda x, y: mul[x][y], spec.q)
+    span = generate(0, sorted(powers), lambda x, y: add[x][y], spec.q)
+    return order_of(t, CODE_ONE, prod) * len(span)
 
 
 @pytest.mark.parametrize("q", sorted(FIELDS))
@@ -378,7 +379,7 @@ def test_dickson_sl2_rows_have_witnesses_of_their_order(q):
             continue
         gens = witnesses[row.type]
         if row.type == "BorelFrobenius" and q > 64:
-            assert _borel_order(spec, gens[0][0]) == row.order
+            assert _borel_order(spec, gens[0], prod) == row.order
         else:
             group = generate(CODE_ONE, gens, prod, q ** 3)
             assert len(group) == row.order, row.type
@@ -425,3 +426,131 @@ def test_dickson_psl2_subfield_rows_are_images_of_sl2_witnesses(q):
             assert rows[0].order == len(h) // len(h & center), (ambient, b)
             checked += 1
     assert checked >= 2
+
+
+# the pgl2 row type that no kmlat builder makes: an S4 whose elements of
+# order 4 lie outside PSL2(q) (q = 3, 5 mod 8), built here only by
+# test_dickson_pgl2_s4_row_is_a_triangle_group; every other psl2 and pgl2
+# row at odd q has a witness in _projective_witnesses
+NO_BUILDER = {"S4-outside-psl"}
+
+
+def _projective_product(spec):
+    """The product of GL2(F_q) modulo scalars, on code 4-tuples: each
+    product is scaled so that its first nonzero entry is 1."""
+    _, mul, _, inv = spec._tables()
+    prod = code_mul(spec)
+
+    def pmul(x, y):
+        z = prod(x, y)
+        s = inv[next(e for e in z if e)]
+        return tuple(mul[s][e] for e in z)
+    return pmul
+
+
+def _projective_witnesses(spec, ambient):
+    """Row type -> generators in GL2(F_q), as code 4-tuples, for the rows
+    of dickson_table(spec, ambient) at odd q that have a builder; their
+    images modulo scalars have the row's shape.  psl2 takes the sl2
+    witnesses, whose images mod {I, -I} halve every order of an even
+    subgroup; PGL2(p^b) is <SL2(p^b), diag(l, 1/l)> with l^2 a generator
+    of F_{p^b}*.  pgl2 takes diag(g, 1), g a generator of F_q*, for the
+    split torus, the generator of F_{q^2}* for the nonsplit one, the
+    antidiagonal or the Frobenius [[1, -c1], [0, -1]] of F_{q^2} for their
+    normalizers, and diag(g_b, 1) with SL2(p^b) for PGL2(p^b)."""
+    q, p, a = spec.q, spec.p, spec.a
+    mul, neg, inv = spec._tables()[1:]
+    fmul = lambda x, y: mul[x][y]
+    sl2 = _dickson_witnesses(spec)
+    g = sl2["Cyclic(%d)" % (q - 1)][0][0]
+    if ambient == "psl2":
+        out = {"Cyclic(%d)" % ((q - 1) // 2): sl2["Cyclic(%d)" % (q - 1)],
+               "Cyclic(%d)" % ((q + 1) // 2): sl2["Cyclic(%d)" % (q + 1)],
+               "BorelFrobenius": sl2["BorelFrobenius"],
+               "Dihedral(%d)" % (q - 1): sl2["Dicyclic(%d)" % (2 * (q - 1))],
+               "Dihedral(%d)" % (q + 1): sl2["Dicyclic(%d)" % (2 * (q + 1))]}
+    else:
+        split, z = (g, 0, 0, 1), primitive_element(spec)
+        frob = (1, neg[spec.ext_modulus()[1]], 0, neg[1])
+        out = {"Cyclic(%d)" % (q - 1): [split], "Cyclic(%d)" % (q + 1): [z],
+               "Frobenius": [split, (1, 1, 0, 1)],
+               "Dihedral(%d)" % (2 * (q - 1)): [split, (0, 1, 1, 0)],
+               "Dihedral(%d)" % (2 * (q + 1)): [z, frob]}
+    out["ElementaryAbelian(%d)" % q] = sl2["ElementaryAbelian(%d)" % q]
+    for kind, image in (("SL2(3)", "A4"), ("2S4", "S4"), ("SL2(5)", "A5")):
+        if kind in sl2:
+            out[image] = sl2[kind]
+    for b in range(1, a):
+        if a % b:
+            continue
+        qb = p ** b
+        gb = code_pow(fmul, g, (q - 1) // (qb - 1))
+        out["PSL2(%d)" % qb] = sl2["SL2(%d)" % qb]
+        if ambient == "pgl2":
+            out["PGL2(%d)" % qb] = sl2["SL2(%d)" % qb] + [(gb, 0, 0, 1)]
+        elif a % (2 * b) == 0:
+            lam = code_pow(fmul, g, (q - 1) // (2 * (qb - 1)))
+            assert fmul(lam, lam) == gb
+            out["PGL2(%d)" % qb] = sl2["SL2(%d)" % qb] + [
+                (lam, 0, 0, inv[lam])]
+    return out
+
+
+@pytest.mark.parametrize("ambient", ["psl2", "pgl2"])
+@pytest.mark.parametrize("q", [q for q in sorted(FIELDS) if q % 2])
+def test_dickson_projective_rows_have_witnesses_of_their_order(q, ambient):
+    """At every odd prime power q < 128, each row of dickson_table(spec,
+    ambient), ambient psl2 or pgl2, that has a builder is the order of a
+    subgroup of PGL2(F_q): the closure of its witness modulo scalars has
+    exactly the row's order, and div_q_plus_1 says whether q + 1 divides
+    it.  Above q = 64 the Borel's order is checked by the formula |T| |U|
+    of _borel_order.  The witnesses name exactly the listed rows, so S4
+    and A5 are listed exactly where find_subgroup_of_type builds 2S4 and
+    SL2(5), and pgl2 lists an S4 outside PSL2(q) exactly where it builds
+    no 2S4."""
+    spec = make_field(*FIELDS[q])
+    witnesses = _projective_witnesses(spec, ambient)
+    rows = dickson_table(spec, ambient)
+    listed = {row.type for row in rows}
+    assert set(witnesses) == listed - NO_BUILDER
+    assert ("S4-outside-psl" in listed) == (
+        ambient == "pgl2" and "S4" not in witnesses)
+    prod = _projective_product(spec)
+    checked = 0
+    for row in rows:
+        if row.type in NO_BUILDER:
+            continue
+        gens = witnesses[row.type]
+        if row.type in ("BorelFrobenius", "Frobenius") and q > 64:
+            order = _borel_order(spec, gens[0], prod)
+        else:
+            order = len(generate(CODE_ONE, gens, prod, q ** 3))
+        assert row.order == order, row.type
+        assert row.div_q_plus_1 == (order % (q + 1) == 0), row.type
+        checked += 1
+    assert checked == len(rows) - len(listed & NO_BUILDER) >= 7
+
+
+@pytest.mark.parametrize("q", [q for q in sorted(FIELDS) if q % 2])
+def test_dickson_pgl2_s4_row_is_a_triangle_group(q):
+    """At every odd prime power q < 128, PGL2(F_q) has an S4, the (2, 3, 4)
+    triangle group <x, y> with x = [[1, 1], [-1, 1]] of projective order
+    4 (tr^2 / det = 2), y of order 3 (tr y = det y = 1) and xy of order 2
+    (tr xy = 0), modulo scalars.  It lies in PSL2(F_q) exactly when
+    det x = 2 is a square, and the pgl2 table names its S4 row so: "S4"
+    inside PSL2(q) and "S4-outside-psl" outside."""
+    spec = make_field(*FIELDS[q])
+    add, mul, neg, _ = spec._tables()
+    x = (1, 1, neg[1], 1)
+    # y = [[a, b], [b - 1, 1 - a]]: tr xy = 0, and det y = 1 reads
+    # a^2 - a + b^2 - b + 1 = 0
+    a, b = next((a, b) for a in range(q) for b in range(q)
+                if add[add[mul[a][a]][neg[a]]][add[add[mul[b][b]][neg[b]]]
+                                                [1]] == 0)
+    y = (a, b, add[b][neg[1]], add[1][neg[a]])
+    prod = _projective_product(spec)
+    assert len(generate(CODE_ONE, [x, y], prod, q ** 3)) == 24
+    inside = add[1][1] in {mul[s][s] for s in range(1, q)}
+    s4 = [(row.type, row.order) for row in dickson_table(spec, "pgl2")
+          if row.type.startswith("S4")]
+    assert s4 == [("S4" if inside else "S4-outside-psl", 24)]
