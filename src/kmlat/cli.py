@@ -18,13 +18,24 @@ from .laurent import parse_laurent
 SCHEMA = "kmlat-report-v1"
 
 
+def frac_str(f):
+    """A Fraction as "n/d", also when d = 1."""
+    return "%d/%d" % (f.numerator, f.denominator)
+
+
+def _int(text):  # int() alone also reads " 7", "1_1", other scripts' digits
+    if text.isascii() and text.lstrip("+-").isdigit():
+        return int(text)  # which rejects "--7", and more than 4300 digits
+    raise ValueError(text)
+
+
 def _field_for(q_text):
     """Accept "q" as a plain prime power or "p^a"."""
     try:
         if "^" in q_text:
             p_s, _, a_s = q_text.partition("^")
-            return gf.make_field(int(p_s), int(a_s))
-        q = int(q_text)
+            return gf.make_field(_int(p_s), _int(a_s))
+        q = _int(q_text)
     except ValueError:
         raise InvalidInput("q = %r is not an integer or p^a" % q_text) from None
     if q > gf.Q_CAP:
@@ -78,12 +89,6 @@ def _parse_word(spec, text):
     return tuple(letters)
 
 
-def _emit(args, payload):
-    payload = dict(payload)
-    payload["schema"] = SCHEMA
-    print(json.dumps(payload, indent=args.json_indent, sort_keys=True))
-
-
 def _classification_input(args):
     tri = {"yes": True, "no": False}.get  # an unset flag stays None
     return lattice.ClassificationInput(
@@ -93,34 +98,29 @@ def _classification_input(args):
         zmi_in_zg=tri(args.zmi_central))
 
 
+# each cmd_* returns its report; main adds "command" and "schema"
 def cmd_classify(args):
     rows = lattice.classify(_classification_input(args))
-    _emit(args, {"command": "classify", "q": args.q,
-                 "rows": [r.to_json_dict() for r in rows]})
+    return {"q": args.q, "rows": [r._asdict() for r in rows]}
 
 
 def cmd_min_covolume(args):
     cov, delta0 = lattice.min_covolume(_classification_input(args))
-    _emit(args, {"command": "min-covolume", "q": args.q,
-                 "min_covolume": lattice.frac_str(cov), "delta0": delta0})
+    return {"q": args.q, "min_covolume": cov, "delta0": delta0}
 
 
 def cmd_dickson(args):
     spec = _field_for(args.q)
     rows = groups.dickson_table(spec, args.ambient)
-    _emit(args, {"command": "dickson", "q": spec.q, "ambient": args.ambient,
-                 "rows": [{"type": r.type, "order": r.order,
-                           "div_q_plus_1": r.div_q_plus_1,
-                           "source": r.source} for r in rows]})
+    return {"q": spec.q, "ambient": args.ambient,
+            "rows": [r._asdict() for r in rows]}
 
 
 def cmd_verify(args):
     spec = _field_for(args.q)
     report = lattice.lubotzky_check(
         lattice.build_standard_lattice(spec, args.kind))
-    payload = report.to_json_dict()
-    payload.update({"command": "verify", "kind": args.kind})
-    _emit(args, payload)
+    return dict(report._asdict(), kind=args.kind)
 
 
 def cmd_km_act(args):
@@ -129,27 +129,22 @@ def cmd_km_act(args):
     word = _parse_word(spec, args.word)
     e = _parse_edge(spec, args.edge)
     img = kmaction.apply_word(params, word, e, mode=args.mode)
-    _emit(args, {"command": "km-act", "q": spec.q, "m": args.m,
-                 "word": args.word, "edge": str(e), "image": str(img),
-                 "mode": args.mode})
+    return {"q": spec.q, "m": args.m, "word": args.word, "edge": str(e),
+            "image": str(img), "mode": args.mode}
 
 
 def cmd_zp_test(args):
     spec = _field_for(args.q)
     params = kmaction.KMParams(2, spec)  # identity phi never reads m
-    _emit(args, {"command": "zp-test", "q": spec.q, "pairs": args.pairs,
-                 **kmaction.zp_walk(params, args.pairs)})
+    return {"q": spec.q, "pairs": args.pairs,
+            **kmaction.zp_walk(params, args.pairs)}
 
 
 def cmd_dihedral_search(args):
     spec = _field_for(args.q)
     report = serretree.dihedral_obstruction_search(spec, args.window)
-    _emit(args, {"command": "dihedral-search", "q": spec.q,
-                 "window": report["window"],
-                 "family_sizes": report["family_sizes"],
-                 "triples_checked": report["triples_checked"],
-                 "violations": [[str(m) for m in triple]
-                                for triple in report["violations"]]})
+    return dict(report, violations=[[str(m) for m in triple]
+                                    for triple in report["violations"]])
 
 
 def cmd_tree(args):
@@ -158,12 +153,11 @@ def cmd_tree(args):
         m1, m2 = [_parse_matrix(spec, m) for m in args.distance]
         d = serretree.vertex_distance(serretree.Vertex(m1),
                                       serretree.Vertex(m2))
-        _emit(args, {"command": "tree", "q": spec.q, "distance": d})
+        return {"q": spec.q, "distance": d}
     elif args.neighbors is not None:
         v = serretree.Vertex(_parse_matrix(spec, args.neighbors))
         ns = serretree.neighbors(v)
-        _emit(args, {"command": "tree", "q": spec.q,
-                     "neighbors": [str(n.rep) for n in ns]})
+        return {"q": spec.q, "neighbors": [str(n.rep) for n in ns]}
     else:
         raise InvalidInput("tree needs --distance or --neighbors")
 
@@ -263,10 +257,9 @@ def fast_parse(argv):
         for f, k in flags.items()})
 
 
-def build_parser(command=None):
-    """The parser with every subcommand, or only the named one: argparse
-    dispatches on the first positional, so an argv that starts with that
-    name parses, and fails, exactly as with all eight."""
+def build_parser():
+    """The parser with every subcommand, for the argvs fast_parse
+    declines: help, usage errors and the shapes it does not read."""
     import argparse
     # argparse's layout for its fallback 80-column terminal; with the width
     # fixed, it never imports shutil to probe the terminal
@@ -280,29 +273,26 @@ def build_parser(command=None):
         parser_class=functools.partial(argparse.ArgumentParser,
                                        formatter_class=fmt))
     for name, (help_text, _, flags, one_of) in COMMANDS.items():
-        if command in (None, name):
-            p = sub.add_parser(name, help=help_text)
-            group = p.add_mutually_exclusive_group() if one_of else p
-            for flag, keywords in flags.items():
-                (group if flag in one_of else p).add_argument(flag,
-                                                              **keywords)
+        p = sub.add_parser(name, help=help_text)
+        group = p.add_mutually_exclusive_group() if one_of else p
+        for flag, keywords in flags.items():
+            (group if flag in one_of else p).add_argument(flag, **keywords)
     return parser
 
 
 def main(argv=None):
     argv = sys.argv[1:] if argv is None else argv
-    args = fast_parse(argv)
-    if args is None:
-        command = argv[0] if argv and argv[0] in COMMANDS else None
-        args = build_parser(command).parse_args(argv)
+    args = fast_parse(argv) or build_parser().parse_args(argv)
+    code, indent = 0, args.json_indent
     try:
-        COMMANDS[args.command][1](args)
-    except KmlatError as exc:
-        print(json.dumps({"schema": SCHEMA,
-                          "error": type(exc).__name__,
-                          "detail": str(exc)}, sort_keys=True))
-        return 1
-    return 0
+        report = dict(COMMANDS[args.command][1](args), command=args.command)
+    except KmlatError as exc:  # an error report is never indented
+        code, indent = 1, None
+        report = {"error": type(exc).__name__, "detail": str(exc)}
+    report["schema"] = SCHEMA
+    print(json.dumps(report, indent=indent, sort_keys=True,
+                     default=frac_str))
+    return code
 
 
 if __name__ == "__main__":

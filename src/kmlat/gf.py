@@ -83,12 +83,13 @@ CODE_ONE = (1, 0, 0, 1)
 def parse_code(text, q=None):
     """The integer a field code (q given) or a depth (q None) is written as.
 
-    Accepts 0..q-1, or any n >= 0 when q is None.  Anything else raises
-    InvalidInput naming the text and q; a code is never reduced mod q.
+    Accepts 0..q-1, or any n >= 0 when q is None, in ASCII digits alone.
+    Anything else raises InvalidInput naming the text and q; a code is
+    never reduced mod q.
     """
-    try:
-        n = int(text)
-    except ValueError:
+    try:  # int() alone would also read " 7", "1_0" and other scripts' digits
+        n = int(text) if text.isascii() and text.isdigit() else -1
+    except ValueError:  # past int()'s limit on digits
         n = -1
     if q is None:
         if n < 0:

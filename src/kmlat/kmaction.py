@@ -150,6 +150,7 @@ def apply_word(params, word, e, mode="identity_phi"):
     return e
 
 
+# only zp_fix_test calls this; perfbench/tracer.py patches that by name
 def _check_alternating(word):
     if not word:
         raise MalformedWord("empty word")
@@ -200,6 +201,7 @@ def _power_is_identity(image, p):
     return True
 
 
+# no command calls this; perfbench/tracer.py patches it by name
 def zp_fix_test(params, word, mode="identity_phi"):
     """Exhaustive test of whether z^p fixes every length-2 left edge.
 

@@ -44,11 +44,6 @@ def faithfulness_kernel(a0, a1):
         n = keep
 
 
-def frac_str(f):
-    """A Fraction as "n/d", also when d = 1."""
-    return "%d/%d" % (f.numerator, f.denominator)
-
-
 def covolume(orders):
     """Exact covolume sum(1/|G_s|) of a finite graph of finite groups."""
     total = Fraction(0)
@@ -57,14 +52,10 @@ def covolume(orders):
     return total
 
 
-class VerificationReport(namedtuple(
-        "VerificationReport", "q passes orbit_sizes stab_orders "
-        "intersection_order kernel_order covolume a1_order a2_order notes",
-        defaults=((),))):
-    __slots__ = ()
-
-    def to_json_dict(self):
-        return dict(self._asdict(), covolume=frac_str(self.covolume))
+VerificationReport = namedtuple(
+    "VerificationReport", "q passes orbit_sizes stab_orders "
+    "intersection_order kernel_order covolume a1_order a2_order notes",
+    defaults=((),))
 
 
 def lubotzky_check(a1):
@@ -164,14 +155,10 @@ class ClassificationInput(namedtuple(
                 raise InvalidInput("Q flags do not apply when q = 3 mod 4")
 
 
-class LatticeDescriptor(namedtuple(
-        "LatticeDescriptor", "q case a0_order vertex_type covolume delta0 "
-        "exceptional", defaults=(False,))):
-    """covolume: a Fraction; delta0: an int, or None on exceptional rows."""
-    __slots__ = ()
-
-    def to_json_dict(self):
-        return dict(self._asdict(), covolume=frac_str(self.covolume))
+# covolume: a Fraction; delta0: an int, or None on exceptional rows
+LatticeDescriptor = namedtuple(
+    "LatticeDescriptor", "q case a0_order vertex_type covolume delta0 "
+    "exceptional", defaults=(False,))
 
 
 def _row(q, case, a0, vertex, delta0, exceptional=False):
@@ -236,11 +223,9 @@ def min_covolume(inp):
     rows = classify(inp)
     if not rows:
         raise MinUndefined("no edge-transitive lattice for this input")
-    generic = [r for r in rows if not r.exceptional]
-    if not generic:
-        best = min(rows, key=lambda r: r.covolume)
-        return best.covolume, None
-    best = min(generic, key=lambda r: r.covolume)
+    # an exceptional row's delta0 is None
+    best = min([r for r in rows if not r.exceptional] or rows,
+               key=lambda r: r.covolume)
     return best.covolume, best.delta0
 
 

@@ -138,7 +138,7 @@ class LaurentPoly:
         return "LaurentPoly(%s)" % str(self)
 
 
-_TERM_RE = re.compile(r"^(?:(\d+)\*?)?(?:t(?:\^(-?\d+))?)?$")
+_TERM_RE = re.compile(r"^(?:([0-9]+)\*?)?(?:t(?:\^(-?[0-9]+))?)?$")
 
 
 def parse_laurent(spec, text):
@@ -158,6 +158,9 @@ def parse_laurent(spec, text):
         code = parse_code(coeff_s, spec.q) if coeff_s is not None else 1
         tdeg = 0
         if "t" in term:
-            tdeg = int(exp_s) if exp_s is not None else 1
+            try:
+                tdeg = int(exp_s) if exp_s is not None else 1
+            except ValueError:  # past int()'s limit on digits
+                raise InvalidInput("bad Laurent term %r" % term) from None
         out = out + LaurentPoly(spec, {-tdeg: code})
     return out

@@ -15,8 +15,8 @@ from __future__ import annotations
 
 import itertools
 
-from .errors import (NonInvertible, OddCharacteristic, SpecMismatch,
-                     WindowTooLarge, ZeroDeterminant)
+from .errors import (NonInvertible, OddCharacteristic, SizeCapExceeded,
+                     SpecMismatch, WindowTooLarge, ZeroDeterminant)
 from .laurent import LaurentPoly
 
 
@@ -182,6 +182,18 @@ def _polys(spec, lo, hi):
         yield LaurentPoly(spec, dict(zip(degs, codes)))
 
 
+DIHEDRAL_CAP = 1 << 18  # candidate (b, c) pairs of a P1-B or P2-B family
+
+
+def check_dihedral_size(q, window):
+    """Raise SizeCapExceeded if q^(2*window+2) > DIHEDRAL_CAP."""
+    exponent = 2 * window + 2
+    if q ** exponent > DIHEDRAL_CAP:
+        raise SizeCapExceeded("dihedral-search tries q^(2*window+2) (b, c) "
+                              "pairs per family = %d^%d, over the cap 2^18 "
+                              "= %d" % (q, exponent, DIHEDRAL_CAP))
+
+
 def involution_families(spec, region, window):
     """Order-2 elements of B, P1-B or P2-B in characteristic two.
 
@@ -196,11 +208,13 @@ def involution_families(spec, region, window):
     table of square roots (x -> x^2 is a bijection of F_q).
     Returns a list of Mat2 with determinant one: the upper unipotents
     (c = 0), then the lower ones (b = 0), then the rest in (a, b, c) order.
+    Past DIHEDRAL_CAP it raises SizeCapExceeded before building any.
     """
     if spec.p != 2:
         raise OddCharacteristic("involution families need p = 2")
     if window > 3:
         raise WindowTooLarge("window %d > 3" % window)
+    check_dihedral_size(spec.q, window)
     w = window
     if region == "B":
         bs, cs = list(_polys(spec, -w, 0)), list(_polys(spec, -w, -1))

@@ -412,14 +412,14 @@ def trace_copies(spec, kind, first_a=3):
 
 
 def aligned_report(spec, kind, copy):
-    """lubotzky_check's report, as a JSON dict, on the A1 that
+    """lubotzky_check's report, as a dict, on the A1 that
     lattice.build_standard_lattice aligns from the exceptional copy `copy`
     in place of the one groups.find_subgroup_of_type builds; or the class
     name and message of the KmlatError the build or the check raised."""
     with patch.object(lattice, "find_subgroup_of_type", lambda s, k: copy):
         try:
             return lattice.lubotzky_check(
-                lattice.build_standard_lattice(spec, kind)).to_json_dict()
+                lattice.build_standard_lattice(spec, kind))._asdict()
         except KmlatError as exc:
             return type(exc).__name__, str(exc)
 

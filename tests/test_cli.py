@@ -10,7 +10,8 @@ from pathlib import Path
 
 import pytest
 
-from kmlat import cli, kmaction
+from kmlat import cli, kmaction, serretree
+from kmlat.errors import InvalidInput
 
 if sys.version_info >= (3, 11):
     import tomllib
@@ -106,6 +107,24 @@ def test_zp_test_refuses_work_past_the_cap(q, pairs, capsys):
     assert "%d^%d" % (q, 2 * pairs + 2) in out["detail"]
     assert "cap 2^24" in out["detail"]
     assert kmaction.letter_table.cache_info().currsize == 0
+
+
+@pytest.mark.parametrize("q,window", [(32, 1), (8, 3), (256, 3)])
+def test_dihedral_search_refuses_work_past_the_cap(q, window, capsys,
+                                                   monkeypatch):
+    """dihedral-search --q 32 --window 1 ran for minutes: it ends in a
+    domain error that names the cap and the size, before any involution
+    family is built."""
+    built = []
+    monkeypatch.setattr(serretree, "_polys",
+                        lambda *args: built.append(args) or ())
+    argv = ["dihedral-search", "--q", str(q), "--window", str(window)]
+    assert cli.main(argv) == 1
+    out = json.loads(capsys.readouterr().out)
+    assert out["error"] == "SizeCapExceeded"
+    assert "%d^%d" % (q, 2 * window + 2) in out["detail"]
+    assert "cap 2^18" in out["detail"]
+    assert built == []
 
 
 def test_dihedral_search_json():
@@ -249,14 +268,47 @@ def test_bad_field_code_is_a_json_error(argv, named):
      "extension degree 0 is not positive"),
     (("dickson", "--q", "3^-1", "--ambient", "sl2"),
      "extension degree -1 is not positive"),
+    # int() reads each of these as a number; the parsers take ASCII digits
+    (("km-act", "--q", "11", "--word", "x1:1_0", "--edge", "base"),
+     "field code '1_0' is not an integer in 0..10 (q = 11)"),
+    (("km-act", "--q", "3", "--word", "x1@\u0660:1", "--edge", "base"),
+     "'\u0660' is not a non-negative integer"),
+    (("tree", "--q", "3", "--neighbors", "t^\u0663,0;0,1"),
+     "bad Laurent term 't^\u0663'"),
+    (("verify", "--q", " 7", "--kind", "SL2(3)"),
+     "q = ' 7' is not an integer or p^a"),
+    (("verify", "--q", "\u0667", "--kind", "SL2(3)"),
+     "q = '\u0667' is not an integer or p^a"),
+    (("verify", "--q", "3^ 2", "--kind", "SL2(3)"),
+     "q = '3^ 2' is not an integer or p^a"),
+    (("dickson", "--q", "1_1", "--ambient", "sl2"),
+     "q = '1_1' is not an integer or p^a"),
 ], ids=["field-not-prime-power", "matrix-rows", "matrix-entries", "edge",
         "word-coeff-missing", "word-letter", "tree-no-flag",
         "tree-empty-neighbors", "tree-empty-distance", "laurent-term",
-        "degree-zero", "degree-negative"])
+        "degree-zero", "degree-negative", "code-underscore",
+        "depth-arabic-indic", "exponent-arabic-indic", "q-space",
+        "q-arabic-indic", "q-exponent-space", "q-underscore"])
 def test_malformed_input_is_invalid_input(argv, detail):
     err = run_json(*argv, expect=1)
     assert err["error"] == "InvalidInput"
     assert err["detail"] == detail
+
+
+def test_q_keeps_its_sign_and_reads_ascii_digits_only():
+    """A sign is still read (so "3^-1" names the degree), and nothing that
+    is not an ASCII digit is."""
+    assert cli._field_for("3^2").q == 9
+    assert cli._field_for("+7").q == 7
+    with pytest.raises(InvalidInput, match="degree -1 is not positive"):
+        cli._field_for("3^-1")
+    # 511 = 7 * 73 is at the cap, not past it
+    with pytest.raises(InvalidInput, match="q = 511 is not a prime power"):
+        cli._field_for("511")
+    for text in (" 7", "7 ", "7\n", "\u0667", "3^\u0662", "1_1", "3^ 2",
+                 "3 ^2", "9" * 5000, "", "^2", "3^"):
+        with pytest.raises(InvalidInput, match="is not an integer or p"):
+            cli._field_for(text)
 
 
 # the last one is capped before a trial-division primality test of p
@@ -418,17 +470,13 @@ NAMED_RUNS = ([(c,) + VALID_RUNS[c] for c in SUBCOMMANDS]
 @pytest.mark.parametrize("argv", NAMED_RUNS, ids=" ".join)
 def test_named_subcommand_parser_matches_the_full_parser(monkeypatch,
                                                          capsys, argv):
-    """An argv that starts with a subcommand name gets a parser with only
-    that subcommand.  Its exit code, stdout and stderr equal those of the
-    parser with all eight: valid runs, help, a missing required flag, a
-    bad choice, a trailing argument, and --json-indent after the
-    command.  The fast parse is made to decline, so that both halves run
-    argparse."""
+    """An argv that starts with a subcommand name gives the same exit code,
+    stdout and stderr when the fast parse declines it and argparse parses
+    it: valid runs, help, a missing required flag, a bad choice, a
+    trailing argument, and --json-indent after the command."""
+    normal = _in_process(capsys, argv)
     monkeypatch.setattr(cli, "fast_parse", lambda argv: None)
-    reduced = _in_process(capsys, argv)
-    full_parser = cli.build_parser
-    monkeypatch.setattr(cli, "build_parser", lambda command: full_parser())
-    assert _in_process(capsys, argv) == reduced
+    assert _in_process(capsys, argv) == normal
 
 
 @pytest.mark.parametrize("argv", [("--help",), ("-h", "verify"), ("",),

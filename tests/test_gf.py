@@ -6,7 +6,8 @@ from hypothesis import given, settings, strategies as st
 from kmlat.errors import (DivisionByZero, DegreeTooLarge, InvalidInput,
                           NonPrime)
 from kmlat.gf import (Q_CAP, ExtElement, _is_irreducible, is_prime,
-                      make_field, norm1_subgroup, primitive_element)
+                      make_field, norm1_subgroup, parse_code,
+                      primitive_element)
 from kmlat.groups import nonsplit_torus, torus_normalizer
 from oracles import (as_ext, digit_neg, ext_norm1_subgroup, ext_normalizer_s,
                      ext_one, ext_primitive_element,
@@ -16,6 +17,24 @@ from oracles import (as_ext, digit_neg, ext_norm1_subgroup, ext_normalizer_s,
 
 FIELDS = [make_field(2), make_field(3), make_field(2, 2), make_field(5),
           make_field(3, 2), make_field(2, 3), make_field(5, 2)]
+
+
+@pytest.mark.parametrize("q", [11, None], ids=["code", "depth"])
+def test_parse_code_reads_ascii_digits_only(q):
+    """int() would read each of these as a number; a code or depth takes
+    ASCII digits alone, up to int()'s limit on digits."""
+    assert parse_code("10", q) == 10
+    assert parse_code("0", q) == 0
+    if q is not None:  # q itself is not a code
+        with pytest.raises(InvalidInput, match="'11' is not an integer in"):
+            parse_code("11", q)
+    else:
+        assert parse_code("11") == 11
+    for text in ("1_0", "\u0660", "\u0661\u0660", " 1", "1 ", "1\n", "+1",
+                 "\uff11", "9" * 5000, ""):
+        with pytest.raises(InvalidInput) as info:
+            parse_code(text, q)
+        assert repr(text) in str(info.value)
 
 # the 43 prime powers q = p^a < 128, as (p, a)
 BELOW_128 = [(p, a) for p in range(2, 128) if is_prime(p)

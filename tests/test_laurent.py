@@ -5,7 +5,7 @@ import math
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from kmlat.errors import DegreeWindowExceeded
+from kmlat.errors import DegreeWindowExceeded, InvalidInput
 from kmlat.gf import make_field
 from kmlat.laurent import LaurentPoly, parse_laurent
 from oracles import fe_coeffs, fe_laurent_add, fe_laurent_mul, fe_laurent_neg
@@ -15,6 +15,16 @@ F3 = make_field(3)
 F4 = make_field(2, 2)
 # F9 and F25 are odd and not prime: there -x is not the code q - x
 ORACLE_FIELDS = [F2, F3, F4, make_field(3, 2), make_field(5, 2)]
+
+
+def test_parse_laurent_reads_ascii_digits_only():
+    """Coefficients and exponents take ASCII digits; "t^\u0663" is not read
+    as t^3, and an exponent past int()'s limit on digits is InvalidInput."""
+    assert parse_laurent(F3, "2*t^3+1") == LaurentPoly(F3, {-3: 2, 0: 1})
+    for text in ("t^\u0663", "\u0662", "\u0662*t", "t^1_0", "1_0", "t^-\u0661",
+                 "t^" + "9" * 5000):
+        with pytest.raises(InvalidInput, match="bad Laurent term"):
+            parse_laurent(F3, text)
 
 
 def poly_strategy(spec, max_terms=4, degree_span=6):

@@ -1,7 +1,8 @@
-"""What src/kmlat defines, imports and raises: the code that only tests
-reach lives in tests/reference.py, every error class in kmlat/errors.py is
-raised by the package, and every name perfbench/tracer.py patches is
-still in the package (a stdlib-ast check, and one traced run)."""
+"""What src/kmlat defines, imports, raises and writes: the code that only
+tests reach lives in tests/reference.py, every error class in
+kmlat/errors.py is raised by the package, only cli.main writes output, and
+every name perfbench/tracer.py patches is still in the package (a
+stdlib-ast check, and one traced run)."""
 
 import ast
 import os
@@ -51,8 +52,10 @@ TO_ORACLES = {"_mult_matrix": "mult_matrix", "ext_one": "ext_one",
               "WrongFixedVertex": "WrongFixedVertex",
               "SearchBudgetExceeded": "SearchBudgetExceeded"}
 # the exceptional-subgroup search, deleted when find_subgroup_of_type began
-# to build from a trace triple; tests/oracles.py keeps a scan of its own
-DELETED = {"_trace_order_map", "_trace_class", "_SEARCH_BUDGET"}
+# to build from a trace triple (tests/oracles.py keeps a scan of its own),
+# and the report writers deleted when cli.main became the one writer
+DELETED = {"_trace_order_map", "_trace_class", "_SEARCH_BUDGET", "_emit",
+           "VerificationReport.to_json_dict", "LatticeDescriptor.to_json_dict"}
 
 
 def definitions(source):
@@ -94,6 +97,25 @@ def raised(source):
     return out
 
 
+def writers(source):
+    """Where a module calls print or json.dumps: the enclosing function
+    as Class.method or outer.inner, or "<module>" outside any."""
+    tree = ast.parse(source)
+    parents = {child: node for node in ast.walk(tree)
+               for child in ast.iter_child_nodes(node)}
+    out = set()
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Call)
+                and ast.unparse(node.func) in ("print", "json.dumps")):
+            names = []
+            while node in parents:
+                node = parents[node]
+                if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                    names.append(node.name)
+            out.add(".".join(reversed(names)) or "<module>")
+    return out
+
+
 def test_the_checks_see_definitions_and_imports():
     source = ("from . import gf, groups\nfrom .serretree import Mat2\n"
               "import json\nX = 1\nclass A:\n    def f(self):\n"
@@ -102,6 +124,18 @@ def test_the_checks_see_definitions_and_imports():
     assert definitions(source) == {"X", "A", "A.f", "g"}
     assert kmlat_imports(source) == {"gf", "groups", "serretree", "lattice"}
     assert raised(source) == {"NotFound", "Stop"}
+    source = ("import json\nprint(1)\nclass A:\n    def f(self):\n"
+              "        def h():\n            return json.dumps(2)\n"
+              "def g():\n    sys.stdout.write(json.loads('3'))\n")
+    assert writers(source) == {"<module>", "A.f.h"}
+
+
+def test_only_cli_main_writes_output():
+    """Every command's handler returns its report, and cli.main alone
+    turns it into JSON and prints it."""
+    found = {(path.stem, name) for path in SRC.glob("*.py")
+             for name in writers(path.read_text())}
+    assert found == {("cli", "main")}
 
 
 @pytest.mark.parametrize("module,banned", [

@@ -20,7 +20,7 @@ from pathlib import Path
 
 import pytest
 
-from kmlat import cli, kmaction
+from kmlat import cli, kmaction, serretree
 from test_cli import NAMED_RUNS, SUBCOMMANDS, VALID_RUNS
 from test_verify_golden import benchmark_workloads
 
@@ -122,11 +122,10 @@ def generated_argvs():
 
 def _argparse(argv):
     """vars() of argparse's namespace for argv, or None where it exits."""
-    command = argv[0] if argv and argv[0] in cli.COMMANDS else None
     with contextlib.redirect_stdout(io.StringIO()), \
             contextlib.redirect_stderr(io.StringIO()):
         try:
-            return vars(cli.build_parser(command).parse_args(list(argv)))
+            return vars(cli.build_parser().parse_args(list(argv)))
         except SystemExit:
             return None
 
@@ -170,8 +169,20 @@ def test_the_zp_size_cap_admits_every_taken_run():
         kmaction.check_zp_size(q, pairs)
 
 
+def test_the_dihedral_size_cap_admits_every_taken_run():
+    """Every golden, benchmark and README dihedral-search run, and (4, 3),
+    (16, 1) and (8, 2), the last at the cap, passes serretree's size
+    check."""
+    runs = [cli.fast_parse(list(argv)) for source in ALL_TAKEN
+            for argv in SOURCES[source]() if argv[0] == "dihedral-search"]
+    assert len(runs) > 6
+    sizes = {(cli._field_for(args.q).q, args.window) for args in runs}
+    for q, window in sizes | {(4, 3), (16, 1), (8, 2)}:
+        serretree.check_dihedral_size(q, window)
+
+
 def _subcommand_help(name):
-    parser = cli.build_parser(name)
+    parser = cli.build_parser()
     action, = [a for a in parser._actions if a.dest == "command"]
     return action.choices[name].format_help()
 

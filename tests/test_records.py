@@ -1,10 +1,11 @@
 """The record types: construction, defaults, equality and hashing, the
-checks made on construction, and the key order of their JSON dicts."""
+checks made on construction, and the order of their fields."""
 
 from fractions import Fraction
 
 import pytest
 
+from kmlat import cli
 from kmlat.gf import make_field
 from kmlat.groups import DicksonEntry, nonsplit_torus
 from kmlat.kmaction import (EdgeLabel, KMParams, RootIndex, RootLetter,
@@ -89,16 +90,20 @@ def test_letter_table_cache_keys_on_equal_records():
     assert letter_table.cache_info().hits == hits + 1
 
 
-def test_json_dict_key_order():
+def test_json_dict_key_order(capsys):
+    """The reports are plain namedtuples; the CLI writes their Fraction
+    covolume as "n/d"."""
     rep = lubotzky_check(build_standard_lattice(F3, "torus_normalizer"))
-    assert list(rep.to_json_dict()) == [
+    assert rep._fields == (
         "q", "passes", "orbit_sizes", "stab_orders", "intersection_order",
-        "kernel_order", "covolume", "a1_order", "a2_order", "notes"]
-    assert rep.to_json_dict()["covolume"] == "1/4"
+        "kernel_order", "covolume", "a1_order", "a2_order", "notes")
+    assert rep.covolume == Fraction(1, 4)
+    assert cli.main(["verify", "--q", "3", "--kind", "torus_normalizer"]) == 0
+    assert '"covolume": "1/4"' in capsys.readouterr().out
     row = classify(ClassificationInput(p=7, q=7, levi="psl", z_order=1))[0]
-    assert list(row.to_json_dict()) == [
+    assert row._fields == (
         "q", "case", "a0_order", "vertex_type", "covolume", "delta0",
-        "exceptional"]
+        "exceptional")
 
 
 def test_reprs():

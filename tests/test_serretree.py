@@ -5,8 +5,8 @@ import random
 import pytest
 
 from kmlat import serretree
-from kmlat.errors import (NonInvertible, OddCharacteristic, SpecMismatch,
-                          WindowTooLarge, ZeroDeterminant)
+from kmlat.errors import (NonInvertible, OddCharacteristic, SizeCapExceeded,
+                          SpecMismatch, WindowTooLarge, ZeroDeterminant)
 from kmlat.gf import make_field
 from kmlat.laurent import LaurentPoly, parse_laurent
 from kmlat.serretree import (Edge, Mat2, act, dihedral_obstruction_search,
@@ -211,6 +211,36 @@ def test_involution_families_limits():
         involution_families(F2, "B", 4)
     with pytest.raises(SpecMismatch):
         involution_families(F2, "P3-B", 1)
+
+
+@pytest.mark.parametrize("q,window", [(8, 2), (512, 0), (4, 3), (16, 1),
+                                      (2, 3), (256, 0)])
+def test_dihedral_size_check_admits_up_to_the_cap(q, window):
+    """(8, 2) and (512, 0) are exactly at the cap."""
+    assert q ** (2 * window + 2) <= serretree.DIHEDRAL_CAP == 2 ** 18
+    serretree.check_dihedral_size(q, window)
+
+
+@pytest.mark.parametrize("q,window", [(513, 0), (32, 1), (8, 3), (16, 2),
+                                      (5, 3)])
+def test_dihedral_size_check_refuses_past_the_cap(q, window):
+    """513^2 is the least q^(2*window+2) past 2^18."""
+    with pytest.raises(SizeCapExceeded) as info:
+        serretree.check_dihedral_size(q, window)
+    assert "%d^%d" % (q, 2 * window + 2) in str(info.value)
+    assert "cap 2^18 = 262144" in str(info.value)
+
+
+def test_involution_families_check_the_size_after_p_and_window():
+    """Past the cap, an odd q is still OddCharacteristic and a window over
+    3 still WindowTooLarge; an admissible p and window past the cap is
+    SizeCapExceeded."""
+    with pytest.raises(OddCharacteristic):
+        involution_families(make_field(3, 5), "B", 3)
+    with pytest.raises(WindowTooLarge):
+        involution_families(make_field(2, 8), "B", 4)
+    with pytest.raises(SizeCapExceeded):
+        involution_families(make_field(2, 5), "B", 1)
 
 
 @pytest.mark.parametrize("spec,window", FAMILY_SIZES,
