@@ -23,10 +23,28 @@ def frac_str(f):
     return "%d/%d" % (f.numerator, f.denominator)
 
 
-def _int(text):  # int() alone also reads " 7", "1_1", other scripts' digits
-    if text.isascii() and text.lstrip("+-").isdigit():
-        return int(text)  # which rejects "--7", and more than 4300 digits
-    raise ValueError(text)
+def _int(text, least=None):
+    """ASCII digits with an optional sign, at least `least` if given: int()
+    alone also reads " 7", "1_1" and other scripts' digits."""
+    if not (text.isascii() and text.lstrip("+-").isdigit()):
+        raise ValueError(text)
+    n = int(text)  # which rejects "--7", and more than 4300 digits
+    if least is not None and n < least:
+        import argparse
+        raise argparse.ArgumentTypeError(
+            "%d is %s" % (n, "negative" if least == 0 else "not positive"))
+    return n
+
+
+def _int_type(name, least=None):  # argparse's errors name it by __name__
+    read = functools.partial(_int, least=least)
+    read.__name__ = name
+    return read
+
+
+any_int = _int_type("int")
+non_negative_int = _int_type("non_negative_int", 0)
+positive_int = _int_type("positive_int", 1)
 
 
 def _field_for(q_text):
@@ -58,7 +76,7 @@ def _parse_matrix(spec, text):
         cols = row.split(",")
         if len(cols) != 2:
             raise InvalidInput("matrix rows need two ','-separated entries")
-        entries.extend(parse_laurent(spec, c.strip()) for c in cols)
+        entries.extend(parse_laurent(spec, c) for c in cols)
     return serretree.Mat2(spec, *entries)
 
 
@@ -162,31 +180,13 @@ def cmd_tree(args):
         raise InvalidInput("tree needs --distance or --neighbors")
 
 
-def non_negative_int(text):
-    """argparse type: a non-negative integer."""
-    n = int(text)
-    if n < 0:
-        import argparse
-        raise argparse.ArgumentTypeError("%d is negative" % n)
-    return n
-
-
-def positive_int(text):
-    """argparse type: a positive integer."""
-    n = int(text)
-    if n < 1:
-        import argparse
-        raise argparse.ArgumentTypeError("%d is not positive" % n)
-    return n
-
-
 _Q = {"--q": {"required": True}}
 _TRISTATE = {"choices": ("yes", "no")}
 _CLASSIFY_FLAGS = {
-    "--p": {"type": int, "required": True},
-    "--q": {"type": int, "required": True},
+    "--p": {"type": any_int, "required": True},
+    "--q": {"type": any_int, "required": True},
     "--levi": {"choices": ("psl", "pgl"), "required": True},
-    "--z": {"type": int, "default": 1},
+    "--z": {"type": any_int, "default": 1},
     "--qi-central": _TRISTATE, "--qi0-central": _TRISTATE,
     "--qi0-nontrivial": _TRISTATE, "--zmi-central": _TRISTATE,
 }
@@ -206,7 +206,7 @@ COMMANDS = {
                    "cyclic_p2", "torus_normalizer", "SL2(3)", "SL2(5)",
                    "2S4")}}, ()),
     "km-act": ("apply a root-group word to an edge", cmd_km_act,
-               {**_Q, "--m": {"type": int, "default": 2},
+               {**_Q, "--m": {"type": any_int, "default": 2},
                 "--word": {"required": True}, "--edge": {"required": True},
                 "--mode": {"choices": ("identity_phi", "twisted_phi"),
                            "default": "identity_phi"}}, ()),

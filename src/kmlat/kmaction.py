@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from collections import Counter, namedtuple
 from functools import lru_cache
+from operator import itemgetter
 
 from .errors import (InvalidInput, MalformedWord, SizeCapExceeded,
                      SpecMismatch, UnsupportedActionDomain)
@@ -169,11 +170,22 @@ def letter_table(params, letter, mode):
     """One letter's action on the q^2 left length-2 edges as a permutation
     of range(q^2): entry c1*q + c2 is the index of the image of L:c1,c2.
 
-    Built once per (params, letter, mode) from apply_letter, which stays
-    the only place the rules live; a failure there propagates and leaves
-    nothing cached.  Letters keep an edge's region and length, so each
-    index is read off the image's two coordinates.
+    Built once per (params, letter, mode).  At coefficient 0 or a power
+    p^i of p it is read off apply_letter, which stays the only place the
+    rules live; letters keep an edge's region and length, so each index
+    is read off the image's two coordinates.  At any other code c it
+    follows from the group law x(c) = x(c - d) x(d) of the root group,
+    d = p^i for the lowest nonzero base-p digit i of c: c - d and d add
+    without carry, and phi is linear in the coefficient in both modes.
+    A failure propagates and leaves nothing cached.
     """
+    c, d, p = letter.coeff, 1, params.spec.p
+    while c and c // d % p == 0:
+        d *= p
+    if c and c != d:  # x(c) = x(c - d) x(d)
+        first = letter_table(params, letter._replace(coeff=d), mode)
+        return itemgetter(*first)(
+            letter_table(params, letter._replace(coeff=c - d), mode))
     q = params.spec.q
     images = (apply_letter(params, letter, EdgeLabel("L", (c1, c2)), mode)
               for c1 in range(q) for c2 in range(q))
@@ -239,22 +251,24 @@ def zp_walk(params, pairs):
     every left length-2 edge iff t2 = 0, and both again over t1 != 0.
 
     Words are walked depth-first in itertools.product order of their codes;
-    each prefix's image is composed with the next letter's table once.
+    each prefix's image is composed with the next letter's table once, by
+    an itemgetter of the table, so the gather runs in C.  Tables are built
+    in code order, so each one the group law composes is cached already.
     Past ZP_CAP it raises SizeCapExceeded before building any table.
     """
     spec = params.spec
     check_zp_size(spec.q, pairs)
     add = spec._tables()[0]
-    x1s, x2s = ([letter_table(params, RootLetter(RootIndex(side, 0), c),
-                              "identity_phi") for c in range(spec.q)]
-                for side in (1, 2))
+    x1s, x2s = ([itemgetter(*letter_table(
+        params, RootLetter(RootIndex(side, 0), c), "identity_phi"))
+        for c in range(spec.q)] for side in (1, 2))
     tally = Counter()  # (t1 != 0, agrees) -> words
 
     def walk(image, left, t1, t2):
         for a, x1 in enumerate(x1s):
-            after_x1, s1 = [image[j] for j in x1], add[t1][a]
+            after_x1, s1 = x1(image), add[t1][a]
             for u, x2 in enumerate(x2s):
-                word, s2 = [after_x1[j] for j in x2], add[t2][u]
+                word, s2 = x2(after_x1), add[t2][u]
                 if left > 1:
                     walk(word, left - 1, s1, s2)
                 else:

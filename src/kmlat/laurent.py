@@ -138,7 +138,7 @@ class LaurentPoly:
         return "LaurentPoly(%s)" % str(self)
 
 
-_TERM_RE = re.compile(r"^(?:([0-9]+)\*?)?(?:t(?:\^(-?[0-9]+))?)?$")
+_TERM_RE = re.compile(r"(?:([0-9]+)\*?)?(?:t(?:\^(-?[0-9]+))?)?")
 
 
 def parse_laurent(spec, text):
@@ -149,7 +149,7 @@ def parse_laurent(spec, text):
         raise InvalidInput("empty Laurent literal")
     out = LaurentPoly.zero(spec)
     for term in text.split("+"):
-        m = _TERM_RE.match(term)
+        m = _TERM_RE.fullmatch(term)
         if not m or term == "":
             raise InvalidInput("bad Laurent term %r" % term)
         coeff_s, exp_s = m.groups()

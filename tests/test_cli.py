@@ -283,16 +283,65 @@ def test_bad_field_code_is_a_json_error(argv, named):
      "q = '3^ 2' is not an integer or p^a"),
     (("dickson", "--q", "1_1", "--ambient", "sl2"),
      "q = '1_1' is not an integer or p^a"),
+    # "$" also matches before a final newline, and strip() drops one
+    (("tree", "--q", "3", "--distance", "1,0;0,1\n", "t\n,0;0,1"),
+     "bad Laurent term '1\\n'"),
 ], ids=["field-not-prime-power", "matrix-rows", "matrix-entries", "edge",
         "word-coeff-missing", "word-letter", "tree-no-flag",
         "tree-empty-neighbors", "tree-empty-distance", "laurent-term",
         "degree-zero", "degree-negative", "code-underscore",
         "depth-arabic-indic", "exponent-arabic-indic", "q-space",
-        "q-arabic-indic", "q-exponent-space", "q-underscore"])
+        "q-arabic-indic", "q-exponent-space", "q-underscore",
+        "laurent-newline"])
 def test_malformed_input_is_invalid_input(argv, detail):
     err = run_json(*argv, expect=1)
     assert err["error"] == "InvalidInput"
     assert err["detail"] == detail
+
+
+# int() reads each value as a number; every integer flag reads ASCII digits
+@pytest.mark.parametrize("argv,flag,kind,value", [
+    (("classify", "--p", "1_3", "--q", " 13", "--levi", "psl", "--z", "2"),
+     "--p", "int", "1_3"),
+    (("classify", "--p", "13", "--q", " 13", "--levi", "psl"),
+     "--q", "int", " 13"),
+    (("min-covolume", "--p", "3", "--q", "\u0669", "--levi", "psl"),
+     "--q", "int", "\u0669"),
+    (("classify", "--p", "7", "--q", "7", "--levi", "psl", "--z", "\uff12"),
+     "--z", "int", "\uff12"),
+    (("km-act", "--q", "5", "--m", "\u0663", "--word", "x1:1", "--edge",
+      "L:1,2"), "--m", "int", "\u0663"),
+    (("zp-test", "--q", "3", "--pairs", "2\n"),
+     "--pairs", "positive_int", "2\n"),
+    (("dihedral-search", "--q", "2", "--window", "0_1"),
+     "--window", "non_negative_int", "0_1"),
+    (("--json-indent", "\u0662", "dickson", "--q", "3", "--ambient", "sl2"),
+     "--json-indent", "non_negative_int", "\u0662"),
+], ids=["classify-p", "classify-q", "min-covolume-q", "z", "m", "pairs",
+        "window", "json-indent"])
+def test_integer_flags_read_ascii_digits_only(capsys, argv, flag, kind,
+                                              value):
+    """The fast parse declines the argv, and argparse ends it with exit 2
+    and names the flag and the value, with nothing on stdout."""
+    assert cli.fast_parse(list(argv)) is None
+    with pytest.raises(SystemExit) as info:
+        cli.main(list(argv))
+    assert info.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.endswith("error: argument %s: invalid %s value: %r\n"
+                        % (flag, kind, value))
+
+
+def test_every_integer_flag_reads_through_one_reader():
+    types = [keywords["type"] for _, _, flags, _ in cli.COMMANDS.values()
+             for keywords in flags.values() if "type" in keywords]
+    assert len(types) == 9  # --p, --q, --z twice; --m, --pairs, --window
+    for read in types + [cli.non_negative_int]:  # and --json-indent
+        assert read.func is cli._int
+    assert cli.any_int("+7") == 7 and cli.non_negative_int("0") == 0
+    with pytest.raises(argparse.ArgumentTypeError, match="0 is not positive"):
+        cli.positive_int("0")
 
 
 def test_q_keeps_its_sign_and_reads_ascii_digits_only():

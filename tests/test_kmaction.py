@@ -32,6 +32,9 @@ F7 = make_field(7)
 F8 = make_field(2, 3)
 F9 = make_field(3, 2)
 F11 = make_field(11)
+F16 = make_field(2, 4)
+F25 = make_field(5, 2)
+F27 = make_field(3, 3)
 MODES = ("identity_phi", "twisted_phi")
 
 
@@ -275,23 +278,57 @@ def test_zp_walk_counts_match_per_word_tests(spec, npairs):
                           for word in words)
 
 
-@pytest.mark.parametrize("spec", [F2, F3, F4, F5, F7, F8, F9],
-                         ids=lambda s: "q=%d" % s.q)
+@pytest.mark.parametrize("spec", [F2, F3, F4, F5, F7, F8, F9, F11, F16,
+                                  F25, F27], ids=lambda s: "q=%d" % s.q)
 def test_letter_tables_are_permutations(spec):
-    """Every letter's table, for both sides, depths 0..2, every coefficient,
-    both modes and m in {2, 3}, is a permutation of range(q*q) and sends
-    c1*q + c2 to the index of apply_letter's image of L:c1,c2."""
+    """Every letter's table, for both sides, depths 0..2 (depth 0 alone
+    past q = 9), every coefficient, both modes and m in {2, 3}, is a
+    permutation of range(q*q) and sends c1*q + c2 to the index of
+    apply_letter's image of L:c1,c2.  Most tables are composed by the
+    root-group law, in chains of up to 9 compositions (at q = 11)."""
+    depths = 3 if spec.q <= 9 else 1
     q = spec.q
     edges = [EdgeLabel.left((c1, c2)) for c1 in range(q) for c2 in range(q)]
+    letter_table.cache_clear()  # every composition below is made anew
     for params in (KMParams(2, spec), KMParams(3, spec)):
         for mode in MODES:
-            for side, depth, c in itertools.product((1, 2), range(3),
+            for side, depth, c in itertools.product((1, 2), range(depths),
                                                     range(q)):
                 letter = RootLetter(RootIndex(side, depth), c)
                 table = letter_table(params, letter, mode)
                 assert sorted(table) == list(range(q * q))
                 assert [edges[j] for j in table] == [
                     apply_letter(params, letter, e, mode) for e in edges]
+
+
+# the six zp-test inputs of perfbench's root-action workload, as (p, a, pairs)
+ROOT_ACTION = [(2, 1, 4), (3, 1, 3), (5, 1, 2), (7, 1, 1), (11, 1, 1),
+               (2, 2, 2)]
+
+
+def test_zp_walk_reads_the_rules_at_zero_and_powers_of_p(monkeypatch):
+    """From a cold cache, zp_walk calls apply_letter on the q^2 left
+    length-2 edges for each side and each coefficient 0, 1, p, ..., p^(a-1)
+    alone, 2(a+1)q^2 calls, 928 over the six root-action inputs; every
+    other table comes from the group law x(c) = x(c - d) x(d)."""
+    calls = []
+    rules = kmaction.apply_letter
+
+    def counted(params, letter, e, mode):
+        calls.append(letter.coeff)
+        return rules(params, letter, e, mode)
+
+    monkeypatch.setattr(kmaction, "apply_letter", counted)
+    total = 0
+    for p, a, npairs in ROOT_ACTION:
+        spec = make_field(p, a)
+        letter_table.cache_clear()
+        calls.clear()
+        zp_walk(KMParams(2, spec), npairs)
+        assert len(calls) == 2 * (a + 1) * spec.q ** 2, (spec.q, npairs)
+        assert set(calls) == {0} | {p ** i for i in range(a)}
+        total += len(calls)
+    assert total == 928
 
 
 COMPOSED = [(F2, 3), (F3, 2), (F4, 2), (F5, 1), (F7, 1), (F8, 1), (F9, 1)]

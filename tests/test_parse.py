@@ -8,6 +8,10 @@ USAGE_ARGVS; it was recorded at commit e6c74e0, where argparse parsed every
 argv, by running this file there:
 
     PYTHONPATH=src python tests/test_parse.py
+
+It was recorded again when every integer flag came to read ASCII digits
+alone: the seven argvs with the value " 3" for --p, --q, --z, --pairs or
+--window, once read as 3, became usage errors.
 """
 
 import contextlib
