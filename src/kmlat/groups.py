@@ -92,9 +92,6 @@ class FiniteGroup:
         a, b, c, d = g
         return (d, neg[b], neg[c], a)
 
-    def __contains__(self, g):
-        return g in self.elements
-
     def __iter__(self):
         return iter(self.elements)
 

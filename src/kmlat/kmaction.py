@@ -221,7 +221,7 @@ def zp_fix_test(params, word, mode="identity_phi"):
     t2) where t1, t2 are the codes of the coefficient sums of the two
     sides.  Over a prime field z^p fixes all left length-2 edges iff
     t1 = 0 or t2 = 0; over F_{p^a} the exact statement, in identity_phi
-    mode, is zp_criterion.
+    mode, is zp_criterion in tests/reference.py.
     """
     _check_alternating(word)
     add = params.spec._tables()[0]
@@ -280,28 +280,3 @@ def zp_walk(params, pairs):
             "agreements": tally[False, True] + tally[True, True],
             "checked_t1_nonzero": tally[True, False] + tally[True, True],
             "agreements_t1_nonzero": tally[True, True]}
-
-
-def zp_criterion(spec, pairs):
-    """Whether z^p fixes every left length-2 edge (identity_phi), read off
-    the code pairs (a_k, u_k) of z = x1(a_1) x2(u_1) ... x1(a_n) x2(u_n).
-
-    With s_k = a_{k+1} + ... + a_n and t1 = a_1 + ... + a_n: iff t1 = 0,
-    or for every coset C of F_p*t1 the u_k with s_k in C sum to 0.  When
-    x2(u_k) acts on L:c1,c2 the first coordinate is c1 + s_k, and u_k is
-    added to c2 unless that is 0; over p rounds c1 runs through
-    c1 + F_p*t1, so c2 moves by minus the sum of the u_k with s_k in
-    -c1 + F_p*t1.  For prime q there is one coset: t1 = 0 or t2 = 0.
-    """
-    add = spec._tables()[0]
-    s = [0]  # s_n, s_{n-1}, ..., s_0 = t1
-    for a, _ in reversed(pairs):
-        s.append(add[s[-1]][a])
-    line = [0]  # F_p*t1
-    for _ in range(spec.p - 1):
-        line.append(add[line[-1]][s[-1]])
-    sums = Counter()  # least code of the coset of s_k -> sum of its u_k
-    for s_k, (_, u) in zip(s, reversed(pairs)):
-        coset = min(add[s_k][x] for x in line)
-        sums[coset] = add[sums[coset]][u]
-    return not s[-1] or not any(sums.values())

@@ -21,7 +21,7 @@ DEGREE_WINDOW = 64
 
 
 class LaurentPoly:
-    __slots__ = ("spec", "coeffs", "_hash")
+    __slots__ = ("spec", "coeffs")
 
     def __init__(self, spec, coeffs):
         """coeffs: dict {pi_degree: code in 0..q-1}; zeros are dropped."""
@@ -31,7 +31,6 @@ class LaurentPoly:
             if abs(d) > DEGREE_WINDOW:
                 raise DegreeWindowExceeded("pi-degree %d outside window" % d)
         self.coeffs = clean
-        self._hash = None
 
     @classmethod
     def zero(cls, spec):
@@ -114,9 +113,7 @@ class LaurentPoly:
                 and self.coeffs == other.coeffs)
 
     def __hash__(self):
-        if self._hash is None:
-            self._hash = hash(frozenset(self.coeffs.items()))
-        return self._hash
+        return hash(frozenset(self.coeffs.items()))
 
     def __str__(self):
         if not self.coeffs:

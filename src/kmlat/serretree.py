@@ -6,9 +6,10 @@ with monomial determinant whose columns span a representative lattice
 divisors; equality of vertices is distance zero, so Vertex and Edge are
 unhashable by design and are compared pair by pair.  The module also holds
 the characteristic-two involution families and the dihedral obstruction
-search over them.  Membership in the parahorics P1, P2 and B, the base
-vertices and edge, and edge distance are reference code for the tests, in
-tests/reference.py.
+search over them, which tests for each pair the two scalars its proof
+reduces gamma s gamma to.  Membership in the parahorics P1, P2 and B, the
+base vertices and edge, and edge distance are reference code for the
+tests, in tests/reference.py.
 """
 
 from __future__ import annotations
@@ -21,12 +22,11 @@ from .laurent import LaurentPoly
 
 
 class Mat2:
-    __slots__ = ("spec", "a", "b", "c", "d", "_hash")
+    __slots__ = ("spec", "a", "b", "c", "d")
 
     def __init__(self, spec, a, b, c, d):
         self.spec = spec
         self.a, self.b, self.c, self.d = a, b, c, d
-        self._hash = None
 
     # only sl2_elements calls this; perfbench/tracer.py patches that by name
     @classmethod
@@ -73,10 +73,7 @@ class Mat2:
                 and self.c == other.c and self.d == other.d)
 
     def __hash__(self):
-        if self._hash is None:
-            self._hash = hash((hash(self.a), hash(self.b),
-                               hash(self.c), hash(self.d)))
-        return self._hash
+        return hash((self.a, self.b, self.c, self.d))
 
     def __str__(self):
         return "%s,%s;%s,%s" % (self.a, self.b, self.c, self.d)
@@ -249,45 +246,24 @@ def involution_families(spec, region, window):
     return [m for key in sorted(buckets) for m in buckets[key]]
 
 
-def _squares(m):
-    """e^2, f^2, g^2 for m = [[e,f],[g,e]], each as {pi-degree: code}.
-
-    In characteristic two squaring acts coefficient by coefficient: the
-    term x pi^d goes to (x*x) pi^2d.
-    """
-    mul = m.spec._tables()[1]
-    return tuple({2 * d: mul[x][x] for d, x in p.coeffs.items()}
-                 for p in (m.a, m.b, m.c))
-
-
-def _coeff(tables, k, b, c, x, y):
-    """Code of the pi^k coefficient of b*x + c*y.
-
-    b, c: (pi-degree, code) pairs; x, y: {pi-degree: code}.
-    """
-    add, mul, _, _ = tables
-    acc = 0
-    for u, v in ((b, x), (c, y)):
-        for d, code in u:
-            w = v.get(k - d)
-            if w:
-                acc = add[acc][mul[code][w]]
-    return acc
+def _low_squares(gamma):
+    """e_0^2, f_-1^2 and g_0^2 of gamma = [[e,f],[g,e]] as codes
+    (subscripts are pi-degrees): in characteristic two x pi^d squares to
+    x^2 pi^2d, so these are the pi^0, pi^-2 and pi^0 terms of the squares."""
+    mul = gamma.spec._tables()[1]
+    e, f, g = (gamma.a.coeffs.get(0, 0), gamma.b.coeffs.get(-1, 0),
+               gamma.c.coeffs.get(0, 0))
+    return mul[e][e], mul[f][f], mul[g][g]
 
 
-def _p1_hit(tables, b, c, squares):
-    """gamma s gamma still outside B inside P1: its lower-left entry
-    b g^2 + c e^2 is a unit.  b, c, e and g lie in O for the families
-    searched, so that is its pi^0 coefficient being nonzero."""
-    e2, _, g2 = squares
-    return _coeff(tables, 0, b, c, g2, e2) != 0
-
-
-def _p2_hit(tables, b, c, squares):
-    """gamma s gamma still outside B inside P2: its upper-right entry
-    b e^2 + c f^2 has a nonzero pi^-1 (t^1) coefficient."""
-    e2, f2, _ = squares
-    return _coeff(tables, -1, b, c, e2, f2) != 0
+def _hits(add, mul, s, squares):
+    """Whether gamma s gamma lies in P1 - B and whether in P2 - B, for
+    s = [[a,b],[c,a]] and gamma's _low_squares: b_0 g_0^2 + c_0 e_0^2 != 0
+    and c_1 f_-1^2 != 0 (see dihedral_obstruction_search)."""
+    e2, f2, g2 = squares
+    b, c = s.b.coeffs, s.c.coeffs
+    return (add[mul[b.get(0, 0)][g2]][mul[c.get(0, 0)][e2]] != 0,
+            mul[c.get(1, 0)][f2] != 0)
 
 
 def dihedral_obstruction_search(spec, window):
@@ -298,31 +274,30 @@ def dihedral_obstruction_search(spec, window):
     simultaneously.  Expected to report no violations.
 
     Why none exist: write s = [[a,b],[c,a]] and gamma = [[e,f],[g,e]], so
-    gamma s gamma = [[*, b e^2 + c f^2], [b g^2 + c e^2, *]].  For s in B,
-    a^2 has only even pi-degrees, so the pi^1 coefficient of bc = 1 + a^2
-    is 0, that is b_0 c_1 = 0 (subscripts are pi-degrees).  A P1 hit needs
-    the pi^0 coefficient b_0 g_0^2 of the lower-left entry to be nonzero,
-    and a P2 hit needs the pi^-1 coefficient c_1 f_-1^2 of the upper-right
-    one; both at once need b_0 c_1 != 0.  The search stays as the
-    computational check: it forms no product gamma s gamma, but computes
-    those two coefficients for every pair by convolving b and c with the
-    squares e^2, f^2, g^2, each computed once per gamma.
+    gamma s gamma = [[*, b e^2 + c f^2], [b g^2 + c e^2, *]].  Every entry
+    of s and gamma lies in O except f, which has pi-degree >= -1, and
+    squaring in characteristic two doubles pi-degrees.  So a P1 hit, a
+    unit lower-left entry, is b_0 g_0^2 + c_0 e_0^2 != 0 (subscripts are
+    pi-degrees), and a P2 hit, an upper-right entry with a t^1 term, is
+    c_1 f_-1^2 != 0.  For s in B, c_0 = 0 and a^2 has only even
+    pi-degrees, so the pi^1 coefficient of bc = 1 + a^2 is b_0 c_1 = 0: a
+    P1 hit needs b_0 != 0 and a P2 hit c_1 != 0, never both.  This proof
+    is the computation: for every pair the search tests these two scalars
+    (_hits), with e_0^2, f_-1^2 and g_0^2 read once per gamma, and forms
+    no product gamma s gamma.
     """
     fam_b = involution_families(spec, "B", window)
     fam_1 = involution_families(spec, "P1-B", window)
     fam_2 = involution_families(spec, "P2-B", window)
-    tables = spec._tables()
-    squares_1 = [_squares(g1) for g1 in fam_1]
-    squares_2 = [_squares(g2) for g2 in fam_2]
+    add, mul = spec._tables()[:2]
+    squares_1 = [(g1, _low_squares(g1)) for g1 in fam_1]
+    squares_2 = [(g2, _low_squares(g2)) for g2 in fam_2]
     violations = []
     for s in fam_b:
-        b, c = s.b.coeffs.items(), s.c.coeffs.items()
-        bad1 = [g1 for g1, sq in zip(fam_1, squares_1)
-                if _p1_hit(tables, b, c, sq)]
+        bad1 = [g1 for g1, sq in squares_1 if _hits(add, mul, s, sq)[0]]
         if not bad1:
             continue
-        bad2 = [g2 for g2, sq in zip(fam_2, squares_2)
-                if _p2_hit(tables, b, c, sq)]
+        bad2 = [g2 for g2, sq in squares_2 if _hits(add, mul, s, sq)[1]]
         violations.extend((s, g1, g2) for g1 in bad1 for g2 in bad2)
     return {
         "q": spec.q,

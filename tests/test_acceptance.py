@@ -19,7 +19,8 @@ from kmlat.serretree import (Mat2, dihedral_obstruction_search,
                              involution_families)
 from oracles import mat2_pair
 from reference import (GroupType, alternating_word, crosscheck_affine,
-                       mat2_identity, recognize, sl2_group, zp_fixes_ball2)
+                       mat2_identity, recognize, sl2_group, zp_criterion,
+                       zp_fixes_ball2)
 
 
 def _report(n, ok, desc):
@@ -119,7 +120,9 @@ def test_criterion_04_q1mod4_obstruction():
 def test_criterion_05_zp_criterion():
     """The t2 = 0 equivalence holds on its domain t1 != 0; when t1 = 0 the
     p rounds of z cancel and z^p fixes everything regardless of t2.  The
-    ball-2 statement is likewise checked on the unmixed domain."""
+    exact criterion on codes, reference.zp_criterion, agrees on every
+    word.  The ball-2 statement is likewise checked on the unmixed
+    domain."""
     start = time.monotonic()
     checked = agree = 0
     ok = True
@@ -128,9 +131,10 @@ def test_criterion_05_zp_criterion():
         params = KMParams(2, spec)
         for npairs in (1, 2):
             for codes in itertools.product(range(q), repeat=2 * npairs):
-                word = alternating_word(params,
-                                        zip(codes[::2], codes[1::2]))
+                pairs = list(zip(codes[::2], codes[1::2]))
+                word = alternating_word(params, pairs)
                 fixes, t1, t2 = zp_fix_test(params, word)
+                ok &= zp_criterion(spec, pairs) == fixes
                 checked += 1
                 if t1 == 0:
                     agree += fixes  # p identical rounds cancel

@@ -13,8 +13,8 @@ from kmlat.errors import (InvalidInput, KmlatError, MalformedWord,
 from kmlat.gf import make_field
 from kmlat.kmaction import (ZP_CAP, EdgeLabel, KMParams, RootIndex,
                             RootLetter, apply_letter, apply_word,
-                            check_zp_size, letter_table, zp_criterion,
-                            zp_fix_test, zp_walk, _power_is_identity)
+                            check_zp_size, letter_table, zp_fix_test,
+                            zp_walk, _power_is_identity)
 from kmlat.serretree import act
 
 from oracles import (fe_apply_letter, replayed_zp_fix_test,
@@ -22,7 +22,8 @@ from oracles import (fe_apply_letter, replayed_zp_fix_test,
 from reference import (RadiusExceeded, _power_fixes_all, _w1, _w2, _x1, _x2,
                        alternating_word, ball2_edges, ball2_word_table,
                        base_edge, crosscheck_affine, edge_distance,
-                       membership, realize_edge, zp_fixes_ball2)
+                       membership, realize_edge, zp_criterion,
+                       zp_fixes_ball2)
 
 F2 = make_field(2)
 F3 = make_field(3)
@@ -388,9 +389,10 @@ CRITERION = [(F4, 2), (F9, 2), (F8, 2), (F4, 3), (F5, 2), (F3, 3)]
 
 
 def test_zp_criterion_matches_zp_fix_test():
-    """The closed-form z^p criterion on codes gives zp_fix_test's answer
-    on every alternating word at each (q, pairs) of CRITERION, the
-    non-prime fields with two and three pairs included."""
+    """The closed-form z^p criterion on codes (reference.zp_criterion,
+    which no command calls) gives zp_fix_test's answer on every
+    alternating word at each (q, pairs) of CRITERION, the non-prime
+    fields with two and three pairs included."""
     checked = 0
     for spec, npairs in CRITERION:
         params = KMParams(2, spec)

@@ -1,10 +1,13 @@
 """What src/kmlat defines, imports, raises and writes: the code that only
 tests reach lives in tests/reference.py, every error class in
-kmlat/errors.py is raised by the package, only cli.main writes output, and
-every name perfbench/tracer.py patches is still in the package (a
-stdlib-ast check, and one traced run)."""
+kmlat/errors.py is raised by the package, only cli.main writes output,
+every name perfbench/tracer.py patches is still in the package, and every
+function the package defines is entered by some command or is listed with
+its reason (a stdlib-ast check, one traced run, and one settrace run)."""
 
 import ast
+import importlib.util
+import json
 import os
 import subprocess
 import sys
@@ -13,6 +16,7 @@ from pathlib import Path
 import pytest
 
 from kmlat import errors
+from test_verify_golden import benchmark_workloads
 
 TESTS = Path(__file__).resolve().parent
 ROOT = TESTS.parent
@@ -45,6 +49,7 @@ MOVED = {
     "ball2_edges": "ball2_edges", "_word_table": "ball2_word_table",
     "_power_fixes_all": "_power_fixes_all",
     "alternating_word": "alternating_word", "_entry": "_entry",
+    "zp_criterion": "zp_criterion",
 }
 # the same for tests/oracles.py: F_{q^2} on ExtElement, and the errors only
 # the Mat2 check and the exceptional-subgroup scan raise
@@ -193,3 +198,136 @@ def test_the_tracer_installs_and_traces_a_run():
                          text=True, env=env)
     assert out.returncode == 0, out.stderr
     assert out.stdout == "0 True 1 1 1 1\n"
+
+
+# why a function that no golden or benchmark argv enters stays in src/kmlat;
+# the names perfbench/tracer.py patches need no entry (tracer_patched)
+UNDER_TRACED = "called in src/kmlat only by a name the tracer patches"
+COMPARED = "equality, hash or repr (or a part of one) that tests compare by"
+TEST_BUILT = "a constructor that tests build values with"
+TEST_API = "an operation the tests use on a value they build"
+UNREACHED = {
+    "gf.FieldSpec.__repr__": COMPARED, "gf.FieldSpec.short_str": COMPARED,
+    "gf.FieldSpec.element": TEST_BUILT, "gf.FieldSpec.elements": TEST_BUILT,
+    "gf.FieldSpec.zero": TEST_BUILT, "gf.FieldSpec.one": TEST_BUILT,
+    "gf.FieldElement.__init__": TEST_BUILT,
+    "gf.FieldElement._check": UNDER_TRACED,
+    "gf.FieldElement.is_zero": TEST_API,
+    "gf.FieldElement.__eq__": COMPARED, "gf.FieldElement.__hash__": COMPARED,
+    "gf.FieldElement.__repr__": COMPARED,
+    "gf.ExtElement.__init__": TEST_BUILT, "gf.ExtElement.is_zero": TEST_API,
+    "gf.ExtElement.norm": TEST_API, "gf.ExtElement.__eq__": COMPARED,
+    "gf.ExtElement.__hash__": COMPARED, "gf.ExtElement.__repr__": COMPARED,
+    "groups.FiniteGroup.identity": TEST_API,
+    "groups.FiniteGroup.__iter__": TEST_API,
+    "groups.FiniteGroup.__eq__": COMPARED,
+    "groups.FiniteGroup.__hash__": COMPARED,
+    "groups.FiniteGroup.__repr__": COMPARED,
+    "groups.sl2_codes": UNDER_TRACED,
+    "kmaction.EdgeLabel.__eq__": COMPARED,
+    "kmaction.EdgeLabel.__hash__": COMPARED,
+    "kmaction.EdgeLabel.__repr__": COMPARED,
+    "kmaction.EdgeLabel.left": TEST_BUILT,
+    "kmaction.EdgeLabel.right": TEST_BUILT,
+    "kmaction._check_alternating": UNDER_TRACED,
+    "laurent.LaurentPoly.const": TEST_BUILT,
+    "laurent.LaurentPoly.t": TEST_BUILT,
+    "laurent.LaurentPoly.coeff": TEST_API,
+    "laurent.LaurentPoly.__hash__": COMPARED,
+    "laurent.LaurentPoly.__repr__": COMPARED,
+    "serretree.Mat2.from_codes": UNDER_TRACED,
+    "serretree.Mat2.__mul__": TEST_API, "serretree.Mat2.__eq__": COMPARED,
+    "serretree.Mat2.__hash__": COMPARED, "serretree.Mat2.__repr__": COMPARED,
+    "serretree.Vertex.__repr__": COMPARED,
+    "serretree.Edge.__init__": UNDER_TRACED,
+    "serretree.Edge.__eq__": COMPARED, "serretree.Edge.__repr__": COMPARED,
+}
+
+# run in a fresh interpreter: the trace is on before kmlat is imported, so
+# calls made at import time count; prints the (file, first line) entered
+REACH = r"""
+import contextlib, io, json, sys
+src, argvs, entered = sys.argv[1], json.load(sys.stdin), set()
+
+def trace(frame, event, arg):
+    if frame.f_code.co_filename.startswith(src):
+        entered.add((frame.f_code.co_filename, frame.f_code.co_firstlineno))
+
+sys.settrace(trace)
+import kmlat.cli
+for argv in argvs:
+    with contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(io.StringIO()):
+        try:
+            kmlat.cli.main(argv)
+        except SystemExit:  # argparse's usage errors
+            pass
+sys.settrace(None)
+print(json.dumps(sorted(entered)))
+"""
+
+
+def functions(path):
+    """Every def of a module, nested ones included, as module.qualname ->
+    the first line of its code object (its first decorator's line)."""
+    out = {}
+
+    def visit(node, prefix):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+                name = prefix + child.name
+                if isinstance(child, ast.FunctionDef):
+                    out[name] = min([child.lineno] + [
+                        d.lineno for d in child.decorator_list])
+                visit(child, name + ".")
+            else:
+                visit(child, prefix)
+
+    visit(ast.parse(path.read_text()), path.stem + ".")
+    return out
+
+
+def tracer_patched():
+    """layer.qualname of each name perfbench/tracer.py patches: its
+    SPANNED and HOT tables, and the patch(layer, qualname, ...) calls
+    install() makes by hand."""
+    path = ROOT / "perfbench" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    names = {layer + "." + name for table in (tracer.SPANNED, tracer.HOT)
+             for layer, qualnames in table.items() for name in qualnames}
+    for node in ast.walk(ast.parse(path.read_text())):
+        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                and node.func.id == "patch"
+                and all(isinstance(a, ast.Constant) for a in node.args[:2])):
+            names.add(node.args[0].value + "." + node.args[1].value)
+    return names
+
+
+def reach_argvs():
+    """The argvs of the five golden files and of the benchmark, once each."""
+    argvs = [job["argv"] for path in sorted((TESTS / "golden").glob("*.json"))
+             for job in json.loads(path.read_text())]
+    argvs += [list(job) for jobs in benchmark_workloads().values()
+              for job in jobs]
+    return list(map(list, dict.fromkeys(map(tuple, argvs))))
+
+
+def test_every_function_is_entered_or_listed_with_its_reason():
+    """Every def in src/kmlat is entered by some golden or benchmark argv
+    run through cli.main, is patched by perfbench/tracer.py, or is in
+    UNREACHED with its reason; and every name UNREACHED lists is a def
+    that no such argv enters and the tracer does not patch."""
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    out = subprocess.run([sys.executable, "-c", REACH, str(SRC)],
+                         input=json.dumps(reach_argvs()), capture_output=True,
+                         text=True, env=env)
+    assert out.returncode == 0, out.stderr
+    entered = {tuple(x) for x in json.loads(out.stdout)}
+    unreached = {name for path in SRC.glob("*.py")
+                 for name, line in functions(path).items()
+                 if (str(path), line) not in entered}
+    assert sorted(unreached - tracer_patched() - set(UNREACHED)) == []
+    assert sorted(set(UNREACHED) - (unreached - tracer_patched())) == []
+

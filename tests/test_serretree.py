@@ -280,19 +280,16 @@ def test_search_equals_full_product_oracle(spec, window):
                          ids=lambda x: str(getattr(x, "q", x)))
 def test_scalar_tests_equal_full_products(spec, window):
     """For every s in B and every gamma in P1-B or P2-B, the two scalar
-    tests of the search agree with the valuations of g*s*g itself."""
-    tables = spec._tables()
-    gammas = [(g, serretree._squares(g))
+    tests the search calls agree with the valuations of g*s*g itself."""
+    add, mul = spec._tables()[:2]
+    gammas = [(g, serretree._low_squares(g))
               for g in involution_families(spec, "P1-B", window)
               + involution_families(spec, "P2-B", window)]
     for s in involution_families(spec, "B", window):
-        b, c = s.b.coeffs.items(), s.c.coeffs.items()
         for g, squares in gammas:
             h = g.mul(s).mul(g)
-            assert (serretree._p1_hit(tables, b, c, squares)
-                    == (h.c.valuation() == 0))
-            assert (serretree._p2_hit(tables, b, c, squares)
-                    == (not h.b.coeff(-1).is_zero()))
+            assert serretree._hits(add, mul, s, squares) == (
+                h.c.valuation() == 0, not h.b.coeff(-1).is_zero())
 
 
 def test_violations_are_reported_in_oracle_order(monkeypatch):
