@@ -23,21 +23,24 @@ def frac_str(f):
     return "%d/%d" % (f.numerator, f.denominator)
 
 
-def _int(text, least=None):
-    """ASCII digits with an optional sign, at least `least` if given: int()
-    alone also reads " 7", "1_1" and other scripts' digits."""
+def _int(text, least=None, most=None):
+    """ASCII digits with an optional sign, in [least, most] where given:
+    int() alone also reads " 7", "1_1" and other scripts' digits."""
     if not (text.isascii() and text.lstrip("+-").isdigit()):
         raise ValueError(text)
     n = int(text)  # which rejects "--7", and more than 4300 digits
     if least is not None and n < least:
-        import argparse
-        raise argparse.ArgumentTypeError(
-            "%d is %s" % (n, "negative" if least == 0 else "not positive"))
-    return n
+        problem = "negative" if least == 0 else "not positive"
+    elif most is not None and n > most:
+        problem = "more than %d" % most
+    else:
+        return n
+    import argparse
+    raise argparse.ArgumentTypeError("%d is %s" % (n, problem))
 
 
-def _int_type(name, least=None):  # argparse's errors name it by __name__
-    read = functools.partial(_int, least=least)
+def _int_type(name, least=None, most=None):  # argparse names it __name__
+    read = functools.partial(_int, least=least, most=most)
     read.__name__ = name
     return read
 
@@ -45,6 +48,7 @@ def _int_type(name, least=None):  # argparse's errors name it by __name__
 any_int = _int_type("int")
 non_negative_int = _int_type("non_negative_int", 0)
 positive_int = _int_type("positive_int", 1)
+indent_int = _int_type("non_negative_int", 0, 64)  # json.dumps makes N spaces
 
 
 def _field_for(q_text):
@@ -267,7 +271,7 @@ def build_parser():
     parser = argparse.ArgumentParser(
         prog="kmlat", formatter_class=fmt,
         description="edge-transitive lattices on (q+1)-regular trees")
-    parser.add_argument("--json-indent", type=non_negative_int, default=None)
+    parser.add_argument("--json-indent", type=indent_int, default=None)
     sub = parser.add_subparsers(
         dest="command", required=True, metavar="COMMAND",
         parser_class=functools.partial(argparse.ArgumentParser,

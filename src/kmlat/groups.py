@@ -78,7 +78,6 @@ class FiniteGroup:
         self.elements = frozenset(elements)
         self.gens = tuple(gens)
         self.mul = code_mul(spec)
-        self._orders = {}
 
     @property
     def order(self):
@@ -92,14 +91,9 @@ class FiniteGroup:
         a, b, c, d = g
         return (d, neg[b], neg[c], a)
 
-    def __iter__(self):
-        return iter(self.elements)
-
     # no command calls this; perfbench/tracer.py patches it by name
     def element_order(self, g):
-        if g not in self._orders:
-            self._orders[g] = order_of(g, CODE_ONE, self.mul)
-        return self._orders[g]
+        return order_of(g, CODE_ONE, self.mul)
 
     def __eq__(self, other):
         return (isinstance(other, FiniteGroup)

@@ -74,14 +74,6 @@ class EdgeLabel:
     def base(cls):
         return cls("base", ())
 
-    @classmethod
-    def left(cls, coords):
-        return cls("L", tuple(coords))
-
-    @classmethod
-    def right(cls, coords):
-        return cls("R", tuple(coords))
-
     def __str__(self):
         if self.region == "base":
             return "base"

@@ -2,11 +2,11 @@
 
 A LaurentPoly stores {pi-degree: nonzero F_q code}, the integer codes of
 gf.FieldSpec, and does its arithmetic through the field's code tables.
-No command builds a FieldElement: only const, scale and coeff take or
-return one, for the tests and the tracer.  The variable t of the ambient
-field F_q((t^-1)) has pi-degree -1, so v(t) = -1 and v(pi) = 1.  Degrees
-are capped at +-DEGREE_WINDOW; leaving the window raises instead of
-silently truncating.
+No command builds a FieldElement: only scale still takes one, and only
+the tracer names it.  The variable t of the ambient field F_q((t^-1)) has
+pi-degree -1, so v(t) = -1 and v(pi) = 1.  Degrees are capped at
++-DEGREE_WINDOW; leaving the window raises instead of silently
+truncating.
 """
 
 from __future__ import annotations
@@ -37,20 +37,12 @@ class LaurentPoly:
         return cls(spec, {})
 
     @classmethod
-    def const(cls, fe):
-        return cls(fe.spec, {0: fe.code})
-
-    @classmethod
     def monomial(cls, spec, degree):
         return cls(spec, {degree: 1})
 
     @classmethod
     def one(cls, spec):
         return cls(spec, {0: 1})
-
-    @classmethod
-    def t(cls, spec):
-        return cls.monomial(spec, -1)
 
     @classmethod
     def pi(cls, spec):
@@ -101,9 +93,6 @@ class LaurentPoly:
 
     def is_zero(self):
         return not self.coeffs
-
-    def coeff(self, degree):
-        return self.spec.element(self.coeffs.get(degree, 0))
 
     def is_monomial(self):
         return len(self.coeffs) == 1

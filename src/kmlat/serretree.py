@@ -3,13 +3,13 @@
 Vertices are homothety classes of O-lattices, represented by 2x2 matrices
 with monomial determinant whose columns span a representative lattice
 (O = F_q[[t^-1]], uniformizer pi = t^-1).  Distances come from elementary
-divisors; equality of vertices is distance zero, so Vertex and Edge are
-unhashable by design and are compared pair by pair.  The module also holds
+divisors; equality of vertices is distance zero, so Vertex is unhashable
+by design and vertices are compared pair by pair.  The module also holds
 the characteristic-two involution families and the dihedral obstruction
 search over them, which tests for each pair the two scalars its proof
 reduces gamma s gamma to.  Membership in the parahorics P1, P2 and B, the
-base vertices and edge, and edge distance are reference code for the
-tests, in tests/reference.py.
+base vertices, and edges (Edge, its action and its distance) are
+reference code for the tests, in tests/reference.py.
 """
 
 from __future__ import annotations
@@ -50,9 +50,6 @@ class Mat2:
                     self.a * other.b + self.b * other.d,
                     self.c * other.a + self.d * other.c,
                     self.c * other.b + self.d * other.d)
-
-    def __mul__(self, other):
-        return self.mul(other)
 
     def det(self):
         return self.a * self.d - self.b * self.c
@@ -138,43 +135,15 @@ def neighbors(v):
 
 
 # no command calls act; perfbench/tracer.py patches it by name
-def act(g, x):
-    """Left action of g on a Vertex or an Edge."""
-    if isinstance(x, Edge):
-        return Edge(act(g, x.v0), act(g, x.v1))
-    return Vertex(g.mul(x.rep))
-
-
-# only act, and the tests, use Edge
-class Edge:
-    """An unordered edge of the tree (two vertices at distance 1)."""
-
-    __slots__ = ("v0", "v1")
-    __hash__ = None
-
-    def __init__(self, v0, v1):
-        if vertex_distance(v0, v1) != 1:
-            raise SpecMismatch("endpoints are not adjacent")
-        self.v0 = v0
-        self.v1 = v1
-
-    def __eq__(self, other):
-        if not isinstance(other, Edge):
-            return False
-        return ((self.v0 == other.v0 and self.v1 == other.v1)
-                or (self.v0 == other.v1 and self.v1 == other.v0))
-
-    def __repr__(self):
-        return "Edge(%r, %r)" % (self.v0, self.v1)
+def act(g, v):
+    """Left action of g on a Vertex."""
+    return Vertex(g.mul(v.rep))
 
 
 def _polys(spec, lo, hi):
-    """All Laurent polys supported on pi-degrees [lo, hi] (t-degrees -hi..-lo).
-
-    Degrees here are given in t-degree for readability of callers:
-    lo..hi are t-degrees, so t-degree k maps to pi-degree -k.
-    """
-    degs = [-k for k in range(lo, hi + 1)]
+    """All Laurent polys supported on pi-degrees lo..hi, in product order
+    with the pi^hi coefficient varying slowest."""
+    degs = range(hi, lo - 1, -1)
     for codes in itertools.product(range(spec.q), repeat=len(degs)):
         yield LaurentPoly(spec, dict(zip(degs, codes)))
 
@@ -191,15 +160,30 @@ def check_dihedral_size(q, window):
                               "= %d" % (q, exponent, DIHEDRAL_CAP))
 
 
+def _candidates(spec, region, w):
+    """The candidate b and c of the involutions [[a,b],[c,a]] of a region,
+    on pi-degrees up to w:
+      B:    b on pi-degrees 0..w, c on 1..w;
+      P1-B: b on 0..w, c on 0..w with a nonzero pi^0 coefficient (a unit);
+      P2-B: b on -1..w with a nonzero pi^-1 coefficient, c on 1..w.
+    b reaches pi^-1 only where c starts at pi^1, so 1 + bc lies on 0..2w."""
+    if region == "B":
+        return list(_polys(spec, 0, w)), list(_polys(spec, 1, w))
+    if region == "P1-B":
+        return (list(_polys(spec, 0, w)),
+                [c for c in _polys(spec, 0, w) if 0 in c.coeffs])
+    if region == "P2-B":
+        return ([b for b in _polys(spec, -1, w) if -1 in b.coeffs],
+                list(_polys(spec, 1, w)))
+    raise SpecMismatch("unknown region %r" % region)
+
+
 def involution_families(spec, region, window):
     """Order-2 elements of B, P1-B or P2-B in characteristic two.
 
-    The involutions are [[a,b],[c,a]] with a^2 + bc = 1; the region fixes
-    the candidate b and c, and a lies on t-degrees -window..0:
-      B:    b on t-degrees -w..0, c on -w..-1;
-      P1-B: c on -w..0 with a nonzero t^0 coefficient (a unit of O);
-      P2-B: b on -w..1 with a nonzero t^1 coefficient.
-    In characteristic two a is solved for, not searched: squaring acts
+    The involutions are [[a,b],[c,a]] with a^2 + bc = 1, b and c drawn from
+    the region's _candidates, and a on pi-degrees 0..window.  In
+    characteristic two a is solved for, not searched: squaring acts
     coefficient-wise, so a^2 = 1 + bc has a solution only when 1 + bc has
     even pi-degrees alone, and then a_i = sqrt(coefficient 2i), read off a
     table of square roots (x -> x^2 is a bijection of F_q).
@@ -213,22 +197,13 @@ def involution_families(spec, region, window):
         raise WindowTooLarge("window %d > 3" % window)
     check_dihedral_size(spec.q, window)
     w = window
-    if region == "B":
-        bs, cs = list(_polys(spec, -w, 0)), list(_polys(spec, -w, -1))
-    elif region == "P1-B":
-        bs = list(_polys(spec, -w, 0))
-        cs = [c for c in _polys(spec, -w, 0) if 0 in c.coeffs]
-    elif region == "P2-B":
-        bs = [b for b in _polys(spec, -w, 1) if -1 in b.coeffs]
-        cs = list(_polys(spec, -w, -1))
-    else:
-        raise SpecMismatch("unknown region %r" % region)
+    bs, cs = _candidates(spec, region, w)
     one = LaurentPoly.one(spec)
     mul = spec._tables()[1]
     sqrt = [0] * spec.q
     for x in range(spec.q):
         sqrt[mul[x][x]] = x
-    # (rank, a's codes from t^-w to t^0) -> members in (b, c) order; rank
+    # (rank, a's codes from pi^w to pi^0) -> members in (b, c) order; rank
     # puts c = 0 (upper unipotents, a = 1) before b = 0 (lower ones)
     buckets = {}
     for b in bs:
@@ -236,7 +211,7 @@ def involution_families(spec, region, window):
             if b.is_zero() and c.is_zero():
                 continue
             r = one + b * c
-            if any(d % 2 or not 0 <= d <= 2 * w for d in r.coeffs):
+            if any(d % 2 for d in r.coeffs):
                 continue
             a = LaurentPoly(spec, {d // 2: sqrt[x]
                                    for d, x in r.coeffs.items()})

@@ -6,7 +6,8 @@ collect this file (its name does not start with test_).
         --function groups.order_available --timeout 120 -- \\
         tests/test_groups.py::test_order_available
 
-Each mutant changes one site of a named function, found by ast:
+Each mutant changes one site of a named function (module.function, or
+module.Class.method for a method), found by ast:
 - a comparison operator swapped: == and !=, < and <=, > and >=, in and
   not in, is and is not;
 - an int constant c with |c| <= 64 (not a bool) made c + 1.
@@ -43,9 +44,15 @@ SMALL = 64
 
 
 def find_function(tree, name):
-    """The top-level function called name."""
-    for node in tree.body:
-        if isinstance(node, ast.FunctionDef) and node.name == name:
+    """The function called name: a top-level function, or Class.method."""
+    body = tree.body
+    *classes, last = name.split(".")
+    for cls in classes:
+        body = next((node.body for node in body
+                     if isinstance(node, ast.ClassDef) and node.name == cls),
+                    [])
+    for node in body:
+        if isinstance(node, ast.FunctionDef) and node.name == last:
             return node
     raise SystemExit("no function %r" % name)
 
@@ -104,7 +111,8 @@ def run_pytest(copy, selection, timeout):
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--function", action="append", required=True,
-                        help="module.function in src/kmlat, repeatable")
+                        help="module.function or module.Class.method in "
+                        "src/kmlat, repeatable")
     parser.add_argument("--timeout", type=float, default=120.0,
                         help="seconds per mutant run (default 120)")
     parser.add_argument("selection", nargs="+",

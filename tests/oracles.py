@@ -196,9 +196,9 @@ def enumerated_involution_families(spec, region, window):
     zero = LaurentPoly.zero(spec)
     out = []
 
-    def nonzero_at(lo, hi, tdeg):
+    def nonzero_at(lo, hi, degree):
         return [x for x in _polys(spec, lo, hi)
-                if not x.coeff(-tdeg).is_zero()]
+                if x.coeffs.get(degree, 0) != 0]
 
     def upper(b):
         return Mat2(spec, one, b, zero, one)
@@ -207,37 +207,37 @@ def enumerated_involution_families(spec, region, window):
         return Mat2(spec, one, zero, c, one)
 
     if region == "B":
-        for b in _polys(spec, -w, 0):
+        for b in _polys(spec, 0, w):
             if not b.is_zero():
                 out.append(upper(b))
-        for c in _polys(spec, -w, -1):
+        for c in _polys(spec, 1, w):
             if not c.is_zero():
                 out.append(lower(c))
-        for a in _polys(spec, -w, 0):
-            for b in _polys(spec, -w, 0):
+        for a in _polys(spec, 0, w):
+            for b in _polys(spec, 0, w):
                 if b.is_zero():
                     continue
-                for c in _polys(spec, -w, -1):
+                for c in _polys(spec, 1, w):
                     if c.is_zero():
                         continue
                     if a * a + b * c == one:
                         out.append(Mat2(spec, a, b, c, a))
     elif region == "P1-B":
-        for c in nonzero_at(-w, 0, 0):
+        for c in nonzero_at(0, w, 0):
             out.append(lower(c))
-        for a in _polys(spec, -w, 0):
-            for b in _polys(spec, -w, 0):
+        for a in _polys(spec, 0, w):
+            for b in _polys(spec, 0, w):
                 if b.is_zero():
                     continue
-                for c in nonzero_at(-w, 0, 0):
+                for c in nonzero_at(0, w, 0):
                     if a * a + b * c == one:
                         out.append(Mat2(spec, a, b, c, a))
     elif region == "P2-B":
-        for b in nonzero_at(-w, 1, 1):
+        for b in nonzero_at(-1, w, -1):
             out.append(upper(b))
-        for a in _polys(spec, -w, 0):
-            for b in nonzero_at(-w, 1, 1):
-                for c in _polys(spec, -w, -1):
+        for a in _polys(spec, 0, w):
+            for b in nonzero_at(-1, w, -1):
+                for c in _polys(spec, 1, w):
                     if c.is_zero():
                         continue
                     if a * a + b * c == one:
@@ -259,7 +259,7 @@ def full_product_obstruction_search(spec, window):
         if not bad1:
             continue
         bad2 = [g2 for g2 in fam_2
-                if not g2.mul(s).mul(g2).b.coeff(-1).is_zero()]
+                if g2.mul(s).mul(g2).b.coeffs.get(-1, 0) != 0]
         violations.extend((s, g1, g2) for g1 in bad1 for g2 in bad2)
     return {
         "q": spec.q,
@@ -439,7 +439,7 @@ def replayed_zp_fix_test(params, word, mode="identity_phi"):
     fixes = True
     for c1 in range(spec.q):
         for c2 in range(spec.q):
-            e = EdgeLabel.left((c1, c2))
+            e = EdgeLabel("L", (c1, c2))
             if not _replay_fixes(params, word, mode, e):
                 fixes = False
     t1 = t2 = 0
@@ -457,12 +457,12 @@ def replayed_zp_fixes_ball2(params, word, mode="identity_phi"):
     spec = params.spec
     edges = [EdgeLabel.base()]
     for c in range(spec.q):
-        edges.append(EdgeLabel.left((c,)))
-        edges.append(EdgeLabel.right((c,)))
+        edges.append(EdgeLabel("L", (c,)))
+        edges.append(EdgeLabel("R", (c,)))
     for c1 in range(spec.q):
         for c2 in range(spec.q):
-            edges.append(EdgeLabel.left((c1, c2)))
-            edges.append(EdgeLabel.right((c1, c2)))
+            edges.append(EdgeLabel("L", (c1, c2)))
+            edges.append(EdgeLabel("R", (c1, c2)))
     return all(_replay_fixes(params, word, mode, e) for e in edges)
 
 
@@ -584,7 +584,8 @@ def mat2_pair(a1):
     with delta = diag(t, 1), conjugated by Mat2 products."""
     spec = a1.spec
     m1 = Mat2Group(spec, to_mat2(spec, a1.elements), to_mat2(spec, a1.gens))
-    delta = Mat2.diag(spec, LaurentPoly.t(spec), LaurentPoly.one(spec))
+    delta = Mat2.diag(spec, LaurentPoly.monomial(spec, -1),
+                      LaurentPoly.one(spec))
     di = delta.inv()
     m2 = Mat2Group(spec, (delta.mul(x).mul(di) for x in m1.elements),
                    (delta.mul(x).mul(di) for x in m1.gens))
@@ -615,9 +616,8 @@ def mat2_sl2_elements(spec):
 def mat2_mult_matrix(spec, z):
     """Multiplication by z = x + y*w on F_{q^2} as a Mat2 of constants."""
     c0, c1 = map(spec.element, spec.ext_modulus())
-    return Mat2(spec,
-                LaurentPoly.const(z.x), LaurentPoly.const(-(z.y * c0)),
-                LaurentPoly.const(z.y), LaurentPoly.const(z.x - z.y * c1))
+    entries = (z.x, -(z.y * c0), z.y, z.x - z.y * c1)
+    return Mat2(spec, *(LaurentPoly(spec, {0: e.code}) for e in entries))
 
 
 def mat2_nonsplit_torus(spec):
@@ -636,8 +636,9 @@ def mat2_torus_normalizer(spec):
     g = ext_primitive_element(spec)
     t0, = torus.gens
     c1 = spec.element(spec.ext_modulus()[1])
-    frob = Mat2(spec, LaurentPoly.one(spec), LaurentPoly.const(-c1),
-                LaurentPoly.zero(spec), LaurentPoly.const(-spec.one))
+    frob = Mat2(spec, LaurentPoly.one(spec),
+                LaurentPoly(spec, {0: (-c1).code}), LaurentPoly.zero(spec),
+                LaurentPoly(spec, {0: (-spec.one).code}))
     s = mat2_mult_matrix(spec, g ** ((q - 1) // 2)).mul(frob)
     assert s.det() == LaurentPoly.one(spec) and s not in torus.elements
     assert s.mul(t0).mul(s.inv()) in torus.elements
@@ -649,7 +650,7 @@ def mat2_torus_normalizer(spec):
 def mat2_diagonalizing_conjugator(spec, u):
     """g in SL2(F_q) with g^-1 u g diagonal, with FieldElement arithmetic
     on a Mat2 of constants."""
-    a, b, c, d = (e.coeff(0) for e in u.entries())
+    a, b, c, d = (spec.element(e.coeffs.get(0, 0)) for e in u.entries())
     if b.is_zero() and c.is_zero():
         return mat2_identity(spec)
     tr = a + d
@@ -671,11 +672,8 @@ def mat2_diagonalizing_conjugator(spec, u):
     if det.is_zero():
         raise KindInadmissible("eigenvectors are dependent")
     s = det.inverse()
-    return Mat2(spec,
-                LaurentPoly.const(cols[0][0]),
-                LaurentPoly.const(cols[1][0] * s),
-                LaurentPoly.const(cols[0][1]),
-                LaurentPoly.const(cols[1][1] * s))
+    entries = (cols[0][0], cols[1][0] * s, cols[0][1], cols[1][1] * s)
+    return Mat2(spec, *(LaurentPoly(spec, {0: e.code}) for e in entries))
 
 
 def mat2_build_standard_lattice(spec, kind):
@@ -718,7 +716,8 @@ def mat2_build_standard_lattice(spec, kind):
                        (gi.mul(x).mul(pick) for x in h.gens))
     else:
         raise KindInadmissible("unknown kind %r" % kind)
-    delta = Mat2.diag(spec, LaurentPoly.t(spec), LaurentPoly.one(spec))
+    delta = Mat2.diag(spec, LaurentPoly.monomial(spec, -1),
+                      LaurentPoly.one(spec))
     di = delta.inv()
     a2 = Mat2Group(spec, (delta.mul(x).mul(di) for x in a1.elements),
                    (delta.mul(x).mul(di) for x in a1.gens))

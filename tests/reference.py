@@ -4,9 +4,10 @@ Structural recognition of finite groups, the general edge of groups with
 its structure-map checks, its faithfulness kernel and its covering-theory
 check, the exact affine (m = 2) cross-check of the root-group action, the
 closed-form z^p criterion over F_{p^a} (zp_criterion), and the tree
-geometry only those need: membership in the standard subgroups,
-the base vertices and edge, and edge distance.  Each was a part of
-src/kmlat that only tests called; the tests check the program against it.
+geometry only those need: membership in the standard subgroups, the base
+vertices, and edges (Edge, its action and its distance).  Each was a part
+of src/kmlat that only tests called; the tests check the program against
+it.
 The Dickson table as it was written, one branch per ambient, is kept as
 the oracle of the one-skeleton groups.dickson_table.
 """
@@ -23,7 +24,7 @@ from kmlat.groups import (PROFILE_2S4, PROFILE_SL2_3, PROFILE_SL2_5,
 from kmlat.kmaction import (EdgeLabel, RootIndex, RootLetter,
                             _check_alternating, apply_word)
 from kmlat.laurent import LaurentPoly
-from kmlat.serretree import Edge, Mat2, Vertex, act, vertex_distance
+from kmlat.serretree import Mat2, Vertex, act, vertex_distance
 
 
 # --- the tree: identity, base vertices and edge, membership, distance -----
@@ -42,6 +43,34 @@ def vertex_x2(spec):
     """The base vertex x2, the class of diag(1, pi) O^2."""
     one = LaurentPoly.one(spec)
     return Vertex(Mat2.diag(spec, one, LaurentPoly.pi(spec)))
+
+
+class Edge:
+    """An unordered edge of the tree (two vertices at distance 1); like a
+    Vertex it is unhashable and compared pair by pair."""
+
+    __slots__ = ("v0", "v1")
+    __hash__ = None
+
+    def __init__(self, v0, v1):
+        if vertex_distance(v0, v1) != 1:
+            raise SpecMismatch("endpoints are not adjacent")
+        self.v0 = v0
+        self.v1 = v1
+
+    def __eq__(self, other):
+        if not isinstance(other, Edge):
+            return False
+        return ((self.v0 == other.v0 and self.v1 == other.v1)
+                or (self.v0 == other.v1 and self.v1 == other.v0))
+
+    def __repr__(self):
+        return "Edge(%r, %r)" % (self.v0, self.v1)
+
+
+def edge_act(g, e):
+    """Left action of g on an Edge, endpoint by endpoint."""
+    return Edge(act(g, e.v0), act(g, e.v1))
 
 
 def base_edge(spec):
@@ -352,7 +381,7 @@ def covering_check(eog, rho0, rho1, rho2, delta1, delta2):
         img = FiniteGroup(spec, frozenset(alpha[x] for x in eog.a0.elements))
         edges = []
         for g in cosets(a_i, img):
-            e = act(rho[g].mul(delta), base)
+            e = edge_act(rho[g].mul(delta), base)
             if not (e.v0 == vertex or e.v1 == vertex):
                 return False
             if any(e == f for f in edges):
@@ -514,7 +543,7 @@ def realize_edge(params, e, radius=6):
                 g = g.mul(_x1(spec, c)).mul(_w1(spec))
             else:
                 g = g.mul(_x2(spec, c)).mul(_w2(spec))
-    return act(g, base_edge(spec))
+    return edge_act(g, base_edge(spec))
 
 
 def crosscheck_affine(params, word, e, mode="twisted_phi", radius=6):
@@ -531,7 +560,7 @@ def crosscheck_affine(params, word, e, mode="twisted_phi", radius=6):
     g = mat2_identity(spec)
     for letter in word:
         g = g.mul(letter_matrix(spec, letter))
-    exact = act(g, realize_edge(params, e, radius))
+    exact = edge_act(g, realize_edge(params, e, radius))
     return exact == realize_edge(params, symbolic, radius)
 
 

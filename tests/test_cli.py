@@ -337,7 +337,7 @@ def test_every_integer_flag_reads_through_one_reader():
     types = [keywords["type"] for _, _, flags, _ in cli.COMMANDS.values()
              for keywords in flags.values() if "type" in keywords]
     assert len(types) == 9  # --p, --q, --z twice; --m, --pairs, --window
-    for read in types + [cli.non_negative_int]:  # and --json-indent
+    for read in types + [cli.indent_int]:  # and --json-indent
         assert read.func is cli._int
     assert cli.any_int("+7") == 7 and cli.non_negative_int("0") == 0
     with pytest.raises(argparse.ArgumentTypeError, match="0 is not positive"):
@@ -381,6 +381,21 @@ def test_negative_json_indent_is_a_usage_error():
     zero = run_cli("--json-indent", "0", "classify", "--p", "3", "--q", "3",
                    "--levi", "psl")
     assert zero.startswith("{\n")
+
+
+def test_json_indent_is_at_most_64(capsys):
+    """json.dumps builds each level's indent as a string of spaces, so an
+    indent past 64 is a usage error, refused before any report is built."""
+    argv = ["classify", "--p", "3", "--q", "3", "--levi", "psl", "--z", "2"]
+    with pytest.raises(SystemExit) as info:
+        cli.main(["--json-indent", "1000000000000"] + argv)
+    assert info.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.endswith(
+        "error: argument --json-indent: 1000000000000 is more than 64\n")
+    assert cli.main(["--json-indent", "64"] + argv) == 0
+    assert capsys.readouterr().out.startswith("{\n" + " " * 64 + '"')
 
 
 def test_removed_global_flags_are_usage_errors():

@@ -15,13 +15,12 @@ from kmlat.kmaction import (ZP_CAP, EdgeLabel, KMParams, RootIndex,
                             RootLetter, apply_letter, apply_word,
                             check_zp_size, letter_table, zp_fix_test,
                             zp_walk, _power_is_identity)
-from kmlat.serretree import act
 
 from oracles import (fe_apply_letter, replayed_zp_fix_test,
                      replayed_zp_fixes_ball2)
 from reference import (RadiusExceeded, _power_fixes_all, _w1, _w2, _x1, _x2,
                        alternating_word, ball2_edges, ball2_word_table,
-                       base_edge, crosscheck_affine, edge_distance,
+                       base_edge, crosscheck_affine, edge_act, edge_distance,
                        membership, realize_edge, zp_criterion,
                        zp_fixes_ball2)
 
@@ -40,7 +39,7 @@ MODES = ("identity_phi", "twisted_phi")
 
 
 def all_left_edges2(spec):
-    return [EdgeLabel.left((c1, c2))
+    return [EdgeLabel("L", (c1, c2))
             for c1 in range(spec.q) for c2 in range(spec.q)]
 
 
@@ -83,34 +82,34 @@ def test_base_edge_is_fixed():
 
 def test_same_side_letter_translates_coordinate():
     params = KMParams(2, F3)
-    e = EdgeLabel.left((1, 2))
+    e = EdgeLabel("L", (1, 2))
     l0 = RootLetter(RootIndex(1, 0), 1)
-    assert apply_letter(params, l0, e) == EdgeLabel.left((2, 2))
+    assert apply_letter(params, l0, e) == EdgeLabel("L", (2, 2))
     l1 = RootLetter(RootIndex(1, 1), 1)
-    assert apply_letter(params, l1, e) == EdgeLabel.left((1, 0))
+    assert apply_letter(params, l1, e) == EdgeLabel("L", (1, 0))
     # a depth beyond the edge length fixes it
     l5 = RootLetter(RootIndex(1, 5), 1)
     assert apply_letter(params, l5, e) == e
     # mirror image on the right side
-    r = EdgeLabel.right((1, 2))
+    r = EdgeLabel("R", (1, 2))
     m0 = RootLetter(RootIndex(2, 0), 1)
-    assert apply_letter(params, m0, r) == EdgeLabel.right((2, 2))
+    assert apply_letter(params, m0, r) == EdgeLabel("R", (2, 2))
 
 
 def test_cross_side_letter_cases():
     params = KMParams(2, F3)
     x2 = RootLetter(RootIndex(2, 0), 1)
     # short edge: fixed
-    assert apply_letter(params, x2, EdgeLabel.left((1,))) == \
-        EdgeLabel.left((1,))
+    assert apply_letter(params, x2, EdgeLabel("L", (1,))) == \
+        EdgeLabel("L", (1,))
     # length 2, nonzero pivot: last coordinate moves
-    e = EdgeLabel.left((1, 0))
-    assert apply_letter(params, x2, e) == EdgeLabel.left((1, 1))
+    e = EdgeLabel("L", (1, 0))
+    assert apply_letter(params, x2, e) == EdgeLabel("L", (1, 1))
     # zero pivot: fixed
-    z = EdgeLabel.left((0, 1))
+    z = EdgeLabel("L", (0, 1))
     assert apply_letter(params, x2, z) == z
     # odd overshoot is outside the supported domain
-    long = EdgeLabel.left((1, 1, 1))
+    long = EdgeLabel("L", (1, 1, 1))
     with pytest.raises(UnsupportedActionDomain):
         apply_letter(params, x2, long)
 
@@ -289,7 +288,7 @@ def test_letter_tables_are_permutations(spec):
     root-group law, in chains of up to 9 compositions (at q = 11)."""
     depths = 3 if spec.q <= 9 else 1
     q = spec.q
-    edges = [EdgeLabel.left((c1, c2)) for c1 in range(q) for c2 in range(q)]
+    edges = [EdgeLabel("L", (c1, c2)) for c1 in range(q) for c2 in range(q)]
     letter_table.cache_clear()  # every composition below is made anew
     for params in (KMParams(2, spec), KMParams(3, spec)):
         for mode in MODES:
@@ -530,11 +529,11 @@ def test_realize_edge_geometry():
     seen = [base]
     labels = [EdgeLabel.base()]
     for c in range(2):
-        labels.append(EdgeLabel.left((c,)))
-        labels.append(EdgeLabel.right((c,)))
+        labels.append(EdgeLabel("L", (c,)))
+        labels.append(EdgeLabel("R", (c,)))
         for c2 in range(2):
-            labels.append(EdgeLabel.left((c, c2)))
-            labels.append(EdgeLabel.right((c, c2)))
+            labels.append(EdgeLabel("L", (c, c2)))
+            labels.append(EdgeLabel("R", (c, c2)))
     realized = [realize_edge(params, lab) for lab in labels]
     for i, e in enumerate(realized):
         d = 0 if labels[i].region == "base" else len(labels[i].coords)
@@ -542,8 +541,8 @@ def test_realize_edge_geometry():
         for j in range(i):
             assert e != realized[j]
     # a left length-1 edge is x1(c) w1 applied to the base edge
-    got = realize_edge(params, EdgeLabel.left((1,)))
-    assert got == act(_x1(F2, 1).mul(_w1(F2)), base_edge(F2))
+    got = realize_edge(params, EdgeLabel("L", (1,)))
+    assert got == edge_act(_x1(F2, 1).mul(_w1(F2)), base_edge(F2))
 
 
 def test_realize_edge_limits():
@@ -551,7 +550,7 @@ def test_realize_edge_limits():
     with pytest.raises(UnsupportedActionDomain):
         realize_edge(params, EdgeLabel.base())
     params = KMParams(2, F2)
-    deep = EdgeLabel.left((1,) * 7)
+    deep = EdgeLabel("L", (1,) * 7)
     with pytest.raises(RadiusExceeded):
         realize_edge(params, deep)
 

@@ -122,7 +122,8 @@ def test_stabilizers_and_kernel_match_the_tree_oracles(q):
     for kind, a1 in pairs:
         spec = a1.spec
         m1, m2 = mat2_pair(a1)
-        delta = Mat2.diag(spec, LaurentPoly.t(spec), LaurentPoly.one(spec))
+        delta = Mat2.diag(spec, LaurentPoly.monomial(spec, -1),
+                          LaurentPoly.one(spec))
         di = delta.inv()
         lower = [g for g in a1.elements if not g[2]]
         upper = [g for g in a1.elements if not g[1]]
@@ -179,16 +180,16 @@ def test_kernel_with_non_identity_structure_maps():
     groups without gens take the all-elements fallback."""
     g24 = sl2_group(F3)
     mul = g24.mul
-    fours = sorted((x for x in g24 if g24.element_order(x) == 4),
+    fours = sorted((x for x in g24.elements if g24.element_order(x) == 4),
                    key=_mat2_key)
     q8 = closure(F3, fours)
     c4 = closure(F3, fours[:1])
-    t = next(x for x in sorted(g24, key=_mat2_key)
+    t = next(x for x in sorted(g24.elements, key=_mat2_key)
              if g24.element_order(x) == 3)
     ti = g24.inv(t)
-    incl = {x: x for x in c4}
-    conj = {x: mul(mul(t, x), ti) for x in c4}
-    inv = {x: g24.inv(x) for x in c4}
+    incl = {x: x for x in c4.elements}
+    conj = {x: mul(mul(t, x), ti) for x in c4.elements}
+    inv = {x: g24.inv(x) for x in c4.elements}
     assert set(conj.values()) != c4.elements
     cases = [
         (EdgeOfGroups(c4, q8, q8, incl, conj), 4),  # both normal in Q8
@@ -330,7 +331,8 @@ def _covering_data(spec):
     a1 = build_standard_lattice(spec, "cyclic_p2")
     a0 = FiniteGroup(spec, (g for g in a1.elements if not g[1] and not g[2]))
     eog = EdgeOfGroups.by_inclusion(a0, a1, a1)
-    delta = Mat2.diag(spec, LaurentPoly.t(spec), LaurentPoly.one(spec))
+    delta = Mat2.diag(spec, LaurentPoly.monomial(spec, -1),
+                      LaurentPoly.one(spec))
     di = delta.inv()
     rho1 = {x: Mat2.from_codes(spec, *x) for x in a1.elements}
     rho0 = {x: rho1[x] for x in a0.elements}

@@ -75,7 +75,7 @@ def test_code_arithmetic_equals_field_element_oracle(spec, data):
 
 
 def test_t_and_pi_conventions():
-    t = LaurentPoly.t(F2)
+    t = LaurentPoly.monomial(F2, -1)
     pi = LaurentPoly.pi(F2)
     assert t.valuation() == -1
     assert pi.valuation() == 1
@@ -83,6 +83,9 @@ def test_t_and_pi_conventions():
 
 
 def test_degree_window():
+    """The window is closed: pi-degrees -64 and 64 are inside it."""
+    edge = LaurentPoly(F2, {-64: 1, 64: 1})
+    assert edge.valuation() == -64 and len(edge.coeffs) == 2
     with pytest.raises(DegreeWindowExceeded):
         LaurentPoly.monomial(F2, 65)
     with pytest.raises(DegreeWindowExceeded):
@@ -94,7 +97,7 @@ def test_str_and_parse():
     assert str(x) == "2*t^2+1+t^-3"
     assert parse_laurent(F3, str(x)) == x
     assert parse_laurent(F3, "0") == LaurentPoly.zero(F3)
-    assert parse_laurent(F3, "t") == LaurentPoly.t(F3)
+    assert parse_laurent(F3, "t") == LaurentPoly.monomial(F3, -1)
     assert parse_laurent(F3, "1+t^-1") == LaurentPoly(F3, {0: 1, 1: 1})
 
 

@@ -49,7 +49,7 @@ MOVED = {
     "ball2_edges": "ball2_edges", "_word_table": "ball2_word_table",
     "_power_fixes_all": "_power_fixes_all",
     "alternating_word": "alternating_word", "_entry": "_entry",
-    "zp_criterion": "zp_criterion",
+    "zp_criterion": "zp_criterion", "Edge": "Edge",
 }
 # the same for tests/oracles.py: F_{q^2} on ExtElement, and the errors only
 # the Mat2 check and the exceptional-subgroup scan raise
@@ -219,7 +219,6 @@ UNREACHED = {
     "gf.ExtElement.norm": TEST_API, "gf.ExtElement.__eq__": COMPARED,
     "gf.ExtElement.__hash__": COMPARED, "gf.ExtElement.__repr__": COMPARED,
     "groups.FiniteGroup.identity": TEST_API,
-    "groups.FiniteGroup.__iter__": TEST_API,
     "groups.FiniteGroup.__eq__": COMPARED,
     "groups.FiniteGroup.__hash__": COMPARED,
     "groups.FiniteGroup.__repr__": COMPARED,
@@ -227,20 +226,13 @@ UNREACHED = {
     "kmaction.EdgeLabel.__eq__": COMPARED,
     "kmaction.EdgeLabel.__hash__": COMPARED,
     "kmaction.EdgeLabel.__repr__": COMPARED,
-    "kmaction.EdgeLabel.left": TEST_BUILT,
-    "kmaction.EdgeLabel.right": TEST_BUILT,
     "kmaction._check_alternating": UNDER_TRACED,
-    "laurent.LaurentPoly.const": TEST_BUILT,
-    "laurent.LaurentPoly.t": TEST_BUILT,
-    "laurent.LaurentPoly.coeff": TEST_API,
     "laurent.LaurentPoly.__hash__": COMPARED,
     "laurent.LaurentPoly.__repr__": COMPARED,
     "serretree.Mat2.from_codes": UNDER_TRACED,
-    "serretree.Mat2.__mul__": TEST_API, "serretree.Mat2.__eq__": COMPARED,
+    "serretree.Mat2.__eq__": COMPARED,
     "serretree.Mat2.__hash__": COMPARED, "serretree.Mat2.__repr__": COMPARED,
     "serretree.Vertex.__repr__": COMPARED,
-    "serretree.Edge.__init__": UNDER_TRACED,
-    "serretree.Edge.__eq__": COMPARED, "serretree.Edge.__repr__": COMPARED,
 }
 
 # run in a fresh interpreter: the trace is on before kmlat is imported, so

@@ -28,18 +28,18 @@ def test_keyword_and_positional_construction_agree():
     assert RootIndex(side=2, depth=1) == RootIndex(2, 1)
     letter = RootLetter(root=RootIndex(1, 0), coeff=2)
     assert letter == RootLetter(RootIndex(1, 0), 2)
-    assert EdgeLabel(region="L", coords=(1,)) == EdgeLabel.left([1])
+    assert EdgeLabel(region="L", coords=(1,)) == EdgeLabel("L", (1,))
     assert (DicksonEntry(type="A4", order=12, div_q_plus_1=True, source="s")
             == DicksonEntry("A4", 12, True, "s"))
     assert (ClassificationInput(p=5, q=5, levi="psl", z_order=1)
             == ClassificationInput(5, 5, "psl", 1))
     t, g = nonsplit_torus(F3), sl2_group(F3)
-    ident = {x: x for x in t}
+    ident = {x: x for x in t.elements}
     eog = EdgeOfGroups(a0=t, a1=g, a2=g, alpha1=ident, alpha2=dict(ident))
     assert eog == EdgeOfGroups.by_inclusion(t, g, g)
     with pytest.raises(NotAHomomorphism):
         EdgeOfGroups(a0=t, a1=g, a2=g, alpha1=ident,
-                     alpha2={x: g.identity() for x in t})
+                     alpha2={x: g.identity() for x in t.elements})
 
 
 def test_defaults():
@@ -69,7 +69,7 @@ def test_equality_and_hashing():
                                    RootLetter(RootIndex(1, 0), 2))
     assert RootLetter(RootIndex(1, 0), 2) != RootLetter(RootIndex(2, 0), 2)
     assert _equal_and_hashed_alike(EdgeLabel("R", (0, 1)),
-                                   EdgeLabel.right((0, 1)))
+                                   EdgeLabel("R", (0, 1)))
     assert EdgeLabel("L", (0, 1)) != EdgeLabel("R", (0, 1))
     assert EdgeLabel.base() != ("base", ())
     assert _equal_and_hashed_alike(
@@ -108,7 +108,7 @@ def test_json_dict_key_order(capsys):
 
 def test_reprs():
     assert repr(GroupType("Cyclic", 2)) == "GroupType(kind='Cyclic', param=2)"
-    assert (repr(EdgeLabel.left((1, 0)))
+    assert (repr(EdgeLabel("L", (1, 0)))
             == "EdgeLabel(region='L', coords=(1, 0))")
     assert (repr(RootLetter(RootIndex(1, 0), 2))
             == "RootLetter(root=RootIndex(side=1, depth=0), coeff=2)")

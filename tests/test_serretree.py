@@ -9,13 +9,13 @@ from kmlat.errors import (NonInvertible, OddCharacteristic, SizeCapExceeded,
                           SpecMismatch, WindowTooLarge, ZeroDeterminant)
 from kmlat.gf import make_field
 from kmlat.laurent import LaurentPoly, parse_laurent
-from kmlat.serretree import (Edge, Mat2, act, dihedral_obstruction_search,
+from kmlat.serretree import (Mat2, act, dihedral_obstruction_search,
                              elementary_divisor_valuations,
                              involution_families, neighbors, vertex_distance)
 from oracles import (enumerated_involution_families,
                      full_product_obstruction_search)
-from reference import (base_edge, edge_distance, mat2_identity, membership,
-                       vertex_x1, vertex_x2)
+from reference import (Edge, base_edge, edge_act, edge_distance,
+                       mat2_identity, membership, vertex_x1, vertex_x2)
 
 F2 = make_field(2)
 F3 = make_field(3)
@@ -50,7 +50,7 @@ def random_sl2(spec, rng, span=2):
         else:
             e = Mat2(spec, LaurentPoly.one(spec), LaurentPoly.zero(spec),
                      u, LaurentPoly.one(spec))
-        m = m * e
+        m = m.mul(e)
     return m
 
 
@@ -60,8 +60,8 @@ def test_matrix_inverse_and_det():
     for _ in range(40):
         m = random_sl2(F3, rng)
         assert m.det() == one
-        assert m * m.inv() == mat2_identity(F3)
-        assert m.inv() * m == mat2_identity(F3)
+        assert m.mul(m.inv()) == mat2_identity(F3)
+        assert m.inv().mul(m) == mat2_identity(F3)
     singular = mat(F3, "1,1;1,1")
     with pytest.raises(NonInvertible):
         singular.inv()
@@ -70,10 +70,10 @@ def test_matrix_inverse_and_det():
 def test_det_is_multiplicative():
     rng = random.Random(11)
     for _ in range(30):
-        x = random_sl2(F2, rng) * Mat2.diag(F2, LaurentPoly.t(F2),
-                                            LaurentPoly.one(F2))
+        x = random_sl2(F2, rng).mul(Mat2.diag(
+            F2, LaurentPoly.monomial(F2, -1), LaurentPoly.one(F2)))
         y = random_sl2(F2, rng)
-        assert (x * y).det() == x.det() * y.det()
+        assert x.mul(y).det() == x.det() * y.det()
 
 
 def test_membership_examples():
@@ -96,7 +96,7 @@ def test_membership_examples():
 
 def test_elementary_divisors():
     one = LaurentPoly.one(F2)
-    t = LaurentPoly.t(F2)
+    t = LaurentPoly.monomial(F2, -1)
     assert elementary_divisor_valuations(mat2_identity(F2)) == (0, 0)
     assert elementary_divisor_valuations(Mat2.diag(F2, t, one)) == (-1, 0)
     with pytest.raises(ZeroDeterminant):
@@ -148,7 +148,8 @@ def test_action_is_isometric():
 
 
 def test_diag_t_swaps_base_vertices():
-    delta = Mat2.diag(F2, LaurentPoly.t(F2), LaurentPoly.one(F2))
+    delta = Mat2.diag(F2, LaurentPoly.monomial(F2, -1),
+                      LaurentPoly.one(F2))
     assert act(delta, vertex_x1(F2)) == vertex_x2(F2)
 
 
@@ -157,8 +158,8 @@ def test_edges_are_unordered():
     assert Edge(x1, x2) == Edge(x2, x1)
     assert base_edge(F2) == Edge(x2, x1)
     assert edge_distance(base_edge(F2), base_edge(F2)) == 0
-    far = act(Mat2.diag(F2, LaurentPoly.monomial(F2, -2),
-                        LaurentPoly.one(F2)), base_edge(F2))
+    far = edge_act(Mat2.diag(F2, LaurentPoly.monomial(F2, -2),
+                             LaurentPoly.one(F2)), base_edge(F2))
     assert edge_distance(base_edge(F2), far) == 2
 
 
@@ -183,7 +184,7 @@ def test_involution_families_are_involutions():
         fam = involution_families(F2, region, 2)
         assert fam
         for m in fam:
-            assert m * m == mat2_identity(F2)
+            assert m.mul(m) == mat2_identity(F2)
             assert m.det() == LaurentPoly.one(F2)
             if region == "B":
                 assert membership(m, "B")
@@ -202,6 +203,30 @@ def test_involution_family_size_window1():
     a = 1+t^-1, b = t^-1, c = t^-1, a single matrix.  Total 5.
     """
     assert len(involution_families(F2, "B", 1)) == 5
+
+
+def test_polys_take_pi_degrees_with_the_top_one_slowest():
+    assert [x.coeffs for x in serretree._polys(F2, -1, 0)] == [
+        {}, {-1: 1}, {0: 1}, {0: 1, -1: 1}]
+
+
+def test_candidates_keep_one_plus_bc_in_the_window():
+    """Every degree of 1 + bc over a region's _candidates lies in 0..2w, so
+    involution_families tests only its parity: b reaches pi^-1 only in
+    P2-B, where c starts at pi^1.  8,154 (b, c) pairs at q = 2, w <= 3 and
+    q = 4, w <= 2."""
+    pairs = 0
+    for spec, windows in ((F2, range(4)), (F4, range(3))):
+        one = LaurentPoly.one(spec)
+        for w in windows:
+            for region in ("B", "P1-B", "P2-B"):
+                bs, cs = serretree._candidates(spec, region, w)
+                for b in bs:
+                    for c in cs:
+                        r = one + b * c
+                        assert all(0 <= d <= 2 * w for d in r.coeffs)
+                        pairs += 1
+    assert pairs == 8154
 
 
 def test_involution_families_limits():
@@ -258,8 +283,9 @@ def test_solved_families_equal_enumerated(spec, window, region):
 def test_b_family_has_b0_c1_zero(spec, window):
     """a^2 has even pi-degrees only, so the pi^1 coefficient of bc = 1 + a^2
     is b_0 c_1 = 0: the reason dihedral_obstruction_search finds nothing."""
+    mul = spec._tables()[1]
     for m in involution_families(spec, "B", window):
-        assert (m.b.coeff(0) * m.c.coeff(1)).is_zero()
+        assert mul[m.b.coeffs.get(0, 0)][m.c.coeffs.get(1, 0)] == 0
 
 
 def test_dihedral_obstruction_search_finds_nothing():
@@ -289,7 +315,7 @@ def test_scalar_tests_equal_full_products(spec, window):
         for g, squares in gammas:
             h = g.mul(s).mul(g)
             assert serretree._hits(add, mul, s, squares) == (
-                h.c.valuation() == 0, not h.b.coeff(-1).is_zero())
+                h.c.valuation() == 0, h.b.coeffs.get(-1, 0) != 0)
 
 
 def test_violations_are_reported_in_oracle_order(monkeypatch):

@@ -87,7 +87,8 @@ def test_builds_match_the_mat2_oracle(builds, mat2_builds, q):
     build is refused.  The oracle's A2 is delta A1 delta^-1 by Mat2
     products, with delta = diag(t, 1)."""
     spec = make_field(*FIELDS[q])
-    delta = Mat2.diag(spec, LaurentPoly.t(spec), LaurentPoly.one(spec))
+    delta = Mat2.diag(spec, LaurentPoly.monomial(spec, -1),
+                      LaurentPoly.one(spec))
     di = delta.inv()
     for kind in KINDS:
         got = builds[q, kind]
@@ -382,6 +383,59 @@ def test_dickson_sl2_rows_have_witnesses_of_their_order(q):
             assert len(group) == row.order, row.type
         checked += 1
     assert checked >= 6
+
+
+def _orbit_of_infinity(spec, gens):
+    """The orbit of infinity on P^1(F_q) under the group gens generate, by
+    breadth first images under gens: the point (x : 1) is the code x, and
+    infinity, (1 : 0), is q."""
+    q = spec.q
+    add, mul, _, inv = spec._tables()
+
+    def image(point, g):
+        a, b, c, d = g
+        x, y = (1, 0) if point == q else (point, 1)
+        u, v = add[mul[a][x]][mul[b][y]], add[mul[c][x]][mul[d][y]]
+        return q if v == 0 else mul[u][inv[v]]
+    return generate(q, gens, image, q + 1)
+
+
+@pytest.mark.parametrize("q", sorted(FIELDS))
+def test_transitive_dickson_rows_are_the_psl_classification(q):
+    """At every prime power q < 128, the rows of dickson_table(spec, "sl2")
+    whose witness is transitive on P^1(F_q), the q + 1 neighbours of a
+    vertex, with a point stabilizer of order prime to p, are classify's psl
+    rows at z = gcd(2, q - 1): as multisets, (|H| / (q + 1), 2 / |H|) is
+    (a0_order, covolume).  This is Lubotzky's condition on A1 (Lattices of
+    minimal covolume in SL2, 1990), with A1 cap A2 the point stabilizer.
+    A row whose order is not q + 1 times a number prime to p fails by
+    arithmetic and needs no witness, as A4 and A5 at q = 4, 16 and 64.
+
+    The listed rows are enough, since every subgroup of SL2(F_q) lies in
+    one of them, or, at q = p^(2b), in the overgroup <SL2(p^b), diag(l,
+    1/l)> the table leaves out, which keeps the subline P^1(F_{p^b}) as
+    SL2(p^b) does.  A subgroup of a group that is not transitive is not
+    transitive.  For odd q, q + 1 is even, so a transitive H has even
+    order and contains -I, the one involution of SL2(F_q), which acts
+    trivially: |H| >= 2(q + 1).  In Dicyclic(2(q + 1)) only the whole row
+    is that large, and the other generic rows are smaller or fix a point
+    or a subline.  The proper subgroups of SL2(3), 2S4 and SL2(5) of such
+    an order are Dicyclic(2(q + 1)) (Q8 at q = 3, Dic12 at 5, Q16 at 7,
+    Dic20 at 9) or SL2(3), both rows, and one GL2(F_q) class each.  For
+    even q the stabilizer is odd, and the subgroups of order q + 1 times
+    an odd number are the Cyclic(q + 1) row: C5 in A5 at q = 4 too."""
+    spec = make_field(*FIELDS[q])
+    p = FIELDS[q][0]
+    witnesses = _dickson_witnesses(spec)
+    found = Counter()
+    for row in dickson_table(spec, "sl2"):
+        stabilizer, rest = divmod(row.order, q + 1)
+        if rest or stabilizer % p == 0:
+            continue
+        if len(_orbit_of_infinity(spec, witnesses[row.type])) == q + 1:
+            found[stabilizer, Fraction(2, row.order)] += 1
+    assert found == Counter((r.a0_order, r.covolume)
+                            for r in classify(_psl_input(q)))
 
 
 @pytest.mark.parametrize("ambient", ["psl2", "sl2", "pgl2"])
