@@ -18,11 +18,6 @@ from .laurent import parse_laurent
 SCHEMA = "kmlat-report-v1"
 
 
-def frac_str(f):
-    """A Fraction as "n/d", also when d = 1."""
-    return "%d/%d" % (f.numerator, f.denominator)
-
-
 def _int(text, least=None, most=None):
     """ASCII digits with an optional sign, in [least, most] where given:
     int() alone also reads " 7", "1_1" and other scripts' digits."""
@@ -294,8 +289,7 @@ def main(argv=None):
         code, indent = 1, None
         report = {"error": type(exc).__name__, "detail": str(exc)}
     report["schema"] = SCHEMA
-    print(json.dumps(report, indent=indent, sort_keys=True,
-                     default=frac_str))
+    print(json.dumps(report, indent=indent, sort_keys=True))
     return code
 
 

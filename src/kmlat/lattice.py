@@ -13,7 +13,7 @@ edge-transitive lattices at a given q and center order.
 from __future__ import annotations
 
 from collections import namedtuple
-from fractions import Fraction
+from math import gcd, prod
 
 from .errors import InvalidInput, KindInadmissible, MinUndefined
 from .gf import is_prime
@@ -45,11 +45,12 @@ def faithfulness_kernel(a0, a1):
 
 
 def covolume(orders):
-    """Exact covolume sum(1/|G_s|) of a finite graph of finite groups."""
-    total = Fraction(0)
-    for o in orders:
-        total += Fraction(1, int(o))
-    return total
+    """Exact covolume sum(1/|G_s|) of a finite graph of finite groups, from
+    the list of its orders |G_s|, as reduced "n/d" text, also when d = 1."""
+    d = prod(orders)
+    n = sum(d // o for o in orders)
+    g = gcd(n, d)
+    return "%d/%d" % (n // g, d // g)
 
 
 VerificationReport = namedtuple(
@@ -155,7 +156,7 @@ class ClassificationInput(namedtuple(
                 raise InvalidInput("Q flags do not apply when q = 3 mod 4")
 
 
-# covolume: a Fraction; delta0: an int, or None on exceptional rows
+# covolume: reduced "n/d" text; delta0: an int, or None on exceptional rows
 LatticeDescriptor = namedtuple(
     "LatticeDescriptor", "q case a0_order vertex_type covolume delta0 "
     "exceptional", defaults=(False,))
@@ -164,7 +165,7 @@ LatticeDescriptor = namedtuple(
 def _row(q, case, a0, vertex, delta0, exceptional=False):
     return LatticeDescriptor(
         q=q, case=case, a0_order=a0, vertex_type=vertex,
-        covolume=Fraction(2, (q + 1) * a0), delta0=delta0,
+        covolume=covolume([(q + 1) * a0] * 2), delta0=delta0,
         exceptional=exceptional)
 
 
@@ -218,14 +219,15 @@ def min_covolume(inp):
 
     Returns (covolume, delta0).  Exceptional sporadic rows are excluded;
     when only those exist the minimum over them is returned with delta0
-    None.  Raises MinUndefined when classify is empty.
+    None.  Raises MinUndefined when classify is empty.  Each row's
+    covolume is 2/((q+1)|A0|) at one q: least covolume = greatest |A0|.
     """
     rows = classify(inp)
     if not rows:
         raise MinUndefined("no edge-transitive lattice for this input")
     # an exceptional row's delta0 is None
-    best = min([r for r in rows if not r.exceptional] or rows,
-               key=lambda r: r.covolume)
+    best = max([r for r in rows if not r.exceptional] or rows,
+               key=lambda r: r.a0_order)
     return best.covolume, best.delta0
 
 

@@ -48,7 +48,7 @@ def test_criterion_01_char2_cyclic_lattices():
         rows = classify(ClassificationInput(2, q, "psl", 1))
         ok &= rep.passes
         ok &= rep.intersection_order == 1
-        ok &= rep.covolume == Fraction(2, q + 1)
+        ok &= Fraction(rep.covolume) == Fraction(2, q + 1)
         ok &= len(rows) == 1 and not rows[0].exceptional
         ok &= rows[0].covolume == rep.covolume
         ok &= rows[0].a0_order == rep.intersection_order
@@ -67,7 +67,7 @@ def test_criterion_02_normalizer_lattices_q3mod4():
         rep = lubotzky_check(a1)
         ok &= rep.passes
         ok &= rep.a1_order == 2 * (q + 1) and rep.a2_order == 2 * (q + 1)
-        ok &= rep.covolume == Fraction(1, q + 1)
+        ok &= Fraction(rep.covolume) == Fraction(1, q + 1)
         m1, m2 = mat2_pair(a1)
         inter = m1.elements & m2.elements
         ident = mat2_identity(spec)
@@ -286,9 +286,10 @@ def test_criterion_10_min_covolume_table():
     for inp in inputs:
         cov, delta0 = min_covolume(inp)
         ok &= delta0 is not None
-        ok &= cov == Fraction(2, (inp.q + 1) * inp.z_order * delta0)
+        ok &= Fraction(cov) == Fraction(2, (inp.q + 1) * inp.z_order
+                                        * delta0)
         rows = [r for r in classify(inp) if not r.exceptional]
-        ok &= cov == min(r.covolume for r in rows)
+        ok &= Fraction(cov) == min(Fraction(r.covolume) for r in rows)
     elapsed = time.monotonic() - start
     ok &= elapsed < 2
     _report(10, ok, "min_covolume = 2/((q+1)|Z|delta0) and row minimum "

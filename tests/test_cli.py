@@ -531,6 +531,21 @@ NAMED_RUNS = ([(c,) + VALID_RUNS[c] for c in SUBCOMMANDS]
                  ("classify", "--p", "7", "--q", "7", "--levi", "gl")])
 
 
+def test_a_run_never_imports_fractions_decimal_or_numbers():
+    """A covolume is "n/d" text computed on integers, so no run of
+    any subcommand loads fractions, nor the decimal and numbers it pulls
+    in.  Run as the benchmark runs a job: -E -S, src on sys.path."""
+    argvs = [[c, *VALID_RUNS[c]] for c in SUBCOMMANDS]
+    code = ("import sys; sys.path.insert(0, %r); import kmlat.cli; "
+            "rc = [kmlat.cli.main(argv) for argv in %r]; "
+            "sys.stderr.write(repr((rc, sorted({'fractions', 'decimal', "
+            "'numbers'} & set(sys.modules)))))" % (str(SRC), argvs))
+    out = subprocess.run([sys.executable, "-E", "-S", "-c", code],
+                         capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr
+    assert out.stderr == "(%r, [])" % ([0] * len(SUBCOMMANDS))
+
+
 @pytest.mark.parametrize("argv", NAMED_RUNS, ids=" ".join)
 def test_named_subcommand_parser_matches_the_full_parser(monkeypatch,
                                                          capsys, argv):

@@ -1,5 +1,6 @@
 """Edge-transitive lattice verification, covering maps, classification."""
 
+import itertools
 from fractions import Fraction
 from functools import lru_cache
 
@@ -204,9 +205,25 @@ def test_kernel_with_non_identity_structure_maps():
 
 
 def test_covolume_is_exact():
-    assert covolume([3, 3]) == Fraction(2, 3)
-    assert covolume([8, 8]) == Fraction(1, 4)
-    assert covolume([48, 48]) == Fraction(1, 24)
+    assert covolume([3, 3]) == "2/3"
+    assert covolume([8, 8]) == "1/4"
+    assert covolume([48, 48]) == "1/24"
+
+
+def test_covolume_is_the_reduced_fraction_text():
+    """covolume's text is Fraction's sum of the 1/|G_s| as "n/d", so
+    reduced, and with d = 1 kept: for no groups, for every pair of orders
+    in 1..48, and for triples of unequal orders."""
+    def want(orders):
+        f = sum((Fraction(1, o) for o in orders), Fraction(0))
+        return "%d/%d" % (f.numerator, f.denominator)
+    assert covolume([]) == "0/1"
+    assert covolume([1, 1]) == "2/1"
+    for pair in itertools.product(range(1, 49), repeat=2):
+        assert covolume(pair) == want(pair), pair
+    for triple in itertools.combinations(
+            (1, 2, 3, 4, 5, 6, 8, 10, 12, 24, 48, 60, 120), 3):
+        assert covolume(triple) == want(triple), triple
 
 
 def test_edge_of_groups_validation():
@@ -263,7 +280,7 @@ def test_cyclic_pair_passes(q, a):
     assert rep.orbit_sizes == (q + 1, q + 1)
     assert rep.intersection_order == 1
     assert rep.kernel_order == 1
-    assert rep.covolume == Fraction(2, q + 1)
+    assert Fraction(rep.covolume) == Fraction(2, q + 1)
 
 
 @pytest.mark.parametrize("q", [3, 7])
@@ -274,7 +291,7 @@ def test_normalizer_pair_passes(q):
     assert rep.passes
     assert rep.a1_order == 2 * (q + 1)
     assert rep.intersection_order == 2
-    assert rep.covolume == Fraction(1, q + 1)
+    assert Fraction(rep.covolume) == Fraction(1, q + 1)
     m1, m2 = mat2_pair(a1)
     inter = m1.elements & m2.elements
     z = center(sl2_group(spec)) if q == 3 else None
@@ -389,7 +406,7 @@ def test_classify_char2():
     rows = classify(ClassificationInput(2, 4, "psl", 3))
     assert len(rows) == 1
     assert rows[0].case == "char2-cyclic"
-    assert rows[0].covolume == Fraction(2, 15)
+    assert rows[0].covolume == "2/15"
 
 
 def test_classify_psl_q3mod4():
@@ -398,7 +415,7 @@ def test_classify_psl_q3mod4():
     assert "psl-q3mod4-normalizer" in cases
     assert any(r.exceptional for r in rows)  # the 2S4 row at q = 7
     gen = [r for r in rows if not r.exceptional]
-    assert gen[0].covolume == Fraction(1, 8)
+    assert gen[0].covolume == "1/8"
 
 
 def test_classify_psl_q1mod4():
@@ -406,7 +423,7 @@ def test_classify_psl_q1mod4():
     rows = classify(ClassificationInput(5, 5, "psl", 2))
     assert rows and all(r.exceptional for r in rows)
     cov, d0 = min_covolume(ClassificationInput(5, 5, "psl", 2))
-    assert cov == Fraction(1, 12) and d0 is None
+    assert cov == "1/12" and d0 is None
     with pytest.raises(MinUndefined):
         min_covolume(ClassificationInput(13, 13, "psl", 1))
 
@@ -428,7 +445,7 @@ def test_classify_pgl_cases():
 def test_min_covolume_formula():
     for z in (1, 2, 4):
         cov, d0 = min_covolume(ClassificationInput(7, 7, "psl", z))
-        assert cov == Fraction(2, (7 + 1) * z * d0)
+        assert Fraction(cov) == Fraction(2, (7 + 1) * z * d0)
         cov, d0 = min_covolume(ClassificationInput(
             7, 7, "pgl", z, zmi_in_zg=True))
-        assert cov == Fraction(2, (7 + 1) * z * d0) and d0 == 2
+        assert Fraction(cov) == Fraction(2, (7 + 1) * z * d0) and d0 == 2

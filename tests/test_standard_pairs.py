@@ -1,13 +1,14 @@
 """The standard pairs, built on F_q code tuples, against the Mat2 builders
 they replaced; and the classification table checked by building them."""
 
+import itertools
 from collections import Counter
 from fractions import Fraction
 from math import gcd
 
 import pytest
 
-from kmlat.errors import KmlatError, MinUndefined
+from kmlat.errors import InvalidInput, KmlatError, MinUndefined
 from kmlat.gf import code_mul, code_pow, make_field, primitive_element
 from kmlat.groups import (CODE_ONE, SUBGROUP_TARGETS, FiniteGroup,
                           dickson_table, find_subgroup_of_type, generate,
@@ -228,7 +229,7 @@ def test_min_covolume_by_construction(reports, q):
     def least(kinds):
         covs = [reports[q, k].covolume for k in kinds
                 if (q, k) in reports and reports[q, k].passes]
-        return min(covs) if covs else None
+        return min(covs, key=Fraction) if covs else None
     generic, exceptional = least(GENERIC_KINDS), least(EXCEPTIONAL_KINDS)
     if generic is not None:
         assert min_covolume(inp) == (generic, 1)
@@ -238,7 +239,36 @@ def test_min_covolume_by_construction(reports, q):
         with pytest.raises(MinUndefined):
             min_covolume(inp)
     if q == 11:
-        assert min_covolume(inp) == (Fraction(1, 12), 1)
+        assert min_covolume(inp) == ("1/12", 1)
+
+
+@pytest.mark.parametrize("q", sorted(FIELDS))
+def test_min_covolume_is_the_least_row_by_fraction(q):
+    """At every prime power q < 128, for every input validate accepts (both
+    levis, z in 1..4, every admissible setting of the four center flags),
+    min_covolume gives the covolume and delta0 of the first generic
+    classify row whose covolume, read as a Fraction, is least; of the
+    first least row of all when only exceptional rows exist; and raises
+    MinUndefined when there is no row.  The text cannot be ordered as
+    text: min("1/12", "1/60") is "1/12"."""
+    accepted = 0
+    for levi, z, flags in itertools.product(
+            ("psl", "pgl"), range(1, 5),
+            itertools.product((None, True, False), repeat=4)):
+        inp = ClassificationInput(FIELDS[q][0], q, levi, z, *flags)
+        try:
+            rows = classify(inp)
+        except InvalidInput:
+            continue
+        accepted += 1
+        if not rows:
+            with pytest.raises(MinUndefined):
+                min_covolume(inp)
+            continue
+        best = min([r for r in rows if not r.exceptional] or rows,
+                   key=lambda r: Fraction(r.covolume))
+        assert min_covolume(inp) == (best.covolume, best.delta0), inp
+    assert accepted >= 8  # psl at each z, and pgl at each z
 
 
 @pytest.mark.parametrize("q", sorted(FIELDS))
@@ -434,7 +464,7 @@ def test_transitive_dickson_rows_are_the_psl_classification(q):
             continue
         if len(_orbit_of_infinity(spec, witnesses[row.type])) == q + 1:
             found[stabilizer, Fraction(2, row.order)] += 1
-    assert found == Counter((r.a0_order, r.covolume)
+    assert found == Counter((r.a0_order, Fraction(r.covolume))
                             for r in classify(_psl_input(q)))
 
 
