@@ -3,9 +3,11 @@
 Elements are indexed by integer codes 0..q-1: the code's base-p digits,
 least significant first, are the coefficients of the element in the power
 basis of the chosen modulus.  Arithmetic is O(1) lookups in tables built on
-first use: add adds base-p digits; mul and inv come from the exp/log tables
-of the first generator g of F_q*, whose q-1 powers take one polynomial
-product and reduction each; neg is read off add.
+first use, row by row from list slices and gathers: adding p^i adds 1 to
+digit i, so each add row is another rotated; mul and inv are gathered from
+the exp/log tables of the first generator g of F_q*, whose powers walk one
+table of x -> x*g, fixed on the basis codes p^i by a polynomial product
+each; neg is the mul row of -1.
 
 F_{q^2} is the ring F_q[C] inside M2(F_q), C = [[0, -c0], [1, -c1]] the
 companion matrix of the least irreducible quadratic w^2 + c1*w + c0: the
@@ -16,6 +18,8 @@ element x + y*w is x*I + y*C, held as the code 4-tuple (a, b, c, d) of a
 from __future__ import annotations
 
 from functools import lru_cache
+from itertools import chain
+from operator import itemgetter
 
 from .errors import (DegreeTooLarge, DivisionByZero, InvalidInput, NonPrime,
                      SpecMismatch)
@@ -165,34 +169,45 @@ class FieldSpec:
         return sum(c * self.p ** i for i, c in enumerate(coeffs))
 
     def _build_tables(self):
-        """add digit by digit; mul and inv from the powers of a generator."""
+        """add by rotating rows; mul and inv gathered from the powers of a
+        generator g, walked by one table of x -> x*g; neg, mul's -1 row."""
         q, p = self.q, self.p
-        # each pass adds a top digit: with x = X + n*d and y = Y + n*e,
-        # add[x][y] = add[X][Y] + n*((d + e) % p)
-        add, n = [[0]], 1
+        # adding n = p^i to y adds 1 to y's digit i, so row x of add is
+        # row x - n with each run of p*n codes rotated left by n
+        add, n = [list(range(q))], 1
         for _ in range(self.a):
-            shifts = [[n * ((d + e) % p) for e in range(p)] for d in range(p)]
-            add = [[s + t for t in shifts[d] for s in row]
-                   for d in range(p) for row in add]
-            n *= p
-        # the first code whose powers return to 1 only after q-1 products
+            m = n * p
+            cuts = [c for k in range(0, q, m)
+                    for c in (slice(k + n, k + m), slice(k, k + n))]
+            for x in range(n, m):
+                add.append(list(chain.from_iterable(
+                    map(add[x - n].__getitem__, cuts))))
+            n = m
+        # the first code whose powers return to 1 only after q-1 steps; x*g
+        # is F_p-linear in x, so it is fixed by the images g*t^i of p^i
         for g in range(1, q):
-            gc = list(self._coeffs_of(g))
-            exp, x = [1], gc
-            while self._code_of(x) != 1:
-                exp.append(self._code_of(x))
-                x = _poly_mod(_poly_mul(x, gc, p), self.modulus, p)
+            gc, times = self._coeffs_of(g), [0]
+            for i in range(self.a):  # times[x + d*p^i] = times[x] + d*g*t^i
+                row = add[self._code_of(_poly_mod(
+                    _poly_mul(gc, [0] * i + [1], p), self.modulus, p))]
+                steps = [0]
+                for _ in range(1, p):
+                    steps.append(row[steps[-1]])
+                times = [add[s][t] for s in steps for t in times]
+            exp, x = [1], g
+            while x != 1:
+                exp.append(x)
+                x = times[x]
             if len(exp) == q - 1:
                 break
-        log = [0] * q
+        log = [-1] * q  # 0 has no log: -1 gathers the 0 ending each list
         for k, x in enumerate(exp):
             log[x] = k
-        exp2, logs = exp + exp, log[1:]  # exp2[i + j] = g^(i+j) for i, j < q-1
-        mul = [[0] * q] + [[0] + [exp2[log[x] + k] for k in logs]
-                           for x in range(1, q)]
-        neg = [row.index(0) for row in add]
-        inv = [0] + [exp[-log[x]] for x in range(1, q)]
-        self._tabs = (add, mul, neg, inv)
+        get = itemgetter(*log)
+        exp2 = exp + exp + [0]  # exp2[i + j] = g^(i+j) for i, j < q-1
+        mul = [[0] * q] + [list(get(exp2[log[x]:])) for x in range(1, q)]
+        inv = list(get(exp[:1] + exp[:0:-1] + [0]))  # inv[g^k] = g^-k
+        self._tabs = (add, mul, mul[p - 1][:], inv)  # -x = (p-1)*x
 
     def _tables(self):
         """(add, mul, neg, inv): code tables, add[x][y] the code of x + y.

@@ -10,7 +10,9 @@ Each mutant changes one site of a named function (module.function, or
 module.Class.method for a method), found by ast:
 - a comparison operator swapped: == and !=, < and <=, > and >=, in and
   not in, is and is not;
-- an int constant c with |c| <= 64 (not a bool) made c + 1.
+- an int constant c with |c| <= 64 (not a bool) made c + 1;
+- a call of the builtin max, min, any or all by its bare name made a
+  call of its partner: max and min, any and all.
 
 The repository is copied once into a temporary directory, without .git
 and __pycache__, and the copy is removed at the end.  The checkout is
@@ -19,12 +21,15 @@ ast.unparse, pytest runs there on the selection with -x and
 -p no:cacheprovider under the timeout, and the module is restored.
 A mutant is killed when pytest fails or cannot collect, survives when it
 passes, and hangs when the timeout ends it.  The unmutated copy must
-pass first.
+pass first.  Each pytest run may map at most MEMORY bytes, so a mutant
+that loops while a list grows fails with MemoryError (killed) long
+before it could exhaust the machine.
 """
 
 import argparse
 import ast
 import os
+import resource
 import shutil
 import signal
 import subprocess
@@ -41,6 +46,8 @@ SYMBOLS = {ast.Eq: "==", ast.NotEq: "!=", ast.Lt: "<", ast.LtE: "<=",
            ast.Gt: ">", ast.GtE: ">=", ast.In: "in", ast.NotIn: "not in",
            ast.Is: "is", ast.IsNot: "is not"}
 SMALL = 64
+MEMORY = 2 << 30
+CALLS = {"max": "min", "min": "max", "any": "all", "all": "any"}
 
 
 def find_function(tree, name):
@@ -60,7 +67,7 @@ def find_function(tree, name):
 def sites(func):
     """The mutable sites of a function, in ast.walk order: (node, index)
     with index the operator's position in a Compare, or None for an int
-    constant."""
+    constant or a call."""
     out = []
     for node in ast.walk(func):
         if isinstance(node, ast.Compare):
@@ -69,6 +76,9 @@ def sites(func):
         elif (isinstance(node, ast.Constant) and type(node.value) is int
               and abs(node.value) <= SMALL):
             out.append((node, None))
+        elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+              and node.func.id in CALLS):
+            out.append((node, None))
     return out
 
 
@@ -76,7 +86,10 @@ def mutate(source, function, k):
     """(mutated source, description) for site k of function."""
     tree = ast.parse(source)
     node, index = sites(find_function(tree, function))[k]
-    if index is None:
+    if isinstance(node, ast.Call):
+        what = "%s -> %s" % (node.func.id, CALLS[node.func.id])
+        node.func.id = CALLS[node.func.id]
+    elif index is None:
         what = "%d -> %d" % (node.value, node.value + 1)
         node.value += 1
     else:
@@ -93,7 +106,9 @@ def run_pytest(copy, selection, timeout):
     proc = subprocess.Popen(
         [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider",
          *selection], cwd=copy, env=env, stdout=subprocess.PIPE,
-        stderr=subprocess.STDOUT, start_new_session=True)
+        stderr=subprocess.STDOUT, start_new_session=True,
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS,
+                                              (MEMORY, MEMORY)))
     try:
         out = proc.communicate(timeout=timeout)[0]
     except subprocess.TimeoutExpired:

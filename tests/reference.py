@@ -9,7 +9,9 @@ vertices, and edges (Edge, its action and its distance).  Each was a part
 of src/kmlat that only tests called; the tests check the program against
 it.
 The Dickson table as it was written, one branch per ambient, is kept as
-the oracle of the one-skeleton groups.dickson_table.
+the oracle of the one-skeleton groups.dickson_table, and the F_q tables as
+they were built one entry and one power at a time as the oracle of the
+rotated and gathered FieldSpec._build_tables.
 """
 
 from collections import Counter, namedtuple
@@ -19,6 +21,7 @@ from kmlat import kmaction
 from kmlat.errors import (KmlatError, NotASubgroup, NotFound,
                           SizeCapExceeded, SpecMismatch,
                           UnsupportedActionDomain)
+from kmlat.gf import _poly_mod, _poly_mul
 from kmlat.groups import (PROFILE_2S4, PROFILE_SL2_3, PROFILE_SL2_5,
                           DicksonEntry, FiniteGroup, closure, sl2_codes)
 from kmlat.kmaction import (EdgeLabel, RootIndex, RootLetter,
@@ -656,3 +659,38 @@ def dickson_table_branches(spec, ambient):
             out.append(r)
     return out
 
+
+
+# --- the F_q tables as built one entry and one power at a time ------------
+
+def tables_by_powers(spec):
+    """(add, mul, neg, inv) as FieldSpec._build_tables built them before
+    the rows were rotated and gathered: add digit by digit in Python, and
+    each power of the generator one polynomial product and reduction."""
+    q, p = spec.q, spec.p
+    # each pass adds a top digit: with x = X + n*d and y = Y + n*e,
+    # add[x][y] = add[X][Y] + n*((d + e) % p)
+    add, n = [[0]], 1
+    for _ in range(spec.a):
+        shifts = [[n * ((d + e) % p) for e in range(p)] for d in range(p)]
+        add = [[s + t for t in shifts[d] for s in row]
+               for d in range(p) for row in add]
+        n *= p
+    # the first code whose powers return to 1 only after q-1 products
+    for g in range(1, q):
+        gc = list(spec._coeffs_of(g))
+        exp, x = [1], gc
+        while spec._code_of(x) != 1:
+            exp.append(spec._code_of(x))
+            x = _poly_mod(_poly_mul(x, gc, p), spec.modulus, p)
+        if len(exp) == q - 1:
+            break
+    log = [0] * q
+    for k, x in enumerate(exp):
+        log[x] = k
+    exp2, logs = exp + exp, log[1:]  # exp2[i + j] = g^(i+j) for i, j < q-1
+    mul = [[0] * q] + [[0] + [exp2[log[x] + k] for k in logs]
+                       for x in range(1, q)]
+    neg = [row.index(0) for row in add]
+    inv = [0] + [exp[-log[x]] for x in range(1, q)]
+    return add, mul, neg, inv

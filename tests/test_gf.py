@@ -3,16 +3,19 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import reference
+from kmlat import gf
 from kmlat.errors import (DivisionByZero, DegreeTooLarge, InvalidInput,
                           NonPrime)
-from kmlat.gf import (Q_CAP, ExtElement, _is_irreducible, is_prime,
-                      make_field, norm1_subgroup, parse_code,
+from kmlat.gf import (Q_CAP, ExtElement, FieldSpec, _is_irreducible,
+                      is_prime, make_field, norm1_subgroup, parse_code,
                       primitive_element)
 from kmlat.groups import nonsplit_torus, torus_normalizer
 from oracles import (as_ext, digit_neg, ext_norm1_subgroup, ext_normalizer_s,
                      ext_one, ext_primitive_element,
                      long_division_is_irreducible, mult_matrix,
                      polynomial_tables, trial_division_is_prime)
+from reference import tables_by_powers
 
 
 FIELDS = [make_field(2), make_field(3), make_field(2, 2), make_field(5),
@@ -39,6 +42,9 @@ def test_parse_code_reads_ascii_digits_only(q):
 # the 43 prime powers q = p^a < 128, as (p, a)
 BELOW_128 = [(p, a) for p in range(2, 128) if is_prime(p)
              for a in range(1, 8) if p ** a < 128]
+# the 116 prime powers q = p^a <= Q_CAP, as (p, a)
+UP_TO_CAP = [(p, a) for p in range(2, Q_CAP + 1) if is_prime(p)
+             for a in range(1, 10) if p ** a <= Q_CAP]
 
 
 @pytest.mark.parametrize("spec", FIELDS, ids=lambda s: s.short_str())
@@ -74,10 +80,49 @@ def test_tables_match_the_polynomial_oracle(p, a):
     assert spec._tables() == polynomial_tables(spec)
 
 
+@pytest.mark.parametrize("p,a", UP_TO_CAP)
+def test_tables_match_the_tables_built_by_powers(p, a):
+    """The rotated add rows and the gathered mul, neg and inv rows equal,
+    list for list, the tables built one entry and one generator power at
+    a time (tests/reference.py): every prime power q <= Q_CAP."""
+    assert len(UP_TO_CAP) == 116
+    spec = make_field(p, a)
+    assert spec._tables() == tables_by_powers(spec)
+
+
+@pytest.mark.parametrize("p,a", [(59, 1), (41, 1), (2, 5), (3, 3), (5, 2)])
+def test_generator_search_takes_a_products_per_candidate(p, a, monkeypatch):
+    """The generator search tries the codes 1..g, g the least code of
+    order q-1, and fixes x -> x*c for each candidate c by the images of
+    the a basis codes p^i: at most a polynomial products per candidate.
+    Building the tables one power at a time takes one product per power,
+    57 at q = 59 and 93 at q = 41, and fails this bound at every q here."""
+    calls, product = [], gf._poly_mul
+
+    def counted(u, v, p):
+        calls.append((u, v))
+        return product(u, v, p)
+    spec = make_field(p, a)
+    monkeypatch.setattr(gf, "_poly_mul", counted)
+    monkeypatch.setattr(reference, "_poly_mul", counted)
+    add, mul, _, _ = FieldSpec(p, a, spec.modulus)._tables()
+    products, calls[:] = len(calls), []
+
+    def order(x):
+        k, y = 1, x
+        while y != 1:
+            y, k = mul[y][x], k + 1
+        return k
+    g = next(x for x in range(1, spec.q) if order(x) == spec.q - 1)
+    assert products <= a * g
+    tables_by_powers(spec)
+    assert len(calls) > a * g
+
+
 @pytest.mark.parametrize("spec", FIELDS, ids=lambda s: s.short_str())
 def test_neg_and_inv_tables(spec):
-    """The tables read off add and mul agree with digit-wise negation and
-    with x^(q-2) by square and multiply."""
+    """The neg table (the mul row of -1) and the inv table agree with
+    digit-wise negation and with x^(q-2) by square and multiply."""
     _, _, neg, inv = spec._tables()
     for x in spec.elements():
         assert neg[x.code] == digit_neg(x).code

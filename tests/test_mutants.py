@@ -37,3 +37,28 @@ def test_find_function_refuses_other_names(name):
     """A method is found only under its class, and only one level deep."""
     with pytest.raises(SystemExit, match="no function"):
         find_function(ast.parse(SOURCE), name)
+
+
+def test_min_covolume_has_its_max_call_as_a_site():
+    """lattice.min_covolume compares nothing and holds no int constant,
+    so its one site is the max over the rows, which the mutant makes a
+    min and changes nothing else."""
+    source = (ROOT / "src" / "kmlat" / "lattice.py").read_text()
+    node = find_function(ast.parse(source), "min_covolume")
+    assert len(sites(node)) == 1
+    mutated, what = mutate(source, "min_covolume", 0)
+    call = sites(node)[0][0]
+    assert what == "line %d: max -> min" % call.lineno
+    assert ast.unparse(find_function(ast.parse(mutated), "min_covolume")) \
+        == ast.unparse(node).replace("best = max(", "best = min(")
+
+
+@pytest.mark.parametrize("call,partner", [
+    ("max", "min"), ("min", "max"), ("any", "all"), ("all", "any")])
+def test_call_swaps_unparse_to_the_partner(call, partner):
+    source = "def f(xs):\n    return %s(xs) or g(xs) or xs.%s()\n" % (
+        call, call)
+    assert len(sites(find_function(ast.parse(source), "f"))) == 1
+    assert mutate(source, "f", 0) == (
+        "def f(xs):\n    return %s(xs) or g(xs) or xs.%s()\n" % (
+            partner, call), "line 2: %s -> %s" % (call, partner))
