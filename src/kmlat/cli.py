@@ -42,7 +42,7 @@ def _int_type(name, least=None, most=None):  # argparse names it __name__
 
 any_int = _int_type("int")
 non_negative_int = _int_type("non_negative_int", 0)
-positive_int = _int_type("positive_int", 1)
+positive_int = _int_type("positive_int", 1, 1 << 64)  # zp-test prints 2n+2
 indent_int = _int_type("non_negative_int", 0, 64)  # json.dumps makes N spaces
 
 

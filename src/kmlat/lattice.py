@@ -121,6 +121,8 @@ class ClassificationInput(namedtuple(
         q, p = self.q, self.p
         if p < 2 or q < 2 or self.z_order < 1:
             raise InvalidInput("bad numeric parameters")
+        if (q * self.z_order).bit_length() > 13000:  # 4,300 digits is 2^14284
+            raise InvalidInput("q * z is over 2^13000, too large to print")
         # the bound under which gf.is_prime is exact
         if p >= 2 ** 64:
             raise InvalidInput("p = %d is not below the bound 2^64" % p)

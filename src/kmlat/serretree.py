@@ -186,7 +186,9 @@ def involution_families(spec, region, window):
     characteristic two a is solved for, not searched: squaring acts
     coefficient-wise, so a^2 = 1 + bc has a solution only when 1 + bc has
     even pi-degrees alone, and then a_i = sqrt(coefficient 2i), read off a
-    table of square roots (x -> x^2 is a bijection of F_q).
+    table of square roots (x -> x^2 is a bijection of F_q).  This runs on
+    F_q codes, with 1 + bc a {pi-degree: code} dict convolved through the
+    add and mul tables; a and the Mat2 are built only for members kept.
     Returns a list of Mat2 with determinant one: the upper unipotents
     (c = 0), then the lower ones (b = 0), then the rest in (a, b, c) order.
     Past DIHEDRAL_CAP it raises SizeCapExceeded before building any.
@@ -196,27 +198,29 @@ def involution_families(spec, region, window):
     if window > 3:
         raise WindowTooLarge("window %d > 3" % window)
     check_dihedral_size(spec.q, window)
-    w = window
-    bs, cs = _candidates(spec, region, w)
-    one = LaurentPoly.one(spec)
-    mul = spec._tables()[1]
-    sqrt = [0] * spec.q
-    for x in range(spec.q):
-        sqrt[mul[x][x]] = x
+    bs, cs = _candidates(spec, region, window)
+    add, mul = spec._tables()[:2]
+    sqrt = sorted(range(spec.q), key=lambda x: mul[x][x])  # sqrt[x^2] = x
+    top = range(window, -1, -1)  # a's pi-degrees, the highest first
+    odd = range(1, 2 * window, 2)  # 1 + bc lies on pi-degrees 0..2w
+    cs = [(c, tuple(c.coeffs.items())) for c in cs]
     # (rank, a's codes from pi^w to pi^0) -> members in (b, c) order; rank
     # puts c = 0 (upper unipotents, a = 1) before b = 0 (lower ones)
     buckets = {}
     for b in bs:
-        for c in cs:
-            if b.is_zero() and c.is_zero():
+        rows = [(d, mul[x]) for d, x in b.coeffs.items()]
+        for c, terms in cs:
+            if not (rows or terms):
                 continue
-            r = one + b * c
-            if any(d % 2 for d in r.coeffs):
+            r = {0: 1}
+            for d1, row in rows:
+                for d2, y in terms:
+                    r[d1 + d2] = add[r.get(d1 + d2, 0)][row[y]]
+            if any(map(r.get, odd)):
                 continue
-            a = LaurentPoly(spec, {d // 2: sqrt[x]
-                                   for d, x in r.coeffs.items()})
-            rank = 0 if c.is_zero() else 1 if b.is_zero() else 2
-            key = (rank, tuple(a.coeffs.get(d, 0) for d in range(w, -1, -1)))
+            rank = 0 if not terms else 1 if not rows else 2
+            key = (rank, tuple(sqrt[r.get(2 * d, 0)] for d in top))
+            a = LaurentPoly(spec, dict(zip(top, key[1])))
             buckets.setdefault(key, []).append(Mat2(spec, a, b, c, a))
     return [m for key in sorted(buckets) for m in buckets[key]]
 
@@ -231,14 +235,17 @@ def _low_squares(gamma):
     return mul[e][e], mul[f][f], mul[g][g]
 
 
-def _hits(add, mul, s, squares):
-    """Whether gamma s gamma lies in P1 - B and whether in P2 - B, for
-    s = [[a,b],[c,a]] and gamma's _low_squares: b_0 g_0^2 + c_0 e_0^2 != 0
-    and c_1 f_-1^2 != 0 (see dihedral_obstruction_search)."""
-    e2, f2, g2 = squares
-    b, c = s.b.coeffs, s.c.coeffs
-    return (add[mul[b.get(0, 0)][g2]][mul[c.get(0, 0)][e2]] != 0,
-            mul[c.get(1, 0)][f2] != 0)
+def _p1_hits(add, mul, s, keyed):
+    """The gammas of keyed, pairs (gamma, its _low_squares), for which
+    gamma s gamma lies in P1 - B: b_0 g_0^2 + c_0 e_0^2 != 0."""
+    rb, rc = mul[s.b.coeffs.get(0, 0)], mul[s.c.coeffs.get(0, 0)]
+    return [g for g, (e2, _, g2) in keyed if add[rb[g2]][rc[e2]]]
+
+
+def _p2_hits(mul, s, keyed):
+    """The same for P2 - B: c_1 f_-1^2 != 0."""
+    row = mul[s.c.coeffs.get(1, 0)]
+    return [g for g, (_, f2, _) in keyed if row[f2]]
 
 
 def dihedral_obstruction_search(spec, window):
@@ -258,8 +265,8 @@ def dihedral_obstruction_search(spec, window):
     pi-degrees, so the pi^1 coefficient of bc = 1 + a^2 is b_0 c_1 = 0: a
     P1 hit needs b_0 != 0 and a P2 hit c_1 != 0, never both.  This proof
     is the computation: for every pair the search tests these two scalars
-    (_hits), with e_0^2, f_-1^2 and g_0^2 read once per gamma, and forms
-    no product gamma s gamma.
+    (_p1_hits, _p2_hits), with e_0^2, f_-1^2 and g_0^2 read once per gamma
+    and s's mul rows once per s, and forms no product gamma s gamma.
     """
     fam_b = involution_families(spec, "B", window)
     fam_1 = involution_families(spec, "P1-B", window)
@@ -269,10 +276,10 @@ def dihedral_obstruction_search(spec, window):
     squares_2 = [(g2, _low_squares(g2)) for g2 in fam_2]
     violations = []
     for s in fam_b:
-        bad1 = [g1 for g1, sq in squares_1 if _hits(add, mul, s, sq)[0]]
+        bad1 = _p1_hits(add, mul, s, squares_1)
         if not bad1:
             continue
-        bad2 = [g2 for g2, sq in squares_2 if _hits(add, mul, s, sq)[1]]
+        bad2 = _p2_hits(mul, s, squares_2)
         violations.extend((s, g1, g2) for g1 in bad1 for g2 in bad2)
     return {
         "q": spec.q,

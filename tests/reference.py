@@ -9,9 +9,11 @@ vertices, and edges (Edge, its action and its distance).  Each was a part
 of src/kmlat that only tests called; the tests check the program against
 it.
 The Dickson table as it was written, one branch per ambient, is kept as
-the oracle of the one-skeleton groups.dickson_table, and the F_q tables as
+the oracle of the one-skeleton groups.dickson_table, the F_q tables as
 they were built one entry and one power at a time as the oracle of the
-rotated and gathered FieldSpec._build_tables.
+rotated and gathered FieldSpec._build_tables, and the characteristic-2
+involution families as they were solved on LaurentPoly objects as the
+oracle of serretree.involution_families, which solves them on F_q codes.
 """
 
 from collections import Counter, namedtuple
@@ -19,15 +21,16 @@ from math import gcd
 
 from kmlat import kmaction
 from kmlat.errors import (KmlatError, NotASubgroup, NotFound,
-                          SizeCapExceeded, SpecMismatch,
-                          UnsupportedActionDomain)
+                          OddCharacteristic, SizeCapExceeded, SpecMismatch,
+                          UnsupportedActionDomain, WindowTooLarge)
 from kmlat.gf import _poly_mod, _poly_mul
 from kmlat.groups import (PROFILE_2S4, PROFILE_SL2_3, PROFILE_SL2_5,
                           DicksonEntry, FiniteGroup, closure, sl2_codes)
 from kmlat.kmaction import (EdgeLabel, RootIndex, RootLetter,
                             _check_alternating, apply_word)
 from kmlat.laurent import LaurentPoly
-from kmlat.serretree import Mat2, Vertex, act, vertex_distance
+from kmlat.serretree import (Mat2, Vertex, _candidates, act,
+                             check_dihedral_size, vertex_distance)
 
 
 # --- the tree: identity, base vertices and edge, membership, distance -----
@@ -694,3 +697,39 @@ def tables_by_powers(spec):
     neg = [row.index(0) for row in add]
     inv = [0] + [exp[-log[x]] for x in range(1, q)]
     return add, mul, neg, inv
+
+
+# --- the involution families as solved on LaurentPoly objects -------------
+
+def object_involution_families(spec, region, window):
+    """serretree.involution_families as it was before it solved on F_q
+    codes: 1 + bc and a formed as LaurentPoly objects for every (b, c)
+    candidate of the region.  Same members, order and errors."""
+    if spec.p != 2:
+        raise OddCharacteristic("involution families need p = 2")
+    if window > 3:
+        raise WindowTooLarge("window %d > 3" % window)
+    check_dihedral_size(spec.q, window)
+    w = window
+    bs, cs = _candidates(spec, region, w)
+    one = LaurentPoly.one(spec)
+    mul = spec._tables()[1]
+    sqrt = [0] * spec.q
+    for x in range(spec.q):
+        sqrt[mul[x][x]] = x
+    # (rank, a's codes from pi^w to pi^0) -> members in (b, c) order; rank
+    # puts c = 0 (upper unipotents, a = 1) before b = 0 (lower ones)
+    buckets = {}
+    for b in bs:
+        for c in cs:
+            if b.is_zero() and c.is_zero():
+                continue
+            r = one + b * c
+            if any(d % 2 for d in r.coeffs):
+                continue
+            a = LaurentPoly(spec, {d // 2: sqrt[x]
+                                   for d, x in r.coeffs.items()})
+            rank = 0 if c.is_zero() else 1 if b.is_zero() else 2
+            key = (rank, tuple(a.coeffs.get(d, 0) for d in range(w, -1, -1)))
+            buckets.setdefault(key, []).append(Mat2(spec, a, b, c, a))
+    return [m for key in sorted(buckets) for m in buckets[key]]

@@ -15,7 +15,8 @@ from kmlat.serretree import (Mat2, act, dihedral_obstruction_search,
 from oracles import (enumerated_involution_families,
                      full_product_obstruction_search)
 from reference import (Edge, base_edge, edge_act, edge_distance,
-                       mat2_identity, membership, vertex_x1, vertex_x2)
+                       mat2_identity, membership, object_involution_families,
+                       vertex_x1, vertex_x2)
 
 F2 = make_field(2)
 F3 = make_field(3)
@@ -28,6 +29,10 @@ FAMILY_SIZES = [(F2, 0), (F2, 1), (F2, 2), (F2, 3), (F4, 0), (F4, 1)]
 # full products at q = 4, window 2 take about 20 s
 SEARCH_SIZES = [(F2, 0), (F2, 1), (F2, 2), (F2, 3), (F4, 1)]
 PAIR_SIZES = [(F2, 0), (F2, 1), (F2, 2), (F4, 1)]
+# every admissible (q, window) with q^(2*window+2) <= 2^12, for the
+# code-solved against the object-solved families
+OBJECT_SIZES = [(q, w) for q in (2, 4, 8, 16, 32, 64) for w in range(4)
+                if q ** (2 * w + 2) <= 1 << 12]
 
 
 def mat(spec, text):
@@ -278,6 +283,38 @@ def test_solved_families_equal_enumerated(spec, window, region):
             == enumerated_involution_families(spec, region, window))
 
 
+@pytest.mark.parametrize("q,window", OBJECT_SIZES)
+@pytest.mark.parametrize("region", ["B", "P1-B", "P2-B"])
+def test_code_families_equal_object_families(q, window, region):
+    """Solving a^2 = 1 + bc on F_q codes gives the Mat2 list, member for
+    member and in order, that solving it on LaurentPoly objects gives."""
+    spec = make_field(2, q.bit_length() - 1)
+    assert (involution_families(spec, region, window)
+            == object_involution_families(spec, region, window))
+
+
+@pytest.mark.parametrize("q,window", [(2, 3), (4, 1)])
+def test_search_makes_no_laurent_products_or_sums(q, window, monkeypatch):
+    """The families and the pair loop run on F_q codes: the search calls
+    neither LaurentPoly.__mul__ nor LaurentPoly.__add__.  With the object
+    solve in place of the families, the same counters see one product and
+    one sum per (b, c) candidate pair, over 300 of each."""
+    calls = {"__mul__": 0, "__add__": 0}
+    for name in calls:
+        def counted(self, other, real=getattr(LaurentPoly, name), name=name):
+            calls[name] += 1
+            return real(self, other)
+        monkeypatch.setattr(LaurentPoly, name, counted)
+    spec = make_field(2, q.bit_length() - 1)
+    out = dihedral_obstruction_search(spec, window)
+    assert out["triples_checked"] > 0
+    assert calls == {"__mul__": 0, "__add__": 0}
+    monkeypatch.setattr(serretree, "involution_families",
+                        object_involution_families)
+    assert dihedral_obstruction_search(spec, window) == out
+    assert calls["__mul__"] > 300 and calls["__add__"] > 300
+
+
 @pytest.mark.parametrize("spec,window", FAMILY_SIZES,
                          ids=lambda x: str(getattr(x, "q", x)))
 def test_b_family_has_b0_c1_zero(spec, window):
@@ -306,7 +343,8 @@ def test_search_equals_full_product_oracle(spec, window):
                          ids=lambda x: str(getattr(x, "q", x)))
 def test_scalar_tests_equal_full_products(spec, window):
     """For every s in B and every gamma in P1-B or P2-B, the two scalar
-    tests the search calls agree with the valuations of g*s*g itself."""
+    tests the search calls agree with the valuations of g*s*g itself; each
+    helper is given one gamma at a time, and hits it or returns []."""
     add, mul = spec._tables()[:2]
     gammas = [(g, serretree._low_squares(g))
               for g in involution_families(spec, "P1-B", window)
@@ -314,7 +352,9 @@ def test_scalar_tests_equal_full_products(spec, window):
     for s in involution_families(spec, "B", window):
         for g, squares in gammas:
             h = g.mul(s).mul(g)
-            assert serretree._hits(add, mul, s, squares) == (
+            keyed = [(g, squares)]
+            assert (serretree._p1_hits(add, mul, s, keyed) == [g],
+                    serretree._p2_hits(mul, s, keyed) == [g]) == (
                 h.c.valuation() == 0, h.b.coeffs.get(-1, 0) != 0)
 
 
