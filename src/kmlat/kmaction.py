@@ -162,23 +162,25 @@ def letter_table(params, letter, mode):
     """One letter's action on the q^2 left length-2 edges as a permutation
     of range(q^2): entry c1*q + c2 is the index of the image of L:c1,c2.
 
-    Built once per (params, letter, mode).  At coefficient 0 or a power
-    p^i of p it is read off apply_letter, which stays the only place the
-    rules live; letters keep an edge's region and length, so each index
-    is read off the image's two coordinates.  At any other code c it
-    follows from the group law x(c) = x(c - d) x(d) of the root group,
-    d = p^i for the lowest nonzero base-p digit i of c: c - d and d add
-    without carry, and phi is linear in the coefficient in both modes.
-    A failure propagates and leaves nothing cached.
+    Built once per (params, letter, mode).  At coefficient 0 it is the
+    identity, x(0) = 1; at a power p^i of p it is read off apply_letter,
+    which stays the only place the rules live; letters keep an edge's
+    region and length, so each index is read off the image's two
+    coordinates.  At any other code c it follows from the group law
+    x(c) = x(c - d) x(d) of the root group, d = p^i for the lowest nonzero
+    base-p digit i of c: c - d and d add without carry, and phi is linear
+    in the coefficient in both modes.  A failure propagates and leaves
+    nothing cached.
     """
-    c, d, p = letter.coeff, 1, params.spec.p
-    while c and c // d % p == 0:
+    c, d, p, q = letter.coeff, 1, params.spec.p, params.spec.q
+    if not c:  # x(0) is the identity
+        return tuple(range(q * q))
+    while c // d % p == 0:
         d *= p
-    if c and c != d:  # x(c) = x(c - d) x(d)
+    if c != d:  # x(c) = x(c - d) x(d)
         first = letter_table(params, letter._replace(coeff=d), mode)
         return itemgetter(*first)(
             letter_table(params, letter._replace(coeff=c - d), mode))
-    q = params.spec.q
     images = (apply_letter(params, letter, EdgeLabel("L", (c1, c2)), mode)
               for c1 in range(q) for c2 in range(q))
     return tuple(e.coords[0] * q + e.coords[1] for e in images)
@@ -242,11 +244,14 @@ def zp_walk(params, pairs):
     pairs, counted as zp-test reports it: the words, those where z^p fixes
     every left length-2 edge iff t2 = 0, and both again over t1 != 0.
 
-    Words are walked depth-first in itertools.product order of their codes;
-    each prefix's image is composed with the next letter's table once, by
-    an itemgetter of the table, so the gather runs in C.  Tables are built
-    in code order, so each one the group law composes is cached already.
-    Past ZP_CAP it raises SizeCapExceeded before building any table.
+    A word's outcome depends on its prefix only through the prefix's
+    state, its image and its sums (t1, t2), so the walk advances the
+    distinct states of each prefix length, each with its number of words,
+    by every (x1, x2) pair, and tests the last pair's at once, unstored.
+    Each image is composed with a letter's table by an itemgetter, so the
+    gather runs in C.  Tables are built in code order, so each one the
+    group law composes is cached already.  Past ZP_CAP it raises
+    SizeCapExceeded before building any table.
     """
     spec = params.spec
     check_zp_size(spec.q, pairs)
@@ -255,19 +260,19 @@ def zp_walk(params, pairs):
         params, RootLetter(RootIndex(side, 0), c), "identity_phi"))
         for c in range(spec.q)] for side in (1, 2))
     tally = Counter()  # (t1 != 0, agrees) -> words
-
-    def walk(image, left, t1, t2):
-        for a, x1 in enumerate(x1s):
-            after_x1, s1 = x1(image), add[t1][a]
-            for u, x2 in enumerate(x2s):
-                word, s2 = x2(after_x1), add[t2][u]
-                if left > 1:
-                    walk(word, left - 1, s1, s2)
-                else:
-                    tally[s1 != 0, _power_is_identity(word, spec.p)
-                          == (s2 == 0)] += 1
-
-    walk(range(spec.q ** 2), pairs, 0, 0)
+    states = Counter({(tuple(range(spec.q ** 2)), 0, 0): 1})
+    for left in range(pairs, 0, -1):
+        frontier, states = states, Counter()
+        for (image, t1, t2), count in frontier.items():
+            for a, x1 in enumerate(x1s):
+                after_x1, s1 = x1(image), add[t1][a]
+                for u, x2 in enumerate(x2s):
+                    word, s2 = x2(after_x1), add[t2][u]
+                    if left > 1:
+                        states[word, s1, s2] += count
+                    else:
+                        tally[s1 != 0, _power_is_identity(word, spec.p)
+                              == (s2 == 0)] += count
     return {"checked": sum(tally.values()),
             "agreements": tally[False, True] + tally[True, True],
             "checked_t1_nonzero": tally[True, False] + tally[True, True],

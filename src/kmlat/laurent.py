@@ -124,7 +124,8 @@ class LaurentPoly:
         return "LaurentPoly(%s)" % str(self)
 
 
-_TERM_RE = re.compile(r"(?:([0-9]+)\*?)?(?:t(?:\^(-?[0-9]+))?)?")
+# compiled by re's own cache on the first parse, not at import
+_TERM = r"(?:([0-9]+)\*?)?(?:t(?:\^(-?[0-9]+))?)?"
 
 
 def parse_laurent(spec, text):
@@ -135,7 +136,7 @@ def parse_laurent(spec, text):
         raise InvalidInput("empty Laurent literal")
     out = LaurentPoly.zero(spec)
     for term in text.split("+"):
-        m = _TERM_RE.fullmatch(term)
+        m = re.fullmatch(_TERM, term)
         if not m or term == "":
             raise InvalidInput("bad Laurent term %r" % term)
         coeff_s, exp_s = m.groups()

@@ -8,6 +8,8 @@ geometry only those need: membership in the standard subgroups, the base
 vertices, and edges (Edge, its action and its distance).  Each was a part
 of src/kmlat that only tests called; the tests check the program against
 it.
+The z^p walk as it ran depth-first over every word (dfs_zp_walk) is kept
+as the oracle of kmaction.zp_walk, which walks distinct prefix states.
 The Dickson table as it was written, one branch per ambient, is kept as
 the oracle of the one-skeleton groups.dickson_table, the F_q tables as
 they were built one entry and one power at a time as the oracle of the
@@ -18,6 +20,7 @@ oracle of serretree.involution_families, which solves them on F_q codes.
 
 from collections import Counter, namedtuple
 from math import gcd
+from operator import itemgetter
 
 from kmlat import kmaction
 from kmlat.errors import (KmlatError, NotASubgroup, NotFound,
@@ -27,7 +30,8 @@ from kmlat.gf import _poly_mod, _poly_mul
 from kmlat.groups import (PROFILE_2S4, PROFILE_SL2_3, PROFILE_SL2_5,
                           DicksonEntry, FiniteGroup, closure, sl2_codes)
 from kmlat.kmaction import (EdgeLabel, RootIndex, RootLetter,
-                            _check_alternating, apply_word)
+                            _check_alternating, _power_is_identity,
+                            apply_word, check_zp_size, letter_table)
 from kmlat.laurent import LaurentPoly
 from kmlat.serretree import (Mat2, Vertex, _candidates, act,
                              check_dihedral_size, vertex_distance)
@@ -487,6 +491,36 @@ def zp_criterion(spec, pairs):
         coset = min(add[s_k][x] for x in line)
         sums[coset] = add[sums[coset]][u]
     return not s[-1] or not any(sums.values())
+
+
+def dfs_zp_walk(params, pairs):
+    """kmaction.zp_walk as it was before it walked distinct prefix states:
+    every word walked depth-first, in itertools.product order of its
+    codes, and tested at its leaf.  The oracle of zp_walk."""
+    spec = params.spec
+    check_zp_size(spec.q, pairs)
+    add = spec._tables()[0]
+    x1s, x2s = ([itemgetter(*letter_table(
+        params, RootLetter(RootIndex(side, 0), c), "identity_phi"))
+        for c in range(spec.q)] for side in (1, 2))
+    tally = Counter()  # (t1 != 0, agrees) -> words
+
+    def walk(image, left, t1, t2):
+        for a, x1 in enumerate(x1s):
+            after_x1, s1 = x1(image), add[t1][a]
+            for u, x2 in enumerate(x2s):
+                word, s2 = x2(after_x1), add[t2][u]
+                if left > 1:
+                    walk(word, left - 1, s1, s2)
+                else:
+                    tally[s1 != 0, _power_is_identity(word, spec.p)
+                          == (s2 == 0)] += 1
+
+    walk(range(spec.q ** 2), pairs, 0, 0)
+    return {"checked": sum(tally.values()),
+            "agreements": tally[False, True] + tally[True, True],
+            "checked_t1_nonzero": tally[True, False] + tally[True, True],
+            "agreements_t1_nonzero": tally[True, True]}
 
 
 def _x1(spec, u):
