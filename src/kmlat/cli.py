@@ -256,9 +256,10 @@ def fast_parse(argv):
         for f, k in flags.items()})
 
 
+@functools.lru_cache(maxsize=None)
 def build_parser():
-    """The parser with every subcommand, for the argvs fast_parse
-    declines: help, usage errors and the shapes it does not read."""
+    """The parser with every subcommand, built once, for the argvs
+    fast_parse declines: help, usage errors and shapes it does not read."""
     import argparse
     # argparse's layout for its fallback 80-column terminal; with the width
     # fixed, it never imports shutil to probe the terminal

@@ -6,8 +6,8 @@ for neighbor-transitivity and the stabilizer condition, and computes the
 faithfulness kernel and the covolume.  It reads the base-vertex
 stabilizers and A1 cap A2 off A1's F_q codes and closes the kernel under
 conjugation by A1's generators, so it needs no Laurent arithmetic.  The
-classification side transcribes the case analysis for cocompact
-edge-transitive lattices at a given q and center order.
+classification side lists the edge-transitive lattice shapes at a given
+q and center order, its exceptional psl rows by Lubotzky's condition.
 """
 
 from __future__ import annotations
@@ -104,13 +104,6 @@ def lubotzky_check(a1):
 
 # --- classification -------------------------------------------------------
 
-# q -> the kinds H of the sporadic rows; at center order 2, |A0| is
-# |H| / (q + 1)
-EXCEPTIONAL_TABLE = {5: ("SL2(3)",), 7: ("2S4",), 11: ("SL2(3)", "SL2(5)"),
-                     19: ("SL2(5)",), 23: ("2S4",), 29: ("SL2(5)",),
-                     59: ("SL2(5)",)}
-
-
 class ClassificationInput(namedtuple(
         "ClassificationInput", "p q levi z_order qi_in_zg qi0_in_zg "
         "qi0_nontrivial zmi_in_zg", defaults=(None,) * 4)):
@@ -175,6 +168,14 @@ def classify(inp):
     """All cocompact edge-transitive lattice shapes for the given data.
 
     Returns a list of LatticeDescriptor rows; empty means no such lattice.
+    A psl row is a standard pair that passes lubotzky_check.  A1 = H of
+    SUBGROUP_TARGETS passes only if (q+1) | |H|, as A1 is transitive on
+    P^1(F_q); d0 = |H|/(q+1) is even, as -I, H's one involution, is
+    diagonal and so in A0 = A1 cap A2; and d0 | q-1, as A0 is diagonal,
+    so cyclic.  Building every such pair shows these suffice.  The
+    normalizer row needs q = 3 mod 4: sT's elements have order 4 and
+    eigenvalues +-i, in F_q iff q = 1 mod 4; each then fixes two points
+    of P^1, and the point stabilizer has order 4, not 2.
     """
     inp.validate()
     q, z = inp.q, inp.z_order
@@ -188,10 +189,11 @@ def classify(inp):
             rows.append(_row(q, "psl-q3mod4-normalizer", z,
                              "nonsplit torus normalizer, order %d"
                              % (2 * (q + 1) * z), 1))
-        for name in EXCEPTIONAL_TABLE.get(q, ()):
-            k = SUBGROUP_TARGETS[name][0] // (q + 1)
-            rows.append(_row(q, "exceptional-%s" % name, z * k // 2,
-                             name, None, exceptional=True))
+        for name, (order, *_) in SUBGROUP_TARGETS.items():
+            d0, rest = divmod(order, q + 1)
+            if not rest and d0 % 2 == 0 and (q - 1) % d0 == 0:
+                rows.append(_row(q, "exceptional-%s" % name, z * d0 // 2,
+                                 name, None, exceptional=True))
         return rows
     # pgl levi, p odd
     if q % 4 == 1:

@@ -601,15 +601,20 @@ def test_json_indent_before_the_command_gets_every_subcommand(capsys):
 def test_a_run_builds_only_the_parsers_it_needs(monkeypatch, capsys, argv,
                                                 built):
     """A run that the fast parse takes builds no parser; anything else
-    builds all nine parsers."""
+    builds all nine parsers, once per process: the same run again, with
+    its output unchanged, builds none."""
     inits = []
     init = argparse.ArgumentParser.__init__
 
     def counted(self, *args, **kwargs):
         inits.append(kwargs.get("prog"))
         init(self, *args, **kwargs)
+    cli.build_parser.cache_clear()
     monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
-    assert _in_process(capsys, argv)[0] == 0
+    first = _in_process(capsys, argv)
+    assert first[0] == 0
+    assert len(inits) == built, inits
+    assert _in_process(capsys, argv) == first
     assert len(inits) == built, inits
 
 

@@ -283,13 +283,22 @@ def test_cyclic_pair_passes(q, a):
     assert Fraction(rep.covolume) == Fraction(2, q + 1)
 
 
-@pytest.mark.parametrize("q", [3, 7])
+# every odd prime power below 128; the torus normalizer's pair passes
+# exactly at the q = 3 mod 4 ones (classify's docstring says why)
+ODD_Q = [q for q in range(3, 128, 2) if _field_of(q)]
+
+
+@pytest.mark.parametrize("q", [q for q in ODD_Q if q % 4 == 3])
 def test_normalizer_pair_passes(q):
-    spec = make_field(q)
+    """At q = 3 mod 4 no element of the normalizer but +-I fixes a point
+    of P^1(F_q), so the stabilizers are {+-I} and the orbits are whole."""
+    spec = _field_of(q)
     a1 = build_standard_lattice(spec, "torus_normalizer")
     rep = lubotzky_check(a1)
     assert rep.passes
     assert rep.a1_order == 2 * (q + 1)
+    assert rep.stab_orders == (2, 2)
+    assert rep.orbit_sizes == (q + 1, q + 1)
     assert rep.intersection_order == 2
     assert Fraction(rep.covolume) == Fraction(1, q + 1)
     m1, m2 = mat2_pair(a1)
@@ -299,11 +308,17 @@ def test_normalizer_pair_passes(q):
         assert inter == set(to_mat2(spec, z.elements))
 
 
-def test_normalizer_pair_fails_q13():
-    spec = make_field(13)
-    rep = lubotzky_check(build_standard_lattice(spec, "torus_normalizer"))
+@pytest.mark.parametrize("q", [q for q in ODD_Q if q % 4 == 1])
+def test_normalizer_pair_fails_q1mod4(q):
+    """At q = 1 mod 4 the order-4 elements outside the torus have their
+    eigenvalues +-i in F_q and fix two points each: the stabilizers have
+    order 4 and the orbits are half of P^1(F_q)."""
+    rep = lubotzky_check(build_standard_lattice(_field_of(q),
+                                                "torus_normalizer"))
     assert not rep.passes
-    assert rep.orbit_sizes == (7, 7)
+    assert rep.a1_order == 2 * (q + 1)
+    assert rep.stab_orders == (4, 4)
+    assert rep.orbit_sizes == ((q + 1) // 2, (q + 1) // 2)
 
 
 def test_wrong_fixed_vertex():

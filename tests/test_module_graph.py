@@ -58,9 +58,11 @@ TO_ORACLES = {"_mult_matrix": "mult_matrix", "ext_one": "ext_one",
               "SearchBudgetExceeded": "SearchBudgetExceeded"}
 # the exceptional-subgroup search, deleted when find_subgroup_of_type began
 # to build from a trace triple (tests/oracles.py keeps a scan of its own),
-# and the report writers deleted when cli.main became the one writer
+# the report writers deleted when cli.main became the one writer, and the
+# exceptional rows' table, deleted when classify derived them by arithmetic
 DELETED = {"_trace_order_map", "_trace_class", "_SEARCH_BUDGET", "_emit",
-           "VerificationReport.to_json_dict", "LatticeDescriptor.to_json_dict"}
+           "VerificationReport.to_json_dict", "LatticeDescriptor.to_json_dict",
+           "EXCEPTIONAL_TABLE"}
 
 
 def definitions(source):

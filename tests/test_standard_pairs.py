@@ -9,15 +9,15 @@ from math import gcd
 import pytest
 
 from kmlat.errors import InvalidInput, KmlatError, MinUndefined
-from kmlat.gf import code_mul, code_pow, make_field, primitive_element
+from kmlat.gf import (code_mul, code_pow, is_prime, make_field,
+                      primitive_element)
 from kmlat.groups import (CODE_ONE, SUBGROUP_TARGETS, FiniteGroup,
                           dickson_table, find_subgroup_of_type, generate,
                           nonsplit_torus, order_available, order_of,
                           sl2_codes, sl2_elements, torus_normalizer)
 from kmlat.laurent import LaurentPoly
-from kmlat.lattice import (EXCEPTIONAL_TABLE, ClassificationInput,
-                           build_standard_lattice, classify, lubotzky_check,
-                           min_covolume)
+from kmlat.lattice import (ClassificationInput, build_standard_lattice,
+                           classify, lubotzky_check, min_covolume)
 from kmlat.serretree import Mat2
 from oracles import (Mat2Group, aligned_report, mat2_build_standard_lattice,
                      mat2_lubotzky_check, mat2_pair, mat2_sl2_elements,
@@ -44,6 +44,12 @@ FIELDS = {q: _prime_power(q) for q in range(2, 128) if _prime_power(q)}
 def _psl_input(q):
     """The psl classification input with z = gcd(2, q-1)."""
     return ClassificationInput(FIELDS[q][0], q, "psl", gcd(2, q - 1))
+
+
+def _exceptional_rows(q):
+    """(q, kind, |A0|) of each exceptional classify row of _psl_input(q)."""
+    return {(q, r.vertex_type, r.a0_order) for r in classify(_psl_input(q))
+            if r.exceptional}
 
 
 def _build(spec, kind, builder):
@@ -168,30 +174,40 @@ def test_builds_make_no_mat2_products(monkeypatch, q, kind):
 
 
 def test_exceptional_sweep_gives_the_table(builds, reports):
-    """Build each exceptional kind at every odd prime power q <= 64, run
+    """Build each exceptional kind at every odd prime power q < 128, run
     lubotzky_check, and keep the pairs that pass: their (q, kind, |A0|)
-    are EXCEPTIONAL_TABLE, no more and no less.
+    are the exceptional rows classify derives from arithmetic, no more
+    and no less.
 
     This is exhaustive.  A pair passes only if A1 acts transitively on the
     q+1 neighbors of x1, so q+1 divides |A1|, which is 24, 48 or 120.
     The odd prime powers with that property are 3, 5, 7, 9, 11, 19, 23,
-    29, 47 and 59, all at most 64.  One copy of each type is built, the
-    one find_subgroup_of_type builds from a trace triple;
-    test_every_trace_copy_gives_the_scan_copys_report checks that other
-    copies give the same reports.  The pgl rows have no builder, so only
-    the psl rows are checked here.
+    29, 47 and 59, all below 128, and above them classify has no
+    exceptional row: none at any odd prime power 128 <= q < 10^4, and at
+    q = 3^40 and 3^41 it returns the generic rows alone.  One copy of each
+    type is built, the one find_subgroup_of_type builds from a trace
+    triple; test_every_trace_copy_gives_the_scan_copys_report checks that
+    other copies give the same reports.  The pgl rows have no builder, so
+    only the psl rows are checked here.
     """
-    odd = [q for q in FIELDS if q % 2 and q <= 64]
+    odd = [q for q in FIELDS if q % 2]
     built = {(q, kind) for q in odd for kind in EXCEPTIONAL_KINDS
              if (q, kind) in reports}
     assert {q for q, _ in built} <= {3, 5, 7, 9, 11, 19, 23, 29, 47, 59}
     passing = {(q, kind, reports[q, kind].intersection_order)
                for q, kind in built if reports[q, kind].passes}
-    table = {(q, kind, SUBGROUP_TARGETS[kind][0] // (q + 1))
-             for q, kinds in EXCEPTIONAL_TABLE.items() for kind in kinds}
+    table = set().union(*map(_exceptional_rows, odd))
     assert passing == table
     for key in ((7, "SL2(3)"), (23, "SL2(3)"), (47, "2S4")):
         assert key in built and not reports[key].passes, key
+    big = [(p, p ** a) for p in range(3, 10 ** 4, 2) if is_prime(p)
+           for a in range(1, 9) if 128 <= p ** a < 10 ** 4]
+    assert len(big) == 1230
+    assert not any(r.exceptional for p, q in big
+                   for r in classify(ClassificationInput(p, q, "psl", 2)))
+    for a, cases in ((40, []), (41, ["psl-q3mod4-normalizer"])):
+        rows = classify(ClassificationInput(3, 3 ** a, "psl", 2))
+        assert [r.case for r in rows] == cases
 
 
 ALIGNED_CASES = [(q, kind) for q in sorted(FIELDS) if q % 2 and q <= 64
@@ -250,7 +266,10 @@ def test_min_covolume_is_the_least_row_by_fraction(q):
     classify row whose covolume, read as a Fraction, is least; of the
     first least row of all when only exceptional rows exist; and raises
     MinUndefined when there is no row.  The text cannot be ordered as
-    text: min("1/12", "1/60") is "1/12"."""
+    text: min("1/12", "1/60") is "1/12".  The formula min_covolume meets,
+    2/((q+1)|Z| delta0), holds for each generic row, not just the least:
+    a row is a lattice with vertex groups of order (q+1)|A0|, and delta0
+    is |A0| / |Z|."""
     accepted = 0
     for levi, z, flags in itertools.product(
             ("psl", "pgl"), range(1, 5),
@@ -261,6 +280,10 @@ def test_min_covolume_is_the_least_row_by_fraction(q):
         except InvalidInput:
             continue
         accepted += 1
+        for r in rows:
+            if not r.exceptional:
+                assert Fraction(r.covolume) == Fraction(
+                    2, (q + 1) * z * r.delta0), r
         if not rows:
             with pytest.raises(MinUndefined):
                 min_covolume(inp)
@@ -299,7 +322,19 @@ def test_exceptional_rows_name_the_built_group(builds, reports):
         assert str(recognize(builds[q, kind])) == names.get(
             row.vertex_type, row.vertex_type), (q, kind)
         checked += 1
-    assert checked == sum(len(rows) for rows in EXCEPTIONAL_TABLE.values())
+    assert checked == sum(len(_exceptional_rows(q)) for q in FIELDS)
+
+
+def test_char2_rows_name_the_built_torus(builds):
+    """At every q = 2^a < 128 the char-2 classify row's vertex type names
+    C_n times the center with n the order of the cyclic_p2 pair's A1, the
+    nonsplit torus of order q + 1."""
+    evens = [q for q in FIELDS if q % 2 == 0]
+    for q in evens:
+        row, = classify(ClassificationInput(2, q, "psl", 1))
+        assert row.vertex_type == "cyclic C_%d times center" % (
+            builds[q, "cyclic_p2"].order), q
+    assert len(evens) == 6
 
 
 @pytest.mark.parametrize("q", [q for q in sorted(FIELDS) if q % 2 and q <= 64])
