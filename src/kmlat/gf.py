@@ -271,16 +271,11 @@ def make_field(p, a=1):
     key = (p, a)
     if key in _FIELD_CACHE:
         return _FIELD_CACHE[key]
-    if a == 1:
-        modulus = (0, 1)  # the polynomial x; elements are just residues
-    else:
-        modulus = None
-        for code in range(p ** a):
-            cand = [(code // p ** i) % p for i in range(a)] + [1]
-            if _is_irreducible(cand, p):
-                modulus = tuple(cand)
-                break
-        assert modulus is not None
+    # at a = 1 the first candidate, x (code 0), is irreducible
+    for code in range(p ** a):
+        modulus = [(code // p ** i) % p for i in range(a)] + [1]
+        if _is_irreducible(modulus, p):
+            break
     spec = FieldSpec(p, a, modulus)
     _FIELD_CACHE[key] = spec
     return spec

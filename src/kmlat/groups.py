@@ -45,6 +45,7 @@ def generate(ident, gens, mul, cap):
     return seen
 
 
+# only FiniteGroup.element_order and the tests call order_of
 def order_of(x, ident, mul):
     """Multiplicative order of x: the least n >= 1 with x^n = ident."""
     n, y = 1, x
@@ -82,9 +83,6 @@ class FiniteGroup:
     @property
     def order(self):
         return len(self.elements)
-
-    def identity(self):
-        return CODE_ONE
 
     def inv(self, g):
         neg = self.spec._tables()[2]

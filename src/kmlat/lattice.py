@@ -8,6 +8,7 @@ stabilizers and A1 cap A2 off A1's F_q codes and closes the kernel under
 conjugation by A1's generators, so it needs no Laurent arithmetic.  The
 classification side lists the edge-transitive lattice shapes at a given
 q and center order, its exceptional psl rows by Lubotzky's condition.
+An exceptional A1 is aligned by the unipotent that fixes infinity.
 """
 
 from __future__ import annotations
@@ -17,9 +18,8 @@ from math import gcd, prod
 
 from .errors import InvalidInput, KindInadmissible, MinUndefined
 from .gf import is_prime
-from .groups import (CODE_ONE, SUBGROUP_TARGETS, FiniteGroup,
-                     find_subgroup_of_type, nonsplit_torus, order_of,
-                     torus_normalizer)
+from .groups import (SUBGROUP_TARGETS, FiniteGroup, find_subgroup_of_type,
+                     nonsplit_torus, torus_normalizer)
 
 
 def faithfulness_kernel(a0, a1):
@@ -188,7 +188,7 @@ def classify(inp):
         if q % 4 == 3:
             rows.append(_row(q, "psl-q3mod4-normalizer", z,
                              "nonsplit torus normalizer, order %d"
-                             % (2 * (q + 1) * z), 1))
+                             % ((q + 1) * z), 1))
         for name, (order, *_) in SUBGROUP_TARGETS.items():
             d0, rest = divmod(order, q + 1)
             if not rest and d0 % 2 == 0 and (q - 1) % d0 == 0:
@@ -214,7 +214,7 @@ def classify(inp):
                          "torus with central 2-part", 1))
         rows.append(_row(q, "pgl-q3mod4-normalizer", z,
                          "nonsplit torus normalizer, order %d"
-                         % (2 * (q + 1) * z), 1))
+                         % ((q + 1) * z), 1))
     return rows
 
 
@@ -237,32 +237,6 @@ def min_covolume(inp):
 
 # --- standard pairs -------------------------------------------------------
 
-def _diagonalizing_conjugator(spec, u):
-    """g in SL2(F_q) with g^-1 u g diagonal, as codes; u must be a constant
-    matrix of codes with distinct eigenvalues in F_q (or already diagonal,
-    giving the identity)."""
-    add, mul, neg, inv = spec._tables()
-    a, b, c, d = u
-    if b == 0 and c == 0:
-        return CODE_ONE
-    tr = add[a][d]
-    # eigenvalues: roots of x^2 - tr x + 1
-    lams = [x for x in range(spec.q)
-            if add[add[mul[x][x]][neg[mul[tr][x]]]][1] == 0]
-    if len(lams) < 2:
-        raise KindInadmissible("element is not split over F_q")
-    # b and c are not both zero, so each eigenvector comes from a nonzero
-    # off-diagonal entry, and the det below is b or c times the difference
-    # of the two distinct eigenvalues: never zero
-    if b:
-        cols = [(b, add[lam][neg[a]]) for lam in lams]
-    else:
-        cols = [(add[lam][neg[d]], c) for lam in lams]
-    (x0, y0), (x1, y1) = cols
-    s = inv[add[mul[x0][y1]][neg[mul[y0][x1]]]]
-    return (x0, mul[x1][s], y0, mul[y1][s])
-
-
 def build_standard_lattice(spec, kind):
     """Construct the A1 of the standard (A1, A2) pair of a given kind.
 
@@ -271,6 +245,15 @@ def build_standard_lattice(spec, kind):
     A2 = delta A1 delta^-1 with delta = diag(t, 1), which lubotzky_check
     reads off A1.  No success assertion is made here; run lubotzky_check
     on the result.
+
+    An exceptional A1 is the copy H of find_subgroup_of_type with H cap B
+    moved into the Levi factor T of B = U T, the stabilizer of infinity.
+    That needs d0 = |H|/(q+1) to divide q-1 (else KindInadmissible).
+    Then p does not divide |H| = d0(q+1), so H cap B meets U trivially
+    and is cyclic.  Each g = [[a, b], [0, d]] in it other than +-I has a != d
+    and fixes infinity and (beta : 1), beta = b/(d-a), the same for all
+    g as H cap B is cyclic.  u = [[1, beta], [0, 1]] fixes infinity and
+    sends 0 to (beta : 1), so A1 = u^-1 H u has H cap B diagonal.
     """
     q = spec.q
     if kind == "cyclic_p2":
@@ -291,24 +274,18 @@ def build_standard_lattice(spec, kind):
         if h is None:
             raise KindInadmissible("%s does not embed at q = %d" % (kind, q))
         d0 = order // (q + 1)
-        # align the copy: make some order-d0 element with F_q eigenvalues
-        # diagonal, so the base-vertex stabilizers become diagonal.  The
-        # candidates go in str(Mat2) order, which fixes the pick and so the
-        # A1 that verify reports on
-        mul = h.mul
-        pick = None
-        for g in sorted(h.elements, key=lambda g: "%d,%d;%d,%d" % g):
-            if order_of(g, CODE_ONE, mul) == d0:
-                try:
-                    pick = _diagonalizing_conjugator(spec, g)
-                except KindInadmissible:
-                    continue
-                break
-        if pick is None:
+        if (q - 1) % d0:
             raise KindInadmissible("no split element of order %d" % d0)
-        gi = h.inv(pick)
-        a1 = FiniteGroup(spec, (mul(mul(gi, x), pick) for x in h.elements),
-                         (mul(mul(gi, x), pick) for x in h.gens))
+        add, mul, neg, inv = spec._tables()
+        # beta from any g = [[a, b], [0, d]] in H with a != d; with none,
+        # H cap B is in {I, -I}, already diagonal, and beta is 0
+        beta = next((mul[b][inv[add[d][neg[a]]]]
+                     for a, b, c, d in h.elements if not c and a != d), 0)
+        if beta:
+            m, u, ui = h.mul, (1, beta, 0, 1), (1, neg[beta], 0, 1)
+            h = FiniteGroup(spec, (m(m(ui, x), u) for x in h.elements),
+                            (m(m(ui, x), u) for x in h.gens))
+        a1 = h
     else:
         raise KindInadmissible("unknown kind %r" % kind)
     return a1

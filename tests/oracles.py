@@ -513,7 +513,8 @@ def _core(ambient, sub_elements):
         core &= {mul(mul(g, h), gi) for h in sub_elements}
         if len(core) == 1:
             break
-    return generate(ambient.identity(), core, mul, ambient.order + 1)
+    x = next(iter(core))  # any element times its inverse: the identity
+    return generate(mul(x, ambient.inv(x)), core, mul, ambient.order + 1)
 
 
 def cored_faithfulness_kernel(eog):
@@ -647,10 +648,15 @@ def mat2_torus_normalizer(spec):
     return Mat2Group(spec, elems, (t0, s))
 
 
+def _mat2_constants(spec, m):
+    """The entries of a Mat2 of constants as FieldElements."""
+    return [spec.element(e.coeffs.get(0, 0)) for e in m.entries()]
+
+
 def mat2_diagonalizing_conjugator(spec, u):
     """g in SL2(F_q) with g^-1 u g diagonal, with FieldElement arithmetic
     on a Mat2 of constants."""
-    a, b, c, d = (spec.element(e.coeffs.get(0, 0)) for e in u.entries())
+    a, b, c, d = _mat2_constants(spec, u)
     if b.is_zero() and c.is_zero():
         return mat2_identity(spec)
     tr = a + d
@@ -676,11 +682,46 @@ def mat2_diagonalizing_conjugator(spec, u):
     return Mat2(spec, *(LaurentPoly(spec, {0: e.code}) for e in entries))
 
 
-def mat2_build_standard_lattice(spec, kind):
-    """lattice.build_standard_lattice with Mat2 products throughout: the
-    exceptional copy that groups.find_subgroup_of_type builds is aligned by
-    Mat2 conjugation, and A2 is formed as delta A1 delta^-1.  Returns the
-    Mat2Groups (A1, A2)."""
+def _unipotent_aligned(spec, h, d0):
+    """u^-1 H u with u = [[1, beta], [0, 1]] and beta = b/(d - a) from
+    every g = [[a, b], [0, d]] in H with a != d (beta = 0 with none), in
+    FieldElement arithmetic; every such g must give the same beta."""
+    if (spec.q - 1) % d0:
+        raise KindInadmissible("no split element of order %d" % d0)
+    betas = set()
+    for g in h.elements:
+        a, b, c, d = _mat2_constants(spec, g)
+        if c.is_zero() and a != d:
+            betas.add(b / (d - a))
+    assert len(betas) <= 1, betas
+    beta = betas.pop() if betas else spec.zero
+    u = Mat2.from_codes(spec, 1, beta.code, 0, 1)
+    ui = u.inv()
+    return Mat2Group(spec, (ui.mul(x).mul(u) for x in h.elements),
+                     (ui.mul(x).mul(u) for x in h.gens))
+
+
+def _eigen_aligned(spec, h, d0):
+    """pick^-1 H pick, with pick the mat2_diagonalizing_conjugator of the
+    first element of order d0, in str(Mat2) order, whose eigenvalues lie
+    in F_q: how build_standard_lattice aligned H before it used the
+    unipotent of the Levi decomposition."""
+    pick = None
+    for g in sorted(h.elements, key=lambda m: str(m)):
+        if h.element_order(g) == d0:
+            try:
+                pick = mat2_diagonalizing_conjugator(spec, g)
+            except KindInadmissible:
+                continue
+            break
+    if pick is None:
+        raise KindInadmissible("no split element of order %d" % d0)
+    gi = pick.inv()
+    return Mat2Group(spec, (gi.mul(x).mul(pick) for x in h.elements),
+                     (gi.mul(x).mul(pick) for x in h.gens))
+
+
+def _mat2_standard_pair(spec, kind, align):
     q = spec.q
     if kind == "cyclic_p2":
         if spec.p != 2:
@@ -700,20 +741,7 @@ def mat2_build_standard_lattice(spec, kind):
         if h is None:
             raise KindInadmissible("%s does not embed at q = %d" % (kind, q))
         h = Mat2Group(spec, to_mat2(spec, h.elements), to_mat2(spec, h.gens))
-        d0 = order // (q + 1)
-        pick = None
-        for g in sorted(h.elements, key=lambda m: str(m)):
-            if h.element_order(g) == d0:
-                try:
-                    pick = mat2_diagonalizing_conjugator(spec, g)
-                except KindInadmissible:
-                    continue
-                break
-        if pick is None:
-            raise KindInadmissible("no split element of order %d" % d0)
-        gi = pick.inv()
-        a1 = Mat2Group(spec, (gi.mul(x).mul(pick) for x in h.elements),
-                       (gi.mul(x).mul(pick) for x in h.gens))
+        a1 = align(spec, h, order // (q + 1))
     else:
         raise KindInadmissible("unknown kind %r" % kind)
     delta = Mat2.diag(spec, LaurentPoly.monomial(spec, -1),
@@ -722,6 +750,21 @@ def mat2_build_standard_lattice(spec, kind):
     a2 = Mat2Group(spec, (delta.mul(x).mul(di) for x in a1.elements),
                    (delta.mul(x).mul(di) for x in a1.gens))
     return a1, a2
+
+
+def mat2_build_standard_lattice(spec, kind):
+    """lattice.build_standard_lattice with Mat2 products throughout: the
+    exceptional copy that groups.find_subgroup_of_type builds is aligned by
+    Mat2 conjugation with the unipotent that fixes infinity, and A2 is
+    formed as delta A1 delta^-1.  Returns the Mat2Groups (A1, A2)."""
+    return _mat2_standard_pair(spec, kind, _unipotent_aligned)
+
+
+def mat2_eigen_aligned_lattice(spec, kind):
+    """mat2_build_standard_lattice with the exceptional copy aligned by the
+    eigenvectors of an element of order d0, as build_standard_lattice did
+    before: a second A1, conjugate to the first, for the same report."""
+    return _mat2_standard_pair(spec, kind, _eigen_aligned)
 
 
 def mat2_base_stabilizer(group, i):

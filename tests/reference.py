@@ -27,8 +27,9 @@ from kmlat.errors import (KmlatError, NotASubgroup, NotFound,
                           OddCharacteristic, SizeCapExceeded, SpecMismatch,
                           UnsupportedActionDomain, WindowTooLarge)
 from kmlat.gf import _poly_mod, _poly_mul
-from kmlat.groups import (PROFILE_2S4, PROFILE_SL2_3, PROFILE_SL2_5,
-                          DicksonEntry, FiniteGroup, closure, sl2_codes)
+from kmlat.groups import (CODE_ONE, PROFILE_2S4, PROFILE_SL2_3,
+                          PROFILE_SL2_5, DicksonEntry, FiniteGroup, closure,
+                          sl2_codes)
 from kmlat.kmaction import (EdgeLabel, RootIndex, RootLetter,
                             _check_alternating, _power_is_identity,
                             apply_word, check_zp_size, letter_table)
@@ -260,7 +261,7 @@ def recognize(group):
     p = group.spec.p
     if n % p == 0:
         ppart = [g for g in group.elements
-                 if g != group.identity()
+                 if g != CODE_ONE
                  and _is_p_power(group.element_order(g), p)]
         try:
             sylow = closure(group.spec, ppart, cap=n) if ppart else None

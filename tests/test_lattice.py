@@ -27,8 +27,7 @@ F3 = make_field(3)
 
 
 def _mat2_key(g):
-    """str of the Mat2 of code tuple g: the order cosets and the
-    exceptional pick use."""
+    """str of the Mat2 of code tuple g: the order cosets use."""
     return "%d,%d;%d,%d" % g
 
 
@@ -232,8 +231,7 @@ def test_edge_of_groups_validation():
     eog = EdgeOfGroups.by_inclusion(t, g, g)
     assert eog.a0.order == 4
     # a non-injective map is rejected
-    ident = g.identity()
-    bad = {x: ident for x in t.elements}
+    bad = {x: CODE_ONE for x in t.elements}
     with pytest.raises(NotAHomomorphism):
         EdgeOfGroups(t, g, g, bad, {x: x for x in t.elements})
     # a bijective non-homomorphism is rejected
@@ -256,7 +254,7 @@ def test_edge_of_groups_needs_a0_closed():
     """A0 = {1, x} with x of order 4 is no group: x*x lies outside it."""
     n = torus_normalizer(F3)
     x = next(g for g in n.elements if n.element_order(g) == 4)
-    a0 = FiniteGroup(F3, {n.identity(), x})
+    a0 = FiniteGroup(F3, {CODE_ONE, x})
     with pytest.raises(NotAHomomorphism, match="not closed under products"):
         EdgeOfGroups.by_inclusion(a0, n, n)
 
@@ -319,6 +317,34 @@ def test_normalizer_pair_fails_q1mod4(q):
     assert rep.a1_order == 2 * (q + 1)
     assert rep.stab_orders == (4, 4)
     assert rep.orbit_sizes == ((q + 1) // 2, (q + 1) // 2)
+
+
+@pytest.mark.parametrize("q", ODD_Q)
+def test_normalizer_rows_give_their_vertex_group_order(q):
+    """Each normalizer row of classify, at z from 1 to 4 under both levis,
+    says "order N" with N = (q+1)|A0|, the vertex group order its own
+    covolume 2/N implies.  At psl with z = 2, Z = {+-I} is the center of
+    the built torus_normalizer A1, and N is that A1's order.  Only
+    q = 3 mod 4 has the rows: one at psl, and one at pgl when -I is
+    central (zmi_in_zg)."""
+    spec = _field_of(q)
+    a1_order = lubotzky_check(build_standard_lattice(
+        spec, "torus_normalizer")).a1_order
+    flags = {"pgl": (None,) * 3 + (True,) if q % 4 == 3
+             else (True, True, None, None), "psl": ()}
+    seen = 0
+    for levi, z in itertools.product(("psl", "pgl"), range(1, 5)):
+        for r in classify(ClassificationInput(spec.p, q, levi, z,
+                                              *flags[levi])):
+            if not r.case.endswith("normalizer"):
+                continue
+            seen += 1
+            n = int(r.vertex_type.rpartition(" ")[2])
+            assert n == (q + 1) * r.a0_order, r
+            assert Fraction(r.covolume) == Fraction(2, n), r
+            if levi == "psl" and z == 2:
+                assert n == a1_order, r
+    assert seen == (8 if q % 4 == 3 else 0)
 
 
 def test_wrong_fixed_vertex():

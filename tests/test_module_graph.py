@@ -58,11 +58,15 @@ TO_ORACLES = {"_mult_matrix": "mult_matrix", "ext_one": "ext_one",
               "SearchBudgetExceeded": "SearchBudgetExceeded"}
 # the exceptional-subgroup search, deleted when find_subgroup_of_type began
 # to build from a trace triple (tests/oracles.py keeps a scan of its own),
-# the report writers deleted when cli.main became the one writer, and the
-# exceptional rows' table, deleted when classify derived them by arithmetic
+# the report writers deleted when cli.main became the one writer, the
+# exceptional rows' table, deleted when classify derived them by
+# arithmetic, the eigenvector alignment, deleted when build_standard_lattice
+# came to align by a unipotent (tests/oracles.py keeps it), and
+# FiniteGroup.identity, which the tests replaced by CODE_ONE
 DELETED = {"_trace_order_map", "_trace_class", "_SEARCH_BUDGET", "_emit",
            "VerificationReport.to_json_dict", "LatticeDescriptor.to_json_dict",
-           "EXCEPTIONAL_TABLE"}
+           "EXCEPTIONAL_TABLE", "_diagonalizing_conjugator",
+           "FiniteGroup.identity"}
 
 
 def definitions(source):
@@ -220,11 +224,10 @@ UNREACHED = {
     "gf.ExtElement.__init__": TEST_BUILT, "gf.ExtElement.is_zero": TEST_API,
     "gf.ExtElement.norm": TEST_API, "gf.ExtElement.__eq__": COMPARED,
     "gf.ExtElement.__hash__": COMPARED, "gf.ExtElement.__repr__": COMPARED,
-    "groups.FiniteGroup.identity": TEST_API,
     "groups.FiniteGroup.__eq__": COMPARED,
     "groups.FiniteGroup.__hash__": COMPARED,
     "groups.FiniteGroup.__repr__": COMPARED,
-    "groups.sl2_codes": UNDER_TRACED,
+    "groups.order_of": UNDER_TRACED, "groups.sl2_codes": UNDER_TRACED,
     "kmaction.EdgeLabel.__eq__": COMPARED,
     "kmaction.EdgeLabel.__hash__": COMPARED,
     "kmaction.EdgeLabel.__repr__": COMPARED,

@@ -11,7 +11,9 @@ argv, by running this file there:
 
 It was recorded again when every integer flag came to read ASCII digits
 alone: the seven argvs with the value " 3" for --p, --q, --z, --pairs or
---window, once read as 3, became usage errors.
+--window, once read as 3, became usage errors.  It was recorded again
+when the normalizer rows came to give their vertex group order as
+(q+1)z, not 2(q+1)z: the eight `classify --p 7 --q 7 --levi psl` runs.
 """
 
 import contextlib

@@ -5,7 +5,7 @@ import pytest
 
 from kmlat import cli
 from kmlat.gf import make_field
-from kmlat.groups import DicksonEntry, nonsplit_torus
+from kmlat.groups import CODE_ONE, DicksonEntry, nonsplit_torus
 from kmlat.kmaction import (EdgeLabel, KMParams, RootIndex, RootLetter,
                             letter_table)
 from kmlat.lattice import (ClassificationInput, LatticeDescriptor,
@@ -37,7 +37,7 @@ def test_keyword_and_positional_construction_agree():
     assert eog == EdgeOfGroups.by_inclusion(t, g, g)
     with pytest.raises(NotAHomomorphism):
         EdgeOfGroups(a0=t, a1=g, a2=g, alpha1=ident,
-                     alpha2={x: g.identity() for x in t.elements})
+                     alpha2={x: CODE_ONE for x in t.elements})
 
 
 def test_defaults():

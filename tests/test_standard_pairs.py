@@ -20,8 +20,9 @@ from kmlat.lattice import (ClassificationInput, build_standard_lattice,
                            classify, lubotzky_check, min_covolume)
 from kmlat.serretree import Mat2
 from oracles import (Mat2Group, aligned_report, mat2_build_standard_lattice,
-                     mat2_lubotzky_check, mat2_pair, mat2_sl2_elements,
-                     scan_find_subgroup_of_type, to_mat2, trace_copies)
+                     mat2_eigen_aligned_lattice, mat2_lubotzky_check,
+                     mat2_pair, mat2_sl2_elements, scan_find_subgroup_of_type,
+                     to_mat2, trace_copies)
 from reference import recognize
 
 KINDS = ("cyclic_p2", "torus_normalizer", "SL2(3)", "SL2(5)", "2S4")
@@ -129,6 +130,38 @@ def test_check_matches_the_mat2_oracle(builds, mat2_builds, q):
         assert (lubotzky_check(bare)
                 == mat2_lubotzky_check(Mat2Group(spec, m1.elements),
                                        Mat2Group(spec, m2.elements))), kind
+
+
+def test_unipotent_alignment_reports_as_the_eigenvector_alignment():
+    """At every prime power q <= 511 and each exceptional kind, the A1 that
+    build_standard_lattice aligns by the unipotent fixing infinity gets
+    the lubotzky_check report that the Mat2 pair aligned by eigenvectors,
+    as it was built before, gets from mat2_lubotzky_check; or both builds
+    are refused with the same class and message.  The pairs that build
+    are the 8 passing rows and the failing (7, SL2(3)), (23, SL2(3)) and
+    (47, 2S4); (3, SL2(3)), (5, SL2(5)) and (9, SL2(5)) embed but have no
+    split element of order d0."""
+    built, unsplit = set(), set()
+    for q in range(2, 512):
+        if _prime_power(q) is None:
+            continue
+        spec = make_field(*_prime_power(q))
+        for kind in EXCEPTIONAL_KINDS:
+            got = _build(spec, kind, build_standard_lattice)
+            want = _build(spec, kind, mat2_eigen_aligned_lattice)
+            if isinstance(want, Exception):
+                assert type(got) is type(want), (q, kind)
+                assert str(got) == str(want), (q, kind)
+                if str(want).startswith("no split element"):
+                    unsplit.add((q, kind))
+                continue
+            assert lubotzky_check(got) == mat2_lubotzky_check(*want), (q, kind)
+            built.add((q, kind))
+    passing = set().union(*map(_exceptional_rows, (5, 7, 11, 19, 23, 29, 59)))
+    assert built == {(q, kind) for q, kind, _ in passing} | {
+        (7, "SL2(3)"), (23, "SL2(3)"), (47, "2S4")}
+    assert len(passing) == 8
+    assert unsplit == {(3, "SL2(3)"), (5, "SL2(5)"), (9, "SL2(5)")}
 
 
 @pytest.mark.parametrize("p,a", [(2, 1), (3, 1), (2, 2), (5, 1), (7, 1)])

@@ -2,8 +2,8 @@
 tree and km-act runs, print exactly the pinned golden output.
 
 tests/golden/verify_jobs.json holds, for each `verify` job in
-perfbench/jobs.py, the argv, the exit code of kmlat.cli.main and its full
-stdout; tests/golden/dihedral_jobs.json holds the same for the
+perfbench/jobs.py plus the EXTRA_VERIFY below, the argv, the exit code of
+kmlat.cli.main and its full stdout; tests/golden/dihedral_jobs.json holds the same for the
 `char2-search` jobs plus the larger (q, window) = (4, 2) and (8, 1);
 tests/golden/root_action_jobs.json for the `root-action` jobs; and
 tests/golden/tree_jobs.json for the TREE_JOBS below, which print Laurent
@@ -38,6 +38,13 @@ TREE_GOLDEN = ROOT / "tests" / "golden" / "tree_jobs.json"
 # 44,782,080 at (8, 1)
 EXTRA_DIHEDRAL = [["dihedral-search", "--q", "4", "--window", "2"],
                   ["dihedral-search", "--q", "8", "--window", "1"]]
+
+# the exceptional argvs that reach the alignment of a built subgroup and
+# that no benchmark job runs: three failing reports and three refusals
+# with no split element of order d0 (d0 does not divide q - 1)
+EXTRA_VERIFY = [["verify", "--q", str(q), "--kind", kind]
+                for q, kind in ((3, "SL2(3)"), (5, "SL2(5)"), (7, "SL2(3)"),
+                                (9, "SL2(5)"), (23, "SL2(3)"), (47, "2S4"))]
 
 # prime, char-2 and odd non-prime fields (negation there is not p - x);
 # the last tree run pins the error for a non-monomial determinant
@@ -76,7 +83,7 @@ def benchmark_workloads():
 
 def verify_jobs():
     return [list(j) for j in benchmark_workloads()["verify"]
-            if j[0] == "verify"]
+            if j[0] == "verify"] + EXTRA_VERIFY
 
 
 def dihedral_jobs():
@@ -113,7 +120,7 @@ def test_verify_workload_builds_no_laurent_objects(monkeypatch):
     golden file) the bytes it prints unpatched."""
     golden = {tuple(g["argv"]): g for g in json.loads(GOLDEN.read_text())}
     jobs = [list(j) for j in benchmark_workloads()["verify"]]
-    assert len(jobs) == 51 and len(golden) == 29
+    assert len(jobs) == 51 and len(golden) == 29 + len(EXTRA_VERIFY)
     want = [golden.get(tuple(argv)) or run(argv) for argv in jobs]
 
     def refuse(*args):
