@@ -5,11 +5,12 @@ with monomial determinant whose columns span a representative lattice
 (O = F_q[[t^-1]], uniformizer pi = t^-1).  Distances come from elementary
 divisors; equality of vertices is distance zero, so Vertex is unhashable
 by design and vertices are compared pair by pair.  The module also holds
-the characteristic-two involution families and the dihedral obstruction
-search over them, which tests for each pair the two scalars its proof
-reduces gamma s gamma to.  Membership in the parahorics P1, P2 and B, the
-base vertices, and edges (Edge, its action and its distance) are
-reference code for the tests, in tests/reference.py.
+the characteristic-two involution families, as F_q code triples, and the
+dihedral obstruction search over them, which tests for each pair the two
+scalars its proof reduces gamma s gamma to and builds matrices only for
+a violation.  Membership in the parahorics P1, P2 and B, the base
+vertices, and edges (Edge, its action and its distance) are reference
+code for the tests, in tests/reference.py.
 """
 
 from __future__ import annotations
@@ -141,11 +142,12 @@ def act(g, v):
 
 
 def _polys(spec, lo, hi):
-    """All Laurent polys supported on pi-degrees lo..hi, in product order
-    with the pi^hi coefficient varying slowest."""
+    """Every poly on pi-degrees lo..hi as a {pi-degree: code} dict of its
+    nonzero terms, in product order with the pi^hi coefficient varying
+    slowest."""
     degs = range(hi, lo - 1, -1)
     for codes in itertools.product(range(spec.q), repeat=len(degs)):
-        yield LaurentPoly(spec, dict(zip(degs, codes)))
+        yield {d: x for d, x in zip(degs, codes) if x}
 
 
 DIHEDRAL_CAP = 1 << 18  # candidate (b, c) pairs of a P1-B or P2-B family
@@ -162,7 +164,7 @@ def check_dihedral_size(q, window):
 
 def _candidates(spec, region, w):
     """The candidate b and c of the involutions [[a,b],[c,a]] of a region,
-    on pi-degrees up to w:
+    as _polys dicts on pi-degrees up to w:
       B:    b on pi-degrees 0..w, c on 1..w;
       P1-B: b on 0..w, c on 0..w with a nonzero pi^0 coefficient (a unit);
       P2-B: b on -1..w with a nonzero pi^-1 coefficient, c on 1..w.
@@ -171,9 +173,9 @@ def _candidates(spec, region, w):
         return list(_polys(spec, 0, w)), list(_polys(spec, 1, w))
     if region == "P1-B":
         return (list(_polys(spec, 0, w)),
-                [c for c in _polys(spec, 0, w) if 0 in c.coeffs])
+                [c for c in _polys(spec, 0, w) if 0 in c])
     if region == "P2-B":
-        return ([b for b in _polys(spec, -1, w) if -1 in b.coeffs],
+        return ([b for b in _polys(spec, -1, w) if -1 in b],
                 list(_polys(spec, 1, w)))
     raise SpecMismatch("unknown region %r" % region)
 
@@ -187,10 +189,12 @@ def involution_families(spec, region, window):
     coefficient-wise, so a^2 = 1 + bc has a solution only when 1 + bc has
     even pi-degrees alone, and then a_i = sqrt(coefficient 2i), read off a
     table of square roots (x -> x^2 is a bijection of F_q).  This runs on
-    F_q codes, with 1 + bc a {pi-degree: code} dict convolved through the
-    add and mul tables; a and the Mat2 are built only for members kept.
-    Returns a list of Mat2 with determinant one: the upper unipotents
-    (c = 0), then the lower ones (b = 0), then the rest in (a, b, c) order.
+    F_q codes alone, with 1 + bc a {pi-degree: code} dict convolved through
+    the add and mul tables, and builds no LaurentPoly or Mat2.
+    Returns each member as a code triple (a, b, c): a is the tuple of a's
+    codes from pi^window down to pi^0, and b and c are the _candidates
+    dicts, shared between members.  The upper unipotents (c = 0) come
+    first, then the lower ones (b = 0), then the rest in (a, b, c) order.
     Past DIHEDRAL_CAP it raises SizeCapExceeded before building any.
     """
     if spec.p != 2:
@@ -203,12 +207,12 @@ def involution_families(spec, region, window):
     sqrt = sorted(range(spec.q), key=lambda x: mul[x][x])  # sqrt[x^2] = x
     top = range(window, -1, -1)  # a's pi-degrees, the highest first
     odd = range(1, 2 * window, 2)  # 1 + bc lies on pi-degrees 0..2w
-    cs = [(c, tuple(c.coeffs.items())) for c in cs]
-    # (rank, a's codes from pi^w to pi^0) -> members in (b, c) order; rank
-    # puts c = 0 (upper unipotents, a = 1) before b = 0 (lower ones)
+    cs = [(c, tuple(c.items())) for c in cs]
+    # (c != 0, b != 0, a) -> members in (b, c) order: c = 0 (the upper
+    # unipotents, a = 1) sorts first, then b = 0 (the lower ones)
     buckets = {}
     for b in bs:
-        rows = [(d, mul[x]) for d, x in b.coeffs.items()]
+        rows = [(d, mul[x]) for d, x in b.items()]
         for c, terms in cs:
             if not (rows or terms):
                 continue
@@ -218,34 +222,10 @@ def involution_families(spec, region, window):
                     r[d1 + d2] = add[r.get(d1 + d2, 0)][row[y]]
             if any(map(r.get, odd)):
                 continue
-            rank = 0 if not terms else 1 if not rows else 2
-            key = (rank, tuple(sqrt[r.get(2 * d, 0)] for d in top))
-            a = LaurentPoly(spec, dict(zip(top, key[1])))
-            buckets.setdefault(key, []).append(Mat2(spec, a, b, c, a))
+            a = tuple([sqrt[r.get(2 * d, 0)] for d in top])
+            key = (bool(terms), bool(rows), a)
+            buckets.setdefault(key, []).append((a, b, c))
     return [m for key in sorted(buckets) for m in buckets[key]]
-
-
-def _low_squares(gamma):
-    """e_0^2, f_-1^2 and g_0^2 of gamma = [[e,f],[g,e]] as codes
-    (subscripts are pi-degrees): in characteristic two x pi^d squares to
-    x^2 pi^2d, so these are the pi^0, pi^-2 and pi^0 terms of the squares."""
-    mul = gamma.spec._tables()[1]
-    e, f, g = (gamma.a.coeffs.get(0, 0), gamma.b.coeffs.get(-1, 0),
-               gamma.c.coeffs.get(0, 0))
-    return mul[e][e], mul[f][f], mul[g][g]
-
-
-def _p1_hits(add, mul, s, keyed):
-    """The gammas of keyed, pairs (gamma, its _low_squares), for which
-    gamma s gamma lies in P1 - B: b_0 g_0^2 + c_0 e_0^2 != 0."""
-    rb, rc = mul[s.b.coeffs.get(0, 0)], mul[s.c.coeffs.get(0, 0)]
-    return [g for g, (e2, _, g2) in keyed if add[rb[g2]][rc[e2]]]
-
-
-def _p2_hits(mul, s, keyed):
-    """The same for P2 - B: c_1 f_-1^2 != 0."""
-    row = mul[s.c.coeffs.get(1, 0)]
-    return [g for g, (_, f2, _) in keyed if row[f2]]
 
 
 def dihedral_obstruction_search(spec, window):
@@ -265,22 +245,36 @@ def dihedral_obstruction_search(spec, window):
     pi-degrees, so the pi^1 coefficient of bc = 1 + a^2 is b_0 c_1 = 0: a
     P1 hit needs b_0 != 0 and a P2 hit c_1 != 0, never both.  This proof
     is the computation: for every pair the search tests these two scalars
-    (_p1_hits, _p2_hits), with e_0^2, f_-1^2 and g_0^2 read once per gamma
-    and s's mul rows once per s, and forms no product gamma s gamma.
+    on the families' code triples, with e_0^2, g_0^2 and f_-1^2 read once
+    per gamma and s's mul rows once per s, and forms no product gamma s
+    gamma.  Only a violation, which no real family has, is built as three
+    Mat2 [[a,b],[c,a]] for the report.
     """
     fam_b = involution_families(spec, "B", window)
     fam_1 = involution_families(spec, "P1-B", window)
     fam_2 = involution_families(spec, "P2-B", window)
     add, mul = spec._tables()[:2]
-    squares_1 = [(g1, _low_squares(g1)) for g1 in fam_1]
-    squares_2 = [(g2, _low_squares(g2)) for g2 in fam_2]
+    sq = [row[x] for x, row in enumerate(mul)]  # x -> x^2
+    # e_0^2 and g_0^2 of each P1-B gamma, f_-1^2 of each P2-B one; the
+    # regions make g_0 and f_-1 nonzero terms of c and b
+    low_1 = [(g, sq[g[0][-1]], sq[g[2][0]]) for g in fam_1]
+    low_2 = [(g, sq[g[1][-1]]) for g in fam_2]
     violations = []
     for s in fam_b:
-        bad1 = _p1_hits(add, mul, s, squares_1)
+        _, b, c = s
+        rb, rc = mul[b.get(0, 0)], mul[c.get(0, 0)]
+        bad1 = [g for g, e2, g2 in low_1 if add[rb[g2]][rc[e2]]]
         if not bad1:
             continue
-        bad2 = _p2_hits(mul, s, squares_2)
-        violations.extend((s, g1, g2) for g1 in bad1 for g2 in bad2)
+        rc1 = mul[c.get(1, 0)]
+        bad2 = [g for g, f2 in low_2 if rc1[f2]]
+        for pair in itertools.product(bad1, bad2):
+            mats = []
+            for a, b, c in (s,) + pair:
+                a = LaurentPoly(spec, dict(enumerate(reversed(a))))
+                mats.append(Mat2(spec, a, LaurentPoly(spec, b),
+                                 LaurentPoly(spec, c), a))
+            violations.append(tuple(mats))
     return {
         "q": spec.q,
         "window": window,

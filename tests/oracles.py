@@ -21,8 +21,9 @@ from kmlat.groups import (CODE_ONE, SUBGROUP_TARGETS, FiniteGroup, code_mul,
 from kmlat.kmaction import EdgeLabel, apply_word
 from kmlat.lattice import VerificationReport, covolume
 from kmlat.laurent import LaurentPoly
-from kmlat.serretree import Mat2, _polys, act
-from reference import mat2_identity, membership, vertex_x1, vertex_x2
+from kmlat.serretree import Mat2, act
+from reference import (mat2_identity, membership, object_polys, vertex_x1,
+                       vertex_x2)
 
 
 def trial_division_is_prime(n):
@@ -185,11 +186,34 @@ def fe_laurent_mul(x, y):
     return out
 
 
+def member_mat2(spec, member):
+    """The Mat2 [[a,b],[c,a]] of a code triple (a, b, c) of
+    serretree.involution_families: a's codes run from pi^w down to pi^0,
+    b and c are {pi-degree: code} dicts."""
+    a, b, c = member
+    a = LaurentPoly(spec, dict(enumerate(reversed(a))))
+    return Mat2(spec, a, LaurentPoly(spec, b), LaurentPoly(spec, c), a)
+
+
+def mat2_member(m, window):
+    """The code triple of a Mat2 m = [[a,b],[c,a]] at window: member_mat2
+    undone."""
+    return (tuple(m.a.coeffs.get(d, 0) for d in range(window, -1, -1)),
+            m.b.coeffs, m.c.coeffs)
+
+
+def member_mat2s(spec, region, window):
+    """serretree.involution_families(spec, region, window) as Mat2, in
+    order; read through the module, so a test can replace the families."""
+    return [member_mat2(spec, m)
+            for m in serretree.involution_families(spec, region, window)]
+
+
 def enumerated_involution_families(spec, region, window):
     """involution_families by trying every (a, b, c) with a^2 + bc = 1.
 
     Same regions and order: upper unipotents, lower unipotents, then the
-    balanced [[a,b],[c,a]] in (a, b, c) _polys order.
+    balanced [[a,b],[c,a]] in (a, b, c) object_polys order, as Mat2.
     """
     w = window
     one = LaurentPoly.one(spec)
@@ -197,7 +221,7 @@ def enumerated_involution_families(spec, region, window):
     out = []
 
     def nonzero_at(lo, hi, degree):
-        return [x for x in _polys(spec, lo, hi)
+        return [x for x in object_polys(spec, lo, hi)
                 if x.coeffs.get(degree, 0) != 0]
 
     def upper(b):
@@ -207,17 +231,17 @@ def enumerated_involution_families(spec, region, window):
         return Mat2(spec, one, zero, c, one)
 
     if region == "B":
-        for b in _polys(spec, 0, w):
+        for b in object_polys(spec, 0, w):
             if not b.is_zero():
                 out.append(upper(b))
-        for c in _polys(spec, 1, w):
+        for c in object_polys(spec, 1, w):
             if not c.is_zero():
                 out.append(lower(c))
-        for a in _polys(spec, 0, w):
-            for b in _polys(spec, 0, w):
+        for a in object_polys(spec, 0, w):
+            for b in object_polys(spec, 0, w):
                 if b.is_zero():
                     continue
-                for c in _polys(spec, 1, w):
+                for c in object_polys(spec, 1, w):
                     if c.is_zero():
                         continue
                     if a * a + b * c == one:
@@ -225,8 +249,8 @@ def enumerated_involution_families(spec, region, window):
     elif region == "P1-B":
         for c in nonzero_at(0, w, 0):
             out.append(lower(c))
-        for a in _polys(spec, 0, w):
-            for b in _polys(spec, 0, w):
+        for a in object_polys(spec, 0, w):
+            for b in object_polys(spec, 0, w):
                 if b.is_zero():
                     continue
                 for c in nonzero_at(0, w, 0):
@@ -235,9 +259,9 @@ def enumerated_involution_families(spec, region, window):
     elif region == "P2-B":
         for b in nonzero_at(-1, w, -1):
             out.append(upper(b))
-        for a in _polys(spec, 0, w):
+        for a in object_polys(spec, 0, w):
             for b in nonzero_at(-1, w, -1):
-                for c in _polys(spec, 1, w):
+                for c in object_polys(spec, 1, w):
                     if c.is_zero():
                         continue
                     if a * a + b * c == one:
@@ -249,10 +273,11 @@ def full_product_obstruction_search(spec, window):
     """serretree.dihedral_obstruction_search by forming g*s*g for every
     pair and testing its valuations: the lower-left entry is a unit (P1),
     the upper-right one has a t^1 term (P2).  Reads the families through
-    serretree.involution_families, so a test can replace them there."""
-    fam_b = serretree.involution_families(spec, "B", window)
-    fam_1 = serretree.involution_families(spec, "P1-B", window)
-    fam_2 = serretree.involution_families(spec, "P2-B", window)
+    serretree.involution_families, so a test can replace them there, and
+    makes each member a Mat2 with member_mat2."""
+    fam_b = member_mat2s(spec, "B", window)
+    fam_1 = member_mat2s(spec, "P1-B", window)
+    fam_2 = member_mat2s(spec, "P2-B", window)
     violations = []
     for s in fam_b:
         bad1 = [g1 for g1 in fam_1 if g1.mul(s).mul(g1).c.valuation() == 0]

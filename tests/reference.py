@@ -14,10 +14,13 @@ The Dickson table as it was written, one branch per ambient, is kept as
 the oracle of the one-skeleton groups.dickson_table, the F_q tables as
 they were built one entry and one power at a time as the oracle of the
 rotated and gathered FieldSpec._build_tables, and the characteristic-2
-involution families as they were solved on LaurentPoly objects as the
-oracle of serretree.involution_families, which solves them on F_q codes.
+involution families as they were solved on LaurentPoly objects, with
+their LaurentPoly candidates (object_polys, object_candidates), as the
+oracle of serretree.involution_families, which solves them on F_q codes
+and returns code triples (oracles.member_mat2 makes each a Mat2).
 """
 
+import itertools
 from collections import Counter, namedtuple
 from math import gcd
 from operator import itemgetter
@@ -34,8 +37,8 @@ from kmlat.kmaction import (EdgeLabel, RootIndex, RootLetter,
                             _check_alternating, _power_is_identity,
                             apply_word, check_zp_size, letter_table)
 from kmlat.laurent import LaurentPoly
-from kmlat.serretree import (Mat2, Vertex, _candidates, act,
-                             check_dihedral_size, vertex_distance)
+from kmlat.serretree import (Mat2, Vertex, act, check_dihedral_size,
+                             vertex_distance)
 
 
 # --- the tree: identity, base vertices and edge, membership, distance -----
@@ -736,17 +739,45 @@ def tables_by_powers(spec):
 
 # --- the involution families as solved on LaurentPoly objects -------------
 
+def object_polys(spec, lo, hi):
+    """All Laurent polys supported on pi-degrees lo..hi, in product order
+    with the pi^hi coefficient varying slowest."""
+    degs = range(hi, lo - 1, -1)
+    for codes in itertools.product(range(spec.q), repeat=len(degs)):
+        yield LaurentPoly(spec, dict(zip(degs, codes)))
+
+
+def object_candidates(spec, region, w):
+    """The candidate b and c of the involutions [[a,b],[c,a]] of a region,
+    on pi-degrees up to w:
+      B:    b on pi-degrees 0..w, c on 1..w;
+      P1-B: b on 0..w, c on 0..w with a nonzero pi^0 coefficient (a unit);
+      P2-B: b on -1..w with a nonzero pi^-1 coefficient, c on 1..w.
+    b reaches pi^-1 only where c starts at pi^1, so 1 + bc lies on 0..2w."""
+    if region == "B":
+        return list(object_polys(spec, 0, w)), list(object_polys(spec, 1, w))
+    if region == "P1-B":
+        return (list(object_polys(spec, 0, w)),
+                [c for c in object_polys(spec, 0, w) if 0 in c.coeffs])
+    if region == "P2-B":
+        return ([b for b in object_polys(spec, -1, w) if -1 in b.coeffs],
+                list(object_polys(spec, 1, w)))
+    raise SpecMismatch("unknown region %r" % region)
+
+
 def object_involution_families(spec, region, window):
     """serretree.involution_families as it was before it solved on F_q
     codes: 1 + bc and a formed as LaurentPoly objects for every (b, c)
-    candidate of the region.  Same members, order and errors."""
+    candidate of the region, and each member a Mat2.  Same members (as
+    oracles.member_mat2 makes them of the code triples), order and
+    errors."""
     if spec.p != 2:
         raise OddCharacteristic("involution families need p = 2")
     if window > 3:
         raise WindowTooLarge("window %d > 3" % window)
     check_dihedral_size(spec.q, window)
     w = window
-    bs, cs = _candidates(spec, region, w)
+    bs, cs = object_candidates(spec, region, w)
     one = LaurentPoly.one(spec)
     mul = spec._tables()[1]
     sqrt = [0] * spec.q

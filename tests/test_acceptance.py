@@ -15,9 +15,8 @@ from kmlat.kmaction import (EdgeLabel, KMParams, RootIndex, RootLetter,
                             zp_fix_test)
 from kmlat.lattice import (ClassificationInput, build_standard_lattice,
                            classify, lubotzky_check, min_covolume)
-from kmlat.serretree import (Mat2, dihedral_obstruction_search,
-                             involution_families)
-from oracles import mat2_pair
+from kmlat.serretree import Mat2, dihedral_obstruction_search
+from oracles import mat2_pair, member_mat2s
 from reference import (GroupType, alternating_word, crosscheck_affine,
                        mat2_identity, recognize, sl2_group, zp_criterion,
                        zp_fixes_ball2)
@@ -187,9 +186,8 @@ def test_criterion_07_dihedral_obstruction():
     # for s = [[a,b],[c,a]] and gamma = [[e,f],[g,e]] with e^2 + fg = 1,
     # gamma s gamma = [[a+beg+cef, be^2+cf^2], [bg^2+ce^2, a+beg+cef]]
     rng = random.Random(0)
-    s_pool = involution_families(spec, "B", 2)
-    g_pool = (involution_families(spec, "P1-B", 2)
-              + involution_families(spec, "P2-B", 2))
+    s_pool = member_mat2s(spec, "B", 2)
+    g_pool = member_mat2s(spec, "P1-B", 2) + member_mat2s(spec, "P2-B", 2)
     for _ in range(100):
         s = rng.choice(s_pool)
         gamma = rng.choice(g_pool)

@@ -61,12 +61,13 @@ TO_ORACLES = {"_mult_matrix": "mult_matrix", "ext_one": "ext_one",
 # the report writers deleted when cli.main became the one writer, the
 # exceptional rows' table, deleted when classify derived them by
 # arithmetic, the eigenvector alignment, deleted when build_standard_lattice
-# came to align by a unipotent (tests/oracles.py keeps it), and
-# FiniteGroup.identity, which the tests replaced by CODE_ONE
+# came to align by a unipotent (tests/oracles.py keeps it),
+# FiniteGroup.identity, which the tests replaced by CODE_ONE, and the
+# dihedral search's scalar helpers, folded into its loop over code triples
 DELETED = {"_trace_order_map", "_trace_class", "_SEARCH_BUDGET", "_emit",
            "VerificationReport.to_json_dict", "LatticeDescriptor.to_json_dict",
            "EXCEPTIONAL_TABLE", "_diagonalizing_conjugator",
-           "FiniteGroup.identity"}
+           "FiniteGroup.identity", "_low_squares", "_p1_hits", "_p2_hits"}
 
 
 def definitions(source):

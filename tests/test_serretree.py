@@ -13,7 +13,8 @@ from kmlat.serretree import (Mat2, act, dihedral_obstruction_search,
                              elementary_divisor_valuations,
                              involution_families, neighbors, vertex_distance)
 from oracles import (enumerated_involution_families,
-                     full_product_obstruction_search)
+                     full_product_obstruction_search, mat2_member,
+                     member_mat2s)
 from reference import (Edge, base_edge, edge_act, edge_distance,
                        mat2_identity, membership, object_involution_families,
                        vertex_x1, vertex_x2)
@@ -186,7 +187,7 @@ def test_stabilizer_of_base_edge():
 
 def test_involution_families_are_involutions():
     for region in ("B", "P1-B", "P2-B"):
-        fam = involution_families(F2, region, 2)
+        fam = member_mat2s(F2, region, 2)
         assert fam
         for m in fam:
             assert m.mul(m) == mat2_identity(F2)
@@ -211,7 +212,7 @@ def test_involution_family_size_window1():
 
 
 def test_polys_take_pi_degrees_with_the_top_one_slowest():
-    assert [x.coeffs for x in serretree._polys(F2, -1, 0)] == [
+    assert list(serretree._polys(F2, -1, 0)) == [
         {}, {-1: 1}, {0: 1}, {0: 1, -1: 1}]
 
 
@@ -228,7 +229,8 @@ def test_candidates_keep_one_plus_bc_in_the_window():
                 bs, cs = serretree._candidates(spec, region, w)
                 for b in bs:
                     for c in cs:
-                        r = one + b * c
+                        r = one + (LaurentPoly(spec, b)
+                                   * LaurentPoly(spec, c))
                         assert all(0 <= d <= 2 * w for d in r.coeffs)
                         pairs += 1
     assert pairs == 8154
@@ -279,7 +281,7 @@ def test_involution_families_check_the_size_after_p_and_window():
 def test_solved_families_equal_enumerated(spec, window, region):
     """Solving a^2 = 1 + bc for a gives the members, in the order, that
     trying every (a, b, c) gives; criterion 7 samples them by index."""
-    assert (involution_families(spec, region, window)
+    assert (member_mat2s(spec, region, window)
             == enumerated_involution_families(spec, region, window))
 
 
@@ -289,7 +291,7 @@ def test_code_families_equal_object_families(q, window, region):
     """Solving a^2 = 1 + bc on F_q codes gives the Mat2 list, member for
     member and in order, that solving it on LaurentPoly objects gives."""
     spec = make_field(2, q.bit_length() - 1)
-    assert (involution_families(spec, region, window)
+    assert (member_mat2s(spec, region, window)
             == object_involution_families(spec, region, window))
 
 
@@ -299,6 +301,10 @@ def test_search_makes_no_laurent_products_or_sums(q, window, monkeypatch):
     neither LaurentPoly.__mul__ nor LaurentPoly.__add__.  With the object
     solve in place of the families, the same counters see one product and
     one sum per (b, c) candidate pair, over 300 of each."""
+    def object_triples(spec, region, window):
+        return [mat2_member(m, window)
+                for m in object_involution_families(spec, region, window)]
+
     calls = {"__mul__": 0, "__add__": 0}
     for name in calls:
         def counted(self, other, real=getattr(LaurentPoly, name), name=name):
@@ -309,10 +315,32 @@ def test_search_makes_no_laurent_products_or_sums(q, window, monkeypatch):
     out = dihedral_obstruction_search(spec, window)
     assert out["triples_checked"] > 0
     assert calls == {"__mul__": 0, "__add__": 0}
-    monkeypatch.setattr(serretree, "involution_families",
-                        object_involution_families)
+    monkeypatch.setattr(serretree, "involution_families", object_triples)
     assert dihedral_obstruction_search(spec, window) == out
     assert calls["__mul__"] > 300 and calls["__add__"] > 300
+
+
+@pytest.mark.parametrize("q,window", [(2, 3), (4, 1)])
+def test_search_builds_no_laurent_poly_or_mat2(q, window, monkeypatch):
+    """The families are code triples and the pair loop reads their codes,
+    so a search with no violation constructs no LaurentPoly and no Mat2.
+    The object solve of the same three families, under the same counters,
+    constructs one Mat2 per member (95 at q = 2, 159 at q = 4) and more
+    LaurentPolys still."""
+    calls = {LaurentPoly: 0, Mat2: 0}
+    for cls in calls:
+        def counted(self, *args, real=cls.__init__, cls=cls):
+            calls[cls] += 1
+            real(self, *args)
+        monkeypatch.setattr(cls, "__init__", counted)
+    spec = make_field(2, q.bit_length() - 1)
+    out = dihedral_obstruction_search(spec, window)
+    assert out["triples_checked"] > 0 and out["violations"] == []
+    assert calls == {LaurentPoly: 0, Mat2: 0}
+    for region in ("B", "P1-B", "P2-B"):
+        object_involution_families(spec, region, window)
+    members = sum(out["family_sizes"].values())
+    assert calls[Mat2] == members and calls[LaurentPoly] > members
 
 
 @pytest.mark.parametrize("spec,window", FAMILY_SIZES,
@@ -321,7 +349,7 @@ def test_b_family_has_b0_c1_zero(spec, window):
     """a^2 has even pi-degrees only, so the pi^1 coefficient of bc = 1 + a^2
     is b_0 c_1 = 0: the reason dihedral_obstruction_search finds nothing."""
     mul = spec._tables()[1]
-    for m in involution_families(spec, "B", window):
+    for m in member_mat2s(spec, "B", window):
         assert mul[m.b.coeffs.get(0, 0)][m.c.coeffs.get(1, 0)] == 0
 
 
@@ -341,37 +369,63 @@ def test_search_equals_full_product_oracle(spec, window):
 
 @pytest.mark.parametrize("spec,window", PAIR_SIZES,
                          ids=lambda x: str(getattr(x, "q", x)))
-def test_scalar_tests_equal_full_products(spec, window):
-    """For every s in B and every gamma in P1-B or P2-B, the two scalar
-    tests the search calls agree with the valuations of g*s*g itself; each
-    helper is given one gamma at a time, and hits it or returns []."""
-    add, mul = spec._tables()[:2]
-    gammas = [(g, serretree._low_squares(g))
-              for g in involution_families(spec, "P1-B", window)
-              + involution_families(spec, "P2-B", window)]
-    for s in involution_families(spec, "B", window):
-        for g, squares in gammas:
-            h = g.mul(s).mul(g)
-            keyed = [(g, squares)]
-            assert (serretree._p1_hits(add, mul, s, keyed) == [g],
-                    serretree._p2_hits(mul, s, keyed) == [g]) == (
-                h.c.valuation() == 0, h.b.coeffs.get(-1, 0) != 0)
+def test_scalar_tests_equal_full_products(spec, window, monkeypatch):
+    """The search's two scalar tests agree with the valuations of g*s*g
+    itself, for every gamma in P1-B or P2-B and every value of the terms
+    of s that they read.  No B involution hits both, so each test is seen
+    alone, against one gamma that passes the other, with s planted after
+    the B family: s = [[1,b_0],[c_0 + pi,1]] for every (b_0, c_0) with
+    the first P2-B member alone as gamma_2 (c_1 f_-1^2 = f_-1^2 != 0),
+    then s = [[1,1],[c_1 pi,1]] for every c_1 with the first P1-B member
+    alone as gamma_1 (b_0 g_0^2 + c_0 e_0^2 = g_0^2 != 0).  The product
+    g*s*g has those entries for any s = [[a,b],[c,a]], involution or not."""
+    real = serretree.involution_families
+    one, codes = (0,) * window + (1,), range(spec.q)
+
+    def nonzero(terms):
+        return {d: x for d, x in terms.items() if x}
+
+    runs = [("P2-B", [(one, nonzero({0: b0}), nonzero({0: c0, 1: 1}))
+                      for b0 in codes for c0 in codes]),
+            ("P1-B", [(one, {0: 1}, nonzero({1: c1})) for c1 in codes])]
+    for witness, planted in runs:
+        def families(spec, region, window):
+            fam = real(spec, region, window)
+            if region == "B":
+                return fam + planted
+            return fam[:1] if region == witness else fam
+
+        monkeypatch.setattr(serretree, "involution_families", families)
+        out = dihedral_obstruction_search(spec, window)
+        assert out["violations"]
+        assert out == full_product_obstruction_search(spec, window)
 
 
 def test_violations_are_reported_in_oracle_order(monkeypatch):
     """No genuine B involution has b_0 c_1 != 0, so plant two matrices that
-    do among the B family: [[1,1],[t^-1,1]] hits every P1-B and P2-B member,
-    and [[1,1],[1+t^-1,1]] also has c_0 != 0, so whether its lower-left
-    entry b g^2 + c e^2 is a unit depends on the c e^2 term."""
+    do among the B family, as code triples: [[1,1],[t^-1,1]] hits every
+    P1-B and P2-B member, and [[1,1],[1+t^-1,1]] also has c_0 != 0, so
+    whether its lower-left entry b g^2 + c e^2 is a unit depends on the
+    c e^2 term.  The search builds three Mat2 per reported triple and no
+    other."""
     real = serretree.involution_families
     planted = [mat(F2, "1,1;t^-1,1"), mat(F2, "1,1;1+t^-1,1")]
 
     def families(spec, region, window):
         fam = real(spec, region, window)
-        return fam[:2] + planted + fam[2:] if region == "B" else fam
+        codes = [mat2_member(m, window) for m in planted]
+        return fam[:2] + codes + fam[2:] if region == "B" else fam
 
     monkeypatch.setattr(serretree, "involution_families", families)
+    built = []
+
+    def counted(self, *args, real=Mat2.__init__):
+        built.append(self)
+        real(self, *args)
+
+    monkeypatch.setattr(Mat2, "__init__", counted)
     out = dihedral_obstruction_search(F2, 1)
+    assert len(built) == 3 * len(out["violations"])  # the report's Mat2 only
     assert out["violations"]
     assert out == full_product_obstruction_search(F2, 1)
     assert {s for s, _, _ in out["violations"]} == set(planted)
