@@ -4,10 +4,8 @@ Exit codes: 0 on success, 1 on a domain error (JSON {"error", "detail"}),
 2 on usage errors (argparse).
 """
 
-from __future__ import annotations
-
 import functools
-import json
+import gc
 import sys
 import types
 
@@ -43,7 +41,7 @@ def _int_type(name, least=None, most=None):  # argparse names it __name__
 any_int = _int_type("int")
 non_negative_int = _int_type("non_negative_int", 0)
 positive_int = _int_type("positive_int", 1, 1 << 64)  # zp-test prints 2n+2
-indent_int = _int_type("non_negative_int", 0, 64)  # json.dumps makes N spaces
+indent_int = _int_type("non_negative_int", 0, 64)  # dumps makes N spaces
 
 
 def _field_for(q_text):
@@ -280,18 +278,105 @@ def build_parser():
     return parser
 
 
+_ESCAPED = {'"': '\\"', "\\": "\\\\", "\b": "\\b", "\f": "\\f", "\n": "\\n",
+            "\r": "\\r", "\t": "\\t"}
+
+
+def _plain(text):
+    """Whether json.dumps writes text unescaped: " " to "~" but " and \\."""
+    return (text.isascii() and text.isprintable() and '"' not in text
+            and "\\" not in text)
+
+
+def _quote(text):
+    """text as a JSON string, escaped as json.dumps's ensure_ascii does:
+    _ESCAPED's seven by their short escapes, every other character outside
+    " " to "~" as \\uXXXX, and one above U+FFFF as a surrogate pair."""
+    if _plain(text):
+        return f'"{text}"'
+    out = []
+    for c in text:
+        n = ord(c)
+        if n > 0xffff:
+            n -= 0x10000
+            c = "\\u%04x\\u%04x" % (0xd800 | n >> 10, 0xdc00 | n & 0x3ff)
+        elif c in _ESCAPED:
+            c = _ESCAPED[c]
+        elif not " " <= c <= "~":
+            c = "\\u%04x" % n
+        out.append(c)
+    return '"' + "".join(out) + '"'
+
+
+def dumps(value, indent=None, _newline="\n"):
+    """json.dumps(value, indent=indent, sort_keys=True), without json (its
+    decoder imports re and enum), for the types a report holds: dict with
+    str keys, list, tuple, str, int, bool and None; any other type, a
+    subclass too, raises TypeError.  _newline is the line break and indent
+    of value's own level.  The writer runs once per process, so its first
+    call is what a run pays: types are told apart by class, the ints and
+    strs of a container are written in its loop, and a dict's keys are
+    checked for escapes all at once."""
+    cls = value.__class__
+    if cls is dict or cls is list or cls is tuple:
+        ends = "{}" if cls is dict else "[]"
+        if not value:
+            return ends
+        inner = _newline if indent is None else _newline + " " * indent
+        items = []
+        if cls is dict:
+            keys = sorted(value)
+            plain = _plain("".join(keys))  # TypeError for a key not a str
+            for key in keys:
+                v = value[key]
+                c = v.__class__
+                key = f'"{key}"' if plain else _quote(key)
+                items.append(f"{key}: {v!r}" if c is int
+                             else f"{key}: {_quote(v)}" if c is str
+                             else f"{key}: {dumps(v, indent, inner)}")
+        else:
+            for v in value:
+                items.append(repr(v) if v.__class__ is int
+                             else dumps(v, indent, inner))
+        if indent is None:
+            return ends[0] + ", ".join(items) + ends[1]
+        return ends[0] + inner + ("," + inner).join(items) + _newline + ends[1]
+    if cls is str:
+        return _quote(value)
+    if cls is int:
+        return repr(value)
+    if value is None:
+        return "null"
+    if cls is bool:
+        return "true" if value else "false"
+    raise TypeError("%s is not a report type" % cls.__name__)
+
+
 def main(argv=None):
     argv = sys.argv[1:] if argv is None else argv
-    args = fast_parse(argv) or build_parser().parse_args(argv)
-    code, indent = 0, args.json_indent
+    # The import leaves gc.get_count() at about (530, 11, 0), so the run's
+    # first collection would be a generation-1 pass over the objects the
+    # import made, at a point that moves with the size of the import.
+    # Frozen, they are in no collection, and the count starts again from 0.
+    # What a caller froze stays frozen: then nothing is frozen or unfrozen.
+    freeze = not gc.get_freeze_count()
+    if freeze:
+        gc.freeze()
     try:
-        report = dict(COMMANDS[args.command][1](args), command=args.command)
-    except KmlatError as exc:  # an error report is never indented
-        code, indent = 1, None
-        report = {"error": type(exc).__name__, "detail": str(exc)}
-    report["schema"] = SCHEMA
-    print(json.dumps(report, indent=indent, sort_keys=True))
-    return code
+        args = fast_parse(argv) or build_parser().parse_args(argv)
+        code, indent = 0, args.json_indent
+        try:
+            report = dict(COMMANDS[args.command][1](args),
+                          command=args.command)
+        except KmlatError as exc:  # an error report is never indented
+            code, indent = 1, None
+            report = {"error": type(exc).__name__, "detail": str(exc)}
+        report["schema"] = SCHEMA
+        print(dumps(report, indent))
+        return code
+    finally:
+        if freeze:
+            gc.unfreeze()
 
 
 if __name__ == "__main__":

@@ -15,8 +15,6 @@ element x + y*w is x*I + y*C, held as the code 4-tuple (a, b, c, d) of a
 2x2 matrix.  Its product is code_mul and its norm the determinant.
 """
 
-from __future__ import annotations
-
 from functools import lru_cache
 from itertools import chain
 from operator import itemgetter

@@ -9,8 +9,6 @@ Recognition by structural invariants is reference code for the tests, in
 tests/reference.py.
 """
 
-from __future__ import annotations
-
 from collections import Counter, namedtuple
 from math import gcd
 

@@ -11,8 +11,6 @@ against exact matrices on the Bruhat-Tits tree (crosscheck_affine in
 tests/reference.py).
 """
 
-from __future__ import annotations
-
 from collections import Counter, namedtuple
 from functools import lru_cache
 from operator import itemgetter

@@ -11,8 +11,6 @@ q and center order, its exceptional psl rows by Lubotzky's condition.
 An exceptional A1 is aligned by the unipotent that fixes infinity.
 """
 
-from __future__ import annotations
-
 from collections import namedtuple
 from math import gcd, prod
 

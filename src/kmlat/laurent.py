@@ -9,10 +9,7 @@ pi-degree -1, so v(t) = -1 and v(pi) = 1.  Degrees are capped at
 truncating.
 """
 
-from __future__ import annotations
-
 import math
-import re
 
 from .errors import DegreeWindowExceeded, InvalidInput, SpecMismatch
 from .gf import parse_code
@@ -131,6 +128,7 @@ _TERM = r"(?:([0-9]+)\*?)?(?:t(?:\^(-?[0-9]+))?)?"
 def parse_laurent(spec, text):
     """Parse entries like "t", "1+t^-1", "2*t^2+1".  Coefficients are codes
     in 0..q-1; a malformed literal or another code is InvalidInput."""
+    import re  # only tree parses a literal, so no other run loads re or enum
     text = text.replace(" ", "")
     if not text:
         raise InvalidInput("empty Laurent literal")

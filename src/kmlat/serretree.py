@@ -13,8 +13,6 @@ vertices, and edges (Edge, its action and its distance) are reference
 code for the tests, in tests/reference.py.
 """
 
-from __future__ import annotations
-
 import itertools
 
 from .errors import (NonInvertible, OddCharacteristic, SizeCapExceeded,

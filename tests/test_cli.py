@@ -1,6 +1,7 @@
 """CLI: JSON output shape, determinism, and exit codes."""
 
 import argparse
+import gc
 import json
 import os
 import subprocess
@@ -12,6 +13,7 @@ import pytest
 
 from kmlat import cli, kmaction, serretree
 from kmlat.errors import InvalidInput
+from test_verify_golden import benchmark_workloads
 
 if sys.version_info >= (3, 11):
     import tomllib
@@ -431,9 +433,8 @@ def test_a_run_never_probes_the_terminal():
 
 
 def test_a_run_never_imports_typing():
-    """No kmlat module imports typing: annotations stay strings under
-    `from __future__ import annotations`.  Run as the benchmark runs a
-    job: -E -S, src on sys.path."""
+    """No kmlat module imports typing: src has no annotations that would
+    need it.  Run as the benchmark runs a job: -E -S, src on sys.path."""
     code = ("import sys; sys.path.insert(0, %r); import kmlat.cli; "
             "rc = [kmlat.cli.main(argv) for argv in (['verify', '--q', '5', "
             "'--kind', 'torus_normalizer'], ['classify', '--p', '7', '--q', "
@@ -544,6 +545,81 @@ def test_a_run_never_imports_fractions_decimal_or_numbers():
                          capture_output=True, text=True)
     assert out.returncode == 0, out.stderr
     assert out.stderr == "(%r, [])" % ([0] * len(SUBCOMMANDS))
+
+
+# modules no run loads, and why: typing (src has no annotations and no
+# `from __future__ import annotations`), dataclasses and inspect (the
+# records are namedtuples and plain classes), fractions, decimal and
+# numbers (a covolume is "n/d" text computed on integers), and json, re and
+# enum (cli.dumps writes the report without json, whose decoder imports re)
+UNLOADED = ("typing", "dataclasses", "inspect", "fractions", "decimal",
+            "numbers", "json", "re", "enum")
+
+
+def test_a_run_loads_none_of_the_unloaded_modules():
+    """One fresh interpreter, run as the benchmark runs a job (-E -S, src
+    on sys.path), runs every VALID_RUNS argv and the first job of each
+    benchmark workload, tree last.  Each exits 0, and none loads a module
+    of UNLOADED, except that tree imports re, and with it enum, to parse
+    its Laurent literals."""
+    argvs = [[c, *VALID_RUNS[c]] for c in SUBCOMMANDS if c != "tree"]
+    argvs += [list(jobs[0]) for jobs in benchmark_workloads().values()]
+    argvs.append(["tree", *VALID_RUNS["tree"]])
+    code = ("import sys; sys.path.insert(0, %r); import kmlat.cli\n"
+            "for argv in %r:\n"
+            "    rc = kmlat.cli.main(argv)\n"
+            "    print(rc, sorted(set(%r) & set(sys.modules)), "
+            "file=sys.stderr)\n" % (str(SRC), argvs, UNLOADED))
+    out = subprocess.run([sys.executable, "-E", "-S", "-c", code],
+                         capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr
+    assert out.stderr.splitlines() == (["0 []"] * (len(argvs) - 1)
+                                       + ["0 ['enum', 're']"])
+
+
+@pytest.mark.parametrize("before", ["enabled", "disabled", "frozen"])
+@pytest.mark.parametrize("argv,code", [
+    (("verify",) + VALID_RUNS["verify"], 0),
+    (("verify", "--q", "6", "--kind", "torus_normalizer"), 1),
+    (("verify", "--q", "5"), 2), (("--help",), 0)],
+    ids=["report", "error", "usage", "help"])
+def test_main_leaves_the_gc_as_it_found_it(capsys, argv, code, before):
+    """Whether main returns a report or an error, or argparse exits for a
+    usage error or help, the GC is on or off as before, and exactly what
+    was frozen before is frozen after: a caller's frozen objects too."""
+    enabled = gc.isenabled()
+    if before == "disabled":
+        gc.disable()
+    elif before == "frozen":
+        gc.freeze()
+    try:
+        state = gc.isenabled(), gc.get_freeze_count()
+        assert _in_process(capsys, argv)[0] == code
+        assert (gc.isenabled(), gc.get_freeze_count()) == state
+    finally:
+        gc.unfreeze()
+        if enabled:
+            gc.enable()
+
+
+def test_a_run_collects_none_of_the_objects_the_import_made():
+    """After the import, gc.get_count() is about (530, 11, 0), and this
+    run makes enough objects to pass generation 0's threshold of 700 from
+    there: without the freeze in main, a collection starts inside it.  The
+    freeze takes the import's objects out and starts the count again, so
+    none does.  Run as the benchmark runs a job: -E -S, src on sys.path."""
+    code = ("import gc, sys; sys.path.insert(0, %r); import kmlat.cli\n"
+            "starts = []\n"
+            "gc.callbacks.append(lambda phase, info: phase == 'start' "
+            "and starts.append(info['generation']))\n"
+            "rc = kmlat.cli.main(['verify', '--q', '29', '--kind', "
+            "'SL2(5)'])\n"
+            "print(rc, starts, file=sys.stderr)\n" % str(SRC))
+    out = subprocess.run([sys.executable, "-E", "-S", "-c", code],
+                         capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr
+    assert json.loads(out.stdout)["passes"] is True
+    assert out.stderr == "0 []\n"
 
 
 @pytest.mark.parametrize("argv", NAMED_RUNS, ids=" ".join)
