@@ -115,8 +115,8 @@ def _classification_input(args):
 
 # each cmd_* returns its report; main adds "command" and "schema"
 def cmd_classify(args):
-    rows = lattice.classify(_classification_input(args))
-    return {"q": args.q, "rows": [r._asdict() for r in rows]}
+    return {"q": args.q,
+            "rows": lattice.classify(_classification_input(args))}
 
 
 def cmd_min_covolume(args):
@@ -126,16 +126,13 @@ def cmd_min_covolume(args):
 
 def cmd_dickson(args):
     spec = _field_for(args.q)
-    rows = groups.dickson_table(spec, args.ambient)
     return {"q": spec.q, "ambient": args.ambient,
-            "rows": [r._asdict() for r in rows]}
+            "rows": groups.dickson_table(spec, args.ambient)}
 
 
 def cmd_verify(args):
-    spec = _field_for(args.q)
-    report = lattice.lubotzky_check(
-        lattice.build_standard_lattice(spec, args.kind))
-    return dict(report._asdict(), kind=args.kind)
+    a1 = lattice.build_standard_lattice(_field_for(args.q), args.kind)
+    return dict(lattice.lubotzky_check(a1), kind=args.kind)
 
 
 def cmd_km_act(args):
@@ -157,9 +154,7 @@ def cmd_zp_test(args):
 
 def cmd_dihedral_search(args):
     spec = _field_for(args.q)
-    report = serretree.dihedral_obstruction_search(spec, args.window)
-    return dict(report, violations=[[str(m) for m in triple]
-                                    for triple in report["violations"]])
+    return serretree.dihedral_obstruction_search(spec, args.window)
 
 
 def cmd_tree(args):

@@ -9,7 +9,6 @@ Recognition by structural invariants is reference code for the tests, in
 tests/reference.py.
 """
 
-from collections import Counter, namedtuple
 from math import gcd
 
 from .errors import (NotASubgroup, NotFound, OddCharacteristic,
@@ -169,9 +168,9 @@ def torus_normalizer(spec):
 
 
 # element-order profiles of the binary polyhedral groups (order -> count)
-PROFILE_SL2_3 = Counter({1: 1, 2: 1, 3: 8, 4: 6, 6: 8})
-PROFILE_SL2_5 = Counter({1: 1, 2: 1, 3: 20, 4: 30, 5: 24, 6: 20, 10: 24})
-PROFILE_2S4 = Counter({1: 1, 2: 1, 3: 8, 4: 18, 6: 8, 8: 12})
+PROFILE_SL2_3 = {1: 1, 2: 1, 3: 8, 4: 6, 6: 8}
+PROFILE_SL2_5 = {1: 1, 2: 1, 3: 20, 4: 30, 5: 24, 6: 20, 10: 24}
+PROFILE_2S4 = {1: 1, 2: 1, 3: 8, 4: 18, 6: 8, 8: 12}
 
 
 def order_available(spec, d):
@@ -237,12 +236,10 @@ def find_subgroup_of_type(spec, kind):
     return FiniteGroup(spec, h, (x, y))
 
 
-DicksonEntry = namedtuple("DicksonEntry", "type order div_q_plus_1 source")
-
-
 def dickson_table(spec, ambient):
     """Subgroup-type table for PSL2/SL2/PGL2 over F_q (Dickson, Linear
-    Groups, 1901; Huppert, Endliche Gruppen I, II.8.27).
+    Groups, 1901; Huppert, Endliche Gruppen I, II.8.27), as a list of
+    row dicts with keys type, order, div_q_plus_1 and source.
 
     Rows list the maximal members of each family: cyclic and dihedral rows
     are stated at their largest order.  The list is not closed under
@@ -259,11 +256,12 @@ def dickson_table(spec, ambient):
     if p == 2:
         ambient = "psl2"
     src = "%s-subgroup-classification" % ambient
-    rows = {}  # (type, order) -> entry; small q collapses some families
+    rows = {}  # (type, order) -> row; small q collapses some families
 
     def add(t, order):
-        rows.setdefault((t, order),
-                        DicksonEntry(t, order, order % (q + 1) == 0, src))
+        rows.setdefault((t, order), {"type": t, "order": order,
+                                     "div_q_plus_1": order % (q + 1) == 0,
+                                     "source": src})
 
     d = gcd(2, q - 1) if ambient == "psl2" else 1
     for n in ((q - 1) // d, (q + 1) // d):

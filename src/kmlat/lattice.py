@@ -8,7 +8,9 @@ stabilizers and A1 cap A2 off A1's F_q codes and closes the kernel under
 conjugation by A1's generators, so it needs no Laurent arithmetic.  The
 classification side lists the edge-transitive lattice shapes at a given
 q and center order, its exceptional psl rows by Lubotzky's condition.
-An exceptional A1 is aligned by the unipotent that fixes infinity.
+An exceptional A1 is aligned by the unipotent that fixes infinity.  A
+report, lubotzky_check's or a classify row, is the plain dict the CLI
+prints.
 """
 
 from collections import namedtuple
@@ -51,12 +53,6 @@ def covolume(orders):
     return "%d/%d" % (n // g, d // g)
 
 
-VerificationReport = namedtuple(
-    "VerificationReport", "q passes orbit_sizes stab_orders "
-    "intersection_order kernel_order covolume a1_order a2_order notes",
-    defaults=((),))
-
-
 def lubotzky_check(a1):
     """Edge-transitivity test for the standard pair (A1, A2), with
     A2 = delta A1 delta^-1 and delta = diag(t, 1), read off A1's codes.
@@ -92,12 +88,12 @@ def lubotzky_check(a1):
         notes.append("neighbor action not transitive")
     if not cond_stab:
         notes.append("opposite-vertex stabilizer differs from A1 cap A2")
-    return VerificationReport(
-        q=q, passes=passes, orbit_sizes=(o1, o2),
-        stab_orders=(len(stab1), len(stab2)),
-        intersection_order=len(inter), kernel_order=len(kernel),
-        covolume=covolume([a1.order, a1.order]),
-        a1_order=a1.order, a2_order=a1.order, notes=tuple(notes))
+    return {"q": q, "passes": passes, "orbit_sizes": (o1, o2),
+            "stab_orders": (len(stab1), len(stab2)),
+            "intersection_order": len(inter), "kernel_order": len(kernel),
+            "covolume": covolume([a1.order, a1.order]),
+            "a1_order": a1.order, "a2_order": a1.order,
+            "notes": tuple(notes)}
 
 
 # --- classification -------------------------------------------------------
@@ -150,22 +146,16 @@ class ClassificationInput(namedtuple(
 
 
 # covolume: reduced "n/d" text; delta0: an int, or None on exceptional rows
-LatticeDescriptor = namedtuple(
-    "LatticeDescriptor", "q case a0_order vertex_type covolume delta0 "
-    "exceptional", defaults=(False,))
-
-
 def _row(q, case, a0, vertex, delta0, exceptional=False):
-    return LatticeDescriptor(
-        q=q, case=case, a0_order=a0, vertex_type=vertex,
-        covolume=covolume([(q + 1) * a0] * 2), delta0=delta0,
-        exceptional=exceptional)
+    return {"q": q, "case": case, "a0_order": a0, "vertex_type": vertex,
+            "covolume": covolume([(q + 1) * a0] * 2), "delta0": delta0,
+            "exceptional": exceptional}
 
 
 def classify(inp):
     """All cocompact edge-transitive lattice shapes for the given data.
 
-    Returns a list of LatticeDescriptor rows; empty means no such lattice.
+    Returns a list of row dicts; empty means no such lattice.
     A psl row is a standard pair that passes lubotzky_check.  A1 = H of
     SUBGROUP_TARGETS passes only if (q+1) | |H|, as A1 is transitive on
     P^1(F_q); d0 = |H|/(q+1) is even, as -I, H's one involution, is
@@ -228,9 +218,9 @@ def min_covolume(inp):
     if not rows:
         raise MinUndefined("no edge-transitive lattice for this input")
     # an exceptional row's delta0 is None
-    best = max([r for r in rows if not r.exceptional] or rows,
-               key=lambda r: r.a0_order)
-    return best.covolume, best.delta0
+    best = max([r for r in rows if not r["exceptional"]] or rows,
+               key=lambda r: r["a0_order"])
+    return best["covolume"], best["delta0"]
 
 
 # --- standard pairs -------------------------------------------------------

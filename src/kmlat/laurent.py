@@ -121,31 +121,28 @@ class LaurentPoly:
         return "LaurentPoly(%s)" % str(self)
 
 
-# compiled by re's own cache on the first parse, not at import
-_TERM = r"(?:([0-9]+)\*?)?(?:t(?:\^(-?[0-9]+))?)?"
-
-
 def parse_laurent(spec, text):
     """Parse entries like "t", "1+t^-1", "2*t^2+1".  Coefficients are codes
-    in 0..q-1; a malformed literal or another code is InvalidInput."""
-    import re  # only tree parses a literal, so no other run loads re or enum
+    in 0..q-1; a malformed literal or another code is InvalidInput.
+
+    A term is [c[*]][t[^e]], not empty, with c ASCII digits and e ASCII
+    digits after an optional "-"; spaces are dropped first."""
     text = text.replace(" ", "")
     if not text:
         raise InvalidInput("empty Laurent literal")
     out = LaurentPoly.zero(spec)
     for term in text.split("+"):
-        m = re.fullmatch(_TERM, term)
-        if not m or term == "":
+        head, t, exp = term.partition("t")
+        coeff, power = head.removesuffix("*"), exp[1:].removeprefix("-")
+        if (not (head or t)
+                or head and not (coeff.isascii() and coeff.isdigit())
+                or exp and not (exp[0] == "^" and power.isascii()
+                                and power.isdigit())):
             raise InvalidInput("bad Laurent term %r" % term)
-        coeff_s, exp_s = m.groups()
-        if coeff_s is None and "t" not in term:
-            raise InvalidInput("bad Laurent term %r" % term)
-        code = parse_code(coeff_s, spec.q) if coeff_s is not None else 1
-        tdeg = 0
-        if "t" in term:
-            try:
-                tdeg = int(exp_s) if exp_s is not None else 1
-            except ValueError:  # past int()'s limit on digits
-                raise InvalidInput("bad Laurent term %r" % term) from None
+        code = parse_code(coeff, spec.q) if coeff else 1
+        try:
+            tdeg = int(exp[1:]) if exp else 1 if t else 0
+        except ValueError:  # past int()'s limit on digits
+            raise InvalidInput("bad Laurent term %r" % term) from None
         out = out + LaurentPoly(spec, {-tdeg: code})
     return out

@@ -8,9 +8,9 @@ by design and vertices are compared pair by pair.  The module also holds
 the characteristic-two involution families, as F_q code triples, and the
 dihedral obstruction search over them, which tests for each pair the two
 scalars its proof reduces gamma s gamma to and builds matrices only for
-a violation.  Membership in the parahorics P1, P2 and B, the base
-vertices, and edges (Edge, its action and its distance) are reference
-code for the tests, in tests/reference.py.
+a violation, to report their text.  Membership in the parahorics P1, P2
+and B, the base vertices, and edges (Edge, its action and its distance)
+are reference code for the tests, in tests/reference.py.
 """
 
 import itertools
@@ -246,7 +246,7 @@ def dihedral_obstruction_search(spec, window):
     on the families' code triples, with e_0^2, g_0^2 and f_-1^2 read once
     per gamma and s's mul rows once per s, and forms no product gamma s
     gamma.  Only a violation, which no real family has, is built as three
-    Mat2 [[a,b],[c,a]] for the report.
+    Mat2 [[a,b],[c,a]], and reported as their three "a,b;c,d" texts.
     """
     fam_b = involution_families(spec, "B", window)
     fam_1 = involution_families(spec, "P1-B", window)
@@ -272,7 +272,7 @@ def dihedral_obstruction_search(spec, window):
                 a = LaurentPoly(spec, dict(enumerate(reversed(a))))
                 mats.append(Mat2(spec, a, LaurentPoly(spec, b),
                                  LaurentPoly(spec, c), a))
-            violations.append(tuple(mats))
+            violations.append([str(m) for m in mats])
     return {
         "q": spec.q,
         "window": window,

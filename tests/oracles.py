@@ -19,7 +19,7 @@ from kmlat.groups import (CODE_ONE, SUBGROUP_TARGETS, FiniteGroup, code_mul,
                           find_subgroup_of_type, generate, order_available,
                           order_of, sl2_codes)
 from kmlat.kmaction import EdgeLabel, apply_word
-from kmlat.lattice import VerificationReport, covolume
+from kmlat.lattice import covolume
 from kmlat.laurent import LaurentPoly
 from kmlat.serretree import Mat2, act
 from reference import (mat2_identity, membership, object_polys, vertex_x1,
@@ -274,7 +274,8 @@ def full_product_obstruction_search(spec, window):
     pair and testing its valuations: the lower-left entry is a unit (P1),
     the upper-right one has a t^1 term (P2).  Reads the families through
     serretree.involution_families, so a test can replace them there, and
-    makes each member a Mat2 with member_mat2."""
+    makes each member a Mat2 with member_mat2.  A violation is reported as
+    the texts of its three Mat2, as the search reports it."""
     fam_b = member_mat2s(spec, "B", window)
     fam_1 = member_mat2s(spec, "P1-B", window)
     fam_2 = member_mat2s(spec, "P2-B", window)
@@ -285,7 +286,8 @@ def full_product_obstruction_search(spec, window):
             continue
         bad2 = [g2 for g2 in fam_2
                 if g2.mul(s).mul(g2).b.coeffs.get(-1, 0) != 0]
-        violations.extend((s, g1, g2) for g1 in bad1 for g2 in bad2)
+        violations.extend([str(s), str(g1), str(g2)]
+                          for g1 in bad1 for g2 in bad2)
     return {
         "q": spec.q,
         "window": window,
@@ -437,14 +439,14 @@ def trace_copies(spec, kind, first_a=3):
 
 
 def aligned_report(spec, kind, copy):
-    """lubotzky_check's report, as a dict, on the A1 that
+    """lubotzky_check's report on the A1 that
     lattice.build_standard_lattice aligns from the exceptional copy `copy`
     in place of the one groups.find_subgroup_of_type builds; or the class
     name and message of the KmlatError the build or the check raised."""
     with patch.object(lattice, "find_subgroup_of_type", lambda s, k: copy):
         try:
             return lattice.lubotzky_check(
-                lattice.build_standard_lattice(spec, kind))._asdict()
+                lattice.build_standard_lattice(spec, kind))
         except KmlatError as exc:
             return type(exc).__name__, str(exc)
 
@@ -858,9 +860,9 @@ def mat2_lubotzky_check(a1, a2):
         notes.append("neighbor action not transitive")
     if not cond_stab:
         notes.append("opposite-vertex stabilizer differs from A1 cap A2")
-    return VerificationReport(
-        q=q, passes=passes, orbit_sizes=(o1, o2),
-        stab_orders=(len(stab1), len(stab2)),
-        intersection_order=len(inter), kernel_order=kernel.order,
-        covolume=covolume([a1.order, a2.order]),
-        a1_order=a1.order, a2_order=a2.order, notes=tuple(notes))
+    return {"q": q, "passes": passes, "orbit_sizes": (o1, o2),
+            "stab_orders": (len(stab1), len(stab2)),
+            "intersection_order": len(inter), "kernel_order": kernel.order,
+            "covolume": covolume([a1.order, a2.order]),
+            "a1_order": a1.order, "a2_order": a2.order,
+            "notes": tuple(notes)}

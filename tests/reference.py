@@ -17,22 +17,26 @@ rotated and gathered FieldSpec._build_tables, and the characteristic-2
 involution families as they were solved on LaurentPoly objects, with
 their LaurentPoly candidates (object_polys, object_candidates), as the
 oracle of serretree.involution_families, which solves them on F_q codes
-and returns code triples (oracles.member_mat2 makes each a Mat2).
+and returns code triples (oracles.member_mat2 makes each a Mat2).  The
+Laurent literal parser as it was written with one regular expression per
+term (parse_laurent_re) is kept as the oracle of laurent.parse_laurent,
+which reads a term with str.partition.
 """
 
 import itertools
+import re
 from collections import Counter, namedtuple
 from math import gcd
 from operator import itemgetter
 
 from kmlat import kmaction
-from kmlat.errors import (KmlatError, NotASubgroup, NotFound,
-                          OddCharacteristic, SizeCapExceeded, SpecMismatch,
-                          UnsupportedActionDomain, WindowTooLarge)
-from kmlat.gf import _poly_mod, _poly_mul
+from kmlat.errors import (InvalidInput, KmlatError, NotASubgroup,
+                          NotFound, OddCharacteristic, SizeCapExceeded,
+                          SpecMismatch, UnsupportedActionDomain,
+                          WindowTooLarge)
+from kmlat.gf import _poly_mod, _poly_mul, parse_code
 from kmlat.groups import (CODE_ONE, PROFILE_2S4, PROFILE_SL2_3,
-                          PROFILE_SL2_5, DicksonEntry, FiniteGroup, closure,
-                          sl2_codes)
+                          PROFILE_SL2_5, FiniteGroup, closure, sl2_codes)
 from kmlat.kmaction import (EdgeLabel, RootIndex, RootLetter,
                             _check_alternating, _power_is_identity,
                             apply_word, check_zp_size, letter_table)
@@ -120,6 +124,36 @@ def edge_distance(e1, e2):
         return 0
     return 1 + min(vertex_distance(u, v)
                    for u in (e1.v0, e1.v1) for v in (e2.v0, e2.v1))
+
+
+# --- Laurent literals, one regular expression per term ---------------------
+
+_TERM = r"(?:([0-9]+)\*?)?(?:t(?:\^(-?[0-9]+))?)?"
+
+
+def parse_laurent_re(spec, text):
+    """laurent.parse_laurent as it was written with re: the same literals,
+    values and InvalidInput texts."""
+    text = text.replace(" ", "")
+    if not text:
+        raise InvalidInput("empty Laurent literal")
+    out = LaurentPoly.zero(spec)
+    for term in text.split("+"):
+        m = re.fullmatch(_TERM, term)
+        if not m or term == "":
+            raise InvalidInput("bad Laurent term %r" % term)
+        coeff_s, exp_s = m.groups()
+        if coeff_s is None and "t" not in term:
+            raise InvalidInput("bad Laurent term %r" % term)
+        code = parse_code(coeff_s, spec.q) if coeff_s is not None else 1
+        tdeg = 0
+        if "t" in term:
+            try:
+                tdeg = int(exp_s) if exp_s is not None else 1
+            except ValueError:  # past int()'s limit on digits
+                raise InvalidInput("bad Laurent term %r" % term) from None
+        out = out + LaurentPoly(spec, {-tdeg: code})
+    return out
 
 
 # --- finite groups: structure and recognition -----------------------------
@@ -611,7 +645,8 @@ def crosscheck_affine(params, word, e, mode="twisted_phi", radius=6):
 # --- the Dickson table as it was written, one branch per ambient ----------
 
 def _entry(q, t, order, source):
-    return DicksonEntry(t, order, order % (q + 1) == 0, source)
+    return {"type": t, "order": order, "div_q_plus_1": order % (q + 1) == 0,
+            "source": source}
 
 
 def dickson_table_branches(spec, ambient):
@@ -694,7 +729,7 @@ def dickson_table_branches(spec, ambient):
     # dedupe identical rows (small q can collapse several families)
     seen, out = set(), []
     for r in rows:
-        key = (r.type, r.order)
+        key = (r["type"], r["order"])
         if key not in seen:
             seen.add(key)
             out.append(r)

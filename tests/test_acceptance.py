@@ -45,12 +45,12 @@ def test_criterion_01_char2_cyclic_lattices():
         spec = _field(q)
         rep = lubotzky_check(build_standard_lattice(spec, "cyclic_p2"))
         rows = classify(ClassificationInput(2, q, "psl", 1))
-        ok &= rep.passes
-        ok &= rep.intersection_order == 1
-        ok &= Fraction(rep.covolume) == Fraction(2, q + 1)
-        ok &= len(rows) == 1 and not rows[0].exceptional
-        ok &= rows[0].covolume == rep.covolume
-        ok &= rows[0].a0_order == rep.intersection_order
+        ok &= rep["passes"]
+        ok &= rep["intersection_order"] == 1
+        ok &= Fraction(rep["covolume"]) == Fraction(2, q + 1)
+        ok &= len(rows) == 1 and not rows[0]["exceptional"]
+        ok &= rows[0]["covolume"] == rep["covolume"]
+        ok &= rows[0]["a0_order"] == rep["intersection_order"]
     elapsed = time.monotonic() - start
     ok &= elapsed < 5
     _report(1, ok, "q in {2,4,8} cyclic pairs, covolume 2/(q+1), "
@@ -64,9 +64,9 @@ def test_criterion_02_normalizer_lattices_q3mod4():
         spec = _field(q)
         a1 = build_standard_lattice(spec, "torus_normalizer")
         rep = lubotzky_check(a1)
-        ok &= rep.passes
-        ok &= rep.a1_order == 2 * (q + 1) and rep.a2_order == 2 * (q + 1)
-        ok &= Fraction(rep.covolume) == Fraction(1, q + 1)
+        ok &= rep["passes"]
+        ok &= rep["a1_order"] == 2 * (q + 1) and rep["a2_order"] == 2 * (q + 1)
+        ok &= Fraction(rep["covolume"]) == Fraction(1, q + 1)
         m1, m2 = mat2_pair(a1)
         inter = m1.elements & m2.elements
         ident = mat2_identity(spec)
@@ -92,9 +92,9 @@ def test_criterion_03_exceptional_table():
         h = find_subgroup_of_type(spec, kind)
         ok &= h is not None and recognize(h).kind == names[kind]
         rep = lubotzky_check(build_standard_lattice(spec, kind))
-        ok &= rep.passes
-        ok &= rep.intersection_order == a0
-        ok &= rep.a1_order == a0 * (q + 1)  # vertex index q+1
+        ok &= rep["passes"]
+        ok &= rep["intersection_order"] == a0
+        ok &= rep["a1_order"] == a0 * (q + 1)  # vertex index q+1
     elapsed = time.monotonic() - start
     ok &= elapsed < 300
     _report(3, ok, "8 exceptional rows: found, recognized, |A0| and vertex "
@@ -107,8 +107,8 @@ def test_criterion_04_q1mod4_obstruction():
     for q in (13, 17):
         spec = _field(q)
         rep = lubotzky_check(build_standard_lattice(spec, "torus_normalizer"))
-        ok &= not rep.passes
-        ok &= rep.orbit_sizes == ((q + 1) // 2, (q + 1) // 2)
+        ok &= not rep["passes"]
+        ok &= rep["orbit_sizes"] == ((q + 1) // 2, (q + 1) // 2)
         ok &= classify(ClassificationInput(q, q, "psl", 1)) == []
     elapsed = time.monotonic() - start
     ok &= elapsed < 10
@@ -253,12 +253,12 @@ def test_criterion_09_dickson_coverage():
         types = set(seen.values())
         ok &= all(t.kind != "Unknown" for t in types)
         ok &= types == expected[q]
-        row_orders = {r.order for r in dickson_table(spec, "sl2")}
+        row_orders = {r["order"] for r in dickson_table(spec, "sl2")}
         for t in types:
             order = t.param if t.param else {"SL2(3)": 24, "SL2(5)": 120}[t.kind]
             ok &= any(o % order == 0 for o in row_orders)
     rows8 = dickson_table(make_field(2, 3), "sl2")
-    div = {(r.type, r.order) for r in rows8 if r.div_q_plus_1}
+    div = {(r["type"], r["order"]) for r in rows8 if r["div_q_plus_1"]}
     ok &= div == {("Cyclic(9)", 9), ("Dihedral(18)", 18)}
     elapsed = time.monotonic() - start
     ok &= elapsed < 120
@@ -286,8 +286,8 @@ def test_criterion_10_min_covolume_table():
         ok &= delta0 is not None
         ok &= Fraction(cov) == Fraction(2, (inp.q + 1) * inp.z_order
                                         * delta0)
-        rows = [r for r in classify(inp) if not r.exceptional]
-        ok &= Fraction(cov) == min(Fraction(r.covolume) for r in rows)
+        rows = [r for r in classify(inp) if not r["exceptional"]]
+        ok &= Fraction(cov) == min(Fraction(r["covolume"]) for r in rows)
     elapsed = time.monotonic() - start
     ok &= elapsed < 2
     _report(10, ok, "min_covolume = 2/((q+1)|Z|delta0) and row minimum "

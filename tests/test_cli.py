@@ -549,9 +549,10 @@ def test_a_run_never_imports_fractions_decimal_or_numbers():
 
 # modules no run loads, and why: typing (src has no annotations and no
 # `from __future__ import annotations`), dataclasses and inspect (the
-# records are namedtuples and plain classes), fractions, decimal and
-# numbers (a covolume is "n/d" text computed on integers), and json, re and
-# enum (cli.dumps writes the report without json, whose decoder imports re)
+# records are namedtuples and plain classes, the reports plain dicts),
+# fractions, decimal and numbers (a covolume is "n/d" text computed on
+# integers), json, re and enum (cli.dumps writes the report without json,
+# whose decoder imports re, and parse_laurent reads a term without re)
 UNLOADED = ("typing", "dataclasses", "inspect", "fractions", "decimal",
             "numbers", "json", "re", "enum")
 
@@ -559,12 +560,10 @@ UNLOADED = ("typing", "dataclasses", "inspect", "fractions", "decimal",
 def test_a_run_loads_none_of_the_unloaded_modules():
     """One fresh interpreter, run as the benchmark runs a job (-E -S, src
     on sys.path), runs every VALID_RUNS argv and the first job of each
-    benchmark workload, tree last.  Each exits 0, and none loads a module
-    of UNLOADED, except that tree imports re, and with it enum, to parse
-    its Laurent literals."""
-    argvs = [[c, *VALID_RUNS[c]] for c in SUBCOMMANDS if c != "tree"]
+    benchmark workload.  Each exits 0, and none loads a module of
+    UNLOADED: tree reads its Laurent literals without re."""
+    argvs = [[c, *VALID_RUNS[c]] for c in SUBCOMMANDS]
     argvs += [list(jobs[0]) for jobs in benchmark_workloads().values()]
-    argvs.append(["tree", *VALID_RUNS["tree"]])
     code = ("import sys; sys.path.insert(0, %r); import kmlat.cli\n"
             "for argv in %r:\n"
             "    rc = kmlat.cli.main(argv)\n"
@@ -573,8 +572,7 @@ def test_a_run_loads_none_of_the_unloaded_modules():
     out = subprocess.run([sys.executable, "-E", "-S", "-c", code],
                          capture_output=True, text=True)
     assert out.returncode == 0, out.stderr
-    assert out.stderr.splitlines() == (["0 []"] * (len(argvs) - 1)
-                                       + ["0 ['enum', 're']"])
+    assert out.stderr.splitlines() == ["0 []"] * len(argvs)
 
 
 @pytest.mark.parametrize("before", ["enabled", "disabled", "frozen"])

@@ -180,24 +180,24 @@ def test_find_subgroup_of_type_absent():
 def test_dickson_table_q8():
     spec = make_field(2, 3)
     rows = dickson_table(spec, "sl2")
-    div = {(r.type, r.order) for r in rows if r.div_q_plus_1}
+    div = {(r["type"], r["order"]) for r in rows if r["div_q_plus_1"]}
     assert div == {("Cyclic(9)", 9), ("Dihedral(18)", 18)}
 
 
 def test_dickson_table_q11_exceptional():
     rows = dickson_table(make_field(11), "sl2")
-    names = {r.type for r in rows}
+    names = {r["type"] for r in rows}
     assert "SL2(3)" in names and "SL2(5)" in names
     assert "2S4" not in names
 
 
 def test_dickson_table_q7():
     rows = dickson_table(make_field(7), "sl2")
-    names = {r.type for r in rows}
+    names = {r["type"] for r in rows}
     assert "2S4" in names and "SL2(5)" not in names
     pgl = dickson_table(make_field(7), "pgl2")
-    s4 = [r for r in pgl if r.type.startswith("S4")]
-    assert s4 and all("outside" not in r.type for r in s4)
+    s4 = [r for r in pgl if r["type"].startswith("S4")]
+    assert s4 and all("outside" not in r["type"] for r in s4)
 
 
 @pytest.mark.parametrize("a", [1, 2, 3, 4])
@@ -230,7 +230,7 @@ def test_dickson_char2_a4_s4_rows_match_computation(a):
             except SizeCapExceeded:
                 pass
     for ambient in ("psl2", "sl2", "pgl2"):
-        types = [r.type for r in dickson_table(spec, ambient)]
+        types = [r["type"] for r in dickson_table(spec, ambient)]
         assert ("A4" in types) == (a % 2 == 0), ambient
         assert not any(t.startswith("S4") for t in types), ambient
 

@@ -53,8 +53,8 @@ def test_orbit_sizes_match_a_linear_scan(p, a, kind):
     rep = lubotzky_check(a1)
     m1, m2 = mat2_pair(a1)
     x1, x2 = vertex_x1(spec), vertex_x2(spec)
-    assert rep.orbit_sizes == (_scanned_orbit_size(m1, x2),
-                               _scanned_orbit_size(m2, x1))
+    assert rep["orbit_sizes"] == (_scanned_orbit_size(m1, x2),
+                                  _scanned_orbit_size(m2, x1))
 
 
 def _field_of(q):
@@ -141,9 +141,9 @@ def test_stabilizers_and_kernel_match_the_tree_oracles(q):
             assert set(to_mat2(spec, got)) == want.elements, kind
         _assert_kernels_agree(frozenset(diagonal), a1, m1, m2)
         rep = lubotzky_check(a1)
-        assert rep.kernel_order == want.order
-        assert rep.stab_orders == (len(lower), len(upper))
-        assert rep.intersection_order == len(diagonal)
+        assert rep["kernel_order"] == want.order
+        assert rep["stab_orders"] == (len(lower), len(upper))
+        assert rep["intersection_order"] == len(diagonal)
 
 
 def test_kernel_in_sl2_3_matches_the_edge_of_groups_and_mat2_kernels():
@@ -274,11 +274,11 @@ def test_faithfulness_kernel_of_full_sl2():
 def test_cyclic_pair_passes(q, a):
     spec = make_field(2, a)
     rep = lubotzky_check(build_standard_lattice(spec, "cyclic_p2"))
-    assert rep.passes
-    assert rep.orbit_sizes == (q + 1, q + 1)
-    assert rep.intersection_order == 1
-    assert rep.kernel_order == 1
-    assert Fraction(rep.covolume) == Fraction(2, q + 1)
+    assert rep["passes"]
+    assert rep["orbit_sizes"] == (q + 1, q + 1)
+    assert rep["intersection_order"] == 1
+    assert rep["kernel_order"] == 1
+    assert Fraction(rep["covolume"]) == Fraction(2, q + 1)
 
 
 # every odd prime power below 128; the torus normalizer's pair passes
@@ -293,12 +293,12 @@ def test_normalizer_pair_passes(q):
     spec = _field_of(q)
     a1 = build_standard_lattice(spec, "torus_normalizer")
     rep = lubotzky_check(a1)
-    assert rep.passes
-    assert rep.a1_order == 2 * (q + 1)
-    assert rep.stab_orders == (2, 2)
-    assert rep.orbit_sizes == (q + 1, q + 1)
-    assert rep.intersection_order == 2
-    assert Fraction(rep.covolume) == Fraction(1, q + 1)
+    assert rep["passes"]
+    assert rep["a1_order"] == 2 * (q + 1)
+    assert rep["stab_orders"] == (2, 2)
+    assert rep["orbit_sizes"] == (q + 1, q + 1)
+    assert rep["intersection_order"] == 2
+    assert Fraction(rep["covolume"]) == Fraction(1, q + 1)
     m1, m2 = mat2_pair(a1)
     inter = m1.elements & m2.elements
     z = center(sl2_group(spec)) if q == 3 else None
@@ -313,10 +313,10 @@ def test_normalizer_pair_fails_q1mod4(q):
     order 4 and the orbits are half of P^1(F_q)."""
     rep = lubotzky_check(build_standard_lattice(_field_of(q),
                                                 "torus_normalizer"))
-    assert not rep.passes
-    assert rep.a1_order == 2 * (q + 1)
-    assert rep.stab_orders == (4, 4)
-    assert rep.orbit_sizes == ((q + 1) // 2, (q + 1) // 2)
+    assert not rep["passes"]
+    assert rep["a1_order"] == 2 * (q + 1)
+    assert rep["stab_orders"] == (4, 4)
+    assert rep["orbit_sizes"] == ((q + 1) // 2, (q + 1) // 2)
 
 
 @pytest.mark.parametrize("q", ODD_Q)
@@ -329,19 +329,19 @@ def test_normalizer_rows_give_their_vertex_group_order(q):
     central (zmi_in_zg)."""
     spec = _field_of(q)
     a1_order = lubotzky_check(build_standard_lattice(
-        spec, "torus_normalizer")).a1_order
+        spec, "torus_normalizer"))["a1_order"]
     flags = {"pgl": (None,) * 3 + (True,) if q % 4 == 3
              else (True, True, None, None), "psl": ()}
     seen = 0
     for levi, z in itertools.product(("psl", "pgl"), range(1, 5)):
         for r in classify(ClassificationInput(spec.p, q, levi, z,
                                               *flags[levi])):
-            if not r.case.endswith("normalizer"):
+            if not r["case"].endswith("normalizer"):
                 continue
             seen += 1
-            n = int(r.vertex_type.rpartition(" ")[2])
-            assert n == (q + 1) * r.a0_order, r
-            assert Fraction(r.covolume) == Fraction(2, n), r
+            n = int(r["vertex_type"].rpartition(" ")[2])
+            assert n == (q + 1) * r["a0_order"], r
+            assert Fraction(r["covolume"]) == Fraction(2, n), r
             if levi == "psl" and z == 2:
                 assert n == a1_order, r
     assert seen == (8 if q % 4 == 3 else 0)
@@ -446,23 +446,23 @@ def test_classification_input_validation():
 def test_classify_char2():
     rows = classify(ClassificationInput(2, 4, "psl", 3))
     assert len(rows) == 1
-    assert rows[0].case == "char2-cyclic"
-    assert rows[0].covolume == "2/15"
+    assert rows[0]["case"] == "char2-cyclic"
+    assert rows[0]["covolume"] == "2/15"
 
 
 def test_classify_psl_q3mod4():
     rows = classify(ClassificationInput(7, 7, "psl", 2))
-    cases = {r.case for r in rows}
+    cases = {r["case"] for r in rows}
     assert "psl-q3mod4-normalizer" in cases
-    assert any(r.exceptional for r in rows)  # the 2S4 row at q = 7
-    gen = [r for r in rows if not r.exceptional]
-    assert gen[0].covolume == "1/8"
+    assert any(r["exceptional"] for r in rows)  # the 2S4 row at q = 7
+    gen = [r for r in rows if not r["exceptional"]]
+    assert gen[0]["covolume"] == "1/8"
 
 
 def test_classify_psl_q1mod4():
     assert classify(ClassificationInput(13, 13, "psl", 1)) == []
     rows = classify(ClassificationInput(5, 5, "psl", 2))
-    assert rows and all(r.exceptional for r in rows)
+    assert rows and all(r["exceptional"] for r in rows)
     cov, d0 = min_covolume(ClassificationInput(5, 5, "psl", 2))
     assert cov == "1/12" and d0 is None
     with pytest.raises(MinUndefined):
@@ -472,15 +472,15 @@ def test_classify_psl_q1mod4():
 def test_classify_pgl_cases():
     rows = classify(ClassificationInput(5, 5, "pgl", 1, qi_in_zg=True,
                                         qi0_in_zg=True))
-    assert {r.case for r in rows} == {"pgl-q1mod4-sylow",
-                                      "pgl-q1mod4-central-sylow"}
+    assert {r["case"] for r in rows} == {"pgl-q1mod4-sylow",
+                                         "pgl-q1mod4-central-sylow"}
     rows = classify(ClassificationInput(5, 5, "pgl", 1, qi_in_zg=False,
                                         qi0_in_zg=False))
     assert rows == []
     rows = classify(ClassificationInput(7, 7, "pgl", 1, zmi_in_zg=True))
     assert len(rows) == 3
     rows = classify(ClassificationInput(7, 7, "pgl", 1, zmi_in_zg=False))
-    assert len(rows) == 1 and rows[0].delta0 == 4
+    assert len(rows) == 1 and rows[0]["delta0"] == 4
 
 
 def test_min_covolume_formula():

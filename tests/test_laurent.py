@@ -1,14 +1,16 @@
 """Laurent polynomial ring over F_q."""
 
 import math
+import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from kmlat.errors import DegreeWindowExceeded, InvalidInput
+from kmlat.errors import DegreeWindowExceeded, InvalidInput, KmlatError
 from kmlat.gf import make_field
 from kmlat.laurent import LaurentPoly, parse_laurent
 from oracles import fe_coeffs, fe_laurent_add, fe_laurent_mul, fe_laurent_neg
+from reference import parse_laurent_re
 
 F2 = make_field(2)
 F3 = make_field(3)
@@ -25,6 +27,46 @@ def test_parse_laurent_reads_ascii_digits_only():
                  "t^" + "9" * 5000):
         with pytest.raises(InvalidInput, match="bad Laurent term"):
             parse_laurent(F3, text)
+
+
+# the edges of the term grammar [c[*]][t[^e]]: empty terms, a lone "*",
+# "t" or "^", signs, repeats, other characters and digits, the degree
+# window, a code past q - 1, and digit counts at int()'s limit of 4,300
+EDGE_LITERALS = (
+    "", " ", "+", "++", "1+", "+1", "1++t", "t", "2", "2*", "2t", "2*t",
+    "*", "*t", "**t", "2**t", "2*t*", "t*", "t^", "t^-", "t^--1", "t^+1",
+    "t^-0", "t^007", "t^-007", "tt", "t2", "t^2t", "t^1^2", "^2", "2^2",
+    "-1", "-t", "t+t", "2*t+t", " 2 * t ^ - 3 ", "1 + t", "0", "0*t^99",
+    "t^64", "t^-64", "t^65", "t^-65", "1+t^65+x", "t^65+x", "x", "2*x",
+    "3", "99", "12*t", "t\t", "t^1_0", "1_0", "t^\u0663", "\u0662*t",
+    "t^" + "9" * 4300, "t^-" + "0" * 4299 + "1", "t^" + "9" * 4301,
+    "9" * 4301, "9" * 4301 + "*t", "t^" + "9" * 4301 + "+x")
+
+
+def _outcome(parse, spec, text):
+    try:
+        return parse(spec, text).coeffs
+    except KmlatError as exc:
+        return type(exc).__name__, str(exc)
+
+
+@pytest.mark.parametrize("spec", [F2, F3, F4, make_field(3, 2)],
+                         ids=lambda s: s.short_str())
+def test_parse_laurent_equals_the_regex_parser(spec):
+    """parse_laurent reads each term with str.partition; on the grammar's
+    edges and on seeded random strings over its alphabet it accepts the
+    same literals, with the same values, as the regular expression it
+    replaced, and raises the same error with the same text otherwise."""
+    rng = random.Random(spec.q)
+    texts = list(EDGE_LITERALS) + [
+        "".join(rng.choice("0123456789*t^-+ ") for _ in range(rng.randint(
+            0, 10))) for _ in range(3000)]
+    accepted = 0
+    for text in texts:
+        got = _outcome(parse_laurent, spec, text)
+        assert got == _outcome(parse_laurent_re, spec, text), text
+        accepted += isinstance(got, dict)
+    assert accepted > 50  # the sample is not all rejections
 
 
 def poly_strategy(spec, max_terms=4, degree_span=6):

@@ -49,7 +49,7 @@ MOVED = {
     "ball2_edges": "ball2_edges", "_word_table": "ball2_word_table",
     "_power_fixes_all": "_power_fixes_all",
     "alternating_word": "alternating_word", "_entry": "_entry",
-    "zp_criterion": "zp_criterion", "Edge": "Edge",
+    "zp_criterion": "zp_criterion", "Edge": "Edge", "_TERM": "_TERM",
 }
 # the same for tests/oracles.py: F_{q^2} on ExtElement, and the errors only
 # the Mat2 check and the exceptional-subgroup scan raise
@@ -62,12 +62,14 @@ TO_ORACLES = {"_mult_matrix": "mult_matrix", "ext_one": "ext_one",
 # exceptional rows' table, deleted when classify derived them by
 # arithmetic, the eigenvector alignment, deleted when build_standard_lattice
 # came to align by a unipotent (tests/oracles.py keeps it),
-# FiniteGroup.identity, which the tests replaced by CODE_ONE, and the
-# dihedral search's scalar helpers, folded into its loop over code triples
+# FiniteGroup.identity, which the tests replaced by CODE_ONE, the
+# dihedral search's scalar helpers, folded into its loop over code triples,
+# and the report records, now the plain dicts that cli.dumps writes
 DELETED = {"_trace_order_map", "_trace_class", "_SEARCH_BUDGET", "_emit",
            "VerificationReport.to_json_dict", "LatticeDescriptor.to_json_dict",
            "EXCEPTIONAL_TABLE", "_diagonalizing_conjugator",
-           "FiniteGroup.identity", "_low_squares", "_p1_hits", "_p2_hits"}
+           "FiniteGroup.identity", "_low_squares", "_p1_hits", "_p2_hits",
+           "VerificationReport", "LatticeDescriptor", "DicksonEntry"}
 
 
 def definitions(source):
@@ -93,6 +95,18 @@ def kmlat_imports(source):
         if isinstance(node, ast.ImportFrom) and node.level:
             out.update([node.module] if node.module
                        else (alias.name for alias in node.names))
+    return out
+
+
+def stdlib_imports(source):
+    """The modules a module imports by absolute name, anywhere in it:
+    `import a.b` and `from a.b import x` both give "a"."""
+    out = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            out.update(alias.name.partition(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and not node.level:
+            out.add(node.module.partition(".")[0])
     return out
 
 
@@ -154,6 +168,12 @@ def test_only_cli_main_writes_output():
     ("lattice", {"serretree"}), ("kmaction", {"laurent", "serretree"})])
 def test_module_does_not_import(module, banned):
     assert kmlat_imports((SRC / (module + ".py")).read_text()) & banned == set()
+
+
+def test_groups_does_not_import_collections():
+    """The subgroup profiles are plain dicts.  Other modules load
+    collections at run time, so only the source can show this."""
+    assert "collections" not in stdlib_imports((SRC / "groups.py").read_text())
 
 
 def test_moved_names_live_only_in_the_reference_module():

@@ -1,16 +1,19 @@
-"""The record types: construction, defaults, equality and hashing, the
-checks made on construction, and the order of their fields."""
+"""The record types: construction, defaults, equality and hashing, and
+the checks made on construction.  The reports are plain dicts, not
+records."""
+
+import json
 
 import pytest
 
 from kmlat import cli
 from kmlat.gf import make_field
-from kmlat.groups import CODE_ONE, DicksonEntry, nonsplit_torus
+from kmlat.groups import CODE_ONE, dickson_table, nonsplit_torus
 from kmlat.kmaction import (EdgeLabel, KMParams, RootIndex, RootLetter,
                             letter_table)
-from kmlat.lattice import (ClassificationInput, LatticeDescriptor,
-                           VerificationReport, build_standard_lattice,
-                           classify, lubotzky_check)
+from kmlat.lattice import (ClassificationInput, build_standard_lattice,
+                           classify, lubotzky_check, min_covolume)
+from kmlat.serretree import dihedral_obstruction_search
 from reference import EdgeOfGroups, GroupType, NotAHomomorphism, sl2_group
 
 F3 = make_field(3)
@@ -27,8 +30,6 @@ def test_keyword_and_positional_construction_agree():
     letter = RootLetter(root=RootIndex(1, 0), coeff=2)
     assert letter == RootLetter(RootIndex(1, 0), 2)
     assert EdgeLabel(region="L", coords=(1,)) == EdgeLabel("L", (1,))
-    assert (DicksonEntry(type="A4", order=12, div_q_plus_1=True, source="s")
-            == DicksonEntry("A4", 12, True, "s"))
     assert (ClassificationInput(p=5, q=5, levi="psl", z_order=1)
             == ClassificationInput(5, 5, "psl", 1))
     t, g = nonsplit_torus(F3), sl2_group(F3)
@@ -46,14 +47,6 @@ def test_defaults():
     inp = ClassificationInput(p=7, q=7, levi="psl", z_order=1)
     assert (inp.qi_in_zg, inp.qi0_in_zg, inp.qi0_nontrivial,
             inp.zmi_in_zg) == (None, None, None, None)
-    row = LatticeDescriptor(q=3, case="c", a0_order=1, vertex_type="v",
-                            covolume="1/2", delta0=1)
-    assert row.exceptional is False
-    rep = VerificationReport(q=3, passes=True, orbit_sizes=(4, 4),
-                             stab_orders=(2, 2), intersection_order=2,
-                             kernel_order=2, covolume="1/4",
-                             a1_order=8, a2_order=8)
-    assert rep.notes == ()
 
 
 def test_equality_and_hashing():
@@ -73,8 +66,6 @@ def test_equality_and_hashing():
     assert _equal_and_hashed_alike(
         ClassificationInput(5, 5, "pgl", 2, True, True),
         ClassificationInput(5, 5, "pgl", 2, True, True))
-    inp = ClassificationInput(p=7, q=7, levi="psl", z_order=1)
-    assert _equal_and_hashed_alike(classify(inp)[0], classify(inp)[0])
 
 
 def test_letter_table_cache_keys_on_equal_records():
@@ -89,19 +80,12 @@ def test_letter_table_cache_keys_on_equal_records():
 
 
 def test_json_dict_key_order(capsys):
-    """The reports are plain namedtuples, and their covolume is already
-    the "n/d" text the CLI writes."""
+    """A report is the plain dict the CLI writes, and its covolume is
+    already the "n/d" text."""
     rep = lubotzky_check(build_standard_lattice(F3, "torus_normalizer"))
-    assert rep._fields == (
-        "q", "passes", "orbit_sizes", "stab_orders", "intersection_order",
-        "kernel_order", "covolume", "a1_order", "a2_order", "notes")
-    assert rep.covolume == "1/4"
+    assert rep["covolume"] == "1/4"
     assert cli.main(["verify", "--q", "3", "--kind", "torus_normalizer"]) == 0
     assert '"covolume": "1/4"' in capsys.readouterr().out
-    row = classify(ClassificationInput(p=7, q=7, levi="psl", z_order=1))[0]
-    assert row._fields == (
-        "q", "case", "a0_order", "vertex_type", "covolume", "delta0",
-        "exceptional")
 
 
 def test_reprs():
@@ -110,3 +94,43 @@ def test_reprs():
             == "EdgeLabel(region='L', coords=(1, 0))")
     assert (repr(RootLetter(RootIndex(1, 0), 2))
             == "RootLetter(root=RootIndex(side=1, depth=0), coeff=2)")
+
+
+# command -> (argv, the library call whose value the command reports, and
+# where the report holds that value)
+_PSL7 = ClassificationInput(7, 7, "psl", 1)
+_PGL5 = ClassificationInput(5, 5, "pgl", 1, True, True)
+_PLAIN = {
+    "verify": (("--q", "7", "--kind", "2S4"),
+               lambda: lubotzky_check(build_standard_lattice(
+                   make_field(7), "2S4")),
+               lambda rep: {k: v for k, v in rep.items() if k != "kind"}),
+    "classify": (("--p", "7", "--q", "7", "--levi", "psl"),
+                 lambda: classify(_PSL7), lambda rep: rep["rows"]),
+    "min-covolume": (("--p", "5", "--q", "5", "--levi", "pgl",
+                      "--qi-central", "yes", "--qi0-central", "yes"),
+                     lambda: min_covolume(_PGL5),
+                     lambda rep: [rep["min_covolume"], rep["delta0"]]),
+    "dickson": (("--q", "9", "--ambient", "sl2"),
+                lambda: dickson_table(make_field(3, 2), "sl2"),
+                lambda rep: rep["rows"]),
+    "dihedral-search": (("--q", "4", "--window", "1"),
+                        lambda: dihedral_obstruction_search(
+                            make_field(2, 2), 1),
+                        lambda rep: rep),
+}
+
+
+@pytest.mark.parametrize("command", _PLAIN)
+def test_a_library_report_is_the_plain_data_the_command_prints(
+        command, capsys):
+    """Each command's library function returns dicts, lists, tuples, str,
+    int, bool and None, which cli.dumps writes as they are, and the
+    command prints that value unconverted."""
+    argv, call, part = _PLAIN[command]
+    raw = call()
+    text = cli.dumps(raw)  # a record or a Mat2 would raise TypeError
+    assert cli.main([command, *argv]) == 0
+    report = json.loads(capsys.readouterr().out)
+    del report["command"], report["schema"]
+    assert part(report) == json.loads(text)

@@ -1,10 +1,11 @@
 """Tree of lattice classes for SL2 over F_q((t^-1)) and involution searches."""
 
+import json
 import random
 
 import pytest
 
-from kmlat import serretree
+from kmlat import cli, serretree
 from kmlat.errors import (NonInvertible, OddCharacteristic, SizeCapExceeded,
                           SpecMismatch, WindowTooLarge, ZeroDeterminant)
 from kmlat.gf import make_field
@@ -401,13 +402,14 @@ def test_scalar_tests_equal_full_products(spec, window, monkeypatch):
         assert out == full_product_obstruction_search(spec, window)
 
 
-def test_violations_are_reported_in_oracle_order(monkeypatch):
+def test_violations_are_reported_in_oracle_order(monkeypatch, capsys):
     """No genuine B involution has b_0 c_1 != 0, so plant two matrices that
     do among the B family, as code triples: [[1,1],[t^-1,1]] hits every
     P1-B and P2-B member, and [[1,1],[1+t^-1,1]] also has c_0 != 0, so
     whether its lower-left entry b g^2 + c e^2 is a unit depends on the
     c e^2 term.  The search builds three Mat2 per reported triple and no
-    other."""
+    other, and reports their "a,b;c,d" texts, which cli.dumps writes and
+    the dihedral-search command prints as they are."""
     real = serretree.involution_families
     planted = [mat(F2, "1,1;t^-1,1"), mat(F2, "1,1;1+t^-1,1")]
 
@@ -428,4 +430,8 @@ def test_violations_are_reported_in_oracle_order(monkeypatch):
     assert len(built) == 3 * len(out["violations"])  # the report's Mat2 only
     assert out["violations"]
     assert out == full_product_obstruction_search(F2, 1)
-    assert {s for s, _, _ in out["violations"]} == set(planted)
+    assert {s for s, _, _ in out["violations"]} == {str(m) for m in planted}
+    report = json.loads(cli.dumps(out))  # a Mat2 would raise TypeError
+    assert cli.main(["dihedral-search", "--q", "2", "--window", "1"]) == 0
+    assert json.loads(capsys.readouterr().out) == dict(
+        report, command="dihedral-search", schema=cli.SCHEMA)

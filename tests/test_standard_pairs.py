@@ -49,8 +49,8 @@ def _psl_input(q):
 
 def _exceptional_rows(q):
     """(q, kind, |A0|) of each exceptional classify row of _psl_input(q)."""
-    return {(q, r.vertex_type, r.a0_order) for r in classify(_psl_input(q))
-            if r.exceptional}
+    return {(q, r["vertex_type"], r["a0_order"])
+            for r in classify(_psl_input(q)) if r["exceptional"]}
 
 
 def _build(spec, kind, builder):
@@ -227,20 +227,20 @@ def test_exceptional_sweep_gives_the_table(builds, reports):
     built = {(q, kind) for q in odd for kind in EXCEPTIONAL_KINDS
              if (q, kind) in reports}
     assert {q for q, _ in built} <= {3, 5, 7, 9, 11, 19, 23, 29, 47, 59}
-    passing = {(q, kind, reports[q, kind].intersection_order)
-               for q, kind in built if reports[q, kind].passes}
+    passing = {(q, kind, reports[q, kind]["intersection_order"])
+               for q, kind in built if reports[q, kind]["passes"]}
     table = set().union(*map(_exceptional_rows, odd))
     assert passing == table
     for key in ((7, "SL2(3)"), (23, "SL2(3)"), (47, "2S4")):
-        assert key in built and not reports[key].passes, key
+        assert key in built and not reports[key]["passes"], key
     big = [(p, p ** a) for p in range(3, 10 ** 4, 2) if is_prime(p)
            for a in range(1, 9) if 128 <= p ** a < 10 ** 4]
     assert len(big) == 1230
-    assert not any(r.exceptional for p, q in big
+    assert not any(r["exceptional"] for p, q in big
                    for r in classify(ClassificationInput(p, q, "psl", 2)))
     for a, cases in ((40, []), (41, ["psl-q3mod4-normalizer"])):
         rows = classify(ClassificationInput(3, 3 ** a, "psl", 2))
-        assert [r.case for r in rows] == cases
+        assert [r["case"] for r in rows] == cases
 
 
 ALIGNED_CASES = [(q, kind) for q in sorted(FIELDS) if q % 2 and q <= 64
@@ -276,8 +276,8 @@ def test_min_covolume_by_construction(reports, q):
     inp = _psl_input(q)
 
     def least(kinds):
-        covs = [reports[q, k].covolume for k in kinds
-                if (q, k) in reports and reports[q, k].passes]
+        covs = [reports[q, k]["covolume"] for k in kinds
+                if (q, k) in reports and reports[q, k]["passes"]]
         return min(covs, key=Fraction) if covs else None
     generic, exceptional = least(GENERIC_KINDS), least(EXCEPTIONAL_KINDS)
     if generic is not None:
@@ -314,16 +314,16 @@ def test_min_covolume_is_the_least_row_by_fraction(q):
             continue
         accepted += 1
         for r in rows:
-            if not r.exceptional:
-                assert Fraction(r.covolume) == Fraction(
-                    2, (q + 1) * z * r.delta0), r
+            if not r["exceptional"]:
+                assert Fraction(r["covolume"]) == Fraction(
+                    2, (q + 1) * z * r["delta0"]), r
         if not rows:
             with pytest.raises(MinUndefined):
                 min_covolume(inp)
             continue
-        best = min([r for r in rows if not r.exceptional] or rows,
-                   key=lambda r: Fraction(r.covolume))
-        assert min_covolume(inp) == (best.covolume, best.delta0), inp
+        best = min([r for r in rows if not r["exceptional"]] or rows,
+                   key=lambda r: Fraction(r["covolume"]))
+        assert min_covolume(inp) == (best["covolume"], best["delta0"]), inp
     assert accepted >= 8  # psl at each z, and pgl at each z
 
 
@@ -332,10 +332,11 @@ def test_classify_rows_are_the_passing_pairs(reports, q):
     """The multiset of (a0_order, covolume) over the classify rows of the
     psl input equals the multiset of (|A1 cap A2|, covolume) over the
     standard pairs at q that pass lubotzky_check."""
-    rows = Counter((r.a0_order, r.covolume) for r in classify(_psl_input(q)))
-    pairs = Counter((rep.intersection_order, rep.covolume)
+    rows = Counter((r["a0_order"], r["covolume"])
+                   for r in classify(_psl_input(q)))
+    pairs = Counter((rep["intersection_order"], rep["covolume"])
                     for (q2, _), rep in reports.items()
-                    if q2 == q and rep.passes)
+                    if q2 == q and rep["passes"])
     assert rows == pairs
 
 
@@ -348,12 +349,12 @@ def test_exceptional_rows_name_the_built_group(builds, reports):
     names = {"2S4": "BinaryOctahedral"}
     checked = 0
     for (q, kind), rep in sorted(reports.items()):
-        if kind not in EXCEPTIONAL_KINDS or not rep.passes:
+        if kind not in EXCEPTIONAL_KINDS or not rep["passes"]:
             continue
         row, = [r for r in classify(_psl_input(q))
-                if r.case == "exceptional-%s" % kind]
+                if r["case"] == "exceptional-%s" % kind]
         assert str(recognize(builds[q, kind])) == names.get(
-            row.vertex_type, row.vertex_type), (q, kind)
+            row["vertex_type"], row["vertex_type"]), (q, kind)
         checked += 1
     assert checked == sum(len(_exceptional_rows(q)) for q in FIELDS)
 
@@ -365,7 +366,7 @@ def test_char2_rows_name_the_built_torus(builds):
     evens = [q for q in FIELDS if q % 2 == 0]
     for q in evens:
         row, = classify(ClassificationInput(2, q, "psl", 1))
-        assert row.vertex_type == "cyclic C_%d times center" % (
+        assert row["vertex_type"] == "cyclic C_%d times center" % (
             builds[q, "cyclic_p2"].order), q
     assert len(evens) == 6
 
@@ -377,7 +378,7 @@ def test_dickson_sl2_exceptional_rows_are_the_found_subgroups(q):
     subgroup of that type.  For each type the table leaves out, some
     element order of the type's profile is missing from SL2(F_q)."""
     spec = make_field(*FIELDS[q])
-    rows = {(r.type, r.order) for r in dickson_table(spec, "sl2")}
+    rows = {(r["type"], r["order"]) for r in dickson_table(spec, "sl2")}
     for kind in EXCEPTIONAL_KINDS:
         order, profile = SUBGROUP_TARGETS[kind][:2]
         found = find_subgroup_of_type(spec, kind)
@@ -461,7 +462,7 @@ def test_dickson_sl2_rows_have_witnesses_of_their_order(q):
     spec = make_field(*FIELDS[q])
     witnesses = _dickson_witnesses(spec)
     rows = dickson_table(spec, "sl2")
-    listed = {(row.type, row.order) for row in rows}
+    listed = {(row["type"], row["order"]) for row in rows}
     for kind in EXCEPTIONAL_KINDS:
         order, profile = SUBGROUP_TARGETS[kind][:2]
         assert ((kind, order) in listed) == (kind in witnesses), kind
@@ -470,15 +471,15 @@ def test_dickson_sl2_rows_have_witnesses_of_their_order(q):
     prod = code_mul(spec)
     checked = 0
     for row in rows:
-        if row.type not in witnesses:
-            assert row.type in SPORADIC_TYPES, row.type
+        if row["type"] not in witnesses:
+            assert row["type"] in SPORADIC_TYPES, row["type"]
             continue
-        gens = witnesses[row.type]
-        if row.type == "BorelFrobenius" and q > 64:
-            assert _borel_order(spec, gens[0], prod) == row.order
+        gens = witnesses[row["type"]]
+        if row["type"] == "BorelFrobenius" and q > 64:
+            assert _borel_order(spec, gens[0], prod) == row["order"]
         else:
             group = generate(CODE_ONE, gens, prod, q ** 3)
-            assert len(group) == row.order, row.type
+            assert len(group) == row["order"], row["type"]
         checked += 1
     assert checked >= 6
 
@@ -527,12 +528,12 @@ def test_transitive_dickson_rows_are_the_psl_classification(q):
     witnesses = _dickson_witnesses(spec)
     found = Counter()
     for row in dickson_table(spec, "sl2"):
-        stabilizer, rest = divmod(row.order, q + 1)
+        stabilizer, rest = divmod(row["order"], q + 1)
         if rest or stabilizer % p == 0:
             continue
-        if len(_orbit_of_infinity(spec, witnesses[row.type])) == q + 1:
-            found[stabilizer, Fraction(2, row.order)] += 1
-    assert found == Counter((r.a0_order, Fraction(r.covolume))
+        if len(_orbit_of_infinity(spec, witnesses[row["type"]])) == q + 1:
+            found[stabilizer, Fraction(2, row["order"])] += 1
+    assert found == Counter((r["a0_order"], Fraction(r["covolume"]))
                             for r in classify(_psl_input(q)))
 
 
@@ -544,9 +545,9 @@ def test_dickson_type_names_carry_their_order(q, ambient):
     ElementaryAbelian(n)) has order n."""
     named = 0
     for row in dickson_table(make_field(*FIELDS[q]), ambient):
-        family, _, rest = row.type.partition("(")
+        family, _, rest = row["type"].partition("(")
         if family in ("Cyclic", "Dihedral", "Dicyclic", "ElementaryAbelian"):
-            assert rest.endswith(")") and int(rest[:-1]) == row.order, row
+            assert rest.endswith(")") and int(rest[:-1]) == row["order"], row
             named += 1
     assert named >= 5
 
@@ -570,9 +571,9 @@ def test_dickson_psl2_subfield_rows_are_images_of_sl2_witnesses(q):
         h = generate(CODE_ONE, _subfield_unipotents(spec, b), prod, q ** 3)
         for ambient in ("psl2", "pgl2"):
             rows = [r for r in dickson_table(spec, ambient)
-                    if r.type == "PSL2(%d)" % p ** b]
+                    if r["type"] == "PSL2(%d)" % p ** b]
             assert len(rows) == 1, (ambient, b)
-            assert rows[0].order == len(h) // len(h & center), (ambient, b)
+            assert rows[0]["order"] == len(h) // len(h & center), (ambient, b)
             checked += 1
     assert checked >= 2
 
@@ -660,22 +661,22 @@ def test_dickson_projective_rows_have_witnesses_of_their_order(q, ambient):
     spec = make_field(*FIELDS[q])
     witnesses = _projective_witnesses(spec, ambient)
     rows = dickson_table(spec, ambient)
-    listed = {row.type for row in rows}
+    listed = {row["type"] for row in rows}
     assert set(witnesses) == listed - NO_BUILDER
     assert ("S4-outside-psl" in listed) == (
         ambient == "pgl2" and "S4" not in witnesses)
     prod = _projective_product(spec)
     checked = 0
     for row in rows:
-        if row.type in NO_BUILDER:
+        if row["type"] in NO_BUILDER:
             continue
-        gens = witnesses[row.type]
-        if row.type in ("BorelFrobenius", "Frobenius") and q > 64:
+        gens = witnesses[row["type"]]
+        if row["type"] in ("BorelFrobenius", "Frobenius") and q > 64:
             order = _borel_order(spec, gens[0], prod)
         else:
             order = len(generate(CODE_ONE, gens, prod, q ** 3))
-        assert row.order == order, row.type
-        assert row.div_q_plus_1 == (order % (q + 1) == 0), row.type
+        assert row["order"] == order, row["type"]
+        assert row["div_q_plus_1"] == (order % (q + 1) == 0), row["type"]
         checked += 1
     assert checked == len(rows) - len(listed & NO_BUILDER) >= 7
 
@@ -700,6 +701,6 @@ def test_dickson_pgl2_s4_row_is_a_triangle_group(q):
     prod = _projective_product(spec)
     assert len(generate(CODE_ONE, [x, y], prod, q ** 3)) == 24
     inside = add[1][1] in {mul[s][s] for s in range(1, q)}
-    s4 = [(row.type, row.order) for row in dickson_table(spec, "pgl2")
-          if row.type.startswith("S4")]
+    s4 = [(row["type"], row["order"]) for row in dickson_table(spec, "pgl2")
+          if row["type"].startswith("S4")]
     assert s4 == [("S4" if inside else "S4-outside-psl", 24)]
