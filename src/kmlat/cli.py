@@ -79,28 +79,26 @@ def _parse_matrix(spec, text):
 
 def _parse_edge(spec, text):
     if text == "base":
-        return kmaction.EdgeLabel.base()
+        return "base", ()
     head, _, tail = text.partition(":")
     if head not in ("L", "R") or not tail:
         raise InvalidInput("edge must be 'base', 'L:c1,c2,...' or 'R:...'")
-    coords = tuple(gf.parse_code(c, spec.q) for c in tail.split(","))
-    return kmaction.EdgeLabel(head, coords)
+    return head, tuple(gf.parse_code(c, spec.q) for c in tail.split(","))
 
 
 def _parse_word(spec, text):
-    """Words like "x1:3,x2:1" or with depth "x1@2:3"."""
+    """Words like "x1:3,x2:1" or with depth "x1@2:3", as letters (side,
+    depth, coeff): side 1 or 2, depth >= 0 and coeff an F_q code."""
     letters = []
     for tok in text.split(","):
         head, _, coeff = tok.partition(":")
         if not coeff:
             raise InvalidInput("letter %r needs a ':coefficient'" % tok)
-        name, _, depth = head.partition("@")
+        name, at, depth = head.partition("@")
         if name not in ("x1", "x2"):
             raise InvalidInput("letter must start with x1 or x2")
-        side = int(name[1])
-        k = gf.parse_code(depth) if depth else 0
-        letters.append(kmaction.RootLetter(kmaction.RootIndex(side, k),
-                                           gf.parse_code(coeff, spec.q)))
+        letters.append((int(name[1]), gf.parse_code(depth) if at else 0,
+                        gf.parse_code(coeff, spec.q)))
     return tuple(letters)
 
 
@@ -141,8 +139,9 @@ def cmd_km_act(args):
     word = _parse_word(spec, args.word)
     e = _parse_edge(spec, args.edge)
     img = kmaction.apply_word(params, word, e, mode=args.mode)
-    return {"q": spec.q, "m": args.m, "word": args.word, "edge": str(e),
-            "image": str(img), "mode": args.mode}
+    return {"q": spec.q, "m": args.m, "word": args.word,
+            "edge": kmaction.edge_text(e),
+            "image": kmaction.edge_text(img), "mode": args.mode}
 
 
 def cmd_zp_test(args):

@@ -1,10 +1,14 @@
 """Symbolic action of real root letters on labeled edges near the base.
 
 The rank-2 group with Cartan entries -m acts on a (q+1,q+1)-biregular
-wall tree; edges near the standard base edge are labeled by coordinate
-tuples on the left-hand or right-hand side.  Root letters act on those
-labels by explicit rules; where a rule is not available the action raises
-UnsupportedActionDomain rather than guessing.
+wall tree.  An edge label is ("base", ()) for the standard base edge, or
+(region, coords), region "L" or "R" (left or right side) and coords F_q
+codes, for the edge at distance len(coords) from it on that side.  A
+root letter is (side, depth, coeff): the real root of side 1 or 2 and
+depth k >= 0 (depth 0 on side i is the simple root alpha_i; depth walks
+the root string away from the base edge), with coeff an F_q code.  Root
+letters act on edge labels by explicit rules; where a rule is not
+available the action raises UnsupportedActionDomain rather than guessing.
 
 For m = 2 the group is affine SL2, and the tests cross-check the rules
 against exact matrices on the Bruhat-Tits tree (crosscheck_affine in
@@ -30,53 +34,12 @@ class KMParams(namedtuple("KMParams", "m spec")):
         return super().__new__(cls, m, spec)
 
 
-class RootIndex(namedtuple("RootIndex", "side depth")):
-    """A real root of the standard apartment: side 1 or 2, depth k >= 0.
-
-    Depth 0 on side i is the simple root alpha_i; increasing depth walks
-    the root string away from the base edge on that side.
-    """
-    __slots__ = ()
-
-    def __new__(cls, side, depth):
-        if side not in (1, 2) or depth < 0:
-            raise SpecMismatch("bad root index")
-        return super().__new__(cls, side, depth)
-
-
-RootLetter = namedtuple("RootLetter", "root coeff")  # coeff: an F_q code
-
-
-class EdgeLabel:
-    """region "base", "L" (left side) or "R" (right side); coords, F_q
-    codes, label the edge at combinatorial distance len(coords) from the
-    base edge.  A plain class rather than a namedtuple, so that a label is
-    never taken for a tuple."""
-    __slots__ = ("region", "coords")
-
-    def __init__(self, region, coords):
-        self.region = region
-        self.coords = coords
-
-    def __eq__(self, other):
-        return (isinstance(other, EdgeLabel) and self.region == other.region
-                and self.coords == other.coords)
-
-    def __hash__(self):
-        return hash((self.region, self.coords))
-
-    def __repr__(self):
-        return "EdgeLabel(region=%r, coords=%r)" % (self.region, self.coords)
-
-    @classmethod
-    def base(cls):
-        return cls("base", ())
-
-    def __str__(self):
-        if self.region == "base":
-            return "base"
-        return "%s:%s" % (self.region,
-                          ",".join(map(str, self.coords)))
+def edge_text(e):
+    """An edge label as km-act prints it: "base" or "L:1,0"."""
+    region, coords = e
+    if region == "base":
+        return "base"
+    return "%s:%s" % (region, ",".join(map(str, coords)))
 
 
 def _replace(coords, i, value):
@@ -86,7 +49,7 @@ def _replace(coords, i, value):
 
 
 def apply_letter(params, letter, e, mode="identity_phi"):
-    """Act by one root letter on a labeled edge.
+    """Act by one root letter (side, depth, coeff) on an edge label.
 
     Supported cases: the base edge is fixed by every letter; a same-side
     letter of depth k adds its coefficient to coordinate k+1 (edges shorter
@@ -100,17 +63,15 @@ def apply_letter(params, letter, e, mode="identity_phi"):
     """
     if mode not in ("identity_phi", "twisted_phi"):
         raise SpecMismatch("unknown mode %r" % mode)
-    if e.region == "base":
+    region, coords = e
+    if region == "base":
         return e
     add, mul, neg, _ = params.spec._tables()
-    k = letter.root.depth
-    length = len(e.coords)
-    same_side = (letter.root.side == 1) == (e.region == "L")
-    if same_side:
+    side, k, coeff = letter
+    length = len(coords)
+    if (side == 1) == (region == "L"):  # same side
         if k <= length - 1:
-            return EdgeLabel(e.region,
-                             _replace(e.coords, k,
-                                      add[e.coords[k]][letter.coeff]))
+            return region, _replace(coords, k, add[coords[k]][coeff])
         return e
     # cross-side: short edges sit inside the ball the root group fixes
     if length <= k + 1:
@@ -118,20 +79,19 @@ def apply_letter(params, letter, e, mode="identity_phi"):
     n2 = length - 2 - k
     if n2 >= 0 and n2 % 2 == 0:
         n = n2 // 2
-        if not any(e.coords[:n]):
-            pivot = e.coords[n]
+        if not any(coords[:n]):
+            pivot = coords[n]
             if not pivot:
                 return e
             if mode == "identity_phi":
-                delta = letter.coeff
+                delta = coeff
             else:
                 power = code_pow(lambda u, v: mul[u][v], neg[pivot], params.m)
-                delta = mul[power][letter.coeff]
-            return EdgeLabel(e.region,
-                             _replace(e.coords, length - 1,
-                                      add[e.coords[length - 1]][delta]))
-    raise UnsupportedActionDomain(
-        "no rule for root (%d,%d) on edge %s" % (letter.root.side, k, e))
+                delta = mul[power][coeff]
+            return region, _replace(coords, length - 1,
+                                    add[coords[length - 1]][delta])
+    raise UnsupportedActionDomain("no rule for root (%d,%d) on edge %s"
+                                  % (side, k, edge_text(e)))
 
 
 def apply_word(params, word, e, mode="identity_phi"):
@@ -145,11 +105,11 @@ def apply_word(params, word, e, mode="identity_phi"):
 def _check_alternating(word):
     if not word:
         raise MalformedWord("empty word")
-    for i, letter in enumerate(word):
-        if letter.root.depth != 0:
+    for i, (side, depth, _) in enumerate(word):
+        if depth != 0:
             raise MalformedWord("letters must have depth 0")
         want = 1 if i % 2 == 0 else 2
-        if letter.root.side != want:
+        if side != want:
             raise MalformedWord("word must alternate x1, x2, x1, ...")
     if len(word) % 2 != 0:
         raise MalformedWord("word must consist of full x1 x2 pairs")
@@ -157,8 +117,9 @@ def _check_alternating(word):
 
 @lru_cache(maxsize=None)
 def letter_table(params, letter, mode):
-    """One letter's action on the q^2 left length-2 edges as a permutation
-    of range(q^2): entry c1*q + c2 is the index of the image of L:c1,c2.
+    """The action of letter (side, depth, coeff) on the q^2 left length-2
+    edges as a permutation of range(q^2): entry c1*q + c2 is the index of
+    the image of ("L", (c1, c2)).
 
     Built once per (params, letter, mode).  At coefficient 0 it is the
     identity, x(0) = 1; at a power p^i of p it is read off apply_letter,
@@ -170,18 +131,19 @@ def letter_table(params, letter, mode):
     in the coefficient in both modes.  A failure propagates and leaves
     nothing cached.
     """
-    c, d, p, q = letter.coeff, 1, params.spec.p, params.spec.q
+    side, depth, c = letter
+    d, p, q = 1, params.spec.p, params.spec.q
     if not c:  # x(0) is the identity
         return tuple(range(q * q))
     while c // d % p == 0:
         d *= p
     if c != d:  # x(c) = x(c - d) x(d)
-        first = letter_table(params, letter._replace(coeff=d), mode)
+        first = letter_table(params, (side, depth, d), mode)
         return itemgetter(*first)(
-            letter_table(params, letter._replace(coeff=c - d), mode))
-    images = (apply_letter(params, letter, EdgeLabel("L", (c1, c2)), mode)
+            letter_table(params, (side, depth, c - d), mode))
+    images = (apply_letter(params, letter, ("L", (c1, c2)), mode)[1]
               for c1 in range(q) for c2 in range(q))
-    return tuple(e.coords[0] * q + e.coords[1] for e in images)
+    return tuple(c1 * q + c2 for c1, c2 in images)
 
 
 def _power_is_identity(image, p):
@@ -220,7 +182,8 @@ def zp_fix_test(params, word, mode="identity_phi"):
     sums = {1: 0, 2: 0}
     image = range(params.spec.q ** 2)
     for letter in word:  # the prefix's image, then the next letter's
-        sums[letter.root.side] = add[sums[letter.root.side]][letter.coeff]
+        side, _, coeff = letter
+        sums[side] = add[sums[side]][coeff]
         image = [image[j] for j in letter_table(params, letter, mode)]
     return _power_is_identity(image, params.spec.p), sums[1], sums[2]
 
@@ -254,9 +217,9 @@ def zp_walk(params, pairs):
     spec = params.spec
     check_zp_size(spec.q, pairs)
     add = spec._tables()[0]
-    x1s, x2s = ([itemgetter(*letter_table(
-        params, RootLetter(RootIndex(side, 0), c), "identity_phi"))
-        for c in range(spec.q)] for side in (1, 2))
+    x1s, x2s = ([itemgetter(*letter_table(params, (side, 0, c),
+                                          "identity_phi"))
+                 for c in range(spec.q)] for side in (1, 2))
     tally = Counter()  # (t1 != 0, agrees) -> words
     states = Counter({(tuple(range(spec.q ** 2)), 0, 0): 1})
     for left in range(pairs, 0, -1):

@@ -18,7 +18,7 @@ from kmlat.gf import ExtElement, _poly_mod, _poly_mul, is_prime
 from kmlat.groups import (CODE_ONE, SUBGROUP_TARGETS, FiniteGroup, code_mul,
                           find_subgroup_of_type, generate, order_available,
                           order_of, sl2_codes)
-from kmlat.kmaction import EdgeLabel, apply_word
+from kmlat.kmaction import apply_word
 from kmlat.lattice import covolume
 from kmlat.laurent import LaurentPoly
 from kmlat.serretree import Mat2, act
@@ -455,7 +455,7 @@ def _replay_fixes(params, word, mode, e):
     img = e
     for _ in range(params.spec.p):
         img = apply_word(params, word, img, mode)
-    return img.region == e.region and img.coords == e.coords
+    return img == e
 
 
 def replayed_zp_fix_test(params, word, mode="identity_phi"):
@@ -466,15 +466,14 @@ def replayed_zp_fix_test(params, word, mode="identity_phi"):
     fixes = True
     for c1 in range(spec.q):
         for c2 in range(spec.q):
-            e = EdgeLabel("L", (c1, c2))
-            if not _replay_fixes(params, word, mode, e):
+            if not _replay_fixes(params, word, mode, ("L", (c1, c2))):
                 fixes = False
     t1 = t2 = 0
-    for letter in word:
-        if letter.root.side == 1:
-            t1 = add[t1][letter.coeff]
+    for side, _, coeff in word:
+        if side == 1:
+            t1 = add[t1][coeff]
         else:
-            t2 = add[t2][letter.coeff]
+            t2 = add[t2][coeff]
     return fixes, t1, t2
 
 
@@ -482,35 +481,38 @@ def replayed_zp_fixes_ball2(params, word, mode="identity_phi"):
     """kmaction.zp_fixes_ball2 by replaying apply_word p times on every
     edge at distance <= 2 from the base edge."""
     spec = params.spec
-    edges = [EdgeLabel.base()]
+    edges = [("base", ())]
     for c in range(spec.q):
-        edges.append(EdgeLabel("L", (c,)))
-        edges.append(EdgeLabel("R", (c,)))
+        edges.append(("L", (c,)))
+        edges.append(("R", (c,)))
     for c1 in range(spec.q):
         for c2 in range(spec.q):
-            edges.append(EdgeLabel("L", (c1, c2)))
-            edges.append(EdgeLabel("R", (c1, c2)))
+            edges.append(("L", (c1, c2)))
+            edges.append(("R", (c1, c2)))
     return all(_replay_fixes(params, word, mode, e) for e in edges)
 
 
 def fe_apply_letter(params, letter, e, mode="identity_phi"):
     """kmaction.apply_letter with FieldElement arithmetic, as it was before
-    labels and letters held F_q codes.  Takes and returns code labels and
-    letters, and raises the same errors with the same messages."""
+    labels and letters held F_q codes.  Takes and returns code labels
+    (region, coords) and letters (side, depth, coeff), and raises the same
+    errors with the same messages, the edge written out here rather than
+    by kmaction.edge_text."""
     if mode not in ("identity_phi", "twisted_phi"):
         raise SpecMismatch("unknown mode %r" % mode)
-    if e.region == "base":
+    region, codes = e
+    if region == "base":
         return e
     spec = params.spec
-    coeff = spec.element(letter.coeff)
-    coords = [spec.element(c) for c in e.coords]
-    k = letter.root.depth
+    side, k, code = letter
+    coeff = spec.element(code)
+    coords = [spec.element(c) for c in codes]
     length = len(coords)
-    same_side = (letter.root.side == 1) == (e.region == "L")
+    same_side = (side == 1) == (region == "L")
     if same_side:
         if k <= length - 1:
             coords[k] = coords[k] + coeff
-            return EdgeLabel(e.region, tuple(c.code for c in coords))
+            return region, tuple(c.code for c in coords)
         return e
     if length <= k + 1:
         return e
@@ -526,9 +528,10 @@ def fe_apply_letter(params, letter, e, mode="identity_phi"):
             else:
                 delta = ((-pivot) ** params.m) * coeff
             coords[length - 1] = coords[length - 1] + delta
-            return EdgeLabel(e.region, tuple(c.code for c in coords))
+            return region, tuple(c.code for c in coords)
     raise UnsupportedActionDomain(
-        "no rule for root (%d,%d) on edge %s" % (letter.root.side, k, e))
+        "no rule for root (%d,%d) on edge %s:%s"
+        % (side, k, region, ",".join(str(c) for c in codes)))
 
 
 def _core(ambient, sub_elements):

@@ -37,8 +37,7 @@ from kmlat.errors import (InvalidInput, KmlatError, NotASubgroup,
 from kmlat.gf import _poly_mod, _poly_mul, parse_code
 from kmlat.groups import (CODE_ONE, PROFILE_2S4, PROFILE_SL2_3,
                           PROFILE_SL2_5, FiniteGroup, closure, sl2_codes)
-from kmlat.kmaction import (EdgeLabel, RootIndex, RootLetter,
-                            _check_alternating, _power_is_identity,
+from kmlat.kmaction import (_check_alternating, _power_is_identity,
                             apply_word, check_zp_size, letter_table)
 from kmlat.laurent import LaurentPoly
 from kmlat.serretree import (Mat2, Vertex, act, check_dihedral_size,
@@ -449,8 +448,8 @@ def alternating_word(params, pairs):
     """
     word = []
     for t1, t2 in pairs:
-        word.append(RootLetter(RootIndex(1, 0), t1))
-        word.append(RootLetter(RootIndex(2, 0), t2))
+        word.append((1, 0, t1))
+        word.append((2, 0, t2))
     return tuple(word)
 
 
@@ -459,12 +458,11 @@ def ball2_edges(spec):
     table index order: base, L and R of length 1, L and R of length 2,
     each side in coordinate-code order."""
     codes = range(spec.q)
-    edges = [EdgeLabel.base()]
+    edges = [("base", ())]
     for region in ("L", "R"):
-        edges += [EdgeLabel(region, (c,)) for c in codes]
+        edges += [(region, (c,)) for c in codes]
     for region in ("L", "R"):
-        edges += [EdgeLabel(region, (c1, c2))
-                  for c1 in codes for c2 in codes]
+        edges += [(region, (c1, c2)) for c1 in codes for c2 in codes]
     return edges
 
 
@@ -481,7 +479,8 @@ def ball2_word_table(params, word, mode):
     index = {e: i for i, e in enumerate(edges)}
     image = range(len(edges))
     for letter in reversed(word):
-        sums[letter.root.side] = add[sums[letter.root.side]][letter.coeff]
+        side, _, coeff = letter
+        sums[side] = add[sums[side]][coeff]
         table = [index[kmaction.apply_letter(params, letter, e, mode)]
                  for e in edges]
         image = [table[j] for j in image]
@@ -538,9 +537,9 @@ def dfs_zp_walk(params, pairs):
     spec = params.spec
     check_zp_size(spec.q, pairs)
     add = spec._tables()[0]
-    x1s, x2s = ([itemgetter(*letter_table(
-        params, RootLetter(RootIndex(side, 0), c), "identity_phi"))
-        for c in range(spec.q)] for side in (1, 2))
+    x1s, x2s = ([itemgetter(*letter_table(params, (side, 0, c),
+                                          "identity_phi"))
+                 for c in range(spec.q)] for side in (1, 2))
     tally = Counter()  # (t1 != 0, agrees) -> words
 
     def walk(image, left, t1, t2):
@@ -593,11 +592,12 @@ def _w2(spec):
 
 def letter_matrix(spec, letter):
     """Exact matrix of a depth-0 letter in the affine model."""
-    if letter.root.depth != 0:
+    side, depth, coeff = letter
+    if depth != 0:
         raise UnsupportedActionDomain("matrix model covers depth 0 only")
-    if letter.root.side == 1:
-        return _x1(spec, letter.coeff)
-    return _x2(spec, letter.coeff)
+    if side == 1:
+        return _x1(spec, coeff)
+    return _x2(spec, coeff)
 
 
 class RadiusExceeded(KmlatError):
@@ -609,13 +609,14 @@ def realize_edge(params, e, radius=6):
     if params.m != 2:
         raise UnsupportedActionDomain("exact realization needs m = 2")
     spec = params.spec
-    if e.region != "base" and len(e.coords) > radius:
+    region, coords = e
+    if region != "base" and len(coords) > radius:
         raise RadiusExceeded("edge length %d beyond radius %d"
-                             % (len(e.coords), radius))
+                             % (len(coords), radius))
     g = mat2_identity(spec)
-    if e.region != "base":
-        first = 1 if e.region == "L" else 2
-        for i, c in enumerate(e.coords):
+    if region != "base":
+        first = 1 if region == "L" else 2
+        for i, c in enumerate(coords):
             side = first if i % 2 == 0 else (3 - first)
             if side == 1:
                 g = g.mul(_x1(spec, c)).mul(_w1(spec))

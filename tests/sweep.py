@@ -10,7 +10,14 @@ The domains:
 - dickson: every prime power q <= 511 with each of the 3 ambients;
 - classify and min-covolume: every prime power q = p^a < 10^4, both
   levis and z = 1..4, no center flags (10,240 argvs each);
-- dihedral-search: q = 2, 4, ..., 256 with window 0..4.
+- dihedral-search: q = 2, 4, ..., 256 with window 0..4;
+- zp-test: every prime power q <= 511 with each pairs the work cap
+  admits, and the first pairs past it;
+- km-act: every km-act argv of tests/golden/tree_jobs.json; one letter
+  x1 or x2 of each depth 0..2 and code on each edge within distance 3 of
+  the base, over F_2, F_3 and F_4, in identity_phi and in twisted_phi
+  with m = 3; and the first KM_ACT_DRAWS km-act argvs that
+  test_random_argv.draw gives with seed KM_ACT_SEED.
 
 For each command it prints the argv count, the histogram of exit codes and
 one sha256 over the JSON lines [argv, stdout, stderr, exit code], in
@@ -23,15 +30,19 @@ import argparse
 import contextlib
 import hashlib
 import io
+import itertools
 import json
+import random
 import subprocess
 import sys
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parent.parent / "src"
+TESTS = Path(__file__).resolve().parent
+SRC = TESTS.parent / "src"
 KINDS = ("cyclic_p2", "torus_normalizer", "SL2(3)", "SL2(5)", "2S4")
 AMBIENTS = ("sl2", "psl2", "pgl2")
 SHOWN = 10  # differing argvs printed per command
+KM_ACT_SEED, KM_ACT_DRAWS = 38, 1000
 
 
 def prime_powers(limit):
@@ -53,6 +64,43 @@ def _classify_domain(command):
             for levi in ("psl", "pgl") for z in range(1, 5)]
 
 
+def _zp_test_domain():
+    from kmlat.kmaction import ZP_CAP
+    out = []
+    for q, _ in prime_powers(511):
+        pairs = 1
+        while q ** (2 * pairs + 2) <= ZP_CAP:
+            out.append(["zp-test", "--q", str(q), "--pairs", str(pairs)])
+            pairs += 1
+        out.append(["zp-test", "--q", str(q), "--pairs", str(pairs)])
+    return out
+
+
+def _km_act_domain():
+    golden = json.loads((TESTS / "golden" / "tree_jobs.json").read_text())
+    out = [g["argv"] for g in golden if g["argv"][0] == "km-act"]
+    for q in (2, 3, 4):
+        edges = ["base"] + [
+            "%s:%s" % (region, ",".join(map(str, coords)))
+            for region in "LR" for n in (1, 2, 3)
+            for coords in itertools.product(range(q), repeat=n)]
+        for mode, side, depth, c, edge in itertools.product(
+                ("identity_phi", "twisted_phi"), (1, 2), range(3), range(q),
+                edges):
+            out.append(["km-act", "--q", str(q), "--m", "3", "--word",
+                        "x%d@%d:%d" % (side, depth, c) if depth
+                        else "x%d:%d" % (side, c), "--edge", edge,
+                        "--mode", mode])
+    from test_random_argv import draw  # which imports kmlat.cli
+    rng, drawn = random.Random(KM_ACT_SEED), 0
+    while drawn < KM_ACT_DRAWS:
+        argv = draw(rng)
+        if argv[2 if argv[0] == "--json-indent" else 0] == "km-act":
+            out.append(argv)
+            drawn += 1
+    return out
+
+
 DOMAINS = {
     "verify": lambda: [["verify", "--q", str(q), "--kind", kind]
                        for q, _ in prime_powers(511) for kind in KINDS],
@@ -63,6 +111,8 @@ DOMAINS = {
     "dihedral-search": lambda: [
         ["dihedral-search", "--q", str(2 ** a), "--window", str(w)]
         for a in range(1, 9) for w in range(5)],
+    "zp-test": _zp_test_domain,
+    "km-act": _km_act_domain,
 }
 
 

@@ -11,8 +11,7 @@ from fractions import Fraction
 from kmlat.gf import make_field
 from kmlat.groups import (CODE_ONE, FiniteGroup, dickson_table,
                           find_subgroup_of_type, generate)
-from kmlat.kmaction import (EdgeLabel, KMParams, RootIndex, RootLetter,
-                            zp_fix_test)
+from kmlat.kmaction import KMParams, zp_fix_test
 from kmlat.lattice import (ClassificationInput, build_standard_lattice,
                            classify, lubotzky_check, min_covolume)
 from kmlat.serretree import Mat2, dihedral_obstruction_search
@@ -158,14 +157,13 @@ def test_criterion_06_affine_crosscheck():
     for q in (2, 3):
         spec = _field(q)
         params = KMParams(2, spec)
-        edges = [EdgeLabel.base()]
+        edges = [("base", ())]
         for c in range(q):
             for region in ("L", "R"):
-                edges.append(EdgeLabel(region, (c,)))
+                edges.append((region, (c,)))
                 for c2 in range(q):
-                    edges.append(EdgeLabel(region, (c, c2)))
-        letters = [(RootLetter(RootIndex(side, 0), c),)
-                   for side in (1, 2) for c in range(q)]
+                    edges.append((region, (c, c2)))
+        letters = [((side, 0, c),) for side in (1, 2) for c in range(q)]
         for word in letters:
             for e in edges:
                 checked += 1

@@ -2,8 +2,10 @@
 
 import argparse
 import gc
+import itertools
 import json
 import os
+import random
 import subprocess
 import sys
 import time
@@ -11,8 +13,9 @@ from pathlib import Path
 
 import pytest
 
-from kmlat import cli, kmaction, serretree
+from kmlat import cli, gf, kmaction, serretree
 from kmlat.errors import InvalidInput
+from test_random_argv import word
 from test_verify_golden import benchmark_workloads
 
 if sys.version_info >= (3, 11):
@@ -260,6 +263,14 @@ def test_bad_field_code_is_a_json_error(argv, named):
      "letter '' needs a ':coefficient'"),
     (("km-act", "--q", "3", "--word", "x3:1", "--edge", "base"),
      "letter must start with x1 or x2"),
+    (("km-act", "--q", "3", "--word", "x0:1", "--edge", "base"),
+     "letter must start with x1 or x2"),
+    (("km-act", "--q", "3", "--word", "x1@-1:1", "--edge", "base"),
+     "'-1' is not a non-negative integer"),
+    (("km-act", "--q", "3", "--word", "x1@:1", "--edge", "base"),
+     "'' is not a non-negative integer"),
+    (("km-act", "--q", "3", "--word", "x1@1.5:1", "--edge", "base"),
+     "'1.5' is not a non-negative integer"),
     (("tree", "--q", "2"), "tree needs --distance or --neighbors"),
     (("tree", "--q", "2", "--neighbors", ""),
      "matrix needs two ';'-separated rows"),
@@ -289,7 +300,9 @@ def test_bad_field_code_is_a_json_error(argv, named):
     (("tree", "--q", "3", "--distance", "1,0;0,1\n", "t\n,0;0,1"),
      "bad Laurent term '1\\n'"),
 ], ids=["field-not-prime-power", "matrix-rows", "matrix-entries", "edge",
-        "word-coeff-missing", "word-letter", "tree-no-flag",
+        "word-coeff-missing", "word-letter", "word-side-0",
+        "word-depth-negative", "word-depth-empty", "word-depth-fraction",
+        "tree-no-flag",
         "tree-empty-neighbors", "tree-empty-distance", "laurent-term",
         "degree-zero", "degree-negative", "code-underscore",
         "depth-arabic-indic", "exponent-arabic-indic", "q-space",
@@ -299,6 +312,36 @@ def test_malformed_input_is_invalid_input(argv, detail):
     err = run_json(*argv, expect=1)
     assert err["error"] == "InvalidInput"
     assert err["detail"] == detail
+
+
+def test_every_word_the_parser_accepts_is_letters_in_their_domain():
+    """cli._parse_word is where a word enters the program, and kmaction
+    checks no letter.  Over five fields, each one-letter word of a grid of
+    names, depths and coefficients, and each of 3,000 seeded words from
+    test_random_argv.word, is either one letter (side, depth, coeff) per
+    token, with side 1 or 2, depth >= 0 and coeff a code of F_q, or ends
+    in InvalidInput."""
+    rng = random.Random(38)
+    fields = [gf.make_field(p, a)
+              for p, a in ((2, 1), (3, 1), (2, 2), (5, 1), (3, 2))]
+    grid = ["".join(parts) for parts in itertools.product(
+        ("x1", "x2", "x0", "x3", "x", "y1", "X1", "x1x2"),
+        ("", "@", "@0", "@2", "@-1", "@1.5", "@\u0663", "@" + "9" * 30),
+        (":0", ":2", ":4", ":8", ":9", ":", "", ":-1", ":x", ":+1"))]
+    words = [(spec, text) for spec in fields for text in grid]
+    words += [(rng.choice(fields), word(rng)) for _ in range(3000)]
+    accepted = 0
+    for spec, text in words:
+        try:
+            letters = cli._parse_word(spec, text)
+        except InvalidInput:
+            continue
+        accepted += 1
+        assert len(letters) == text.count(",") + 1, text
+        for side, depth, coeff in letters:
+            assert side in (1, 2) and depth >= 0 and 0 <= coeff < spec.q
+            assert type(side) is type(depth) is type(coeff) is int
+    assert accepted > 100
 
 
 # int() reads each value as a number; every integer flag reads ASCII digits

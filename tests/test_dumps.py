@@ -25,7 +25,7 @@ CHARS = ('"\\/ ~azAZ09' + "".join(map(chr, range(32)))
 def golden_reports():
     """The distinct reports the golden files hold, decoded (help text is
     not a report)."""
-    texts = {job["stdout"] for path in sorted(GOLDEN.glob("*.json"))
+    texts = {job["stdout"] for path in sorted(GOLDEN.glob("*_jobs.json"))
              for job in json.loads(path.read_text())
              if job["stdout"].startswith("{")}
     return [json.loads(text) for text in sorted(texts)]

@@ -11,8 +11,7 @@ from kmlat.errors import (InvalidInput, KmlatError, MalformedWord,
                           SizeCapExceeded, SpecMismatch,
                           UnsupportedActionDomain)
 from kmlat.gf import is_prime, make_field
-from kmlat.kmaction import (ZP_CAP, EdgeLabel, KMParams, RootIndex,
-                            RootLetter, apply_letter, apply_word,
+from kmlat.kmaction import (ZP_CAP, KMParams, apply_letter, apply_word,
                             check_zp_size, letter_table, zp_fix_test,
                             zp_walk, _power_is_identity)
 
@@ -39,7 +38,7 @@ MODES = ("identity_phi", "twisted_phi")
 
 
 def all_left_edges2(spec):
-    return [EdgeLabel("L", (c1, c2))
+    return [("L", (c1, c2))
             for c1 in range(spec.q) for c2 in range(spec.q)]
 
 
@@ -63,53 +62,46 @@ def test_params_validation():
         KMParams(1, F2)
     with pytest.raises(InvalidInput):
         KMParams(m=1, spec=F2)
-    with pytest.raises(SpecMismatch):
-        RootIndex(3, 0)
-    with pytest.raises(SpecMismatch):
-        RootIndex(side=0, depth=0)
-    with pytest.raises(SpecMismatch):
-        RootIndex(1, -1)
 
 
 def test_base_edge_is_fixed():
     params = KMParams(2, F3)
-    e = EdgeLabel.base()
+    e = ("base", ())
     for side in (1, 2):
         for depth in (0, 1, 3):
-            letter = RootLetter(RootIndex(side, depth), 1)
+            letter = (side, depth, 1)
             assert apply_letter(params, letter, e) == e
 
 
 def test_same_side_letter_translates_coordinate():
     params = KMParams(2, F3)
-    e = EdgeLabel("L", (1, 2))
-    l0 = RootLetter(RootIndex(1, 0), 1)
-    assert apply_letter(params, l0, e) == EdgeLabel("L", (2, 2))
-    l1 = RootLetter(RootIndex(1, 1), 1)
-    assert apply_letter(params, l1, e) == EdgeLabel("L", (1, 0))
+    e = ("L", (1, 2))
+    l0 = (1, 0, 1)
+    assert apply_letter(params, l0, e) == ("L", (2, 2))
+    l1 = (1, 1, 1)
+    assert apply_letter(params, l1, e) == ("L", (1, 0))
     # a depth beyond the edge length fixes it
-    l5 = RootLetter(RootIndex(1, 5), 1)
+    l5 = (1, 5, 1)
     assert apply_letter(params, l5, e) == e
     # mirror image on the right side
-    r = EdgeLabel("R", (1, 2))
-    m0 = RootLetter(RootIndex(2, 0), 1)
-    assert apply_letter(params, m0, r) == EdgeLabel("R", (2, 2))
+    r = ("R", (1, 2))
+    m0 = (2, 0, 1)
+    assert apply_letter(params, m0, r) == ("R", (2, 2))
 
 
 def test_cross_side_letter_cases():
     params = KMParams(2, F3)
-    x2 = RootLetter(RootIndex(2, 0), 1)
+    x2 = (2, 0, 1)
     # short edge: fixed
-    assert apply_letter(params, x2, EdgeLabel("L", (1,))) == \
-        EdgeLabel("L", (1,))
+    assert apply_letter(params, x2, ("L", (1,))) == ("L", (1,))
     # length 2, nonzero pivot: last coordinate moves
-    e = EdgeLabel("L", (1, 0))
-    assert apply_letter(params, x2, e) == EdgeLabel("L", (1, 1))
+    e = ("L", (1, 0))
+    assert apply_letter(params, x2, e) == ("L", (1, 1))
     # zero pivot: fixed
-    z = EdgeLabel("L", (0, 1))
+    z = ("L", (0, 1))
     assert apply_letter(params, x2, z) == z
     # odd overshoot is outside the supported domain
-    long = EdgeLabel("L", (1, 1, 1))
+    long = ("L", (1, 1, 1))
     with pytest.raises(UnsupportedActionDomain):
         apply_letter(params, x2, long)
 
@@ -130,7 +122,8 @@ def test_word_inverse_roundtrip():
     pairs = [(1, 2), (2, 1)]
     word = alternating_word(params, pairs)
     neg = F3._tables()[2]
-    inverse = tuple(RootLetter(l.root, neg[l.coeff]) for l in reversed(word))
+    inverse = tuple((side, depth, neg[c])
+                    for side, depth, c in reversed(word))
     for e in all_left_edges2(F3):
         img = apply_word(params, word, e)
         assert apply_word(params, inverse, img) == e
@@ -140,15 +133,13 @@ def test_malformed_words():
     params = KMParams(2, F2)
     with pytest.raises(MalformedWord):
         zp_fix_test(params, ())
-    bad_order = (RootLetter(RootIndex(2, 0), 1),
-                 RootLetter(RootIndex(1, 0), 1))
+    bad_order = ((2, 0, 1), (1, 0, 1))
     with pytest.raises(MalformedWord):
         zp_fix_test(params, bad_order)
-    odd = (RootLetter(RootIndex(1, 0), 1),)
+    odd = ((1, 0, 1),)
     with pytest.raises(MalformedWord):
         zp_fix_test(params, odd)
-    deep = (RootLetter(RootIndex(1, 1), 1),
-            RootLetter(RootIndex(2, 0), 1))
+    deep = ((1, 1, 1), (2, 0, 1))
     with pytest.raises(MalformedWord):
         zp_fix_test(params, deep)
 
@@ -182,8 +173,8 @@ def test_zp_image_matches_closed_form(spec):
                 img = e
                 for _ in range(p):
                     img = apply_word(params, word, img)
-                want = zp_oracle(spec, pairs, *e.coords)
-                assert img.coords == want, (pairs, e)
+                want = zp_oracle(spec, pairs, *e[1])
+                assert img == ("L", want), (pairs, e)
 
 
 @pytest.mark.parametrize("spec", [F2, F3], ids=lambda s: "q=%d" % s.q)
@@ -288,13 +279,13 @@ def test_letter_tables_are_permutations(spec):
     root-group law, in chains of up to 9 compositions (at q = 11)."""
     depths = 3 if spec.q <= 9 else 1
     q = spec.q
-    edges = [EdgeLabel("L", (c1, c2)) for c1 in range(q) for c2 in range(q)]
+    edges = [("L", (c1, c2)) for c1 in range(q) for c2 in range(q)]
     letter_table.cache_clear()  # every composition below is made anew
     for params in (KMParams(2, spec), KMParams(3, spec)):
         for mode in MODES:
             for side, depth, c in itertools.product((1, 2), range(depths),
                                                     range(q)):
-                letter = RootLetter(RootIndex(side, depth), c)
+                letter = (side, depth, c)
                 table = letter_table(params, letter, mode)
                 assert sorted(table) == list(range(q * q))
                 assert [edges[j] for j in table] == [
@@ -308,15 +299,15 @@ ROOT_ACTION = [(2, 1, 4), (3, 1, 3), (5, 1, 2), (7, 1, 1), (11, 1, 1),
 
 def test_zp_walk_reads_the_rules_at_powers_of_p(monkeypatch):
     """From a cold cache, zp_walk calls apply_letter on the q^2 left
-    length-2 edges for each side and each coefficient 1, p, ..., p^(a-1)
-    alone, 2a*q^2 calls, 480 over the six root-action inputs; x(0) is the
-    identity, and every other table comes from the group law
-    x(c) = x(c - d) x(d)."""
+    length-2 edges for the letters x1 and x2 of depth 0 and each
+    coefficient 1, p, ..., p^(a-1) alone, 2a*q^2 calls, 480 over the six
+    root-action inputs; x(0) is the identity, and every other table comes
+    from the group law x(c) = x(c - d) x(d)."""
     calls = []
     rules = kmaction.apply_letter
 
     def counted(params, letter, e, mode):
-        calls.append(letter.coeff)
+        calls.append(letter)
         return rules(params, letter, e, mode)
 
     monkeypatch.setattr(kmaction, "apply_letter", counted)
@@ -327,7 +318,8 @@ def test_zp_walk_reads_the_rules_at_powers_of_p(monkeypatch):
         calls.clear()
         zp_walk(KMParams(2, spec), npairs)
         assert len(calls) == 2 * a * spec.q ** 2, (spec.q, npairs)
-        assert set(calls) == {p ** i for i in range(a)}
+        assert set(calls) == {(side, 0, p ** i) for side in (1, 2)
+                              for i in range(a)}
         total += len(calls)
     assert total == 480
 
@@ -486,10 +478,11 @@ def test_zp_size_check_refuses_past_the_cap(q, npairs):
 
 
 def _outcome(fn, *args):
+    """("image", the label fn returns) or ("error", its class, message)."""
     try:
-        return fn(*args)
+        return "image", fn(*args)
     except KmlatError as exc:
-        return type(exc), str(exc)
+        return "error", type(exc), str(exc)
 
 
 @pytest.mark.parametrize("spec,longest", [(F2, 3), (F3, 3), (F4, 3), (F5, 3),
@@ -500,12 +493,11 @@ def test_apply_letter_matches_field_element_oracle(spec, longest):
     class and message, of the FieldElement reference, for every letter of
     side 1 or 2, depth 0..2 and every coefficient, on every edge up to the
     given length, in both modes, for m in {2, 3, 5}."""
-    edges = [EdgeLabel.base()] + [
-        EdgeLabel(region, coords) for n in range(1, longest + 1)
+    edges = [("base", ())] + [
+        (region, coords) for n in range(1, longest + 1)
         for region in ("L", "R")
         for coords in itertools.product(range(spec.q), repeat=n)]
-    letters = [RootLetter(RootIndex(side, depth), c) for side in (1, 2)
-               for depth in range(3) for c in range(spec.q)]
+    letters = list(itertools.product((1, 2), range(3), range(spec.q)))
     errors = 0
     for params in (KMParams(m, spec) for m in (2, 3, 5)):
         for mode in MODES:
@@ -515,7 +507,7 @@ def test_apply_letter_matches_field_element_oracle(spec, longest):
                     assert got == _outcome(fe_apply_letter, params, letter,
                                            e, mode), (params.m, mode,
                                                       letter, e)
-                    errors += isinstance(got, tuple)
+                    errors += got[0] == "error"
     # only edges of length 3 reach the UnsupportedActionDomain branch
     assert (errors > 0) == (longest == 3)
 
@@ -591,33 +583,33 @@ def test_affine_generators_live_where_expected():
 
 def test_realize_edge_geometry():
     params = KMParams(2, F2)
-    base = realize_edge(params, EdgeLabel.base())
+    base = realize_edge(params, ("base", ()))
     assert base == base_edge(F2)
     seen = [base]
-    labels = [EdgeLabel.base()]
+    labels = [("base", ())]
     for c in range(2):
-        labels.append(EdgeLabel("L", (c,)))
-        labels.append(EdgeLabel("R", (c,)))
+        labels.append(("L", (c,)))
+        labels.append(("R", (c,)))
         for c2 in range(2):
-            labels.append(EdgeLabel("L", (c, c2)))
-            labels.append(EdgeLabel("R", (c, c2)))
+            labels.append(("L", (c, c2)))
+            labels.append(("R", (c, c2)))
     realized = [realize_edge(params, lab) for lab in labels]
     for i, e in enumerate(realized):
-        d = 0 if labels[i].region == "base" else len(labels[i].coords)
+        d = len(labels[i][1])  # the base edge's coords are ()
         assert edge_distance(base_edge(F2), e) == d
         for j in range(i):
             assert e != realized[j]
     # a left length-1 edge is x1(c) w1 applied to the base edge
-    got = realize_edge(params, EdgeLabel("L", (1,)))
+    got = realize_edge(params, ("L", (1,)))
     assert got == edge_act(_x1(F2, 1).mul(_w1(F2)), base_edge(F2))
 
 
 def test_realize_edge_limits():
     params = KMParams(3, F2)
     with pytest.raises(UnsupportedActionDomain):
-        realize_edge(params, EdgeLabel.base())
+        realize_edge(params, ("base", ()))
     params = KMParams(2, F2)
-    deep = EdgeLabel("L", (1,) * 7)
+    deep = ("L", (1,) * 7)
     with pytest.raises(RadiusExceeded):
         realize_edge(params, deep)
 

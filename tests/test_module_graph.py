@@ -64,12 +64,14 @@ TO_ORACLES = {"_mult_matrix": "mult_matrix", "ext_one": "ext_one",
 # came to align by a unipotent (tests/oracles.py keeps it),
 # FiniteGroup.identity, which the tests replaced by CODE_ONE, the
 # dihedral search's scalar helpers, folded into its loop over code triples,
-# and the report records, now the plain dicts that cli.dumps writes
+# the report records, now the plain dicts that cli.dumps writes, and the
+# edge label and root letter records, now plain tuples
 DELETED = {"_trace_order_map", "_trace_class", "_SEARCH_BUDGET", "_emit",
            "VerificationReport.to_json_dict", "LatticeDescriptor.to_json_dict",
            "EXCEPTIONAL_TABLE", "_diagonalizing_conjugator",
            "FiniteGroup.identity", "_low_squares", "_p1_hits", "_p2_hits",
-           "VerificationReport", "LatticeDescriptor", "DicksonEntry"}
+           "VerificationReport", "LatticeDescriptor", "DicksonEntry",
+           "EdgeLabel", "RootIndex", "RootLetter"}
 
 
 def definitions(source):
@@ -249,9 +251,6 @@ UNREACHED = {
     "groups.FiniteGroup.__hash__": COMPARED,
     "groups.FiniteGroup.__repr__": COMPARED,
     "groups.order_of": UNDER_TRACED, "groups.sl2_codes": UNDER_TRACED,
-    "kmaction.EdgeLabel.__eq__": COMPARED,
-    "kmaction.EdgeLabel.__hash__": COMPARED,
-    "kmaction.EdgeLabel.__repr__": COMPARED,
     "kmaction._check_alternating": UNDER_TRACED,
     "laurent.LaurentPoly.__hash__": COMPARED,
     "laurent.LaurentPoly.__repr__": COMPARED,
@@ -325,7 +324,8 @@ def tracer_patched():
 
 def reach_argvs():
     """The argvs of the five golden files and of the benchmark, once each."""
-    argvs = [job["argv"] for path in sorted((TESTS / "golden").glob("*.json"))
+    argvs = [job["argv"]
+             for path in sorted((TESTS / "golden").glob("*_jobs.json"))
              for job in json.loads(path.read_text())]
     argvs += [list(job) for jobs in benchmark_workloads().values()
               for job in jobs]

@@ -1,6 +1,8 @@
 """The record types: construction, defaults, equality and hashing, and
-the checks made on construction.  The reports are plain dicts, not
-records."""
+the checks made on construction.  The package keeps two, KMParams and
+ClassificationInput, which hold input from outside the program; the
+others here (GroupType, EdgeOfGroups) are the tests' own.  Edge labels
+and root letters are plain tuples, and the reports plain dicts."""
 
 import json
 
@@ -9,8 +11,7 @@ import pytest
 from kmlat import cli
 from kmlat.gf import make_field
 from kmlat.groups import CODE_ONE, dickson_table, nonsplit_torus
-from kmlat.kmaction import (EdgeLabel, KMParams, RootIndex, RootLetter,
-                            letter_table)
+from kmlat.kmaction import KMParams, letter_table
 from kmlat.lattice import (ClassificationInput, build_standard_lattice,
                            classify, lubotzky_check, min_covolume)
 from kmlat.serretree import dihedral_obstruction_search
@@ -26,10 +27,6 @@ def _equal_and_hashed_alike(x, y):
 def test_keyword_and_positional_construction_agree():
     assert GroupType(kind="Cyclic", param=4) == GroupType("Cyclic", 4)
     assert KMParams(m=3, spec=F3) == KMParams(3, F3)
-    assert RootIndex(side=2, depth=1) == RootIndex(2, 1)
-    letter = RootLetter(root=RootIndex(1, 0), coeff=2)
-    assert letter == RootLetter(RootIndex(1, 0), 2)
-    assert EdgeLabel(region="L", coords=(1,)) == EdgeLabel("L", (1,))
     assert (ClassificationInput(p=5, q=5, levi="psl", z_order=1)
             == ClassificationInput(5, 5, "psl", 1))
     t, g = nonsplit_torus(F3), sl2_group(F3)
@@ -56,13 +53,6 @@ def test_equality_and_hashing():
     assert GroupType("A4") != GroupType("S4")
     assert _equal_and_hashed_alike(KMParams(2, F3), KMParams(2, F3))
     assert KMParams(2, F3) != KMParams(3, F3)
-    assert _equal_and_hashed_alike(RootLetter(RootIndex(1, 0), 2),
-                                   RootLetter(RootIndex(1, 0), 2))
-    assert RootLetter(RootIndex(1, 0), 2) != RootLetter(RootIndex(2, 0), 2)
-    assert _equal_and_hashed_alike(EdgeLabel("R", (0, 1)),
-                                   EdgeLabel("R", (0, 1)))
-    assert EdgeLabel("L", (0, 1)) != EdgeLabel("R", (0, 1))
-    assert EdgeLabel.base() != ("base", ())
     assert _equal_and_hashed_alike(
         ClassificationInput(5, 5, "pgl", 2, True, True),
         ClassificationInput(5, 5, "pgl", 2, True, True))
@@ -71,7 +61,7 @@ def test_equality_and_hashing():
 def test_letter_table_cache_keys_on_equal_records():
     """Equal but distinct params and letters hit letter_table's cache."""
     def call():
-        return letter_table(KMParams(2, F3), RootLetter(RootIndex(2, 0), 1),
+        return letter_table(KMParams(2, F3), tuple([2, 0, 1]),
                             "identity_phi")
     first = call()
     hits = letter_table.cache_info().hits
@@ -79,7 +69,7 @@ def test_letter_table_cache_keys_on_equal_records():
     assert letter_table.cache_info().hits == hits + 1
 
 
-def test_json_dict_key_order(capsys):
+def test_covolume_is_fraction_text(capsys):
     """A report is the plain dict the CLI writes, and its covolume is
     already the "n/d" text."""
     rep = lubotzky_check(build_standard_lattice(F3, "torus_normalizer"))
@@ -90,10 +80,6 @@ def test_json_dict_key_order(capsys):
 
 def test_reprs():
     assert repr(GroupType("Cyclic", 2)) == "GroupType(kind='Cyclic', param=2)"
-    assert (repr(EdgeLabel("L", (1, 0)))
-            == "EdgeLabel(region='L', coords=(1, 0))")
-    assert (repr(RootLetter(RootIndex(1, 0), 2))
-            == "RootLetter(root=RootIndex(side=1, depth=0), coeff=2)")
 
 
 # command -> (argv, the library call whose value the command reports, and

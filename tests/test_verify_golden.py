@@ -47,7 +47,11 @@ EXTRA_VERIFY = [["verify", "--q", str(q), "--kind", kind]
                                 (9, "SL2(5)"), (23, "SL2(3)"), (47, "2S4"))]
 
 # prime, char-2 and odd non-prime fields (negation there is not p - x);
-# the last tree run pins the error for a non-monomial determinant
+# the last tree run pins the error for a non-monomial determinant.  The
+# km-act runs print edge labels as text: codes without leading zeros, and
+# in the last three an UnsupportedActionDomain detail naming the root and
+# the edge it has no rule for (in the first, the image of the rightmost
+# letter, which acts first)
 TREE_JOBS = [
     ["tree", "--q", "2", "--neighbors", "t,1;0,1"],
     ["tree", "--q", "3", "--neighbors", "2,1;1,1"],
@@ -70,6 +74,13 @@ TREE_JOBS = [
      "--mode", "twisted_phi"],
     ["km-act", "--q", "5", "--m", "3", "--word", "x1:4,x2:2", "--edge",
      "base"],
+    ["km-act", "--q", "2", "--word", "x2@7:1", "--edge", "base"],
+    ["km-act", "--q", "9", "--word", "x1:5,x2:7,x1@1:3", "--edge", "L:04,2",
+     "--mode", "twisted_phi"],
+    ["km-act", "--q", "5", "--m", "3", "--word", "x1:2,x2@1:4", "--edge",
+     "R:0,03,1", "--mode", "twisted_phi"],
+    ["km-act", "--q", "3", "--word", "x2:1", "--edge", "L:1,1,1"],
+    ["km-act", "--q", "4", "--word", "x1@1:2", "--edge", "R:0,3,1,2"],
 ]
 
 
