@@ -4,10 +4,8 @@ Exit codes: 0 on success, 1 on a domain error (JSON {"error", "detail"}),
 2 on usage errors (argparse).
 """
 
-import functools
 import gc
 import sys
-import types
 
 from . import gf, groups, kmaction, lattice, serretree
 from .errors import DegreeTooLarge, InvalidInput, KmlatError
@@ -33,7 +31,8 @@ def _int(text, least=None, most=None):
 
 
 def _int_type(name, least=None, most=None):  # argparse names it __name__
-    read = functools.partial(_int, least=least, most=most)
+    def read(text):
+        return _int(text, least, most)
     read.__name__ = name
     return read
 
@@ -212,10 +211,17 @@ COMMANDS = {
 }
 
 
+class Args:
+    """fast_parse's namespace: vars() of it is argparse's namespace's."""
+
+    def __init__(self, **values):
+        self.__dict__.update(values)
+
+
 def fast_parse(argv):
     """The namespace argparse gives an argv of the shape
-    `<command> (--flag value)*` that it accepts, read off COMMANDS without
-    argparse; None for every other argv, which build_parser then parses.
+    `<command> (--flag value)*` that it accepts, as an Args read off
+    COMMANDS; None for every other argv, which build_parser then parses.
     A flag may appear once, and no value may start with '-'."""
     if not argv or argv[0] not in COMMANDS:
         return None
@@ -243,16 +249,21 @@ def fast_parse(argv):
     if len(given.keys() & set(one_of)) > 1 or any(
             k.get("required") and f not in given for f, k in flags.items()):
         return None
-    return types.SimpleNamespace(json_indent=None, command=argv[0], **{
+    return Args(json_indent=None, command=argv[0], **{
         f[2:].replace("-", "_"): given.get(f, k.get("default"))
         for f, k in flags.items()})
 
 
-@functools.lru_cache(maxsize=None)
+_PARSER = []  # build_parser's one parser, once built
+
+
 def build_parser():
     """The parser with every subcommand, built once, for the argvs
     fast_parse declines: help, usage errors and shapes it does not read."""
+    if _PARSER:
+        return _PARSER[0]
     import argparse
+    import functools  # which argparse has loaded
     # argparse's layout for its fallback 80-column terminal; with the width
     # fixed, it never imports shutil to probe the terminal
     fmt = functools.partial(argparse.HelpFormatter, width=80 - 2)
@@ -269,6 +280,7 @@ def build_parser():
         group = p.add_mutually_exclusive_group() if one_of else p
         for flag, keywords in flags.items():
             (group if flag in one_of else p).add_argument(flag, **keywords)
+    _PARSER.append(parser)
     return parser
 
 

@@ -15,9 +15,8 @@ element x + y*w is x*I + y*C, held as the code 4-tuple (a, b, c, d) of a
 2x2 matrix.  Its product is code_mul and its norm the determinant.
 """
 
-from functools import lru_cache
+from _operator import itemgetter  # operator.py only re-exports it
 from itertools import chain
-from operator import itemgetter
 
 from .errors import (DegreeTooLarge, DivisionByZero, InvalidInput, NonPrime,
                      SpecMismatch)
@@ -394,7 +393,9 @@ class ExtElement:
         return "ext(%d,%d)" % (self.x.code, self.y.code)
 
 
-@lru_cache(maxsize=None)
+_PRIMITIVES = {}  # spec -> primitive_element(spec)
+
+
 def primitive_element(spec):
     """The first generator z = x*I + y*C of the cyclic group F_{q^2}*, in
     (y, x) code order, as a code 4-tuple.
@@ -403,8 +404,10 @@ def primitive_element(spec):
     n = q^2 - 1 = (q-1)(q+1), so r <= q+1.  The scan starts at y = 1: the
     y = 0 row is F_q*, whose order q-1 is less than n.  So the test for
     r = q+1 never rejects a candidate: when q+1 = r is prime,
-    z^(n/r) = z^(q-1) = I only on F_q*.  Memoized per field.
+    z^(n/r) = z^(q-1) = I only on F_q*.  Memoized per field in _PRIMITIVES.
     """
+    if spec in _PRIMITIVES:
+        return _PRIMITIVES[spec]
     n = spec.q * spec.q - 1
     primes = [r for r in range(2, spec.q + 2) if n % r == 0 and is_prime(r)]
     add, mul, neg, _ = spec._tables()
@@ -416,6 +419,7 @@ def primitive_element(spec):
             z = (x, b, y, add[x][d])
             if all(code_pow(prod, z, n // r, CODE_ONE) != CODE_ONE
                    for r in primes):
+                _PRIMITIVES[spec] = z
                 return z
 
 

@@ -15,23 +15,22 @@ against exact matrices on the Bruhat-Tits tree (crosscheck_affine in
 tests/reference.py).
 """
 
-from collections import Counter, namedtuple
-from functools import lru_cache
-from operator import itemgetter
+from _operator import itemgetter  # operator.py only re-exports it
 
 from .errors import (InvalidInput, MalformedWord, SizeCapExceeded,
                      SpecMismatch, UnsupportedActionDomain)
 from .gf import code_pow
 
 
-class KMParams(namedtuple("KMParams", "m spec")):
-    """Cartan parameter m >= 2 and the ground field."""
+class KMParams(tuple):
+    """Cartan parameter m >= 2 and the ground field, the tuple (m, spec)."""
     __slots__ = ()
+    m, spec = property(itemgetter(0)), property(itemgetter(1))
 
     def __new__(cls, m, spec):
         if m < 2:
             raise InvalidInput("m = %d must be >= 2" % m)
-        return super().__new__(cls, m, spec)
+        return tuple.__new__(cls, (m, spec))
 
 
 def edge_text(e):
@@ -115,35 +114,43 @@ def _check_alternating(word):
         raise MalformedWord("word must consist of full x1 x2 pairs")
 
 
-@lru_cache(maxsize=None)
+_LETTER_TABLES = {}  # (params, letter, mode) -> letter_table's value
+
+
 def letter_table(params, letter, mode):
     """The action of letter (side, depth, coeff) on the q^2 left length-2
     edges as a permutation of range(q^2): entry c1*q + c2 is the index of
     the image of ("L", (c1, c2)).
 
-    Built once per (params, letter, mode).  At coefficient 0 it is the
-    identity, x(0) = 1; at a power p^i of p it is read off apply_letter,
-    which stays the only place the rules live; letters keep an edge's
-    region and length, so each index is read off the image's two
-    coordinates.  At any other code c it follows from the group law
-    x(c) = x(c - d) x(d) of the root group, d = p^i for the lowest nonzero
-    base-p digit i of c: c - d and d add without carry, and phi is linear
-    in the coefficient in both modes.  A failure propagates and leaves
-    nothing cached.
+    Built once per (params, letter, mode), kept in _LETTER_TABLES.  At
+    coefficient 0 it is the identity, x(0) = 1; at a power p^i of p it is
+    read off apply_letter, which stays the only place the rules live;
+    letters keep an edge's region and length, so each index is read off
+    the image's two coordinates.  At any other code c it follows from the
+    group law x(c) = x(c - d) x(d) of the root group, d = p^i for the
+    lowest nonzero base-p digit i of c: c - d and d add without carry, and
+    phi is linear in the coefficient in both modes.  A failure propagates
+    and leaves nothing cached.
     """
+    key = params, letter, mode
+    if key in _LETTER_TABLES:
+        return _LETTER_TABLES[key]
     side, depth, c = letter
     d, p, q = 1, params.spec.p, params.spec.q
-    if not c:  # x(0) is the identity
-        return tuple(range(q * q))
-    while c // d % p == 0:
+    while c and c // d % p == 0:
         d *= p
-    if c != d:  # x(c) = x(c - d) x(d)
+    if not c:  # x(0) is the identity
+        table = tuple(range(q * q))
+    elif c != d:  # x(c) = x(c - d) x(d)
         first = letter_table(params, (side, depth, d), mode)
-        return itemgetter(*first)(
+        table = itemgetter(*first)(
             letter_table(params, (side, depth, c - d), mode))
-    images = (apply_letter(params, letter, ("L", (c1, c2)), mode)[1]
-              for c1 in range(q) for c2 in range(q))
-    return tuple(c1 * q + c2 for c1, c2 in images)
+    else:
+        images = (apply_letter(params, letter, ("L", (c1, c2)), mode)[1]
+                  for c1 in range(q) for c2 in range(q))
+        table = tuple(c1 * q + c2 for c1, c2 in images)
+    _LETTER_TABLES[key] = table
+    return table
 
 
 def _power_is_identity(image, p):
@@ -220,17 +227,19 @@ def zp_walk(params, pairs):
     x1s, x2s = ([itemgetter(*letter_table(params, (side, 0, c),
                                           "identity_phi"))
                  for c in range(spec.q)] for side in (1, 2))
-    tally = Counter()  # (t1 != 0, agrees) -> words
-    states = Counter({(tuple(range(spec.q ** 2)), 0, 0): 1})
+    tally = dict.fromkeys([(False, False), (False, True), (True, False),
+                           (True, True)], 0)  # (t1 != 0, agrees) -> words
+    states = {(tuple(range(spec.q ** 2)), 0, 0): 1}
     for left in range(pairs, 0, -1):
-        frontier, states = states, Counter()
+        frontier, states = states, {}
         for (image, t1, t2), count in frontier.items():
             for a, x1 in enumerate(x1s):
                 after_x1, s1 = x1(image), add[t1][a]
                 for u, x2 in enumerate(x2s):
                     word, s2 = x2(after_x1), add[t2][u]
                     if left > 1:
-                        states[word, s1, s2] += count
+                        key = word, s1, s2
+                        states[key] = states.get(key, 0) + count
                     else:
                         tally[s1 != 0, _power_is_identity(word, spec.p)
                               == (s2 == 0)] += count

@@ -13,7 +13,7 @@ report, lubotzky_check's or a classify row, is the plain dict the CLI
 prints.
 """
 
-from collections import namedtuple
+from _operator import itemgetter  # operator.py only re-exports it
 from math import gcd, prod
 
 from .errors import InvalidInput, KindInadmissible, MinUndefined
@@ -98,11 +98,16 @@ def lubotzky_check(a1):
 
 # --- classification -------------------------------------------------------
 
-class ClassificationInput(namedtuple(
-        "ClassificationInput", "p q levi z_order qi_in_zg qi0_in_zg "
-        "qi0_nontrivial zmi_in_zg", defaults=(None,) * 4)):
+class ClassificationInput(tuple):
     """levi: "psl" or "pgl"; the four center flags: True, False or None."""
     __slots__ = ()
+    (p, q, levi, z_order, qi_in_zg, qi0_in_zg, qi0_nontrivial,
+     zmi_in_zg) = (property(itemgetter(i)) for i in range(8))
+
+    def __new__(cls, p, q, levi, z_order, qi_in_zg=None, qi0_in_zg=None,
+                qi0_nontrivial=None, zmi_in_zg=None):
+        return tuple.__new__(cls, (p, q, levi, z_order, qi_in_zg, qi0_in_zg,
+                                   qi0_nontrivial, zmi_in_zg))
 
     def validate(self):
         q, p = self.q, self.p

@@ -12,7 +12,9 @@ module.Class.method for a method), found by ast:
   not in, is and is not;
 - an int constant c with |c| <= 64 (not a bool) made c + 1;
 - a call of the builtin max, min, any or all by its bare name made a
-  call of its partner: max and min, any and all.
+  call of its partner: max and min, any and all;
+- a boolean operator swapped: and and or (one site per chain, so
+  `a and b and c` becomes `a or b or c`).
 
 The repository is copied once into a temporary directory, without .git
 and __pycache__, and the copy is removed at the end.  The checkout is
@@ -67,7 +69,7 @@ def find_function(tree, name):
 def sites(func):
     """The mutable sites of a function, in ast.walk order: (node, index)
     with index the operator's position in a Compare, or None for an int
-    constant or a call."""
+    constant, a call or a boolean chain."""
     out = []
     for node in ast.walk(func):
         if isinstance(node, ast.Compare):
@@ -79,6 +81,8 @@ def sites(func):
         elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
               and node.func.id in CALLS):
             out.append((node, None))
+        elif isinstance(node, ast.BoolOp):
+            out.append((node, None))
     return out
 
 
@@ -86,7 +90,10 @@ def mutate(source, function, k):
     """(mutated source, description) for site k of function."""
     tree = ast.parse(source)
     node, index = sites(find_function(tree, function))[k]
-    if isinstance(node, ast.Call):
+    if isinstance(node, ast.BoolOp):
+        what = "and -> or" if isinstance(node.op, ast.And) else "or -> and"
+        node.op = ast.Or() if isinstance(node.op, ast.And) else ast.And()
+    elif isinstance(node, ast.Call):
         what = "%s -> %s" % (node.func.id, CALLS[node.func.id])
         node.func.id = CALLS[node.func.id]
     elif index is None:

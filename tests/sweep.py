@@ -17,7 +17,10 @@ The domains:
   x1 or x2 of each depth 0..2 and code on each edge within distance 3 of
   the base, over F_2, F_3 and F_4, in identity_phi and in twisted_phi
   with m = 3; and the first KM_ACT_DRAWS km-act argvs that
-  test_random_argv.draw gives with seed KM_ACT_SEED.
+  test_random_argv.draw gives with seed KM_ACT_SEED;
+- tree: every tree argv of tests/golden/tree_jobs.json, and the first
+  TREE_DRAWS tree argvs that test_random_argv.draw gives with seed
+  TREE_SEED.
 
 For each command it prints the argv count, the histogram of exit codes and
 one sha256 over the JSON lines [argv, stdout, stderr, exit code], in
@@ -43,6 +46,7 @@ KINDS = ("cyclic_p2", "torus_normalizer", "SL2(3)", "SL2(5)", "2S4")
 AMBIENTS = ("sl2", "psl2", "pgl2")
 SHOWN = 10  # differing argvs printed per command
 KM_ACT_SEED, KM_ACT_DRAWS = 38, 1000
+TREE_SEED, TREE_DRAWS = 39, 2000
 
 
 def prime_powers(limit):
@@ -76,9 +80,24 @@ def _zp_test_domain():
     return out
 
 
-def _km_act_domain():
+def _golden(command):
     golden = json.loads((TESTS / "golden" / "tree_jobs.json").read_text())
-    out = [g["argv"] for g in golden if g["argv"][0] == "km-act"]
+    return [g["argv"] for g in golden if g["argv"][0] == command]
+
+
+def _drawn(command, seed, n):
+    """The first n argvs of command that test_random_argv.draw gives."""
+    from test_random_argv import draw  # which imports kmlat.cli
+    rng, out = random.Random(seed), []
+    while len(out) < n:
+        argv = draw(rng)
+        if argv[2 if argv[0] == "--json-indent" else 0] == command:
+            out.append(argv)
+    return out
+
+
+def _km_act_domain():
+    out = _golden("km-act")
     for q in (2, 3, 4):
         edges = ["base"] + [
             "%s:%s" % (region, ",".join(map(str, coords)))
@@ -91,14 +110,7 @@ def _km_act_domain():
                         "x%d@%d:%d" % (side, depth, c) if depth
                         else "x%d:%d" % (side, c), "--edge", edge,
                         "--mode", mode])
-    from test_random_argv import draw  # which imports kmlat.cli
-    rng, drawn = random.Random(KM_ACT_SEED), 0
-    while drawn < KM_ACT_DRAWS:
-        argv = draw(rng)
-        if argv[2 if argv[0] == "--json-indent" else 0] == "km-act":
-            out.append(argv)
-            drawn += 1
-    return out
+    return out + _drawn("km-act", KM_ACT_SEED, KM_ACT_DRAWS)
 
 
 DOMAINS = {
@@ -113,6 +125,7 @@ DOMAINS = {
         for a in range(1, 9) for w in range(5)],
     "zp-test": _zp_test_domain,
     "km-act": _km_act_domain,
+    "tree": lambda: _golden("tree") + _drawn("tree", TREE_SEED, TREE_DRAWS),
 }
 
 

@@ -4,6 +4,7 @@ import argparse
 import gc
 import itertools
 import json
+import operator
 import os
 import random
 import subprocess
@@ -13,7 +14,7 @@ from pathlib import Path
 
 import pytest
 
-from kmlat import cli, gf, kmaction, serretree
+from kmlat import cli, gf, kmaction, lattice, serretree
 from kmlat.errors import InvalidInput
 from test_random_argv import word
 from test_verify_golden import benchmark_workloads
@@ -105,13 +106,13 @@ def test_zp_test_refuses_work_past_the_cap(q, pairs, capsys):
     """zp-test --q 509 --pairs 1 would build 2q tables and test 509^4
     edge entries: it ends in a domain error that names the cap and the
     size, before any letter table is built."""
-    kmaction.letter_table.cache_clear()
+    kmaction._LETTER_TABLES.clear()
     assert cli.main(["zp-test", "--q", str(q), "--pairs", str(pairs)]) == 1
     out = json.loads(capsys.readouterr().out)
     assert out["error"] == "SizeCapExceeded"
     assert "%d^%d" % (q, 2 * pairs + 2) in out["detail"]
     assert "cap 2^24" in out["detail"]
-    assert kmaction.letter_table.cache_info().currsize == 0
+    assert kmaction._LETTER_TABLES == {}
 
 
 @pytest.mark.parametrize("q,window", [(32, 1), (8, 3), (256, 3)])
@@ -378,12 +379,22 @@ def test_integer_flags_read_ascii_digits_only(capsys, argv, flag, kind,
                         % (flag, kind, value))
 
 
+def test_fast_parse_declines_a_dash_in_either_value_of_distance():
+    """A value that starts with '-' is argparse's to read, in either place
+    of the two that tree --distance takes."""
+    for values in (("1,0;0,1", "-1,0;0,1"), ("-1,0;0,1", "1,0;0,1")):
+        assert cli.fast_parse(["tree", "--q", "3", "--distance",
+                               *values]) is None
+
+
 def test_every_integer_flag_reads_through_one_reader():
     types = [keywords["type"] for _, _, flags, _ in cli.COMMANDS.values()
              for keywords in flags.values() if "type" in keywords]
     assert len(types) == 9  # --p, --q, --z twice; --m, --pairs, --window
+    code = cli._int_type("int").__code__  # one closure, which calls _int
+    assert code.co_names == ("_int",)
     for read in types + [cli.indent_int]:  # and --json-indent
-        assert read.func is cli._int
+        assert read.__code__ is code
     assert cli.any_int("+7") == 7 and cli.non_negative_int("0") == 0
     with pytest.raises(argparse.ArgumentTypeError, match="0 is not positive"):
         cli.positive_int("0")
@@ -491,7 +502,7 @@ def test_a_run_never_imports_typing():
 
 
 def test_a_run_never_imports_dataclasses_or_inspect():
-    """The records are namedtuples and plain classes, so no run loads
+    """The records are tuple subclasses and plain classes, so no run loads
     dataclasses, nor inspect with its ast, dis and tokenize.  Run as the
     benchmark runs a job: -E -S, src on sys.path."""
     argvs = (["verify", "--q", "5", "--kind", "torus_normalizer"],
@@ -592,12 +603,21 @@ def test_a_run_never_imports_fractions_decimal_or_numbers():
 
 # modules no run loads, and why: typing (src has no annotations and no
 # `from __future__ import annotations`), dataclasses and inspect (the
-# records are namedtuples and plain classes, the reports plain dicts),
-# fractions, decimal and numbers (a covolume is "n/d" text computed on
-# integers), json, re and enum (cli.dumps writes the report without json,
-# whose decoder imports re, and parse_laurent reads a term without re)
+# records are tuple subclasses and plain classes, the reports plain
+# dicts), fractions, decimal and numbers (a covolume is "n/d" text
+# computed on integers), json, re and enum (cli.dumps writes the report
+# without json, whose decoder imports re, and parse_laurent reads a term
+# without re), functools (the caches are module dicts, _int_type makes a
+# closure, and only build_parser imports it, after argparse has),
+# collections with keyword, reprlib and _collections_abc (zp_walk counts
+# in plain dicts, and the two records are tuple subclasses, not
+# namedtuples), types (fast_parse's namespace is cli.Args) and operator
+# (itemgetter comes from _operator, which operator.py re-exports)
 UNLOADED = ("typing", "dataclasses", "inspect", "fractions", "decimal",
-            "numbers", "json", "re", "enum")
+            "numbers", "json", "re", "enum", "functools", "collections",
+            "types", "operator", "keyword", "reprlib", "_collections_abc")
+# the stdlib modules a run loads past the interpreter's start-up
+LOADED = ("_operator", "gc", "itertools", "math")
 
 
 def test_a_run_loads_none_of_the_unloaded_modules():
@@ -616,6 +636,31 @@ def test_a_run_loads_none_of_the_unloaded_modules():
                          capture_output=True, text=True)
     assert out.returncode == 0, out.stderr
     assert out.stderr.splitlines() == ["0 []"] * len(argvs)
+
+
+def test_a_run_loads_no_stdlib_module_but_the_loaded_ones():
+    """Past what `python3 -E -S` has loaded at start-up, a fresh
+    interpreter that runs every VALID_RUNS argv and the first job of each
+    benchmark workload loads kmlat's modules and LOADED's, and no other."""
+    argvs = [[c, *VALID_RUNS[c]] for c in SUBCOMMANDS]
+    argvs += [list(jobs[0]) for jobs in benchmark_workloads().values()]
+    code = ("import sys; start = set(sys.modules)\n"
+            "sys.path.insert(0, %r); import kmlat.cli\n"
+            "rc = [kmlat.cli.main(argv) for argv in %r]\n"
+            "sys.stderr.write(repr((rc, sorted(m for m in set(sys.modules) "
+            "- start if m.partition('.')[0] != 'kmlat'))))"
+            % (str(SRC), argvs))
+    out = subprocess.run([sys.executable, "-E", "-S", "-c", code],
+                         capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr
+    assert out.stderr == repr(([0] * len(argvs), sorted(LOADED)))
+
+
+def test_itemgetter_is_operators():
+    """gf, kmaction and lattice take itemgetter from _operator, the very
+    function operator.py re-exports."""
+    assert gf.itemgetter is kmaction.itemgetter is lattice.itemgetter
+    assert gf.itemgetter is operator.itemgetter
 
 
 @pytest.mark.parametrize("before", ["enabled", "disabled", "frozen"])
@@ -726,7 +771,7 @@ def test_a_run_builds_only_the_parsers_it_needs(monkeypatch, capsys, argv,
     def counted(self, *args, **kwargs):
         inits.append(kwargs.get("prog"))
         init(self, *args, **kwargs)
-    cli.build_parser.cache_clear()
+    monkeypatch.setattr(cli, "_PARSER", [])
     monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
     first = _in_process(capsys, argv)
     assert first[0] == 0

@@ -275,6 +275,24 @@ def test_primitive_element_is_first_generator(spec):
     assert all(order(z) < n for z in earlier)
 
 
+def test_primitive_element_is_kept_per_field(monkeypatch):
+    """The first call for a field scans and keeps its generator in
+    gf._PRIMITIVES.  A second call scans nothing and gives the same tuple
+    back, and a scan that fails keeps nothing."""
+    monkeypatch.setattr(gf, "_PRIMITIVES", {})
+    f9, f7 = make_field(3, 2), make_field(7)
+    z = primitive_element(f9)
+    assert gf._PRIMITIVES == {f9: z}
+    code_mul = gf.code_mul
+    monkeypatch.setattr(gf, "code_mul", None)  # a scan calls it
+    assert primitive_element(f9) is z
+    with pytest.raises(TypeError):
+        primitive_element(f7)
+    assert gf._PRIMITIVES == {f9: z}
+    monkeypatch.setattr(gf, "code_mul", code_mul)
+    assert gf._PRIMITIVES == {f9: z, f7: primitive_element(f7)}
+
+
 @pytest.mark.parametrize("p,a", BELOW_128 + [(3, 5), (2, 8), (7, 3),
                                               (509, 1)])
 def test_ext_codes_match_the_ext_element_oracle(p, a):

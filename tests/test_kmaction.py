@@ -280,7 +280,7 @@ def test_letter_tables_are_permutations(spec):
     depths = 3 if spec.q <= 9 else 1
     q = spec.q
     edges = [("L", (c1, c2)) for c1 in range(q) for c2 in range(q)]
-    letter_table.cache_clear()  # every composition below is made anew
+    kmaction._LETTER_TABLES.clear()  # every composition below is made anew
     for params in (KMParams(2, spec), KMParams(3, spec)):
         for mode in MODES:
             for side, depth, c in itertools.product((1, 2), range(depths),
@@ -314,7 +314,7 @@ def test_zp_walk_reads_the_rules_at_powers_of_p(monkeypatch):
     total = 0
     for p, a, npairs in ROOT_ACTION:
         spec = make_field(p, a)
-        letter_table.cache_clear()
+        kmaction._LETTER_TABLES.clear()
         calls.clear()
         zp_walk(KMParams(2, spec), npairs)
         assert len(calls) == 2 * a * spec.q ** 2, (spec.q, npairs)
@@ -382,7 +382,7 @@ def test_zp_walk_on_large_inputs_is_fast(spec, npairs, want):
     second from a cold table cache, where the depth-first walk over every
     word took 5.7 s and 0.86 s end to end on a 2-vCPU VM (Python 3.11),
     and it gives the counts that walk printed."""
-    letter_table.cache_clear()
+    kmaction._LETTER_TABLES.clear()
     start = time.monotonic()
     got = zp_walk(KMParams(2, spec), npairs)
     assert time.monotonic() - start < 0.5
@@ -535,7 +535,7 @@ def test_cli_action_paths_build_no_field_elements(monkeypatch, capsys):
         raise AssertionError("FieldElement built for code %r" % code)
 
     monkeypatch.setattr(gf.FieldSpec, "element", no_elements)
-    letter_table.cache_clear()
+    kmaction._LETTER_TABLES.clear()
     for argv, out in zip(argvs, want):
         start = time.monotonic()
         assert cli.main(argv) == 0
@@ -550,13 +550,13 @@ def test_table_build_failure_propagates_and_is_not_cached(monkeypatch):
     def no_rule(*args):
         raise UnsupportedActionDomain("no rule")
 
-    letter_table.cache_clear()
+    kmaction._LETTER_TABLES.clear()
     monkeypatch.setattr(kmaction, "apply_letter", no_rule)
     with pytest.raises(UnsupportedActionDomain):
         zp_fix_test(params, word)
     with pytest.raises(UnsupportedActionDomain):
         zp_fixes_ball2(params, word)
-    assert letter_table.cache_info().currsize == 0
+    assert kmaction._LETTER_TABLES == {}
     monkeypatch.undo()
     assert zp_fix_test(params, word) == replayed_zp_fix_test(params, word)
     assert zp_fixes_ball2(params, word) == replayed_zp_fixes_ball2(params,

@@ -443,6 +443,29 @@ def test_classification_input_validation():
         ClassificationInput(3, 3, "maximal", 1).validate()
 
 
+@pytest.mark.parametrize("inp,detail", [
+    (ClassificationInput(2, 2, "psl", 2 ** 12999), r"q \* z is over 2\^13000"),
+    (ClassificationInput(2 ** 64, 2 ** 64, "psl", 1),
+     r"p = 18446744073709551616 is not below the bound 2\^64"),
+    (ClassificationInput(5, 5, "pgl", 1, qi_in_zg=False),
+     "q = 1 mod 4 needs qi_in_zg and qi0_in_zg"),
+    (ClassificationInput(5, 5, "pgl", 1, False, False, False),
+     "trivial Q0 is central"),
+    (ClassificationInput(2, 2, "psl", 2 ** 12998), None),  # 13,000 bits
+    (ClassificationInput(5, 5, "pgl", 1, False, True, False), None),
+    (ClassificationInput(5, 5, "pgl", 1, False, False, True), None),
+], ids=["qz-bits", "p-bound", "q1mod4-qi0", "trivial-q0", "qz-13000-bits",
+        "nontrivial-flag-false", "q0-nontrivial"])
+def test_classification_input_checks_at_their_boundaries(inp, detail):
+    """Each check at the edge of what it accepts: the error it names, or
+    no error on the accepting side."""
+    if detail is None:
+        inp.validate()
+    else:
+        with pytest.raises(InvalidInput, match=detail):
+            inp.validate()
+
+
 def test_classify_char2():
     rows = classify(ClassificationInput(2, 4, "psl", 3))
     assert len(rows) == 1

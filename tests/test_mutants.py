@@ -41,24 +41,44 @@ def test_find_function_refuses_other_names(name):
 
 def test_min_covolume_has_its_max_call_as_a_site():
     """lattice.min_covolume compares nothing and holds no int constant,
-    so its one site is the max over the rows, which the mutant makes a
-    min and changes nothing else."""
+    so its sites are the max over the rows, which the mutant makes a min
+    and changes nothing else, and the `or` that falls back to every row,
+    which the mutant makes an `and`."""
     source = (ROOT / "src" / "kmlat" / "lattice.py").read_text()
     node = find_function(ast.parse(source), "min_covolume")
-    assert len(sites(node)) == 1
+    assert len(sites(node)) == 2
     mutated, what = mutate(source, "min_covolume", 0)
     call = sites(node)[0][0]
     assert what == "line %d: max -> min" % call.lineno
     assert ast.unparse(find_function(ast.parse(mutated), "min_covolume")) \
         == ast.unparse(node).replace("best = max(", "best = min(")
+    mutated, what = mutate(source, "min_covolume", 1)
+    assert what == "line %d: or -> and" % call.lineno
+    assert ast.unparse(find_function(ast.parse(mutated), "min_covolume")) \
+        == ast.unparse(node).replace("] or rows", "] and rows")
 
 
 @pytest.mark.parametrize("call,partner", [
     ("max", "min"), ("min", "max"), ("any", "all"), ("all", "any")])
 def test_call_swaps_unparse_to_the_partner(call, partner):
-    source = "def f(xs):\n    return %s(xs) or g(xs) or xs.%s()\n" % (
+    source = "def f(xs):\n    return [%s(xs), g(xs), xs.%s()]\n" % (
         call, call)
     assert len(sites(find_function(ast.parse(source), "f"))) == 1
     assert mutate(source, "f", 0) == (
-        "def f(xs):\n    return %s(xs) or g(xs) or xs.%s()\n" % (
+        "def f(xs):\n    return [%s(xs), g(xs), xs.%s()]\n" % (
             partner, call), "line 2: %s -> %s" % (call, partner))
+
+
+@pytest.mark.parametrize("op,partner", [("and", "or"), ("or", "and")])
+def test_boolean_chains_swap_to_the_partner(op, partner):
+    """Each and/or chain is one site, swapped whole, and `not` is no
+    site."""
+    source = ("def f(a, b, c):\n    return (a %s b %s c, not (a %s b))\n"
+              % (op, op, op))
+    assert len(sites(find_function(ast.parse(source), "f"))) == 2
+    assert mutate(source, "f", 0) == (
+        "def f(a, b, c):\n    return (a %s b %s c, not (a %s b))\n"
+        % (partner, partner, op), "line 2: %s -> %s" % (op, partner))
+    assert mutate(source, "f", 1)[0] == (
+        "def f(a, b, c):\n    return (a %s b %s c, not (a %s b))\n"
+        % (op, op, partner))

@@ -12,8 +12,14 @@ flag, drops a value, adds an unknown flag or a --json-indent.  It never
 draws -h or --help, which print usage with exit 0.  Sizes that would run
 for more than a few milliseconds (dihedral-search windows 2 and 3, zp-test
 pairs 2 to 11, fields of 8 elements or more) are not drawn: the golden
-and benchmark jobs run those.  To run more argvs than Tier-1 does, with
-another seed:
+and benchmark jobs run those.
+
+draw rarely gives a km-act argv that reaches the action's rules (its
+letter names, coefficients and edge coordinates are mostly drawn outside
+the field's domain), so km_act draws km-act argvs that are valid for
+their field: letters x1 or x2 of depth 0 to 2 with a coefficient in
+0..q-1, and the base edge or an edge of coordinates in 0..q-1.  To run
+more argvs than Tier-1 does, with another seed:
 
     PYTHONPATH=src python tests/test_random_argv.py RUNS SEED
 """
@@ -117,6 +123,23 @@ def edge(rng):
         for _ in range(rng.randrange(1, 7)))
 
 
+def km_act(rng):
+    """A km-act argv whose word and edge are in its field's domain."""
+    q_text = rng.choice(("2", "3", "4", "5", "7", "8", "9", "2^2", "3^2"))
+    p, _, a = q_text.partition("^")
+    q = int(p) ** int(a or 1)
+    word = ",".join(
+        "x%d%s:%d" % (rng.choice((1, 2)), rng.choice(("", "@0", "@1", "@2")),
+                      rng.randrange(q))
+        for _ in range(rng.randrange(1, 5)))
+    length = rng.randrange(7)
+    edge = "%s:%s" % (rng.choice("LR"), ",".join(
+        str(rng.randrange(q)) for _ in range(length))) if length else "base"
+    return ["km-act", "--q", q_text, "--m", str(rng.randrange(2, 6)),
+            "--word", word, "--edge", edge,
+            "--mode", rng.choice(("identity_phi", "twisted_phi"))]
+
+
 def value(rng, command, flag, keywords):
     """One value from the domain of a flag of a command."""
     if "choices" in keywords:
@@ -205,6 +228,20 @@ def test_random_argvs_exit_0_1_or_2_with_their_output():
     assert codes[0] > RUNS // 20 and codes[1] > RUNS // 10
 
 
+def test_valid_km_act_argvs_reach_the_rules():
+    """Of RUNS seeded km_act argvs, the fast parse reads every one, at
+    least a third exit 0, and every other ends in UnsupportedActionDomain,
+    a letter with no rule on its edge: none is a usage error, an input
+    error or a traceback."""
+    rng = random.Random(SEED)
+    argvs = [km_act(rng) for _ in range(RUNS)]
+    assert all(cli.fast_parse(argv) is not None for argv in argvs)
+    codes = Counter(check(argv) for argv in argvs)
+    assert set(codes) <= {0, 1} and codes[0] >= RUNS // 3
+    assert {json.loads(run(argv)[1]).get("error") for argv in argvs} \
+        == {None, "UnsupportedActionDomain"}
+
+
 def test_the_generator_draws_every_flag_and_no_help():
     """Every flag of every command is drawn, at least once in an argv the
     fast parse reads whole, so with a value its own parse accepts."""
@@ -238,3 +275,4 @@ if __name__ == "__main__":
     runs, seed = int(sys.argv[1]), int(sys.argv[2])
     rng = random.Random(seed)
     print(dict(Counter(check(draw(rng)) for _ in range(runs))))
+    print("km-act:", dict(Counter(check(km_act(rng)) for _ in range(runs))))

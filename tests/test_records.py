@@ -8,7 +8,7 @@ import json
 
 import pytest
 
-from kmlat import cli
+from kmlat import cli, kmaction
 from kmlat.gf import make_field
 from kmlat.groups import CODE_ONE, dickson_table, nonsplit_torus
 from kmlat.kmaction import KMParams, letter_table
@@ -58,15 +58,38 @@ def test_equality_and_hashing():
         ClassificationInput(5, 5, "pgl", 2, True, True))
 
 
+def test_fields_read_back_by_name_and_are_read_only():
+    """Each field reads back the value given for it, by position or by
+    keyword, and none can be set: a record is the tuple of its fields."""
+    names = ("p", "q", "levi", "z_order", "qi_in_zg", "qi0_in_zg",
+             "qi0_nontrivial", "zmi_in_zg")
+    values = (5, 25, "pgl", 3, True, False, None, True)
+    for inp in (ClassificationInput(*values),
+                ClassificationInput(**dict(zip(names, values)))):
+        assert tuple(inp) == values
+        assert tuple(getattr(inp, name) for name in names) == values
+        with pytest.raises(AttributeError):
+            inp.levi = "psl"
+    params = KMParams(spec=F3, m=4)
+    assert (params.m, params.spec) == tuple(params) == (4, F3)
+    with pytest.raises(AttributeError):
+        params.m = 2
+    with pytest.raises(TypeError):
+        ClassificationInput(5, 5, "psl")
+
+
 def test_letter_table_cache_keys_on_equal_records():
-    """Equal but distinct params and letters hit letter_table's cache."""
+    """Equal but distinct params and letters hit letter_table's cache:
+    the same table comes back, and the cache does not grow."""
     def call():
         return letter_table(KMParams(2, F3), tuple([2, 0, 1]),
                             "identity_phi")
     first = call()
-    hits = letter_table.cache_info().hits
+    size = len(kmaction._LETTER_TABLES)
     assert call() is first
-    assert letter_table.cache_info().hits == hits + 1
+    assert len(kmaction._LETTER_TABLES) == size
+    assert kmaction._LETTER_TABLES[KMParams(2, F3), (2, 0, 1),
+                                   "identity_phi"] is first
 
 
 def test_covolume_is_fraction_text(capsys):
