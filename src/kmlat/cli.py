@@ -101,23 +101,20 @@ def _parse_word(spec, text):
     return tuple(letters)
 
 
-def _classification_input(args):
+def _classify(args):
     tri = {"yes": True, "no": False}.get  # an unset flag stays None
-    return lattice.ClassificationInput(
-        p=args.p, q=args.q, levi=args.levi, z_order=args.z,
-        qi_in_zg=tri(args.qi_central), qi0_in_zg=tri(args.qi0_central),
-        qi0_nontrivial=tri(args.qi0_nontrivial),
-        zmi_in_zg=tri(args.zmi_central))
+    return lattice.classify(args.p, args.q, args.levi, args.z,
+                            tri(args.qi_central), tri(args.qi0_central),
+                            tri(args.qi0_nontrivial), tri(args.zmi_central))
 
 
 # each cmd_* returns its report; main adds "command" and "schema"
 def cmd_classify(args):
-    return {"q": args.q,
-            "rows": lattice.classify(_classification_input(args))}
+    return {"q": args.q, "rows": _classify(args)}
 
 
 def cmd_min_covolume(args):
-    cov, delta0 = lattice.min_covolume(_classification_input(args))
+    cov, delta0 = lattice.min_covolume(_classify(args))
     return {"q": args.q, "min_covolume": cov, "delta0": delta0}
 
 

@@ -8,12 +8,13 @@ stabilizers and A1 cap A2 off A1's F_q codes and closes the kernel under
 conjugation by A1's generators, so it needs no Laurent arithmetic.  The
 classification side lists the edge-transitive lattice shapes at a given
 q and center order, its exceptional psl rows by Lubotzky's condition.
+classify takes its input as plain arguments and checks each center flag
+in the one case that reads it; min_covolume reads classify's rows.
 An exceptional A1 is aligned by the unipotent that fixes infinity.  A
 report, lubotzky_check's or a classify row, is the plain dict the CLI
 prints.
 """
 
-from _operator import itemgetter  # operator.py only re-exports it
 from math import gcd, prod
 
 from .errors import InvalidInput, KindInadmissible, MinUndefined
@@ -98,58 +99,6 @@ def lubotzky_check(a1):
 
 # --- classification -------------------------------------------------------
 
-class ClassificationInput(tuple):
-    """levi: "psl" or "pgl"; the four center flags: True, False or None."""
-    __slots__ = ()
-    (p, q, levi, z_order, qi_in_zg, qi0_in_zg, qi0_nontrivial,
-     zmi_in_zg) = (property(itemgetter(i)) for i in range(8))
-
-    def __new__(cls, p, q, levi, z_order, qi_in_zg=None, qi0_in_zg=None,
-                qi0_nontrivial=None, zmi_in_zg=None):
-        return tuple.__new__(cls, (p, q, levi, z_order, qi_in_zg, qi0_in_zg,
-                                   qi0_nontrivial, zmi_in_zg))
-
-    def validate(self):
-        q, p = self.q, self.p
-        if p < 2 or q < 2 or self.z_order < 1:
-            raise InvalidInput("bad numeric parameters")
-        if (q * self.z_order).bit_length() > 13000:  # 4,300 digits is 2^14284
-            raise InvalidInput("q * z is over 2^13000, too large to print")
-        # the bound under which gf.is_prime is exact
-        if p >= 2 ** 64:
-            raise InvalidInput("p = %d is not below the bound 2^64" % p)
-        if not is_prime(p):
-            raise InvalidInput("p = %d is not prime" % p)
-        qq = q
-        while qq % p == 0:
-            qq //= p
-        if qq != 1:
-            raise InvalidInput("q = %d is not a power of p = %d" % (q, p))
-        if self.levi not in ("psl", "pgl"):
-            raise InvalidInput("levi must be 'psl' or 'pgl'")
-        flags = (self.qi_in_zg, self.qi0_in_zg, self.qi0_nontrivial,
-                 self.zmi_in_zg)
-        if p == 2 or self.levi == "psl":
-            if any(f is not None for f in flags):
-                raise InvalidInput("center flags only apply to pgl levi, p odd")
-            return
-        if q % 4 == 1:
-            if self.qi_in_zg is None or self.qi0_in_zg is None:
-                raise InvalidInput("q = 1 mod 4 needs qi_in_zg and qi0_in_zg")
-            if self.zmi_in_zg is not None:
-                raise InvalidInput("zmi_in_zg does not apply when q = 1 mod 4")
-            if self.qi_in_zg and not self.qi0_in_zg:
-                raise InvalidInput("qi_in_zg forces qi0_in_zg")
-            if self.qi0_nontrivial is False and self.qi0_in_zg is False:
-                raise InvalidInput("trivial Q0 is central")
-        else:
-            if self.zmi_in_zg is None:
-                raise InvalidInput("q = 3 mod 4 needs zmi_in_zg")
-            if self.qi_in_zg is not None or self.qi0_in_zg is not None \
-                    or self.qi0_nontrivial is not None:
-                raise InvalidInput("Q flags do not apply when q = 3 mod 4")
-
-
 # covolume: reduced "n/d" text; delta0: an int, or None on exceptional rows
 def _row(q, case, a0, vertex, delta0, exceptional=False):
     return {"q": q, "case": case, "a0_order": a0, "vertex_type": vertex,
@@ -157,8 +106,16 @@ def _row(q, case, a0, vertex, delta0, exceptional=False):
             "exceptional": exceptional}
 
 
-def classify(inp):
+def classify(p, q, levi, z_order, qi_in_zg=None, qi0_in_zg=None,
+             qi0_nontrivial=None, zmi_in_zg=None):
     """All cocompact edge-transitive lattice shapes for the given data.
+
+    levi is "psl" or "pgl", each center flag True, False or None (unset).
+    Bad numbers raise InvalidInput, and then flags the case refuses:
+    - p = 2 or psl levi: no flag may be set;
+    - pgl, q = 1 mod 4: qi_in_zg and qi0_in_zg must be set, zmi_in_zg
+      unset; qi_in_zg forces qi0_in_zg, and a trivial Q0 is central;
+    - pgl, q = 3 mod 4: zmi_in_zg must be set, the three Q flags unset.
 
     Returns a list of row dicts; empty means no such lattice.
     A psl row is a standard pair that passes lubotzky_check.  A1 = H of
@@ -170,14 +127,30 @@ def classify(inp):
     eigenvalues +-i, in F_q iff q = 1 mod 4; each then fixes two points
     of P^1, and the point stabilizer has order 4, not 2.
     """
-    inp.validate()
-    q, z = inp.q, inp.z_order
-    rows = []
-    if inp.p == 2:
-        rows.append(_row(q, "char2-cyclic", z,
-                         "cyclic C_%d times center" % (q + 1), 1))
-        return rows
-    if inp.levi == "psl":
+    if p < 2 or q < 2 or z_order < 1:
+        raise InvalidInput("bad numeric parameters")
+    if (q * z_order).bit_length() > 13000:  # 4,300 digits is 2^14284
+        raise InvalidInput("q * z is over 2^13000, too large to print")
+    # the bound under which gf.is_prime is exact
+    if p >= 2 ** 64:
+        raise InvalidInput("p = %d is not below the bound 2^64" % p)
+    if not is_prime(p):
+        raise InvalidInput("p = %d is not prime" % p)
+    qq = q
+    while qq % p == 0:
+        qq //= p
+    if qq != 1:
+        raise InvalidInput("q = %d is not a power of p = %d" % (q, p))
+    if levi not in ("psl", "pgl"):
+        raise InvalidInput("levi must be 'psl' or 'pgl'")
+    z = z_order
+    if p == 2 or levi == "psl":
+        if (qi_in_zg, qi0_in_zg, qi0_nontrivial, zmi_in_zg) != (None,) * 4:
+            raise InvalidInput("center flags only apply to pgl levi, p odd")
+        if p == 2:
+            return [_row(q, "char2-cyclic", z,
+                         "cyclic C_%d times center" % (q + 1), 1)]
+        rows = []
         if q % 4 == 3:
             rows.append(_row(q, "psl-q3mod4-normalizer", z,
                              "nonsplit torus normalizer, order %d"
@@ -188,21 +161,32 @@ def classify(inp):
                 rows.append(_row(q, "exceptional-%s" % name, z * d0 // 2,
                                  name, None, exceptional=True))
         return rows
-    # pgl levi, p odd
     if q % 4 == 1:
-        if not inp.qi0_in_zg:
-            return rows
-        delta_a = 2 if inp.qi_in_zg else 4
-        rows.append(_row(q, "pgl-q1mod4-sylow", delta_a * z,
-                         "Sylow-2 extension of the torus", delta_a))
-        if inp.qi_in_zg:
+        if qi_in_zg is None or qi0_in_zg is None:
+            raise InvalidInput("q = 1 mod 4 needs qi_in_zg and qi0_in_zg")
+        if zmi_in_zg is not None:
+            raise InvalidInput("zmi_in_zg does not apply when q = 1 mod 4")
+        if qi_in_zg and not qi0_in_zg:
+            raise InvalidInput("qi_in_zg forces qi0_in_zg")
+        if qi0_nontrivial is False and qi0_in_zg is False:
+            raise InvalidInput("trivial Q0 is central")
+        if not qi0_in_zg:
+            return []
+        delta_a = 2 if qi_in_zg else 4
+        rows = [_row(q, "pgl-q1mod4-sylow", delta_a * z,
+                     "Sylow-2 extension of the torus", delta_a)]
+        if qi_in_zg:
             rows.append(_row(q, "pgl-q1mod4-central-sylow", z,
                              "central Sylow-2 with torus", 1))
         return rows
-    delta_a = 2 if inp.zmi_in_zg else 4
-    rows.append(_row(q, "pgl-q3mod4-torus-sylow", delta_a * z,
-                     "torus with Sylow-2 extension", delta_a))
-    if inp.zmi_in_zg:
+    if zmi_in_zg is None:
+        raise InvalidInput("q = 3 mod 4 needs zmi_in_zg")
+    if (qi_in_zg, qi0_in_zg, qi0_nontrivial) != (None,) * 3:
+        raise InvalidInput("Q flags do not apply when q = 3 mod 4")
+    delta_a = 2 if zmi_in_zg else 4
+    rows = [_row(q, "pgl-q3mod4-torus-sylow", delta_a * z,
+                 "torus with Sylow-2 extension", delta_a)]
+    if zmi_in_zg:
         rows.append(_row(q, "pgl-q3mod4-central", z,
                          "torus with central 2-part", 1))
         rows.append(_row(q, "pgl-q3mod4-normalizer", z,
@@ -211,15 +195,14 @@ def classify(inp):
     return rows
 
 
-def min_covolume(inp):
-    """Smallest covolume over the generic classification rows.
+def min_covolume(rows):
+    """Smallest covolume over classify's generic rows.
 
     Returns (covolume, delta0).  Exceptional sporadic rows are excluded;
     when only those exist the minimum over them is returned with delta0
-    None.  Raises MinUndefined when classify is empty.  Each row's
-    covolume is 2/((q+1)|A0|) at one q: least covolume = greatest |A0|.
+    None.  Raises MinUndefined when rows is empty.  Each row's covolume
+    is 2/((q+1)|A0|) at one q: least covolume = greatest |A0|.
     """
-    rows = classify(inp)
     if not rows:
         raise MinUndefined("no edge-transitive lattice for this input")
     # an exceptional row's delta0 is None

@@ -9,7 +9,10 @@ The domains:
 - verify: every prime power q <= 511 with each of the 5 kinds;
 - dickson: every prime power q <= 511 with each of the 3 ambients;
 - classify and min-covolume: every prime power q = p^a < 10^4, both
-  levis and z = 1..4, no center flags (10,240 argvs each);
+  levis and z = 1..4, no center flags (10,240 argvs each); then every
+  prime power q < 64, both levis and z = 1..2, with each of the 81
+  settings of the four center flags (each unset, yes or no; 8,424 argvs
+  each);
 - dihedral-search: q = 2, 4, ..., 256 with window 0..4;
 - zp-test: every prime power q <= 511 with each pairs the work cap
   admits, and the first pairs past it;
@@ -47,6 +50,8 @@ AMBIENTS = ("sl2", "psl2", "pgl2")
 SHOWN = 10  # differing argvs printed per command
 KM_ACT_SEED, KM_ACT_DRAWS = 38, 1000
 TREE_SEED, TREE_DRAWS = 39, 2000
+CENTER_FLAGS = ("--qi-central", "--qi0-central", "--qi0-nontrivial",
+                "--zmi-central")
 
 
 def prime_powers(limit):
@@ -62,10 +67,16 @@ def prime_powers(limit):
 
 
 def _classify_domain(command):
-    return [[command, "--p", str(p), "--q", str(q), "--levi", levi,
-             "--z", str(z)]
-            for q, p in prime_powers(10 ** 4 - 1)
-            for levi in ("psl", "pgl") for z in range(1, 5)]
+    def argv(q, p, levi, z, flags=()):
+        return [command, "--p", str(p), "--q", str(q), "--levi", levi,
+                "--z", str(z), *itertools.chain(*flags)]
+    return [argv(q, p, levi, z) for q, p in prime_powers(10 ** 4 - 1)
+            for levi in ("psl", "pgl") for z in range(1, 5)] + [
+        argv(q, p, levi, z, [(flag, value) for flag, value
+                             in zip(CENTER_FLAGS, values) if value])
+        for q, p in prime_powers(63) for levi in ("psl", "pgl")
+        for z in (1, 2)
+        for values in itertools.product((None, "yes", "no"), repeat=4)]
 
 
 def _zp_test_domain():

@@ -12,8 +12,8 @@ from kmlat.gf import make_field
 from kmlat.groups import (CODE_ONE, FiniteGroup, dickson_table,
                           find_subgroup_of_type, generate)
 from kmlat.kmaction import KMParams, zp_fix_test
-from kmlat.lattice import (ClassificationInput, build_standard_lattice,
-                           classify, lubotzky_check, min_covolume)
+from kmlat.lattice import (build_standard_lattice, classify, lubotzky_check,
+                           min_covolume)
 from kmlat.serretree import Mat2, dihedral_obstruction_search
 from oracles import mat2_pair, member_mat2s
 from reference import (GroupType, alternating_word, crosscheck_affine,
@@ -43,7 +43,7 @@ def test_criterion_01_char2_cyclic_lattices():
     for q in (2, 4, 8):
         spec = _field(q)
         rep = lubotzky_check(build_standard_lattice(spec, "cyclic_p2"))
-        rows = classify(ClassificationInput(2, q, "psl", 1))
+        rows = classify(2, q, "psl", 1)
         ok &= rep["passes"]
         ok &= rep["intersection_order"] == 1
         ok &= Fraction(rep["covolume"]) == Fraction(2, q + 1)
@@ -108,7 +108,7 @@ def test_criterion_04_q1mod4_obstruction():
         rep = lubotzky_check(build_standard_lattice(spec, "torus_normalizer"))
         ok &= not rep["passes"]
         ok &= rep["orbit_sizes"] == ((q + 1) // 2, (q + 1) // 2)
-        ok &= classify(ClassificationInput(q, q, "psl", 1)) == []
+        ok &= classify(q, q, "psl", 1) == []
     elapsed = time.monotonic() - start
     ok &= elapsed < 10
     _report(4, ok, "q in {13,17}: normalizer pair fails with orbits "
@@ -269,22 +269,22 @@ def test_criterion_10_min_covolume_table():
     ok = True
     inputs = []
     for z in (1, 2, 4):
-        inputs.append(ClassificationInput(2, 8, "psl", z))
-        inputs.append(ClassificationInput(307, 307, "psl", z))
-        inputs.append(ClassificationInput(313, 313, "pgl", z,
-                                          qi_in_zg=True, qi0_in_zg=True))
-        inputs.append(ClassificationInput(313, 313, "pgl", z,
-                                          qi_in_zg=False, qi0_in_zg=True))
-        inputs.append(ClassificationInput(307, 307, "pgl", z,
-                                          zmi_in_zg=True))
-        inputs.append(ClassificationInput(307, 307, "pgl", z,
-                                          zmi_in_zg=False))
+        inputs.append(dict(p=2, q=8, levi="psl", z_order=z))
+        inputs.append(dict(p=307, q=307, levi="psl", z_order=z))
+        inputs.append(dict(p=313, q=313, levi="pgl", z_order=z,
+                           qi_in_zg=True, qi0_in_zg=True))
+        inputs.append(dict(p=313, q=313, levi="pgl", z_order=z,
+                           qi_in_zg=False, qi0_in_zg=True))
+        inputs.append(dict(p=307, q=307, levi="pgl", z_order=z,
+                           zmi_in_zg=True))
+        inputs.append(dict(p=307, q=307, levi="pgl", z_order=z,
+                           zmi_in_zg=False))
     for inp in inputs:
-        cov, delta0 = min_covolume(inp)
+        cov, delta0 = min_covolume(classify(**inp))
         ok &= delta0 is not None
-        ok &= Fraction(cov) == Fraction(2, (inp.q + 1) * inp.z_order
+        ok &= Fraction(cov) == Fraction(2, (inp["q"] + 1) * inp["z_order"]
                                         * delta0)
-        rows = [r for r in classify(inp) if not r["exceptional"]]
+        rows = [r for r in classify(**inp) if not r["exceptional"]]
         ok &= Fraction(cov) == min(Fraction(r["covolume"]) for r in rows)
     elapsed = time.monotonic() - start
     ok &= elapsed < 2

@@ -14,7 +14,7 @@ from pathlib import Path
 
 import pytest
 
-from kmlat import cli, gf, kmaction, lattice, serretree
+from kmlat import cli, gf, kmaction, serretree
 from kmlat.errors import InvalidInput
 from test_random_argv import word
 from test_verify_golden import benchmark_workloads
@@ -602,16 +602,16 @@ def test_a_run_never_imports_fractions_decimal_or_numbers():
 
 
 # modules no run loads, and why: typing (src has no annotations and no
-# `from __future__ import annotations`), dataclasses and inspect (the
-# records are tuple subclasses and plain classes, the reports plain
-# dicts), fractions, decimal and numbers (a covolume is "n/d" text
-# computed on integers), json, re and enum (cli.dumps writes the report
-# without json, whose decoder imports re, and parse_laurent reads a term
-# without re), functools (the caches are module dicts, _int_type makes a
+# `from __future__ import annotations`), dataclasses and inspect
+# (KMParams is a tuple subclass, the reports plain dicts), fractions,
+# decimal and numbers (a covolume is "n/d" text computed on integers),
+# json, re and enum (cli.dumps writes the report without json, whose
+# decoder imports re, and parse_laurent reads a term without re),
+# functools (the caches are module dicts, _int_type makes a
 # closure, and only build_parser imports it, after argparse has),
 # collections with keyword, reprlib and _collections_abc (zp_walk counts
-# in plain dicts, and the two records are tuple subclasses, not
-# namedtuples), types (fast_parse's namespace is cli.Args) and operator
+# in plain dicts, and KMParams is a tuple subclass, not a namedtuple),
+# types (fast_parse's namespace is cli.Args) and operator
 # (itemgetter comes from _operator, which operator.py re-exports)
 UNLOADED = ("typing", "dataclasses", "inspect", "fractions", "decimal",
             "numbers", "json", "re", "enum", "functools", "collections",
@@ -657,9 +657,9 @@ def test_a_run_loads_no_stdlib_module_but_the_loaded_ones():
 
 
 def test_itemgetter_is_operators():
-    """gf, kmaction and lattice take itemgetter from _operator, the very
-    function operator.py re-exports."""
-    assert gf.itemgetter is kmaction.itemgetter is lattice.itemgetter
+    """gf and kmaction take itemgetter from _operator, the very function
+    operator.py re-exports."""
+    assert gf.itemgetter is kmaction.itemgetter
     assert gf.itemgetter is operator.itemgetter
 
 

@@ -11,9 +11,8 @@ from kmlat.gf import make_field
 from kmlat.groups import (CODE_ONE, FiniteGroup, closure, generate,
                           nonsplit_torus, torus_normalizer)
 from kmlat.laurent import LaurentPoly
-from kmlat.lattice import (ClassificationInput, build_standard_lattice,
-                           classify, covolume, faithfulness_kernel,
-                           lubotzky_check, min_covolume)
+from kmlat.lattice import (build_standard_lattice, classify, covolume,
+                           faithfulness_kernel, lubotzky_check, min_covolume)
 from kmlat.serretree import Mat2, act
 from oracles import (Mat2Group, WrongFixedVertex, cored_faithfulness_kernel,
                      mat2_faithfulness_kernel, mat2_lubotzky_check,
@@ -334,8 +333,7 @@ def test_normalizer_rows_give_their_vertex_group_order(q):
              else (True, True, None, None), "psl": ()}
     seen = 0
     for levi, z in itertools.product(("psl", "pgl"), range(1, 5)):
-        for r in classify(ClassificationInput(spec.p, q, levi, z,
-                                              *flags[levi])):
+        for r in classify(spec.p, q, levi, z, *flags[levi]):
             if not r["case"].endswith("normalizer"):
                 continue
             seen += 1
@@ -419,62 +417,68 @@ def test_covering_check_rejects_bad_rho():
 
 
 def test_classification_input_validation():
-    ClassificationInput(3, 3, "psl", 1).validate()
-    ClassificationInput(3, 9, "pgl", 2, qi_in_zg=True,
-                        qi0_in_zg=True).validate()
-    ClassificationInput(3, 3, "pgl", 1, zmi_in_zg=False).validate()
+    classify(3, 3, "psl", 1)
+    classify(3, 9, "pgl", 2, qi_in_zg=True, qi0_in_zg=True)
+    classify(3, 3, "pgl", 1, zmi_in_zg=False)
     with pytest.raises(InvalidInput):
-        ClassificationInput(3, 8, "psl", 1).validate()
+        classify(3, 8, "psl", 1)
     with pytest.raises(InvalidInput, match="p = 4 is not prime"):
-        ClassificationInput(4, 16, "psl", 1).validate()
+        classify(4, 16, "psl", 1)
     with pytest.raises(InvalidInput):
-        ClassificationInput(2, 4, "psl", 1, zmi_in_zg=True).validate()
+        classify(2, 4, "psl", 1, zmi_in_zg=True)
     with pytest.raises(InvalidInput):
-        ClassificationInput(3, 3, "psl", 1, qi_in_zg=True).validate()
+        classify(3, 3, "psl", 1, qi_in_zg=True)
     with pytest.raises(InvalidInput):
-        ClassificationInput(5, 5, "pgl", 1).validate()
+        classify(5, 5, "pgl", 1)
     with pytest.raises(InvalidInput):
-        ClassificationInput(5, 5, "pgl", 1, qi_in_zg=True,
-                            qi0_in_zg=False).validate()
+        classify(5, 5, "pgl", 1, qi_in_zg=True, qi0_in_zg=False)
     with pytest.raises(InvalidInput):
-        ClassificationInput(3, 3, "pgl", 1, zmi_in_zg=True,
-                            qi_in_zg=True).validate()
+        classify(3, 3, "pgl", 1, zmi_in_zg=True, qi_in_zg=True)
     with pytest.raises(InvalidInput):
-        ClassificationInput(3, 3, "maximal", 1).validate()
+        classify(3, 3, "maximal", 1)
 
 
-@pytest.mark.parametrize("inp,detail", [
-    (ClassificationInput(2, 2, "psl", 2 ** 12999), r"q \* z is over 2\^13000"),
-    (ClassificationInput(2 ** 64, 2 ** 64, "psl", 1),
+@pytest.mark.parametrize("args,detail", [
+    ((2, 2, "psl", 2 ** 12999), r"q \* z is over 2\^13000"),
+    ((2 ** 64, 2 ** 64, "psl", 1),
      r"p = 18446744073709551616 is not below the bound 2\^64"),
-    (ClassificationInput(5, 5, "pgl", 1, qi_in_zg=False),
-     "q = 1 mod 4 needs qi_in_zg and qi0_in_zg"),
-    (ClassificationInput(5, 5, "pgl", 1, False, False, False),
-     "trivial Q0 is central"),
-    (ClassificationInput(2, 2, "psl", 2 ** 12998), None),  # 13,000 bits
-    (ClassificationInput(5, 5, "pgl", 1, False, True, False), None),
-    (ClassificationInput(5, 5, "pgl", 1, False, False, True), None),
+    ((5, 5, "pgl", 1, False), "q = 1 mod 4 needs qi_in_zg and qi0_in_zg"),
+    ((5, 5, "pgl", 1, False, False, False), "trivial Q0 is central"),
+    ((2, 2, "psl", 2 ** 12998), None),  # 13,000 bits
+    ((5, 5, "pgl", 1, False, True, False), None),
+    ((5, 5, "pgl", 1, False, False, True), None),
 ], ids=["qz-bits", "p-bound", "q1mod4-qi0", "trivial-q0", "qz-13000-bits",
         "nontrivial-flag-false", "q0-nontrivial"])
-def test_classification_input_checks_at_their_boundaries(inp, detail):
-    """Each check at the edge of what it accepts: the error it names, or
-    no error on the accepting side."""
+def test_classification_input_checks_at_their_boundaries(args, detail):
+    """Each check of classify at the edge of what it accepts: the error
+    it names, or no error on the accepting side."""
     if detail is None:
-        inp.validate()
+        classify(*args)
     else:
         with pytest.raises(InvalidInput, match=detail):
-            inp.validate()
+            classify(*args)
+
+
+@pytest.mark.parametrize("args", [
+    (1, 3, "psl", 1), (3, 1, "psl", 1), (3, 3, "psl", 0)],
+    ids=["p-below-2", "q-below-2", "z-below-1"])
+def test_classify_refuses_each_number_below_its_least(args):
+    """p < 2, q < 2 and z < 1 are each refused on their own, by the first
+    check with its text: p = 1 is not reported as 'not prime', q = 1 = p^0
+    is not a field, and z = 0 would give rows with |A0| = 0."""
+    with pytest.raises(InvalidInput, match="bad numeric parameters"):
+        classify(*args)
 
 
 def test_classify_char2():
-    rows = classify(ClassificationInput(2, 4, "psl", 3))
+    rows = classify(2, 4, "psl", 3)
     assert len(rows) == 1
     assert rows[0]["case"] == "char2-cyclic"
     assert rows[0]["covolume"] == "2/15"
 
 
 def test_classify_psl_q3mod4():
-    rows = classify(ClassificationInput(7, 7, "psl", 2))
+    rows = classify(7, 7, "psl", 2)
     cases = {r["case"] for r in rows}
     assert "psl-q3mod4-normalizer" in cases
     assert any(r["exceptional"] for r in rows)  # the 2S4 row at q = 7
@@ -483,33 +487,30 @@ def test_classify_psl_q3mod4():
 
 
 def test_classify_psl_q1mod4():
-    assert classify(ClassificationInput(13, 13, "psl", 1)) == []
-    rows = classify(ClassificationInput(5, 5, "psl", 2))
+    assert classify(13, 13, "psl", 1) == []
+    rows = classify(5, 5, "psl", 2)
     assert rows and all(r["exceptional"] for r in rows)
-    cov, d0 = min_covolume(ClassificationInput(5, 5, "psl", 2))
+    cov, d0 = min_covolume(classify(5, 5, "psl", 2))
     assert cov == "1/12" and d0 is None
     with pytest.raises(MinUndefined):
-        min_covolume(ClassificationInput(13, 13, "psl", 1))
+        min_covolume(classify(13, 13, "psl", 1))
 
 
 def test_classify_pgl_cases():
-    rows = classify(ClassificationInput(5, 5, "pgl", 1, qi_in_zg=True,
-                                        qi0_in_zg=True))
+    rows = classify(5, 5, "pgl", 1, qi_in_zg=True, qi0_in_zg=True)
     assert {r["case"] for r in rows} == {"pgl-q1mod4-sylow",
                                          "pgl-q1mod4-central-sylow"}
-    rows = classify(ClassificationInput(5, 5, "pgl", 1, qi_in_zg=False,
-                                        qi0_in_zg=False))
+    rows = classify(5, 5, "pgl", 1, qi_in_zg=False, qi0_in_zg=False)
     assert rows == []
-    rows = classify(ClassificationInput(7, 7, "pgl", 1, zmi_in_zg=True))
+    rows = classify(7, 7, "pgl", 1, zmi_in_zg=True)
     assert len(rows) == 3
-    rows = classify(ClassificationInput(7, 7, "pgl", 1, zmi_in_zg=False))
+    rows = classify(7, 7, "pgl", 1, zmi_in_zg=False)
     assert len(rows) == 1 and rows[0]["delta0"] == 4
 
 
 def test_min_covolume_formula():
     for z in (1, 2, 4):
-        cov, d0 = min_covolume(ClassificationInput(7, 7, "psl", z))
+        cov, d0 = min_covolume(classify(7, 7, "psl", z))
         assert Fraction(cov) == Fraction(2, (7 + 1) * z * d0)
-        cov, d0 = min_covolume(ClassificationInput(
-            7, 7, "pgl", z, zmi_in_zg=True))
+        cov, d0 = min_covolume(classify(7, 7, "pgl", z, zmi_in_zg=True))
         assert Fraction(cov) == Fraction(2, (7 + 1) * z * d0) and d0 == 2

@@ -71,7 +71,8 @@ DELETED = {"_trace_order_map", "_trace_class", "_SEARCH_BUDGET", "_emit",
            "EXCEPTIONAL_TABLE", "_diagonalizing_conjugator",
            "FiniteGroup.identity", "_low_squares", "_p1_hits", "_p2_hits",
            "VerificationReport", "LatticeDescriptor", "DicksonEntry",
-           "EdgeLabel", "RootIndex", "RootLetter"}
+           "EdgeLabel", "RootIndex", "RootLetter", "ClassificationInput",
+           "ClassificationInput.__new__", "ClassificationInput.validate"}
 
 
 def definitions(source):

@@ -18,8 +18,15 @@ draw rarely gives a km-act argv that reaches the action's rules (its
 letter names, coefficients and edge coordinates are mostly drawn outside
 the field's domain), so km_act draws km-act argvs that are valid for
 their field: letters x1 or x2 of depth 0 to 2 with a coefficient in
-0..q-1, and the base edge or an edge of coordinates in 0..q-1.  To run
-more argvs than Tier-1 does, with another seed:
+0..q-1, and the base edge or an edge of coordinates in 0..q-1.
+
+Nor does draw often give a tree argv that reaches the tree (its Laurent
+literals are mostly malformed or hold codes outside the field, and it
+often draws both or neither of --distance and --neighbors), so tree
+draws tree argvs that are valid for their field: a --distance pair or a
+--neighbors matrix, each with monomial diagonal entries and one
+off-diagonal entry of 1 to 3 terms with codes in 0..q-1.  To run more
+argvs than Tier-1 does, with another seed:
 
     PYTHONPATH=src python tests/test_random_argv.py RUNS SEED
 """
@@ -140,6 +147,29 @@ def km_act(rng):
             "--mode", rng.choice(("identity_phi", "twisted_phi"))]
 
 
+def tree(rng):
+    """A tree argv whose matrices are in its field's domain: monomial
+    diagonal entries and one off-diagonal entry of 1 to 3 terms, each with
+    a code in 0..q-1, so that every determinant is a monomial."""
+    q_text = rng.choice(("2", "3", "4", "5", "7", "8", "9", "2^2", "2^3",
+                         "3^2"))
+    p, _, a = q_text.partition("^")
+    q = int(p) ** int(a or 1)
+
+    def term(c):
+        return rng.choice(("%d*t^%d", "%dt^%d")) % (c, rng.randrange(-3, 4))
+
+    def matrix():
+        entries = [term(rng.randrange(1, q)), "0", "0",
+                   term(rng.randrange(1, q))]
+        entries[rng.choice((1, 2))] = "+".join(
+            term(rng.randrange(q)) for _ in range(rng.randrange(1, 4)))
+        return "%s,%s;%s,%s" % tuple(entries)
+    if rng.random() < 0.5:
+        return ["tree", "--q", q_text, "--neighbors", matrix()]
+    return ["tree", "--q", q_text, "--distance", matrix(), matrix()]
+
+
 def value(rng, command, flag, keywords):
     """One value from the domain of a flag of a command."""
     if "choices" in keywords:
@@ -242,6 +272,16 @@ def test_valid_km_act_argvs_reach_the_rules():
         == {None, "UnsupportedActionDomain"}
 
 
+def test_valid_tree_argvs_reach_the_tree():
+    """Of RUNS seeded tree argvs, the fast parse reads every one, at least
+    a third exit 0, and none is a usage error or a traceback."""
+    rng = random.Random(SEED)
+    argvs = [tree(rng) for _ in range(RUNS)]
+    assert all(cli.fast_parse(argv) is not None for argv in argvs)
+    codes = Counter(check(argv) for argv in argvs)
+    assert 2 not in codes and codes[0] >= RUNS // 3
+
+
 def test_the_generator_draws_every_flag_and_no_help():
     """Every flag of every command is drawn, at least once in an argv the
     fast parse reads whole, so with a value its own parse accepts."""
@@ -276,3 +316,4 @@ if __name__ == "__main__":
     rng = random.Random(seed)
     print(dict(Counter(check(draw(rng)) for _ in range(runs))))
     print("km-act:", dict(Counter(check(km_act(rng)) for _ in range(runs))))
+    print("tree:", dict(Counter(check(tree(rng)) for _ in range(runs))))

@@ -1,8 +1,9 @@
 """The record types: construction, defaults, equality and hashing, and
-the checks made on construction.  The package keeps two, KMParams and
-ClassificationInput, which hold input from outside the program; the
-others here (GroupType, EdgeOfGroups) are the tests' own.  Edge labels
-and root letters are plain tuples, and the reports plain dicts."""
+the checks made on construction.  The package keeps one, KMParams, which
+holds input from outside the program and checks m >= 2 when it is built;
+the others here (GroupType, EdgeOfGroups) are the tests' own.  classify
+takes its input as plain arguments, edge labels and root letters are
+plain tuples, and the reports plain dicts."""
 
 import json
 
@@ -12,8 +13,8 @@ from kmlat import cli, kmaction
 from kmlat.gf import make_field
 from kmlat.groups import CODE_ONE, dickson_table, nonsplit_torus
 from kmlat.kmaction import KMParams, letter_table
-from kmlat.lattice import (ClassificationInput, build_standard_lattice,
-                           classify, lubotzky_check, min_covolume)
+from kmlat.lattice import (build_standard_lattice, classify, lubotzky_check,
+                           min_covolume)
 from kmlat.serretree import dihedral_obstruction_search
 from reference import EdgeOfGroups, GroupType, NotAHomomorphism, sl2_group
 
@@ -27,8 +28,6 @@ def _equal_and_hashed_alike(x, y):
 def test_keyword_and_positional_construction_agree():
     assert GroupType(kind="Cyclic", param=4) == GroupType("Cyclic", 4)
     assert KMParams(m=3, spec=F3) == KMParams(3, F3)
-    assert (ClassificationInput(p=5, q=5, levi="psl", z_order=1)
-            == ClassificationInput(5, 5, "psl", 1))
     t, g = nonsplit_torus(F3), sl2_group(F3)
     ident = {x: x for x in t.elements}
     eog = EdgeOfGroups(a0=t, a1=g, a2=g, alpha1=ident, alpha2=dict(ident))
@@ -41,9 +40,6 @@ def test_keyword_and_positional_construction_agree():
 def test_defaults():
     assert GroupType("A4").param == 0 and str(GroupType("A4")) == "A4"
     assert str(GroupType("Cyclic", 3)) == "Cyclic(3)"
-    inp = ClassificationInput(p=7, q=7, levi="psl", z_order=1)
-    assert (inp.qi_in_zg, inp.qi0_in_zg, inp.qi0_nontrivial,
-            inp.zmi_in_zg) == (None, None, None, None)
 
 
 def test_equality_and_hashing():
@@ -53,29 +49,15 @@ def test_equality_and_hashing():
     assert GroupType("A4") != GroupType("S4")
     assert _equal_and_hashed_alike(KMParams(2, F3), KMParams(2, F3))
     assert KMParams(2, F3) != KMParams(3, F3)
-    assert _equal_and_hashed_alike(
-        ClassificationInput(5, 5, "pgl", 2, True, True),
-        ClassificationInput(5, 5, "pgl", 2, True, True))
 
 
 def test_fields_read_back_by_name_and_are_read_only():
-    """Each field reads back the value given for it, by position or by
-    keyword, and none can be set: a record is the tuple of its fields."""
-    names = ("p", "q", "levi", "z_order", "qi_in_zg", "qi0_in_zg",
-             "qi0_nontrivial", "zmi_in_zg")
-    values = (5, 25, "pgl", 3, True, False, None, True)
-    for inp in (ClassificationInput(*values),
-                ClassificationInput(**dict(zip(names, values)))):
-        assert tuple(inp) == values
-        assert tuple(getattr(inp, name) for name in names) == values
-        with pytest.raises(AttributeError):
-            inp.levi = "psl"
+    """Each field reads back the value given for it, and none can be set:
+    a record is the tuple of its fields."""
     params = KMParams(spec=F3, m=4)
     assert (params.m, params.spec) == tuple(params) == (4, F3)
     with pytest.raises(AttributeError):
         params.m = 2
-    with pytest.raises(TypeError):
-        ClassificationInput(5, 5, "psl")
 
 
 def test_letter_table_cache_keys_on_equal_records():
@@ -107,18 +89,18 @@ def test_reprs():
 
 # command -> (argv, the library call whose value the command reports, and
 # where the report holds that value)
-_PSL7 = ClassificationInput(7, 7, "psl", 1)
-_PGL5 = ClassificationInput(5, 5, "pgl", 1, True, True)
+_PSL7 = (7, 7, "psl", 1)
+_PGL5 = (5, 5, "pgl", 1, True, True)
 _PLAIN = {
     "verify": (("--q", "7", "--kind", "2S4"),
                lambda: lubotzky_check(build_standard_lattice(
                    make_field(7), "2S4")),
                lambda rep: {k: v for k, v in rep.items() if k != "kind"}),
     "classify": (("--p", "7", "--q", "7", "--levi", "psl"),
-                 lambda: classify(_PSL7), lambda rep: rep["rows"]),
+                 lambda: classify(*_PSL7), lambda rep: rep["rows"]),
     "min-covolume": (("--p", "5", "--q", "5", "--levi", "pgl",
                       "--qi-central", "yes", "--qi0-central", "yes"),
-                     lambda: min_covolume(_PGL5),
+                     lambda: min_covolume(classify(*_PGL5)),
                      lambda rep: [rep["min_covolume"], rep["delta0"]]),
     "dickson": (("--q", "9", "--ambient", "sl2"),
                 lambda: dickson_table(make_field(3, 2), "sl2"),

@@ -16,8 +16,8 @@ from kmlat.groups import (CODE_ONE, SUBGROUP_TARGETS, FiniteGroup,
                           nonsplit_torus, order_available, order_of,
                           sl2_codes, sl2_elements, torus_normalizer)
 from kmlat.laurent import LaurentPoly
-from kmlat.lattice import (ClassificationInput, build_standard_lattice,
-                           classify, lubotzky_check, min_covolume)
+from kmlat.lattice import (build_standard_lattice, classify, lubotzky_check,
+                           min_covolume)
 from kmlat.serretree import Mat2
 from oracles import (Mat2Group, aligned_report, mat2_build_standard_lattice,
                      mat2_eigen_aligned_lattice, mat2_lubotzky_check,
@@ -43,14 +43,14 @@ FIELDS = {q: _prime_power(q) for q in range(2, 128) if _prime_power(q)}
 
 
 def _psl_input(q):
-    """The psl classification input with z = gcd(2, q-1)."""
-    return ClassificationInput(FIELDS[q][0], q, "psl", gcd(2, q - 1))
+    """classify's psl arguments with z = gcd(2, q-1)."""
+    return FIELDS[q][0], q, "psl", gcd(2, q - 1)
 
 
 def _exceptional_rows(q):
     """(q, kind, |A0|) of each exceptional classify row of _psl_input(q)."""
     return {(q, r["vertex_type"], r["a0_order"])
-            for r in classify(_psl_input(q)) if r["exceptional"]}
+            for r in classify(*_psl_input(q)) if r["exceptional"]}
 
 
 def _build(spec, kind, builder):
@@ -237,9 +237,9 @@ def test_exceptional_sweep_gives_the_table(builds, reports):
            for a in range(1, 9) if 128 <= p ** a < 10 ** 4]
     assert len(big) == 1230
     assert not any(r["exceptional"] for p, q in big
-                   for r in classify(ClassificationInput(p, q, "psl", 2)))
+                   for r in classify(p, q, "psl", 2))
     for a, cases in ((40, []), (41, ["psl-q3mod4-normalizer"])):
-        rows = classify(ClassificationInput(3, 3 ** a, "psl", 2))
+        rows = classify(3, 3 ** a, "psl", 2)
         assert [r["case"] for r in rows] == cases
 
 
@@ -273,7 +273,7 @@ def test_min_covolume_by_construction(reports, q):
     pairs, with delta0 None; with no passing pair it is undefined.  The
     exceptional pairs do not count where a generic one passes: at q = 11
     the answer is 1/12, not SL2(5)'s 1/60."""
-    inp = _psl_input(q)
+    rows = classify(*_psl_input(q))
 
     def least(kinds):
         covs = [reports[q, k]["covolume"] for k in kinds
@@ -281,19 +281,19 @@ def test_min_covolume_by_construction(reports, q):
         return min(covs, key=Fraction) if covs else None
     generic, exceptional = least(GENERIC_KINDS), least(EXCEPTIONAL_KINDS)
     if generic is not None:
-        assert min_covolume(inp) == (generic, 1)
+        assert min_covolume(rows) == (generic, 1)
     elif exceptional is not None:
-        assert min_covolume(inp) == (exceptional, None)
+        assert min_covolume(rows) == (exceptional, None)
     else:
         with pytest.raises(MinUndefined):
-            min_covolume(inp)
+            min_covolume(rows)
     if q == 11:
-        assert min_covolume(inp) == ("1/12", 1)
+        assert min_covolume(rows) == ("1/12", 1)
 
 
 @pytest.mark.parametrize("q", sorted(FIELDS))
 def test_min_covolume_is_the_least_row_by_fraction(q):
-    """At every prime power q < 128, for every input validate accepts (both
+    """At every prime power q < 128, for every input classify accepts (both
     levis, z in 1..4, every admissible setting of the four center flags),
     min_covolume gives the covolume and delta0 of the first generic
     classify row whose covolume, read as a Fraction, is least; of the
@@ -307,9 +307,9 @@ def test_min_covolume_is_the_least_row_by_fraction(q):
     for levi, z, flags in itertools.product(
             ("psl", "pgl"), range(1, 5),
             itertools.product((None, True, False), repeat=4)):
-        inp = ClassificationInput(FIELDS[q][0], q, levi, z, *flags)
+        inp = (FIELDS[q][0], q, levi, z, *flags)
         try:
-            rows = classify(inp)
+            rows = classify(*inp)
         except InvalidInput:
             continue
         accepted += 1
@@ -319,11 +319,11 @@ def test_min_covolume_is_the_least_row_by_fraction(q):
                     2, (q + 1) * z * r["delta0"]), r
         if not rows:
             with pytest.raises(MinUndefined):
-                min_covolume(inp)
+                min_covolume(rows)
             continue
         best = min([r for r in rows if not r["exceptional"]] or rows,
                    key=lambda r: Fraction(r["covolume"]))
-        assert min_covolume(inp) == (best["covolume"], best["delta0"]), inp
+        assert min_covolume(rows) == (best["covolume"], best["delta0"]), inp
     assert accepted >= 8  # psl at each z, and pgl at each z
 
 
@@ -333,7 +333,7 @@ def test_classify_rows_are_the_passing_pairs(reports, q):
     psl input equals the multiset of (|A1 cap A2|, covolume) over the
     standard pairs at q that pass lubotzky_check."""
     rows = Counter((r["a0_order"], r["covolume"])
-                   for r in classify(_psl_input(q)))
+                   for r in classify(*_psl_input(q)))
     pairs = Counter((rep["intersection_order"], rep["covolume"])
                     for (q2, _), rep in reports.items()
                     if q2 == q and rep["passes"])
@@ -351,7 +351,7 @@ def test_exceptional_rows_name_the_built_group(builds, reports):
     for (q, kind), rep in sorted(reports.items()):
         if kind not in EXCEPTIONAL_KINDS or not rep["passes"]:
             continue
-        row, = [r for r in classify(_psl_input(q))
+        row, = [r for r in classify(*_psl_input(q))
                 if r["case"] == "exceptional-%s" % kind]
         assert str(recognize(builds[q, kind])) == names.get(
             row["vertex_type"], row["vertex_type"]), (q, kind)
@@ -365,7 +365,7 @@ def test_char2_rows_name_the_built_torus(builds):
     nonsplit torus of order q + 1."""
     evens = [q for q in FIELDS if q % 2 == 0]
     for q in evens:
-        row, = classify(ClassificationInput(2, q, "psl", 1))
+        row, = classify(2, q, "psl", 1)
         assert row["vertex_type"] == "cyclic C_%d times center" % (
             builds[q, "cyclic_p2"].order), q
     assert len(evens) == 6
@@ -534,7 +534,7 @@ def test_transitive_dickson_rows_are_the_psl_classification(q):
         if len(_orbit_of_infinity(spec, witnesses[row["type"]])) == q + 1:
             found[stabilizer, Fraction(2, row["order"])] += 1
     assert found == Counter((r["a0_order"], Fraction(r["covolume"]))
-                            for r in classify(_psl_input(q)))
+                            for r in classify(*_psl_input(q)))
 
 
 @pytest.mark.parametrize("ambient", ["psl2", "sl2", "pgl2"])

@@ -1,9 +1,9 @@
 """The sweep's fast domains (tests/sweep.py) print what
 tests/golden/sweep_digests.json records: per command the argv count, the
 histogram of exit codes and the sha256 of the lines.  The file holds
-every command's digest; Tier-1 recomputes verify, dickson, km-act and
-tree, which run in about 2 s together, and `python tests/sweep.py` prints
-the rest.  Regenerate the file only when an output changes on purpose:
+every command's digest; Tier-1 recomputes verify, dickson, classify,
+min-covolume, km-act and tree, which run in about 4 s together, and
+`python tests/sweep.py` prints the rest.  Regenerate the file only when an output changes on purpose:
 
     PYTHONPATH=src python tests/test_sweep_digests.py
 """
@@ -28,8 +28,8 @@ def test_the_file_records_every_domain():
     assert list(json.loads(DIGESTS.read_text())) == list(sweep.DOMAINS)
 
 
-@pytest.mark.parametrize("command", ["verify", "dickson", "km-act",
-                                     "tree"])
+@pytest.mark.parametrize("command", ["verify", "dickson", "classify",
+                                     "min-covolume", "km-act", "tree"])
 def test_fast_domain_matches_recorded_digest(command):
     assert record(command) == json.loads(DIGESTS.read_text())[command]
 
