@@ -16,7 +16,6 @@ element x + y*w is x*I + y*C, held as the code 4-tuple (a, b, c, d) of a
 """
 
 from _operator import itemgetter  # operator.py only re-exports it
-from itertools import chain
 
 from .errors import (DegreeTooLarge, DivisionByZero, InvalidInput, NonPrime,
                      SpecMismatch)
@@ -177,8 +176,10 @@ class FieldSpec:
             cuts = [c for k in range(0, q, m)
                     for c in (slice(k + n, k + m), slice(k, k + n))]
             for x in range(n, m):
-                add.append(list(chain.from_iterable(
-                    map(add[x - n].__getitem__, cuts))))
+                row, new = add[x - n], []
+                for c in cuts:
+                    new += row[c]
+                add.append(new)
             n = m
         # the first code whose powers return to 1 only after q-1 steps; x*g
         # is F_p-linear in x, so it is fixed by the images g*t^i of p^i

@@ -9,8 +9,6 @@ Recognition by structural invariants is reference code for the tests, in
 tests/reference.py.
 """
 
-from math import gcd
-
 from .errors import (NotASubgroup, NotFound, OddCharacteristic,
                      SizeCapExceeded)
 from .gf import (CODE_ONE, code_mul, code_pow, norm1_subgroup,
@@ -263,7 +261,7 @@ def dickson_table(spec, ambient):
                                      "div_q_plus_1": order % (q + 1) == 0,
                                      "source": src})
 
-    d = gcd(2, q - 1) if ambient == "psl2" else 1
+    d = 1 + q % 2 if ambient == "psl2" else 1  # gcd(2, q - 1)
     for n in ((q - 1) // d, (q + 1) // d):
         add("Cyclic(%d)" % n, n)
     add("ElementaryAbelian(%d)" % q, q)
@@ -291,7 +289,7 @@ def dickson_table(spec, ambient):
     if order_available(spec, 5):
         add("A5", 60)
     for qb, n in subfields:
-        add("PSL2(%d)" % qb, n // gcd(2, qb - 1))
+        add("PSL2(%d)" % qb, n // (1 + qb % 2))
         if ambient == "pgl2":
             add("PGL2(%d)" % qb, n)
     if ambient == "psl2":  # PGL2(p^b) lies in PSL2(p^2b)

@@ -15,8 +15,6 @@ report, lubotzky_check's or a classify row, is the plain dict the CLI
 prints.
 """
 
-from math import gcd, prod
-
 from .errors import InvalidInput, KindInadmissible, MinUndefined
 from .gf import is_prime
 from .groups import (SUBGROUP_TARGETS, FiniteGroup, find_subgroup_of_type,
@@ -48,9 +46,13 @@ def faithfulness_kernel(a0, a1):
 def covolume(orders):
     """Exact covolume sum(1/|G_s|) of a finite graph of finite groups, from
     the list of its orders |G_s|, as reduced "n/d" text, also when d = 1."""
-    d = prod(orders)
+    d = 1
+    for o in orders:
+        d *= o
     n = sum(d // o for o in orders)
-    g = gcd(n, d)
+    g, r = n, d  # Euclid: g ends as gcd(n, d), d >= 1
+    while r:
+        g, r = r, g % r
     return "%d/%d" % (n // g, d // g)
 
 

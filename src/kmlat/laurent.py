@@ -9,8 +9,6 @@ pi-degree -1, so v(t) = -1 and v(pi) = 1.  Degrees are capped at
 truncating.
 """
 
-import math
-
 from .errors import DegreeWindowExceeded, InvalidInput, SpecMismatch
 from .gf import parse_code
 
@@ -85,7 +83,7 @@ class LaurentPoly:
 
     def valuation(self):
         if not self.coeffs:
-            return math.inf
+            return float("inf")
         return min(self.coeffs)
 
     def is_zero(self):

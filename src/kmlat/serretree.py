@@ -13,8 +13,6 @@ and B, the base vertices, and edges (Edge, its action and its distance)
 are reference code for the tests, in tests/reference.py.
 """
 
-import itertools
-
 from .errors import (NonInvertible, OddCharacteristic, SizeCapExceeded,
                      SpecMismatch, WindowTooLarge, ZeroDeterminant)
 from .laurent import LaurentPoly
@@ -143,9 +141,10 @@ def _polys(spec, lo, hi):
     """Every poly on pi-degrees lo..hi as a {pi-degree: code} dict of its
     nonzero terms, in product order with the pi^hi coefficient varying
     slowest."""
-    degs = range(hi, lo - 1, -1)
-    for codes in itertools.product(range(spec.q), repeat=len(degs)):
-        yield {d: x for d, x in zip(degs, codes) if x}
+    out = [{}]
+    for d in range(hi, lo - 1, -1):
+        out = [{**b, d: x} if x else b for b in out for x in range(spec.q)]
+    return out
 
 
 DIHEDRAL_CAP = 1 << 18  # candidate (b, c) pairs of a P1-B or P2-B family
@@ -168,13 +167,11 @@ def _candidates(spec, region, w):
       P2-B: b on -1..w with a nonzero pi^-1 coefficient, c on 1..w.
     b reaches pi^-1 only where c starts at pi^1, so 1 + bc lies on 0..2w."""
     if region == "B":
-        return list(_polys(spec, 0, w)), list(_polys(spec, 1, w))
+        return _polys(spec, 0, w), _polys(spec, 1, w)
     if region == "P1-B":
-        return (list(_polys(spec, 0, w)),
-                [c for c in _polys(spec, 0, w) if 0 in c])
+        return _polys(spec, 0, w), [c for c in _polys(spec, 0, w) if 0 in c]
     if region == "P2-B":
-        return ([b for b in _polys(spec, -1, w) if -1 in b],
-                list(_polys(spec, 1, w)))
+        return [b for b in _polys(spec, -1, w) if -1 in b], _polys(spec, 1, w)
     raise SpecMismatch("unknown region %r" % region)
 
 
@@ -266,13 +263,14 @@ def dihedral_obstruction_search(spec, window):
             continue
         rc1 = mul[c.get(1, 0)]
         bad2 = [g for g, f2 in low_2 if rc1[f2]]
-        for pair in itertools.product(bad1, bad2):
-            mats = []
-            for a, b, c in (s,) + pair:
-                a = LaurentPoly(spec, dict(enumerate(reversed(a))))
-                mats.append(Mat2(spec, a, LaurentPoly(spec, b),
-                                 LaurentPoly(spec, c), a))
-            violations.append([str(m) for m in mats])
+        for g1 in bad1:
+            for g2 in bad2:
+                mats = []
+                for a, b, c in (s, g1, g2):
+                    a = LaurentPoly(spec, dict(enumerate(reversed(a))))
+                    mats.append(Mat2(spec, a, LaurentPoly(spec, b),
+                                     LaurentPoly(spec, c), a))
+                violations.append([str(m) for m in mats])
     return {
         "q": spec.q,
         "window": window,

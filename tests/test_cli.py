@@ -611,13 +611,18 @@ def test_a_run_never_imports_fractions_decimal_or_numbers():
 # closure, and only build_parser imports it, after argparse has),
 # collections with keyword, reprlib and _collections_abc (zp_walk counts
 # in plain dicts, and KMParams is a tuple subclass, not a namedtuple),
-# types (fast_parse's namespace is cli.Args) and operator
-# (itemgetter comes from _operator, which operator.py re-exports)
+# types (fast_parse's namespace is cli.Args), operator
+# (itemgetter comes from _operator, which operator.py re-exports), math
+# (covolume multiplies and runs Euclid on ints, dickson_table's
+# gcd(2, q - 1) is 1 + q % 2, and valuation's infinity is float("inf"))
+# and itertools (_polys extends its list one pi-degree at a time, the
+# table build adds slices of rows, and the dihedral search nests loops)
 UNLOADED = ("typing", "dataclasses", "inspect", "fractions", "decimal",
             "numbers", "json", "re", "enum", "functools", "collections",
-            "types", "operator", "keyword", "reprlib", "_collections_abc")
+            "types", "operator", "keyword", "reprlib", "_collections_abc",
+            "math", "itertools")
 # the stdlib modules a run loads past the interpreter's start-up
-LOADED = ("_operator", "gc", "itertools", "math")
+LOADED = ("_operator", "gc")
 
 
 def test_a_run_loads_none_of_the_unloaded_modules():

@@ -1,6 +1,7 @@
 """Edge-transitive lattice verification, covering maps, classification."""
 
 import itertools
+import random
 from fractions import Fraction
 from functools import lru_cache
 
@@ -211,7 +212,7 @@ def test_covolume_is_exact():
 def test_covolume_is_the_reduced_fraction_text():
     """covolume's text is Fraction's sum of the 1/|G_s| as "n/d", so
     reduced, and with d = 1 kept: for no groups, for every pair of orders
-    in 1..48, and for triples of unequal orders."""
+    in 1..48, for triples of unequal orders, and for big orders."""
     def want(orders):
         f = sum((Fraction(1, o) for o in orders), Fraction(0))
         return "%d/%d" % (f.numerator, f.denominator)
@@ -222,6 +223,22 @@ def test_covolume_is_the_reduced_fraction_text():
     for triple in itertools.combinations(
             (1, 2, 3, 4, 5, 6, 8, 10, 12, 24, 48, 60, 120), 3):
         assert covolume(triple) == want(triple), triple
+    # classify's equal pairs (q+1)|A0|, |A0| = delta z, up to the largest
+    # q * z it admits, 2^13000 - 1, and unequal pairs of them; the text of
+    # a reduced d stays under int's 4,300 printed digits, about 2^14284
+    rng = random.Random(42)
+    for q in (2, 3, 7, 2 ** 12000, 3 ** 8000, 5 ** 5000):
+        top = ((1 << 13000) - 1) // q
+        for z in (1, 2, top - 1, top, rng.randrange(1, top)):
+            assert (q * z).bit_length() <= 13000
+            for d1, d2 in ((1, 1), (2, 2), (4, 4), (1, 2), (2, 4), (1, 3)):
+                pair = [(q + 1) * d1 * z, (q + 1) * d2 * z]
+                assert covolume(pair) == want(pair), (q, z, d1, d2)
+    # unequal big orders of up to 7,000 bits, most pairs coprime
+    big = [2 ** 7000 - 1, 2 ** 7000 + 1, 3 ** 4400, 3 ** 4400 * 10,
+           5 ** 3000 + 2, 10 ** 2100 * 6, rng.getrandbits(7000)]
+    for pair in itertools.combinations(big, 2):
+        assert covolume(pair) == want(pair)
 
 
 def test_edge_of_groups_validation():

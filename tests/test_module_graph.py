@@ -179,6 +179,23 @@ def test_groups_does_not_import_collections():
     assert "collections" not in stdlib_imports((SRC / "groups.py").read_text())
 
 
+# each module's standard-library imports, anywhere in its source: cli's
+# argparse and functools are the argparse fallback's, so no run of the
+# fast parse loads them, and __main__'s sys is for `python -m kmlat`
+STDLIB_IMPORTS = {"cli": {"gc", "sys", "argparse", "functools"},
+                  "gf": {"_operator"}, "kmaction": {"_operator"},
+                  "__main__": {"sys"}}
+
+
+def test_each_module_imports_only_its_stdlib_modules():
+    """A run loads past start-up only gc and _operator; this pins the
+    source too, so an import on a path no run reaches shows up here."""
+    found = {path.stem: stdlib_imports(path.read_text())
+             for path in SRC.glob("*.py")}
+    assert len(found) == 10
+    assert found == {m: STDLIB_IMPORTS.get(m, set()) for m in found}
+
+
 def test_moved_names_live_only_in_the_reference_module():
     in_src = set()
     for path in SRC.glob("*.py"):

@@ -1,5 +1,6 @@
 """Tree of lattice classes for SL2 over F_q((t^-1)) and involution searches."""
 
+import itertools
 import json
 import random
 
@@ -215,6 +216,41 @@ def test_involution_family_size_window1():
 def test_polys_take_pi_degrees_with_the_top_one_slowest():
     assert list(serretree._polys(F2, -1, 0)) == [
         {}, {-1: 1}, {0: 1}, {0: 1, -1: 1}]
+
+
+def _product_polys(spec, lo, hi):
+    """_polys as itertools.product spells it, the oracle for the list that
+    _polys builds one pi-degree at a time."""
+    degs = range(hi, lo - 1, -1)
+    return [{d: x for d, x in zip(degs, codes) if x}
+            for codes in itertools.product(range(spec.q), repeat=len(degs))]
+
+
+def _items(polys):
+    """Each dict as its (pi-degree, code) list, so key order counts."""
+    return [list(x.items()) for x in polys]
+
+
+@pytest.mark.parametrize("q", [2, 4, 8])
+def test_polys_equal_the_product_spelling(q):
+    """The same dicts, in the same order and with the same key order, as
+    itertools.product gives, on every degree range _candidates asks for
+    (0..w, 1..w and -1..w, w <= 3), each dict its own object; and each
+    region's candidates are the product spelling's, filtered as before."""
+    spec = make_field(2, q.bit_length() - 1)
+    for w in range(4):
+        for lo in (0, 1, -1):
+            got = serretree._polys(spec, lo, w)
+            assert _items(got) == _items(_product_polys(spec, lo, w))
+            assert len(set(map(id, got))) == len(got) == q ** (w - lo + 1)
+        old = {"B": (_product_polys(spec, 0, w), _product_polys(spec, 1, w)),
+               "P1-B": (_product_polys(spec, 0, w),
+                        [c for c in _product_polys(spec, 0, w) if 0 in c]),
+               "P2-B": ([b for b in _product_polys(spec, -1, w) if -1 in b],
+                        _product_polys(spec, 1, w))}
+        for region, (bs, cs) in old.items():
+            got_b, got_c = serretree._candidates(spec, region, w)
+            assert (_items(got_b), _items(got_c)) == (_items(bs), _items(cs))
 
 
 def test_candidates_keep_one_plus_bc_in_the_window():
