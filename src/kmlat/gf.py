@@ -12,7 +12,9 @@ each; neg is the mul row of -1.
 F_{q^2} is the ring F_q[C] inside M2(F_q), C = [[0, -c0], [1, -c1]] the
 companion matrix of the least irreducible quadratic w^2 + c1*w + c0: the
 element x + y*w is x*I + y*C, held as the code 4-tuple (a, b, c, d) of a
-2x2 matrix.  Its product is code_mul and its norm the determinant.
+2x2 matrix.  Its product is code_mul and its norm the determinant,
+N(x + y*w) = x^2 - c1*x*y + c0*y^2: norm_codes solves N = n directly,
+and the norm-one torus is its solutions at n = 1.
 """
 
 from _operator import itemgetter  # operator.py only re-exports it
@@ -394,47 +396,29 @@ class ExtElement:
         return "ext(%d,%d)" % (self.x.code, self.y.code)
 
 
-_PRIMITIVES = {}  # spec -> primitive_element(spec)
+def norm_codes(spec, n):
+    """Every x*I + y*C of F_q[C] whose norm, its determinant, is the
+    nonzero code n: q+1 code 4-tuples in ascending (y, x) code order.
 
-
-def primitive_element(spec):
-    """The first generator z = x*I + y*C of the cyclic group F_{q^2}*, in
-    (y, x) code order, as a code 4-tuple.
-
-    z generates exactly when z^(n/r) != I for every prime r dividing
-    n = q^2 - 1 = (q-1)(q+1), so r <= q+1.  The scan starts at y = 1: the
-    y = 0 row is F_q*, whose order q-1 is less than n.  So the test for
-    r = q+1 never rejects a candidate: when q+1 = r is prime,
-    z^(n/r) = z^(q-1) = I only on F_q*.  Memoized per field in _PRIMITIVES.
+    N(x + y*w) = x^2 - c1*x*y + c0*y^2.  At y = 0 this is x^2 = n.  At
+    y != 0 put x = u*y: then y^2 = n / f(u) with f(u) = u^2 - c1*u + c0,
+    which has no root because the modulus is irreducible.  So each u gives
+    the square roots y of n / f(u), read from one dict, and x = u*y.
     """
-    if spec in _PRIMITIVES:
-        return _PRIMITIVES[spec]
-    n = spec.q * spec.q - 1
-    primes = [r for r in range(2, spec.q + 2) if n % r == 0 and is_prime(r)]
-    add, mul, neg, _ = spec._tables()
+    add, mul, neg, inv = spec._tables()
     c0, c1 = spec.ext_modulus()
-    prod = code_mul(spec)
-    for y in range(1, spec.q):
-        b, d = neg[mul[y][c0]], neg[mul[y][c1]]
-        for x in range(spec.q):
-            z = (x, b, y, add[x][d])
-            if all(code_pow(prod, z, n // r, CODE_ONE) != CODE_ONE
-                   for r in primes):
-                _PRIMITIVES[spec] = z
-                return z
+    roots = {}  # square -> its square roots
+    for v in range(spec.q):
+        roots.setdefault(mul[v][v], []).append(v)
+    yx = [(0, x) for x in roots.get(n, ())]
+    for u in range(spec.q):
+        f = add[mul[u][add[u][neg[c1]]]][c0]  # u*(u - c1) + c0
+        yx += [(y, mul[u][y]) for y in roots.get(mul[n][inv[f]], ())]
+    return [(x, neg[mul[y][c0]], y, add[x][neg[mul[y][c1]]])
+            for y, x in sorted(yx)]
 
 
 def norm1_subgroup(spec):
-    """All z in F_{q^2}* with z^(q+1) = I; the kernel of the norm map, so
-    the determinant-one elements of F_q[C].
-
-    The powers of t0 = g^(q-1) for the generator g of F_{q^2}*.  Returned
-    as code 4-tuples in ascending (y, x) code order; always q+1 elements.
-    """
-    prod = code_mul(spec)
-    t0 = code_pow(prod, primitive_element(spec), spec.q - 1, CODE_ONE)
-    out, z = [], CODE_ONE
-    for _ in range(spec.q + 1):
-        out.append(z)
-        z = prod(z, t0)
-    return sorted(out, key=lambda z: (z[2], z[0]))
+    """The norm-one torus: every z in F_q[C] of determinant 1, the kernel
+    of the norm map of F_{q^2}*, cyclic of order q+1.  norm_codes(spec, 1)."""
+    return norm_codes(spec, 1)

@@ -11,8 +11,8 @@ tests/reference.py.
 
 from .errors import (NotASubgroup, NotFound, OddCharacteristic,
                      SizeCapExceeded)
-from .gf import (CODE_ONE, code_mul, code_pow, norm1_subgroup,
-                 primitive_element)
+from .gf import (CODE_ONE, code_mul, code_pow, is_prime, norm1_subgroup,
+                 norm_codes)
 from .serretree import Mat2
 
 SIZE_CAP = 10 ** 6
@@ -123,32 +123,34 @@ def sl2_elements(spec):
 
 
 def _torus_codes(spec):
-    """The norm-one torus as codes, and its generators (t0,)."""
+    """The norm-one torus as codes, and its generators (t0,): t0 is its
+    first element in (y, x) code order with t0^((q+1)/r) != I for every
+    prime r dividing q+1, so of order q+1."""
     add, mul, neg, _ = spec._tables()
-    elems = frozenset(norm1_subgroup(spec))
+    elems = norm1_subgroup(spec)
     assert all(add[mul[a][d]][neg[mul[b][c]]] == 1 for a, b, c, d in elems)
-    t0 = code_pow(code_mul(spec), primitive_element(spec), spec.q - 1,
-                  CODE_ONE)
-    return elems, (t0,)
+    n, prod = spec.q + 1, code_mul(spec)
+    primes = [r for r in range(2, n + 1) if n % r == 0 and is_prime(r)]
+    t0 = next(t for t in elems if all(
+        code_pow(prod, t, n // r, CODE_ONE) != CODE_ONE for r in primes))
+    return frozenset(elems), (t0,)
 
 
 def nonsplit_torus(spec):
-    """The norm-one torus: multiplication by F_{q^2} norm-1 elements.
-
-    These matrices land in SL2(F_q).  Cyclic of order q+1, generated by
-    multiplication by g^(q-1) for the generator g of F_{q^2}*.
-    """
+    """The norm-one torus T: the matrices x*I + y*C of F_q[C] (see gf) of
+    norm x^2 - c1*x*y + c0*y^2 = 1, which land in SL2(F_q).  Cyclic of
+    order q+1, generated by its first element of that order."""
     return FiniteGroup(spec, *_torus_codes(spec))
 
 
 def torus_normalizer(spec):
     """Normalizer of the norm-one torus T in SL2(F_q), for odd p.
 
-    Built directly as T u s*T, order 2(q+1).  With g the generator of
-    F_{q^2}* (a matrix of F_q[C], see gf), T is generated by t0 = g^(q-1),
-    and s = g^((q-1)/2) * F, where F = [[1, -c1], [0, -1]]
-    is the Frobenius x + y*w -> conj(x + y*w).  N(g^((q-1)/2)) = -1 and
-    det F = -1, so det s = 1; s conjugates each t in T to t^q = t^-1.
+    Built directly as T u sT, order 2(q+1), with F = [[1, -c1], [0, -1]]
+    the Frobenius x + y*w -> conj(x + y*w).  det F = -1 and F t = t^q F,
+    so sT = {w*F : N(w) = -1}, the solutions of the norm equation at -1
+    (gf.norm_codes) times F, all of determinant 1; s is the first of them,
+    and s conjugates each t in T to t^q = t^-1.
     """
     if spec.p == 2:
         raise OddCharacteristic("normalizer construction needs odd p")
@@ -156,9 +158,9 @@ def torus_normalizer(spec):
     mul = code_mul(spec)
     torus, (t0,) = _torus_codes(spec)
     frob = (1, neg[spec.ext_modulus()[1]], 0, neg[1])
-    g = primitive_element(spec)
-    s = mul(code_pow(mul, g, (spec.q - 1) // 2, CODE_ONE), frob)
-    n = FiniteGroup(spec, torus | {mul(s, h) for h in torus}, (t0, s))
+    coset = [mul(w, frob) for w in norm_codes(spec, neg[1])]
+    s = coset[0]
+    n = FiniteGroup(spec, torus.union(coset), (t0, s))
     si = n.inv(s)  # the adjugate: s * si = det(s) I
     assert mul(s, si) == CODE_ONE and s not in torus
     assert mul(mul(s, t0), si) in torus

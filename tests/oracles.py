@@ -132,14 +132,37 @@ def mult_matrix(spec, z):
     return (z.x.code, (-(z.y * c0)).code, z.y.code, (z.x - z.y * c1).code)
 
 
+def ext_order(z):
+    """The multiplicative order of a nonzero ExtElement, by products."""
+    one, acc, n = ext_one(z.spec), z, 1
+    while acc != one:
+        acc, n = acc * z, n + 1
+    return n
+
+
+def ext_torus_t0(spec):
+    """The t0 of groups.nonsplit_torus as an ExtElement: the first element
+    of ext_norm1_subgroup, in (y, x) code order, of order q+1."""
+    return next(z for z in ext_norm1_subgroup(spec)
+                if ext_order(z) == spec.q + 1)
+
+
+def ext_first_of_norm(spec, n):
+    """The first ExtElement x + y*w, in (y, x) code order, of norm n."""
+    return next(z for z in (ExtElement(spec, spec.element(x),
+                                       spec.element(y))
+                            for y in range(spec.q) for x in range(spec.q))
+                if z.norm() == n)
+
+
 def ext_normalizer_s(spec):
-    """The s of groups.torus_normalizer from the ExtElement generator g:
-    multiplication by g^((q-1)/2) times the Frobenius [[1, -c1], [0, -1]]."""
-    _, c1 = spec.ext_modulus()
-    neg = spec._tables()[2]
-    g = ext_primitive_element(spec)
-    return code_mul(spec)(mult_matrix(spec, g ** ((spec.q - 1) // 2)),
-                          (1, neg[c1], 0, neg[1]))
+    """The s of groups.torus_normalizer: v -> z*conj(v) for the first z of
+    norm -1, as codes on the basis {1, w}; its columns are z*conj(1) = z
+    and z*conj(w) = z*(-c1 - w), with conj the Frobenius."""
+    z = ext_first_of_norm(spec, -spec.one)
+    c1 = spec.element(spec.ext_modulus()[1])
+    v = z * ExtElement(spec, -c1, -spec.one)
+    return (z.x.code, v.x.code, z.y.code, v.y.code)
 
 
 def fe_coeffs(x):
@@ -655,22 +678,20 @@ def mat2_nonsplit_torus(spec):
     one = LaurentPoly.one(spec)
     elems = [mat2_mult_matrix(spec, z) for z in ext_norm1_subgroup(spec)]
     assert all(m.det() == one for m in elems)
-    t0 = mat2_mult_matrix(spec, ext_primitive_element(spec) ** (spec.q - 1))
+    t0 = mat2_mult_matrix(spec, ext_torus_t0(spec))
     return Mat2Group(spec, elems, (t0,))
 
 
 def mat2_torus_normalizer(spec):
     if spec.p == 2:
         raise OddCharacteristic("normalizer construction needs odd p")
-    q = spec.q
     torus = mat2_nonsplit_torus(spec)
-    g = ext_primitive_element(spec)
     t0, = torus.gens
     c1 = spec.element(spec.ext_modulus()[1])
     frob = Mat2(spec, LaurentPoly.one(spec),
                 LaurentPoly(spec, {0: (-c1).code}), LaurentPoly.zero(spec),
                 LaurentPoly(spec, {0: (-spec.one).code}))
-    s = mat2_mult_matrix(spec, g ** ((q - 1) // 2)).mul(frob)
+    s = mat2_mult_matrix(spec, ext_first_of_norm(spec, -spec.one)).mul(frob)
     assert s.det() == LaurentPoly.one(spec) and s not in torus.elements
     assert s.mul(t0).mul(s.inv()) in torus.elements
     elems = set(torus.elements)

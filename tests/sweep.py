@@ -21,9 +21,11 @@ The domains:
   the base, over F_2, F_3 and F_4, in identity_phi and in twisted_phi
   with m = 3; and the first KM_ACT_DRAWS km-act argvs that
   test_random_argv.draw gives with seed KM_ACT_SEED;
-- tree: every tree argv of tests/golden/tree_jobs.json, and the first
+- tree: every tree argv of tests/golden/tree_jobs.json, the first
   TREE_DRAWS tree argvs that test_random_argv.draw gives with seed
-  TREE_SEED.
+  TREE_SEED, and the first VALID_TREE_DRAWS argvs that
+  test_random_argv.tree gives with seed VALID_TREE_SEED (draw's rarely
+  reach the tree; these are valid for their field and exit 0).
 
 For each command it prints the argv count, the histogram of exit codes and
 one sha256 over the JSON lines [argv, stdout, stderr, exit code], in
@@ -50,6 +52,7 @@ AMBIENTS = ("sl2", "psl2", "pgl2")
 SHOWN = 10  # differing argvs printed per command
 KM_ACT_SEED, KM_ACT_DRAWS = 38, 1000
 TREE_SEED, TREE_DRAWS = 39, 2000
+VALID_TREE_SEED, VALID_TREE_DRAWS = 43, 2000
 CENTER_FLAGS = ("--qi-central", "--qi0-central", "--qi0-nontrivial",
                 "--zmi-central")
 
@@ -107,6 +110,13 @@ def _drawn(command, seed, n):
     return out
 
 
+def _valid_tree(seed, n):
+    """The first n argvs that test_random_argv.tree gives."""
+    from test_random_argv import tree
+    rng = random.Random(seed)
+    return [tree(rng) for _ in range(n)]
+
+
 def _km_act_domain():
     out = _golden("km-act")
     for q in (2, 3, 4):
@@ -136,7 +146,8 @@ DOMAINS = {
         for a in range(1, 9) for w in range(5)],
     "zp-test": _zp_test_domain,
     "km-act": _km_act_domain,
-    "tree": lambda: _golden("tree") + _drawn("tree", TREE_SEED, TREE_DRAWS),
+    "tree": lambda: (_golden("tree") + _drawn("tree", TREE_SEED, TREE_DRAWS)
+                     + _valid_tree(VALID_TREE_SEED, VALID_TREE_DRAWS)),
 }
 
 

@@ -8,11 +8,11 @@ from kmlat import gf
 from kmlat.errors import (DivisionByZero, DegreeTooLarge, InvalidInput,
                           NonPrime)
 from kmlat.gf import (Q_CAP, ExtElement, FieldSpec, _is_irreducible,
-                      is_prime, make_field, norm1_subgroup, parse_code,
-                      primitive_element)
+                      code_mul, is_prime, make_field, norm1_subgroup,
+                      norm_codes, parse_code)
 from kmlat.groups import nonsplit_torus, torus_normalizer
 from oracles import (as_ext, digit_neg, ext_norm1_subgroup, ext_normalizer_s,
-                     ext_one, ext_primitive_element,
+                     ext_one, ext_order, ext_primitive_element, ext_torus_t0,
                      long_division_is_irreducible, mult_matrix,
                      polynomial_tables, trial_division_is_prime)
 from reference import tables_by_powers
@@ -241,12 +241,7 @@ def test_norm1_subgroup_is_cyclic_of_order_q_plus_1(spec):
             acc = acc * z
         assert acc == one
     # cyclic: some element has full order q+1
-    def order(z):
-        acc, n = z, 1
-        while acc != one:
-            acc, n = acc * z, n + 1
-        return n
-    assert max(order(z) for z in sub) == q + 1
+    assert max(ext_order(z) for z in sub) == q + 1
 
 
 @pytest.mark.parametrize("spec", FIELDS, ids=lambda s: s.short_str())
@@ -259,73 +254,94 @@ def test_norm1_subgroup_matches_brute_force(spec):
 
 @pytest.mark.parametrize("spec", FIELDS, ids=lambda s: s.short_str())
 def test_primitive_element_is_first_generator(spec):
+    """The oracle behind ext_norm1_subgroup, ext_primitive_element, is the
+    first element of order q^2 - 1 in (y, x) code order."""
     n = spec.q * spec.q - 1
-    one = ext_one(spec)
-
-    def order(z):
-        acc, k = z, 1
-        while acc != one:
-            acc, k = acc * z, k + 1
-        return k
-    g = as_ext(spec, primitive_element(spec))
-    assert order(g) == n
+    g = ext_primitive_element(spec)
+    assert ext_order(g) == n
     earlier = [ExtElement(spec, spec.element(x), spec.element(y))
                for y in range(spec.q) for x in range(spec.q)
                if (y, x) < (g.y.code, g.x.code) and (x, y) != (0, 0)]
-    assert all(order(z) < n for z in earlier)
-
-
-def test_primitive_element_is_kept_per_field(monkeypatch):
-    """The first call for a field scans and keeps its generator in
-    gf._PRIMITIVES.  A second call scans nothing and gives the same tuple
-    back, and a scan that fails keeps nothing."""
-    monkeypatch.setattr(gf, "_PRIMITIVES", {})
-    f9, f7 = make_field(3, 2), make_field(7)
-    z = primitive_element(f9)
-    assert gf._PRIMITIVES == {f9: z}
-    code_mul = gf.code_mul
-    monkeypatch.setattr(gf, "code_mul", None)  # a scan calls it
-    assert primitive_element(f9) is z
-    with pytest.raises(TypeError):
-        primitive_element(f7)
-    assert gf._PRIMITIVES == {f9: z}
-    monkeypatch.setattr(gf, "code_mul", code_mul)
-    assert gf._PRIMITIVES == {f9: z, f7: primitive_element(f7)}
+    assert all(ext_order(z) < n for z in earlier)
 
 
 @pytest.mark.parametrize("p,a", BELOW_128 + [(3, 5), (2, 8), (7, 3),
                                               (509, 1)])
 def test_ext_codes_match_the_ext_element_oracle(p, a):
-    """The generator, the torus with its t0, and the normalizer's s, built
-    on code 4-tuples of F_q[C], are the multiplication matrices of the
-    ExtElement oracle's: on every prime power q < 128, and at q = 243,
-    256, 343 and 509.  The generator search takes the primes of q^2 - 1
-    from 2..q+1, the oracle's from 2..q^2 - 1."""
+    """The torus with its t0, and the normalizer's s, built on code
+    4-tuples of F_q[C], are the multiplication matrices of the ExtElement
+    oracle's: on every prime power q < 128, and at q = 243, 256, 343 and
+    509.  The oracle's torus is the q+1 powers of g^(q-1), g a generator
+    of F_{q^2}*, and its t0 the first of them of order q+1."""
     spec = make_field(p, a)
-    g = ext_primitive_element(spec)
-    assert primitive_element(spec) == mult_matrix(spec, g)
     torus = [mult_matrix(spec, z) for z in ext_norm1_subgroup(spec)]
     assert norm1_subgroup(spec) == torus
     t = nonsplit_torus(spec)
     assert t.elements == set(torus)
-    assert t.gens == (mult_matrix(spec, g ** (spec.q - 1)),)
+    assert t.gens == (mult_matrix(spec, ext_torus_t0(spec)),)
     if p != 2:
         n = torus_normalizer(spec)
         assert n.gens == (t.gens[0], ext_normalizer_s(spec))
 
 
-@pytest.mark.parametrize("p,a", BELOW_128)
-def test_norm1_subgroup_is_the_determinant_one_brute_force(p, a):
-    """norm1_subgroup is every x*I + y*C with determinant 1, in (y, x)
+def _determinant_brute_force(spec, n):
+    """Every x*I + y*C of determinant n, by a scan of F_q[C] in (y, x)
     code order, C = [[0, -c0], [1, -c1]] the companion matrix."""
-    spec = make_field(p, a)
     add, mul, neg, _ = spec._tables()
     c0, c1 = spec.ext_modulus()
     brute = [(x, neg[mul[y][c0]], y, add[x][neg[mul[y][c1]]])
              for y in range(spec.q) for x in range(spec.q)]
-    assert norm1_subgroup(spec) == [
-        (x, b, y, d) for x, b, y, d in brute
-        if add[mul[x][d]][neg[mul[b][y]]] == 1]
+    return [(x, b, y, d) for x, b, y, d in brute
+            if add[mul[x][d]][neg[mul[b][y]]] == n]
+
+
+@pytest.mark.parametrize("p,a", BELOW_128)
+def test_norm1_subgroup_is_the_determinant_one_brute_force(p, a):
+    """norm1_subgroup is every x*I + y*C with determinant 1, and
+    norm_codes at -1 every one with determinant -1: q+1 of each, in (y, x)
+    code order."""
+    spec = make_field(p, a)
+    minus_one = spec._tables()[2][1]
+    assert norm1_subgroup(spec) == _determinant_brute_force(spec, 1)
+    coset = norm_codes(spec, minus_one)
+    assert coset == _determinant_brute_force(spec, minus_one)
+    assert len(coset) == spec.q + 1
+
+
+@pytest.mark.parametrize("p,a,n", [(p, a, n) for p, a in BELOW_128
+                                   if p ** a <= 16 for n in range(1, p ** a)])
+def test_norm_codes_is_the_determinant_brute_force(p, a, n):
+    """At q <= 16, norm_codes solves N = n for every nonzero code n: the
+    q+1 matrices x*I + y*C of determinant n, in (y, x) code order."""
+    spec = make_field(p, a)
+    got = norm_codes(spec, n)
+    assert got == _determinant_brute_force(spec, n)
+    assert len(got) == spec.q + 1
+
+
+@pytest.mark.parametrize("p,a", UP_TO_CAP)
+def test_torus_gens_and_normalizer_coset_at_every_q(p, a):
+    """At every prime power q <= 511: t0 has order exactly q+1 (by
+    ExtElement products), s*t0*s^-1 = t0^-1, and the normalizer has
+    2(q+1) elements, T and the q+1 matrices w*F with N(w) = -1, F the
+    Frobenius [[1, -c1], [0, -1]] (F*F = I).  F_{q^2}* has exactly q+1
+    elements of norm -1, so q+1 distinct ones are all of them."""
+    spec = make_field(p, a)
+    t = nonsplit_torus(spec)
+    t0, = t.gens
+    assert ext_order(as_ext(spec, t0)) == spec.q + 1
+    if p == 2:
+        return
+    n = torus_normalizer(spec)
+    _, s = n.gens
+    mul = code_mul(spec)
+    assert mul(mul(s, t0), n.inv(s)) == n.inv(t0)
+    assert n.order == 2 * (spec.q + 1) and t.elements <= n.elements
+    neg = spec._tables()[2]
+    frob = (1, neg[spec.ext_modulus()[1]], 0, neg[1])
+    ws = [as_ext(spec, mul(m, frob)) for m in n.elements - t.elements]
+    assert len(set(ws)) == spec.q + 1
+    assert all(w.norm() == -spec.one for w in ws)
 
 
 def test_element_rejects_codes_outside_the_field():

@@ -4,7 +4,7 @@ from collections import Counter
 
 import pytest
 
-from kmlat import cli, groups
+from kmlat import cli, gf, groups
 from kmlat.errors import NotASubgroup, NotFound, SizeCapExceeded
 from kmlat.gf import is_prime, make_field
 from kmlat.groups import (CODE_ONE, SUBGROUP_TARGETS, FiniteGroup, closure,
@@ -89,14 +89,28 @@ def test_torus_normalizer_does_not_scan_sl2(monkeypatch):
     assert torus_normalizer(spec).order == 16
 
 
+def test_the_torus_asserts_refuse_a_wrong_norm(monkeypatch):
+    """Handed matrices of the wrong norm, nonsplit_torus (one element of
+    T of determinant -1) and torus_normalizer (a coset of determinant 1,
+    so s of determinant -1) each fail their determinant assert."""
+    spec = make_field(7)
+    monkeypatch.setattr(groups, "norm_codes",
+                        lambda spec, n: gf.norm_codes(spec, 1))
+    with pytest.raises(AssertionError):
+        torus_normalizer(spec)
+    monkeypatch.setattr(groups, "norm1_subgroup", lambda spec: (
+        gf.norm1_subgroup(spec)[1:] + gf.norm_codes(spec, 6)[:1]))
+    with pytest.raises(AssertionError):
+        nonsplit_torus(spec)
+
+
 def test_find_subgroup_of_type_does_not_scan_sl2(monkeypatch):
     """The candidates come from the wanted trace classes, and their orders
-    from the trace map, which needs no generator of F_{q^2}*."""
+    from the trace map."""
     def scan(spec):
         raise AssertionError("find_subgroup_of_type scanned SL2(F_q)")
     monkeypatch.setattr(groups, "sl2_elements", scan)
     monkeypatch.setattr(groups, "sl2_codes", scan)
-    monkeypatch.setattr(groups, "primitive_element", scan)
     for q, kind, order in ((59, "SL2(5)", 120), (23, "2S4", 48),
                            (5, "SL2(3)", 24)):
         assert find_subgroup_of_type(make_field(q), kind).order == order

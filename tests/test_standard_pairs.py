@@ -9,8 +9,7 @@ from math import gcd
 import pytest
 
 from kmlat.errors import InvalidInput, KmlatError, MinUndefined
-from kmlat.gf import (code_mul, code_pow, is_prime, make_field,
-                      primitive_element)
+from kmlat.gf import code_mul, code_pow, is_prime, make_field
 from kmlat.groups import (CODE_ONE, SUBGROUP_TARGETS, FiniteGroup,
                           dickson_table, find_subgroup_of_type, generate,
                           nonsplit_torus, order_available, order_of,
@@ -19,10 +18,11 @@ from kmlat.laurent import LaurentPoly
 from kmlat.lattice import (build_standard_lattice, classify, lubotzky_check,
                            min_covolume)
 from kmlat.serretree import Mat2
-from oracles import (Mat2Group, aligned_report, mat2_build_standard_lattice,
-                     mat2_eigen_aligned_lattice, mat2_lubotzky_check,
-                     mat2_pair, mat2_sl2_elements, scan_find_subgroup_of_type,
-                     to_mat2, trace_copies)
+from oracles import (Mat2Group, aligned_report, ext_primitive_element,
+                     mat2_build_standard_lattice, mat2_eigen_aligned_lattice,
+                     mat2_lubotzky_check, mat2_pair, mat2_sl2_elements,
+                     mult_matrix, scan_find_subgroup_of_type, to_mat2,
+                     trace_copies)
 from reference import recognize
 
 KINDS = ("cyclic_p2", "torus_normalizer", "SL2(3)", "SL2(5)", "2S4")
@@ -620,7 +620,8 @@ def _projective_witnesses(spec, ambient):
                "Dihedral(%d)" % (q - 1): sl2["Dicyclic(%d)" % (2 * (q - 1))],
                "Dihedral(%d)" % (q + 1): sl2["Dicyclic(%d)" % (2 * (q + 1))]}
     else:
-        split, z = (g, 0, 0, 1), primitive_element(spec)
+        split = (g, 0, 0, 1)
+        z = mult_matrix(spec, ext_primitive_element(spec))
         frob = (1, neg[spec.ext_modulus()[1]], 0, neg[1])
         out = {"Cyclic(%d)" % (q - 1): [split], "Cyclic(%d)" % (q + 1): [z],
                "Frobenius": [split, (1, 1, 0, 1)],
